@@ -6,6 +6,7 @@ use std::collections::HashSet;
 use std::fmt;
 
 use snic_crypto::sha256::sha256;
+use snic_telemetry::json::escape;
 use snic_types::AccelKind;
 
 use crate::certificate::AnalysisCertificate;
@@ -182,7 +183,7 @@ impl AnalysisReport {
     /// citation}]`.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
-        s.push_str(&format!("\"program\":\"{}\",", json_escape(&self.program)));
+        s.push_str(&format!("\"program\":\"{}\",", escape(&self.program)));
         s.push_str(&format!("\"clean\":{},", self.is_clean()));
         match self.insn_ceiling {
             Some(c) => s.push_str(&format!("\"insn_ceiling\":{c},")),
@@ -204,8 +205,8 @@ impl AnalysisReport {
             s.push_str(&format!(
                 "{{\"code\":\"{}\",\"detail\":\"{}\",\"citation\":\"{}\"}}",
                 v.kind.code(),
-                json_escape(&v.detail),
-                json_escape(v.kind.citation())
+                escape(&v.detail),
+                escape(v.kind.citation())
             ));
         }
         s.push_str("]}");
@@ -237,20 +238,6 @@ impl fmt::Display for AnalysisReport {
             Ok(())
         }
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Lowercase hex of a digest.

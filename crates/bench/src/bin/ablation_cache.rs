@@ -12,11 +12,11 @@
 use snic_bench::streams::{all_traces, TraceSet};
 use snic_bench::{median, render_table, Scale};
 use snic_nf::NfKind;
-use snic_sim::{run_jobs, SendStream, SimJob};
+use snic_sim::{par_map, SimJob};
 use snic_uarch::bus::BusKind;
 use snic_uarch::cache::Partition;
 use snic_uarch::config::MachineConfig;
-use snic_uarch::stream::SharedReplayStream;
+use snic_uarch::stream::{EventSource, SharedReplayStream};
 
 const KINDS: [NfKind; 4] = [
     NfKind::Firewall,
@@ -35,7 +35,7 @@ fn job(traces: &TraceSet, cfg: MachineConfig) -> SimJob {
     };
     // Replay twice: warm pass + measured pass, over the shared
     // recording (no per-run copies).
-    let streams: Vec<SendStream> = KINDS
+    let streams: Vec<EventSource> = KINDS
         .iter()
         .map(|&k| SharedReplayStream::repeated(find(k).clone(), 2).into())
         .collect();
@@ -78,7 +78,7 @@ fn main() {
     // Job 0 is the shared commodity baseline; jobs 1.. are the variants.
     let mut jobs = vec![job(&traces, MachineConfig::commodity(tenants, l2))];
     jobs.extend(variants.iter().map(|(_, cfg)| job(&traces, cfg.clone())));
-    let outcomes = run_jobs(jobs);
+    let outcomes = par_map(jobs, SimJob::run);
     let base = &outcomes[0];
 
     let rows: Vec<Vec<String>> = variants

@@ -36,12 +36,12 @@ use snic_faults::{
 };
 use snic_nf::NfKind;
 use snic_pktio::rules::{RuleMatch, SwitchRule};
-use snic_sim::{execute, map_exec, Exec, SendStream, SimJob};
+use snic_sim::{execute, map_exec, Exec, SimJob};
 use snic_types::packet::PacketBuilder;
 use snic_types::{AccelKind, ByteSize, CoreId, NfId, Packet, Protocol, SnicError};
 use snic_uarch::config::MachineConfig;
 use snic_uarch::engine::RunOutcome;
-use snic_uarch::stream::{Access, AccessKind, ReplayStream, SharedReplayStream};
+use snic_uarch::stream::{Access, AccessKind, EventSource, SharedReplayStream};
 use snic_verify::{lint_fault_transcript, Finding};
 
 use crate::streams::{all_traces, SharedTrace, TraceSet};
@@ -448,11 +448,11 @@ fn perturb_streams(
     }
 }
 
-fn replay(v: Vec<Access>) -> SendStream {
-    ReplayStream::new(v).into()
+fn replay(trace: &SharedTrace) -> EventSource {
+    SharedReplayStream::new(SharedTrace::clone(trace)).into()
 }
 
-fn doubled(trace: &SharedTrace) -> SendStream {
+fn doubled(trace: &SharedTrace) -> EventSource {
     SharedReplayStream::repeated(SharedTrace::clone(trace), 2).into()
 }
 
@@ -491,21 +491,17 @@ pub fn uarch_jobs(scenario: FaultScenario, traces: &TraceSet) -> Vec<SimJob> {
     let nicos_reps = span.div_ceil(nicos.len());
     let (aggr_f, nicos_f) =
         perturb_streams(scenario, &tiled(aggr, aggr_reps), &tiled(nicos, nicos_reps));
+    let (aggr_f, nicos_f) = (SharedTrace::from(aggr_f), SharedTrace::from(nicos_f));
     let warmups = vec![victim.len() as u64, 0, 0];
-    let clean = || -> Vec<SendStream> {
+    let clean = || -> Vec<EventSource> {
         vec![
             doubled(victim),
             SharedReplayStream::repeated(SharedTrace::clone(aggr), aggr_reps as u32).into(),
             SharedReplayStream::repeated(SharedTrace::clone(nicos), nicos_reps as u32).into(),
         ]
     };
-    let faulted = || -> Vec<SendStream> {
-        vec![
-            doubled(victim),
-            replay(aggr_f.clone()),
-            replay(nicos_f.clone()),
-        ]
-    };
+    let faulted =
+        || -> Vec<EventSource> { vec![doubled(victim), replay(&aggr_f), replay(&nicos_f)] };
     vec![
         SimJob::new(MachineConfig::commodity(3, BLAST_L2_BYTES), clean())
             .with_warmups(warmups.clone()),

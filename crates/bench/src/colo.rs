@@ -510,8 +510,9 @@ mod tests {
             let sharded = colo_spec(&tiny(), &specs, many_tenant_snic(6, 1 << 20), shards).run();
             assert_eq!(serial.nfs, sharded.nfs, "shards={shards}");
         }
-        let parallel = snic_sim::run_specs(&[spec_serial], Exec::Parallel);
+        let parallel = snic_sim::map_exec(Exec::Parallel, vec![&spec_serial; 2], JobSpec::run);
         assert_eq!(parallel[0].nfs, serial.nfs);
+        assert_eq!(parallel[1].nfs, serial.nfs);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //! `crates/bench/tests/parallel_determinism.rs`).
 
 use snic_nf::NfKind;
-use snic_sim::{execute, Exec, SendStream, SimJob};
+use snic_sim::{execute, Exec, SimJob};
 use snic_uarch::config::MachineConfig;
 use snic_uarch::engine::RunOutcome;
-use snic_uarch::stream::SharedReplayStream;
+use snic_uarch::stream::{EventSource, SharedReplayStream};
 
 use crate::streams::{all_traces, SharedTrace, TraceSet};
 use crate::{median, percentile, Scale};
@@ -39,7 +39,7 @@ pub struct DegradationPoint {
 /// is measured. The recording is shared, not copied — the old owned
 /// version materialised four full copies of every trace per measured
 /// point (two streams × two machine configs).
-fn doubled(trace: &SharedTrace) -> SendStream {
+fn doubled(trace: &SharedTrace) -> EventSource {
     SharedReplayStream::repeated(SharedTrace::clone(trace), 2).into()
 }
 
@@ -59,7 +59,7 @@ pub(crate) fn colocation_jobs(
             .1
     };
     let tenants = (partners.len() + 1) as u32;
-    let mk_streams = || -> Vec<SendStream> {
+    let mk_streams = || -> Vec<EventSource> {
         let mut v = vec![doubled(find(focus))];
         v.extend(partners.iter().map(|&p| doubled(find(p))));
         v

@@ -242,7 +242,7 @@ mod tests {
                 kind: snic_uarch::AccessKind::Load,
             }; 128];
             loop {
-                let n = snic_uarch::AccessStream::next_batch(&mut src, &mut buf);
+                let n = src.next_batch(&mut buf);
                 if n == 0 {
                     break;
                 }

@@ -10,10 +10,10 @@ use snic_bench::fig5::{self, DegradationPoint};
 use snic_bench::streams::all_traces;
 use snic_bench::telemetry::{run_smoke, smoke_scale};
 use snic_bench::Scale;
-use snic_sim::{run_jobs_on, run_jobs_serial, Exec, SendStream, SimJob};
+use snic_sim::{execute, par_map_on, Exec, SimJob};
 use snic_telemetry::{Recorder, TelemetrySink};
 use snic_uarch::config::MachineConfig;
-use snic_uarch::stream::SharedReplayStream;
+use snic_uarch::stream::{EventSource, SharedReplayStream};
 
 fn tiny() -> Scale {
     Scale {
@@ -39,7 +39,7 @@ fn trace_jobs() -> Vec<SimJob> {
         .into_iter()
         .enumerate()
         {
-            let streams: Vec<SendStream> = (0..tenants)
+            let streams: Vec<EventSource> = (0..tenants)
                 .map(|i| {
                     let (_, trace) = &traces[(i + cfg_i) % traces.len()];
                     SharedReplayStream::repeated(trace.clone(), 2).into()
@@ -56,9 +56,9 @@ fn trace_jobs() -> Vec<SimJob> {
 
 #[test]
 fn pool_outcomes_byte_identical_to_serial() {
-    let serial = run_jobs_serial(trace_jobs());
+    let serial = execute(Exec::Serial, trace_jobs());
     for threads in [2, 4, 16] {
-        let pooled = run_jobs_on(trace_jobs(), threads);
+        let pooled = par_map_on(trace_jobs(), threads, SimJob::run);
         assert_eq!(serial.len(), pooled.len());
         for (i, (a, b)) in serial.iter().zip(&pooled).enumerate() {
             // NfRunStats is all-integer, so == is byte equality.

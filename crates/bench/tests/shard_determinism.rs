@@ -10,11 +10,11 @@
 
 use snic_bench::streams::all_traces;
 use snic_bench::Scale;
-use snic_sim::{run_sharded, run_sharded_sink, shardable, SendStream};
+use snic_sim::{run_sharded, shardable};
 use snic_telemetry::Recorder;
 use snic_uarch::config::MachineConfig;
-use snic_uarch::engine::{run_colocated_sink, run_colocated_warm};
-use snic_uarch::stream::SharedReplayStream;
+use snic_uarch::engine::{run_colocated_ids_sink, run_colocated_warm};
+use snic_uarch::stream::{EventSource, SharedReplayStream};
 
 fn tiny() -> Scale {
     Scale {
@@ -29,9 +29,9 @@ fn tiny() -> Scale {
 
 /// `tenants` recorded traces round-robin, each replayed twice with the
 /// first pass as warmup — the fig5 sweep shape.
-fn cell(tenants: usize) -> (Vec<SendStream>, Vec<u64>) {
+fn cell(tenants: usize) -> (Vec<EventSource>, Vec<u64>) {
     let traces = all_traces(&tiny(), 0xdead);
-    let streams: Vec<SendStream> = (0..tenants)
+    let streams: Vec<EventSource> = (0..tenants)
         .map(|i| {
             let (_, trace) = &traces[i % traces.len()];
             SharedReplayStream::repeated(trace.clone(), 2).into()
@@ -60,7 +60,7 @@ fn sharded_byte_identical_to_serial_for_every_shard_count() {
             let serial = run_colocated_warm(&cfg, streams, &warmups);
             for shards in [1usize, 2, 3, tenants, tenants + 5] {
                 let (streams, warmups) = cell(tenants);
-                let sharded = run_sharded(&cfg, streams, &warmups, shards);
+                let sharded = run_sharded(&cfg, streams, &warmups, shards, None);
                 // NfRunStats is all-integer, so == is byte equality.
                 assert_eq!(
                     serial.nfs, sharded.nfs,
@@ -76,11 +76,11 @@ fn sharded_telemetry_byte_identical_to_serial() {
     let cfg = MachineConfig::snic(4, 1 << 20);
     let (streams, warmups) = cell(4);
     let serial_rec = Recorder::new();
-    let serial = run_colocated_sink(&cfg, streams, &warmups, &serial_rec);
-    for shards in [2usize, 4] {
+    let serial = run_colocated_ids_sink(&cfg, streams, &warmups, &[0, 1, 2, 3], &serial_rec);
+    for shards in [1usize, 2, 4] {
         let (streams, warmups) = cell(4);
         let rec = Recorder::new();
-        let sharded = run_sharded_sink(&cfg, streams, &warmups, shards, Some(&rec));
+        let sharded = run_sharded(&cfg, streams, &warmups, shards, Some(&rec));
         assert_eq!(serial.nfs, sharded.nfs, "stats diverged at {shards} shards");
         assert_eq!(
             serial_rec.summary().render(),
@@ -96,10 +96,10 @@ fn sink_on_sharded_matches_sink_off_sharded() {
     // recorder to a sharded run leaves every statistic untouched.
     let cfg = MachineConfig::snic(4, 1 << 20);
     let (streams, warmups) = cell(4);
-    let bare = run_sharded(&cfg, streams, &warmups, 2);
+    let bare = run_sharded(&cfg, streams, &warmups, 2, None);
     let (streams, warmups) = cell(4);
     let rec = Recorder::new();
-    let recorded = run_sharded_sink(&cfg, streams, &warmups, 2, Some(&rec));
+    let recorded = run_sharded(&cfg, streams, &warmups, 2, Some(&rec));
     assert_eq!(bare.nfs, recorded.nfs);
     assert!(!rec.summary().is_empty(), "the sink saw the sharded run");
 }
@@ -113,6 +113,6 @@ fn commodity_runs_fall_back_to_serial_unchanged() {
     let (streams, warmups) = cell(3);
     let serial = run_colocated_warm(&cfg, streams, &warmups);
     let (streams, warmups) = cell(3);
-    let sharded = run_sharded(&cfg, streams, &warmups, 3);
+    let sharded = run_sharded(&cfg, streams, &warmups, 3, None);
     assert_eq!(serial.nfs, sharded.nfs);
 }

@@ -19,7 +19,7 @@
 use snic_bench::streams::{all_traces, nf_access_trace, nf_trace_source, streamed_nf_source};
 use snic_bench::Scale;
 use snic_nf::NfKind;
-use snic_sim::{run_specs, Exec, JobSpec, SimJob};
+use snic_sim::{map_exec, Exec, JobSpec, SimJob};
 use snic_uarch::config::MachineConfig;
 use snic_uarch::stream::SharedReplayStream;
 use snic_uarch::{Access, AccessKind, EventSource, StreamedSource};
@@ -81,15 +81,31 @@ fn rewind_is_idempotent_over_many_passes() {
         &mut streamed_nf_source(NfKind::Firewall, &tiny(), 7, 1),
         256,
     );
-    let mut repeated = streamed_nf_source(NfKind::Firewall, &tiny(), 7, 3);
-    let three = drain(&mut repeated, 256);
+    let three = drain(
+        &mut streamed_nf_source(NfKind::Firewall, &tiny(), 7, 3),
+        256,
+    );
     assert_eq!(three.len(), 3 * one_pass.len());
     for (i, pass) in three.chunks(one_pass.len()).enumerate() {
         assert_eq!(pass, &one_pass[..], "pass {i}");
     }
-    // An explicit rewind after exhaustion restores the full replay.
-    assert!(repeated.rewind());
-    assert_eq!(drain(&mut repeated, 256), three, "post-exhaustion rewind");
+    // An explicit rewind after exhaustion restores the full replay, and
+    // so does one taken mid-pass.
+    let mut src = nf_trace_source(NfKind::Firewall, &tiny(), 7);
+    let mut buf = vec![one_pass[0]; one_pass.len() + 1];
+    assert_eq!(src.fill(&mut buf), one_pass.len());
+    assert_eq!(src.fill(&mut buf), 0);
+    for consumed in [0, 100] {
+        src.rewind();
+        assert_eq!(src.fill(&mut buf[..consumed]), consumed);
+        src.rewind();
+        assert_eq!(src.fill(&mut buf), one_pass.len());
+        assert_eq!(
+            &buf[..one_pass.len()],
+            &one_pass[..],
+            "rewind after {consumed}"
+        );
+    }
 }
 
 /// Streamed and materialized engine runs at one colocation scale, both
@@ -140,10 +156,11 @@ fn streamed_jobs_serial_parallel_sharded_identical() {
     for shards in [2, 3, 6] {
         assert_eq!(
             serial.nfs,
-            streamed.run_with_shards(shards).nfs,
+            streamed.build().with_shards(shards).run().nfs,
             "shards={shards}"
         );
     }
-    let parallel = run_specs(&[streamed], Exec::Parallel);
+    let parallel = map_exec(Exec::Parallel, vec![&streamed; 2], JobSpec::run);
     assert_eq!(parallel[0].nfs, serial.nfs);
+    assert_eq!(parallel[1].nfs, serial.nfs);
 }

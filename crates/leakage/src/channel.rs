@@ -15,11 +15,13 @@
 //! channels. Nothing outside the receiver's own observable counters
 //! enters the bit decision.
 
+use std::sync::Arc;
+
 use snic_nf::covert;
 use snic_telemetry::{metrics, Recorder, Summary};
 use snic_uarch::config::MachineConfig;
 use snic_uarch::engine::run_colocated_ids_sink;
-use snic_uarch::stream::{Access, EventSource, ReplayStream};
+use snic_uarch::stream::{Access, EventSource, SharedReplayStream};
 
 /// Tenants in every leakage scenario: receiver (0) and sender (1).
 pub const TENANTS: u32 = 2;
@@ -185,7 +187,10 @@ pub struct BitTrial {
 pub struct Channel {
     cfg: MachineConfig,
     family: ChannelFamily,
-    geom: Geometry,
+    /// The receiver's recording, shared by every bit slot.
+    receiver: Arc<[Access]>,
+    /// The sender's recordings for a 0 bit and a 1 bit.
+    senders: [Arc<[Access]>; 2],
     solo: u64,
     threshold: u64,
 }
@@ -194,19 +199,15 @@ impl Channel {
     /// Instantiate a channel and calibrate its solo baseline.
     pub fn new(family: ChannelFamily, geom: Geometry, epoch_cycles: u64, mode: Mode) -> Channel {
         let cfg = machine_config(geom, epoch_cycles, mode);
+        let receiver: Arc<[Access]> = receiver_stream(family, geom).into();
         let recorder = Recorder::new();
-        run_colocated_ids_sink(
-            &cfg,
-            vec![replay(receiver_stream(family, geom))],
-            &[],
-            &[0],
-            &recorder,
-        );
+        run_colocated_ids_sink(&cfg, vec![replay(&receiver)], &[], &[0], &recorder);
         let solo = observable(family, &recorder.summary());
         Channel {
             cfg,
             family,
-            geom,
+            receiver,
+            senders: [false, true].map(|bit| sender_stream(family, bit, geom).into()),
             solo,
             threshold: decode_threshold(family, geom),
         }
@@ -229,8 +230,8 @@ impl Channel {
         run_colocated_ids_sink(
             &self.cfg,
             vec![
-                replay(receiver_stream(self.family, self.geom)),
-                replay(sender_stream(self.family, bit, self.geom)),
+                replay(&self.receiver),
+                replay(&self.senders[usize::from(bit)]),
             ],
             &[],
             &[0, 1],
@@ -251,8 +252,8 @@ impl Channel {
     }
 }
 
-fn replay(accesses: Vec<Access>) -> EventSource {
-    EventSource::Replay(ReplayStream::new(accesses))
+fn replay(recording: &Arc<[Access]>) -> EventSource {
+    SharedReplayStream::new(Arc::clone(recording)).into()
 }
 
 #[cfg(test)]

@@ -11,6 +11,8 @@
 //! human-readable `error` text may evolve, the codes may not (CI and
 //! the exit-code table in the README key off them).
 
+use std::io::{BufRead, Read};
+
 use snic_telemetry::{parse_json, Json};
 
 /// Stable rejection codes. These are API: tests, the soak gate, and
@@ -92,19 +94,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 
 /// Escape a string for inclusion in a JSON literal.
 pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    snic_telemetry::json::escape(s)
 }
 
 fn head(id: u64, tenant: &str, op: &str) -> String {
@@ -137,6 +127,58 @@ pub fn reject(id: u64, tenant: &str, op: &str, code: &str, error: &str) -> Strin
         esc(error)
     ));
     s
+}
+
+/// Longest request line (excluding its newline) the line pump accepts.
+/// Every protocol line is a short flat JSON object: the soak schedule's
+/// longest is 87 bytes and `benchmark/`'s scripts stay under 100, so
+/// 64 KiB leaves three orders of magnitude of headroom while bounding
+/// what one client can make the daemon buffer.
+pub const MAX_LINE_BYTES: usize = 64 << 10;
+
+/// Read newline-delimited request lines from `input` until end of
+/// stream, handing each to `on_line`: `Ok(line)` for a line to serve
+/// (newline and any `\r` before it stripped), `Err(response)` for the
+/// single [`codes::BAD_REQUEST`] response (id 0) that answers a line
+/// longer than [`MAX_LINE_BYTES`] or not UTF-8. Such a line must only be
+/// answered — never journaled or ingested — so the daemon's state is
+/// what it would be had the line not been sent. At most
+/// `MAX_LINE_BYTES + 1` bytes are buffered whatever the peer sends; the
+/// rest of an over-long line is discarded up to its newline.
+///
+/// Returns the first error of `on_line`, or a read error as text.
+pub fn pump_lines<R: BufRead>(
+    mut input: R,
+    mut on_line: impl FnMut(Result<&str, &str>) -> Result<(), String>,
+) -> Result<(), String> {
+    let refusal = |why: String| reject(0, "", "?", codes::BAD_REQUEST, &why);
+    let mut buf = Vec::new();
+    let mut read_bounded = |buf: &mut Vec<u8>| {
+        buf.clear();
+        input
+            .by_ref()
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', buf)
+            .map_err(|e| format!("read: {e}"))
+    };
+    while read_bounded(&mut buf)? > 0 {
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_LINE_BYTES {
+            while read_bounded(&mut buf)? > 0 && buf.last() != Some(&b'\n') {}
+            let why = format!("line exceeds {MAX_LINE_BYTES} bytes");
+            on_line(Err(&refusal(why)))?;
+            continue;
+        }
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+        match std::str::from_utf8(&buf) {
+            Ok(line) => on_line(Ok(line))?,
+            Err(e) => on_line(Err(&refusal(format!("line is not UTF-8: {e}"))))?,
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -187,5 +229,83 @@ mod tests {
             parsed.get("error").and_then(Json::as_str),
             Some("line\nbreak\t\"q\"")
         );
+    }
+
+    #[test]
+    fn pump_refuses_hostile_lines_without_touching_the_daemon() {
+        use crate::daemon::{Daemon, DaemonConfig};
+        use crate::snapshot::{state_digest, transcript_digest};
+
+        let valid = [
+            r#"{"op":"register","tenant":"a","id":1}"#,
+            r#"{"op":"health","id":2}"#,
+        ];
+        let mut input = Vec::new();
+        input.extend_from_slice(valid[0].as_bytes());
+        input.extend_from_slice(b"\n\xff\xfe{\r\n");
+        input.resize(input.len() + 100 * 1024, b'a');
+        input.push(b'\n');
+        input.extend_from_slice(valid[1].as_bytes()); // no trailing newline
+
+        let mut daemon = Daemon::new(DaemonConfig::default());
+        let mut responses = Vec::new();
+        pump_lines(&input[..], |line| {
+            match line {
+                Ok(line) => responses.extend(daemon.ingest(line)),
+                Err(refusal) => responses.push(refusal.to_string()),
+            }
+            Ok(())
+        })
+        .expect("in-memory reads cannot fail");
+
+        let code = |r: &String| {
+            let parsed = parse_json(r).expect("responses are JSON");
+            parsed
+                .get("code")
+                .and_then(Json::as_str)
+                .map(str::to_string)
+        };
+        let codes: Vec<_> = responses.iter().map(code).collect();
+        let bad = Some(codes::BAD_REQUEST.to_string());
+        assert_eq!(codes, [None, bad.clone(), bad, None], "{responses:#?}");
+        assert!(responses[1].starts_with(r#"{"id":0,"#), "{}", responses[1]);
+
+        let mut oracle = Daemon::new(DaemonConfig::default());
+        for line in valid {
+            oracle.ingest(line);
+        }
+        assert_eq!(daemon.history(), oracle.history());
+        assert_eq!(state_digest(&daemon), state_digest(&oracle));
+        assert_eq!(transcript_digest(&daemon), transcript_digest(&oracle));
+    }
+
+    #[test]
+    fn pump_line_length_boundary_and_callback_errors() {
+        // Exactly MAX_LINE_BYTES is served; one more byte is refused,
+        // with or without a newline behind it.
+        let at = "x".repeat(MAX_LINE_BYTES);
+        let over = "x".repeat(MAX_LINE_BYTES + 1);
+        for (input, served) in [
+            (format!("{at}\n"), true),
+            (at.clone(), true),
+            (format!("{over}\n"), false),
+            (over.clone(), false),
+        ] {
+            let mut seen = Vec::new();
+            pump_lines(input.as_bytes(), |line| {
+                seen.push(line.map(str::len).map_err(str::len));
+                Ok(())
+            })
+            .expect("pump");
+            assert_eq!(seen.len(), 1);
+            assert_eq!(seen[0].ok(), served.then_some(MAX_LINE_BYTES));
+        }
+        // The callback's error stops the pump.
+        let mut calls = 0;
+        let stopped = pump_lines(&b"a\nb\n"[..], |_| {
+            calls += 1;
+            Err("stop".to_string())
+        });
+        assert_eq!((stopped, calls), (Err("stop".to_string()), 1));
     }
 }

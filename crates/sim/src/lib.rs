@@ -2,28 +2,32 @@
 //!
 //! The §5.3 sweeps ("every possible colocation") are embarrassingly
 //! parallel: each colocation run is an independent, side-effect-free
-//! call to [`snic_uarch::engine::run_colocated_warm`]. This crate gives
-//! them a fan-out layer:
+//! engine call. This crate gives them a fan-out layer of two job types
+//! and five functions:
 //!
 //! - [`SimJob`] — one pending colocation run (machine config, streams,
-//!   warmup window), runnable on any thread;
-//! - [`JobSpec`] — a re-windable job *factory*: rebuilds the same
+//!   warmup window, optional sink and shard count), runnable on any
+//!   thread;
+//! - [`JobSpec`] — a re-buildable job *factory*: rebuilds the same
 //!   deterministic job on demand so one logical run can execute many
 //!   times (serial vs parallel vs sharded differentials, streamed
 //!   sources that are consumed by running);
-//! - [`run_jobs`] / [`run_jobs_on`] — a worker pool on
-//!   [`std::thread::scope`] that drains a job list across cores and
-//!   returns outcomes **in input order**, so parallel results are
-//!   bit-identical to [`run_jobs_serial`];
-//! - [`par_map`] / [`par_map_on`] — the same order-preserving pool for
-//!   arbitrary independent work (per-NF launches, per-domain solo
-//!   replays, per-scenario attack recordings);
-//! - [`run_sharded`] / [`run_sharded_sink`] — *intra-run* parallelism:
-//!   one colocation under the S-NIC disciplines (see [`shardable`])
-//!   split into contiguous tenant chunks simulated concurrently with
-//!   their global tenant ids, then reassembled — and, with a sink,
-//!   telemetry replayed in shard order from per-shard
-//!   [`BufferSink`]s — bit-identical to the serial run.
+//! - [`run_sharded`] — the one way a colocation reaches the engine, and
+//!   its *intra-run* parallelism: under the S-NIC disciplines (see
+//!   [`shardable`]) the tenant list splits into contiguous chunks
+//!   simulated concurrently with their global tenant ids, then
+//!   reassembled — and, with a sink, telemetry replayed in shard order
+//!   from per-shard [`BufferSink`]s — bit-identical to the serial run,
+//!   which is the same call with one part;
+//! - [`par_map`] / [`par_map_on`] — an order-preserving worker pool on
+//!   [`std::thread::scope`] for arbitrary independent work (whole jobs
+//!   via `par_map(jobs, SimJob::run)`, per-NF launches, per-domain solo
+//!   replays, per-scenario attack recordings); results come back **in
+//!   input order**, so parallel results are bit-identical to a serial
+//!   map;
+//! - [`map_exec`] / [`execute`] — the same map, and its `SimJob::run`
+//!   instance, dispatched on [`Exec`] so sweeps can prove
+//!   serial ≡ parallel.
 //!
 //! Determinism is the contract: every function here is a pure reorder
 //! of *when* work happens, never of *what* is computed or in which slot
@@ -41,26 +45,19 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use snic_telemetry::{BufferSink, TelemetrySink};
+use snic_telemetry::{BufferSink, NullSink, TelemetrySink};
 use snic_uarch::bus::BusKind;
 use snic_uarch::cache::Partition;
 use snic_uarch::config::MachineConfig;
-use snic_uarch::engine::{
-    run_colocated_ids_sink, run_colocated_sink, run_colocated_warm, RunOutcome,
-};
+use snic_uarch::engine::{run_colocated_ids_sink, RunOutcome};
 use snic_uarch::stream::EventSource;
 
-/// A reference stream that can move to a worker thread. [`EventSource`]
-/// is `Send` (asserted in `snic-uarch`'s stream tests); the alias name
-/// survives from the boxed-trait-object era so call sites read the same.
-pub type SendStream = EventSource;
-
-/// One pending colocation run: everything
-/// [`snic_uarch::engine::run_colocated_warm`] needs, packaged so the run
-/// can execute on any worker thread.
+/// One pending colocation run: everything [`run_sharded`] needs,
+/// packaged so the run can execute on any worker thread
+/// ([`EventSource`] is `Send`, asserted in `snic-uarch`'s stream tests).
 pub struct SimJob {
     cfg: MachineConfig,
-    streams: Vec<SendStream>,
+    streams: Vec<EventSource>,
     warmups: Vec<u64>,
     sink: Option<Arc<dyn TelemetrySink>>,
     shards: usize,
@@ -68,7 +65,7 @@ pub struct SimJob {
 
 impl SimJob {
     /// A job with no warmup window (statistics cover the whole run).
-    pub fn new(cfg: MachineConfig, streams: Vec<SendStream>) -> SimJob {
+    pub fn new(cfg: MachineConfig, streams: Vec<EventSource>) -> SimJob {
         SimJob {
             cfg,
             streams,
@@ -105,19 +102,13 @@ impl SimJob {
     /// Execute the job, fanning a shardable colocation across worker
     /// threads when [`SimJob::with_shards`] asked for it.
     pub fn run(self) -> RunOutcome {
-        if self.shards > 1 {
-            return run_sharded_sink(
-                &self.cfg,
-                self.streams,
-                &self.warmups,
-                self.shards,
-                self.sink.as_deref(),
-            );
-        }
-        match self.sink {
-            Some(sink) => run_colocated_sink(&self.cfg, self.streams, &self.warmups, sink.as_ref()),
-            None => run_colocated_warm(&self.cfg, self.streams, &self.warmups),
-        }
+        run_sharded(
+            &self.cfg,
+            self.streams,
+            &self.warmups,
+            self.shards,
+            self.sink.as_deref(),
+        )
     }
 }
 
@@ -133,7 +124,7 @@ impl std::fmt::Debug for SimJob {
     }
 }
 
-/// A re-windable job specification: a deterministic factory that
+/// A re-buildable job specification: a deterministic factory that
 /// builds a fresh [`SimJob`] on every call.
 ///
 /// [`SimJob::run`] consumes its streams, so a job can execute exactly
@@ -143,7 +134,8 @@ impl std::fmt::Debug for SimJob {
 /// build* the job instead: every [`JobSpec::build`] rebuilds NFs,
 /// workload generators, and engine config from their seeds, so the same
 /// logical run can execute serially, in parallel, and sharded — the
-/// serial≡parallel≡sharded differentials — with each execution
+/// serial≡parallel≡sharded differentials (the sharded leg is
+/// `spec.build().with_shards(n).run()`) — with each execution
 /// bit-identical by construction.
 pub struct JobSpec {
     make: Box<dyn Fn() -> SimJob + Send + Sync>,
@@ -167,26 +159,11 @@ impl JobSpec {
     pub fn run(&self) -> RunOutcome {
         self.build().run()
     }
-
-    /// Build and run one instance with the shard count overridden —
-    /// the sharded leg of a determinism differential.
-    pub fn run_with_shards(&self, shards: usize) -> RunOutcome {
-        self.build().with_shards(shards).run()
-    }
 }
 
 impl std::fmt::Debug for JobSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str("JobSpec(..)")
-    }
-}
-
-/// Run every spec once, dispatching on [`Exec`]; outcomes come back in
-/// input order. The specs survive the run and can execute again.
-pub fn run_specs(specs: &[JobSpec], exec: Exec) -> Vec<RunOutcome> {
-    match exec {
-        Exec::Serial => specs.iter().map(JobSpec::run).collect(),
-        Exec::Parallel => par_map(specs.iter().collect(), JobSpec::run),
     }
 }
 
@@ -202,50 +179,46 @@ pub fn shardable(cfg: &MachineConfig) -> bool {
     !matches!(cfg.l2_partition, Partition::Shared) && matches!(cfg.bus, BusKind::Temporal { .. })
 }
 
-/// Shard one colocation run across up to `shards` worker threads,
-/// without telemetry. See [`run_sharded_sink`].
+/// Run one colocation, sharded when the model allows it: split the
+/// tenant list into `shards` contiguous chunks, simulate each chunk on
+/// the worker pool with the tenants' *global* ids (way slice, bus epoch
+/// slot, telemetry domain, address-space tag all follow the id, not the
+/// chunk position), and reassemble per-tenant results in tenant order.
+///
+/// Only a [`shardable`] configuration fans out; anything else, like
+/// `shards <= 1`, is a single part covering ids `0..n` that runs on the
+/// calling thread and writes straight to the caller's sink. Either way
+/// the outcome — and, with a live sink, the telemetry operation stream
+/// — is bit-identical to the serial run: each shard of a multi-part run
+/// buffers its telemetry in a [`BufferSink`] and the buffers are
+/// replayed into the real sink in shard order
+/// (`crates/bench/tests/shard_determinism.rs` holds all of this
+/// bit-for-bit).
 pub fn run_sharded(
     cfg: &MachineConfig,
-    streams: Vec<SendStream>,
-    warmups: &[u64],
-    shards: usize,
-) -> RunOutcome {
-    run_sharded_sink(cfg, streams, warmups, shards, None)
-}
-
-/// Shard one colocation run: split the tenant list into `shards`
-/// contiguous chunks, simulate each chunk on the worker pool with the
-/// tenants' *global* ids (way slice, bus epoch slot, telemetry domain,
-/// address-space tag all follow the id, not the chunk position), and
-/// reassemble per-tenant results in tenant order.
-///
-/// Requires a [`shardable`] configuration to actually fan out; anything
-/// else falls back to the serial engine, as does `shards <= 1`. Either
-/// way the outcome — and, with a live sink, the telemetry operation
-/// stream — is bit-identical to the serial run: each shard buffers its
-/// telemetry in a [`BufferSink`] and the buffers are replayed into the
-/// real sink in shard order (`crates/bench/tests/shard_determinism.rs`
-/// holds all of this bit-for-bit).
-pub fn run_sharded_sink(
-    cfg: &MachineConfig,
-    streams: Vec<SendStream>,
+    streams: Vec<EventSource>,
     warmups: &[u64],
     shards: usize,
     sink: Option<&dyn TelemetrySink>,
 ) -> RunOutcome {
     let n = streams.len();
-    let shards = shards.clamp(1, n.max(1));
-    if shards <= 1 || !shardable(cfg) {
+    let shards = if shardable(cfg) {
+        shards.clamp(1, n.max(1))
+    } else {
+        1
+    };
+    if shards == 1 {
+        let ids: Vec<u32> = (0..n as u32).collect();
         return match sink {
-            Some(s) => run_colocated_sink(cfg, streams, warmups, s),
-            None => run_colocated_warm(cfg, streams, warmups),
+            Some(sink) => run_colocated_ids_sink(cfg, streams, warmups, &ids, sink),
+            None => run_colocated_ids_sink(cfg, streams, warmups, &ids, &NullSink),
         };
     }
     let warm: Vec<u64> = (0..n)
         .map(|i| warmups.get(i).copied().unwrap_or(0))
         .collect();
     // Contiguous tenant chunks [s*n/S, (s+1)*n/S), never empty.
-    let mut parts: Vec<(usize, Vec<SendStream>)> = Vec::with_capacity(shards);
+    let mut parts: Vec<(usize, Vec<EventSource>)> = Vec::with_capacity(shards);
     let mut it = streams.into_iter();
     for s in 0..shards {
         let lo = s * n / shards;
@@ -253,7 +226,7 @@ pub fn run_sharded_sink(
         parts.push((lo, it.by_ref().take(hi - lo).collect()));
     }
     let live = sink.is_some_and(TelemetrySink::enabled);
-    let results = par_map_on(parts, default_threads(), |(lo, chunk)| {
+    let results = par_map(parts, |(lo, chunk)| {
         let ids: Vec<u32> = (lo as u32..(lo + chunk.len()) as u32).collect();
         let w = &warm[lo..lo + chunk.len()];
         if live {
@@ -261,7 +234,7 @@ pub fn run_sharded_sink(
             let out = run_colocated_ids_sink(cfg, chunk, w, &ids, &buf);
             (out, Some(buf))
         } else {
-            let out = run_colocated_ids_sink(cfg, chunk, w, &ids, &snic_telemetry::NullSink);
+            let out = run_colocated_ids_sink(cfg, chunk, w, &ids, &NullSink);
             (out, None)
         }
     });
@@ -288,7 +261,7 @@ pub enum Exec {
     Parallel,
 }
 
-/// Worker count used by [`run_jobs`] and [`par_map`]:
+/// Worker count used by [`par_map`]:
 /// `SNIC_SIM_THREADS` when set to a positive integer, else
 /// [`std::thread::available_parallelism`], else 1.
 pub fn default_threads() -> usize {
@@ -303,29 +276,10 @@ pub fn default_threads() -> usize {
         })
 }
 
-/// Run every job on the calling thread, in order.
-pub fn run_jobs_serial(jobs: Vec<SimJob>) -> Vec<RunOutcome> {
-    jobs.into_iter().map(SimJob::run).collect()
-}
-
-/// Run jobs across [`default_threads`] workers; outcomes come back in
-/// input order.
-pub fn run_jobs(jobs: Vec<SimJob>) -> Vec<RunOutcome> {
-    run_jobs_on(jobs, default_threads())
-}
-
-/// Run jobs across exactly `threads` workers; outcomes come back in
-/// input order.
-pub fn run_jobs_on(jobs: Vec<SimJob>, threads: usize) -> Vec<RunOutcome> {
-    par_map_on(jobs, threads, SimJob::run)
-}
-
-/// Dispatch on [`Exec`]: the serial path or the default pool.
+/// Run every job, dispatching on [`Exec`]; outcomes come back in input
+/// order.
 pub fn execute(exec: Exec, jobs: Vec<SimJob>) -> Vec<RunOutcome> {
-    match exec {
-        Exec::Serial => run_jobs_serial(jobs),
-        Exec::Parallel => run_jobs(jobs),
-    }
+    map_exec(exec, jobs, SimJob::run)
 }
 
 /// Dispatch an arbitrary order-preserving map on [`Exec`]: the serial
@@ -406,10 +360,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snic_uarch::engine::run_colocated_warm;
     use snic_uarch::stream::SyntheticStream;
 
     fn job(seed: u64, tenants: usize) -> SimJob {
-        let streams: Vec<SendStream> = (0..tenants)
+        let streams: Vec<EventSource> = (0..tenants)
             .map(|i| SyntheticStream::new(2 << 20, 8, 4, 4_000, seed + i as u64).into())
             .collect();
         SimJob::new(MachineConfig::commodity(tenants as u32, 1 << 20), streams)
@@ -418,9 +373,9 @@ mod tests {
 
     #[test]
     fn pool_matches_serial_bitwise() {
-        let serial = run_jobs_serial((0..12).map(|s| job(s, 2)).collect());
+        let serial = execute(Exec::Serial, (0..12).map(|s| job(s, 2)).collect());
         for threads in [1, 2, 5, 32] {
-            let pooled = run_jobs_on((0..12).map(|s| job(s, 2)).collect(), threads);
+            let pooled = par_map_on((0..12).map(|s| job(s, 2)).collect(), threads, SimJob::run);
             assert_eq!(serial.len(), pooled.len());
             for (a, b) in serial.iter().zip(&pooled) {
                 assert_eq!(a.nfs, b.nfs, "threads={threads}");
@@ -436,7 +391,7 @@ mod tests {
         let short = job(2, 1);
         let serial_long = job(1, 4).run();
         let serial_short = job(2, 1).run();
-        let out = run_jobs_on(vec![long, short], 2);
+        let out = par_map_on(vec![long, short], 2, SimJob::run);
         assert_eq!(out[0].nfs, serial_long.nfs);
         assert_eq!(out[1].nfs, serial_short.nfs);
     }
@@ -453,7 +408,7 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_fine() {
-        assert!(run_jobs(Vec::new()).is_empty());
+        assert!(execute(Exec::Parallel, Vec::new()).is_empty());
         assert!(par_map_on(Vec::<u32>::new(), 8, |x| x).is_empty());
     }
 
@@ -477,8 +432,8 @@ mod tests {
             .map(|s| job(s, 2).with_sink(Arc::clone(&recorder) as Arc<dyn TelemetrySink>))
             .collect();
         let without: Vec<SimJob> = (0..6).map(|s| job(s, 2)).collect();
-        let on = run_jobs_on(with_sink, 3);
-        let off = run_jobs_serial(without);
+        let on = par_map_on(with_sink, 3, SimJob::run);
+        let off = execute(Exec::Serial, without);
         for (a, b) in on.iter().zip(&off) {
             assert_eq!(a.nfs, b.nfs, "sink-on parallel must equal sink-off serial");
         }
@@ -500,7 +455,7 @@ mod tests {
 
     #[test]
     fn sharded_run_matches_serial_bitwise() {
-        let mk = |n: usize| -> Vec<SendStream> {
+        let mk = |n: usize| -> Vec<EventSource> {
             (0..n)
                 .map(|i| SyntheticStream::new(1 << 18, 6, 3, 3_000, 99 + i as u64).into())
                 .collect()
@@ -509,37 +464,37 @@ mod tests {
         let warm = vec![400u64; 5];
         let serial = run_colocated_warm(&cfg, mk(5), &warm);
         for shards in [1, 2, 3, 5, 16] {
-            let sharded = run_sharded(&cfg, mk(5), &warm, shards);
+            let sharded = run_sharded(&cfg, mk(5), &warm, shards, None);
             assert_eq!(serial.nfs, sharded.nfs, "shards={shards}");
         }
     }
 
     #[test]
     fn unshardable_configs_fall_back_to_serial() {
-        let mk = |n: usize| -> Vec<SendStream> {
+        let mk = |n: usize| -> Vec<EventSource> {
             (0..n)
                 .map(|i| SyntheticStream::new(1 << 18, 6, 0, 2_000, 7 + i as u64).into())
                 .collect()
         };
         let cfg = MachineConfig::commodity(3, 1 << 20);
         let serial = run_colocated_warm(&cfg, mk(3), &[]);
-        let sharded = run_sharded(&cfg, mk(3), &[], 3);
+        let sharded = run_sharded(&cfg, mk(3), &[], 3, None);
         assert_eq!(serial.nfs, sharded.nfs);
     }
 
     #[test]
     fn sharded_telemetry_replays_in_shard_order() {
         use snic_telemetry::Recorder;
-        let mk = |n: usize| -> Vec<SendStream> {
+        let mk = |n: usize| -> Vec<EventSource> {
             (0..n)
                 .map(|i| SyntheticStream::new(1 << 18, 6, 3, 3_000, 42 + i as u64).into())
                 .collect()
         };
         let cfg = MachineConfig::snic(4, 1 << 20);
         let serial_rec = Recorder::new();
-        let serial = run_colocated_sink(&cfg, mk(4), &[], &serial_rec);
+        let serial = run_colocated_ids_sink(&cfg, mk(4), &[], &[0, 1, 2, 3], &serial_rec);
         let shard_rec = Recorder::new();
-        let sharded = run_sharded_sink(&cfg, mk(4), &[], 2, Some(&shard_rec));
+        let sharded = run_sharded(&cfg, mk(4), &[], 2, Some(&shard_rec));
         assert_eq!(serial.nfs, sharded.nfs);
         assert_eq!(
             serial_rec.summary().render(),
@@ -553,7 +508,7 @@ mod tests {
         let plain = job(11, 4);
         let mut cfg = MachineConfig::snic(4, 1 << 20);
         cfg.l2 = plain.cfg.l2;
-        let mk = || -> Vec<SendStream> {
+        let mk = || -> Vec<EventSource> {
             (0..4)
                 .map(|i| SyntheticStream::new(2 << 20, 8, 4, 4_000, 11 + i as u64).into())
                 .collect()
@@ -581,7 +536,7 @@ mod tests {
         // Streamed sources are consumed by running; the spec rebuilds
         // them, and the sharded leg must match the serial leg bitwise.
         let spec = JobSpec::new(|| {
-            let streams: Vec<SendStream> = (0..4)
+            let streams: Vec<EventSource> = (0..4)
                 .map(|i| {
                     snic_uarch::StreamedSource::with_chunk(
                         Box::new(SyntheticStream::new(1 << 18, 6, 3, 3_000, 21 + i as u64)),
@@ -597,12 +552,13 @@ mod tests {
         for shards in [2, 4] {
             assert_eq!(
                 serial.nfs,
-                spec.run_with_shards(shards).nfs,
+                spec.build().with_shards(shards).run().nfs,
                 "shards={shards}"
             );
         }
-        let both = run_specs(&[spec], Exec::Parallel);
+        let both = map_exec(Exec::Parallel, vec![&spec, &spec], JobSpec::run);
         assert_eq!(both[0].nfs, serial.nfs);
+        assert_eq!(both[1].nfs, serial.nfs);
     }
 
     #[test]

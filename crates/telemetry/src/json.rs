@@ -271,8 +271,11 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Escape a string for embedding in a JSON document (adds no quotes).
-pub(crate) fn escape_into(out: &mut String, s: &str) {
+/// Escape a string for embedding in a JSON document (adds no quotes),
+/// appending to `out`. This is the workspace's one JSON string escaper:
+/// `"`, `\\`, `\n`, `\r`, `\t` get their short forms, every other
+/// control character `\u00XX`.
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -286,6 +289,13 @@ pub(crate) fn escape_into(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
+}
+
+/// [`escape_into`] a fresh `String`.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
 }
 
 #[cfg(test)]

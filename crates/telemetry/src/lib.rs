@@ -28,7 +28,7 @@
 
 mod buffer;
 mod hist;
-mod json;
+pub mod json;
 mod recorder;
 mod sink;
 mod summary;

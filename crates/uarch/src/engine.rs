@@ -615,45 +615,34 @@ pub fn run_colocated(cfg: &MachineConfig, streams: Vec<EventSource>) -> RunOutco
 /// first `warmup_events` of each stream — mirroring §5.3's methodology
 /// ("we ran 1 billion instructions to warm microarchitectural structures
 /// like caches and branch predictors. We then collected experimental
-/// data...").
+/// data..."). Tenant ids are the stream indices `0..n`, telemetry off.
 pub fn run_colocated_warm(
     cfg: &MachineConfig,
     streams: Vec<EventSource>,
     warmup_events: &[u64],
 ) -> RunOutcome {
-    run_colocated_sink(cfg, streams, warmup_events, &NullSink)
+    let ids: Vec<u32> = (0..streams.len() as u32).collect();
+    run_colocated_ids_sink(cfg, streams, warmup_events, &ids, &NullSink)
 }
 
-/// Like [`run_colocated_warm`], with telemetry.
+/// Run a colocation (or one shard of one) with explicit global tenant
+/// ids and telemetry — the general entry point the other two wrap.
+///
+/// `tenant_ids[i]` is stream `i`'s identity everywhere an identity
+/// matters: its L2 way slice / SecDCP slot, its temporal-bus epoch
+/// domain, its address-space tag, and its telemetry domain. A whole
+/// colocation passes `0..n`; shard drivers pass the subset of global
+/// ids the shard owns, and — because every structure keyed by tenant id
+/// behaves identically whether or not *other* tenants are simulated
+/// alongside (private way slices, pure-function epoch grants) — each
+/// tenant's results are bit-identical to the full serial run.
 ///
 /// The sink is a monomorphized generic: with [`NullSink`] every
 /// `if sink.enabled()` guard folds to a constant `false` and the
 /// instrumentation vanishes, so statistics are byte-identical with the
 /// sink on or off (asserted by this module's tests and by
 /// `snic-sim`/`snic-bench` determinism suites). Timestamps reported to
-/// the sink are engine cycles; domains are stream indices.
-pub fn run_colocated_sink<S: TelemetrySink + ?Sized>(
-    cfg: &MachineConfig,
-    streams: Vec<EventSource>,
-    warmup_events: &[u64],
-    sink: &S,
-) -> RunOutcome {
-    let ids: Vec<u32> = (0..streams.len() as u32).collect();
-    run_colocated_ids_sink(cfg, streams, warmup_events, &ids, sink)
-}
-
-/// Run a colocation (or one shard of one) with explicit global tenant
-/// ids.
-///
-/// `tenant_ids[i]` is stream `i`'s identity everywhere an identity
-/// matters: its L2 way slice / SecDCP slot, its temporal-bus epoch
-/// domain, its address-space tag, and its telemetry domain. The plain
-/// entry points pass `0..n`, which reproduces the historical behaviour
-/// exactly; shard drivers pass the subset of global ids the shard owns,
-/// and — because every structure keyed by tenant id behaves identically
-/// whether or not *other* tenants are simulated alongside (private way
-/// slices, pure-function epoch grants) — each tenant's results are
-/// bit-identical to the full serial run.
+/// the sink are engine cycles; domains are tenant ids.
 ///
 /// # Panics
 ///
@@ -914,13 +903,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "would alias another NF's cache lines")]
     fn out_of_range_address_rejected() {
-        use crate::stream::ReplayStream;
+        use crate::stream::SharedReplayStream;
         let cfg = MachineConfig::commodity(1, 1 << 20);
-        let s = vec![EventSource::from(ReplayStream::new(vec![Access {
+        let recording = vec![Access {
             insns: 1,
             addr: 1u64 << NF_ADDR_BITS,
             kind: AccessKind::Load,
-        }]))];
+        }];
+        let s = vec![EventSource::from(SharedReplayStream::new(recording.into()))];
         let _ = run_colocated(&cfg, s);
     }
 
@@ -928,19 +918,20 @@ mod tests {
     fn boundary_address_accepted_and_isolated() {
         // The largest legal address still tags into the owner's own
         // range: two NFs touching it must not share a cache line.
-        use crate::stream::ReplayStream;
+        use crate::stream::SharedReplayStream;
         let top = (1u64 << NF_ADDR_BITS) - 64;
         let mk = || {
             (0..2)
                 .map(|_| {
-                    EventSource::from(ReplayStream::new(vec![
+                    let recording = vec![
                         Access {
                             insns: 1,
                             addr: top,
                             kind: AccessKind::Load,
                         };
                         2
-                    ]))
+                    ];
+                    EventSource::from(SharedReplayStream::new(recording.into()))
                 })
                 .collect::<Vec<_>>()
         };
@@ -1001,7 +992,7 @@ mod tests {
         let cfg = MachineConfig::commodity(2, 1 << 20);
         let off = run_colocated(&cfg, streams(2, 8 << 20, 5_000));
         let recorder = Recorder::new();
-        let on = run_colocated_sink(&cfg, streams(2, 8 << 20, 5_000), &[], &recorder);
+        let on = run_colocated_ids_sink(&cfg, streams(2, 8 << 20, 5_000), &[], &[0, 1], &recorder);
         assert_eq!(on.nfs, off.nfs, "telemetry must not perturb the simulation");
 
         // The recorded aggregates match the returned statistics.
@@ -1047,8 +1038,7 @@ mod tests {
     fn matches_reference_engine_on_all_personalities() {
         // Quick in-module guard; the proptest version lives in
         // tests/engine_differential.rs.
-        use crate::reference::run_reference_sink;
-        use snic_telemetry::NullSink;
+        use crate::reference::{run_reference, NullObserver};
         for cfg in [
             MachineConfig::commodity(3, 512 << 10),
             MachineConfig::snic(3, 512 << 10),
@@ -1056,7 +1046,13 @@ mod tests {
         ] {
             let warm = [500u64, 0, 1_000];
             let fast = run_colocated_warm(&cfg, streams(3, 1 << 20, 8_000), &warm);
-            let slow = run_reference_sink(&cfg, streams(3, 1 << 20, 8_000), &warm, &NullSink);
+            let slow = run_reference(
+                &cfg,
+                streams(3, 1 << 20, 8_000),
+                &warm,
+                &NullSink,
+                &mut NullObserver,
+            );
             assert_eq!(fast.nfs, slow.nfs, "engines diverged under {cfg:?}");
         }
     }
@@ -1067,7 +1063,6 @@ mod tests {
         // tenants {2,3} of a 4-tenant S-NIC colocation — with their
         // global ids — must reproduce the full run's stats for those
         // tenants bit-for-bit.
-        use snic_telemetry::NullSink;
         let cfg = MachineConfig::snic(4, 1 << 20);
         let full = run_colocated_warm(&cfg, streams(4, 1 << 20, 10_000), &[100, 200, 300, 400]);
         let all = streams(4, 1 << 20, 10_000);
@@ -1080,7 +1075,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range for a 2-tenant static way partition")]
     fn out_of_range_static_tenant_rejected_at_construction() {
-        use snic_telemetry::NullSink;
         let cfg = MachineConfig::snic(2, 1 << 20);
         let _ = run_colocated_ids_sink(&cfg, streams(1, 4 << 10, 10), &[], &[5], &NullSink);
     }
@@ -1090,7 +1084,6 @@ mod tests {
     fn out_of_range_secdcp_tenant_rejected_at_construction() {
         // Regression for the clamp bug: before strict domains, tenant 9
         // would silently run inside tenant 1's slice.
-        use snic_telemetry::NullSink;
         let mut cfg = MachineConfig::snic_secdcp(vec![8, 8], 1 << 20);
         cfg.bus = BusKind::Temporal { domains: 16 };
         let _ = run_colocated_ids_sink(&cfg, streams(1, 4 << 10, 10), &[], &[9], &NullSink);
@@ -1101,7 +1094,6 @@ mod tests {
     fn out_of_range_bus_domain_rejected_at_construction() {
         // Previously this only faulted at the tenant's first DRAM
         // access; a DRAM-free stream never tripped it.
-        use snic_telemetry::NullSink;
         let mut cfg = MachineConfig::commodity(1, 1 << 20);
         cfg.bus = BusKind::Temporal { domains: 4 };
         let _ = run_colocated_ids_sink(&cfg, streams(1, 4 << 10, 10), &[], &[7], &NullSink);
@@ -1110,7 +1102,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn unsorted_tenant_ids_rejected() {
-        use snic_telemetry::NullSink;
         let cfg = MachineConfig::snic(4, 1 << 20);
         let _ = run_colocated_ids_sink(&cfg, streams(2, 4 << 10, 10), &[], &[3, 1], &NullSink);
     }

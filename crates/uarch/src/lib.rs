@@ -44,13 +44,10 @@ pub use bus::{Arbiter, BusKind, FcfsArbiter, TemporalArbiter};
 pub use cache::{Cache, CacheConfig, Partition};
 pub use config::MachineConfig;
 pub use engine::{
-    run_colocated, run_colocated_ids_sink, run_colocated_sink, run_colocated_warm, NfRunStats,
-    RunOutcome,
+    run_colocated, run_colocated_ids_sink, run_colocated_warm, NfRunStats, RunOutcome,
 };
-pub use reference::{
-    run_reference, run_reference_traced, BusGrantRec, L2AccessRec, RecordedTrace, TraceObserver,
-};
+pub use reference::{run_reference, BusGrantRec, L2AccessRec, RecordedTrace, TraceObserver};
 pub use stream::{
-    Access, AccessKind, AccessStream, EventSource, ReplayStream, SharedReplayStream,
-    StreamedSource, SyntheticStream, TraceSource, STREAM_CHUNK,
+    Access, AccessKind, EventSource, SharedReplayStream, StreamedSource, SyntheticStream,
+    TraceSource, STREAM_CHUNK,
 };

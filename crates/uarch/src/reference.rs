@@ -14,7 +14,7 @@
 //!
 //! Keep this implementation boring: clarity over speed is the point.
 
-use snic_telemetry::{metrics, Histogram, NullSink, TelemetrySink};
+use snic_telemetry::{metrics, Histogram, TelemetrySink};
 
 use crate::bus::BusArbiter;
 use crate::cache::{Cache, Partition};
@@ -157,38 +157,14 @@ impl TraceObserver for RecordedTrace {
     }
 }
 
-/// Reference form of [`crate::engine::run_colocated`].
-pub fn run_reference(cfg: &MachineConfig, streams: Vec<EventSource>) -> RunOutcome {
-    run_reference_sink(cfg, streams, &[], &NullSink)
-}
-
-/// Run the reference engine while recording every shared-L2 access and
-/// bus grant. The statistics are bit-identical to [`run_reference`]
-/// (and hence to the production engine); the trace is what Pass 2 lints.
-pub fn run_reference_traced(
-    cfg: &MachineConfig,
-    streams: Vec<EventSource>,
-) -> (RunOutcome, RecordedTrace) {
-    let mut trace = RecordedTrace::default();
-    let out = run_reference_observed(cfg, streams, &[], &NullSink, &mut trace);
-    (out, trace)
-}
-
-/// Reference form of [`crate::engine::run_colocated_sink`]: the
-/// event-at-a-time loop the production engine is differentially tested
-/// against.
-pub fn run_reference_sink<S: TelemetrySink + ?Sized>(
-    cfg: &MachineConfig,
-    streams: Vec<EventSource>,
-    warmup_events: &[u64],
-    sink: &S,
-) -> RunOutcome {
-    run_reference_observed(cfg, streams, warmup_events, sink, &mut NullObserver)
-}
-
-/// [`run_reference_sink`] with a [`TraceObserver`] witnessing every
-/// shared-L2 access and bus grant in processing order.
-pub fn run_reference_observed<S: TelemetrySink + ?Sized, O: TraceObserver>(
+/// Reference form of [`crate::engine::run_colocated_ids_sink`] over
+/// tenant ids `0..n`: the event-at-a-time loop the production engine is
+/// differentially tested against, with a [`TraceObserver`] witnessing
+/// every shared-L2 access and bus grant in processing order. Pass
+/// [`NullSink`](snic_telemetry::NullSink) / [`NullObserver`] for the
+/// bare statistics, or a [`RecordedTrace`] to capture what Pass 2 lints;
+/// the statistics are bit-identical either way.
+pub fn run_reference<S: TelemetrySink + ?Sized, O: TraceObserver>(
     cfg: &MachineConfig,
     streams: Vec<EventSource>,
     warmup_events: &[u64],

@@ -15,10 +15,10 @@
 //! from writes; only the *timing* model treats them uniformly.
 //!
 //! Streams reach the engine as [`EventSource`] values — a closed enum
-//! over the three concrete stream types (plus a boxed escape hatch) —
-//! so the hot loop dispatches on an enum tag instead of a vtable, and
-//! pulls events in batches via [`AccessStream::next_batch`] rather than
-//! one virtual call per event.
+//! over the three concrete stream types — so the hot loop dispatches on
+//! an enum tag instead of a vtable, and pulls events in batches via
+//! [`EventSource::next_slice`] / [`EventSource::next_batch`] rather than
+//! one call per event.
 
 /// Load or store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,8 +53,8 @@ pub struct Access {
 /// warm-then-measure pattern of the figure sweeps becomes a rewind at
 /// the pass boundary instead of a second materialized copy).
 ///
-/// The contract mirrors [`AccessStream::next_batch`]: a partial fill is
-/// legal only at end of sequence, and a zero fill means the current
+/// The contract is that of [`EventSource::next_batch`]: a partial fill
+/// is legal only at end of sequence, and a zero fill means the current
 /// pass is exhausted. After `rewind`, the source must reproduce its
 /// event sequence bit-identically — that is what lets a streamed run
 /// replace a materialized `Arc<[Access]>` under every golden snapshot.
@@ -85,7 +85,6 @@ pub struct StreamedSource {
     /// Events valid in `buf`.
     hi: usize,
     passes_left: u32,
-    passes: u32,
 }
 
 /// Default chunk size of a [`StreamedSource`]: large enough that the
@@ -124,7 +123,6 @@ impl StreamedSource {
             lo: 0,
             hi: 0,
             passes_left: passes,
-            passes,
         }
     }
 
@@ -153,27 +151,8 @@ impl StreamedSource {
         true
     }
 
-    /// Restart the whole stream: generator rewound, buffer dropped,
-    /// pass budget restored.
-    pub fn rewind(&mut self) {
-        self.src.rewind();
-        self.lo = 0;
-        self.hi = 0;
-        self.passes_left = self.passes;
-    }
-}
-
-impl AccessStream for StreamedSource {
-    fn next_access(&mut self) -> Option<Access> {
-        if !self.ensure() {
-            return None;
-        }
-        let a = self.buf[self.lo];
-        self.lo += 1;
-        Some(a)
-    }
-
-    fn next_batch(&mut self, out: &mut [Access]) -> usize {
+    /// Bulk-pull into `out`; see [`EventSource::next_batch`].
+    pub fn next_batch(&mut self, out: &mut [Access]) -> usize {
         let mut n = 0;
         while n < out.len() {
             if !self.ensure() {
@@ -198,70 +177,6 @@ impl std::fmt::Debug for StreamedSource {
     }
 }
 
-/// A source of reference-stream events.
-pub trait AccessStream {
-    /// Produce the next event, or `None` when the workload is exhausted.
-    fn next_access(&mut self) -> Option<Access>;
-
-    /// Fill `out` with as many events as are available, returning how
-    /// many were written. Returns 0 exactly when the stream is
-    /// exhausted (partial fills are allowed only at end of stream, so a
-    /// short count means "almost done", never "try again").
-    ///
-    /// The default implementation loops [`AccessStream::next_access`];
-    /// replay streams override it with bulk copies so the engine can
-    /// refill a stack buffer at memcpy speed.
-    fn next_batch(&mut self, out: &mut [Access]) -> usize {
-        let mut n = 0;
-        while n < out.len() {
-            match self.next_access() {
-                Some(a) => {
-                    out[n] = a;
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
-}
-
-/// Replays a pre-recorded vector of accesses.
-#[derive(Debug, Clone)]
-pub struct ReplayStream {
-    accesses: Vec<Access>,
-    pos: usize,
-}
-
-impl ReplayStream {
-    /// Wrap a recorded access vector.
-    pub fn new(accesses: Vec<Access>) -> ReplayStream {
-        ReplayStream { accesses, pos: 0 }
-    }
-
-    /// Number of events remaining.
-    pub fn remaining(&self) -> usize {
-        self.accesses.len() - self.pos
-    }
-}
-
-impl AccessStream for ReplayStream {
-    fn next_access(&mut self) -> Option<Access> {
-        let a = self.accesses.get(self.pos).copied();
-        if a.is_some() {
-            self.pos += 1;
-        }
-        a
-    }
-
-    fn next_batch(&mut self, out: &mut [Access]) -> usize {
-        let n = out.len().min(self.accesses.len() - self.pos);
-        out[..n].copy_from_slice(&self.accesses[self.pos..self.pos + n]);
-        self.pos += n;
-        n
-    }
-}
-
 /// Replays a shared, immutable recording without copying it.
 ///
 /// Reference traces are recorded once and replayed many times — every
@@ -277,7 +192,6 @@ pub struct SharedReplayStream {
     accesses: std::sync::Arc<[Access]>,
     pos: usize,
     passes_left: u32,
-    passes: u32,
 }
 
 impl SharedReplayStream {
@@ -292,7 +206,6 @@ impl SharedReplayStream {
             accesses,
             pos: 0,
             passes_left: passes,
-            passes,
         }
     }
 
@@ -303,23 +216,9 @@ impl SharedReplayStream {
         }
         (self.accesses.len() - self.pos) + (self.passes_left as usize - 1) * self.accesses.len()
     }
-}
 
-impl AccessStream for SharedReplayStream {
-    fn next_access(&mut self) -> Option<Access> {
-        if self.accesses.is_empty() || self.passes_left == 0 {
-            return None;
-        }
-        let a = self.accesses[self.pos];
-        self.pos += 1;
-        if self.pos == self.accesses.len() {
-            self.pos = 0;
-            self.passes_left -= 1;
-        }
-        Some(a)
-    }
-
-    fn next_batch(&mut self, out: &mut [Access]) -> usize {
+    /// Bulk-pull into `out`; see [`EventSource::next_batch`].
+    pub fn next_batch(&mut self, out: &mut [Access]) -> usize {
         if self.accesses.is_empty() {
             return 0;
         }
@@ -381,37 +280,31 @@ impl SyntheticStream {
     }
 }
 
-impl AccessStream for SyntheticStream {
-    fn next_access(&mut self) -> Option<Access> {
-        if self.produced >= self.limit {
-            return None;
-        }
-        self.produced += 1;
-        // LCG step (Numerical Recipes constants).
-        self.state = self
-            .state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        let addr = self.state % self.working_set;
-        let kind =
-            if self.store_every > 0 && self.produced.is_multiple_of(u64::from(self.store_every)) {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-        Some(Access {
-            insns: self.insns_per_access,
-            addr,
-            kind,
-        })
-    }
-}
-
 /// A seeded synthetic workload is trivially re-windable: reset the LCG
 /// to its seed and the identical sequence replays.
 impl TraceSource for SyntheticStream {
     fn fill(&mut self, out: &mut [Access]) -> usize {
-        self.next_batch(out)
+        let n = (self.limit - self.produced).min(out.len() as u64) as usize;
+        for slot in &mut out[..n] {
+            self.produced += 1;
+            // LCG step (Numerical Recipes constants).
+            self.state = self
+                .state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let store =
+                self.store_every > 0 && self.produced.is_multiple_of(u64::from(self.store_every));
+            *slot = Access {
+                insns: self.insns_per_access,
+                addr: self.state % self.working_set,
+                kind: if store {
+                    AccessKind::Store
+                } else {
+                    AccessKind::Load
+                },
+            };
+        }
+        n
     }
 
     fn rewind(&mut self) {
@@ -421,17 +314,9 @@ impl TraceSource for SyntheticStream {
 }
 
 /// A devirtualized stream: the closed set of event sources the engine
-/// knows how to drain without a vtable.
-///
-/// The engine's hot loop used to pay one `Box<dyn AccessStream>` call
-/// per trace event. [`EventSource`] replaces that with enum dispatch —
-/// the three concrete stream types are matched directly (and their
-/// [`AccessStream::next_batch`] bulk pulls statically resolved) — while
-/// [`EventSource::Dyn`] keeps the trait-object escape hatch for
-/// exotic callers at the old per-event cost.
+/// knows how to drain without a vtable — the three concrete stream
+/// types are matched directly and their bulk pulls statically resolved.
 pub enum EventSource {
-    /// An owned recording ([`ReplayStream`]).
-    Replay(ReplayStream),
     /// A shared, possibly looped recording ([`SharedReplayStream`]).
     Shared(SharedReplayStream),
     /// A seeded synthetic workload ([`SyntheticStream`]).
@@ -439,71 +324,34 @@ pub enum EventSource {
     /// A chunk-buffered generator ([`StreamedSource`]) — O(chunk)
     /// resident memory, bit-identical replays via [`TraceSource::rewind`].
     Streamed(StreamedSource),
-    /// Any other stream, at one virtual call per batch element.
-    Dyn(Box<dyn AccessStream + Send>),
 }
 
 impl EventSource {
-    /// Bulk-pull into `out`; see [`AccessStream::next_batch`].
+    /// Fill `out` with as many events as are available, returning how
+    /// many were written. Returns 0 exactly when the stream is
+    /// exhausted (partial fills are allowed only at end of stream, so a
+    /// short count means "almost done", never "try again").
     #[inline]
     pub fn next_batch(&mut self, out: &mut [Access]) -> usize {
         match self {
-            EventSource::Replay(s) => s.next_batch(out),
             EventSource::Shared(s) => s.next_batch(out),
-            EventSource::Synthetic(s) => s.next_batch(out),
+            EventSource::Synthetic(s) => s.fill(out),
             EventSource::Streamed(s) => s.next_batch(out),
-            EventSource::Dyn(s) => s.next_batch(out),
-        }
-    }
-
-    /// Restart the source from its beginning so a second drain yields
-    /// the bit-identical event sequence — the primitive `snic-sim`'s
-    /// re-windable job specs are built on. Returns `false` for
-    /// [`EventSource::Dyn`], whose boxed stream exposes no reset hook
-    /// (callers there must rebuild the source instead).
-    pub fn rewind(&mut self) -> bool {
-        match self {
-            EventSource::Replay(s) => {
-                s.pos = 0;
-                true
-            }
-            EventSource::Shared(s) => {
-                s.pos = 0;
-                s.passes_left = s.passes;
-                true
-            }
-            EventSource::Synthetic(s) => {
-                s.state = s.seed | 1;
-                s.produced = 0;
-                true
-            }
-            EventSource::Streamed(s) => {
-                s.rewind();
-                true
-            }
-            EventSource::Dyn(_) => false,
         }
     }
 
     /// Borrow the next run of up to `max` events straight out of a
     /// replay backing store, advancing the cursor — the zero-copy
     /// counterpart of [`EventSource::next_batch`]. Returns `None` for
-    /// sources that must synthesize events into a caller buffer
-    /// (synthetic and boxed streams); callers fall back to
-    /// `next_batch` there. An exhausted replay source returns
-    /// `Some(&[])`, and a shared recording's runs never span a pass
-    /// boundary (the next call resumes at the front), so a short run —
-    /// unlike `next_batch`'s contract — does *not* imply end of stream;
-    /// only an empty one does.
+    /// the synthetic source, which must synthesize events into a caller
+    /// buffer; callers fall back to `next_batch` there. An exhausted
+    /// replay source returns `Some(&[])`, and a shared recording's runs
+    /// never span a pass boundary (the next call resumes at the front),
+    /// so a short run — unlike `next_batch`'s contract — does *not*
+    /// imply end of stream; only an empty one does.
     #[inline]
     pub fn next_slice(&mut self, max: usize) -> Option<&[Access]> {
         match self {
-            EventSource::Replay(s) => {
-                let n = max.min(s.accesses.len() - s.pos);
-                let lo = s.pos;
-                s.pos += n;
-                Some(&s.accesses[lo..lo + n])
-            }
             EventSource::Shared(s) => {
                 if s.passes_left == 0 || s.accesses.is_empty() {
                     return Some(&[]);
@@ -526,7 +374,7 @@ impl EventSource {
                 s.lo += n;
                 Some(&s.buf[lo..lo + n])
             }
-            EventSource::Synthetic(_) | EventSource::Dyn(_) => None,
+            EventSource::Synthetic(_) => None,
         }
     }
 
@@ -540,54 +388,26 @@ impl EventSource {
     /// loads from being elided.)
     #[inline]
     pub fn prefetch_ahead(&self, events: usize) {
-        let (accesses, pos) = match self {
-            EventSource::Replay(s) => (&s.accesses[..], s.pos),
-            EventSource::Shared(s) => (&s.accesses[..], s.pos),
-            // A streamed source's buffer is small and recently written —
-            // already cache-hot — so there is nothing useful to warm.
-            EventSource::Streamed(_) | EventSource::Synthetic(_) | EventSource::Dyn(_) => return,
-        };
-        let hi = accesses.len().min(pos + events);
-        let mut i = pos;
+        // A streamed source's buffer is small and recently written —
+        // already cache-hot — so there is nothing useful to warm.
+        let EventSource::Shared(s) = self else { return };
+        let hi = s.accesses.len().min(s.pos + events);
+        let mut i = s.pos;
         // One touch per 64-byte line (four 16-byte events).
         while i < hi {
-            std::hint::black_box(accesses[i].addr);
+            std::hint::black_box(s.accesses[i].addr);
             i += 4;
         }
-    }
-}
-
-impl AccessStream for EventSource {
-    fn next_access(&mut self) -> Option<Access> {
-        match self {
-            EventSource::Replay(s) => s.next_access(),
-            EventSource::Shared(s) => s.next_access(),
-            EventSource::Synthetic(s) => s.next_access(),
-            EventSource::Streamed(s) => s.next_access(),
-            EventSource::Dyn(s) => s.next_access(),
-        }
-    }
-
-    fn next_batch(&mut self, out: &mut [Access]) -> usize {
-        EventSource::next_batch(self, out)
     }
 }
 
 impl std::fmt::Debug for EventSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            EventSource::Replay(s) => f.debug_tuple("Replay").field(s).finish(),
             EventSource::Shared(s) => f.debug_tuple("Shared").field(s).finish(),
             EventSource::Synthetic(s) => f.debug_tuple("Synthetic").field(s).finish(),
             EventSource::Streamed(s) => f.debug_tuple("Streamed").field(s).finish(),
-            EventSource::Dyn(_) => f.write_str("Dyn(..)"),
         }
-    }
-}
-
-impl From<ReplayStream> for EventSource {
-    fn from(s: ReplayStream) -> EventSource {
-        EventSource::Replay(s)
     }
 }
 
@@ -609,147 +429,49 @@ impl From<StreamedSource> for EventSource {
     }
 }
 
-impl From<Box<dyn AccessStream + Send>> for EventSource {
-    fn from(s: Box<dyn AccessStream + Send>) -> EventSource {
-        EventSource::Dyn(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
-    #[test]
-    fn replay_replays_in_order() {
-        let v = vec![
-            Access {
-                insns: 1,
-                addr: 0,
-                kind: AccessKind::Load,
-            },
-            Access {
-                insns: 2,
-                addr: 64,
-                kind: AccessKind::Store,
-            },
-        ];
-        let mut s = ReplayStream::new(v.clone());
-        assert_eq!(s.remaining(), 2);
-        assert_eq!(s.next_access(), Some(v[0]));
-        assert_eq!(s.next_access(), Some(v[1]));
-        assert_eq!(s.next_access(), None);
-        assert_eq!(s.remaining(), 0);
-    }
+    const BLANK: Access = Access {
+        insns: 1,
+        addr: 0,
+        kind: AccessKind::Load,
+    };
 
-    #[test]
-    fn synthetic_respects_limit_and_bounds() {
-        let mut s = SyntheticStream::new(4096, 5, 4, 100, 42);
-        let mut n = 0;
-        let mut stores = 0;
-        while let Some(a) = s.next_access() {
-            assert!(a.addr < 4096);
-            assert_eq!(a.insns, 5);
-            if a.kind == AccessKind::Store {
-                stores += 1;
-            }
-            n += 1;
-        }
-        assert_eq!(n, 100);
-        assert_eq!(stores, 25);
-    }
-
-    #[test]
-    fn shared_replay_matches_owned_replay() {
-        let v = vec![
-            Access {
-                insns: 1,
-                addr: 0,
-                kind: AccessKind::Load,
-            },
-            Access {
-                insns: 2,
-                addr: 64,
-                kind: AccessKind::Store,
-            },
-        ];
-        let shared: std::sync::Arc<[Access]> = v.clone().into();
-        let mut owned = ReplayStream::new(v);
-        let mut s = SharedReplayStream::new(shared);
-        assert_eq!(s.remaining(), 2);
-        while let Some(a) = owned.next_access() {
-            assert_eq!(s.next_access(), Some(a));
-        }
-        assert_eq!(s.next_access(), None);
-        assert_eq!(s.remaining(), 0);
-    }
-
-    #[test]
-    fn repeated_replay_loops_without_copying() {
-        let v = vec![
-            Access {
-                insns: 1,
-                addr: 0,
-                kind: AccessKind::Load,
-            },
-            Access {
-                insns: 3,
-                addr: 128,
-                kind: AccessKind::Load,
-            },
-        ];
-        let shared: std::sync::Arc<[Access]> = v.clone().into();
-        let mut s = SharedReplayStream::repeated(shared, 3);
-        assert_eq!(s.remaining(), 6);
-        let mut seen = Vec::new();
-        while let Some(a) = s.next_access() {
-            seen.push(a);
-        }
-        assert_eq!(seen.len(), 6);
-        assert_eq!(&seen[..2], &v[..]);
-        assert_eq!(&seen[2..4], &v[..]);
-        assert_eq!(&seen[4..], &v[..]);
-    }
-
-    #[test]
-    fn empty_shared_replay_terminates() {
-        let shared: std::sync::Arc<[Access]> = Vec::new().into();
-        let mut s = SharedReplayStream::repeated(shared, 1_000_000);
-        assert_eq!(s.next_access(), None);
-    }
-
-    /// Drain a stream one event at a time.
-    fn drain_single(s: &mut dyn AccessStream) -> Vec<Access> {
+    /// Drain a source via `next_batch` through a `chunk`-slot buffer,
+    /// holding it to the contract on the way: a short count may only be
+    /// the last non-empty batch of the stream.
+    fn drain_batched(mut es: EventSource, chunk: usize) -> Vec<Access> {
         let mut v = Vec::new();
-        while let Some(a) = s.next_access() {
-            v.push(a);
-        }
-        v
-    }
-
-    /// Drain a stream via `next_batch` with an awkward buffer size.
-    fn drain_batched(s: &mut dyn AccessStream, chunk: usize) -> Vec<Access> {
-        let mut v = Vec::new();
-        let mut buf = vec![
-            Access {
-                insns: 1,
-                addr: 0,
-                kind: AccessKind::Load,
-            };
-            chunk
-        ];
+        let mut buf = vec![BLANK; chunk];
         loop {
-            let n = s.next_batch(&mut buf);
-            if n == 0 {
-                break;
-            }
+            let n = es.next_batch(&mut buf);
             v.extend_from_slice(&buf[..n]);
+            if n < chunk {
+                assert_eq!(es.next_batch(&mut buf), 0, "short count mid-stream");
+                return v;
+            }
         }
-        v
     }
 
-    #[test]
-    fn batched_pull_matches_single_pull_for_every_stream_type() {
-        let v: Vec<Access> = (0..97u64)
+    /// Drain a source through the zero-copy `next_slice` path, falling
+    /// back to `next_batch` like the engine does.
+    fn drain_sliced(mut es: EventSource, max: usize) -> Vec<Access> {
+        let mut v = Vec::new();
+        loop {
+            match es.next_slice(max) {
+                Some([]) => return v,
+                Some(run) => v.extend_from_slice(run),
+                None => return drain_batched(es, max),
+            }
+        }
+    }
+
+    /// A 97-event recording with mixed kinds and varied insns.
+    fn recording() -> Vec<Access> {
+        (0..97u64)
             .map(|i| Access {
                 insns: 1 + (i % 7) as u32,
                 addr: i * 64,
@@ -759,67 +481,120 @@ mod tests {
                     AccessKind::Load
                 },
             })
-            .collect();
-        let shared: std::sync::Arc<[Access]> = v.clone().into();
-        for chunk in [1usize, 3, 64, 200] {
-            assert_eq!(
-                drain_batched(&mut ReplayStream::new(v.clone()), chunk),
-                drain_single(&mut ReplayStream::new(v.clone())),
-                "replay, chunk={chunk}"
-            );
-            assert_eq!(
-                drain_batched(
-                    &mut SharedReplayStream::repeated(std::sync::Arc::clone(&shared), 3),
-                    chunk
-                ),
-                drain_single(&mut SharedReplayStream::repeated(
-                    std::sync::Arc::clone(&shared),
-                    3
-                )),
-                "shared x3, chunk={chunk}"
-            );
-            assert_eq!(
-                drain_batched(&mut SyntheticStream::new(4096, 5, 4, 100, 42), chunk),
-                drain_single(&mut SyntheticStream::new(4096, 5, 4, 100, 42)),
-                "synthetic, chunk={chunk}"
-            );
+            .collect()
+    }
+
+    #[test]
+    fn replay_replays_in_order() {
+        let v = vec![
+            BLANK,
+            Access {
+                insns: 2,
+                addr: 64,
+                kind: AccessKind::Store,
+            },
+        ];
+        let mut s = SharedReplayStream::new(v.clone().into());
+        let mut one = [BLANK; 1];
+        assert_eq!(s.remaining(), 2);
+        assert_eq!((s.next_batch(&mut one), one[0]), (1, v[0]));
+        assert_eq!(s.remaining(), 1);
+        assert_eq!((s.next_batch(&mut one), one[0]), (1, v[1]));
+        assert_eq!(s.next_batch(&mut one), 0);
+        assert_eq!(s.remaining(), 0);
+    }
+
+    #[test]
+    fn synthetic_respects_limit_and_bounds() {
+        let events = drain_batched(SyntheticStream::new(4096, 5, 4, 100, 42).into(), 7);
+        assert_eq!(events.len(), 100);
+        assert!(events.iter().all(|a| a.addr < 4096 && a.insns == 5));
+        let stores = events.iter().filter(|a| a.kind == AccessKind::Store);
+        assert_eq!(stores.count(), 25);
+    }
+
+    #[test]
+    fn repeated_replay_loops_without_copying() {
+        let v = vec![
+            BLANK,
+            Access {
+                insns: 3,
+                addr: 128,
+                kind: AccessKind::Load,
+            },
+        ];
+        let s = SharedReplayStream::repeated(v.clone().into(), 3);
+        assert_eq!(s.remaining(), 6);
+        let seen = drain_batched(s.into(), 1);
+        assert_eq!(seen.len(), 6);
+        assert_eq!(&seen[..2], &v[..]);
+        assert_eq!(&seen[2..4], &v[..]);
+        assert_eq!(&seen[4..], &v[..]);
+    }
+
+    #[test]
+    fn empty_replay_terminates() {
+        let empty = || -> Arc<[Access]> { Vec::new().into() };
+        for passes in [1, 1_000_000] {
+            let mut es = EventSource::from(SharedReplayStream::repeated(empty(), passes));
+            assert_eq!(es.next_batch(&mut [BLANK; 4]), 0);
+            assert_eq!(es.next_slice(16), Some(&[][..]));
         }
     }
 
     #[test]
+    fn batched_and_sliced_pulls_match_single_pull_for_every_stream_type() {
+        let shared: Arc<[Access]> = recording().into();
+        let sources: [(&str, &dyn Fn() -> EventSource); 4] = [
+            ("replay", &|| SharedReplayStream::new(shared.clone()).into()),
+            ("shared x3", &|| {
+                SharedReplayStream::repeated(shared.clone(), 3).into()
+            }),
+            ("synthetic", &|| {
+                SyntheticStream::new(4096, 5, 4, 100, 42).into()
+            }),
+            ("streamed x2", &|| {
+                StreamedSource::with_chunk(Box::new(synth()), 2, 61).into()
+            }),
+        ];
+        for (name, mk) in sources {
+            let single = drain_batched(mk(), 1);
+            assert!(!single.is_empty());
+            for chunk in [3usize, 64, 200] {
+                assert_eq!(drain_batched(mk(), chunk), single, "{name}, chunk={chunk}");
+                assert_eq!(drain_sliced(mk(), chunk), single, "{name}, max={chunk}");
+            }
+        }
+        assert_eq!(drain_batched(sources[0].1(), 1), recording());
+    }
+
+    #[test]
     fn batch_short_count_only_at_end_of_stream() {
-        // A 5-event shared recording looped twice into a 4-slot buffer:
-        // full, full, then the 2-event tail, then 0.
-        let v: Vec<Access> = (0..5u64)
-            .map(|i| Access {
-                insns: 1,
-                addr: i,
-                kind: AccessKind::Load,
-            })
-            .collect();
-        let mut s = SharedReplayStream::repeated(v.into(), 2);
-        let mut buf = [Access {
-            insns: 1,
-            addr: 0,
-            kind: AccessKind::Load,
-        }; 4];
-        assert_eq!(s.next_batch(&mut buf), 4);
-        assert_eq!(s.next_batch(&mut buf), 4);
-        assert_eq!(s.next_batch(&mut buf), 2);
-        assert_eq!(s.next_batch(&mut buf), 0);
+        // A 5-event recording into a 4-slot buffer: full, then the
+        // 1-event tail, then 0. Looped twice: full, full, the 2-event
+        // tail, then 0.
+        let v: Arc<[Access]> = (0..5u64).map(|i| Access { addr: i, ..BLANK }).collect();
+        let mut buf = [BLANK; 4];
+        let mut once = SharedReplayStream::new(v.clone());
+        assert_eq!(once.next_batch(&mut buf), 4);
+        assert_eq!(once.next_batch(&mut buf), 1);
+        assert_eq!(once.next_batch(&mut buf), 0);
+        let mut twice = SharedReplayStream::repeated(v, 2);
+        assert_eq!(twice.next_batch(&mut buf), 4);
+        assert_eq!(twice.next_batch(&mut buf), 4);
+        assert_eq!(twice.next_batch(&mut buf), 2);
+        assert_eq!(twice.next_batch(&mut buf), 0);
     }
 
     #[test]
     fn event_source_dispatches_and_is_send() {
         fn assert_send<T: Send>(_: &T) {}
-        let mut es = EventSource::from(SyntheticStream::new(4096, 5, 0, 10, 1));
+        let es = EventSource::from(SyntheticStream::new(4096, 5, 0, 10, 1));
         assert_send(&es);
-        let direct = drain_single(&mut SyntheticStream::new(4096, 5, 0, 10, 1));
-        assert_eq!(drain_single(&mut es), direct);
-        let boxed: Box<dyn AccessStream + Send> = Box::new(SyntheticStream::new(4096, 5, 0, 10, 1));
-        let mut dynamic = EventSource::from(boxed);
-        assert_eq!(drain_batched(&mut dynamic, 3), direct);
-        assert!(format!("{dynamic:?}").contains("Dyn"));
+        assert!(format!("{es:?}").contains("Synthetic"));
+        let mut direct = [BLANK; 16];
+        let n = SyntheticStream::new(4096, 5, 0, 10, 1).fill(&mut direct);
+        assert_eq!(drain_batched(es, 3), &direct[..n]);
     }
 
     /// The synthetic workload the streaming tests generate and compare
@@ -828,56 +603,25 @@ mod tests {
         SyntheticStream::new(1 << 16, 3, 5, 1000, 0xabc)
     }
 
-    /// Drain an [`EventSource`] through the zero-copy `next_slice`
-    /// path, falling back to `next_batch` like the engine does.
-    fn drain_sliced(es: &mut EventSource, max: usize) -> Vec<Access> {
-        let mut v = Vec::new();
-        loop {
-            match es.next_slice(max) {
-                Some([]) => break,
-                Some(run) => v.extend_from_slice(run),
-                None => {
-                    let mut buf = vec![
-                        Access {
-                            insns: 1,
-                            addr: 0,
-                            kind: AccessKind::Load,
-                        };
-                        max
-                    ];
-                    loop {
-                        let n = es.next_batch(&mut buf);
-                        if n == 0 {
-                            return v;
-                        }
-                        v.extend_from_slice(&buf[..n]);
-                    }
-                }
-            }
-        }
-        v
-    }
-
     #[test]
     fn streamed_source_matches_its_generator_for_every_chunk_size() {
-        let direct = drain_single(&mut synth());
+        let direct = drain_batched(synth().into(), 1);
         assert_eq!(direct.len(), 1000);
         for chunk in [1usize, 7, 256, 333, 4096, 10_000] {
-            let mut es = EventSource::from(StreamedSource::with_chunk(Box::new(synth()), 1, chunk));
-            assert_eq!(drain_single(&mut es), direct, "single, chunk={chunk}");
-            let mut es = EventSource::from(StreamedSource::with_chunk(Box::new(synth()), 1, chunk));
-            assert_eq!(drain_sliced(&mut es, 100), direct, "sliced, chunk={chunk}");
+            let mk = || EventSource::from(StreamedSource::with_chunk(Box::new(synth()), 1, chunk));
+            assert_eq!(drain_batched(mk(), 1), direct, "single, chunk={chunk}");
+            assert_eq!(drain_sliced(mk(), 100), direct, "sliced, chunk={chunk}");
         }
     }
 
     #[test]
     fn streamed_repeated_matches_shared_repeated() {
-        let trace: std::sync::Arc<[Access]> = drain_single(&mut synth()).into();
-        let mut shared = EventSource::from(SharedReplayStream::repeated(trace, 3));
-        let mut streamed = EventSource::from(StreamedSource::with_chunk(Box::new(synth()), 3, 333));
+        let trace: Arc<[Access]> = drain_batched(synth().into(), 64).into();
+        let shared = SharedReplayStream::repeated(trace, 3);
+        let streamed = StreamedSource::with_chunk(Box::new(synth()), 3, 333);
         assert_eq!(
-            drain_sliced(&mut streamed, 97),
-            drain_sliced(&mut shared, 97)
+            drain_sliced(streamed.into(), 97),
+            drain_sliced(shared.into(), 97)
         );
     }
 
@@ -885,47 +629,34 @@ mod tests {
     fn empty_streamed_generator_terminates() {
         let empty = SyntheticStream::new(64, 1, 0, 0, 1);
         let mut es = EventSource::from(StreamedSource::repeated(Box::new(empty), 1_000_000));
-        assert_eq!(es.next_access(), None);
+        assert_eq!(es.next_batch(&mut [BLANK; 4]), 0);
         assert_eq!(es.next_slice(16), Some(&[][..]));
     }
 
     #[test]
-    fn rewind_restores_every_rewindable_source() {
-        let trace: Vec<Access> = drain_single(&mut synth());
-        let shared: std::sync::Arc<[Access]> = trace.clone().into();
-        let mut sources: Vec<EventSource> = vec![
-            ReplayStream::new(trace).into(),
-            SharedReplayStream::repeated(shared, 2).into(),
-            synth().into(),
-            StreamedSource::with_chunk(Box::new(synth()), 2, 61).into(),
-        ];
-        for es in &mut sources {
-            let first = drain_single(es);
-            assert!(!first.is_empty());
-            assert_eq!(drain_single(es), Vec::new(), "{es:?} not exhausted");
-            assert!(es.rewind(), "{es:?} should rewind");
-            assert_eq!(drain_single(es), first, "{es:?} replay differs");
-            // Rewind is idempotent: rewinding twice (and mid-stream)
-            // still restarts from the exact beginning.
-            assert!(es.rewind());
-            let _ = es.next_access();
-            assert!(es.rewind());
-            assert_eq!(drain_single(es), first, "{es:?} second rewind differs");
+    fn synthetic_rewind_replays_from_any_position() {
+        let first = drain_batched(synth().into(), 64);
+        let mut s = synth();
+        let mut buf = vec![BLANK; first.len()];
+        // Mid-stream, after exhaustion, and twice in a row: every
+        // rewind restarts from the exact beginning.
+        for consumed in [17, first.len(), 0] {
+            let _ = s.fill(&mut buf[..consumed]);
+            s.rewind();
+            s.rewind();
+            assert_eq!(s.fill(&mut buf), first.len());
+            assert_eq!(buf, first, "after consuming {consumed}");
+            s.rewind();
         }
-        let boxed: Box<dyn AccessStream + Send> = Box::new(synth());
-        let mut dynamic = EventSource::from(boxed);
-        assert!(!dynamic.rewind(), "Dyn cannot rewind");
     }
 
     #[test]
     fn synthetic_deterministic_per_seed() {
-        let collect = |seed| {
-            let mut s = SyntheticStream::new(1 << 20, 3, 0, 50, seed);
-            let mut v = Vec::new();
-            while let Some(a) = s.next_access() {
-                v.push(a.addr);
-            }
-            v
+        let collect = |seed| -> Vec<u64> {
+            drain_batched(SyntheticStream::new(1 << 20, 3, 0, 50, seed).into(), 16)
+                .iter()
+                .map(|a| a.addr)
+                .collect()
         };
         assert_eq!(collect(7), collect(7));
         assert_ne!(collect(7), collect(8));

@@ -15,9 +15,9 @@
 use proptest::prelude::*;
 use proptest::TestRng;
 use snic_telemetry::Recorder;
-use snic_uarch::engine::run_colocated_sink;
-use snic_uarch::reference::run_reference_sink;
-use snic_uarch::stream::{Access, AccessKind, EventSource, ReplayStream, SyntheticStream};
+use snic_uarch::engine::{run_colocated_ids_sink, run_colocated_warm};
+use snic_uarch::reference::{run_reference, NullObserver};
+use snic_uarch::stream::{Access, AccessKind, EventSource, SharedReplayStream, SyntheticStream};
 use snic_uarch::{BusKind, CacheConfig, MachineConfig, Partition};
 
 /// Random but legal machine configuration: every cache discipline and
@@ -71,7 +71,7 @@ fn stream(rng: &mut TestRng) -> EventSource {
                 kind: AccessKind::Load,
             })
             .collect();
-        EventSource::from(ReplayStream::new(accesses))
+        EventSource::from(SharedReplayStream::new(accesses.into()))
     } else {
         let ws = 1u64 << (10 + rng.below(12));
         EventSource::from(SyntheticStream::new(
@@ -101,8 +101,9 @@ proptest! {
 
         let fast_rec = Recorder::new();
         let slow_rec = Recorder::new();
-        let fast = run_colocated_sink(&cfg, mk(&seeds), &warmups, &fast_rec);
-        let slow = run_reference_sink(&cfg, mk(&seeds), &warmups, &slow_rec);
+        let all: Vec<u32> = (0..tenants).collect();
+        let fast = run_colocated_ids_sink(&cfg, mk(&seeds), &warmups, &all, &fast_rec);
+        let slow = run_reference(&cfg, mk(&seeds), &warmups, &slow_rec, &mut NullObserver);
 
         prop_assert_eq!(
             &fast.nfs, &slow.nfs,
@@ -123,7 +124,6 @@ proptest! {
     #[test]
     fn snic_tenant_subsets_reproduce_full_run(seed in any::<u64>()) {
         use snic_telemetry::NullSink;
-        use snic_uarch::run_colocated_ids_sink;
         let mut rng = TestRng::new(seed);
         let tenants = 2 + rng.below(5) as u32;
         let mut cfg = MachineConfig::snic(tenants, 256 << 10);
@@ -139,7 +139,7 @@ proptest! {
         let mk = |s: &[u64]| -> Vec<EventSource> {
             s.iter().map(|&x| stream(&mut TestRng::new(x))).collect()
         };
-        let full = run_colocated_sink(&cfg, mk(&seeds), &warmups, &NullSink);
+        let full = run_colocated_warm(&cfg, mk(&seeds), &warmups);
 
         let lo = rng.below(u64::from(tenants)) as usize;
         let hi = lo + 1 + rng.below(u64::from(tenants) - lo as u64) as usize;

@@ -6,6 +6,7 @@
 
 use std::fmt;
 
+use snic_telemetry::json::escape;
 use snic_types::NfId;
 
 /// Which isolation invariant a manifest set breaks.
@@ -158,28 +159,11 @@ impl Violation {
         }
         s.push_str(&format!(
             ",\"detail\":\"{}\",\"citation\":\"{}\"}}",
-            json_escape(&self.detail),
-            json_escape(self.citation())
+            escape(&self.detail),
+            escape(self.citation())
         ));
         s
     }
-}
-
-/// Minimal JSON string escaping (the verifier emits no exotic text, but
-/// details may quote region names).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl fmt::Display for Violation {

@@ -62,8 +62,8 @@ pub struct TraceBundle {
 }
 
 impl TraceBundle {
-    /// Adapt a uarch-engine recording
-    /// ([`snic_uarch::run_reference_traced`]) into lintable form. The
+    /// Adapt a uarch-engine recording ([`snic_uarch::run_reference`]
+    /// observed by a `RecordedTrace`) into lintable form. The
     /// engine observes L2 accesses and bus grants but not the memory
     /// guard, so `memory` stays empty.
     pub fn from_uarch(trace: &snic_uarch::RecordedTrace) -> TraceBundle {

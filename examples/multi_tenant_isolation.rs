@@ -20,7 +20,7 @@ use snic::types::packet::PacketBuilder;
 use snic::types::{ByteSize, CoreId, NfId, Protocol};
 use snic::uarch::config::MachineConfig;
 use snic::uarch::engine::run_colocated;
-use snic::uarch::stream::{EventSource, ReplayStream, SyntheticStream};
+use snic::uarch::stream::{Access, EventSource, SharedReplayStream, SyntheticStream};
 
 fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
@@ -73,10 +73,10 @@ fn main() {
         ..IctfConfig::default()
     });
     let packets: Vec<_> = (0..4000).map(|_| trace.next_packet()).collect();
-    let fw_stream = record_stream(fw.as_mut(), &packets);
+    let fw_stream: std::sync::Arc<[Access]> = record_stream(fw.as_mut(), &packets).into();
 
     let cfg = MachineConfig::snic(2, 4 << 20);
-    let victim = || EventSource::from(ReplayStream::new(fw_stream.clone()));
+    let victim = || EventSource::from(SharedReplayStream::new(fw_stream.clone()));
     let idle = EventSource::from(SyntheticStream::new(64, 1, 0, 1, 1));
     let hostile = EventSource::from(SyntheticStream::new(64 << 20, 1, 1, 500_000, 666));
     let quiet = run_colocated(&cfg, vec![victim(), idle]);

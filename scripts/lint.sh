@@ -99,11 +99,15 @@ echo "==> bounded-memory streaming gate (snicctl trace billion --gate)"
 cargo run -q --release --bin snicctl -- trace billion --gate \
     ${SNIC_TRACE_GATE_EVENTS:+--events "$SNIC_TRACE_GATE_EVENTS"} > /dev/null
 
-# Engine perf gate: the fig5 sweep must stay within
-# SNIC_BENCH_TOLERANCE_PCT (default 10) percent of the committed
-# BENCH_uarch.json baseline. Intentional slowdowns re-bless with
-# SNIC_BLESS_BENCH=1 scripts/lint.sh (or uarch_perf --smoke directly).
-echo "==> engine perf baseline (BENCH_uarch.json)"
-cargo run -q --release -p snic-bench --bin uarch_perf -- --smoke
+# Benchmark smoke: compiles the frozen `benchmark/` crate against the
+# workspace — so breaking the API surface it consumes fails here, which
+# tier-1 alone would not catch — and runs its correctness gates (digest
+# equality across trials, exact event counts, serial ≡ sharded digest,
+# socket response stream ≡ in-process replay). It judges no speed: perf
+# regressions are decided by paired parent-vs-change runs
+# (`benchmark/run.sh --compare N`), not a single-shot threshold below
+# this host's noise floor.
+echo "==> benchmark smoke (benchmark/run.sh --smoke)"
+bash benchmark/run.sh --smoke > /dev/null
 
 echo "lint gate: OK"

@@ -27,15 +27,6 @@
 //! The Chrome trace opens directly in Perfetto (<https://ui.perfetto.dev>)
 //! or `chrome://tracing`.
 //!
-//! A third mode runs the engine wall-clock harness (see
-//! `BENCH_uarch.json` at the repo root):
-//!
-//! ```text
-//! snicctl bench            # fig5 colocation sweep, quick scale
-//! snicctl bench --full     # same at the paper scale
-//! snicctl bench --shards 8 # shard S-NIC cells across worker threads
-//! ```
-//!
 //! Two verifier modes expose the static passes:
 //!
 //! ```text
@@ -68,8 +59,7 @@
 //!
 //! Exit codes are distinct per failure class and documented in the
 //! README: `0` success, `2` usage or I/O error, `3` script execution
-//! error, `4` verify error, `5` analyze failure, `6` bench error, `7`
-//! telemetry error, `8` serve error, `9` soak gate failure, `10`
+//! error, `4` verify error, `5` analyze failure, `7` telemetry error, `8` serve error, `9` soak gate failure, `10`
 //! leakage gate failure, `11` trace gate failure.
 
 use std::collections::HashMap;
@@ -297,51 +287,6 @@ fn parse_kv(args: &[&str]) -> Result<HashMap<String, u64>, String> {
     Ok(out)
 }
 
-/// `snicctl bench [--full] [--shards N]`: run the engine wall-clock
-/// harness (the same one behind `uarch_perf` and the `BENCH_uarch.json`
-/// baseline) and print the report JSON. `--full` measures at the paper
-/// scale; `--shards N` fans the S-NIC cells across up to N worker
-/// threads through the sharded engine (commodity cells are not
-/// shardable and stay serial).
-fn bench_main(args: &[String]) -> Result<String, String> {
-    use snic::bench::perf::{baseline_before, run, to_json};
-    use snic::bench::Scale;
-
-    let usage = || "usage: snicctl bench [--full] [--shards N]".to_string();
-    let mut full = false;
-    let mut shards = 1usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--full" if !full => full = true,
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--shards needs a positive integer\n{}", usage()))?;
-            }
-            _ => return Err(usage()),
-        }
-    }
-    let (scale, scale_name) = if full {
-        (Scale::paper(), "paper")
-    } else {
-        (Scale::quick(), "quick")
-    };
-    eprintln!("snicctl bench: measuring (scale={scale_name}, shards={shards}, median of 5)...");
-    let report = run(&scale, 5, shards);
-    // Carry the baseline forward so the printed speedup is against the
-    // same reference as the committed file (schema-1 files migrate
-    // their `after` into the new `before`).
-    let before = std::fs::read_to_string(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_uarch.json"),
-    )
-    .ok()
-    .and_then(|j| baseline_before(&j));
-    Ok(to_json(&report, scale_name, before, None))
-}
-
 /// `snicctl trace <describe|sweep|billion> [flags]`: drive the streamed
 /// colocation machinery (see `crates/bench/src/colo.rs`).
 ///
@@ -443,7 +388,7 @@ fn trace_main(args: &[String]) -> Result<String, String> {
                 let specs = colo::tenant_mix(6, seed, 60_000, false);
                 let spec = colo::colo_spec(&scale, &specs, colo::many_tenant_snic(6, 1 << 20), 1);
                 let serial = spec.run();
-                let sharded = spec.run_with_shards(3);
+                let sharded = spec.build().with_shards(3).run();
                 if serial.nfs != sharded.nfs {
                     return Err("trace gate: serial and sharded streamed runs diverged".into());
                 }
@@ -888,7 +833,7 @@ fn leakage_main(args: &[String]) -> Result<String, String> {
 fn script_main(argv: &[String]) -> Result<String, (i32, String)> {
     let usage = || {
         "usage: snicctl <script.snic | -> | snicctl analyze [--json] [--gate] | \
-         snicctl verify [--json] [--bad] | snicctl bench [--full] [--shards N] | \
+         snicctl verify [--json] [--bad] | \
          snicctl telemetry ... | snicctl serve <requests.jsonl | -> ... | \
          snicctl soak [--gate] | snicctl leakage [--smoke] [--gate] | \
          snicctl trace <describe|sweep|billion> ..."
@@ -924,7 +869,6 @@ fn main() {
     let (result, fail_code) = match argv.first().map(String::as_str) {
         Some("analyze") => (analyze_main(&argv[1..]), 5),
         Some("verify") => (verify_main(&argv[1..]), 4),
-        Some("bench") => (bench_main(&argv[1..]), 6),
         Some("telemetry") => (telemetry_main(&argv[1..]), 7),
         Some("serve") => (serve_main(&argv[1..]), 8),
         Some("soak") => (soak_main(&argv[1..]), 9),
@@ -1037,15 +981,13 @@ attest ids
         assert!(same.contains("no differences"), "{same}");
     }
 
-    #[test]
-    fn bench_rejects_unknown_flags() {
-        let s = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert!(bench_main(&s(&["--bogus"])).is_err());
-        assert!(bench_main(&s(&["--full", "extra"])).is_err());
-        assert!(bench_main(&s(&["--full", "--full"])).is_err());
-        assert!(bench_main(&s(&["--shards"])).is_err());
-        assert!(bench_main(&s(&["--shards", "0"])).is_err());
-        assert!(bench_main(&s(&["--shards", "many"])).is_err());
+    /// The shared JSON escaper differs from the private ones it replaced
+    /// only on tab and carriage return; a document with neither is
+    /// byte-identical under all of them.
+    fn assert_escaper_neutral(json: &str) {
+        for form in ["\\t", "\\r", "\\u0009", "\\u000d"] {
+            assert!(!json.contains(form), "{form} in {json}");
+        }
     }
 
     #[test]
@@ -1060,6 +1002,7 @@ attest ids
         assert!(j.contains("\"ok\":true"), "{j}");
         assert!(j.contains("\"expected_code\":\"P0-DMA-OVERFLOW\""), "{j}");
         assert!(j.contains("certificate_digest"), "{j}");
+        assert_escaper_neutral(&j);
     }
 
     #[test]
@@ -1074,6 +1017,8 @@ attest ids
         assert!(j.contains("\"ok\":false"), "{j}");
         assert!(j.contains("P1-REGION-OVERLAP"), "{j}");
         assert!(j.contains("P1-CORE-CONFLICT"), "{j}");
+        assert_escaper_neutral(&j);
+        assert_escaper_neutral(&verify_main(&s(&["--json"])).unwrap());
     }
 
     #[test]

@@ -29,6 +29,7 @@
 use std::io::{BufRead, Write};
 
 use snic::serve::daemon::{Daemon, DaemonConfig};
+use snic::serve::protocol::pump_lines;
 use snic::serve::snapshot;
 
 struct Opts {
@@ -102,6 +103,24 @@ fn serve_line(
     Ok(())
 }
 
+/// Serve one request stream to its end: every line of `input` goes
+/// through [`serve_line`], except lines the pump refuses (over-long or
+/// not UTF-8), which are answered and otherwise ignored — one client's
+/// garbage must not take the daemon down for every tenant. Each
+/// response is written to `output` and flushed.
+fn serve_stream(
+    daemon: &mut Daemon,
+    opts: &Opts,
+    input: impl BufRead,
+    mut output: impl Write,
+) -> Result<(), String> {
+    let mut emit = |r: &str| writeln!(output, "{r}").and_then(|()| output.flush());
+    pump_lines(input, |line| match line {
+        Ok(line) => serve_line(daemon, opts, line, &mut emit),
+        Err(refusal) => emit(refusal).map_err(|e| format!("write response: {e}")),
+    })
+}
+
 fn run(opts: &Opts) -> Result<(), (i32, String)> {
     let mut daemon = match &opts.restore {
         Some(path) => {
@@ -129,14 +148,8 @@ fn run(opts: &Opts) -> Result<(), (i32, String)> {
             let reader = std::io::BufReader::new(
                 stream.try_clone().map_err(|e| (2, format!("clone: {e}")))?,
             );
-            let mut writer = std::io::BufWriter::new(stream);
-            for line in reader.lines() {
-                let line = line.map_err(|e| (2, format!("read: {e}")))?;
-                serve_line(&mut daemon, opts, &line, &mut |r| {
-                    writeln!(writer, "{r}").and_then(|()| writer.flush())
-                })
-                .map_err(|e| (2, e))?;
-            }
+            let writer = std::io::BufWriter::new(stream);
+            serve_stream(&mut daemon, opts, reader, writer).map_err(|e| (2, e))?;
             // One connection at a time; a client sending `drain` then
             // disconnecting is the clean shutdown signal.
             if daemon
@@ -148,16 +161,8 @@ fn run(opts: &Opts) -> Result<(), (i32, String)> {
             }
         }
     } else {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        for line in stdin.lock().lines() {
-            let line = line.map_err(|e| (2, format!("read stdin: {e}")))?;
-            serve_line(&mut daemon, opts, &line, &mut |r| {
-                writeln!(out, "{r}").and_then(|()| out.flush())
-            })
-            .map_err(|e| (2, e))?;
-        }
+        let (stdin, stdout) = (std::io::stdin(), std::io::stdout());
+        serve_stream(&mut daemon, opts, stdin.lock(), stdout.lock()).map_err(|e| (2, e))?;
     }
 
     if let Some(path) = &opts.snapshot_out {
@@ -248,5 +253,39 @@ mod tests {
         assert!(responses.iter().any(|r| r.contains("\"op\":\"snapshot\"")));
         let _ = std::fs::remove_file(&journal);
         let _ = std::fs::remove_file(&snap);
+    }
+
+    #[test]
+    fn serve_stream_answers_hostile_lines_without_journaling_them() {
+        let journal = std::env::temp_dir().join("snicd-test-hostile-journal.log");
+        let _ = std::fs::remove_file(&journal);
+        let opts = Opts {
+            cfg: DaemonConfig::default(),
+            journal: Some(journal.to_string_lossy().into_owned()),
+            restore: None,
+            snapshot_out: None,
+            socket: None,
+        };
+        let valid = [
+            r#"{"op":"register","tenant":"a","id":1}"#,
+            r#"{"op":"health","id":2}"#,
+        ];
+        let mut input = format!("{}\n", valid[0]).into_bytes();
+        input.extend_from_slice(b"\xff\xfe{\n");
+        input.resize(input.len() + 100 * 1024, b'a');
+        input.extend_from_slice(format!("\n{}\n", valid[1]).as_bytes());
+        let mut daemon = Daemon::new(opts.cfg.clone());
+        let mut output = Vec::new();
+        serve_stream(&mut daemon, &opts, &input[..], &mut output).expect("serve");
+        let output = String::from_utf8(output).expect("responses are UTF-8");
+        let bad: Vec<bool> = output
+            .lines()
+            .map(|r| r.contains("SERVE-BAD-REQUEST"))
+            .collect();
+        assert_eq!(bad, [false, true, true, false], "{output}");
+        let logged = std::fs::read_to_string(&journal).expect("journal exists");
+        assert_eq!(logged.lines().collect::<Vec<_>>(), valid);
+        assert_eq!(daemon.history(), valid);
+        let _ = std::fs::remove_file(&journal);
     }
 }

@@ -11,10 +11,11 @@
 
 use snic::leakage::channel::{machine_config, receiver_stream, sender_stream};
 use snic::leakage::{payload_bits, Channel, ChannelFamily, Confusion, Geometry, Mode};
+use snic::telemetry::NullSink;
 use snic::types::{AccelKind, NfId};
 use snic::uarch::bus::BusKind;
-use snic::uarch::run_reference_traced;
-use snic::uarch::stream::{EventSource, ReplayStream};
+use snic::uarch::stream::{EventSource, SharedReplayStream};
+use snic::uarch::{run_reference, RecordedTrace};
 use snic::verify::spec::{BusSpec, DeviceSpec, EnforcementMode};
 use snic::verify::trace::{TraceBundle, TraceLinter};
 
@@ -57,14 +58,23 @@ fn linter_for(mode: Mode) -> TraceLinter {
     TraceLinter::new(&spec, domains).with_cache(cfg.l2, cfg.l2_partition.clone())
 }
 
-/// Record the colocated bit-1 run of `family` under `mode` and lint it.
-fn lint_bit_one(family: ChannelFamily, mode: Mode) -> Vec<snic::verify::report::Finding> {
+/// Record the colocated run of `family` transmitting `bit` under `mode`
+/// and lint the very trace that run produced.
+fn lint_transmission(
+    family: ChannelFamily,
+    bit: bool,
+    mode: Mode,
+) -> Vec<snic::verify::report::Finding> {
     let cfg = machine_config(GEOM, EPOCH, mode);
-    let streams = vec![
-        EventSource::Replay(ReplayStream::new(receiver_stream(family, GEOM))),
-        EventSource::Replay(ReplayStream::new(sender_stream(family, true, GEOM))),
-    ];
-    let (_, trace) = run_reference_traced(&cfg, streams);
+    let streams = [
+        receiver_stream(family, GEOM),
+        sender_stream(family, bit, GEOM),
+    ]
+    .into_iter()
+    .map(|v| EventSource::from(SharedReplayStream::new(v.into())))
+    .collect();
+    let mut trace = RecordedTrace::default();
+    run_reference(&cfg, streams, &[], &NullSink, &mut trace);
     linter_for(mode).lint(&TraceBundle::from_uarch(&trace))
 }
 
@@ -86,7 +96,7 @@ fn commodity_capacity_implies_pass2_findings() {
             mi > 0.0,
             "{family:?}: commodity channel on an exploitable geometry must carry bits"
         );
-        let findings = lint_bit_one(family, Mode::Commodity);
+        let findings = lint_transmission(family, true, Mode::Commodity);
         assert!(
             !findings.is_empty(),
             "{family:?}: measured {mi:.3} bits/use but Pass 2 found nothing on the trace"
@@ -103,13 +113,7 @@ fn snic_points_lint_clean_for_both_payloads() {
             "{family:?}: S-NIC capacity must be exactly zero"
         );
         for bit in [false, true] {
-            let cfg = machine_config(GEOM, EPOCH, Mode::Snic);
-            let streams = vec![
-                EventSource::Replay(ReplayStream::new(receiver_stream(family, GEOM))),
-                EventSource::Replay(ReplayStream::new(sender_stream(family, bit, GEOM))),
-            ];
-            let (_, trace) = run_reference_traced(&cfg, streams);
-            let findings = linter_for(Mode::Snic).lint(&TraceBundle::from_uarch(&trace));
+            let findings = lint_transmission(family, bit, Mode::Snic);
             assert!(
                 findings.is_empty(),
                 "{family:?} bit {bit}: S-NIC trace must lint clean, got {findings:#?}"
@@ -123,20 +127,7 @@ fn snic_points_lint_clean_for_both_payloads() {
 /// co-residency finding the 1-bit run raises.
 #[test]
 fn lint_findings_track_the_transmitted_bit_on_the_cache_channel() {
-    let cfg = machine_config(GEOM, EPOCH, Mode::Commodity);
-    let streams = vec![
-        EventSource::Replay(ReplayStream::new(receiver_stream(
-            ChannelFamily::Cache,
-            GEOM,
-        ))),
-        EventSource::Replay(ReplayStream::new(sender_stream(
-            ChannelFamily::Cache,
-            false,
-            GEOM,
-        ))),
-    ];
-    let (_, trace) = run_reference_traced(&cfg, streams);
-    let findings = linter_for(Mode::Commodity).lint(&TraceBundle::from_uarch(&trace));
+    let findings = lint_transmission(ChannelFamily::Cache, false, Mode::Commodity);
     assert!(
         findings.is_empty(),
         "0-bit cache sender must leave no co-residency signal, got {findings:#?}"
