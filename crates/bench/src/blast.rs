@@ -25,6 +25,8 @@
 //! and parallel matrices are byte-identical
 //! (`crates/bench/tests/fault_determinism.rs`).
 
+use std::fmt::Write as _;
+
 use rand::SeedableRng;
 use snic_core::config::{NicConfig, NicMode};
 use snic_core::device::SmartNic;
@@ -44,7 +46,7 @@ use snic_uarch::engine::RunOutcome;
 use snic_uarch::stream::{Access, AccessKind, EventSource, SharedReplayStream};
 use snic_verify::{lint_fault_transcript, Finding};
 
-use crate::streams::{all_traces, SharedTrace, TraceSet};
+use crate::streams::{all_traces, trace_of, SharedTrace, TraceSet};
 use crate::{render_table, Scale};
 
 /// L2 size used for the microarchitectural differential: small enough
@@ -476,16 +478,9 @@ fn tiled(trace: &[Access], repeats: usize) -> Vec<Access> {
 /// fault perturbation would land entirely inside the victim's warmup
 /// window and be invisible by construction.
 pub fn uarch_jobs(scenario: FaultScenario, traces: &TraceSet) -> Vec<SimJob> {
-    let find = |k: NfKind| {
-        &traces
-            .iter()
-            .find(|(kk, _)| *kk == k)
-            .expect("trace exists")
-            .1
-    };
-    let victim = find(NfKind::Firewall);
-    let aggr = find(NfKind::Nat);
-    let nicos = find(NfKind::Monitor);
+    let victim = trace_of(traces, NfKind::Firewall);
+    let aggr = trace_of(traces, NfKind::Nat);
+    let nicos = trace_of(traces, NfKind::Monitor);
     let span = 2 * victim.len();
     let aggr_reps = span.div_ceil(aggr.len());
     let nicos_reps = span.div_ceil(nicos.len());
@@ -636,6 +631,28 @@ pub fn render_matrix(rows: &[ScenarioOutcome]) -> String {
         ],
         &table,
     )
+}
+
+/// The blast-radius experiment as text: the matrix, the expectation it
+/// is read against, and every Pass-3 finding behind the device cells.
+pub fn report(scale: &Scale, _: bool) -> String {
+    let rows = blast_matrix(scale);
+    let mut out = render_matrix(&rows);
+    let _ = writeln!(
+        out,
+        "{} scenarios; expectation: S-NIC victims bit-identical + transcripts lint clean, \
+         commodity victims perturbed (except pure management-plane faults at the device layer).",
+        FaultScenario::ALL.len()
+    );
+    for r in &rows {
+        for f in &r.device_commodity.findings {
+            let _ = writeln!(out, "  commodity/{}: {f}", r.scenario.name());
+        }
+        for f in &r.device_snic.findings {
+            let _ = writeln!(out, "  S-NIC/{}: {f}", r.scenario.name());
+        }
+    }
+    out
 }
 
 #[cfg(test)]

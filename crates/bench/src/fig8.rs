@@ -9,7 +9,7 @@
 use snic_accel::dpi::{DpiAccel, DpiAccelConfig};
 use snic_nf::dpi::synth_patterns;
 
-use crate::Scale;
+use crate::{render_table, Scale};
 
 /// Thread counts on the x-axis.
 pub const THREADS: [u32; 3] = [16, 32, 48];
@@ -33,6 +33,30 @@ pub fn run(scale: &Scale) -> Vec<Vec<f64>> {
             .map(|&t| accel.throughput_pps(t, frame) / 1e6)
             .collect()
     })
+}
+
+/// Figure 8 as text: one row per frame size, one column per thread
+/// count.
+pub fn report(scale: &Scale, _: bool) -> String {
+    let m = run(scale);
+    let rows: Vec<Vec<String>> = FRAMES
+        .iter()
+        .enumerate()
+        .map(|(f, &frame)| {
+            let mut row = vec![if frame >= 1024 {
+                format!("{:.1}KB", frame as f64 / 1024.0)
+            } else {
+                format!("{frame}B")
+            }];
+            row.extend(m[f].iter().map(|v| format!("{v:.3}")));
+            row
+        })
+        .collect();
+    render_table(
+        "Figure 8: DPI throughput (Mpps) vs threads x frame size (paper shape: small frames flat at frontend cap; 9KB scales with threads)",
+        &["frame", "16 thr", "32 thr", "48 thr"],
+        &rows,
+    )
 }
 
 #[cfg(test)]

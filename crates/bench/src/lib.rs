@@ -1,11 +1,10 @@
-//! Experiment harness shared by the per-table/per-figure binaries and
-//! the Criterion benches.
+//! Experiment harness: one [`experiments::REGISTRY`] entry per table
+//! and figure of the paper, reached through `snicctl exp`.
 //!
-//! Every binary prints the same rows/series the paper reports; the
-//! `all_experiments` binary runs the lot and appends a summary suitable
-//! for EXPERIMENTS.md. Scale is controlled by [`Scale`]: `quick` (CI
-//! friendly) vs `paper` (full workload sizes); binaries accept `--full`
-//! to select the latter.
+//! Every entry renders the same rows/series the paper reports;
+//! `snicctl exp all` runs the lot in one process. Scale is controlled
+//! by [`Scale`]: `quick` (CI friendly) vs `paper` (full workload
+//! sizes); `snicctl exp` takes `--full` to select the latter.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -13,6 +12,7 @@
 pub mod blast;
 pub mod colo;
 pub mod differential;
+pub mod experiments;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
@@ -67,15 +67,6 @@ impl Scale {
             fw_rules: 643,
             lpm_prefixes: 16_000,
             monitor_ms: 2_000,
-        }
-    }
-
-    /// Parse from CLI args: `--full` selects [`Scale::paper`].
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--full") {
-            Scale::paper()
-        } else {
-            Scale::quick()
         }
     }
 }

@@ -26,6 +26,15 @@ pub type SharedTrace = Arc<[Access]>;
 /// order.
 pub type TraceSet = Arc<[(NfKind, SharedTrace)]>;
 
+/// The recording of `kind` in `traces`.
+pub(crate) fn trace_of(traces: &TraceSet, kind: NfKind) -> &SharedTrace {
+    let (_, trace) = traces
+        .iter()
+        .find(|(k, _)| *k == kind)
+        .expect("a trace set records every NF kind");
+    trace
+}
+
 /// The lazy packet workload shared by all NFs at this scale: packets
 /// are built one at a time as the consumer pulls, so streaming callers
 /// never hold `scale.packets` packets resident. `collect()` recovers
@@ -121,7 +130,7 @@ pub fn streamed_nf_source(kind: NfKind, scale: &Scale, seed: u64, passes: u32) -
 /// A bounded most-recently-used trace cache. Small and linear — the
 /// figure pipelines touch a handful of keys, so a capacity of a few
 /// entries keeps every hot key resident while long processes (snicd
-/// soaks, `all_experiments`) can no longer accumulate every trace set
+/// soaks, `snicctl exp all`) can no longer accumulate every trace set
 /// ever generated.
 struct TraceCache {
     entries: Vec<((Scale, u64), TraceSet)>,
@@ -160,17 +169,9 @@ impl TraceCache {
     }
 }
 
-/// Capacity of the [`all_traces`] cache: `SNIC_TRACE_CACHE_CAP`
-/// (default 8) distinct `(scale, seed)` keys.
-fn trace_cache_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("SNIC_TRACE_CACHE_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8)
-    })
-}
+/// Capacity of the [`all_traces`] cache in distinct `(scale, seed)`
+/// keys: every key one `exp all` run touches stays resident.
+const TRACE_CACHE_CAP: usize = 8;
 
 /// Record streams for all six kinds, in parallel, memoized per
 /// `(scale, seed)` in a bounded LRU cache.
@@ -182,10 +183,10 @@ fn trace_cache_cap() -> usize {
 /// Recording is deterministic per key, so a racing duplicate compute
 /// produces an identical set and either copy may win the cache slot;
 /// an evicted key simply re-records (cheap now that generation
-/// streams). Capacity: `SNIC_TRACE_CACHE_CAP`, default 8 keys.
+/// streams). Capacity: `TRACE_CACHE_CAP` keys.
 pub fn all_traces(scale: &Scale, seed: u64) -> TraceSet {
     static CACHE: OnceLock<Mutex<TraceCache>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(TraceCache::new(trace_cache_cap())));
+    let cache = CACHE.get_or_init(|| Mutex::new(TraceCache::new(TRACE_CACHE_CAP)));
     if let Some(hit) = cache
         .lock()
         .unwrap_or_else(PoisonError::into_inner)

@@ -5,12 +5,14 @@
 //!
 //! - `snicctl telemetry record` — runs it with a [`Recorder`] and
 //!   writes the Chrome trace + summary;
-//! - the `telemetry_overhead` gate binary — times it sink-off vs
-//!   sink-on and fails the build if instrumentation costs more than
-//!   the overhead budget;
+//! - `snicctl telemetry overhead` ([`overhead_gate`]) — times it
+//!   sink-off vs sink-on and fails `scripts/lint.sh` if instrumentation
+//!   costs more than the overhead budget;
 //! - tests asserting sink-on and sink-off statistics are identical.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
+use std::time::Instant;
 
 use snic_nf::NfKind;
 use snic_sim::{execute, Exec, SimJob};
@@ -83,6 +85,71 @@ pub fn record_smoke(exec: Exec, scale: &Scale) -> (Vec<RunOutcome>, Summary, Vec
     let recorder = Arc::try_unwrap(recorder).expect("no job holds the recorder after execute");
     let (summary, events) = recorder.into_parts();
     (outcomes, summary, events)
+}
+
+/// Percent of sink-off wall clock a live [`Recorder`] may add.
+const OVERHEAD_BUDGET_PCT: f64 = 10.0;
+
+/// The telemetry-overhead gate: telemetry must be near-free when off
+/// and cheap when on.
+///
+/// Runs the smoke point alternately with no sink (the `NullSink`
+/// zero-cost path) and with a live [`Recorder`], takes the minimum wall
+/// clock of each arm over three repetitions (minimum, not mean — the
+/// floor is the least noisy location statistic on a shared CI box),
+/// asserts the outcomes are bit-identical, and returns `Err` if the
+/// recorded arm exceeds the sink-off arm by more than
+/// `OVERHEAD_BUDGET_PCT`.
+pub fn overhead_gate() -> Result<String, String> {
+    const REPS: usize = 3;
+    let scale = smoke_scale();
+
+    // Warm the memoized trace cache so neither arm pays for trace
+    // recording.
+    let baseline = run_smoke(Exec::Serial, &scale, None);
+
+    let mut out = String::new();
+    let mut best_off = f64::INFINITY;
+    let mut best_on = f64::INFINITY;
+    for rep in 0..REPS {
+        let t = Instant::now();
+        let off = run_smoke(Exec::Serial, &scale, None);
+        let off_s = t.elapsed().as_secs_f64();
+
+        let t = Instant::now();
+        let (on, summary, events) = record_smoke(Exec::Serial, &scale);
+        let on_s = t.elapsed().as_secs_f64();
+
+        for (i, (a, b)) in off.iter().zip(&on).enumerate() {
+            assert_eq!(
+                a.nfs, b.nfs,
+                "rep {rep} job {i}: sink-on outcome diverged from sink-off"
+            );
+        }
+        for (i, (a, b)) in baseline.iter().zip(&off).enumerate() {
+            assert_eq!(a.nfs, b.nfs, "rep {rep} job {i}: run not deterministic");
+        }
+        assert!(!summary.is_empty(), "recorder captured no counters");
+        assert!(!events.is_empty(), "recorder captured no events");
+
+        best_off = best_off.min(off_s);
+        best_on = best_on.min(on_s);
+        let _ = writeln!(out, "rep {rep}: sink-off {off_s:.3}s  sink-on {on_s:.3}s");
+    }
+
+    let overhead_pct = (best_on / best_off - 1.0) * 100.0;
+    let _ = writeln!(
+        out,
+        "telemetry overhead: best sink-off {best_off:.3}s, best sink-on {best_on:.3}s \
+         => {overhead_pct:+.2}% (budget {OVERHEAD_BUDGET_PCT:.0}%)"
+    );
+    if overhead_pct > OVERHEAD_BUDGET_PCT {
+        return Err(format!(
+            "{out}FAIL: telemetry overhead {overhead_pct:+.2}% exceeds budget {OVERHEAD_BUDGET_PCT:.0}%"
+        ));
+    }
+    out.push_str("OK");
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -236,16 +236,24 @@ mod tests {
         use crate::daemon::{Daemon, DaemonConfig};
         use crate::snapshot::{state_digest, transcript_digest};
 
-        let valid = [
+        // Well-framed but hostile: short enough for the pump to hand
+        // over, nested deeply enough to overflow an unbounded recursive
+        // parser. The daemon refuses it like any other bad request, so
+        // it is history the line-by-line oracle below ingests too.
+        let deep = "[".repeat(60 * 1024);
+        let framed = [
             r#"{"op":"register","tenant":"a","id":1}"#,
+            deep.as_str(),
             r#"{"op":"health","id":2}"#,
         ];
         let mut input = Vec::new();
-        input.extend_from_slice(valid[0].as_bytes());
+        input.extend_from_slice(framed[0].as_bytes());
         input.extend_from_slice(b"\n\xff\xfe{\r\n");
         input.resize(input.len() + 100 * 1024, b'a');
         input.push(b'\n');
-        input.extend_from_slice(valid[1].as_bytes()); // no trailing newline
+        input.extend_from_slice(framed[1].as_bytes());
+        input.push(b'\n');
+        input.extend_from_slice(framed[2].as_bytes()); // no trailing newline
 
         let mut daemon = Daemon::new(DaemonConfig::default());
         let mut responses = Vec::new();
@@ -267,11 +275,15 @@ mod tests {
         };
         let codes: Vec<_> = responses.iter().map(code).collect();
         let bad = Some(codes::BAD_REQUEST.to_string());
-        assert_eq!(codes, [None, bad.clone(), bad, None], "{responses:#?}");
+        assert_eq!(
+            codes,
+            [None, bad.clone(), bad.clone(), bad, None],
+            "{responses:#?}"
+        );
         assert!(responses[1].starts_with(r#"{"id":0,"#), "{}", responses[1]);
 
         let mut oracle = Daemon::new(DaemonConfig::default());
-        for line in valid {
+        for line in framed {
             oracle.ingest(line);
         }
         assert_eq!(daemon.history(), oracle.history());

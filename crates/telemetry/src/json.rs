@@ -83,12 +83,20 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per nested container, so without a bound one hostile
+/// `snicd` line of `[[[[...` overflows the stack and aborts the process
+/// for every tenant. Protocol lines are flat and Chrome traces nest
+/// fewer than 8 levels.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse a complete JSON document. Trailing whitespace is allowed,
-/// trailing garbage is an error.
+/// trailing garbage and nesting past [`MAX_DEPTH`] are errors.
 pub fn parse_json(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -102,6 +110,8 @@ pub fn parse_json(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -130,8 +140,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal(b"true", Json::Bool(true)),
             Some(b'f') => self.literal(b"false", Json::Bool(false)),
@@ -139,6 +149,19 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than MAX_DEPTH"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &[u8], value: Json) -> Result<Json, JsonError> {
@@ -322,6 +345,18 @@ mod tests {
         assert!(parse_json("{} x").is_err());
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let doc = |depth: usize| format!("{}1{}", open.repeat(depth), close.repeat(depth));
+            assert!(parse_json(&doc(MAX_DEPTH)).is_ok(), "{open} at the limit");
+            let over = parse_json(&doc(MAX_DEPTH + 1)).expect_err("one past the limit");
+            assert_eq!(over.what, "nesting deeper than MAX_DEPTH");
+            // The hostile shape: a full protocol line of unclosed openers.
+            assert!(parse_json(&open.repeat(60 * 1024 / open.len())).is_err());
+        }
     }
 
     #[test]

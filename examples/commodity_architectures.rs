@@ -94,6 +94,6 @@ fn main() {
     println!(
         "\nBlueField's residual weakness (§3.2): the function has no protection \
          from the secure-world OS itself — exactly what S-NIC's denylist fixes \
-         (see `cargo run --example attack_demo`, attack 4)."
+         (see `snicctl exp attacks`, attack 4)."
     );
 }

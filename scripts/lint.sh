@@ -82,10 +82,10 @@ cargo test -q -p snic-uarch --test engine_differential
 cargo test -q -p snic-bench --test shard_determinism
 
 # Telemetry overhead gate: recording the fig5 smoke sweep must stay
-# within SNIC_TELEMETRY_BUDGET_PCT (default 10) percent wall clock of
-# the sink-off run, with bit-identical outcomes.
-echo "==> telemetry overhead budget"
-cargo run -q --release -p snic-bench --bin telemetry_overhead
+# within 10 percent wall clock of the sink-off run, with bit-identical
+# outcomes.
+echo "==> telemetry overhead budget (snicctl telemetry overhead)"
+cargo run -q --release --bin snicctl -- telemetry overhead
 
 # Bounded-memory streaming gate: the billion-event streamed colocation
 # (48 personality-weighted tenants, diurnal/flash-crowd phase

@@ -1,7 +1,12 @@
-//! `snicctl` — a small scriptable driver for the S-NIC device model.
+//! `snicctl` — the command-line front door to the S-NIC reproduction.
 //!
-//! Reads commands from a script file (or stdin with `-`) and executes
-//! them against one simulated NIC, printing one result line per command.
+//! Every mode is one row of [`VERBS`]: its name, the exit code its
+//! operational failures map to, its usage line and its entry point.
+//! `snicctl help` prints the usage lines; the README's exit-code table
+//! is asserted equal to the table's `(name, fail_code)` pairs. A first
+//! argument that names no verb is a `.snic` script path (or `-` for
+//! stdin), executed against one simulated NIC with one result line per
+//! command:
 //!
 //! ```text
 //! nic snic                      # or: nic commodity
@@ -13,54 +18,8 @@
 //! teardown fw
 //! ```
 //!
-//! Usage: `cargo run --release --bin snicctl -- script.snic`
-//!
-//! A second mode drives the telemetry layer instead of a script:
-//!
-//! ```text
-//! snicctl telemetry record <trace.json> <summary.txt>  # run the fig5
-//!     # smoke sweep under a recorder; write Chrome trace + summary
-//! snicctl telemetry summary <summary.txt>              # render one run
-//! snicctl telemetry diff <before.txt> <after.txt>      # compare runs
-//! ```
-//!
-//! The Chrome trace opens directly in Perfetto (<https://ui.perfetto.dev>)
-//! or `chrome://tracing`.
-//!
-//! Two verifier modes expose the static passes:
-//!
-//! ```text
-//! snicctl analyze [--json] [--gate]   # Pass 0 over the paper NFs and
-//!     # the adversarial corpus; --gate enforces exact codes + runtime
-//! snicctl verify [--json] [--bad]     # Pass 1 over a manifest set
-//! ```
-//!
-//! Two serving modes drive an in-process `snicd` daemon (see
-//! `src/bin/snicd.rs` for the resident process):
-//!
-//! ```text
-//! snicctl serve <requests.jsonl | -> [--seed N] [--auto-steps N]
-//!     [--restore <image>] [--snapshot-out <path>]   # one response/line
-//! snicctl soak [--seed N] [--gate] [--emit-schedule]  # the seeded
-//!     # overload + fault-plan soak; --gate enforces the acceptance
-//!     # criteria plus a mid-run-restart byte-identity differential
-//! ```
-//!
-//! A streamed-trace mode drives the bounded-memory colocation
-//! machinery (see `crates/bench/src/colo.rs`):
-//!
-//! ```text
-//! snicctl trace describe                 # tenant mix + phase schedules
-//! snicctl trace sweep --tenants 32,48,64 # streamed colocation sweep
-//! snicctl trace billion --gate           # 1e9-event run under the
-//!     # SNIC_MEM_BUDGET_MB peak-RSS budget, with a serial≡sharded
-//!     # identity pre-check
-//! ```
-//!
-//! Exit codes are distinct per failure class and documented in the
-//! README: `0` success, `2` usage or I/O error, `3` script execution
-//! error, `4` verify error, `5` analyze failure, `7` telemetry error, `8` serve error, `9` soak gate failure, `10`
-//! leakage gate failure, `11` trace gate failure.
+//! Exit codes: `0` success, `2` usage or I/O error (any error whose
+//! text starts with `usage:`), otherwise the verb's `fail_code`.
 
 use std::collections::HashMap;
 use std::io::Read;
@@ -288,28 +247,18 @@ fn parse_kv(args: &[&str]) -> Result<HashMap<String, u64>, String> {
 }
 
 /// `snicctl trace <describe|sweep|billion> [flags]`: drive the streamed
-/// colocation machinery (see `crates/bench/src/colo.rs`).
-///
-/// ```text
-/// snicctl trace describe [--tenants N] [--seed N]
-///     # print the tenant mix: personality, event budget, phase schedule
-/// snicctl trace sweep [--tenants A,B,..] [--events-per-tenant N] [--shards N]
-///     # streamed commodity-vs-S-NIC sweep at each cotenancy
-/// snicctl trace billion [--tenants N] [--events N] [--shards N] [--gate]
-///     # one S-NIC run with N total events streamed in O(chunk) memory;
-///     # --gate enforces a small-scale serial≡sharded identity check,
-///     # the exact event count, and peak RSS <= SNIC_MEM_BUDGET_MB
-/// ```
+/// colocation machinery (see `crates/bench/src/colo.rs`). `describe`
+/// prints the tenant mix (personality, event budget, phase schedule);
+/// `sweep` runs a streamed commodity-vs-S-NIC colocation at each
+/// cotenancy; `billion` is one S-NIC run with `--events` total events
+/// streamed in O(chunk) memory, where `--gate` enforces a small-scale
+/// serial≡sharded identity check, the exact event count, and peak RSS
+/// <= `SNIC_MEM_BUDGET_MB`.
 fn trace_main(args: &[String]) -> Result<String, String> {
     use snic::bench::colo;
     use snic::bench::Scale;
 
-    let usage = || {
-        "usage: snicctl trace <describe [--tenants N] [--seed N] | \
-         sweep [--tenants A,B,..] [--events-per-tenant N] [--shards N] | \
-         billion [--tenants N] [--events N] [--shards N] [--gate]>"
-            .to_string()
-    };
+    let usage = || usage("trace");
     let verb = args.first().ok_or_else(usage)?.as_str();
     let mut tenants_list: Option<Vec<usize>> = None;
     let mut seed: u64 = 0xc010;
@@ -441,8 +390,10 @@ fn trace_main(args: &[String]) -> Result<String, String> {
     }
 }
 
-/// `snicctl telemetry ...`: record the fig5 smoke sweep, render a
-/// summary file, or diff two of them.
+/// `snicctl telemetry ...`: record the fig5 smoke sweep (the Chrome
+/// trace opens in <https://ui.perfetto.dev> or `chrome://tracing`),
+/// render a summary file, diff two of them, or run the sink-off vs
+/// sink-on overhead gate `scripts/lint.sh` enforces.
 fn telemetry_main(args: &[String]) -> Result<String, String> {
     use snic::telemetry::{to_chrome_trace, Summary};
 
@@ -474,11 +425,8 @@ fn telemetry_main(args: &[String]) -> Result<String, String> {
             let b = Summary::from_text(&read(after)?)?;
             Ok(Summary::render_diff(&a.diff(&b)))
         }
-        _ => Err(
-            "usage: snicctl telemetry <record <trace.json> <summary.txt> | \
-                  summary <file> | diff <before> <after>>"
-                .to_string(),
-        ),
+        [cmd] if cmd == "overhead" => snic::bench::telemetry::overhead_gate(),
+        _ => Err(usage("telemetry")),
     }
 }
 
@@ -498,11 +446,7 @@ fn analyze_main(args: &[String]) -> Result<String, String> {
         match a.as_str() {
             "--json" => json = true,
             "--gate" => gate = true,
-            other => {
-                return Err(format!(
-                    "usage: snicctl analyze [--json] [--gate] (unknown flag '{other}')"
-                ))
-            }
+            other => return Err(format!("{} (unknown flag '{other}')", usage("analyze"))),
         }
     }
 
@@ -594,11 +538,7 @@ fn verify_main(args: &[String]) -> Result<String, String> {
         match a.as_str() {
             "--json" => json = true,
             "--bad" => bad = true,
-            other => {
-                return Err(format!(
-                    "usage: snicctl verify [--json] [--bad] (unknown flag '{other}')"
-                ))
-            }
+            other => return Err(format!("{} (unknown flag '{other}')", usage("verify"))),
         }
     }
 
@@ -650,8 +590,7 @@ fn serve_main(args: &[String]) -> Result<String, String> {
     use snic::serve::daemon::{Daemon, DaemonConfig};
     use snic::serve::snapshot;
 
-    let usage = "usage: snicctl serve <requests.jsonl | -> [--seed N] [--auto-steps N] \
-         [--restore <image>] [--snapshot-out <path>]";
+    let usage = usage("serve");
     let mut input: Option<String> = None;
     let mut cfg = DaemonConfig::default();
     let mut restore_path: Option<String> = None;
@@ -679,7 +618,7 @@ fn serve_main(args: &[String]) -> Result<String, String> {
             other => return Err(format!("{usage}\n(unexpected '{other}')")),
         }
     }
-    let input = input.ok_or(usage.to_string())?;
+    let input = input.ok_or(usage)?;
     let text = if input == "-" {
         let mut s = String::new();
         std::io::stdin()
@@ -724,7 +663,7 @@ fn serve_main(args: &[String]) -> Result<String, String> {
 fn soak_main(args: &[String]) -> Result<String, String> {
     use snic::serve::soak;
 
-    let usage = "usage: snicctl soak [--seed N] [--gate] [--emit-schedule]";
+    let usage = usage("soak");
     let mut seed: u64 = 0xBEEF;
     let mut gate = false;
     let mut emit = false;
@@ -783,7 +722,7 @@ fn leakage_main(args: &[String]) -> Result<String, String> {
     use snic::leakage::{full_specs, smoke_specs, LeakageMatrix, Mode, CELL_BITS};
     use snic::sim::Exec;
 
-    let usage = "usage: snicctl leakage [--smoke] [--gate]";
+    let usage = usage("leakage");
     let mut smoke = false;
     let mut gate = false;
     for a in args {
@@ -829,25 +768,56 @@ fn leakage_main(args: &[String]) -> Result<String, String> {
     Ok(out)
 }
 
-/// Run the classic line-oriented `.snic` script mode.
-fn script_main(argv: &[String]) -> Result<String, (i32, String)> {
-    let usage = || {
-        "usage: snicctl <script.snic | -> | snicctl analyze [--json] [--gate] | \
-         snicctl verify [--json] [--bad] | \
-         snicctl telemetry ... | snicctl serve <requests.jsonl | -> ... | \
-         snicctl soak [--gate] | snicctl leakage [--smoke] [--gate] | \
-         snicctl trace <describe|sweep|billion> ..."
-            .to_string()
+/// `snicctl exp <name | all | list> [--full]`: render one entry of the
+/// experiment registry (`snic_bench::experiments::REGISTRY`), all of
+/// them in registry order under `########## name ##########` banners,
+/// or the list of names. `--full` selects the paper's workload sizes.
+fn exp_main(args: &[String]) -> Result<String, String> {
+    use snic::bench::{experiments, Scale};
+
+    let mut full = false;
+    let mut name = None;
+    for a in args {
+        match a.as_str() {
+            "--full" => full = true,
+            other if name.is_none() && !other.starts_with("--") => name = Some(other),
+            _ => return Err(usage("exp")),
+        }
+    }
+    let name = name.ok_or_else(|| usage("exp"))?;
+    let scale = if full { Scale::paper() } else { Scale::quick() };
+    let text = match name {
+        "list" => experiments::list(),
+        "all" => experiments::run_all(&scale, full),
+        name => {
+            let exp = experiments::find(name).ok_or_else(|| {
+                format!(
+                    "{}\n(unknown experiment '{name}'; see `snicctl exp list`)",
+                    usage("exp")
+                )
+            })?;
+            (exp.run)(&scale, full)
+        }
     };
-    let arg = argv.first().cloned().ok_or_else(|| (2, usage()))?;
+    // `main` ends the output with the newline the renderers already
+    // wrote.
+    Ok(text.strip_suffix('\n').unwrap_or(&text).to_string())
+}
+
+/// `snicctl [script] <script.snic | ->`: the line-oriented script mode
+/// described in the module header.
+fn script_main(args: &[String]) -> Result<String, String> {
+    let [arg] = args else {
+        return Err(usage_all());
+    };
     let script = if arg == "-" {
         let mut s = String::new();
         std::io::stdin()
             .read_to_string(&mut s)
-            .map_err(|e| (2, format!("cannot read stdin: {e}")))?;
+            .map_err(|e| format!("usage: cannot read stdin: {e}"))?;
         s
     } else {
-        std::fs::read_to_string(&arg).map_err(|e| (2, format!("cannot read {arg}: {e}")))?
+        std::fs::read_to_string(arg).map_err(|e| format!("usage: cannot read {arg}: {e}"))?
     };
     let mut session = Session::new();
     let mut out = Vec::new();
@@ -855,34 +825,113 @@ fn script_main(argv: &[String]) -> Result<String, (i32, String)> {
         match session.execute(line) {
             Ok(o) if o.is_empty() => {}
             Ok(o) => out.push(o),
-            Err(e) => return Err((3, format!("line {}: {e}", lineno + 1))),
+            Err(e) => return Err(format!("line {}: {e}", lineno + 1)),
         }
     }
     Ok(out.join("\n"))
 }
 
+/// One `snicctl` mode.
+struct Verb {
+    name: &'static str,
+    /// Exit code of an operational failure (an `Err` whose text does not
+    /// start with `usage:`); distinct per verb so scripts and CI can
+    /// tell failure classes apart without parsing stderr.
+    fail_code: i32,
+    usage: &'static str,
+    run: fn(&[String]) -> Result<String, String>,
+}
+
+/// Every mode. Row 0 is also the fallback: arguments that start with no
+/// verb name are handed to it whole, as a script path.
+const VERBS: &[Verb] = &[
+    Verb {
+        name: "script",
+        fail_code: 3,
+        usage: "snicctl [script] <script.snic | ->",
+        run: script_main,
+    },
+    Verb {
+        name: "verify",
+        fail_code: 4,
+        usage: "snicctl verify [--json] [--bad]",
+        run: verify_main,
+    },
+    Verb {
+        name: "analyze",
+        fail_code: 5,
+        usage: "snicctl analyze [--json] [--gate]",
+        run: analyze_main,
+    },
+    Verb {
+        name: "telemetry",
+        fail_code: 7,
+        usage: "snicctl telemetry <record <trace.json> <summary.txt> | \
+                summary <file> | diff <before> <after> | overhead>",
+        run: telemetry_main,
+    },
+    Verb {
+        name: "serve",
+        fail_code: 8,
+        usage: "snicctl serve <requests.jsonl | -> [--seed N] [--auto-steps N] \
+                [--restore <image>] [--snapshot-out <path>]",
+        run: serve_main,
+    },
+    Verb {
+        name: "soak",
+        fail_code: 9,
+        usage: "snicctl soak [--seed N] [--gate] [--emit-schedule]",
+        run: soak_main,
+    },
+    Verb {
+        name: "leakage",
+        fail_code: 10,
+        usage: "snicctl leakage [--smoke] [--gate]",
+        run: leakage_main,
+    },
+    Verb {
+        name: "trace",
+        fail_code: 11,
+        usage: "snicctl trace <describe [--tenants N] [--seed N] | \
+                sweep [--tenants A,B,..] [--events-per-tenant N] [--shards N] | \
+                billion [--tenants N] [--events N] [--shards N] [--gate]>",
+        run: trace_main,
+    },
+    Verb {
+        name: "exp",
+        fail_code: 12,
+        usage: "snicctl exp <name | all | list> [--full]",
+        run: exp_main,
+    },
+];
+
+/// `usage: <the verb's usage line>` — the prefix `main` maps to exit 2.
+fn usage(verb: &str) -> String {
+    let verb = VERBS
+        .iter()
+        .find(|v| v.name == verb)
+        .expect("callers name a VERBS row");
+    format!("usage: {}", verb.usage)
+}
+
+/// Every verb's usage line, for bare `snicctl` and `snicctl help`.
+fn usage_all() -> String {
+    let lines: Vec<&str> = VERBS.iter().map(|v| v.usage).collect();
+    format!("usage: one of\n  {}\n  snicctl help", lines.join("\n  "))
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    // Each verb owns a distinct exit code for operational failures (see
-    // the README table); errors whose text starts with "usage:" exit 2
-    // across the board.
-    let (result, fail_code) = match argv.first().map(String::as_str) {
-        Some("analyze") => (analyze_main(&argv[1..]), 5),
-        Some("verify") => (verify_main(&argv[1..]), 4),
-        Some("telemetry") => (telemetry_main(&argv[1..]), 7),
-        Some("serve") => (serve_main(&argv[1..]), 8),
-        Some("soak") => (soak_main(&argv[1..]), 9),
-        Some("leakage") => (leakage_main(&argv[1..]), 10),
-        Some("trace") => (trace_main(&argv[1..]), 11),
-        _ => match script_main(&argv) {
-            Ok(out) => (Ok(out), 3),
-            Err((code, e)) => {
-                eprintln!("snicctl: {e}");
-                std::process::exit(code);
-            }
-        },
+    let first = argv.first().map(String::as_str);
+    if first == Some("help") {
+        println!("{}", usage_all());
+        return;
+    }
+    let (verb, args) = match VERBS.iter().find(|v| Some(v.name) == first) {
+        Some(verb) => (verb, &argv[1..]),
+        None => (&VERBS[0], &argv[..]),
     };
-    match result {
+    match (verb.run)(args) {
         Ok(out) => {
             if !out.is_empty() {
                 println!("{out}");
@@ -893,7 +942,7 @@ fn main() {
             std::process::exit(if e.starts_with("usage:") {
                 2
             } else {
-                fail_code
+                verb.fail_code
             });
         }
     }
@@ -1100,6 +1149,52 @@ attest ids
         .unwrap();
         assert!(gated.contains("serial≡sharded identity OK"), "{gated}");
         assert!(gated.contains("gate: OK"), "{gated}");
+    }
+
+    #[test]
+    fn exp_command_lists_runs_and_rejects() {
+        let s = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
+        let list = exp_main(&s(&["list"])).unwrap();
+        assert!(list.starts_with("table1 "), "{list}");
+        assert!(!list.ends_with('\n'), "main adds the final newline");
+        let table3 = exp_main(&s(&["table3"])).unwrap();
+        assert!(table3.starts_with("== Table 3: "), "{table3}");
+        assert_eq!(table3, exp_main(&s(&["--full", "table3"])).unwrap());
+        // Usage errors: exit 2 through the `usage:` prefix.
+        for bad in [
+            &["nosuch"][..],
+            &[],
+            &["table3", "--quick"],
+            &["table3", "table4"],
+        ] {
+            let e = exp_main(&s(bad)).unwrap_err();
+            assert!(e.starts_with("usage: snicctl exp "), "{bad:?}: {e}");
+        }
+    }
+
+    /// The README's exit-code table is `VERBS`, row for row.
+    #[test]
+    fn readme_exit_code_table_matches_verbs() {
+        let readme = include_str!("../../README.md");
+        let section = readme
+            .split("### `snicctl` exit codes")
+            .nth(1)
+            .expect("README has the exit-code section");
+        // `| 4    | `verify` error |` -> ("verify", 4); the rows for 0
+        // and 2 name no verb.
+        let rows: Vec<(&str, i32)> = section
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .filter_map(|l| {
+                let mut cells = l.split('|').map(str::trim).skip(1);
+                let code = cells.next()?.parse().ok()?;
+                let name = cells.next()?.strip_prefix('`')?.split('`').next()?;
+                Some((name, code))
+            })
+            .collect();
+        let verbs: Vec<(&str, i32)> = VERBS.iter().map(|v| (v.name, v.fail_code)).collect();
+        assert_eq!(rows, verbs);
     }
 
     #[test]
