@@ -16,7 +16,7 @@ use snic_mem::guard::{AccessRecord, MemoryGuard, Principal};
 use snic_mem::ownership::PageOwnership;
 use snic_mem::pagetable::PageMapping;
 use snic_mem::phys::PhysMem;
-use snic_mem::planner::plan_region;
+use snic_mem::planner::{plan_region, RegionPlan};
 use snic_mem::tlb::Tlb;
 use snic_pktio::dma::{DmaBank, DmaDirection, DmaWindow};
 use snic_pktio::port::PortBuffers;
@@ -410,20 +410,7 @@ impl SmartNic {
     /// be reused before zeroization.
     fn force_reclaim(&mut self, nf: NfId) {
         if let Some(record) = self.launched.remove(&nf) {
-            for &c in &record.cores {
-                self.core_owner[usize::from(c.0)] = None;
-                self.dma_banks.remove(&c);
-                if let Some(tlb) = self.core_tlbs.get_mut(&c) {
-                    tlb.reset();
-                }
-            }
-            self.ownership.release_owner(nf);
-            for pool in &mut self.pools {
-                pool.release_owner(nf);
-            }
-            let _ = self.rx_port.release_owner(nf);
-            let _ = self.tx_port.release_owner(nf);
-            self.rules.remove_target(nf);
+            self.release_bindings(nf, &record.cores);
             let (base, len) = record.region;
             if self.config.mode == NicMode::Snic {
                 self.pending_scrubs.push(ScrubTicket {
@@ -437,6 +424,29 @@ impl SmartNic {
                 self.free_region(base, len);
             }
         }
+    }
+
+    /// Release every volatile binding `nf` holds: its `cores` with
+    /// their DMA banks and TLBs, page ownership, accelerator clusters,
+    /// VPP buffers, switch rules and bus accounting. Each release is a
+    /// no-op for an id that claimed nothing, so this is also the undo
+    /// of a launch that failed partway through admission. The DRAM
+    /// region is the caller's to scrub, queue or restore.
+    fn release_bindings(&mut self, nf: NfId, cores: &[CoreId]) {
+        for &c in cores {
+            self.core_owner[usize::from(c.0)] = None;
+            self.dma_banks.remove(&c);
+            if let Some(tlb) = self.core_tlbs.get_mut(&c) {
+                tlb.reset();
+            }
+        }
+        self.ownership.release_owner(nf);
+        for pool in &mut self.pools {
+            pool.release_owner(nf);
+        }
+        let _ = self.rx_port.release_owner(nf);
+        let _ = self.tx_port.release_owner(nf);
+        self.rules.remove_target(nf);
         self.bus_ops.remove(&nf);
     }
 
@@ -749,144 +759,25 @@ impl SmartNic {
                 self.config.core_tlb_entries
             )));
         }
-        // Reserve the physical region: the caller's placement hint if
-        // given, else first-fit from freed regions, falling back to the
-        // bump pointer. The pre-reservation allocator state is saved so
-        // every error path below can restore it exactly — a failed
-        // launch must not leak (or even fragment) region space.
-        let region_len = plan.allocated().bytes();
+        // Admission reserves as it checks, so the allocator state is
+        // saved first and one rollback undoes whatever a failed
+        // admission claimed — a failed launch must not leak (or even
+        // fragment) region space. Merely re-freeing the region would
+        // not do: it leaves fragmentation and, on hinted launches,
+        // leaks.
+        let nf = NfId(self.next_nf);
         let saved_free_regions = self.free_regions.clone();
         let saved_next_region = self.next_region;
-        let base = match req.region_base {
-            Some(hint) => hint,
-            None => match self
-                .free_regions
-                .iter()
-                .position(|&(_, len)| len >= region_len)
-            {
-                Some(idx) => {
-                    let (b, len) = self.free_regions.remove(idx);
-                    if len > region_len {
-                        self.free_regions.push((b + region_len, len - region_len));
-                        self.free_regions.sort_unstable();
-                    }
-                    b
-                }
-                None => {
-                    let b = self.next_region.div_ceil(4096) * 4096;
-                    if b + region_len > self.config.dram.bytes() {
-                        // DRAM held hostage by interrupted scrubs is
-                        // coming back; report that as retryable.
-                        if self.pending_scrubs.is_empty() {
-                            return Err(SnicError::InvalidConfig("DRAM exhausted".into()));
-                        }
-                        return Err(SnicError::Transient(TransientResource::Dram));
-                    }
-                    self.next_region = b + region_len;
-                    b
-                }
-            },
+        let (base, accel, new_tlbs) = match self.admit(nf, &req, &plan) {
+            Ok(admitted) => admitted,
+            Err(e) => {
+                self.free_regions = saved_free_regions;
+                self.next_region = saved_next_region;
+                self.release_bindings(nf, &[]);
+                return Err(e);
+            }
         };
-        // A region still awaiting zeroization is not reusable (§4.6),
-        // no matter what placement hint the caller supplied.
-        if let Some(t) = self
-            .pending_scrubs
-            .iter()
-            .find(|t| base < t.base + t.len && t.base < base + region_len)
-        {
-            let pending = t.base;
-            self.free_regions = saved_free_regions;
-            self.next_region = saved_next_region;
-            return Err(SnicError::ScrubPending { base: pending });
-        }
-        if base.saturating_add(region_len) > self.config.dram.bytes() {
-            self.free_regions = saved_free_regions;
-            self.next_region = saved_next_region;
-            return Err(SnicError::InvalidConfig("DRAM exhausted".into()));
-        }
-        if req.image.len() as u64 > region_len {
-            self.free_regions = saved_free_regions;
-            self.next_region = saved_next_region;
-            return Err(SnicError::InvalidConfig("image larger than region".into()));
-        }
-
-        // Static verification (Pass 1 of `snic-verify`): prove the
-        // augmented manifest set is still an isolation-respecting
-        // partition of the device *before* any hardware state mutates.
-        // The report, not just a boolean, travels in the error so the
-        // operator sees every broken invariant with its paper citation.
-        let nf = NfId(self.next_nf);
-        let report = self.verify_launch(nf, &req, base, region_len, plan.entries() as usize);
-        if report.concerning(nf).next().is_some() {
-            // Restore the pre-reservation allocator state exactly
-            // (free_region() here would leak on hinted launches and
-            // fragment the bump pointer on fresh ones).
-            self.free_regions = saved_free_regions;
-            self.next_region = saved_next_region;
-            return Err(SnicError::Verification(report.to_string()));
-        }
-
-        // Page-table walk: claim ownership (fails atomically on overlap).
-        if let Err(e) = self.ownership.claim(base, region_len, nf) {
-            self.free_regions = saved_free_regions;
-            self.next_region = saved_next_region;
-            return Err(e);
-        }
-        // Accelerator clusters (§4.3) — atomic per pool; roll back on
-        // failure.
-        let mut accel = Vec::new();
-        for &(kind, count) in &req.accel {
-            let Some(pool) = self.pools.iter_mut().find(|p| p.kind() == kind) else {
-                self.rollback(nf, saved_free_regions, saved_next_region);
-                return Err(SnicError::InvalidConfig(format!(
-                    "device has no {kind:?} accelerator pool"
-                )));
-            };
-            match pool.allocate(nf, count) {
-                Ok(mut ids) => accel.append(&mut ids),
-                Err(e) => {
-                    self.rollback(nf, saved_free_regions, saved_next_region);
-                    return Err(e);
-                }
-            }
-        }
-        // VPP buffer reservations (§4.4).
-        if let Err(e) = self.rx_port.reserve(nf, req.vpp.pb) {
-            self.rollback(nf, saved_free_regions, saved_next_region);
-            return Err(e);
-        }
-        if let Err(e) = self.tx_port.reserve(nf, req.vpp.odb) {
-            self.rollback(nf, saved_free_regions, saved_next_region);
-            return Err(e);
-        }
-        // Build the locked per-core TLBs before committing anything, so a
-        // (planner-bug) capacity overflow still rolls back cleanly.
-        let mut new_tlbs: Vec<(CoreId, Tlb)> = Vec::new();
-        if self.config.mode == NicMode::Snic {
-            for &c in &req.cores {
-                let mut tlb = Tlb::new(c, self.config.core_tlb_entries);
-                let mut va = 0u64;
-                let mut pa = base;
-                for &(page_size, count) in &plan.pages {
-                    for _ in 0..count {
-                        let install = tlb.install(PageMapping {
-                            va,
-                            pa,
-                            page_size,
-                            writable: true,
-                        });
-                        if let Err(e) = install {
-                            self.rollback(nf, saved_free_regions, saved_next_region);
-                            return Err(e.into());
-                        }
-                        va += page_size;
-                        pa += page_size;
-                    }
-                }
-                tlb.lock();
-                new_tlbs.push((c, tlb));
-            }
-        }
+        let region_len = plan.allocated().bytes();
 
         // Commit point: everything below cannot fail.
         self.next_nf += 1;
@@ -1012,19 +903,119 @@ impl SmartNic {
         })
     }
 
-    /// Undo a partially admitted launch: release every binding claimed
-    /// so far and restore the region allocator to its pre-launch state
-    /// (both the free list and the bump pointer — merely re-freeing the
-    /// region would leave fragmentation and, on hinted launches, leaks).
-    fn rollback(&mut self, nf: NfId, saved_free_regions: Vec<(u64, u64)>, saved_next_region: u64) {
-        self.free_regions = saved_free_regions;
-        self.next_region = saved_next_region;
-        self.ownership.release_owner(nf);
-        for pool in &mut self.pools {
-            pool.release_owner(nf);
+    /// The fallible part of `nf_launch`: reserve the region, verify the
+    /// augmented manifest set, claim ownership, clusters and VPP
+    /// buffers, and build the locked TLBs. It reserves as it goes and
+    /// undoes nothing — on `Err` the caller restores the allocator and
+    /// releases whatever `nf` claimed.
+    fn admit(
+        &mut self,
+        nf: NfId,
+        req: &LaunchRequest,
+        plan: &RegionPlan,
+    ) -> Result<Admitted, SnicError> {
+        // Reserve the physical region: the caller's placement hint if
+        // given, else first-fit from freed regions, falling back to the
+        // bump pointer.
+        let region_len = plan.allocated().bytes();
+        let base = match req.region_base {
+            Some(hint) => hint,
+            None => match self
+                .free_regions
+                .iter()
+                .position(|&(_, len)| len >= region_len)
+            {
+                Some(idx) => {
+                    let (b, len) = self.free_regions.remove(idx);
+                    if len > region_len {
+                        self.free_regions.push((b + region_len, len - region_len));
+                        self.free_regions.sort_unstable();
+                    }
+                    b
+                }
+                None => {
+                    let b = self.next_region.div_ceil(4096) * 4096;
+                    if b + region_len > self.config.dram.bytes() {
+                        // DRAM held hostage by interrupted scrubs is
+                        // coming back; report that as retryable.
+                        if self.pending_scrubs.is_empty() {
+                            return Err(SnicError::InvalidConfig("DRAM exhausted".into()));
+                        }
+                        return Err(SnicError::Transient(TransientResource::Dram));
+                    }
+                    self.next_region = b + region_len;
+                    b
+                }
+            },
+        };
+        // A region still awaiting zeroization is not reusable (§4.6),
+        // no matter what placement hint the caller supplied.
+        if let Some(t) = self
+            .pending_scrubs
+            .iter()
+            .find(|t| base < t.base + t.len && t.base < base + region_len)
+        {
+            return Err(SnicError::ScrubPending { base: t.base });
         }
-        let _ = self.rx_port.release_owner(nf);
-        let _ = self.tx_port.release_owner(nf);
+        if base.saturating_add(region_len) > self.config.dram.bytes() {
+            return Err(SnicError::InvalidConfig("DRAM exhausted".into()));
+        }
+        if req.image.len() as u64 > region_len {
+            return Err(SnicError::InvalidConfig("image larger than region".into()));
+        }
+
+        // Static verification (Pass 1 of `snic-verify`): prove the
+        // augmented manifest set is still an isolation-respecting
+        // partition of the device *before* any hardware state mutates.
+        // The report, not just a boolean, travels in the error so the
+        // operator sees every broken invariant with its paper citation.
+        let report = self.verify_launch(nf, req, base, region_len, plan.entries() as usize);
+        if report.concerning(nf).next().is_some() {
+            return Err(SnicError::Verification(report.to_string()));
+        }
+
+        // Page-table walk: claim ownership (fails atomically on overlap).
+        self.ownership.claim(base, region_len, nf)?;
+        // Accelerator clusters (§4.3) — atomic per pool.
+        let mut accel = Vec::new();
+        for &(kind, count) in &req.accel {
+            let pool = self
+                .pools
+                .iter_mut()
+                .find(|p| p.kind() == kind)
+                .ok_or_else(|| {
+                    SnicError::InvalidConfig(format!("device has no {kind:?} accelerator pool"))
+                })?;
+            accel.append(&mut pool.allocate(nf, count)?);
+        }
+        // VPP buffer reservations (§4.4).
+        self.rx_port.reserve(nf, req.vpp.pb)?;
+        self.tx_port.reserve(nf, req.vpp.odb)?;
+        // Build the locked per-core TLBs before committing anything, so a
+        // (planner-bug) capacity overflow still rolls back cleanly.
+        let mut new_tlbs: Vec<(CoreId, Tlb)> = Vec::new();
+        if self.config.mode == NicMode::Snic {
+            for &c in &req.cores {
+                let mut tlb = Tlb::new(c, self.config.core_tlb_entries);
+                let mut va = 0u64;
+                let mut pa = base;
+                for &(page_size, count) in &plan.pages {
+                    for _ in 0..count {
+                        tlb.install(PageMapping {
+                            va,
+                            pa,
+                            page_size,
+                            writable: true,
+                        })?;
+                        va += page_size;
+                        pa += page_size;
+                    }
+                }
+                tlb.lock();
+                new_tlbs.push((c, tlb));
+            }
+        }
+        Ok((base, accel, new_tlbs))
     }
 
     // ------------------------------------------------------------------
@@ -1145,21 +1136,7 @@ impl SmartNic {
             },
         );
         let record = self.launched.remove(&nf).expect("checked above");
-        for &c in &record.cores {
-            self.core_owner[usize::from(c.0)] = None;
-            self.dma_banks.remove(&c);
-            if let Some(tlb) = self.core_tlbs.get_mut(&c) {
-                tlb.reset();
-            }
-        }
-        self.ownership.release_owner(nf);
-        for pool in &mut self.pools {
-            pool.release_owner(nf);
-        }
-        let _ = self.rx_port.release_owner(nf);
-        let _ = self.tx_port.release_owner(nf);
-        self.rules.remove_target(nf);
-        self.bus_ops.remove(&nf);
+        self.release_bindings(nf, &record.cores);
         let mut scrub = Picos::ZERO;
         let mut allowlist = Picos::ZERO;
         if self.config.mode == NicMode::Snic {
@@ -1649,6 +1626,11 @@ impl SmartNic {
 
 /// A live function's record, rendered as the manifest the verifier
 /// checks.
+/// What [`SmartNic::admit`] reserved: the region base, the accelerator
+/// clusters, and the locked per-core TLBs ready to install (S-NIC mode
+/// only).
+type Admitted = (u64, Vec<AccelClusterId>, Vec<(CoreId, Tlb)>);
+
 fn manifest_of(nf: NfId, r: &NfRecord) -> VnicManifest {
     let mut accel: Vec<(AccelKind, usize)> = Vec::new();
     for c in &r.accel {

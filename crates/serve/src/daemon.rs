@@ -115,11 +115,11 @@ impl DaemonConfig {
     /// Parse the canonical form back. Inverse of [`DaemonConfig::render`].
     pub fn parse(text: &str) -> Result<DaemonConfig, String> {
         let j = snic_telemetry::parse_json(text).map_err(|e| e.to_string())?;
-        let num = |j: &Json, k: &str| -> Result<u64, String> {
-            j.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("config: missing '{k}'"))
-        };
+        fn num<T: TryFrom<u64>>(j: &Json, k: &str) -> Result<T, String> {
+            let n = j.get(k).and_then(Json::as_u64);
+            let n = n.ok_or_else(|| format!("config: missing '{k}'"))?;
+            T::try_from(n).map_err(|_| format!("config: '{k}' out of range"))
+        }
         let mode = match j.get("mode").and_then(Json::as_str) {
             Some("snic") => NicMode::Snic,
             Some("commodity") => NicMode::Commodity,
@@ -130,11 +130,11 @@ impl DaemonConfig {
             seed: num(&j, "seed")?,
             mode,
             tick_ps: num(&j, "tick_ps")?,
-            auto_steps: num(&j, "auto_steps")? as u32,
+            auto_steps: num(&j, "auto_steps")?,
             default_deadline_us: num(&j, "default_deadline_us")?,
             quota: TenantQuota {
-                queue_depth: num(q, "queue_depth")? as u32,
-                max_live_nfs: num(q, "max_live_nfs")? as u32,
+                queue_depth: num(q, "queue_depth")?,
+                max_live_nfs: num(q, "max_live_nfs")?,
                 burst: num(q, "burst")?,
                 refill_ps: num(q, "refill_ps")?,
             },
@@ -173,8 +173,6 @@ pub struct Daemon {
     draining: bool,
     served_total: u64,
     packet_seq: u32,
-    snapshot_pending: bool,
-    last_snapshot: Option<String>,
 }
 
 impl Daemon {
@@ -201,8 +199,6 @@ impl Daemon {
             draining: false,
             served_total: 0,
             packet_seq: 0,
-            snapshot_pending: false,
-            last_snapshot: None,
         }
     }
 
@@ -257,10 +253,11 @@ impl Daemon {
         snic_verify::lint_serve_transcript(&self.audit)
     }
 
-    /// The most recent snapshot image, rendered when a `snapshot` op
-    /// was last ingested (`snicd --snapshot-out` writes this).
-    pub fn last_snapshot(&self) -> Option<&str> {
-        self.last_snapshot.as_deref()
+    /// Whether a `drain` op has completed: the queues were served dry
+    /// and no new work is admitted. A socket host stops accepting once
+    /// the draining client disconnects.
+    pub fn is_draining(&self) -> bool {
+        self.draining
     }
 
     /// A stable multi-line digest of everything that must survive a
@@ -337,10 +334,6 @@ impl Daemon {
         for _ in 0..self.cfg.auto_steps {
             self.pump(&mut out);
         }
-        if self.snapshot_pending {
-            self.snapshot_pending = false;
-            self.last_snapshot = Some(crate::snapshot::render_image(self));
-        }
         out
     }
 
@@ -389,17 +382,17 @@ impl Daemon {
         match req.op.as_str() {
             "launch" => Ok(QueuedOp::Launch {
                 name: name()?,
-                core: req.num("core").map(|c| c as u16),
+                core: req.int("core")?,
                 mem_mib: req.num("mem").ok_or("missing \"mem\"")?,
-                port: req.num("port").map(|p| p as u16),
+                port: req.int("port")?,
             }),
             "teardown" => Ok(QueuedOp::Teardown { name: name()? }),
             "attest" => Ok(QueuedOp::Attest { name: name()? }),
             "stats" => Ok(QueuedOp::Stats { name: name()? }),
             "poll" => Ok(QueuedOp::Poll { name: name()? }),
             "send" => Ok(QueuedOp::Send {
-                count: req.num("count").ok_or("missing \"count\"")? as u32,
-                port: req.num("port").ok_or("missing \"port\"")? as u16,
+                count: req.int("count")?.ok_or("missing \"count\"")?,
+                port: req.int("port")?.ok_or("missing \"port\"")?,
             }),
             other => Err(format!("op '{other}' is not queueable")),
         }
@@ -423,47 +416,32 @@ impl Daemon {
                 .insert(req.tenant.clone(), TenantState::new(quota, now));
             self.order.push(req.tenant.clone());
         }
-        let op = match Self::parse_queued(req) {
-            Ok(op) => op,
-            Err(e) => {
-                let t = self.tenants.get_mut(&req.tenant).expect("registered");
-                t.stats.submitted += 1;
-                t.stats.shed += 1;
-                Self::push_record(
-                    &mut self.audit,
-                    &mut self.seq,
-                    now,
-                    &req.tenant,
-                    req.id,
-                    ServeEventKind::Shed {
-                        code: codes::BAD_REQUEST,
-                    },
-                );
-                self.count(metrics::SERVE_SHED);
-                out.push(reject(req.id, &req.tenant, &req.op, codes::BAD_REQUEST, &e));
-                return;
-            }
-        };
         let draining = self.draining;
         let t = self.tenants.get_mut(&req.tenant).expect("registered");
         t.stats.submitted += 1;
-        let verdict: Result<(), (&'static str, String)> = if draining {
-            Err((codes::DRAINING, "daemon is draining".to_string()))
-        } else if let Some(reason) = &t.frozen {
-            Err((codes::FROZEN, format!("tenant frozen: {reason}")))
-        } else if !t.bucket.try_take(&t.quota, now) {
-            Err((
-                codes::RATE_LIMITED,
-                format!("token bucket empty (burst {})", t.quota.burst),
-            ))
-        } else if t.queue.len() >= t.quota.queue_depth as usize {
-            Err((
-                codes::OVERLOADED,
-                format!("queue full at depth {}", t.quota.queue_depth),
-            ))
-        } else {
-            Ok(())
-        };
+        // A malformed op is shed like any other refusal, before it can
+        // cost the tenant a token.
+        let verdict = Self::parse_queued(req)
+            .map_err(|e| (codes::BAD_REQUEST, e))
+            .and_then(|op| {
+                if draining {
+                    Err((codes::DRAINING, "daemon is draining".to_string()))
+                } else if let Some(reason) = &t.frozen {
+                    Err((codes::FROZEN, format!("tenant frozen: {reason}")))
+                } else if !t.bucket.try_take(&t.quota, now) {
+                    Err((
+                        codes::RATE_LIMITED,
+                        format!("token bucket empty (burst {})", t.quota.burst),
+                    ))
+                } else if t.queue.len() >= t.quota.queue_depth as usize {
+                    Err((
+                        codes::OVERLOADED,
+                        format!("queue full at depth {}", t.quota.queue_depth),
+                    ))
+                } else {
+                    Ok(op)
+                }
+            });
         match verdict {
             Err((code, error)) => {
                 t.stats.shed += 1;
@@ -478,7 +456,7 @@ impl Daemon {
                 self.count(metrics::SERVE_SHED);
                 out.push(reject(req.id, &req.tenant, &req.op, code, &error));
             }
-            Ok(()) => {
+            Ok(op) => {
                 let deadline = req
                     .num("deadline_us")
                     .or(match self.cfg.default_deadline_us {
@@ -592,39 +570,26 @@ impl Daemon {
         self.served_total += 1;
         let t = self.tenants.get_mut(tenant).expect("serving");
         t.stats.served += 1;
-        match result {
-            Ok(extras) => {
-                Self::push_record(
-                    &mut self.audit,
-                    &mut self.seq,
-                    self.nic.now(),
-                    tenant,
-                    p.id,
-                    ServeEventKind::Served {
-                        ok: true,
-                        code: None,
-                    },
-                );
-                self.count(metrics::SERVE_SERVED);
-                out.push(accept(p.id, tenant, tag, &extras));
-            }
-            Err((code, error)) => {
-                t.stats.failed += 1;
-                Self::push_record(
-                    &mut self.audit,
-                    &mut self.seq,
-                    self.nic.now(),
-                    tenant,
-                    p.id,
-                    ServeEventKind::Served {
-                        ok: false,
-                        code: Some(code),
-                    },
-                );
-                self.count(metrics::SERVE_SERVED);
-                out.push(reject(p.id, tenant, tag, code, &error));
-            }
+        let code = result.as_ref().err().map(|(code, _)| *code);
+        if code.is_some() {
+            t.stats.failed += 1;
         }
+        Self::push_record(
+            &mut self.audit,
+            &mut self.seq,
+            self.nic.now(),
+            tenant,
+            p.id,
+            ServeEventKind::Served {
+                ok: code.is_none(),
+                code,
+            },
+        );
+        self.count(metrics::SERVE_SERVED);
+        out.push(match result {
+            Ok(extras) => accept(p.id, tenant, tag, &extras),
+            Err((code, error)) => reject(p.id, tenant, tag, code, &error),
+        });
         self.scan_faults();
     }
 
@@ -889,14 +854,23 @@ impl Daemon {
             ));
             return;
         }
+        let (depth, live) = match (req.int("queue_depth"), req.int("max_live_nfs")) {
+            (Ok(depth), Ok(live)) => (depth, live),
+            (Err(e), _) | (_, Err(e)) => {
+                out.push(reject(
+                    req.id,
+                    &req.tenant,
+                    "register",
+                    codes::BAD_REQUEST,
+                    &e,
+                ));
+                return;
+            }
+        };
         let now = self.nic.now();
         let mut quota = self.cfg.quota;
-        if let Some(d) = req.num("queue_depth") {
-            quota.queue_depth = d as u32;
-        }
-        if let Some(n) = req.num("max_live_nfs") {
-            quota.max_live_nfs = n as u32;
-        }
+        quota.queue_depth = depth.unwrap_or(quota.queue_depth);
+        quota.max_live_nfs = live.unwrap_or(quota.max_live_nfs);
         if let Some(b) = req.num("burst") {
             quota.burst = b;
         }
@@ -1207,7 +1181,6 @@ impl Daemon {
                 digest: digest.clone(),
             },
         );
-        self.snapshot_pending = true;
         out.push(accept(
             req.id,
             "",
@@ -1261,3 +1234,55 @@ impl Daemon {
 /// Outcome of one queued-op execution: response extras, or a typed
 /// rejection.
 type ExecResult = Result<Vec<(&'static str, String)>, (&'static str, String)>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn config_round_trips_through_its_canonical_form_at_u64_max() {
+        let cfg = DaemonConfig {
+            seed: u64::MAX,
+            tick_ps: 18_446_744_073_709_551_557,
+            auto_steps: u32::MAX,
+            default_deadline_us: (1 << 53) + 1,
+            quota: TenantQuota {
+                burst: u64::MAX - 1,
+                ..TenantQuota::default()
+            },
+            ..DaemonConfig::default()
+        };
+        assert_eq!(DaemonConfig::parse(&cfg.render()), Ok(cfg.clone()));
+        let wide = cfg.render().replace("4294967295", "4294967296");
+        let err = DaemonConfig::parse(&wide).expect_err("auto_steps past u32");
+        assert!(err.contains("auto_steps"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_integers_are_refused_not_narrowed() {
+        let mut d = Daemon::new(DaemonConfig::default());
+        let bad = [
+            r#"{"op":"send","tenant":"a","id":1,"count":1,"port":65616}"#,
+            r#"{"op":"send","tenant":"a","id":2,"count":4294967297,"port":80}"#,
+            r#"{"op":"launch","tenant":"a","id":3,"name":"fw","mem":8,"core":65536}"#,
+            r#"{"op":"launch","tenant":"a","id":4,"name":"fw","mem":8,"port":65616}"#,
+            r#"{"op":"register","tenant":"b","id":5,"queue_depth":4294967297}"#,
+            r#"{"op":"register","tenant":"b","id":6,"max_live_nfs":4294967296}"#,
+        ];
+        for line in bad {
+            let out = d.ingest(line);
+            assert_eq!(out.len(), 1, "{line}: {out:?}");
+            assert!(out[0].contains(codes::BAD_REQUEST), "{line}: {}", out[0]);
+            assert!(out[0].contains("out of range"), "{line}: {}", out[0]);
+        }
+        // Malformed queued ops are shed-accounted; a refused `register`
+        // registers nobody.
+        let a = d.tenant_stats("a").expect("first contact registers");
+        assert_eq!((a.submitted, a.shed, a.admitted), (4, 4, 0));
+        assert!(d.tenant_stats("b").is_none());
+        assert!(d.lint().is_empty(), "{:?}", d.lint());
+        // The largest values each field holds still pass.
+        let ok = d.ingest(r#"{"op":"send","tenant":"a","id":7,"count":0,"port":65535}"#);
+        assert!(ok[0].contains("\"ok\":true"), "{ok:?}");
+    }
+}

@@ -24,22 +24,27 @@
 //! - **Crash-safe restart** ([`snapshot`]): because every observable is
 //!   a pure function of `(config, input lines)`, a snapshot is the
 //!   canonical config plus the line history, sealed with transcript and
-//!   state digests; restore replays and verifies.
+//!   state digests; restore replays and verifies. The write-ahead
+//!   journal is the same cause, unsealed: it recovers to its last
+//!   complete record.
+//! - **One host** ([`host`]): flags, boot-or-restore, the bounded line
+//!   loop, journaling and the snapshot sink, shared by every transport.
 //! - **Verification** ([`snic_verify::serve`]): Pass 4 lints the serve
 //!   transcript for frozen-tenant service, quota bypass, and
 //!   expired-then-served violations.
 //! - **Soak** ([`soak`]): a seeded ~30-simulated-second overload
 //!   schedule with a mid-run fault plan and a byte-stability gate.
 //!
-//! The binary lives in the facade crate (`src/bin/snicd.rs`); `snicctl
-//! serve` and `snicctl soak` drive the same [`daemon::Daemon`] in
-//! process.
+//! The binary lives in the facade crate (`src/bin/snicd.rs`); it and
+//! `snicctl serve` are transports over [`host::Host`], and `snicctl
+//! soak` drives the same [`daemon::Daemon`] in process.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;
 pub mod daemon;
+pub mod host;
 pub mod protocol;
 pub mod snapshot;
 pub mod soak;

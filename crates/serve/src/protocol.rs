@@ -63,6 +63,15 @@ impl Request {
         self.body.get(key).and_then(Json::as_u64)
     }
 
+    /// An op-specific integer parameter narrowed to `T`. A value `T`
+    /// cannot hold is an error naming the key — never a silent wrap
+    /// (`"port":65616` must not route to port 80).
+    pub fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<Option<T>, String> {
+        self.num(key)
+            .map(|n| T::try_from(n).map_err(|_| format!("\"{key}\" out of range: {n}")))
+            .transpose()
+    }
+
     /// An op-specific string parameter.
     pub fn str(&self, key: &str) -> Option<&str> {
         self.body.get(key).and_then(Json::as_str)
@@ -195,6 +204,16 @@ mod tests {
         assert_eq!(r.num("mem"), Some(8));
         assert_eq!(r.str("name"), Some("fw"));
         assert_eq!(r.num("missing"), None);
+        assert_eq!(r.int::<u16>("mem"), Ok(Some(8)));
+        assert_eq!(r.int::<u16>("missing"), Ok(None));
+        // Integers arrive exactly as sent, or not at all.
+        let r =
+            parse_request(r#"{"op":"send","id":9007199254740993,"port":65616}"#).expect("parse");
+        assert_eq!(r.id, 9_007_199_254_740_993);
+        assert!(accept(r.id, "", "send", &[]).starts_with(r#"{"id":9007199254740993,"#));
+        assert_eq!(r.num("port"), Some(65_616));
+        let err = r.int::<u16>("port").expect_err("65616 is no port");
+        assert!(err.contains("\"port\"") && err.contains("65616"), "{err}");
     }
 
     #[test]

@@ -12,7 +12,10 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (parsed as `f64`).
+    /// A non-negative integer literal that fits `u64`, kept exact (an
+    /// `f64` rounds every integer from 2^53 up).
+    Int(u64),
+    /// Any other JSON number (parsed as `f64`).
     Num(f64),
     /// A string literal.
     Str(String),
@@ -34,17 +37,19 @@ impl Json {
     /// The value as a number, if it is one.
     pub fn as_num(&self) -> Option<f64> {
         match self {
+            Json::Int(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The value as a `u64`, if it is a non-negative integral number.
+    /// The value as a `u64`, if it is a non-negative integral number
+    /// below 2^64. Integer literals come back exactly as written.
     pub fn as_u64(&self) -> Option<u64> {
+        const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Int(n) => Some(*n),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < TWO_POW_64 => Some(*n as u64),
             _ => None,
         }
     }
@@ -186,6 +191,9 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("non-utf8 number"))?;
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Json::Int(n));
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("malformed number"))
@@ -363,6 +371,20 @@ mod tests {
     fn u64_round_trips_within_f64_precision() {
         let v = parse_json("9007199254740992").expect("parse");
         assert_eq!(v.as_u64(), Some(1u64 << 53));
+        // Integer literals are exact past 2^53, up to u64::MAX.
+        for n in [(1u64 << 53) + 1, 18_446_744_073_709_551_557, u64::MAX] {
+            let v = parse_json(&n.to_string()).expect("parse");
+            assert_eq!(v.as_u64(), Some(n));
+            assert_eq!(v.as_num(), Some(n as f64));
+        }
+        // Other spellings still go through f64; 2^64 rounds to nothing
+        // a u64 holds, so it is refused rather than clamped.
+        let u64_of = |doc| parse_json(doc).expect("parse").as_u64();
+        assert_eq!(u64_of("1e3"), Some(1000));
+        assert_eq!(u64_of("5.0"), Some(5));
+        assert_eq!(u64_of("18446744073709551616"), None);
+        assert_eq!(u64_of("-1"), None);
+        assert_eq!(u64_of("0.5"), None);
     }
 
     #[test]

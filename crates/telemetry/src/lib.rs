@@ -10,7 +10,7 @@
 //!   counters did not move") can be read straight off a run.
 //! - **Event traces.** Span begin/end and instant events keyed by NF
 //!   lifecycle phases and uarch pipeline stages, exportable as
-//!   JSON-lines or Chrome-trace JSON (`chrome://tracing` / Perfetto).
+//!   Chrome-trace JSON (`chrome://tracing` / Perfetto).
 //! - **Zero cost when off.** The no-op [`NullSink`] reports
 //!   `enabled() == false` and every default method is an empty
 //!   `#[inline]` body, so instrumentation guarded by
@@ -40,4 +40,4 @@ pub use json::{parse_json, Json, JsonError};
 pub use recorder::Recorder;
 pub use sink::{metrics, NullSink, TelemetrySink};
 pub use summary::{Summary, SummaryDelta};
-pub use trace::{parse_chrome_trace, parse_jsonl, to_chrome_trace, to_jsonl, Phase, TraceEvent};
+pub use trace::{parse_chrome_trace, to_chrome_trace, Phase, TraceEvent};

@@ -2,11 +2,10 @@
 //!
 //! Events use the Chrome trace event model: duration spans (`B`/`E`),
 //! instants (`i`) and counter samples (`C`), each attributed to a
-//! domain (rendered as the Chrome `tid`). Two exporters are provided —
-//! JSON-lines (one event object per line, grep-friendly) and a Chrome
-//! trace document loadable in `chrome://tracing` or Perfetto — plus
-//! parsers that read both back for round-trip testing and the
-//! `snicctl telemetry` commands.
+//! domain (rendered as the Chrome `tid`). The exporter writes a Chrome
+//! trace document loadable in `chrome://tracing` or Perfetto; the parser
+//! reads it back for round-trip testing and the `snicctl telemetry`
+//! commands.
 
 use crate::json::{escape_into, parse_json, Json, JsonError};
 
@@ -96,16 +95,6 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
     out
 }
 
-/// Render events as JSON-lines: one event object per line.
-pub fn to_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 96);
-    for e in events {
-        write_event_obj(&mut out, e);
-        out.push('\n');
-    }
-    out
-}
-
 fn event_from_json(v: &Json, at: usize) -> Result<TraceEvent, JsonError> {
     let bad = |what| JsonError { at, what };
     let phase = v
@@ -165,21 +154,6 @@ pub fn parse_chrome_trace(doc: &str) -> Result<Vec<TraceEvent>, JsonError> {
     Ok(out)
 }
 
-/// Parse JSON-lines events (as produced by [`to_jsonl`]). Blank lines
-/// are skipped.
-pub fn parse_jsonl(doc: &str) -> Result<Vec<TraceEvent>, JsonError> {
-    let mut out = Vec::new();
-    for (i, line) in doc.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let v = parse_json(line)?;
-        out.push(event_from_json(&v, i)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,15 +196,6 @@ mod tests {
         let events = sample_events();
         let doc = to_chrome_trace(&events);
         let back = parse_chrome_trace(&doc).expect("parse back");
-        assert_eq!(back, events);
-    }
-
-    #[test]
-    fn jsonl_round_trips() {
-        let events = sample_events();
-        let doc = to_jsonl(&events);
-        assert_eq!(doc.lines().count(), events.len());
-        let back = parse_jsonl(&doc).expect("parse back");
         assert_eq!(back, events);
     }
 

@@ -5,6 +5,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The gate leaves the tree as it found it: compared again at the end.
+tree_before="$(git status --porcelain)"
+
 # Any single test binary (or doctest batch) slower than this many
 # seconds fails the gate — the wall-clock regression ISSUE 2 fixed must
 # not silently return. Override for slow machines: SNIC_TEST_BUDGET_S.
@@ -107,7 +110,22 @@ cargo run -q --release --bin snicctl -- trace billion --gate \
 # regressions are decided by paired parent-vs-change runs
 # (`benchmark/run.sh --compare N`), not a single-shot threshold below
 # this host's noise floor.
+#
+# cargo rewrites two stale `snic-telemetry` edges in the frozen
+# `benchmark/Cargo.lock` on every build; put the committed bytes back.
 echo "==> benchmark smoke (benchmark/run.sh --smoke)"
-bash benchmark/run.sh --smoke > /dev/null
+lock_saved="$(mktemp)"
+cp benchmark/Cargo.lock "$lock_saved"
+smoke=0
+bash benchmark/run.sh --smoke > /dev/null || smoke=$?
+cp "$lock_saved" benchmark/Cargo.lock && rm -f "$lock_saved"
+[ "$smoke" -eq 0 ] || exit "$smoke"
+
+tree_after="$(git status --porcelain)"
+if [ "$tree_before" != "$tree_after" ]; then
+    echo "FAIL: the gate changed the working tree:" >&2
+    diff <(echo "$tree_before") <(echo "$tree_after") >&2 || true
+    exit 1
+fi
 
 echo "lint gate: OK"

@@ -579,77 +579,36 @@ fn verify_main(args: &[String]) -> Result<String, String> {
     })
 }
 
-/// `snicctl serve <requests.jsonl | -> [flags]`: drive an in-process
-/// `snicd` daemon over a request file (or stdin with `-`) and print
-/// one response line per completed request. `--restore <image>` boots
-/// from a snapshot (replayed responses are not re-emitted);
-/// `--snapshot-out <path>` writes the latest sealed image after the
-/// run (the one the last `snapshot` op produced, or a fresh image of
-/// the final state).
+/// `snicctl serve <requests.jsonl | -> [flags]`: run the `snicd` host
+/// (`snic::serve::host`) in process over a request file (or stdin with
+/// `-`) and print one response line per completed request. The flags
+/// are `snicd`'s own, parsed by the same table, minus `--socket`.
 fn serve_main(args: &[String]) -> Result<String, String> {
-    use snic::serve::daemon::{Daemon, DaemonConfig};
-    use snic::serve::snapshot;
+    use snic::serve::host::{Fatal, Host, HostOpts};
 
-    let usage = usage("serve");
-    let mut input: Option<String> = None;
-    let mut cfg = DaemonConfig::default();
-    let mut restore_path: Option<String> = None;
-    let mut snapshot_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                cfg.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(format!("{usage}\n(--seed needs an integer)"))?;
-            }
-            "--auto-steps" => {
-                cfg.auto_steps = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(format!("{usage}\n(--auto-steps needs an integer)"))?;
-            }
-            "--restore" => restore_path = it.next().cloned(),
-            "--snapshot-out" => snapshot_out = it.next().cloned(),
-            other if input.is_none() && !other.starts_with("--") => {
-                input = Some(other.to_string());
-            }
-            other => return Err(format!("{usage}\n(unexpected '{other}')")),
-        }
+    let usage = |why: String| format!("{}\n({why})", usage("serve"));
+    let (opts, rest) = HostOpts::parse(args).map_err(usage)?;
+    let [input] = &rest[..] else {
+        return Err(usage("exactly one request file, or '-'".into()));
+    };
+    if opts.socket.is_some() {
+        return Err(usage("--socket is snicd's".into()));
     }
-    let input = input.ok_or(usage)?;
-    let text = if input == "-" {
-        let mut s = String::new();
-        std::io::stdin()
-            .read_to_string(&mut s)
-            .map_err(|e| format!("usage: cannot read stdin: {e}"))?;
-        s
+    // `main` maps a `usage:` prefix to exit 2, anything else to 8.
+    let fail = |(code, e): Fatal| if code == 2 { format!("usage: {e}") } else { e };
+    let mut host = Host::boot(&opts).map_err(fail)?;
+    let mut out = Vec::new();
+    if input == "-" {
+        host.serve(std::io::stdin().lock(), &mut out)
     } else {
-        std::fs::read_to_string(&input).map_err(|e| format!("usage: cannot read {input}: {e}"))?
-    };
-    let mut daemon = match restore_path {
-        Some(path) => {
-            let image = std::fs::read_to_string(&path)
-                .map_err(|e| format!("usage: cannot read {path}: {e}"))?;
-            snapshot::restore(&image)
-                .map_err(|e| format!("restore failed: {e}"))?
-                .0
-        }
-        None => Daemon::new(cfg),
-    };
-    let mut responses = Vec::new();
-    for line in text.lines() {
-        responses.extend(daemon.ingest(line));
+        let file =
+            std::fs::File::open(input).map_err(|e| format!("usage: cannot read {input}: {e}"))?;
+        host.serve(std::io::BufReader::new(file), &mut out)
     }
-    if let Some(path) = snapshot_out {
-        let image = daemon
-            .last_snapshot()
-            .map(str::to_string)
-            .unwrap_or_else(|| snapshot::render_image(&daemon));
-        std::fs::write(&path, image).map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    Ok(responses.join("\n"))
+    .map_err(fail)?;
+    host.finish().map_err(fail)?;
+    let out = String::from_utf8(out).expect("responses are rendered from UTF-8");
+    Ok(out.trim_end_matches('\n').to_string())
 }
 
 /// `snicctl soak [--seed N] [--gate] [--emit-schedule]`: run the
@@ -873,8 +832,7 @@ const VERBS: &[Verb] = &[
     Verb {
         name: "serve",
         fail_code: 8,
-        usage: "snicctl serve <requests.jsonl | -> [--seed N] [--auto-steps N] \
-                [--restore <image>] [--snapshot-out <path>]",
+        usage: "snicctl serve <requests.jsonl | -> [snicd's flags, minus --socket]",
         run: serve_main,
     },
     Verb {
@@ -1092,6 +1050,13 @@ attest ids
         let out = serve_main(&s(&[&reqs, "--snapshot-out", &snap])).unwrap();
         assert!(out.contains("\"op\":\"launch\",\"ok\":true"), "{out}");
         assert!(out.contains("\"delivered\":3"), "{out}");
+        assert_eq!(out.lines().count(), 3, "{out}");
+        // The flags are snicd's, by the same table; a socket is not a
+        // file.
+        let usage = serve_main(&s(&[&reqs, "--socket", "/tmp/s"])).unwrap_err();
+        assert!(usage.starts_with("usage: snicctl serve "), "{usage}");
+        assert!(serve_main(&s(&[&reqs, &reqs])).is_err());
+        assert!(serve_main(&s(&[&reqs, "--tick-us", "2", "--deadline-us", "9"])).is_ok());
         // The written image restores; replayed responses stay quiet.
         let empty = dir.join("snicctl-serve-empty.jsonl");
         std::fs::write(&empty, "").unwrap();

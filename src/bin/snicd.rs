@@ -3,185 +3,66 @@
 //! Owns one simulated [`snic::core::device::SmartNic`] for its whole
 //! lifetime and serves the line-delimited JSON protocol from
 //! `snic::serve` — admission control, backpressure, deadlines, fault
-//! containment, crash-safe restart.
+//! containment, crash-safe restart. This file is two transports, stdin
+//! and a Unix socket, over `snic::serve::host`, which owns the flags,
+//! boot-or-restore, the serving loop, the journal and the snapshot sink.
 //!
 //! ```text
 //! snicd [flags]                      # stdin/stdout, one JSON line each way
 //! snicd --socket /run/snicd.sock     # serve Unix-socket connections instead
 //! ```
 //!
-//! Flags:
-//!
-//! - `--seed N`, `--tick-us N`, `--auto-steps N`, `--deadline-us N`:
-//!   daemon configuration (see `DaemonConfig`); all deterministic.
-//! - `--journal <path>`: write-ahead log — every request line is
-//!   appended and flushed *before* it is executed, so a crashed daemon
-//!   can be reconstructed by replaying the journal.
-//! - `--restore <image>`: boot by replaying a snapshot image (written
-//!   by the `snapshot` op, `--snapshot-out`, or a journal promoted to
-//!   an image); replayed responses are not re-emitted.
-//! - `--snapshot-out <path>`: whenever a `snapshot` op completes, write
-//!   the sealed image there; also writes a final image at clean exit.
+//! The flags are the host's one table, documented on
+//! `snic::serve::host::HostOpts` and in the README: `--seed`,
+//! `--tick-us`, `--auto-steps`, `--deadline-us`, `--journal`,
+//! `--restore`, `--snapshot-out`, `--socket`.
 //!
 //! Exit codes (documented in the README): `0` success, `2` usage or
-//! I/O error, `8` restore failure.
+//! I/O error on the journal, snapshot or restore file, `8` restore
+//! refused. A peer that goes away, even mid-response, ends its stream
+//! and nothing else.
 
-use std::io::{BufRead, Write};
+use std::io::{BufReader, BufWriter};
 
-use snic::serve::daemon::{Daemon, DaemonConfig};
-use snic::serve::protocol::pump_lines;
-use snic::serve::snapshot;
+use snic::serve::host::{Fatal, Host, HostOpts, FLAGS_USAGE};
 
-struct Opts {
-    cfg: DaemonConfig,
-    journal: Option<String>,
-    restore: Option<String>,
-    snapshot_out: Option<String>,
-    socket: Option<String>,
+fn parse_opts(args: &[String]) -> Result<HostOpts, String> {
+    let usage = |why: String| format!("usage: snicd {FLAGS_USAGE}\n({why})");
+    match HostOpts::parse(args).map_err(usage)? {
+        (opts, rest) if rest.is_empty() => Ok(opts),
+        (_, rest) => Err(usage(format!("unexpected '{}'", rest[0]))),
+    }
 }
 
-const USAGE: &str = "usage: snicd [--seed N] [--tick-us N] [--auto-steps N] [--deadline-us N] \
-     [--journal <path>] [--restore <image>] [--snapshot-out <path>] [--socket <path>]";
-
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut opts = Opts {
-        cfg: DaemonConfig::default(),
-        journal: None,
-        restore: None,
-        snapshot_out: None,
-        socket: None,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut num = |name: &str| -> Result<u64, String> {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .ok_or_else(|| format!("{USAGE}\n({name} needs an integer)"))
-        };
-        match a.as_str() {
-            "--seed" => opts.cfg.seed = num("--seed")?,
-            "--tick-us" => opts.cfg.tick_ps = num("--tick-us")?.saturating_mul(1_000_000),
-            "--auto-steps" => opts.cfg.auto_steps = num("--auto-steps")? as u32,
-            "--deadline-us" => opts.cfg.default_deadline_us = num("--deadline-us")?,
-            "--journal" => opts.journal = it.next().cloned(),
-            "--restore" => opts.restore = it.next().cloned(),
-            "--snapshot-out" => opts.snapshot_out = it.next().cloned(),
-            "--socket" => opts.socket = it.next().cloned(),
-            other => return Err(format!("{USAGE}\n(unknown flag '{other}')")),
-        }
-    }
-    Ok(opts)
-}
-
-/// Feed one request line through the daemon, honoring the write-ahead
-/// journal and snapshot sink, and hand each response to `emit`.
-fn serve_line(
-    daemon: &mut Daemon,
-    opts: &Opts,
-    line: &str,
-    emit: &mut dyn FnMut(&str) -> std::io::Result<()>,
-) -> Result<(), String> {
-    if let Some(path) = &opts.journal {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("cannot open journal {path}: {e}"))?;
-        // Write-ahead: the line is durable before any effect happens.
-        writeln!(f, "{line}").map_err(|e| format!("journal write: {e}"))?;
-        f.flush().map_err(|e| format!("journal flush: {e}"))?;
-    }
-    let before = daemon.last_snapshot().map(str::to_string);
-    for response in daemon.ingest(line) {
-        emit(&response).map_err(|e| format!("write response: {e}"))?;
-    }
-    if let (Some(path), Some(image)) = (&opts.snapshot_out, daemon.last_snapshot()) {
-        if before.as_deref() != Some(image) {
-            std::fs::write(path, image).map_err(|e| format!("cannot write {path}: {e}"))?;
-        }
-    }
-    Ok(())
-}
-
-/// Serve one request stream to its end: every line of `input` goes
-/// through [`serve_line`], except lines the pump refuses (over-long or
-/// not UTF-8), which are answered and otherwise ignored — one client's
-/// garbage must not take the daemon down for every tenant. Each
-/// response is written to `output` and flushed.
-fn serve_stream(
-    daemon: &mut Daemon,
-    opts: &Opts,
-    input: impl BufRead,
-    mut output: impl Write,
-) -> Result<(), String> {
-    let mut emit = |r: &str| writeln!(output, "{r}").and_then(|()| output.flush());
-    pump_lines(input, |line| match line {
-        Ok(line) => serve_line(daemon, opts, line, &mut emit),
-        Err(refusal) => emit(refusal).map_err(|e| format!("write response: {e}")),
-    })
-}
-
-fn run(opts: &Opts) -> Result<(), (i32, String)> {
-    let mut daemon = match &opts.restore {
-        Some(path) => {
-            let image = std::fs::read_to_string(path)
-                .map_err(|e| (2, format!("cannot read {path}: {e}")))?;
-            let (daemon, replayed) =
-                snapshot::restore(&image).map_err(|e| (8, format!("restore failed: {e}")))?;
-            eprintln!(
-                "snicd: restored from {path}: {} lines replayed, {} responses suppressed",
-                daemon.history().len(),
-                replayed.len()
-            );
-            daemon
-        }
-        None => Daemon::new(opts.cfg.clone()),
-    };
-
+fn run(opts: &HostOpts) -> Result<(), Fatal> {
+    let mut host = Host::boot(opts)?;
     if let Some(path) = &opts.socket {
         let _ = std::fs::remove_file(path);
         let listener = std::os::unix::net::UnixListener::bind(path)
             .map_err(|e| (2, format!("cannot bind {path}: {e}")))?;
         eprintln!("snicd: listening on {path}");
-        for stream in listener.incoming() {
-            let stream = stream.map_err(|e| (2, format!("accept: {e}")))?;
-            let reader = std::io::BufReader::new(
-                stream.try_clone().map_err(|e| (2, format!("clone: {e}")))?,
-            );
-            let writer = std::io::BufWriter::new(stream);
-            serve_stream(&mut daemon, opts, reader, writer).map_err(|e| (2, e))?;
-            // One connection at a time; a client sending `drain` then
-            // disconnecting is the clean shutdown signal.
-            if daemon
-                .transcript()
-                .iter()
-                .any(|r| matches!(r.kind, snic::faults::ServeEventKind::DrainCompleted { .. }))
-            {
+        // One connection at a time; a client sending `drain` then
+        // disconnecting is the clean shutdown signal.
+        loop {
+            let (stream, _) = listener.accept().map_err(|e| (2, format!("accept: {e}")))?;
+            host.serve(BufReader::new(&stream), BufWriter::new(&stream))?;
+            if host.daemon().is_draining() {
                 break;
             }
         }
     } else {
         let (stdin, stdout) = (std::io::stdin(), std::io::stdout());
-        serve_stream(&mut daemon, opts, stdin.lock(), stdout.lock()).map_err(|e| (2, e))?;
+        host.serve(stdin.lock(), stdout.lock())?;
     }
-
-    if let Some(path) = &opts.snapshot_out {
-        std::fs::write(path, snapshot::render_image(&daemon))
-            .map_err(|e| (2, format!("cannot write {path}: {e}")))?;
-    }
-    Ok(())
+    host.finish()
 }
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_opts(&argv) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("snicd: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Err((code, e)) = run(&opts) {
+    let ran = parse_opts(&argv)
+        .map_err(|e| (2, e))
+        .and_then(|opts| run(&opts));
+    if let Err((code, e)) = ran {
         eprintln!("snicd: {e}");
         std::process::exit(code);
     }
@@ -190,9 +71,29 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snic::serve::snapshot;
+    use std::io::Write;
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// A scratch file path unique to this process and `name`, removed
+    /// before use.
+    fn scratch(name: &str) -> String {
+        let path = std::env::temp_dir().join(format!("snicd-test-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path.to_string_lossy().into_owned()
+    }
+
+    /// The request lines of a journal: everything after its header and
+    /// config line.
+    fn journaled(path: &str) -> Vec<String> {
+        let text = std::fs::read_to_string(path).expect("journal exists");
+        let mut lines = text.lines().map(str::to_string);
+        assert_eq!(lines.next().as_deref(), Some(snapshot::JOURNAL_HEADER_V1));
+        assert!(lines.next().is_some_and(|l| l.starts_with("config {")));
+        lines.collect()
     }
 
     #[test]
@@ -217,55 +118,81 @@ mod tests {
         assert_eq!(o.journal.as_deref(), Some("j.log"));
         assert!(parse_opts(&s(&["--bogus"])).is_err());
         assert!(parse_opts(&s(&["--seed", "many"])).is_err());
+        // Nothing is narrowed, defaulted or skipped silently.
+        assert!(parse_opts(&s(&["--auto-steps", "4294967297"])).is_err());
+        assert!(parse_opts(&s(&["--journal"])).is_err());
+        assert!(parse_opts(&s(&["requests.jsonl"])).is_err());
+        let o = parse_opts(&s(&["--seed", "18446744073709551557"])).expect("parse");
+        assert_eq!(o.cfg.seed, 18_446_744_073_709_551_557);
     }
 
     #[test]
     fn serve_line_journals_before_effects_and_snapshots() {
-        let dir = std::env::temp_dir();
-        let journal = dir.join("snicd-test-journal.log");
-        let snap = dir.join("snicd-test-snap.img");
-        let _ = std::fs::remove_file(&journal);
-        let _ = std::fs::remove_file(&snap);
-        let opts = Opts {
-            cfg: DaemonConfig::default(),
-            journal: Some(journal.to_string_lossy().into_owned()),
-            restore: None,
-            snapshot_out: Some(snap.to_string_lossy().into_owned()),
-            socket: None,
+        let opts = HostOpts {
+            journal: Some(scratch("journal.log")),
+            snapshot_out: Some(scratch("snap.img")),
+            ..HostOpts::default()
         };
-        let mut daemon = Daemon::new(opts.cfg.clone());
-        let mut responses = Vec::new();
-        for line in [
+        let (journal, snap) = (
+            opts.journal.clone().unwrap(),
+            opts.snapshot_out.clone().unwrap(),
+        );
+        let mut host = Host::boot(&opts).expect("boot");
+        let lines = [
             r#"{"op":"launch","tenant":"a","id":1,"name":"fw","mem":8}"#,
             r#"{"op":"snapshot","id":2}"#,
-        ] {
-            serve_line(&mut daemon, &opts, line, &mut |r| {
-                responses.push(r.to_string());
-                Ok(())
-            })
-            .expect("serve");
+        ];
+        let mut responses = Vec::new();
+        for (i, line) in lines.iter().enumerate() {
+            // A writer that looks at the journal while the response is
+            // being delivered: the line must already be in it.
+            struct Probe<'a>(&'a str, &'a mut Vec<u8>, usize);
+            impl Write for Probe<'_> {
+                fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                    assert_eq!(journaled(self.0).len(), self.2, "journaled first");
+                    self.1.write(buf)
+                }
+                fn flush(&mut self) -> std::io::Result<()> {
+                    Ok(())
+                }
+            }
+            host.serve(line.as_bytes(), Probe(&journal, &mut responses, i + 1))
+                .expect("serve");
         }
-        let logged = std::fs::read_to_string(&journal).expect("journal exists");
-        assert_eq!(logged.lines().count(), 2, "both lines journaled");
+        assert_eq!(journaled(&journal), lines, "both lines journaled");
+        // The image was written when the `snapshot` op completed, not
+        // at exit, and restores to the daemon that took it.
         let image = std::fs::read_to_string(&snap).expect("snapshot written");
         let (restored, _) = snapshot::restore(&image).expect("image restores");
-        assert_eq!(restored.history(), daemon.history());
-        assert!(responses.iter().any(|r| r.contains("\"op\":\"snapshot\"")));
+        assert_eq!(restored.history(), host.daemon().history());
+        assert_eq!(image, snapshot::render_image(host.daemon()));
+        let responses = String::from_utf8(responses).expect("UTF-8");
+        assert!(responses.contains("\"op\":\"snapshot\""), "{responses}");
+        // A second run must not be appended to this journal...
+        let (code, err) = Host::boot(&opts).err().expect("non-empty journal refused");
+        assert_eq!(code, 2, "{err}");
+        // ...unless it is the run being restored.
+        let resumed = HostOpts {
+            restore: Some(journal.clone()),
+            ..opts.clone()
+        };
+        let resumed = Host::boot(&resumed).expect("restore from the journal");
+        assert_eq!(resumed.daemon().history(), host.daemon().history());
+        assert_eq!(
+            snapshot::state_digest(resumed.daemon()),
+            snapshot::state_digest(host.daemon())
+        );
         let _ = std::fs::remove_file(&journal);
         let _ = std::fs::remove_file(&snap);
     }
 
     #[test]
     fn serve_stream_answers_hostile_lines_without_journaling_them() {
-        let journal = std::env::temp_dir().join("snicd-test-hostile-journal.log");
-        let _ = std::fs::remove_file(&journal);
-        let opts = Opts {
-            cfg: DaemonConfig::default(),
-            journal: Some(journal.to_string_lossy().into_owned()),
-            restore: None,
-            snapshot_out: None,
-            socket: None,
+        let opts = HostOpts {
+            journal: Some(scratch("hostile-journal.log")),
+            ..HostOpts::default()
         };
+        let journal = opts.journal.clone().unwrap();
         let valid = [
             r#"{"op":"register","tenant":"a","id":1}"#,
             r#"{"op":"health","id":2}"#,
@@ -274,18 +201,87 @@ mod tests {
         input.extend_from_slice(b"\xff\xfe{\n");
         input.resize(input.len() + 100 * 1024, b'a');
         input.extend_from_slice(format!("\n{}\n", valid[1]).as_bytes());
-        let mut daemon = Daemon::new(opts.cfg.clone());
+        let mut host = Host::boot(&opts).expect("boot");
         let mut output = Vec::new();
-        serve_stream(&mut daemon, &opts, &input[..], &mut output).expect("serve");
+        host.serve(&input[..], &mut output).expect("serve");
         let output = String::from_utf8(output).expect("responses are UTF-8");
         let bad: Vec<bool> = output
             .lines()
             .map(|r| r.contains("SERVE-BAD-REQUEST"))
             .collect();
         assert_eq!(bad, [false, true, true, false], "{output}");
-        let logged = std::fs::read_to_string(&journal).expect("journal exists");
-        assert_eq!(logged.lines().collect::<Vec<_>>(), valid);
-        assert_eq!(daemon.history(), valid);
+        assert_eq!(journaled(&journal), valid);
+        assert_eq!(host.daemon().history(), valid);
         let _ = std::fs::remove_file(&journal);
+    }
+
+    #[test]
+    fn a_client_that_disconnects_mid_response_ends_only_its_connection() {
+        /// Accepts `left` bytes, then fails like a closed socket.
+        struct Hangup {
+            left: usize,
+        }
+        impl Write for Hangup {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if self.left == 0 {
+                    return Err(std::io::ErrorKind::BrokenPipe.into());
+                }
+                let n = buf.len().min(self.left);
+                self.left -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        /// Yields `data`, then fails like a reset connection.
+        struct Reset<'a>(&'a [u8]);
+        impl std::io::Read for Reset<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                if self.0.is_empty() {
+                    return Err(std::io::ErrorKind::ConnectionReset.into());
+                }
+                std::io::Read::read(&mut self.0, buf)
+            }
+        }
+
+        let first = concat!(
+            r#"{"op":"register","tenant":"a","id":1}"#,
+            "\n",
+            r#"{"op":"health","id":2}"#,
+            "\n",
+            r#"{"op":"health","id":3}"#,
+            "\n"
+        );
+        let second = concat!(r#"{"op":"register","tenant":"b","id":4}"#, "\n");
+        let third = concat!(r#"{"op":"health","id":5}"#, "\n");
+        let mut host = Host::boot(&HostOpts::default()).expect("boot");
+
+        // The peer takes 30 bytes and hangs up: the connection ends at
+        // the first line whose response cannot be delivered. That line
+        // took effect (it was ingested before the write was tried); the
+        // one behind it was never read.
+        host.serve(first.as_bytes(), Hangup { left: 30 })
+            .expect("a hangup is not the daemon's problem");
+        assert_eq!(host.daemon().history().len(), 1);
+        // So does a peer whose read side is reset after one line.
+        host.serve(BufReader::new(Reset(second.as_bytes())), Vec::new())
+            .expect("neither is a reset");
+        // The same daemon serves the next connection, and remembers
+        // what the dropped ones asked for.
+        let mut output = Vec::new();
+        host.serve(third.as_bytes(), &mut output).expect("serve");
+        let output = String::from_utf8(output).expect("UTF-8");
+        assert!(
+            output.contains(r#""a":{"#) && output.contains(r#""b":{"#),
+            "{output}"
+        );
+        let lines: Vec<&str> = first
+            .lines()
+            .take(1)
+            .chain(second.lines())
+            .chain(third.lines())
+            .collect();
+        assert_eq!(host.daemon().history(), lines);
     }
 }

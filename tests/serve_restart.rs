@@ -9,9 +9,17 @@
 //! uninterrupted run byte for byte: every response line, the full
 //! serve transcript, and the device-state fingerprint (which includes
 //! pending scrub watermarks).
+//!
+//! The write-ahead journal is held to the same contract from the other
+//! side: it cannot be sealed, so instead of refusing damage it must
+//! recover — cut anywhere, it restores to exactly the daemon that
+//! ingested its complete lines. What *is* refused, for either artefact,
+//! is refused with the line it stopped at.
 
+use snic::faults::render_serve_transcript;
 use snic::serve::daemon::{Daemon, DaemonConfig};
-use snic::serve::snapshot::{render_image, restore};
+use snic::serve::host::{Host, HostOpts};
+use snic::serve::snapshot::{render_image, render_journal, restore, restore_artefact};
 
 fn config() -> DaemonConfig {
     DaemonConfig {
@@ -175,4 +183,292 @@ fn pending_scrub_watermarks_round_trip_through_restore() {
         "scrub tickets (base, len, watermark) must survive restart"
     );
     assert_eq!(restored.state_fingerprint(), d.state_fingerprint());
+}
+
+/// A scratch file path unique to this process and `name`.
+fn scratch(name: &str) -> String {
+    let path = std::env::temp_dir().join(format!("serve-restart-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path.to_string_lossy().into_owned()
+}
+
+/// Serve `lines` through a host booted from `opts`; returns the
+/// response lines.
+fn serve(opts: &HostOpts, lines: &[String]) -> Vec<String> {
+    let mut host = Host::boot(opts).expect("boot");
+    let input: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    let mut out = Vec::new();
+    host.serve(input.as_bytes(), &mut out).expect("serve");
+    host.finish().expect("finish");
+    String::from_utf8(out)
+        .expect("UTF-8")
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+/// The journal a host writes while serving the whole history, checked
+/// against the uninterrupted in-process run on the way.
+fn full_journal(lines: &[String], reference: &Daemon, want_responses: &[String]) -> Vec<u8> {
+    let opts = HostOpts {
+        cfg: config(),
+        journal: Some(scratch("full.journal")),
+        ..HostOpts::default()
+    };
+    assert_eq!(serve(&opts, lines), want_responses);
+    let path = opts.journal.expect("set above");
+    let journal = std::fs::read(&path).expect("journal written");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        journal,
+        render_journal(reference).into_bytes(),
+        "a run's journal is its daemon's cause, nothing else"
+    );
+    journal
+}
+
+/// Every place a dying daemon can leave its journal: `(bytes kept,
+/// complete lines among them)`, once inside each line and once at each
+/// line boundary, header and config line included.
+fn cuts(journal: &[u8]) -> Vec<(usize, usize)> {
+    let mut cuts = Vec::new();
+    let mut start = 0;
+    for (i, line) in journal.split_inclusive(|&b| b == b'\n').enumerate() {
+        cuts.push((start + line.len() / 2, i));
+        start += line.len();
+        cuts.push((start, i + 1));
+    }
+    cuts
+}
+
+#[test]
+fn a_journal_cut_anywhere_restores_to_its_last_complete_line() {
+    let lines = history();
+    let (reference, want_responses) = run_uninterrupted(&lines);
+    let want_state = reference.state_fingerprint();
+    let journal = full_journal(&lines, &reference, &want_responses);
+
+    // What a daemon that ingested exactly `k` lines looks like.
+    let mut oracle = Daemon::new(config());
+    let mut responses = Vec::new();
+    let mut after = Vec::new();
+    for k in 0..=lines.len() {
+        after.push((
+            oracle.state_fingerprint(),
+            render_serve_transcript(oracle.transcript()),
+            responses.clone(),
+        ));
+        if let Some(line) = lines.get(k) {
+            responses.extend(oracle.ingest(line));
+        }
+    }
+
+    let mut complete_bytes = 0;
+    for (cut, complete) in cuts(&journal) {
+        if journal[..cut].ends_with(b"\n") {
+            complete_bytes = cut;
+        }
+        let restored = restore_artefact(&journal[..cut]);
+        // Header and config are written before the first request is
+        // read; without them there is no daemon to recover.
+        let Some(k) = complete.checked_sub(2) else {
+            let err = restored.err().expect("no config, no daemon");
+            let line = format!("line {}:", complete + 1);
+            assert!(err.starts_with(&line), "cut {cut}: {err}");
+            continue;
+        };
+        let restored = restored.unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+        let (state, transcript, responses) = &after[k];
+        assert_eq!(restored.journal_len, Some(complete_bytes as u64));
+        assert_eq!(&restored.daemon.state_fingerprint(), state, "cut {cut}");
+        assert_eq!(
+            &render_serve_transcript(restored.daemon.transcript()),
+            transcript,
+            "cut {cut}"
+        );
+        assert_eq!(&restored.replayed, responses, "cut {cut}");
+        // Resuming with the lines that never made it — the torn one
+        // first, its client never saw an answer — is the uninterrupted
+        // run.
+        let (mut daemon, mut all) = (restored.daemon, restored.replayed);
+        for line in &lines[k..] {
+            all.extend(daemon.ingest(line));
+        }
+        assert_eq!(all, want_responses, "cut {cut}");
+        assert_eq!(daemon.state_fingerprint(), want_state, "cut {cut}");
+    }
+}
+
+#[test]
+fn restoring_a_torn_journal_in_place_leaves_a_journal_that_restores() {
+    let lines = history();
+    let (reference, want_responses) = run_uninterrupted(&lines);
+    let journal = full_journal(&lines, &reference, &want_responses);
+    let path = scratch("torn.journal");
+    let opts = HostOpts {
+        restore: Some(path.clone()),
+        journal: Some(path.clone()),
+        ..HostOpts::default()
+    };
+    // Torn inside every fifth request line, and inside the last.
+    let torn = cuts(&journal)
+        .into_iter()
+        .filter(|&(cut, complete)| !journal[..cut].ends_with(b"\n") && complete >= 2)
+        .map(|(cut, complete)| (cut, complete - 2));
+    for (cut, k) in torn.filter(|&(_, k)| k % 5 == 0 || k == lines.len() - 1) {
+        std::fs::write(&path, &journal[..cut]).expect("write torn journal");
+        // What the first daemon's clients saw, then what the second's do.
+        let mut all = run_uninterrupted(&lines[..k]).1;
+        all.extend(serve(&opts, &lines[k..]));
+        assert_eq!(all, want_responses, "torn in line {k}");
+        // The torn bytes are gone, not buried mid-file: the journal is
+        // the one an uninterrupted run writes, and it restores.
+        let healed = std::fs::read(&path).expect("journal");
+        assert_eq!(healed, journal, "torn in line {k}");
+        let again = restore_artefact(&healed).expect("restores again");
+        assert_eq!(
+            again.daemon.state_fingerprint(),
+            reference.state_fingerprint()
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn damaged_artefacts_are_refused_with_the_line_that_stopped_them() {
+    let lines = history();
+    let (reference, _) = run_uninterrupted(&lines);
+    let image = render_image(&reference);
+    let journal = render_journal(&reference);
+    let n = lines.len();
+    let count = format!("lines {n}\n");
+    let refused = |artefact: String, line: usize, what: &str| {
+        let want = format!("line {line}: {what}");
+        match restore_artefact(artefact.as_bytes()) {
+            Err(e) => assert!(e.starts_with(&want), "want '{want}...', got '{e}'"),
+            Ok(_) => panic!("must be refused ({want}):\n{artefact}"),
+        }
+    };
+    // Unknown headers: a future version, another file entirely, nothing.
+    refused(
+        journal.replacen("journal v1", "journal v2", 1),
+        1,
+        "unknown header",
+    );
+    refused(
+        image.replacen("snapshot v1", "snapshot v9", 1),
+        1,
+        "unknown header",
+    );
+    refused(lines.join("\n"), 1, "unknown header");
+    refused(String::new(), 1, "empty artefact");
+    // A damaged config line, in either artefact.
+    refused(
+        journal.replacen("config {", "config [", 1),
+        2,
+        "JSON parse error",
+    );
+    refused(
+        image.replacen("config {", "confi {", 1),
+        2,
+        "expected 'config ",
+    );
+    refused(
+        image.replacen("\"seed\":", "\"sede\":", 1),
+        2,
+        "config: missing 'seed'",
+    );
+    refused(
+        journal.replacen(":\"snic\"", ":\"sonic\"", 1),
+        2,
+        "config: bad mode",
+    );
+    // An image is sealed: its count, both digests, and its own end.
+    let fewer = image.replacen(&count, &format!("lines {}\n", n - 1), 1);
+    refused(fewer, n + 3, "expected 'transcript-sha256 ");
+    let more = image.replacen(&count, &format!("lines {}\n", n + 1), 1);
+    refused(more, n + 5, "expected 'transcript-sha256 ");
+    refused(
+        image.replacen(&count, "lines many\n", 1),
+        3,
+        "malformed lines count",
+    );
+    let resealed = image.replacen("transcript-sha256 ", "transcript-sha256 0", 1);
+    refused(resealed, n + 4, "transcript digest mismatch");
+    let resealed = image.replacen("state-sha256 ", "state-sha256 0", 1);
+    refused(resealed, n + 5, "state digest mismatch");
+    let unsealed = image[..image.find("transcript-sha256").expect("sealed")].to_string();
+    refused(unsealed, n + 4, "expected 'transcript-sha256 ");
+    let cut = image.lines().take(10).collect::<Vec<_>>().join("\n");
+    refused(cut, 11, &format!("truncated image: 7 of {n} history lines"));
+}
+
+#[test]
+fn carriage_returns_and_comments_survive_both_artefacts_byte_for_byte() {
+    // The `snapshot` op digests the history verbatim, so a reader that
+    // normalised line endings would replay to a different digest.
+    let mut d = Daemon::new(config());
+    let mut responses = Vec::new();
+    for line in [
+        "{\"op\":\"register\",\"tenant\":\"a\",\"id\":1}\r",
+        "# operator note: tenant a onboarded\r",
+        "",
+        "   # indented comment",
+        "{\"op\":\"snapshot\",\"id\":2}",
+        "{\"op\":\"health\",\"id\":3}\r",
+    ] {
+        responses.extend(d.ingest(line));
+    }
+    let image = render_image(&d);
+    let (restored, replayed) = restore(&image).expect("image restores");
+    assert_eq!(restored.history(), d.history());
+    assert_eq!(replayed, responses);
+    assert_eq!(render_image(&restored), image);
+
+    let journal = render_journal(&d);
+    let restored = restore_artefact(journal.as_bytes()).expect("journal restores");
+    assert_eq!(restored.replayed, responses);
+    assert_eq!(render_journal(&restored.daemon), journal);
+    assert_eq!(render_image(&restored.daemon), image);
+}
+
+#[test]
+fn an_image_cannot_be_rebound_to_another_tenant() {
+    // Two tenants with different entitlements. An attacker holding the
+    // image wants `b` to come back with `a`'s quota (or to be first in
+    // the round-robin order): swap the two `register` lines, or the two
+    // names. The history is still well-formed and still the same
+    // length, so only the digests stand in the way.
+    let mut lines = history();
+    lines.insert(
+        1,
+        r#"{"op":"register","tenant":"b","id":100,"queue_depth":1,"burst":1,"refill_ps":9000000}"#
+            .to_string(),
+    );
+    let (d, _) = run_uninterrupted(&lines);
+    let image = render_image(&d);
+    restore(&image).expect("the honest image restores");
+
+    let swapped_lines = image.replacen(
+        &format!("{}\n{}\n", lines[0], lines[1]),
+        &format!("{}\n{}\n", lines[1], lines[0]),
+        1,
+    );
+    let rename = |l: &str| {
+        l.replace("\"tenant\":\"a\"", "\"tenant\":\"?\"")
+            .replace("\"tenant\":\"b\"", "\"tenant\":\"a\"")
+            .replace("\"tenant\":\"?\"", "\"tenant\":\"b\"")
+    };
+    let swapped_names = image.replacen(
+        &format!("{}\n{}\n", lines[0], lines[1]),
+        &format!("{}\n{}\n", rename(&lines[0]), rename(&lines[1])),
+        1,
+    );
+    for forged in [swapped_lines, swapped_names] {
+        assert_ne!(forged, image);
+        let err = restore(&forged)
+            .err()
+            .expect("forged image must be refused");
+        assert!(err.contains("digest mismatch"), "{err}");
+    }
 }
