@@ -39,6 +39,7 @@ use snic_faults::{
 use snic_nf::NfKind;
 use snic_pktio::rules::{RuleMatch, SwitchRule};
 use snic_sim::{execute, map_exec, Exec, SimJob};
+use snic_types::mix::{fnv1a, FNV_OFFSET};
 use snic_types::packet::PacketBuilder;
 use snic_types::{AccelKind, ByteSize, CoreId, NfId, Packet, Protocol, SnicError};
 use snic_uarch::config::MachineConfig;
@@ -158,19 +159,6 @@ pub struct EpisodeReport {
     pub transcript: Vec<FaultRecord>,
 }
 
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = if seed == 0 {
-        0xcbf2_9ce4_8422_2325
-    } else {
-        seed
-    };
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn pkt(dst_port: u16, fill: u8) -> Packet {
     PacketBuilder::new(0x0a00_0001, 0x0a00_0002, Protocol::Udp, 4096, dst_port)
         .payload(vec![fill; 96])
@@ -283,7 +271,7 @@ pub fn run_episode(mode: NicMode, scenario: FaultScenario, faulted: bool) -> Epi
     for _ in 0..4 {
         if let Ok(Some(p)) = nic.poll_packet(victim) {
             delivered += 1;
-            digest = fnv1a(digest, &p.data);
+            digest = fnv1a(if digest == 0 { FNV_OFFSET } else { digest }, &p.data);
         }
     }
     let tx_ok = nic.tx_packet(victim, pkt(VICTIM_PORT, 0xee)).is_ok();

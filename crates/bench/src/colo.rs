@@ -18,7 +18,7 @@
 use snic_nf::{NfKind, StreamingRecorder};
 use snic_sim::{JobSpec, SimJob};
 use snic_trace::{IctfConfig, PhaseSchedule, PhasedConfig, PhasedTrace};
-use snic_types::Packet;
+use snic_types::{mix, Packet};
 use snic_uarch::config::MachineConfig;
 use snic_uarch::engine::RunOutcome;
 use snic_uarch::{Access, StreamedSource, TraceSource};
@@ -235,13 +235,8 @@ pub fn colo_spec(
 /// FNV-1a over every stat field of an outcome — the stable fingerprint
 /// the identity gates and EXPERIMENTS.md tables print.
 pub fn outcome_digest(outcome: &RunOutcome) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-    };
+    let mut h = mix::FNV_OFFSET;
+    let mut eat = |v: u64| h = mix::fnv1a(h, &v.to_le_bytes());
     for nf in &outcome.nfs {
         eat(nf.insns);
         eat(nf.cycles);

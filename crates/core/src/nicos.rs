@@ -7,6 +7,7 @@
 //! `nf_launch`, `NF_destroy` onto `nf_teardown`.
 
 use snic_faults::{FaultEventKind, FaultKind, FaultSite};
+use snic_types::mix::{mix64, GOLDEN_GAMMA};
 use snic_types::{NfId, Picos, SnicError};
 
 use crate::device::SmartNic;
@@ -64,10 +65,7 @@ impl RetryPolicy {
             Some(seed) => {
                 // splitmix64 over (seed, attempt): cheap, fixed, and
                 // platform-independent.
-                let mut z = seed ^ (u64::from(attempt)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-                z ^= z >> 31;
+                let z = mix64(seed ^ u64::from(attempt).wrapping_mul(GOLDEN_GAMMA));
                 let span = (base.0 / 4).max(1);
                 Picos(base.0 + z % span)
             }

@@ -10,15 +10,7 @@
 //! `c` bits/sec therefore leaks *at least* `c`; a channel reported at
 //! exactly 0 has a decoder whose output never varied at all.
 
-/// One step of the splitmix64 generator (public-domain constants), the
-/// same deterministic mixer the rest of the repo seeds with.
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+pub use snic_types::mix::splitmix64;
 
 /// The seeded pseudorandom payload a sender transmits: `n` bits drawn
 /// from splitmix64, one per output word.

@@ -8,6 +8,7 @@
 //! slot until the table is full. Connection tracking pins in-flight flows
 //! to their original backend across backend set changes.
 
+use snic_types::mix::{fnv1a, FNV_OFFSET};
 use snic_types::{ByteSize, FiveTuple, Packet};
 
 use crate::common::{layout, AccessKind, AccessSink, NetworkFunction, NfKind, Verdict};
@@ -17,16 +18,6 @@ use crate::profile::{hashmap_bytes, paper_profile, vec_bytes, MemoryProfile};
 /// The paper-scale lookup-table size (Maglev uses a prime; 65,537 is the
 /// classic "small" configuration from the Maglev paper).
 pub const DEFAULT_TABLE_SIZE: usize = 65_537;
-
-/// FNV-1a over a byte slice with a salt, used for offset/skip derivation.
-fn fnv1a(data: &[u8], salt: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ salt;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Build the Maglev lookup table for `backends` names over `size` slots.
 ///
@@ -42,8 +33,8 @@ pub fn build_table(backends: &[String], size: usize) -> Vec<u32> {
     let params: Vec<(u64, u64)> = backends
         .iter()
         .map(|b| {
-            let offset = fnv1a(b.as_bytes(), 0x9e37) % m;
-            let skip = fnv1a(b.as_bytes(), 0x85eb) % (m - 1).max(1) + 1;
+            let offset = fnv1a(FNV_OFFSET ^ 0x9e37, b.as_bytes()) % m;
+            let skip = fnv1a(FNV_OFFSET ^ 0x85eb, b.as_bytes()) % (m - 1).max(1) + 1;
             (offset, skip)
         })
         .collect();

@@ -148,21 +148,6 @@ pub enum QueuedOp {
     },
 }
 
-impl QueuedOp {
-    /// The op tag as it appears in the protocol and the serve
-    /// transcript.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            QueuedOp::Launch { .. } => "launch",
-            QueuedOp::Teardown { .. } => "teardown",
-            QueuedOp::Attest { .. } => "attest",
-            QueuedOp::Stats { .. } => "stats",
-            QueuedOp::Send { .. } => "send",
-            QueuedOp::Poll { .. } => "poll",
-        }
-    }
-}
-
 /// Per-tenant request accounting, reported by the `health` op. The
 /// invariant `submitted == admitted + shed` and
 /// `admitted == served + expired + reclaimed + queue.len()` is what

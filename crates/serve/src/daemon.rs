@@ -15,14 +15,14 @@
 //!
 //! # Serving model
 //!
-//! Tenant ops (`launch`, `teardown`, `attest`, `stats`, `send`,
-//! `poll`) pass admission control — bounded per-tenant queue,
+//! Every op is one row of [`VERBS`] — its name, its [`Class`], its
+//! arguments and its handler — and nothing else knows the op names.
+//! Queued ops pass admission control — bounded per-tenant queue,
 //! token-bucket rate limit — and wait in their tenant's queue; a
 //! round-robin pump serves queues one request per step, so a bursty
-//! tenant cannot starve the others. Management ops (`register`,
-//! `health`, `telemetry-summary`, `verify`, `inject-fault`, `advance`,
-//! `resume-scrubs`, `reclaim`, `snapshot`, `drain`) execute
-//! immediately.
+//! tenant cannot starve the others. Management ops execute
+//! immediately. Whatever an op's outcome, its response line is
+//! rendered in one place, `Daemon::respond`.
 //!
 //! When an executed op leaves one of a tenant's NFs in the `Faulted`
 //! lifecycle state, the daemon freezes *that tenant's* queue — its
@@ -48,6 +48,7 @@ use snic_crypto::sha256::{sha256, to_hex};
 use snic_faults::{FaultKind, FaultPlan, FaultSite, ServeEventKind, ServeRecord};
 use snic_pktio::rules::{RuleMatch, SwitchRule};
 use snic_telemetry::{metrics, Json, Recorder, TelemetrySink};
+use snic_types::mix::{fnv1a, mix64, FNV_OFFSET, GOLDEN_GAMMA};
 use snic_types::packet::PacketBuilder;
 use snic_types::{ByteSize, CoreId, NfId, NfState, Picos, Protocol};
 use snic_verify::Finding;
@@ -120,11 +121,10 @@ impl DaemonConfig {
             let n = n.ok_or_else(|| format!("config: missing '{k}'"))?;
             T::try_from(n).map_err(|_| format!("config: '{k}' out of range"))
         }
-        let mode = match j.get("mode").and_then(Json::as_str) {
-            Some("snic") => NicMode::Snic,
-            Some("commodity") => NicMode::Commodity,
-            other => return Err(format!("config: bad mode {other:?}")),
-        };
+        let mode = j.get("mode").and_then(Json::as_str);
+        let mode = mode
+            .and_then(mode_named)
+            .ok_or_else(|| format!("config: bad mode {mode:?}"))?;
         let q = j.get("quota").ok_or("config: missing 'quota'")?;
         Ok(DaemonConfig {
             seed: num(&j, "seed")?,
@@ -142,18 +142,193 @@ impl DaemonConfig {
     }
 }
 
-/// Deterministic per-request seed: splitmix64 over the daemon seed, an
-/// FNV-1a hash of the tenant name, and the request id.
-fn request_seed(seed: u64, tenant: &str, id: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in tenant.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// The device personality a config or a script names.
+pub(crate) fn mode_named(name: &str) -> Option<NicMode> {
+    match name {
+        "snic" => Some(NicMode::Snic),
+        "commodity" => Some(NicMode::Commodity),
+        _ => None,
     }
-    let mut z = seed ^ h ^ id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+}
+
+/// Deterministic per-request seed: the splitmix64 finalizer over the
+/// daemon seed, an FNV-1a hash of the tenant name, and the request id.
+fn request_seed(seed: u64, tenant: &str, id: u64) -> u64 {
+    mix64(seed ^ fnv1a(FNV_OFFSET, tenant.as_bytes()) ^ id.wrapping_mul(GOLDEN_GAMMA))
+}
+
+/// `us` microseconds after `now`; `None` where the simulated clock
+/// (u64 picoseconds) cannot hold that instant.
+fn after_us(now: Picos, us: u64) -> Option<Picos> {
+    let ps = us.checked_mul(1_000_000)?;
+    now.0.checked_add(ps).map(Picos)
+}
+
+/// Outcome of one op: response extras, or a typed rejection.
+type ExecResult = Result<Vec<(&'static str, String)>, (&'static str, String)>;
+
+fn bad(error: impl Into<String>) -> (&'static str, String) {
+    (codes::BAD_REQUEST, error.into())
+}
+
+/// How an op is served, and by what.
+#[derive(Clone, Copy)]
+pub enum Class {
+    /// A tenant op: typed argument extraction, then admission control
+    /// and the tenant's queue; executed by the service pump.
+    Queued(fn(&Request) -> Result<QueuedOp, String>),
+    /// Executes immediately on behalf of the request's tenant, which
+    /// its response names.
+    Tenant(fn(&mut Daemon, &Request) -> ExecResult),
+    /// Executes immediately on the daemon as a whole; its response
+    /// names no tenant.
+    Daemon(fn(&mut Daemon, &Request) -> ExecResult),
+}
+
+/// One protocol op. Its row in [`VERBS`] is the only place its name is
+/// written.
+pub struct Verb {
+    /// The `"op"` member of a request, and the first word of a `.snic`
+    /// script line.
+    pub name: &'static str,
+    /// The key a script line's one bare (not `key=value`) word is filed
+    /// under.
+    pub positional: Option<&'static str>,
+    /// Every argument key, optional ones in brackets. Queued ops also
+    /// take `[deadline_us]`.
+    pub args: &'static str,
+    /// Class and handler.
+    pub class: Class,
+}
+
+fn name_of(req: &Request) -> Result<String, String> {
+    Ok(req.str("name").ok_or("missing \"name\"")?.to_string())
+}
+
+const fn verb(
+    name: &'static str,
+    positional: Option<&'static str>,
+    args: &'static str,
+    class: Class,
+) -> Verb {
+    Verb {
+        name,
+        positional,
+        args,
+        class,
+    }
+}
+
+// The queued rows are named: `QueuedOp::tag` maps a queued request
+// back to its row.
+const LAUNCH: Verb = verb(
+    "launch",
+    Some("name"),
+    "name mem [core] [port]",
+    Class::Queued(|req| {
+        Ok(QueuedOp::Launch {
+            name: name_of(req)?,
+            core: req.int("core")?,
+            mem_mib: req.num("mem").ok_or("missing \"mem\"")?,
+            port: req.int("port")?,
+        })
+    }),
+);
+const TEARDOWN: Verb = verb(
+    "teardown",
+    Some("name"),
+    "name",
+    Class::Queued(|req| name_of(req).map(|name| QueuedOp::Teardown { name })),
+);
+const ATTEST: Verb = verb(
+    "attest",
+    Some("name"),
+    "name",
+    Class::Queued(|req| name_of(req).map(|name| QueuedOp::Attest { name })),
+);
+const STATS: Verb = verb(
+    "stats",
+    Some("name"),
+    "name",
+    Class::Queued(|req| name_of(req).map(|name| QueuedOp::Stats { name })),
+);
+const SEND: Verb = verb(
+    "send",
+    Some("count"),
+    "count port",
+    Class::Queued(|req| {
+        Ok(QueuedOp::Send {
+            count: req.int("count")?.ok_or("missing \"count\"")?,
+            port: req.int("port")?.ok_or("missing \"port\"")?,
+        })
+    }),
+);
+const POLL: Verb = verb(
+    "poll",
+    Some("name"),
+    "name",
+    Class::Queued(|req| name_of(req).map(|name| QueuedOp::Poll { name })),
+);
+
+/// Every op the daemon serves.
+pub const VERBS: &[Verb] = &[
+    LAUNCH,
+    TEARDOWN,
+    ATTEST,
+    STATS,
+    SEND,
+    POLL,
+    verb(
+        "register",
+        None,
+        "[queue_depth] [max_live_nfs] [burst] [refill_ps]",
+        Class::Tenant(Daemon::op_register),
+    ),
+    verb("reclaim", None, "", Class::Tenant(Daemon::op_reclaim)),
+    verb("step", Some("n"), "[n]", Class::Daemon(Daemon::op_step)),
+    verb(
+        "advance",
+        Some("us"),
+        "us",
+        Class::Daemon(Daemon::op_advance),
+    ),
+    verb(
+        "inject-fault",
+        None,
+        "site kind [after]",
+        Class::Daemon(Daemon::op_inject_fault),
+    ),
+    verb(
+        "resume-scrubs",
+        None,
+        "",
+        Class::Daemon(Daemon::op_resume_scrubs),
+    ),
+    verb("health", None, "", Class::Daemon(Daemon::op_health)),
+    verb(
+        "telemetry-summary",
+        None,
+        "",
+        Class::Daemon(Daemon::op_telemetry_summary),
+    ),
+    verb("verify", None, "", Class::Daemon(Daemon::op_verify)),
+    verb("snapshot", None, "", Class::Daemon(Daemon::op_snapshot)),
+    verb("drain", None, "", Class::Daemon(Daemon::op_drain)),
+];
+
+impl QueuedOp {
+    /// The op name as it appears in the protocol and the serve
+    /// transcript.
+    pub fn tag(&self) -> &'static str {
+        match self {
+            QueuedOp::Launch { .. } => LAUNCH.name,
+            QueuedOp::Teardown { .. } => TEARDOWN.name,
+            QueuedOp::Attest { .. } => ATTEST.name,
+            QueuedOp::Stats { .. } => STATS.name,
+            QueuedOp::Send { .. } => SEND.name,
+            QueuedOp::Poll { .. } => POLL.name,
+        }
+    }
 }
 
 /// The resident serving daemon.
@@ -173,6 +348,8 @@ pub struct Daemon {
     draining: bool,
     served_total: u64,
     packet_seq: u32,
+    /// Response lines of the line being ingested, in order.
+    out: Vec<String>,
 }
 
 impl Daemon {
@@ -199,6 +376,7 @@ impl Daemon {
             draining: false,
             served_total: 0,
             packet_seq: 0,
+            out: Vec::new(),
         }
     }
 
@@ -282,33 +460,16 @@ impl Daemon {
         s
     }
 
-    fn push_record(
-        audit: &mut Vec<ServeRecord>,
-        seq: &mut u64,
-        at: Picos,
-        tenant: &str,
-        id: u64,
-        kind: ServeEventKind,
-    ) {
-        audit.push(ServeRecord {
-            seq: *seq,
-            at,
+    /// Append to the transcript, stamped with the simulated clock.
+    fn record(&mut self, tenant: &str, id: u64, kind: ServeEventKind) {
+        self.audit.push(ServeRecord {
+            seq: self.seq,
+            at: self.nic.now(),
             tenant: tenant.to_string(),
             id,
             kind,
         });
-        *seq += 1;
-    }
-
-    fn record(&mut self, tenant: &str, id: u64, kind: ServeEventKind) {
-        Self::push_record(
-            &mut self.audit,
-            &mut self.seq,
-            self.nic.now(),
-            tenant,
-            id,
-            kind,
-        );
+        self.seq += 1;
     }
 
     fn count(&self, metric: &'static str) {
@@ -326,88 +487,56 @@ impl Daemon {
             return Vec::new();
         }
         self.nic.advance(Picos(self.cfg.tick_ps));
-        let mut out = Vec::new();
         match parse_request(trimmed) {
-            Err(e) => out.push(reject(0, "", "?", codes::BAD_REQUEST, &e)),
-            Ok(req) => self.dispatch(req, &mut out),
+            Err(e) => self.respond(0, "", "?", Err(bad(e))),
+            Ok(req) => self.dispatch(&req),
         }
         for _ in 0..self.cfg.auto_steps {
-            self.pump(&mut out);
+            self.pump();
         }
-        out
+        std::mem::take(&mut self.out)
     }
 
-    /// Pump the scheduler until every unfrozen queue is empty.
-    /// Returns how many requests were completed by this call.
+    /// Pump the scheduler until every unfrozen queue is empty, moving
+    /// the responses into `out`. Returns how many requests were
+    /// completed by this call.
     pub fn pump_dry(&mut self, out: &mut Vec<String>) -> u64 {
         let mut n = 0;
-        while self.pump(out) {
+        while self.pump() {
             n += 1;
         }
+        out.append(&mut self.out);
         n
     }
 
-    fn dispatch(&mut self, req: Request, out: &mut Vec<String>) {
-        match req.op.as_str() {
-            "register" => self.op_register(&req, out),
-            "step" => self.op_step(&req, out),
-            "health" => self.op_health(&req, out),
-            "telemetry-summary" => self.op_telemetry_summary(&req, out),
-            "verify" => self.op_verify(&req, out),
-            "inject-fault" => self.op_inject_fault(&req, out),
-            "advance" => self.op_advance(&req, out),
-            "resume-scrubs" => self.op_resume_scrubs(&req, out),
-            "reclaim" => self.op_reclaim(&req, out),
-            "snapshot" => self.op_snapshot(&req, out),
-            "drain" => self.op_drain(&req, out),
-            "launch" | "teardown" | "attest" | "stats" | "send" | "poll" => self.admit(&req, out),
-            other => out.push(reject(
-                req.id,
-                &req.tenant,
-                other,
-                codes::BAD_REQUEST,
-                "unknown op",
-            )),
-        }
+    /// The one place a response line is rendered.
+    fn respond(&mut self, id: u64, tenant: &str, op: &str, result: ExecResult) {
+        self.out.push(match result {
+            Ok(extras) => accept(id, tenant, op, &extras),
+            Err((code, error)) => reject(id, tenant, op, code, &error),
+        });
+    }
+
+    fn dispatch(&mut self, req: &Request) {
+        let Some(verb) = VERBS.iter().find(|v| v.name == req.op) else {
+            return self.respond(req.id, &req.tenant, &req.op, Err(bad("unknown op")));
+        };
+        let (tenant, run) = match verb.class {
+            Class::Queued(parse) => return self.admit(verb.name, parse(req), req),
+            Class::Tenant(run) => (req.tenant.as_str(), run),
+            Class::Daemon(run) => ("", run),
+        };
+        let result = run(self, req);
+        self.respond(req.id, tenant, verb.name, result);
     }
 
     // --------------------------------------------------------------
     // Admission
     // --------------------------------------------------------------
 
-    fn parse_queued(req: &Request) -> Result<QueuedOp, String> {
-        let name = || -> Result<String, String> {
-            Ok(req.str("name").ok_or("missing \"name\"")?.to_string())
-        };
-        match req.op.as_str() {
-            "launch" => Ok(QueuedOp::Launch {
-                name: name()?,
-                core: req.int("core")?,
-                mem_mib: req.num("mem").ok_or("missing \"mem\"")?,
-                port: req.int("port")?,
-            }),
-            "teardown" => Ok(QueuedOp::Teardown { name: name()? }),
-            "attest" => Ok(QueuedOp::Attest { name: name()? }),
-            "stats" => Ok(QueuedOp::Stats { name: name()? }),
-            "poll" => Ok(QueuedOp::Poll { name: name()? }),
-            "send" => Ok(QueuedOp::Send {
-                count: req.int("count")?.ok_or("missing \"count\"")?,
-                port: req.int("port")?.ok_or("missing \"port\"")?,
-            }),
-            other => Err(format!("op '{other}' is not queueable")),
-        }
-    }
-
-    fn admit(&mut self, req: &Request, out: &mut Vec<String>) {
+    fn admit(&mut self, tag: &'static str, op: Result<QueuedOp, String>, req: &Request) {
         if req.tenant.is_empty() {
-            out.push(reject(
-                req.id,
-                "",
-                &req.op,
-                codes::BAD_REQUEST,
-                "tenant required",
-            ));
-            return;
+            return self.respond(req.id, "", tag, Err(bad("tenant required")));
         }
         let now = self.nic.now();
         let quota = self.cfg.quota;
@@ -419,11 +548,20 @@ impl Daemon {
         let draining = self.draining;
         let t = self.tenants.get_mut(&req.tenant).expect("registered");
         t.stats.submitted += 1;
+        let deadline = req
+            .num("deadline_us")
+            .or(Some(self.cfg.default_deadline_us).filter(|&us| us != 0))
+            .map(|us| {
+                after_us(now, us)
+                    .ok_or_else(|| format!("deadline {us}us overflows the simulated clock"))
+            })
+            .transpose();
         // A malformed op is shed like any other refusal, before it can
         // cost the tenant a token.
-        let verdict = Self::parse_queued(req)
-            .map_err(|e| (codes::BAD_REQUEST, e))
-            .and_then(|op| {
+        let verdict = op
+            .and_then(|op| Ok((op, deadline?)))
+            .map_err(bad)
+            .and_then(|admitted| {
                 if draining {
                     Err((codes::DRAINING, "daemon is draining".to_string()))
                 } else if let Some(reason) = &t.frozen {
@@ -439,32 +577,17 @@ impl Daemon {
                         format!("queue full at depth {}", t.quota.queue_depth),
                     ))
                 } else {
-                    Ok(op)
+                    Ok(admitted)
                 }
             });
         match verdict {
             Err((code, error)) => {
                 t.stats.shed += 1;
-                Self::push_record(
-                    &mut self.audit,
-                    &mut self.seq,
-                    now,
-                    &req.tenant,
-                    req.id,
-                    ServeEventKind::Shed { code },
-                );
+                self.record(&req.tenant, req.id, ServeEventKind::Shed { code });
                 self.count(metrics::SERVE_SHED);
-                out.push(reject(req.id, &req.tenant, &req.op, code, &error));
+                self.respond(req.id, &req.tenant, tag, Err((code, error)));
             }
-            Ok(op) => {
-                let deadline = req
-                    .num("deadline_us")
-                    .or(match self.cfg.default_deadline_us {
-                        0 => None,
-                        us => Some(us),
-                    })
-                    .map(|us| Picos(now.0 + us * 1_000_000));
-                let tag = op.tag();
+            Ok((op, deadline)) => {
                 t.queue.push_back(Pending {
                     id: req.id,
                     op,
@@ -473,18 +596,12 @@ impl Daemon {
                 t.stats.admitted += 1;
                 let depth = t.queue.len() as u32;
                 let bound = t.quota.queue_depth;
-                Self::push_record(
-                    &mut self.audit,
-                    &mut self.seq,
-                    now,
-                    &req.tenant,
-                    req.id,
-                    ServeEventKind::Admitted {
-                        op: tag,
-                        depth,
-                        bound,
-                    },
-                );
+                let admitted = ServeEventKind::Admitted {
+                    op: tag,
+                    depth,
+                    bound,
+                };
+                self.record(&req.tenant, req.id, admitted);
                 self.count(metrics::SERVE_ADMITTED);
                 self.recorder
                     .record(0, metrics::SERVE_QUEUE_DEPTH, u64::from(depth));
@@ -498,7 +615,7 @@ impl Daemon {
 
     /// Serve at most one queued request, round-robin across unfrozen
     /// tenants. Returns whether anything was served.
-    fn pump(&mut self, out: &mut Vec<String>) -> bool {
+    fn pump(&mut self) -> bool {
         let n = self.order.len();
         if n == 0 {
             return false;
@@ -522,35 +639,22 @@ impl Daemon {
                 .queue
                 .pop_front()
                 .expect("checked non-empty");
-            self.execute(&name, pending, out);
+            self.execute(&name, pending);
             return true;
         }
         false
     }
 
-    fn execute(&mut self, tenant: &str, p: Pending, out: &mut Vec<String>) {
+    fn execute(&mut self, tenant: &str, p: Pending) {
         let now = self.nic.now();
         if let Some(d) = p.deadline {
             if now > d {
                 let t = self.tenants.get_mut(tenant).expect("serving");
                 t.stats.expired += 1;
-                Self::push_record(
-                    &mut self.audit,
-                    &mut self.seq,
-                    now,
-                    tenant,
-                    p.id,
-                    ServeEventKind::Expired,
-                );
+                self.record(tenant, p.id, ServeEventKind::Expired);
                 self.count(metrics::SERVE_EXPIRED);
-                out.push(reject(
-                    p.id,
-                    tenant,
-                    p.op.tag(),
-                    codes::EXPIRED,
-                    &format!("deadline {}ps passed while queued", d.0),
-                ));
-                return;
+                let error = format!("deadline {}ps passed while queued", d.0);
+                return self.respond(p.id, tenant, p.op.tag(), Err((codes::EXPIRED, error)));
             }
         }
         let tag = p.op.tag();
@@ -574,22 +678,10 @@ impl Daemon {
         if code.is_some() {
             t.stats.failed += 1;
         }
-        Self::push_record(
-            &mut self.audit,
-            &mut self.seq,
-            self.nic.now(),
-            tenant,
-            p.id,
-            ServeEventKind::Served {
-                ok: code.is_none(),
-                code,
-            },
-        );
+        let ok = code.is_none();
+        self.record(tenant, p.id, ServeEventKind::Served { ok, code });
         self.count(metrics::SERVE_SERVED);
-        out.push(match result {
-            Ok(extras) => accept(p.id, tenant, tag, &extras),
-            Err((code, error)) => reject(p.id, tenant, tag, code, &error),
-        });
+        self.respond(p.id, tenant, tag, result);
         self.scan_faults();
     }
 
@@ -843,34 +935,17 @@ impl Daemon {
     // Management ops
     // --------------------------------------------------------------
 
-    fn op_register(&mut self, req: &Request, out: &mut Vec<String>) {
+    fn op_register(&mut self, req: &Request) -> ExecResult {
         if req.tenant.is_empty() {
-            out.push(reject(
-                req.id,
-                "",
-                "register",
-                codes::BAD_REQUEST,
-                "tenant required",
-            ));
-            return;
+            return Err(bad("tenant required"));
         }
-        let (depth, live) = match (req.int("queue_depth"), req.int("max_live_nfs")) {
-            (Ok(depth), Ok(live)) => (depth, live),
-            (Err(e), _) | (_, Err(e)) => {
-                out.push(reject(
-                    req.id,
-                    &req.tenant,
-                    "register",
-                    codes::BAD_REQUEST,
-                    &e,
-                ));
-                return;
-            }
-        };
-        let now = self.nic.now();
         let mut quota = self.cfg.quota;
-        quota.queue_depth = depth.unwrap_or(quota.queue_depth);
-        quota.max_live_nfs = live.unwrap_or(quota.max_live_nfs);
+        if let Some(depth) = req.int("queue_depth").map_err(bad)? {
+            quota.queue_depth = depth;
+        }
+        if let Some(live) = req.int("max_live_nfs").map_err(bad)? {
+            quota.max_live_nfs = live;
+        }
         if let Some(b) = req.num("burst") {
             quota.burst = b;
         }
@@ -880,46 +955,31 @@ impl Daemon {
         match self.tenants.get_mut(&req.tenant) {
             Some(t) => t.quota = quota,
             None => {
-                self.tenants
-                    .insert(req.tenant.clone(), TenantState::new(quota, now));
+                let fresh = TenantState::new(quota, self.nic.now());
+                self.tenants.insert(req.tenant.clone(), fresh);
                 self.order.push(req.tenant.clone());
             }
         }
-        out.push(accept(
-            req.id,
-            &req.tenant,
-            "register",
-            &[
-                ("queue_depth", quota.queue_depth.to_string()),
-                ("max_live_nfs", quota.max_live_nfs.to_string()),
-                ("burst", quota.burst.to_string()),
-                ("refill_ps", quota.refill_ps.to_string()),
-            ],
-        ));
+        Ok(vec![
+            ("queue_depth", quota.queue_depth.to_string()),
+            ("max_live_nfs", quota.max_live_nfs.to_string()),
+            ("burst", quota.burst.to_string()),
+            ("refill_ps", quota.refill_ps.to_string()),
+        ])
     }
 
-    /// `step {"n":k}`: run `k` service-pump steps explicitly. With
-    /// `auto_steps: 0` in the config this is the only way queued work
-    /// gets served, which lets schedules control the service rate —
-    /// the soak harness and the admission property tests drive
-    /// backpressure this way.
-    fn op_step(&mut self, req: &Request, out: &mut Vec<String>) {
+    /// `step {"n":k}`: run up to `k` service-pump steps explicitly,
+    /// stopping early once nothing is ready. With `auto_steps: 0` in the
+    /// config this is the only way queued work gets served, which lets
+    /// schedules control the service rate — the soak harness and the
+    /// admission property tests drive backpressure this way.
+    fn op_step(&mut self, req: &Request) -> ExecResult {
         let n = req.num("n").unwrap_or(1);
-        let mut served = 0u64;
-        for _ in 0..n {
-            if self.pump(out) {
-                served += 1;
-            }
-        }
-        out.push(accept(
-            req.id,
-            "",
-            "step",
-            &[("served", served.to_string())],
-        ));
+        let served = (0..n).take_while(|_| self.pump()).count();
+        Ok(vec![("served", served.to_string())])
     }
 
-    fn op_health(&mut self, req: &Request, out: &mut Vec<String>) {
+    fn op_health(&mut self, _: &Request) -> ExecResult {
         let mut tenants = String::from("{");
         for (i, (name, t)) in self.tenants.iter().enumerate() {
             if i > 0 {
@@ -943,84 +1003,49 @@ impl Daemon {
             ));
         }
         tenants.push('}');
-        out.push(accept(
-            req.id,
-            "",
-            "health",
-            &[
-                ("now_ps", self.nic.now().0.to_string()),
-                ("draining", self.draining.to_string()),
-                (
-                    "pending_scrubs",
-                    self.nic.pending_scrubs().len().to_string(),
-                ),
-                ("tenants", tenants),
-            ],
-        ));
+        Ok(vec![
+            ("now_ps", self.nic.now().0.to_string()),
+            ("draining", self.draining.to_string()),
+            (
+                "pending_scrubs",
+                self.nic.pending_scrubs().len().to_string(),
+            ),
+            ("tenants", tenants),
+        ])
     }
 
-    fn op_telemetry_summary(&mut self, req: &Request, out: &mut Vec<String>) {
+    fn op_telemetry_summary(&mut self, _: &Request) -> ExecResult {
         let summary = self.recorder.summary();
-        let mut counters = String::from("{");
-        let mut first = true;
-        for ((domain, metric), value) in &summary.counters {
-            if *domain != 0 || !(metric.starts_with("serve.") || metric.starts_with("nicos.")) {
-                continue;
-            }
-            if !first {
-                counters.push(',');
-            }
-            first = false;
-            counters.push_str(&format!("\"{}\":{value}", esc(metric)));
-        }
-        counters.push('}');
-        out.push(accept(
-            req.id,
-            "",
-            "telemetry-summary",
-            &[("counters", counters)],
-        ));
+        let counters: Vec<String> = summary
+            .counters
+            .iter()
+            .filter(|((domain, metric), _)| {
+                *domain == 0 && (metric.starts_with("serve.") || metric.starts_with("nicos."))
+            })
+            .map(|((_, metric), value)| format!("\"{}\":{value}", esc(metric)))
+            .collect();
+        Ok(vec![("counters", format!("{{{}}}", counters.join(",")))])
     }
 
-    fn op_verify(&mut self, req: &Request, out: &mut Vec<String>) {
+    fn op_verify(&mut self, _: &Request) -> ExecResult {
         let findings = self.lint();
         let codes_list = findings
             .iter()
             .map(|f| format!("\"{}\"", f.kind.code()))
             .collect::<Vec<_>>()
             .join(",");
-        out.push(accept(
-            req.id,
-            "",
-            "verify",
-            &[
-                ("findings", findings.len().to_string()),
-                ("codes", format!("[{codes_list}]")),
-            ],
-        ));
+        Ok(vec![
+            ("findings", findings.len().to_string()),
+            ("codes", format!("[{codes_list}]")),
+        ])
     }
 
-    fn op_inject_fault(&mut self, req: &Request, out: &mut Vec<String>) {
-        let site = match req.str("site") {
-            Some("launch") => FaultSite::Launch,
-            Some("teardown") => FaultSite::Teardown,
-            Some("scrub") => FaultSite::Scrub,
-            Some("dma") => FaultSite::Dma,
-            Some("rx") => FaultSite::Rx,
-            Some("datapath") => FaultSite::DataPath,
-            Some("accel") => FaultSite::Accel,
-            Some("nicos") => FaultSite::NicOs,
-            other => {
-                out.push(reject(
-                    req.id,
-                    "",
-                    "inject-fault",
-                    codes::BAD_REQUEST,
-                    &format!("bad site {other:?}"),
-                ));
-                return;
-            }
-        };
+    fn op_inject_fault(&mut self, req: &Request) -> ExecResult {
+        let site = req.str("site");
+        let site = FaultSite::ALL
+            .into_iter()
+            .find(|s| Some(s.to_string().as_str()) == site)
+            .ok_or_else(|| bad(format!("bad site {site:?}")))?;
         let kind = match req.str("kind") {
             Some("nf-crash") => FaultKind::NfCrash,
             Some("accel-cluster-fault") => FaultKind::AccelClusterFault,
@@ -1029,140 +1054,74 @@ impl Daemon {
             Some("accel-pool-exhaustion") => FaultKind::AccelPoolExhaustion,
             Some("nic-os-crash") => FaultKind::NicOsCrash,
             Some("power-loss") => FaultKind::PowerLoss,
-            other => {
-                out.push(reject(
-                    req.id,
-                    "",
-                    "inject-fault",
-                    codes::BAD_REQUEST,
-                    &format!("bad kind {other:?}"),
-                ));
-                return;
-            }
+            other => return Err(bad(format!("bad kind {other:?}"))),
         };
         // `after` counts from now: 1 = the very next event at `site`.
         let after = req.num("after").unwrap_or(1).max(1);
         let nth = self.nic.fault_site_count(site) + after;
         self.nic
             .arm_faults(FaultPlan::none().on_nth(site, nth, kind));
-        out.push(accept(
-            req.id,
-            "",
-            "inject-fault",
-            &[("nth", nth.to_string())],
-        ));
+        Ok(vec![("nth", nth.to_string())])
     }
 
-    fn op_advance(&mut self, req: &Request, out: &mut Vec<String>) {
-        let Some(us) = req.num("us") else {
-            out.push(reject(
-                req.id,
-                "",
-                "advance",
-                codes::BAD_REQUEST,
-                "missing \"us\"",
-            ));
-            return;
-        };
-        self.nic.advance(Picos(us * 1_000_000));
-        out.push(accept(
-            req.id,
-            "",
-            "advance",
-            &[("now_ps", self.nic.now().0.to_string())],
-        ));
+    fn op_advance(&mut self, req: &Request) -> ExecResult {
+        let us = req.num("us").ok_or_else(|| bad("missing \"us\""))?;
+        let now = self.nic.now();
+        let then = after_us(now, us)
+            .ok_or_else(|| bad(format!("\"us\" overflows the simulated clock: {us}")))?;
+        self.nic.advance(then - now);
+        Ok(vec![("now_ps", then.0.to_string())])
     }
 
-    fn op_resume_scrubs(&mut self, req: &Request, out: &mut Vec<String>) {
+    fn op_resume_scrubs(&mut self, _: &Request) -> ExecResult {
         let done = self.nic.resume_scrubs();
-        out.push(accept(
-            req.id,
-            "",
-            "resume-scrubs",
-            &[
-                ("completed", done.to_string()),
-                ("pending", self.nic.pending_scrubs().len().to_string()),
-            ],
-        ));
+        Ok(vec![
+            ("completed", done.to_string()),
+            ("pending", self.nic.pending_scrubs().len().to_string()),
+        ])
     }
 
-    fn op_reclaim(&mut self, req: &Request, out: &mut Vec<String>) {
-        if req.tenant.is_empty() || !self.tenants.contains_key(&req.tenant) {
-            out.push(reject(
-                req.id,
-                &req.tenant,
-                "reclaim",
-                codes::BAD_REQUEST,
-                "unknown tenant",
-            ));
-            return;
-        }
+    fn op_reclaim(&mut self, req: &Request) -> ExecResult {
+        let Some(t) = self.tenants.get(&req.tenant) else {
+            return Err(bad("unknown tenant"));
+        };
         // Tear down this tenant's faulted NFs (scrub + reclaim their
         // resources), then shed the held queue and thaw.
-        let faulted: Vec<(String, NfId)> = self.tenants[&req.tenant]
+        let faulted: Vec<(String, NfId)> = t
             .nfs
             .iter()
             .filter(|(_, nf)| matches!(self.nic.state_of(**nf), Ok(NfState::Faulted)))
             .map(|(n, nf)| (n.clone(), *nf))
             .collect();
-        let mut torn = 0u32;
-        for (name, nf) in &faulted {
-            match self.nic.nf_teardown(*nf) {
-                Ok(_) => {}
-                Err(snic_types::SnicError::PowerLoss) => self.nic.restore_power(),
-                Err(_) => {}
+        for (_, nf) in &faulted {
+            if let Err(snic_types::SnicError::PowerLoss) = self.nic.nf_teardown(*nf) {
+                self.nic.restore_power();
             }
-            self.tenants
-                .get_mut(&req.tenant)
-                .expect("checked")
-                .nfs
-                .remove(name);
-            torn += 1;
         }
-        let now = self.nic.now();
         let t = self.tenants.get_mut(&req.tenant).expect("checked");
-        let shed = t.queue.len() as u32;
-        let dropped: Vec<Pending> = t.queue.drain(..).collect();
-        t.stats.reclaimed += u64::from(shed);
-        for p in &dropped {
-            out.push(reject(
-                p.id,
-                &req.tenant,
-                p.op.tag(),
-                codes::FROZEN,
-                "queue reclaimed",
-            ));
+        for (name, _) in &faulted {
+            t.nfs.remove(name);
         }
-        Self::push_record(
-            &mut self.audit,
-            &mut self.seq,
-            now,
-            &req.tenant,
-            req.id,
-            ServeEventKind::Reclaimed { shed },
-        );
-        let was_frozen = self
-            .tenants
-            .get_mut(&req.tenant)
-            .expect("checked")
-            .frozen
-            .take();
-        if was_frozen.is_some() {
+        let dropped: Vec<Pending> = t.queue.drain(..).collect();
+        let shed = dropped.len() as u32;
+        t.stats.reclaimed += u64::from(shed);
+        let was_frozen = t.frozen.take().is_some();
+        for p in &dropped {
+            let held = Err((codes::FROZEN, "queue reclaimed".to_string()));
+            self.respond(p.id, &req.tenant, p.op.tag(), held);
+        }
+        self.record(&req.tenant, req.id, ServeEventKind::Reclaimed { shed });
+        if was_frozen {
             self.record(&req.tenant, req.id, ServeEventKind::Thawed);
         }
-        out.push(accept(
-            req.id,
-            &req.tenant,
-            "reclaim",
-            &[
-                ("torn_down", torn.to_string()),
-                ("shed", shed.to_string()),
-                ("thawed", was_frozen.is_some().to_string()),
-            ],
-        ));
+        Ok(vec![
+            ("torn_down", faulted.len().to_string()),
+            ("shed", shed.to_string()),
+            ("thawed", was_frozen.to_string()),
+        ])
     }
 
-    fn op_snapshot(&mut self, req: &Request, out: &mut Vec<String>) {
+    fn op_snapshot(&mut self, req: &Request) -> ExecResult {
         // The digest covers the config and the full input history
         // (including this very line): both are known before any effect
         // of the op, so a replayed `snapshot` line reproduces it
@@ -1174,66 +1133,37 @@ impl Daemon {
             pre.push('\n');
         }
         let digest = to_hex(&sha256(pre.as_bytes()));
-        self.record(
-            "",
-            req.id,
-            ServeEventKind::SnapshotTaken {
-                digest: digest.clone(),
-            },
-        );
-        out.push(accept(
-            req.id,
-            "",
-            "snapshot",
-            &[
-                ("digest", format!("\"{digest}\"")),
-                ("lines", self.history.len().to_string()),
-            ],
-        ));
+        let taken = ServeEventKind::SnapshotTaken {
+            digest: digest.clone(),
+        };
+        self.record("", req.id, taken);
+        Ok(vec![
+            ("digest", format!("\"{digest}\"")),
+            ("lines", self.history.len().to_string()),
+        ])
     }
 
-    fn op_drain(&mut self, req: &Request, out: &mut Vec<String>) {
+    fn op_drain(&mut self, req: &Request) -> ExecResult {
         if self.draining {
-            out.push(reject(
-                req.id,
-                "",
-                "drain",
-                codes::DRAINING,
-                "already draining",
-            ));
-            return;
+            return Err((codes::DRAINING, "already draining".to_string()));
         }
         self.draining = true;
         self.record("", req.id, ServeEventKind::DrainStarted);
-        self.pump_dry(out);
-        self.record(
-            "",
-            req.id,
-            ServeEventKind::DrainCompleted {
-                served: self.served_total,
-            },
-        );
+        while self.pump() {}
+        let served = self.served_total;
+        self.record("", req.id, ServeEventKind::DrainCompleted { served });
         let frozen_pending: usize = self
             .tenants
             .values()
             .filter(|t| t.frozen.is_some())
             .map(|t| t.queue.len())
             .sum();
-        out.push(accept(
-            req.id,
-            "",
-            "drain",
-            &[
-                ("served", self.served_total.to_string()),
-                ("frozen_pending", frozen_pending.to_string()),
-            ],
-        ));
+        Ok(vec![
+            ("served", served.to_string()),
+            ("frozen_pending", frozen_pending.to_string()),
+        ])
     }
 }
-
-/// Outcome of one queued-op execution: response extras, or a typed
-/// rejection.
-type ExecResult = Result<Vec<(&'static str, String)>, (&'static str, String)>;
 
 #[cfg(test)]
 mod tests {
@@ -1284,5 +1214,79 @@ mod tests {
         // The largest values each field holds still pass.
         let ok = d.ingest(r#"{"op":"send","tenant":"a","id":7,"count":0,"port":65535}"#);
         assert!(ok[0].contains("\"ok\":true"), "{ok:?}");
+    }
+
+    /// Both the `us * 1_000_000` multiply and the add onto `now` are
+    /// checked: a wrapped clock would answer `"now_ps":0` in release and
+    /// a panic would take the daemon down for every tenant in debug.
+    #[test]
+    fn microseconds_the_clock_cannot_hold_are_refused_like_any_bad_request() {
+        // One line in, `now` is one tick (1 us); u64::MAX ps is
+        // 18446744073709.551615 us.
+        const FITS: u64 = 18_446_744_073_708; // now + FITS us <= u64::MAX ps
+        let overflowing = [FITS + 1, FITS + 2, u64::MAX]; // the add, the multiply, both
+        let boot = |default_deadline_us| {
+            Daemon::new(DaemonConfig {
+                default_deadline_us,
+                ..DaemonConfig::default()
+            })
+        };
+        let refused = |d: &mut Daemon, line: &str| {
+            let out = d.ingest(line);
+            assert_eq!(out.len(), 1, "{line}: {out:?}");
+            assert!(out[0].contains(codes::BAD_REQUEST), "{line}: {}", out[0]);
+            assert!(out[0].contains("overflows the simulated clock"), "{out:?}");
+            d.state_fingerprint()
+        };
+        for us in overflowing {
+            // A refused line leaves the state any other refused line
+            // would: one tick on the clock, a shed on the tenant's
+            // account, nothing else.
+            let (mut d, mut twin) = (boot(0), boot(0));
+            let advance = format!(r#"{{"op":"advance","id":1,"us":{us}}}"#);
+            twin.ingest(r#"{"op":"advance","id":1}"#);
+            assert_eq!(refused(&mut d, &advance), twin.state_fingerprint(), "{us}");
+
+            let send = r#"{"op":"send","tenant":"a","id":1,"count":1"#;
+            let (mut d, mut twin) = (boot(0), boot(us));
+            let state = refused(&mut d, &format!(r#"{send},"port":80,"deadline_us":{us}}}"#));
+            assert_eq!(state, refused(&mut twin, &format!(r#"{send},"port":80}}"#)));
+            let mut malformed = boot(0);
+            malformed.ingest(&format!("{send}}}"));
+            assert_eq!(state, malformed.state_fingerprint(), "{us}");
+            assert_eq!(
+                d.tenant_stats("a").map(|a| (a.submitted, a.shed)),
+                Some((1, 1))
+            );
+            assert!(d.lint().is_empty() && twin.lint().is_empty());
+        }
+        // The last instant the clock holds is still served.
+        let mut d = boot(FITS);
+        let out = d.ingest(r#"{"op":"send","tenant":"a","id":1,"count":1,"port":80}"#);
+        assert!(out[0].contains("\"ok\":true"), "--deadline-us: {out:?}");
+        let mut d = boot(0);
+        let out = d.ingest(&format!(
+            r#"{{"op":"send","tenant":"a","id":1,"count":1,"port":80,"deadline_us":{FITS}}}"#
+        ));
+        assert!(out[0].contains("\"ok\":true"), "deadline_us: {out:?}");
+        let out = boot(0).ingest(&format!(r#"{{"op":"advance","id":1,"us":{FITS}}}"#));
+        assert!(
+            out[0].ends_with("\"now_ps\":18446744073709000000}"),
+            "{out:?}"
+        );
+    }
+
+    /// `step` stops at the first pump that finds nothing ready, so a
+    /// hostile `n` cannot spin the daemon.
+    #[test]
+    fn step_past_the_queued_work_returns_at_once() {
+        let mut d = Daemon::new(DaemonConfig {
+            auto_steps: 0,
+            ..DaemonConfig::default()
+        });
+        d.ingest(r#"{"op":"send","tenant":"a","id":1,"count":1,"port":80}"#);
+        let out = d.ingest(r#"{"op":"step","id":2,"n":18446744073709551615}"#);
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert_eq!(out[1], r#"{"id":2,"op":"step","ok":true,"served":1}"#);
     }
 }

@@ -1,8 +1,9 @@
 //! The one host around a [`Daemon`]: everything between a byte stream
 //! and [`Daemon::ingest`]. `snicd` over stdin, `snicd --socket` per
-//! connection and `snicctl serve` over a file are transports: each
-//! parses its arguments with [`HostOpts::parse`], boots one [`Host`],
-//! hands it `(input, output)` pairs and calls [`Host::finish`].
+//! connection, `snicctl serve` over a request file and `snicctl script`
+//! over a lowered `.snic` file are transports: each boots one [`Host`]
+//! from [`HostOpts`] (its arguments through [`HostOpts::parse`]), hands
+//! it `(input, output)` pairs and calls [`Host::finish`].
 //!
 //! The journal is write-ahead — opened once, each line written and
 //! flushed *before* it is ingested — so a daemon killed at any

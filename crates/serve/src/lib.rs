@@ -27,6 +27,9 @@
 //!   state digests; restore replays and verifies. The write-ahead
 //!   journal is the same cause, unsealed: it recovers to its last
 //!   complete record.
+//! - **One verb table** ([`daemon::VERBS`]): every op's name, class,
+//!   arguments and handler, written once; [`script`] lowers `.snic`
+//!   script lines onto it.
 //! - **One host** ([`host`]): flags, boot-or-restore, the bounded line
 //!   loop, journaling and the snapshot sink, shared by every transport.
 //! - **Verification** ([`snic_verify::serve`]): Pass 4 lints the serve
@@ -35,9 +38,10 @@
 //! - **Soak** ([`soak`]): a seeded ~30-simulated-second overload
 //!   schedule with a mid-run fault plan and a byte-stability gate.
 //!
-//! The binary lives in the facade crate (`src/bin/snicd.rs`); it and
-//! `snicctl serve` are transports over [`host::Host`], and `snicctl
-//! soak` drives the same [`daemon::Daemon`] in process.
+//! The binary lives in the facade crate (`src/bin/snicd.rs`); it,
+//! `snicctl serve` and `snicctl script` are transports over
+//! [`host::Host`], and `snicctl soak` drives the same
+//! [`daemon::Daemon`] in process.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,6 +50,7 @@ pub mod admission;
 pub mod daemon;
 pub mod host;
 pub mod protocol;
+pub mod script;
 pub mod snapshot;
 pub mod soak;
 

@@ -167,11 +167,7 @@ struct Mix(u64);
 
 impl Mix {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        snic_types::mix::splitmix64(&mut self.0)
     }
 
     fn pick(&mut self, n: u64) -> u64 {

@@ -221,11 +221,7 @@ pub struct PhasedTrace {
 /// and hot-set selection (independent of the StdRng draw sequence, so
 /// enabling a phase never perturbs the base sampler's stream).
 fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    snic_types::mix::splitmix64(&mut x)
 }
 
 impl PhasedTrace {

@@ -107,15 +107,12 @@ impl FiveTuple {
     /// hash independent of `std::collections` hasher randomization — the
     /// simulator must be deterministic across runs.
     pub fn stable_hash(&self) -> u64 {
-        // SplitMix64-style finalizer over the packed tuple fields.
+        // One splitmix64 step over the packed tuple fields.
         let mut x = (u64::from(self.src_ip) << 32) | u64::from(self.dst_ip);
         x ^= (u64::from(self.src_port) << 24)
             | (u64::from(self.dst_port) << 8)
             | u64::from(self.protocol.to_wire());
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
+        crate::mix::splitmix64(&mut x)
     }
 }
 

@@ -15,6 +15,7 @@ pub mod error;
 pub mod flow;
 pub mod ids;
 pub mod lifecycle;
+pub mod mix;
 pub mod packet;
 pub mod units;
 

@@ -34,12 +34,19 @@ if [ -n "$slow" ]; then
 fi
 
 # Fault-matrix smoke gate: the blast-radius differential must be
-# deterministic regardless of executor parallelism, and the fault-
-# injection demo must run (its S-NIC transcript lints clean or it
-# panics).
-echo "==> fault-matrix smoke: serial/parallel determinism + demo"
+# deterministic regardless of executor parallelism.
+echo "==> fault-matrix smoke: serial/parallel determinism"
 cargo test -q -p snic-bench --test fault_determinism matrix_serial_and_parallel_byte_identical
-cargo run -q --release --example fault_injection > /dev/null
+
+# Script demo: every line of scripts/demo.snic lowers onto snicd's verb
+# table and is answered "ok":true (a refused line exits 3).
+echo "==> script demo (snicctl script scripts/demo.snic)"
+demo_out="$(cargo run -q --release --bin snicctl -- script scripts/demo.snic)"
+if [ -z "$demo_out" ] || grep -qv '"ok":true' <<< "$demo_out"; then
+    echo "FAIL: scripts/demo.snic got a response that is not \"ok\":true:" >&2
+    echo "$demo_out" >&2
+    exit 1
+fi
 
 # Pass 0 analyze gate: the six paper NFs must verify clean, every
 # seeded adversarial corpus program must be rejected with its exact
@@ -111,7 +118,7 @@ cargo run -q --release --bin snicctl -- trace billion --gate \
 # (`benchmark/run.sh --compare N`), not a single-shot threshold below
 # this host's noise floor.
 #
-# cargo rewrites two stale `snic-telemetry` edges in the frozen
+# cargo rewrites the stale workspace edges in the frozen
 # `benchmark/Cargo.lock` on every build; put the committed bytes back.
 echo "==> benchmark smoke (benchmark/run.sh --smoke)"
 lock_saved="$(mktemp)"

@@ -5,8 +5,10 @@
 //! `snicctl help` prints the usage lines; the README's exit-code table
 //! is asserted equal to the table's `(name, fail_code)` pairs. A first
 //! argument that names no verb is a `.snic` script path (or `-` for
-//! stdin), executed against one simulated NIC with one result line per
-//! command:
+//! stdin). A script line is a `snicd` verb, its one positional
+//! argument and `key=value` pairs; `snic::serve::script::lower` turns it
+//! into the request line it stands for, an in-process `snicd` serves
+//! it, and the responses are printed:
 //!
 //! ```text
 //! nic snic                      # or: nic commodity
@@ -21,230 +23,9 @@
 //! Exit codes: `0` success, `2` usage or I/O error (any error whose
 //! text starts with `usage:`), otherwise the verb's `fail_code`.
 
-use std::collections::HashMap;
 use std::io::Read;
 
-use rand::SeedableRng;
-use snic::core::attest::{FunctionAttestation, Verifier};
-use snic::core::config::{NicConfig, NicMode};
-use snic::core::device::SmartNic;
-use snic::core::instr::{LaunchRequest, NfImage};
-use snic::crypto::dh::DhParams;
-use snic::crypto::keys::VendorCa;
-use snic::pktio::rules::{RuleMatch, SwitchRule};
-use snic::types::packet::PacketBuilder;
-use snic::types::{ByteSize, CoreId, NfId, Protocol};
-
-/// Interpreter state.
-struct Session {
-    vendor: VendorCa,
-    nic: Option<SmartNic>,
-    names: HashMap<String, (NfId, [u8; 32])>,
-    rng: rand::rngs::StdRng,
-    packet_seq: u32,
-}
-
-impl Session {
-    fn new() -> Session {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5111c);
-        Session {
-            vendor: VendorCa::new(&mut rng),
-            nic: None,
-            names: HashMap::new(),
-            rng,
-            packet_seq: 0,
-        }
-    }
-
-    fn nic(&mut self) -> Result<&mut SmartNic, String> {
-        self.nic
-            .as_mut()
-            .ok_or_else(|| "no NIC configured; run `nic snic` first".to_string())
-    }
-
-    fn lookup(&self, name: &str) -> Result<(NfId, [u8; 32]), String> {
-        self.names
-            .get(name)
-            .copied()
-            .ok_or_else(|| format!("unknown NF '{name}'"))
-    }
-
-    /// Execute one script line; returns the output line.
-    fn execute(&mut self, line: &str) -> Result<String, String> {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            return Ok(String::new());
-        }
-        let mut parts = line.split_whitespace();
-        let cmd = parts.next().expect("non-empty line");
-        let args: Vec<&str> = parts.collect();
-        match cmd {
-            "nic" => {
-                let mode = match args.first() {
-                    Some(&"snic") => NicMode::Snic,
-                    Some(&"commodity") => NicMode::Commodity,
-                    other => return Err(format!("nic: expected snic|commodity, got {other:?}")),
-                };
-                self.nic = Some(SmartNic::new(NicConfig::small(mode), &self.vendor));
-                self.names.clear();
-                Ok(format!("nic up in {mode:?} mode"))
-            }
-            "launch" => {
-                let name = args.first().ok_or("launch: missing name")?.to_string();
-                let kv = parse_kv(&args[1..])?;
-                let core = *kv.get("core").ok_or("launch: missing core=")? as u16;
-                let mem = *kv.get("mem").ok_or("launch: missing mem=")?;
-                let port = kv.get("port").copied();
-                let mut request = LaunchRequest::minimal(
-                    CoreId(core),
-                    ByteSize::mib(mem),
-                    NfImage {
-                        code: name.as_bytes().to_vec(),
-                        config: vec![],
-                    },
-                );
-                if let Some(p) = port {
-                    request.rules.push(SwitchRule {
-                        dst_port: RuleMatch::Exact(p as u16),
-                        priority: 10,
-                        ..SwitchRule::any(NfId(0))
-                    });
-                }
-                let receipt = self.nic()?.nf_launch(request).map_err(|e| e.to_string())?;
-                self.names
-                    .insert(name.clone(), (receipt.nf_id, receipt.measurement));
-                Ok(format!(
-                    "launched {name} as {} in {:.2} ms",
-                    receipt.nf_id,
-                    receipt.latency.total().as_millis_f64()
-                ))
-            }
-            "send" => {
-                let count: u32 = args
-                    .first()
-                    .ok_or("send: missing count")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                let kv = parse_kv(&args[1..])?;
-                let port = *kv.get("port").ok_or("send: missing port=")? as u16;
-                let mut delivered = 0u32;
-                for _ in 0..count {
-                    self.packet_seq += 1;
-                    let pkt = PacketBuilder::new(
-                        0x0a00_0000 + self.packet_seq,
-                        0xc633_0001,
-                        Protocol::Tcp,
-                        (1024 + self.packet_seq % 60_000) as u16,
-                        port,
-                    )
-                    .payload(b"snicctl".to_vec())
-                    .build();
-                    if self
-                        .nic()?
-                        .rx_packet(&pkt)
-                        .map_err(|e| e.to_string())?
-                        .is_some()
-                    {
-                        delivered += 1;
-                    }
-                }
-                Ok(format!(
-                    "sent {count} packets to port {port}; {delivered} matched a rule"
-                ))
-            }
-            "poll" => {
-                let (id, _) = self.lookup(args.first().ok_or("poll: missing name")?)?;
-                let mut n = 0;
-                while self
-                    .nic()?
-                    .poll_packet(id)
-                    .map_err(|e| e.to_string())?
-                    .is_some()
-                {
-                    n += 1;
-                }
-                Ok(format!("polled {n} packets"))
-            }
-            "attest" => {
-                let name = args.first().ok_or("attest: missing name")?;
-                let (id, measurement) = self.lookup(name)?;
-                let params = DhParams::tiny_test_group();
-                let mut verifier = Verifier::hello(&mut self.rng);
-                let nonce = verifier.nonce;
-                let vendor_pub = self.vendor.public().clone();
-                let nic = self.nic()?;
-                let f = FunctionAttestation::respond(
-                    &mut rand::rngs::StdRng::seed_from_u64(7),
-                    nic,
-                    id,
-                    &params,
-                    nonce,
-                )
-                .map_err(|e| e.to_string())?;
-                let v_pub = verifier
-                    .accept(
-                        &mut rand::rngs::StdRng::seed_from_u64(8),
-                        &vendor_pub,
-                        &measurement,
-                        &f.quote,
-                    )
-                    .map_err(|e| e.to_string())?;
-                let ok = f.session_key(&v_pub) == verifier.session_key(&f.quote.dh_public);
-                Ok(format!("attestation of {name}: verified={ok}"))
-            }
-            "stats" => {
-                let (id, _) = self.lookup(args.first().ok_or("stats: missing name")?)?;
-                let nic = self.nic()?;
-                let r = nic.record_of(id).map_err(|e| e.to_string())?;
-                Ok(format!(
-                    "{}: cores={:?} mem={} delivered={} dropped={} sent={}",
-                    id, r.cores, r.memory, r.rx_delivered, r.rx_dropped, r.tx_sent
-                ))
-            }
-            "teardown" => {
-                let name = args.first().ok_or("teardown: missing name")?.to_string();
-                let (id, _) = self.lookup(&name)?;
-                let receipt = self.nic()?.nf_teardown(id).map_err(|e| e.to_string())?;
-                self.names.remove(&name);
-                Ok(format!(
-                    "tore down {name} in {:.2} ms ({:.2} ms scrubbing)",
-                    receipt.latency.total().as_millis_f64(),
-                    receipt.latency.scrub.as_millis_f64()
-                ))
-            }
-            "attacks" => {
-                let mode = self.nic()?.mode();
-                let outcomes = snic::attacks::run_all(mode);
-                let summary: Vec<String> = outcomes
-                    .iter()
-                    .map(|o| {
-                        if o.succeeded {
-                            "SUCCEEDED".into()
-                        } else {
-                            "blocked".to_string()
-                        }
-                    })
-                    .collect();
-                Ok(format!("attacks on {mode:?}: {}", summary.join(", ")))
-            }
-            other => Err(format!("unknown command '{other}'")),
-        }
-    }
-}
-
-fn parse_kv(args: &[&str]) -> Result<HashMap<String, u64>, String> {
-    let mut out = HashMap::new();
-    for a in args {
-        let (k, v) = a
-            .split_once('=')
-            .ok_or_else(|| format!("expected key=value, got '{a}'"))?;
-        out.insert(
-            k.to_string(),
-            v.parse::<u64>().map_err(|e| format!("{a}: {e}"))?,
-        );
-    }
-    Ok(out)
-}
+use snic::serve::host::{Fatal, Host, HostOpts};
 
 /// `snicctl trace <describe|sweep|billion> [flags]`: drive the streamed
 /// colocation machinery (see `crates/bench/src/colo.rs`). `describe`
@@ -579,13 +360,41 @@ fn verify_main(args: &[String]) -> Result<String, String> {
     })
 }
 
+/// The whole of a file transport's input: `path`, or stdin for `-`.
+/// An input that cannot be read is a usage error, not a peer that went
+/// away.
+fn read_input(path: &str) -> Result<Vec<u8>, String> {
+    let mut stdin = Vec::new();
+    let read = match path {
+        "-" => std::io::stdin()
+            .lock()
+            .read_to_end(&mut stdin)
+            .map(|_| stdin),
+        _ => std::fs::read(path),
+    };
+    read.map_err(|e| format!("usage: cannot read {path}: {e}"))
+}
+
+/// A host failure as `main` wants it: a `usage:` prefix maps to exit 2,
+/// anything else to the verb's code.
+fn fatal((code, e): Fatal) -> String {
+    if code == 2 {
+        format!("usage: {e}")
+    } else {
+        e
+    }
+}
+
+fn into_lines(out: Vec<u8>) -> String {
+    let out = String::from_utf8(out).expect("responses are rendered from UTF-8");
+    out.trim_end_matches('\n').to_string()
+}
+
 /// `snicctl serve <requests.jsonl | -> [flags]`: run the `snicd` host
 /// (`snic::serve::host`) in process over a request file (or stdin with
 /// `-`) and print one response line per completed request. The flags
 /// are `snicd`'s own, parsed by the same table, minus `--socket`.
 fn serve_main(args: &[String]) -> Result<String, String> {
-    use snic::serve::host::{Fatal, Host, HostOpts};
-
     let usage = |why: String| format!("{}\n({why})", usage("serve"));
     let (opts, rest) = HostOpts::parse(args).map_err(usage)?;
     let [input] = &rest[..] else {
@@ -594,21 +403,12 @@ fn serve_main(args: &[String]) -> Result<String, String> {
     if opts.socket.is_some() {
         return Err(usage("--socket is snicd's".into()));
     }
-    // `main` maps a `usage:` prefix to exit 2, anything else to 8.
-    let fail = |(code, e): Fatal| if code == 2 { format!("usage: {e}") } else { e };
-    let mut host = Host::boot(&opts).map_err(fail)?;
+    let input = read_input(input)?;
+    let mut host = Host::boot(&opts).map_err(fatal)?;
     let mut out = Vec::new();
-    if input == "-" {
-        host.serve(std::io::stdin().lock(), &mut out)
-    } else {
-        let file =
-            std::fs::File::open(input).map_err(|e| format!("usage: cannot read {input}: {e}"))?;
-        host.serve(std::io::BufReader::new(file), &mut out)
-    }
-    .map_err(fail)?;
-    host.finish().map_err(fail)?;
-    let out = String::from_utf8(out).expect("responses are rendered from UTF-8");
-    Ok(out.trim_end_matches('\n').to_string())
+    host.serve(&input[..], &mut out).map_err(fatal)?;
+    host.finish().map_err(fatal)?;
+    Ok(into_lines(out))
 }
 
 /// `snicctl soak [--seed N] [--gate] [--emit-schedule]`: run the
@@ -763,31 +563,46 @@ fn exp_main(args: &[String]) -> Result<String, String> {
     Ok(text.strip_suffix('\n').unwrap_or(&text).to_string())
 }
 
-/// `snicctl [script] <script.snic | ->`: the line-oriented script mode
-/// described in the module header.
+/// `snicctl [script] <script.snic | ->`: the script mode described in
+/// the module header — a transport like `serve`, fed the lowered lines
+/// one at a time. A line answered `"ok":false` ends the run: the
+/// responses so far are printed and the refusal is the error.
 fn script_main(args: &[String]) -> Result<String, String> {
-    let [arg] = args else {
+    let [path] = args else {
         return Err(usage_all());
     };
-    let script = if arg == "-" {
-        let mut s = String::new();
-        std::io::stdin()
-            .read_to_string(&mut s)
-            .map_err(|e| format!("usage: cannot read stdin: {e}"))?;
-        s
-    } else {
-        std::fs::read_to_string(arg).map_err(|e| format!("usage: cannot read {arg}: {e}"))?
-    };
-    let mut session = Session::new();
+    let text = String::from_utf8(read_input(path)?)
+        .map_err(|e| format!("usage: cannot read {path}: {e}"))?;
+    run_script(&text)
+}
+
+fn run_script(text: &str) -> Result<String, String> {
+    use snic::telemetry::{parse_json, Json};
+
+    let (mode, requests) = snic::serve::script::lower(text)?;
+    let mut opts = HostOpts::default();
+    opts.cfg.mode = mode;
+    let mut host = Host::boot(&opts).map_err(fatal)?;
     let mut out = Vec::new();
-    for (lineno, line) in script.lines().enumerate() {
-        match session.execute(line) {
-            Ok(o) if o.is_empty() => {}
-            Ok(o) => out.push(o),
-            Err(e) => return Err(format!("line {}: {e}", lineno + 1)),
+    for request in &requests {
+        let mark = out.len();
+        host.serve(request.as_bytes(), &mut out).map_err(fatal)?;
+        let refused = String::from_utf8_lossy(&out[mark..])
+            .lines()
+            .filter_map(|response| parse_json(response).ok())
+            .find(|r| matches!(r.get("ok"), Some(Json::Bool(false))));
+        if let Some(r) = refused {
+            println!("{}", into_lines(out));
+            let field = |k| r.get(k).and_then(Json::as_str).unwrap_or("?");
+            let line = r.get("id").and_then(Json::as_u64).unwrap_or(0);
+            return Err(format!(
+                "line {line}: {}: {}",
+                field("code"),
+                field("error")
+            ));
         }
     }
-    Ok(out.join("\n"))
+    Ok(into_lines(out))
 }
 
 /// One `snicctl` mode.
@@ -911,12 +726,8 @@ mod tests {
     use super::*;
 
     fn run(script: &str) -> Vec<String> {
-        let mut s = Session::new();
-        script
-            .lines()
-            .map(|l| s.execute(l).expect("script line"))
-            .filter(|o| !o.is_empty())
-            .collect()
+        let out = run_script(script).expect("every line answered ok");
+        out.lines().map(str::to_string).collect()
     }
 
     #[test]
@@ -929,12 +740,12 @@ stats fw
 poll fw
 teardown fw
 ");
-        assert!(out[0].contains("Snic"));
-        assert!(out[1].contains("launched fw"));
-        assert!(out[2].contains("10 matched"));
-        assert!(out[3].contains("delivered=0"));
-        assert!(out[4].contains("polled 10"));
-        assert!(out[5].contains("tore down fw"));
+        assert!(out[0].starts_with(r#"{"id":2,"tenant":"script","op":"launch","ok":true,"nf":1,"#));
+        assert!(out[1].contains(r#""op":"send","ok":true,"delivered":10"#));
+        assert!(out[2].contains(r#""op":"stats","ok":true,"delivered":0,"#));
+        assert!(out[3].contains(r#""op":"poll","ok":true,"polled":10"#));
+        assert!(out[4].contains(r#""op":"teardown","ok":true,"scrub_ps":"#));
+        assert_eq!(out.len(), 5);
     }
 
     #[test]
@@ -944,27 +755,70 @@ nic snic
 launch ids core=1 mem=4
 attest ids
 ");
-        assert!(out[2].contains("verified=true"));
+        assert!(out[1].contains(r#""op":"attest","ok":true,"verified":true"#));
     }
 
     #[test]
     fn comments_and_blanks_ignored() {
-        let out = run("# a comment\n\nnic commodity\n");
+        assert!(run("# a comment\n\nnic commodity\n").is_empty());
+        let out = run("# a comment\n\nhealth # the daemon's own verbs script too\n");
         assert_eq!(out.len(), 1);
-        assert!(out[0].contains("Commodity"));
+        assert!(out[0].starts_with(r#"{"id":3,"op":"health","ok":true,"#));
     }
 
     #[test]
     fn errors_are_reported() {
-        let mut s = Session::new();
-        assert!(s.execute("launch x core=0 mem=4").is_err(), "no NIC yet");
-        s.execute("nic snic").unwrap();
-        assert!(s.execute("bogus").is_err());
-        assert!(s.execute("launch x core=0").is_err(), "missing mem=");
-        assert!(s.execute("teardown ghost").is_err());
-        // Core conflicts surface as errors too.
-        s.execute("launch a core=0 mem=4").unwrap();
-        assert!(s.execute("launch b core=0 mem=4").is_err());
+        // A line that lowers to no request stops the script unexecuted.
+        let e = run_script("health\nbogus").unwrap_err();
+        assert!(e.starts_with("line 2: unknown verb"), "{e}");
+        // A line the daemon refuses stops it with the typed code;
+        // 65536 and 65616 must not narrow to core 0 and port 80.
+        for (script, refusal) in [
+            (
+                "launch x core=0",
+                "line 1: SERVE-BAD-REQUEST: missing \"mem\"",
+            ),
+            ("teardown ghost", "line 1: SERVE-UNKNOWN-NF: "),
+            (
+                "launch a core=0 mem=4\nlaunch b core=0 mem=4\nhealth",
+                "line 2: SERVE-FAULT: ",
+            ),
+            (
+                "launch a core=65536 mem=4",
+                "line 1: SERVE-BAD-REQUEST: \"core\" out of range",
+            ),
+            (
+                "launch a core=0 mem=4 port=65616",
+                "line 1: SERVE-BAD-REQUEST: \"port\" out of range",
+            ),
+        ] {
+            let e = run_script(script).unwrap_err();
+            assert!(e.starts_with(refusal), "{script}: {e}");
+        }
+    }
+
+    #[test]
+    fn script_is_the_serve_transport_over_lowered_lines() {
+        let s = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
+        let demo = concat!(env!("CARGO_MANIFEST_DIR"), "/scripts/demo.snic");
+        let text = std::fs::read_to_string(demo).unwrap();
+        let (_, lowered) = snic::serve::script::lower(&text).unwrap();
+        let reqs = std::env::temp_dir().join("snicctl-script-lowered.jsonl");
+        std::fs::write(&reqs, lowered.join("\n")).unwrap();
+        let served = serve_main(&s(&[&reqs.to_string_lossy()])).unwrap();
+        assert_eq!(script_main(&s(&[demo])).unwrap(), served);
+        assert_eq!(served.lines().count(), 11);
+        assert!(
+            served.lines().all(|l| l.contains("\"ok\":true")),
+            "{served}"
+        );
+        // An input that cannot be read is a usage error naming it, for
+        // both file transports — not a connection that dropped.
+        let dir = std::env::temp_dir().to_string_lossy().into_owned();
+        for unreadable in [serve_main(&s(&[&dir])), script_main(&s(&[&dir]))] {
+            let e = unreadable.unwrap_err();
+            assert!(e.starts_with(&format!("usage: cannot read {dir}: ")), "{e}");
+        }
     }
 
     #[test]
@@ -1162,14 +1016,43 @@ attest ids
         assert_eq!(rows, verbs);
     }
 
+    /// The README's protocol verb table is `snicd`'s op table, row for
+    /// row: name, class, arguments, and the positional one in italics.
     #[test]
-    fn attacks_command_both_modes() {
-        let mut s = Session::new();
-        s.execute("nic commodity").unwrap();
-        let c = s.execute("attacks").unwrap();
-        assert_eq!(c.matches("SUCCEEDED").count(), 4, "{c}");
-        s.execute("nic snic").unwrap();
-        let p = s.execute("attacks").unwrap();
-        assert_eq!(p.matches("blocked").count(), 4, "{p}");
+    fn readme_protocol_verb_table_matches_the_op_table() {
+        use snic::serve::daemon::Class;
+
+        let readme = include_str!("../../README.md");
+        let section = readme
+            .split("### Protocol verbs")
+            .nth(1)
+            .expect("README has the protocol verb section");
+        // `| `send` | queued | *count* port |`
+        let rows: Vec<(String, String, String, Option<String>)> = section
+            .lines()
+            .skip_while(|l| !l.starts_with("| `"))
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| {
+                let cells: Vec<&str> = l.split('|').map(str::trim).collect();
+                let positional = cells[3].split('*').nth(1).map(str::to_string);
+                let name = cells[1].trim_matches('`').to_string();
+                let args = cells[3].replace('*', "");
+                (name, cells[2].to_string(), args, positional)
+            })
+            .collect();
+        let table: Vec<_> = snic::serve::daemon::VERBS
+            .iter()
+            .map(|v| {
+                let positional = v.positional.map(str::to_string);
+                let class = match v.class {
+                    Class::Queued(_) => "queued",
+                    Class::Tenant(_) => "tenant-management",
+                    Class::Daemon(_) => "daemon-management",
+                };
+                let (name, class) = (v.name.to_string(), class.to_string());
+                (name, class, v.args.to_string(), positional)
+            })
+            .collect();
+        assert_eq!(rows, table);
     }
 }

@@ -17,6 +17,7 @@ use snic::crypto::keys::VendorCa;
 use snic::faults::{FaultEventKind, FaultKind, FaultPlan, FaultSite};
 use snic::mem::guard::Principal;
 use snic::types::{ByteSize, CoreId, SnicError};
+use snic::verify::lint_fault_transcript;
 
 fn nic(mode: NicMode) -> SmartNic {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xfa17);
@@ -189,6 +190,7 @@ fn retry_backoff_advances_simulated_time() {
         .filter(|r| matches!(r.kind, FaultEventKind::RetryBackoff { .. }))
         .count();
     assert_eq!(retries, 2, "transcript records each backoff");
+    assert!(lint_fault_transcript(device.fault_log()).is_empty());
 }
 
 /// §4.6's crash-consistency contract: a region whose teardown scrub was
@@ -232,4 +234,8 @@ fn power_loss_mid_scrub_blocks_reuse_until_zeroized() {
     device
         .nf_launch(hinted)
         .expect("region reusable once zeroed");
+    // The whole episode — power loss, refusal, resumed scrub, reuse —
+    // is a transcript Pass 3 finds nothing in.
+    let findings = lint_fault_transcript(device.fault_log());
+    assert!(findings.is_empty(), "{findings:?}");
 }
