@@ -17,13 +17,13 @@
 
 use snic_nf::{NfKind, StreamingRecorder};
 use snic_sim::{JobSpec, SimJob};
-use snic_trace::{IctfConfig, PhaseSchedule, PhasedConfig, PhasedTrace};
-use snic_types::{mix, Packet};
+use snic_trace::PhaseSchedule;
+use snic_types::mix;
 use snic_uarch::config::MachineConfig;
 use snic_uarch::engine::RunOutcome;
 use snic_uarch::{Access, StreamedSource, TraceSource};
 
-use crate::streams::build_scaled;
+use crate::streams::{build_scaled, Frames};
 use crate::Scale;
 
 /// One tenant of a streamed colocation: an NF personality, a workload
@@ -41,11 +41,15 @@ pub struct TenantSpec {
     pub events: u64,
 }
 
-/// Relative single-core regeneration rate of each personality
-/// (accesses/second, measured on the dev host; only ratios matter).
-/// DPI walks ~500 payload bytes per packet so it streams fastest;
-/// LPM's two table probes per packet make it the slowest to
-/// regenerate.
+/// Relative weight of each personality in a weighted [`tenant_mix`].
+///
+/// These were single-core regeneration rates (events/second) when
+/// every tenant was fed full frames, and they rank the kinds by events
+/// per packet — DPI emits ~500, LPM 2 — because synthesizing the packet,
+/// not the NF's table probes, was the cost. They no longer describe the
+/// rates (header-only kinds are not fed payloads now), but they are
+/// frozen: they define the weighted budgets, so the billion-run digest
+/// moves if one of them does.
 fn regen_weight(kind: NfKind) -> u64 {
     match kind {
         NfKind::Dpi => 33,
@@ -64,9 +68,9 @@ fn regen_weight(kind: NfKind) -> u64 {
 /// seed and a phase schedule staggered per tenant (different diurnal
 /// phase lengths and crowd onsets) so no two tenants breathe in step.
 /// With `weighted` set, budgets are proportional to the square of each
-/// personality's regeneration rate — the allocation that keeps a
-/// billion-event run's wall clock dominated by the fast streamers while
-/// every tenant still contributes at least a 1/(64·tenants) floor.
+/// personality's [`regen_weight`] — the allocation that gives the kinds
+/// with many events per packet most of a billion-event run while every
+/// tenant still contributes at least a 1/(64·tenants) floor.
 /// Unweighted budgets split evenly (the sweep default).
 pub fn tenant_mix(tenants: usize, seed: u64, total_events: u64, weighted: bool) -> Vec<TenantSpec> {
     assert!(tenants > 0, "no tenants");
@@ -148,41 +152,15 @@ impl TraceSource for CappedSource {
     }
 }
 
-/// An endless phased packet stream (the event cap, not a packet count,
-/// bounds the pipeline).
-struct PhasedPackets {
-    trace: PhasedTrace,
-}
-
-impl Iterator for PhasedPackets {
-    type Item = Packet;
-
-    fn next(&mut self) -> Option<Packet> {
-        Some(self.trace.next_packet())
-    }
-}
-
 /// Build one tenant's streaming reference-stream pipeline:
-/// phased packets → NF personality → exact event cap.
+/// phased packets → NF personality → exact event cap. The packet stream
+/// is endless; the event cap, not a packet count, bounds the pipeline.
 pub fn tenant_source(spec: &TenantSpec, scale: &Scale) -> Box<dyn TraceSource> {
     let scale = *scale;
-    let spec_for_nf = spec.clone();
-    let spec_for_pkts = spec.clone();
+    let (kind, seed, schedule) = (spec.kind, spec.seed, spec.schedule.clone());
     let recorder = StreamingRecorder::new(
-        move || build_scaled(spec_for_nf.kind, &scale, spec_for_nf.seed),
-        move || PhasedPackets {
-            trace: PhasedTrace::new(PhasedConfig {
-                base: IctfConfig {
-                    flows: scale.flows,
-                    theta: 1.1,
-                    mean_payload: 256,
-                    signature_rate: 0.02,
-                    patterns: snic_nf::dpi::synth_patterns(16, spec_for_pkts.seed ^ 0x77),
-                    seed: spec_for_pkts.seed,
-                },
-                schedule: spec_for_pkts.schedule.clone(),
-            }),
-        },
+        move || build_scaled(kind, &scale, seed),
+        move || Frames::new(kind, &scale, seed, schedule.clone()),
     );
     Box::new(CappedSource {
         inner: Box::new(recorder),
@@ -214,7 +192,9 @@ pub fn many_tenant_commodity(tenants: usize, l2_bytes: u64) -> MachineConfig {
     MachineConfig::commodity(tenants as u32, quantize_l2(l2_bytes, ways)).with_l2_ways(ways)
 }
 
-/// A re-windable job spec for one streamed colocation run.
+/// A re-windable job spec for one streamed colocation run. Building the
+/// job constructs every tenant's NF (a 64 MB table for each LPM), so the
+/// tenants are built across the worker pool, in `specs` order.
 pub fn colo_spec(
     scale: &Scale,
     specs: &[TenantSpec],
@@ -224,10 +204,9 @@ pub fn colo_spec(
     let scale = *scale;
     let specs = specs.to_vec();
     JobSpec::new(move || {
-        let streams = specs
-            .iter()
-            .map(|s| StreamedSource::new(tenant_source(s, &scale)).into())
-            .collect();
+        let streams = snic_sim::par_map(specs.iter().collect(), |s| {
+            StreamedSource::new(tenant_source(s, &scale)).into()
+        });
         SimJob::new(cfg.clone(), streams).with_shards(shards)
     })
 }
@@ -493,6 +472,23 @@ mod tests {
         assert_eq!(first.len(), 2_000, "cap must be exact");
         src.rewind();
         assert_eq!(drain(&mut src, &mut buf), first, "rewind must replay");
+    }
+
+    #[test]
+    fn parallel_tenant_build_keeps_tenant_order() {
+        // Twelve tenants with distinct seeds, schedules and (weighted)
+        // budgets: any permutation of the built streams changes `nfs`.
+        let specs = tenant_mix(12, 0x0bde, 48_000, true);
+        let cfg = many_tenant_snic(12, 1 << 20);
+        let serially_built = SimJob::new(
+            cfg.clone(),
+            specs
+                .iter()
+                .map(|s| StreamedSource::new(tenant_source(s, &tiny())).into())
+                .collect(),
+        );
+        let built = colo_spec(&tiny(), &specs, cfg, 1).run();
+        assert_eq!(built.nfs, serially_built.run().nfs);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use snic_nf::{build, record_stream_iter, NfKind, StreamingRecorder};
-use snic_trace::{IctfConfig, IctfLikeTrace};
+use snic_trace::{IctfConfig, PhaseSchedule, PhasedConfig, PhasedTrace};
 use snic_types::Packet;
 use snic_uarch::stream::Access;
 use snic_uarch::{EventSource, StreamedSource, TraceSource};
@@ -35,50 +35,55 @@ pub(crate) fn trace_of(traces: &TraceSet, kind: NfKind) -> &SharedTrace {
     trace
 }
 
-/// The lazy packet workload shared by all NFs at this scale: packets
-/// are built one at a time as the consumer pulls, so streaming callers
-/// never hold `scale.packets` packets resident. `collect()` recovers
-/// the old materialized `Vec<Packet>` where a slice is genuinely
-/// needed.
+/// The endless packet stream one NF is fed: the ICTF-like workload at a
+/// scale, shaped by a phase schedule. A kind that stops at the L4 header
+/// ([`NfKind::reads_payload`]) gets headers-only frames — the same flows
+/// and lengths, with no payload synthesized. Packets are built one at a
+/// time as the consumer pulls, so nothing holds a workload resident.
 #[derive(Debug)]
-pub struct WorkloadIter {
-    trace: IctfLikeTrace,
-    remaining: usize,
+pub struct Frames {
+    trace: PhasedTrace,
+    payloads: bool,
 }
 
-impl Iterator for WorkloadIter {
+impl Frames {
+    /// The stream for an NF of `kind`.
+    pub fn new(kind: NfKind, scale: &Scale, seed: u64, schedule: PhaseSchedule) -> Frames {
+        Frames {
+            trace: PhasedTrace::new(PhasedConfig {
+                base: IctfConfig {
+                    flows: scale.flows,
+                    theta: 1.1,
+                    mean_payload: 256,
+                    signature_rate: 0.02,
+                    patterns: snic_nf::dpi::synth_patterns(16, seed ^ 0x77),
+                    seed,
+                },
+                schedule,
+            }),
+            payloads: kind.reads_payload(),
+        }
+    }
+}
+
+impl Iterator for Frames {
     type Item = Packet;
 
     fn next(&mut self) -> Option<Packet> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        Some(self.trace.next_packet())
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
+        Some(if self.payloads {
+            self.trace.next_packet()
+        } else {
+            self.trace.next_headers()
+        })
     }
 }
 
-impl ExactSizeIterator for WorkloadIter {}
-
-/// Generate the packet workload shared by all NFs at this scale,
-/// lazily.
-pub fn workload(scale: &Scale, seed: u64) -> WorkloadIter {
-    let trace = IctfLikeTrace::new(IctfConfig {
-        flows: scale.flows,
-        theta: 1.1,
-        mean_payload: 256,
-        signature_rate: 0.02,
-        patterns: snic_nf::dpi::synth_patterns(16, seed ^ 0x77),
-        seed,
-    });
-    WorkloadIter {
-        trace,
-        remaining: scale.packets,
-    }
+/// The packet workload `kind` is recorded over at this scale, lazily:
+/// `scale.packets` packets of the stationary (paper snapshot) schedule.
+/// Each kind draws from its own seed.
+pub fn workload(kind: NfKind, scale: &Scale, seed: u64) -> std::iter::Take<Frames> {
+    let seed = seed ^ kind as u64 ^ 0x5eed;
+    Frames::new(kind, scale, seed, PhaseSchedule::stationary()).take(scale.packets)
 }
 
 /// Build the NF at this scale (smaller structures than `with_defaults`
@@ -104,7 +109,7 @@ pub fn build_scaled(kind: NfKind, scale: &Scale, seed: u64) -> Box<dyn snic_nf::
 /// Record the reference stream of one NF kind over the shared workload.
 pub fn nf_access_trace(kind: NfKind, scale: &Scale, seed: u64) -> Vec<Access> {
     let mut nf = build_scaled(kind, scale, seed);
-    record_stream_iter(nf.as_mut(), workload(scale, seed ^ kind as u64 ^ 0x5eed))
+    record_stream_iter(nf.as_mut(), workload(kind, scale, seed))
 }
 
 /// Stream one NF kind's reference trace without materializing it: the
@@ -115,7 +120,7 @@ pub fn nf_trace_source(kind: NfKind, scale: &Scale, seed: u64) -> Box<dyn TraceS
     let scale = *scale;
     Box::new(StreamingRecorder::new(
         move || build_scaled(kind, &scale, seed),
-        move || workload(&scale, seed ^ kind as u64 ^ 0x5eed),
+        move || workload(kind, &scale, seed),
     ))
 }
 
@@ -223,12 +228,33 @@ mod tests {
 
     #[test]
     fn workload_is_deterministic_and_lazy() {
-        let mut lazy = workload(&tiny(), 7);
-        assert_eq!(lazy.len(), 400);
-        let b: Vec<Packet> = workload(&tiny(), 7).collect();
+        let mut lazy = workload(NfKind::Dpi, &tiny(), 7);
+        assert_eq!(lazy.size_hint().1, Some(400));
+        let b: Vec<Packet> = workload(NfKind::Dpi, &tiny(), 7).collect();
         assert_eq!(b.len(), 400);
         assert_eq!(lazy.next().as_ref(), b.first());
         assert_eq!(lazy.last().as_ref(), b.last());
+    }
+
+    /// The exact tripwire behind the regeneration speed-up: an NF whose
+    /// kind stops at the L4 header is never handed a synthesized payload
+    /// byte, whether it records a figure's trace (`workload`) or is a
+    /// tenant of a streamed colocation (a phased `Frames`).
+    #[test]
+    fn payloads_are_synthesized_only_for_kinds_that_read_them() {
+        use snic_types::packet::PacketBuilder;
+        let payload_bytes = |frames: &mut dyn Iterator<Item = Packet>| -> usize {
+            frames
+                .map(|p| p.len().saturating_sub(PacketBuilder::MAX_HEADERS))
+                .sum()
+        };
+        for kind in NfKind::ALL {
+            let recorded = payload_bytes(&mut workload(kind, &tiny(), 7));
+            let phased = Frames::new(kind, &tiny(), 7, PhaseSchedule::realistic(400));
+            let streamed = payload_bytes(&mut phased.take(400));
+            assert_eq!(recorded > 0, kind.reads_payload(), "{kind:?}");
+            assert_eq!(streamed > 0, kind.reads_payload(), "{kind:?}");
+        }
     }
 
     #[test]

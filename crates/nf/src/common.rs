@@ -44,6 +44,21 @@ impl NfKind {
             NfKind::Monitor => "Mon",
         }
     }
+
+    /// Whether this kind's `process` reads bytes past the L4 header.
+    /// The other kinds parse headers and stop, so a headers-only frame
+    /// ([`snic_types::packet::PacketBuilder::build_headers`]) is a
+    /// complete input for them. No wildcard arm: a new kind has to say.
+    pub fn reads_payload(self) -> bool {
+        match self {
+            NfKind::Dpi => true,
+            NfKind::Firewall
+            | NfKind::Nat
+            | NfKind::LoadBalancer
+            | NfKind::Lpm
+            | NfKind::Monitor => false,
+        }
+    }
 }
 
 /// What the NF decided about a packet.

@@ -173,7 +173,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snic_trace::{IctfConfig, IctfLikeTrace};
+    use snic_trace::{IctfConfig, IctfLikeTrace, PhaseSchedule, PhasedConfig, PhasedTrace};
     use snic_uarch::TraceSource;
 
     fn packets(n: usize) -> Vec<Packet> {
@@ -235,5 +235,65 @@ mod tests {
             pkts.clone().into_iter(),
         );
         assert_eq!(eager, lazy);
+    }
+
+    /// `NfKind::reads_payload` is a claim about `process`; this holds
+    /// every NF to it. A twin fed the headers-only frames of a stream
+    /// must be indistinguishable from one fed the full frames — and for
+    /// a kind that says it reads payloads the twins must differ, so the
+    /// comparison cannot pass by comparing nothing.
+    #[test]
+    fn header_only_kinds_never_read_the_payload() {
+        type Make = Box<dyn Fn() -> Box<dyn NetworkFunction>>;
+        let mut subjects: Vec<(String, bool, Make)> = NfKind::ALL
+            .iter()
+            .map(|&k| {
+                let make: Make = Box::new(move || build(k, 7));
+                (format!("{k:?}"), k.reads_payload(), make)
+            })
+            .collect();
+        subjects.push((
+            "SketchMonitor".to_string(),
+            NfKind::Monitor.reads_payload(),
+            Box::new(|| Box::new(SketchMonitor::with_defaults(7))),
+        ));
+        for (name, reads_payload, make) in &subjects {
+            for schedule in [PhaseSchedule::stationary(), PhaseSchedule::realistic(400)] {
+                let generator = || {
+                    PhasedTrace::new(PhasedConfig {
+                        base: IctfConfig {
+                            flows: 64,
+                            seed: 0x5eed,
+                            ..IctfConfig::default()
+                        },
+                        schedule: schedule.clone(),
+                    })
+                };
+                let (mut full, mut headers) = (generator(), generator());
+                let (mut fed_full, mut fed_headers) = (make(), make());
+                let (mut sink_full, mut sink_headers) =
+                    (RecordingSink::new(), RecordingSink::new());
+                let mut verdicts_agree = true;
+                for _ in 0..400 {
+                    let a = fed_full.process(&full.next_packet(), &mut sink_full);
+                    let b = fed_headers.process(&headers.next_headers(), &mut sink_headers);
+                    verdicts_agree &= match (&a, &b) {
+                        // NAT forwards what it was given: the rewritten
+                        // headers must agree, the payload is not there.
+                        (Verdict::Rewritten(a), Verdict::Rewritten(b)) => {
+                            a.data.starts_with(&b.data)
+                        }
+                        _ => a == b,
+                    };
+                }
+                let same_accesses = sink_full.accesses() == sink_headers.accesses();
+                if *reads_payload {
+                    assert!(!same_accesses, "{name} never looked at a payload");
+                } else {
+                    assert!(same_accesses, "{name} accesses depend on the payload");
+                    assert!(verdicts_agree, "{name} verdicts depend on the payload");
+                }
+            }
+        }
     }
 }

@@ -38,93 +38,56 @@ pub struct Prefix {
 pub struct Dir24_8 {
     tbl24: Vec<u32>,
     tbl8: Vec<u32>,
-    /// Prefix length that produced each tbl24 range, to resolve overlaps
-    /// (longer prefixes must win).
-    depth24: Vec<u8>,
-    depth8: Vec<u8>,
-}
-
-impl Default for Dir24_8 {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Dir24_8 {
-    /// An empty table (all lookups miss). Allocates the full 64 MB tbl24,
-    /// like DPDK's implementation — this is what gives LPM its Table 6
-    /// footprint.
-    pub fn new() -> Dir24_8 {
-        Dir24_8 {
-            tbl24: vec![INVALID; 1 << 24],
-            tbl8: Vec::new(),
-            depth24: vec![0; 1 << 24],
-            depth8: Vec::new(),
-        }
-    }
-
-    /// Insert a prefix; longer prefixes override shorter ones.
+    /// Build the finished table for `prefixes`. Longer prefixes
+    /// override shorter ones; of two prefixes of one length covering an
+    /// address, the later in `prefixes` wins. Allocates the full 64 MB
+    /// tbl24 even for an empty list, like DPDK's implementation — this
+    /// is what gives LPM its Table 6 footprint.
+    ///
+    /// Prefixes are painted in stable ascending-length order, so "longer
+    /// and later wins" is plain overwrite and no per-entry record of the
+    /// length that painted it is kept. tbl8 segments, though, are
+    /// numbered in the order `prefixes` first sends a longer-than-/24
+    /// prefix into each /24: a segment number is part of the addresses
+    /// [`Dir24_8::lookup`] reports, so it must not depend on the sort.
     ///
     /// # Panics
     ///
-    /// Panics if `len > 32` or `next_hop` does not fit 24 bits.
-    pub fn insert(&mut self, p: Prefix) {
-        assert!(p.len <= 32, "prefix length out of range");
-        assert!(p.next_hop < (1 << 24), "next hop too large");
-        assert_eq!(
-            self.depth24.len(),
-            self.tbl24.len(),
-            "cannot insert into a sealed table"
-        );
-        if p.len <= 24 {
-            let shift = 24 - u32::from(p.len);
+    /// Panics if a prefix has `len > 32` or a `next_hop` that does not
+    /// fit 24 bits.
+    pub fn build(prefixes: &[Prefix]) -> Dir24_8 {
+        for p in prefixes {
+            assert!(p.len <= 32, "prefix length out of range");
+            assert!(p.next_hop < (1 << 24), "next hop too large");
+        }
+        let mut by_len: Vec<&Prefix> = prefixes.iter().collect();
+        by_len.sort_by_key(|p| p.len);
+        let (short, long) = by_len.split_at(by_len.partition_point(|p| p.len <= 24));
+
+        let mut tbl24 = vec![INVALID; 1 << 24];
+        for p in short {
             let base = (mask(p.addr, p.len) >> 8) as usize;
-            let count = 1usize << shift;
-            for i in base..base + count {
-                match self.tbl24[i] {
-                    e if e & EXTEND_FLAG != 0 => {
-                        // Push into the existing tbl8 segment where shorter.
-                        let seg = (e & !EXTEND_FLAG) as usize;
-                        for j in 0..256 {
-                            let idx = seg * 256 + j;
-                            if self.depth8[idx] <= p.len {
-                                self.tbl8[idx] = p.next_hop;
-                                self.depth8[idx] = p.len;
-                            }
-                        }
-                    }
-                    _ => {
-                        if self.depth24[i] <= p.len {
-                            self.tbl24[i] = p.next_hop;
-                            self.depth24[i] = p.len;
-                        }
-                    }
-                }
-            }
-        } else {
-            let i = (mask(p.addr, 24) >> 8) as usize;
-            let seg = match self.tbl24[i] {
-                e if e & EXTEND_FLAG != 0 => (e & !EXTEND_FLAG) as usize,
-                old => {
-                    // Allocate a segment seeded with the old /<=24 entry.
-                    let seg = self.tbl8.len() / 256;
-                    self.tbl8.extend(std::iter::repeat_n(old, 256));
-                    self.depth8
-                        .extend(std::iter::repeat_n(self.depth24[i], 256));
-                    self.tbl24[i] = EXTEND_FLAG | seg as u32;
-                    seg
-                }
-            };
-            let low_bits = 32 - u32::from(p.len);
-            let base = (mask(p.addr, p.len) & 0xff) as usize;
-            for j in base..base + (1usize << low_bits) {
-                let idx = seg * 256 + j;
-                if self.depth8[idx] <= p.len {
-                    self.tbl8[idx] = p.next_hop;
-                    self.depth8[idx] = p.len;
-                }
+            tbl24[base..base + (1 << (24 - p.len))].fill(p.next_hop);
+        }
+        let mut tbl8 = Vec::new();
+        for p in prefixes.iter().filter(|p| p.len > 24) {
+            let slot = &mut tbl24[(p.addr >> 8) as usize];
+            if *slot & EXTEND_FLAG == 0 {
+                // A new segment starts as the /<=24 route it refines.
+                let seg = (tbl8.len() / 256) as u32;
+                tbl8.extend(std::iter::repeat_n(*slot, 256));
+                *slot = EXTEND_FLAG | seg;
             }
         }
+        for p in long {
+            let seg = (tbl24[(p.addr >> 8) as usize] & !EXTEND_FLAG) as usize;
+            let base = seg * 256 + (mask(p.addr, p.len) & 0xff) as usize;
+            tbl8[base..base + (1 << (32 - p.len))].fill(p.next_hop);
+        }
+        Dir24_8 { tbl24, tbl8 }
     }
 
     /// Look up `addr`, reporting table touches to `sink`.
@@ -151,27 +114,12 @@ impl Dir24_8 {
         }
     }
 
-    /// Free the build-time depth arrays (16 MB for tbl24 alone). The
-    /// depths only resolve overlaps *during* [`Dir24_8::insert`];
-    /// lookups never read them, so a table that is done being built can
-    /// drop them. The many-tenant streamed colocations hold one LPM
-    /// table per tenant, where this is a fifth of the footprint.
-    ///
-    /// # Panics
-    ///
-    /// [`Dir24_8::insert`] panics after sealing.
-    pub fn seal(&mut self) {
-        self.depth24 = Vec::new();
-        self.depth8 = Vec::new();
-    }
-
     /// Number of allocated tbl8 segments.
     pub fn tbl8_segments(&self) -> usize {
         self.tbl8.len() / 256
     }
 
-    /// Resident bytes of the tables (entries only; depth arrays are a
-    /// build-time aid the paper's DPDK implementation also carries).
+    /// Resident bytes of the tables.
     pub fn table_bytes(&self) -> ByteSize {
         ByteSize(vec_bytes(self.tbl24.len(), 4) + vec_bytes(self.tbl8.len(), 4))
     }
@@ -209,15 +157,8 @@ pub struct LpmNf {
 impl LpmNf {
     /// Build from explicit prefixes.
     pub fn new(prefixes: &[Prefix]) -> LpmNf {
-        let mut table = Dir24_8::new();
-        for &p in prefixes {
-            table.insert(p);
-        }
-        // The NF never inserts after construction; keep only what
-        // lookups read.
-        table.seal();
         LpmNf {
-            table,
+            table: Dir24_8::build(prefixes),
             routed: 0,
             unrouted: 0,
         }
@@ -291,10 +232,131 @@ mod tests {
         }
     }
 
+    /// The incremental algorithm `Dir24_8::build` replaced, kept as its
+    /// oracle: prefixes inserted one at a time in the caller's order,
+    /// with a per-entry record of the prefix length that painted it
+    /// deciding every overlap.
+    struct OrderedInserts {
+        tbl24: Vec<u32>,
+        tbl8: Vec<u32>,
+        depth24: Vec<u8>,
+        depth8: Vec<u8>,
+    }
+
+    impl OrderedInserts {
+        fn of(prefixes: &[Prefix]) -> OrderedInserts {
+            let mut t = OrderedInserts {
+                tbl24: vec![INVALID; 1 << 24],
+                tbl8: Vec::new(),
+                depth24: vec![0; 1 << 24],
+                depth8: Vec::new(),
+            };
+            for &p in prefixes {
+                t.insert(p);
+            }
+            t
+        }
+
+        fn insert(&mut self, p: Prefix) {
+            if p.len <= 24 {
+                let shift = 24 - u32::from(p.len);
+                let base = (mask(p.addr, p.len) >> 8) as usize;
+                let count = 1usize << shift;
+                for i in base..base + count {
+                    match self.tbl24[i] {
+                        e if e & EXTEND_FLAG != 0 => {
+                            // Push into the existing tbl8 segment where shorter.
+                            let seg = (e & !EXTEND_FLAG) as usize;
+                            for j in 0..256 {
+                                let idx = seg * 256 + j;
+                                if self.depth8[idx] <= p.len {
+                                    self.tbl8[idx] = p.next_hop;
+                                    self.depth8[idx] = p.len;
+                                }
+                            }
+                        }
+                        _ => {
+                            if self.depth24[i] <= p.len {
+                                self.tbl24[i] = p.next_hop;
+                                self.depth24[i] = p.len;
+                            }
+                        }
+                    }
+                }
+            } else {
+                let i = (mask(p.addr, 24) >> 8) as usize;
+                let seg = match self.tbl24[i] {
+                    e if e & EXTEND_FLAG != 0 => (e & !EXTEND_FLAG) as usize,
+                    old => {
+                        // Allocate a segment seeded with the old /<=24 entry.
+                        let seg = self.tbl8.len() / 256;
+                        self.tbl8.extend(std::iter::repeat_n(old, 256));
+                        self.depth8
+                            .extend(std::iter::repeat_n(self.depth24[i], 256));
+                        self.tbl24[i] = EXTEND_FLAG | seg as u32;
+                        seg
+                    }
+                };
+                let low_bits = 32 - u32::from(p.len);
+                let base = (mask(p.addr, p.len) & 0xff) as usize;
+                for j in base..base + (1usize << low_bits) {
+                    let idx = seg * 256 + j;
+                    if self.depth8[idx] <= p.len {
+                        self.tbl8[idx] = p.next_hop;
+                        self.depth8[idx] = p.len;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_build_equals_ordered_inserts() {
+        let adversarial = [
+            // Duplicate prefixes with different hops, at both levels.
+            p(0x0a0b0000, 16, 1),
+            p(0x0a0b0000, 16, 2),
+            p(0xc0a80180, 25, 3),
+            p(0xc0a80180, 25, 4),
+            // A <=24 prefix arriving after a >24 one in the same /24.
+            p(0x0b000105, 32, 5),
+            p(0x0b000100, 24, 6),
+            p(0x0b000000, 8, 7),
+            // Nested >24 prefixes, longest first and longest last.
+            p(0x0c000141, 32, 8),
+            p(0x0c000140, 28, 9),
+            p(0x0c000100, 25, 10),
+            p(0x0d000100, 25, 11),
+            p(0x0d000140, 28, 12),
+            p(0x0d000141, 32, 13),
+            // A second segment allocated before the first one's /24 is
+            // revisited, so segment numbering is exercised.
+            p(0x0c0001f0, 30, 14),
+            // /0 after everything, /32 at the very top of the space.
+            p(0, 0, 15),
+            p(0xffff_ffff, 32, 16),
+        ];
+        for seed in [5, 0xf15a] {
+            let mut prefixes = synth_prefixes(600, seed);
+            // Interleave so the extras meet the seeded prefixes on both
+            // sides.
+            for (i, extra) in adversarial.iter().enumerate() {
+                prefixes.insert(i * 37, *extra);
+            }
+            let built = Dir24_8::build(&prefixes);
+            let oracle = OrderedInserts::of(&prefixes);
+            assert!(built.tbl8_segments() > 3);
+            assert!(built.tbl8 == oracle.tbl8, "tbl8 differs, seed {seed}");
+            assert!(built.tbl24 == oracle.tbl24, "tbl24 differs, seed {seed}");
+        }
+        let reversed: Vec<Prefix> = adversarial.iter().rev().copied().collect();
+        let (built, oracle) = (Dir24_8::build(&reversed), OrderedInserts::of(&reversed));
+        assert!(built.tbl8 == oracle.tbl8 && built.tbl24 == oracle.tbl24);
+    }
+
     #[test]
     fn exact_slash24_route() {
-        let mut t = Dir24_8::new();
-        t.insert(p(0x0a000100, 24, 7));
+        let t = Dir24_8::build(&[p(0x0a000100, 24, 7)]);
         assert_eq!(t.lookup(0x0a000100, &mut NullSink), Some(7));
         assert_eq!(t.lookup(0x0a0001ff, &mut NullSink), Some(7));
         assert_eq!(t.lookup(0x0a000200, &mut NullSink), None);
@@ -302,21 +364,15 @@ mod tests {
 
     #[test]
     fn longest_prefix_wins_within_tbl24() {
-        let mut t = Dir24_8::new();
-        t.insert(p(0x0a000000, 8, 1));
-        t.insert(p(0x0a0b0000, 16, 2));
+        let t = Dir24_8::build(&[p(0x0a000000, 8, 1), p(0x0a0b0000, 16, 2)]);
         assert_eq!(t.lookup(0x0a0b0105, &mut NullSink), Some(2));
         assert_eq!(t.lookup(0x0a0c0105, &mut NullSink), Some(1));
     }
 
     #[test]
     fn insertion_order_does_not_matter() {
-        let mut a = Dir24_8::new();
-        a.insert(p(0x0a000000, 8, 1));
-        a.insert(p(0x0a0b0000, 16, 2));
-        let mut b = Dir24_8::new();
-        b.insert(p(0x0a0b0000, 16, 2));
-        b.insert(p(0x0a000000, 8, 1));
+        let a = Dir24_8::build(&[p(0x0a000000, 8, 1), p(0x0a0b0000, 16, 2)]);
+        let b = Dir24_8::build(&[p(0x0a0b0000, 16, 2), p(0x0a000000, 8, 1)]);
         for probe in [0x0a0b0105u32, 0x0a0c0105, 0x0b000000] {
             assert_eq!(
                 a.lookup(probe, &mut NullSink),
@@ -327,9 +383,7 @@ mod tests {
 
     #[test]
     fn slash32_route_via_tbl8() {
-        let mut t = Dir24_8::new();
-        t.insert(p(0x0a000000, 8, 1));
-        t.insert(p(0x0a000105, 32, 9));
+        let t = Dir24_8::build(&[p(0x0a000000, 8, 1), p(0x0a000105, 32, 9)]);
         assert_eq!(t.lookup(0x0a000105, &mut NullSink), Some(9));
         // Neighbors in the same /24 fall back to the covering /8.
         assert_eq!(t.lookup(0x0a000106, &mut NullSink), Some(1));
@@ -338,10 +392,8 @@ mod tests {
 
     #[test]
     fn long_prefix_then_short_overlay() {
-        // Insert /32 first, then a /16 that covers it: /32 must survive.
-        let mut t = Dir24_8::new();
-        t.insert(p(0x0a000105, 32, 9));
-        t.insert(p(0x0a000000, 16, 1));
+        // A /32 listed first, then a /16 that covers it: /32 must survive.
+        let t = Dir24_8::build(&[p(0x0a000105, 32, 9), p(0x0a000000, 16, 1)]);
         assert_eq!(t.lookup(0x0a000105, &mut NullSink), Some(9));
         assert_eq!(t.lookup(0x0a000106, &mut NullSink), Some(1));
     }
@@ -349,13 +401,7 @@ mod tests {
     #[test]
     fn lookup_agrees_with_naive_scan() {
         let prefixes = synth_prefixes(300, 5);
-        let t = {
-            let mut t = Dir24_8::new();
-            for &x in &prefixes {
-                t.insert(x);
-            }
-            t
-        };
+        let t = Dir24_8::build(&prefixes);
         let naive = |addr: u32| {
             prefixes
                 .iter()
@@ -386,35 +432,15 @@ mod tests {
     }
 
     #[test]
-    fn sealed_table_looks_up_but_rejects_inserts() {
-        let mut t = Dir24_8::new();
-        t.insert(p(0x0a000000, 16, 1));
-        t.insert(p(0x0b000105, 32, 2));
-        t.seal();
-        assert_eq!(t.lookup(0x0a000001, &mut NullSink), Some(1));
-        assert_eq!(t.lookup(0x0b000105, &mut NullSink), Some(2));
-        assert!(
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                t.insert(p(0x0c000000, 8, 3))
-            }))
-            .is_err(),
-            "insert after seal must panic"
-        );
-    }
-
-    #[test]
     fn default_route_matches_everything() {
-        let mut t = Dir24_8::new();
-        t.insert(p(0, 0, 42));
+        let t = Dir24_8::build(&[p(0, 0, 42)]);
         assert_eq!(t.lookup(0xffff_ffff, &mut NullSink), Some(42));
         assert_eq!(t.lookup(0, &mut NullSink), Some(42));
     }
 
     #[test]
     fn tbl24_lookup_touches_one_address_tbl8_two() {
-        let mut t = Dir24_8::new();
-        t.insert(p(0x0a000000, 16, 1));
-        t.insert(p(0x0b000105, 32, 2));
+        let t = Dir24_8::build(&[p(0x0a000000, 16, 1), p(0x0b000105, 32, 2)]);
         let mut s1 = RecordingSink::new();
         let _ = t.lookup(0x0a000001, &mut s1);
         assert_eq!(s1.accesses().len(), 1);
@@ -425,7 +451,7 @@ mod tests {
 
     #[test]
     fn table_bytes_dominated_by_tbl24() {
-        let t = Dir24_8::new();
+        let t = Dir24_8::build(&[]);
         assert_eq!(t.table_bytes(), ByteSize((1u64 << 24) * 4));
     }
 

@@ -13,6 +13,8 @@
 //! and the Table 8 memory-utilization ratio are *measured* from the same
 //! event stream the monitor produces.
 
+use std::collections::hash_map::Entry;
+
 use snic_mem::tracker::AllocationTracker;
 use snic_types::{ByteSize, FiveTuple, Packet, Picos};
 
@@ -131,8 +133,9 @@ impl MonitorNf {
         // Bucket probe + counter update.
         let addr = layout::HEAP_BASE + (flow.stable_hash() % self.buckets.max(1)) * SLOT_BYTES;
         sink.touch(addr, AccessKind::Load, 200);
-        let is_new = !self.counts.contains_key(&flow);
-        *self.counts.entry(flow).or_insert(0) += 1;
+        let entry = self.counts.entry(flow);
+        let is_new = matches!(entry, Entry::Vacant(_));
+        *entry.or_insert(0) += 1;
         sink.touch(addr, AccessKind::Store, 30);
         if is_new {
             self.maybe_resize(time);

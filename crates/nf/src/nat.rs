@@ -44,6 +44,9 @@ pub struct NatNf {
     next_port: u16,
     translated: u64,
     untranslated: u64,
+    /// Where `rewrite` patches a frame before copying it, once, into the
+    /// packet it returns; kept so only that copy allocates.
+    scratch: Vec<u8>,
 }
 
 impl NatNf {
@@ -56,6 +59,7 @@ impl NatNf {
             next_port: 1024,
             translated: 0,
             untranslated: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -100,9 +104,11 @@ impl NatNf {
     }
 
     /// Rewrite the packet's source to `(external_ip, port)`.
-    fn rewrite(&self, pkt: &Packet, port: u16) -> Option<Packet> {
+    fn rewrite(&mut self, pkt: &Packet, port: u16) -> Option<Packet> {
         let ip = pkt.ipv4().ok()?;
-        let mut raw = pkt.data.to_vec();
+        let raw = &mut self.scratch;
+        raw.clear();
+        raw.extend_from_slice(&pkt.data);
         // Source IP at IPv4 header offset 12.
         let ip_off = EthernetHeader::LEN;
         raw[ip_off + 12..ip_off + 16].copy_from_slice(&self.external_ip.to_be_bytes());
@@ -119,7 +125,7 @@ impl NatNf {
         };
         let csum = fixed.compute_checksum();
         raw[ip_off + 10..ip_off + 12].copy_from_slice(&csum.to_be_bytes());
-        Some(Packet::from_bytes(Bytes::from(raw)))
+        Some(Packet::from_bytes(Bytes::copy_from_slice(raw)))
     }
 }
 

@@ -64,10 +64,7 @@ proptest! {
         probes in proptest::collection::vec(any::<u32>(), 1..60),
     ) {
         let prefixes = synth_prefixes(count, seed);
-        let mut table = Dir24_8::new();
-        for &p in &prefixes {
-            table.insert(p);
-        }
+        let table = Dir24_8::build(&prefixes);
         let mask = |addr: u32, len: u8| if len == 0 { 0 } else { addr & (u32::MAX << (32 - u32::from(len))) };
         for addr in probes {
             let candidates: Vec<&Prefix> = prefixes

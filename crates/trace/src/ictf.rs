@@ -6,14 +6,10 @@
 //! call to [`IctfLikeTrace::next_packet`] draws a flow rank from the Zipf
 //! sampler and builds a packet for that flow.
 
-use rand::Rng;
-use rand::SeedableRng;
-use snic_types::packet::PacketBuilder;
 use snic_types::{FiveTuple, Packet};
 
-use crate::flows::{FlowTable, FlowTableConfig};
-use crate::payload::PayloadGen;
-use crate::zipf::ZipfSampler;
+use crate::flows::FlowTable;
+use crate::phases::{PhaseSchedule, PhasedConfig, PhasedTrace};
 
 /// Configuration for an [`IctfLikeTrace`].
 #[derive(Debug, Clone)]
@@ -45,68 +41,40 @@ impl Default for IctfConfig {
     }
 }
 
-/// A deterministic ICTF-like packet stream.
+/// A deterministic ICTF-like packet stream: the [`PhasedTrace`] whose
+/// schedule is [`PhaseSchedule::stationary`].
 #[derive(Debug)]
-pub struct IctfLikeTrace {
-    flows: FlowTable,
-    zipf: ZipfSampler,
-    payloads: PayloadGen,
-    rng: rand::rngs::StdRng,
-    mean_payload: usize,
-    generated: u64,
-}
+pub struct IctfLikeTrace(PhasedTrace);
 
 impl IctfLikeTrace {
     /// Build the flow pool and samplers.
     pub fn new(config: IctfConfig) -> IctfLikeTrace {
-        let flows = FlowTable::generate(&FlowTableConfig {
-            flows: config.flows,
-            tcp_fraction: 0.9,
-            seed: config.seed ^ 0xf10f,
-        });
-        IctfLikeTrace {
-            flows,
-            zipf: ZipfSampler::new(config.flows, config.theta),
-            payloads: PayloadGen::new(config.seed ^ 0xbeef, config.patterns, config.signature_rate),
-            rng: rand::rngs::StdRng::seed_from_u64(config.seed),
-            mean_payload: config.mean_payload,
-            generated: 0,
-        }
+        IctfLikeTrace(PhasedTrace::new(PhasedConfig {
+            base: config,
+            schedule: PhaseSchedule::stationary(),
+        }))
     }
 
     /// Draw the next flow (without building packet bytes). Useful for
     /// experiments that only need the reference stream, not wire bytes.
     pub fn next_flow(&mut self) -> FiveTuple {
-        let rank = self.zipf.sample(&mut self.rng);
-        self.flows.get(rank)
+        self.0.next_flow()
     }
 
     /// Build the next packet in the stream.
     pub fn next_packet(&mut self) -> Packet {
-        let ft = self.next_flow();
-        // Payload lengths jitter ±50% around the mean.
-        let len = if self.mean_payload == 0 {
-            0
-        } else {
-            let half = self.mean_payload / 2;
-            self.rng
-                .random_range(self.mean_payload - half..=self.mean_payload + half)
-        };
-        let payload = self.payloads.generate(len);
-        self.generated += 1;
-        PacketBuilder::new(ft.src_ip, ft.dst_ip, ft.protocol, ft.src_port, ft.dst_port)
-            .payload(payload)
-            .build()
+        self.0.next_packet()
     }
 
-    /// Total packets generated so far.
+    /// Flows drawn so far (equals packets when the stream is consumed
+    /// through [`IctfLikeTrace::next_packet`]).
     pub fn generated(&self) -> u64 {
-        self.generated
+        self.0.generated()
     }
 
     /// The underlying flow pool.
     pub fn flow_table(&self) -> &FlowTable {
-        &self.flows
+        self.0.flow_table()
     }
 }
 

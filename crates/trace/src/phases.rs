@@ -25,10 +25,9 @@
 //!   old flows die and new ones take their place (new tags, new NF
 //!   state) without perturbing popularity.
 //!
-//! With every knob off, [`PhasedTrace`] is bit-identical to
-//! [`IctfLikeTrace`](crate::IctfLikeTrace) at the same config — the
-//! paper's snapshot workload is the degenerate phase schedule, which is
-//! what keeps the existing goldens valid.
+//! With every knob off, [`PhasedTrace`] is the paper's snapshot workload
+//! — [`IctfLikeTrace`](crate::IctfLikeTrace) is exactly that degenerate
+//! phase schedule, which is what keeps the existing goldens valid.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -225,10 +224,7 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl PhasedTrace {
-    /// Build the flow pool and samplers. With a
-    /// [`PhaseSchedule::stationary`] schedule this constructs the exact
-    /// generator [`IctfLikeTrace`](crate::IctfLikeTrace) would (same
-    /// seed derivations), so the two streams are bit-identical.
+    /// Build the flow pool and samplers.
     pub fn new(config: PhasedConfig) -> PhasedTrace {
         let base = config.base;
         let flows = FlowTable::generate(&FlowTableConfig {
@@ -306,8 +302,9 @@ impl PhasedTrace {
         self.flows.get(self.phased_rank(rank, t))
     }
 
-    /// Build the next packet in the stream.
-    pub fn next_packet(&mut self) -> Packet {
+    /// One packet's draws from the flow RNG: the flow, then the payload
+    /// length jittered ±50% around the mean.
+    fn draw(&mut self) -> (PacketBuilder, usize) {
         let ft = self.next_flow();
         let len = if self.mean_payload == 0 {
             0
@@ -316,10 +313,26 @@ impl PhasedTrace {
             self.rng
                 .random_range(self.mean_payload - half..=self.mean_payload + half)
         };
-        let payload = self.payloads.generate(len);
-        PacketBuilder::new(ft.src_ip, ft.dst_ip, ft.protocol, ft.src_port, ft.dst_port)
-            .payload(payload)
-            .build()
+        let builder =
+            PacketBuilder::new(ft.src_ip, ft.dst_ip, ft.protocol, ft.src_port, ft.dst_port);
+        (builder, len)
+    }
+
+    /// Build the next packet in the stream.
+    pub fn next_packet(&mut self) -> Packet {
+        let (builder, len) = self.draw();
+        builder.payload(self.payloads.generate(len)).build()
+    }
+
+    /// Build only the headers of the next packet: the frame
+    /// [`PhasedTrace::next_packet`] would return, cut after the L4
+    /// header (see [`PacketBuilder::build_headers`]). The flow RNG makes
+    /// exactly `next_packet`'s draws, so the stream of five-tuples and
+    /// lengths is the same whichever of the two pulls it; the payload
+    /// generator, which has its own RNG, is not advanced.
+    pub fn next_headers(&mut self) -> Packet {
+        let (builder, len) = self.draw();
+        builder.build_headers(len)
     }
 
     /// Phase-clock ticks so far (flow draws; equals packets when the
@@ -337,7 +350,6 @@ impl PhasedTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::IctfLikeTrace;
     use std::collections::HashSet;
 
     fn base(flows: usize, seed: u64) -> IctfConfig {
@@ -356,13 +368,58 @@ mod tests {
         })
     }
 
+    /// The generator `IctfLikeTrace` was before it became the stationary
+    /// `PhasedTrace`, kept as the oracle: a Zipf rank straight into the
+    /// flow table, a jittered length, a payload from the second RNG.
     #[test]
-    fn stationary_schedule_is_bit_identical_to_ictf() {
-        let mut plain = IctfLikeTrace::new(base(500, 0x77));
+    fn stationary_schedule_is_the_plain_zipf_snapshot() {
+        let cfg = base(500, 0x77);
+        let flows = FlowTable::generate(&FlowTableConfig {
+            flows: cfg.flows,
+            tcp_fraction: 0.9,
+            seed: cfg.seed ^ 0xf10f,
+        });
+        let zipf = ZipfSampler::new(cfg.flows, cfg.theta);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
+        let mut payloads = PayloadGen::new(cfg.seed ^ 0xbeef, Vec::new(), cfg.signature_rate);
         let mut ph = phased(500, 0x77, PhaseSchedule::stationary());
         assert!(ph.schedule().is_stationary());
         for _ in 0..500 {
-            assert_eq!(plain.next_packet(), ph.next_packet());
+            let ft = flows.get(zipf.sample(&mut rng));
+            let len = rng.random_range(32..=96);
+            let want =
+                PacketBuilder::new(ft.src_ip, ft.dst_ip, ft.protocol, ft.src_port, ft.dst_port)
+                    .payload(payloads.generate(len))
+                    .build();
+            assert_eq!(ph.next_packet(), want);
+        }
+    }
+
+    /// One config, two generators: whichever of `next_packet` /
+    /// `next_headers` pulls it, the stream has the same flows and
+    /// lengths — frame *i* of one is the header prefix of frame *i* of
+    /// the other.
+    #[test]
+    fn headers_stream_is_the_prefix_of_the_packet_stream() {
+        for sched in [PhaseSchedule::stationary(), PhaseSchedule::realistic(2_000)] {
+            let mut full = phased(300, 0x5a, sched.clone());
+            let mut headers = phased(300, 0x5a, sched);
+            let mut udp = 0;
+            for i in 0..2_000 {
+                let (f, h) = (full.next_packet(), headers.next_headers());
+                assert!(h.len() <= PacketBuilder::MAX_HEADERS && h.len() < f.len());
+                assert_eq!(h.data[..], f.data[..h.len()], "frame {i}");
+                assert_eq!(h.ipv4().unwrap(), f.ipv4().unwrap());
+                assert_eq!(
+                    FiveTuple::from_packet(&h).unwrap(),
+                    FiveTuple::from_packet(&f).unwrap()
+                );
+                assert!(h.ipv4_checksum_ok());
+                assert_eq!(h.payload(), b"");
+                udp += usize::from(h.udp().is_ok());
+            }
+            assert!(udp > 0 && udp < 2_000, "both L4 protocols drawn: {udp}");
+            assert_eq!(full.generated(), headers.generated());
         }
     }
 

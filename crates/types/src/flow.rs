@@ -6,7 +6,7 @@
 //! by every network function in the evaluation.
 
 use crate::error::SnicError;
-use crate::packet::Packet;
+use crate::packet::{Packet, TcpHeader, UdpHeader};
 
 /// Layer-4 protocol carried in an IPv4 header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -70,13 +70,14 @@ impl FiveTuple {
     /// protocols without ports the port fields are zero.
     pub fn from_packet(pkt: &Packet) -> Result<FiveTuple, SnicError> {
         let ip = pkt.ipv4()?;
+        let l4 = &pkt.data[pkt.l4_offset()..];
         let (src_port, dst_port) = match ip.protocol {
             Protocol::Tcp => {
-                let t = pkt.tcp()?;
+                let t = TcpHeader::parse(l4)?;
                 (t.src_port, t.dst_port)
             }
             Protocol::Udp => {
-                let u = pkt.udp()?;
+                let u = UdpHeader::parse(l4)?;
                 (u.src_port, u.dst_port)
             }
             Protocol::Other(_) => (0, 0),

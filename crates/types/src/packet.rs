@@ -74,11 +74,18 @@ impl EthernetHeader {
         })
     }
 
+    /// The wire form.
+    pub fn to_bytes(&self) -> [u8; Self::LEN] {
+        let mut b = [0u8; Self::LEN];
+        b[0..6].copy_from_slice(&self.dst.0);
+        b[6..12].copy_from_slice(&self.src.0);
+        b[12..14].copy_from_slice(&self.ethertype.to_be_bytes());
+        b
+    }
+
     /// Append the wire form to `out`.
     pub fn write(&self, out: &mut BytesMut) {
-        out.put_slice(&self.dst.0);
-        out.put_slice(&self.src.0);
-        out.put_u16(self.ethertype);
+        out.put_slice(&self.to_bytes());
     }
 }
 
@@ -128,28 +135,34 @@ impl Ipv4Header {
     /// Compute the RFC 791 header checksum over the 20-byte header with the
     /// checksum field zeroed.
     pub fn compute_checksum(&self) -> u16 {
-        let mut tmp = BytesMut::with_capacity(Self::LEN);
-        self.write_with_checksum(&mut tmp, 0);
-        checksum16(&tmp)
+        checksum16(&self.wire())
+    }
+
+    /// The wire form, with the checksum recomputed.
+    pub fn to_bytes(&self) -> [u8; Self::LEN] {
+        let mut b = self.wire();
+        let csum = checksum16(&b);
+        b[10..12].copy_from_slice(&csum.to_be_bytes());
+        b
     }
 
     /// Append the wire form to `out`, recomputing the checksum.
     pub fn write(&self, out: &mut BytesMut) {
-        let csum = self.compute_checksum();
-        self.write_with_checksum(out, csum);
+        out.put_slice(&self.to_bytes());
     }
 
-    fn write_with_checksum(&self, out: &mut BytesMut, csum: u16) {
-        out.put_u8(0x45);
-        out.put_u8(0); // DSCP/ECN.
-        out.put_u16(self.total_len);
-        out.put_u16(0); // Identification.
-        out.put_u16(0); // Flags/fragment offset.
-        out.put_u8(self.ttl);
-        out.put_u8(self.protocol.to_wire());
-        out.put_u16(csum);
-        out.put_u32(self.src);
-        out.put_u32(self.dst);
+    /// The wire form with the checksum field zero. DSCP/ECN,
+    /// identification and flags/fragment offset are not modeled and stay
+    /// zero too.
+    fn wire(&self) -> [u8; Self::LEN] {
+        let mut b = [0u8; Self::LEN];
+        b[0] = 0x45;
+        b[2..4].copy_from_slice(&self.total_len.to_be_bytes());
+        b[8] = self.ttl;
+        b[9] = self.protocol.to_wire();
+        b[12..16].copy_from_slice(&self.src.to_be_bytes());
+        b[16..20].copy_from_slice(&self.dst.to_be_bytes());
+        b
     }
 
     /// True if the on-wire checksum matches the *modeled* header fields.
@@ -219,18 +232,23 @@ impl TcpHeader {
         })
     }
 
-    /// Append a 20-byte wire form to `out` (checksum left zero; the NIC
-    /// checksum accelerator fills it in the real device).
+    /// The 20-byte wire form (checksum left zero; the NIC checksum
+    /// accelerator fills it in the real device).
+    pub fn to_bytes(&self) -> [u8; Self::MIN_LEN] {
+        let mut b = [0u8; Self::MIN_LEN];
+        b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        b[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        b[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        b[12] = 5 << 4;
+        b[13] = self.flags;
+        b[14..16].copy_from_slice(&0xffffu16.to_be_bytes()); // Window.
+        b
+    }
+
+    /// Append the 20-byte wire form to `out`.
     pub fn write(&self, out: &mut BytesMut) {
-        out.put_u16(self.src_port);
-        out.put_u16(self.dst_port);
-        out.put_u32(self.seq);
-        out.put_u32(self.ack);
-        out.put_u8(5 << 4);
-        out.put_u8(self.flags);
-        out.put_u16(0xffff); // Window.
-        out.put_u16(0); // Checksum (offloaded).
-        out.put_u16(0); // Urgent pointer.
+        out.put_slice(&self.to_bytes());
     }
 }
 
@@ -261,12 +279,18 @@ impl UdpHeader {
         })
     }
 
-    /// Append the wire form to `out` (checksum zero = disabled, legal for IPv4).
+    /// The wire form (checksum zero = disabled, legal for IPv4).
+    pub fn to_bytes(&self) -> [u8; Self::LEN] {
+        let mut b = [0u8; Self::LEN];
+        b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        b[4..6].copy_from_slice(&self.len.to_be_bytes());
+        b
+    }
+
+    /// Append the wire form to `out`.
     pub fn write(&self, out: &mut BytesMut) {
-        out.put_u16(self.src_port);
-        out.put_u16(self.dst_port);
-        out.put_u16(self.len);
-        out.put_u16(0);
+        out.put_slice(&self.to_bytes());
     }
 }
 
@@ -417,6 +441,9 @@ pub struct PacketBuilder {
 }
 
 impl PacketBuilder {
+    /// The longest header stack the builder writes (Ethernet + IPv4 + TCP).
+    pub const MAX_HEADERS: usize = EthernetHeader::LEN + Ipv4Header::LEN + TcpHeader::MIN_LEN;
+
     /// Start building a packet with the given five-tuple fields.
     pub fn new(src_ip: u32, dst_ip: u32, protocol: Protocol, src_port: u16, dst_port: u16) -> Self {
         PacketBuilder {
@@ -454,55 +481,78 @@ impl PacketBuilder {
         self
     }
 
-    /// Serialize into a [`Packet`].
-    pub fn build(self) -> Packet {
-        let l4_len = match self.protocol {
+    /// The Ethernet, IPv4 and L4 headers of a frame carrying
+    /// `payload_len` payload bytes, and how much of the buffer they fill.
+    fn headers(&self, payload_len: usize) -> ([u8; Self::MAX_HEADERS], usize) {
+        const IP: usize = EthernetHeader::LEN;
+        const L4: usize = IP + Ipv4Header::LEN;
+        let l4 = match self.protocol {
             Protocol::Tcp => TcpHeader::MIN_LEN,
             Protocol::Udp => UdpHeader::LEN,
             Protocol::Other(_) => 0,
         };
-        let total_len = (Ipv4Header::LEN + l4_len + self.payload.len()) as u16;
-        let mut out = BytesMut::with_capacity(EthernetHeader::LEN + usize::from(total_len));
-        self.eth.write(&mut out);
+        let mut buf = [0u8; Self::MAX_HEADERS];
+        buf[..IP].copy_from_slice(&self.eth.to_bytes());
         let ip = Ipv4Header {
             src: self.src_ip,
             dst: self.dst_ip,
             protocol: self.protocol,
-            total_len,
+            total_len: (Ipv4Header::LEN + l4 + payload_len) as u16,
             ttl: self.ttl,
             checksum: 0,
         };
-        ip.write(&mut out);
+        buf[IP..L4].copy_from_slice(&ip.to_bytes());
         match self.protocol {
             Protocol::Tcp => {
-                TcpHeader {
+                let tcp = TcpHeader {
                     src_port: self.src_port,
                     dst_port: self.dst_port,
                     seq: 0,
                     ack: 0,
                     header_len: 20,
                     flags: 0x10,
-                }
-                .write(&mut out);
+                };
+                buf[L4..].copy_from_slice(&tcp.to_bytes());
             }
             Protocol::Udp => {
-                UdpHeader {
+                let udp = UdpHeader {
                     src_port: self.src_port,
                     dst_port: self.dst_port,
-                    len: (UdpHeader::LEN + self.payload.len()) as u16,
-                }
-                .write(&mut out);
+                    len: (UdpHeader::LEN + payload_len) as u16,
+                };
+                buf[L4..L4 + l4].copy_from_slice(&udp.to_bytes());
             }
             Protocol::Other(_) => {}
         }
+        (buf, L4 + l4)
+    }
+
+    /// Serialize into a [`Packet`].
+    pub fn build(self) -> Packet {
+        let (headers, len) = self.headers(self.payload.len());
+        let mut out = BytesMut::with_capacity(len + self.payload.len());
+        out.put_slice(&headers[..len]);
         out.put_slice(&self.payload);
         Packet::from_bytes(out.freeze())
+    }
+
+    /// Serialize only the headers of a frame whose payload is
+    /// `payload_len` bytes long — what a snaplen-truncated capture (a
+    /// CAIDA trace) holds. The frame ends after the L4 header while
+    /// IPv4 `total_len` and UDP `len` still state the uncaptured
+    /// payload, so it is a byte-for-byte prefix of the frame
+    /// [`PacketBuilder::build`] would produce with that payload. Bytes
+    /// given to [`PacketBuilder::payload`] are not consulted.
+    pub fn build_headers(self, payload_len: usize) -> Packet {
+        let (headers, len) = self.headers(payload_len);
+        Packet::from_bytes(Bytes::copy_from_slice(&headers[..len]))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::FiveTuple;
 
     fn sample() -> Packet {
         PacketBuilder::new(0x0a000001, 0x0a000002, Protocol::Tcp, 1234, 80)
@@ -547,6 +597,28 @@ mod tests {
         assert_eq!(udp.src_port, 53);
         assert_eq!(udp.len, 8 + 32);
         assert_eq!(p.payload().len(), 32);
+    }
+
+    #[test]
+    fn headers_only_frame_is_a_prefix_of_the_full_frame() {
+        for (protocol, len) in [
+            (Protocol::Tcp, 54),
+            (Protocol::Udp, 42),
+            (Protocol::Other(47), 34),
+        ] {
+            let builder = PacketBuilder::new(0x0a000001, 0x0a000002, protocol, 1234, 80).ttl(9);
+            let full = builder.clone().payload(vec![0x5a; 300]).build();
+            let headers = builder.build_headers(300);
+            assert_eq!(headers.len(), len, "{protocol:?}");
+            assert_eq!(headers.data[..], full.data[..len], "{protocol:?}");
+            assert!(headers.ipv4_checksum_ok());
+            assert_eq!(headers.ipv4().unwrap(), full.ipv4().unwrap());
+            assert_eq!(
+                FiveTuple::from_packet(&headers).unwrap(),
+                FiveTuple::from_packet(&full).unwrap()
+            );
+            assert!(headers.payload().is_empty());
+        }
     }
 
     #[test]

@@ -19,19 +19,32 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --all-targets -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> tier-1: cargo build --release && cargo test -q (budget ${budget}s per test binary)"
-cargo build --release
+# `cargo test -q "$@"` under the per-binary budget: `cargo test -q` ends
+# each binary's summary with "... finished in X.XXs".
 test_log="$(mktemp)"
 trap 'rm -f "$test_log"' EXIT
-cargo test -q 2>&1 | tee "$test_log"
+budgeted_test() {
+    cargo test -q "$@" 2>&1 | tee "$test_log"
+    local slow
+    slow="$(awk -v budget="$budget" '/finished in [0-9.]+s$/ { if ($NF + 0 > budget) print }' "$test_log")"
+    if [ -n "$slow" ]; then
+        echo "FAIL: test runtime budget of ${budget}s exceeded:" >&2
+        echo "$slow" >&2
+        exit 1
+    fi
+}
 
-# `cargo test -q` ends each binary's summary with "... finished in X.XXs".
-slow="$(awk -v budget="$budget" '/finished in [0-9.]+s$/ { if ($NF + 0 > budget) print }' "$test_log")"
-if [ -n "$slow" ]; then
-    echo "FAIL: test runtime budget of ${budget}s exceeded:" >&2
-    echo "$slow" >&2
-    exit 1
-fi
+echo "==> tier-1: cargo build --release && cargo test -q (budget ${budget}s per test binary)"
+cargo build --release
+budgeted_test
+
+# The layers regeneration runs through. Tier-1 tests only the root
+# package, so the unit and property tests of the packet, trace and NF
+# crates (headers-only frames are prefixes of full frames, no
+# header-only NF reads a payload, the bulk DIR-24-8 build equals ordered
+# inserts) run here.
+echo "==> regeneration layers: snic-types, snic-trace, snic-nf"
+budgeted_test -p snic-nf -p snic-trace -p snic-types
 
 # Fault-matrix smoke gate: the blast-radius differential must be
 # deterministic regardless of executor parallelism.
@@ -90,6 +103,13 @@ echo "==> engine differentials + shard determinism"
 cargo test -q -p snic-uarch --test cache_differential
 cargo test -q -p snic-uarch --test engine_differential
 cargo test -q -p snic-bench --test shard_determinism
+
+# Streaming identity: a streamed tenant pipeline must equal its
+# materialized recording event for event, and serial, parallel and
+# sharded runs of one job spec must agree — the oracles any change to
+# regeneration (what a tenant is fed, how tenants are built) leans on.
+echo "==> streaming differential + parallel determinism"
+budgeted_test -p snic-bench --test streaming_differential --test parallel_determinism
 
 # Telemetry overhead gate: recording the fig5 smoke sweep must stay
 # within 10 percent wall clock of the sink-off run, with bit-identical
