@@ -1,4 +1,4 @@
-//! Hardware-thread clusters and the two service disciplines.
+//! Hardware-thread clusters: allocation, release and fault poisoning.
 //!
 //! §4.3: "S-NIC statically assigns each thread to a cluster, and places a
 //! TLB bank in front of each cluster. ... the hardware marks the clusters
@@ -6,20 +6,14 @@
 //! hardware threads can only access the physical memory that belongs to
 //! the new function."
 //!
-//! [`SharedAccelerator`] models the commodity discipline: one thread pool
-//! serves every tenant first-come-first-served, so a tenant's request
-//! latency reveals co-tenant activity (the Agilio §3.2 observation).
-//! [`VirtualAccelerator`] models the S-NIC discipline: a tenant's
-//! clusters serve only that tenant, behind a locked TLB bank, and its
-//! latency is a pure function of its own submissions.
+//! [`ClusterPool`] is that allocation state for one accelerator family:
+//! which clusters are bound to which function, and which a hardware
+//! fault has poisoned.
 
 use std::sync::Arc;
 
-use snic_mem::tlb::Tlb;
 use snic_telemetry::{metrics, NullSink, TelemetrySink};
-use snic_types::{AccelClusterId, AccelKind, IsolationError, NfId, Picos, SnicError};
-
-use crate::engine::{AccelEngine, AccelRequest, AccelResponse};
+use snic_types::{AccelClusterId, AccelKind, NfId, SnicError};
 
 /// Tracks cluster allocation for one accelerator family.
 ///
@@ -88,19 +82,6 @@ impl ClusterPool {
                 self.sink.counter_add(0, metrics::ACCEL_FAULTS, 1);
             }
         }
-    }
-
-    /// Whether cluster `index` is faulted.
-    pub fn is_faulted(&self, index: u16) -> bool {
-        self.faulted
-            .get(usize::from(index))
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// Number of faulted clusters.
-    pub fn faulted_count(&self) -> usize {
-        self.faulted.iter().filter(|&&f| f).count()
     }
 
     /// Clear every fault flag (power-cycle repair).
@@ -174,169 +155,9 @@ impl ClusterPool {
     }
 }
 
-/// Convert engine cycles to picoseconds at the accelerator clock.
-fn cycles_to_picos(cycles: u64, hz: u64) -> Picos {
-    Picos((cycles as u128 * 1_000_000_000_000u128 / hz as u128) as u64)
-}
-
-/// Thread-pool scheduling state: earliest-free-thread assignment.
-#[derive(Debug, Clone)]
-struct ThreadPool {
-    free_at: Vec<Picos>,
-    hz: u64,
-}
-
-impl ThreadPool {
-    fn new(threads: u32, hz: u64) -> ThreadPool {
-        assert!(threads > 0, "thread pool needs threads");
-        ThreadPool {
-            free_at: vec![Picos::ZERO; threads as usize],
-            hz,
-        }
-    }
-
-    /// Schedule a request arriving at `now` costing `cycles`; returns the
-    /// completion time.
-    fn schedule(&mut self, now: Picos, cycles: u64) -> Picos {
-        let idx = self
-            .free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &t)| t)
-            .map(|(i, _)| i)
-            .expect("non-empty pool");
-        let start = now.max(self.free_at[idx]);
-        let done = start + cycles_to_picos(cycles, self.hz);
-        self.free_at[idx] = done;
-        done
-    }
-}
-
-/// The commodity discipline: one pool, every tenant, FCFS.
-pub struct SharedAccelerator {
-    engine: Box<dyn AccelEngine>,
-    pool: ThreadPool,
-}
-
-impl SharedAccelerator {
-    /// Wrap `engine` behind `threads` shared hardware threads.
-    pub fn new(engine: Box<dyn AccelEngine>, threads: u32, hz: u64) -> SharedAccelerator {
-        SharedAccelerator {
-            engine,
-            pool: ThreadPool::new(threads, hz),
-        }
-    }
-
-    /// Submit a request at time `now` on behalf of any tenant; returns the
-    /// response and its completion time. No isolation: every tenant's
-    /// request lands in the same pool.
-    pub fn submit(
-        &mut self,
-        _tenant: NfId,
-        now: Picos,
-        req: &AccelRequest,
-    ) -> (AccelResponse, Picos) {
-        let resp = self.engine.execute(req);
-        let done = self.pool.schedule(now, resp.cycles);
-        (resp, done)
-    }
-}
-
-/// The S-NIC discipline: a tenant-private cluster group behind a TLB bank.
-pub struct VirtualAccelerator {
-    owner: NfId,
-    clusters: Vec<AccelClusterId>,
-    engine: Box<dyn AccelEngine>,
-    pool: ThreadPool,
-    tlb_bank: Tlb,
-}
-
-impl VirtualAccelerator {
-    /// Bind `engine` to `owner` with the given clusters and locked TLB
-    /// bank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the TLB bank is not locked — `nf_launch` must lock it
-    /// before the accelerator goes live (§4.3).
-    pub fn new(
-        owner: NfId,
-        clusters: Vec<AccelClusterId>,
-        engine: Box<dyn AccelEngine>,
-        threads: u32,
-        hz: u64,
-        tlb_bank: Tlb,
-    ) -> VirtualAccelerator {
-        assert!(
-            tlb_bank.is_locked(),
-            "cluster TLB bank must be locked before use"
-        );
-        VirtualAccelerator {
-            owner,
-            clusters,
-            engine,
-            pool: ThreadPool::new(threads, hz),
-            tlb_bank,
-        }
-    }
-
-    /// The owning NF.
-    pub fn owner(&self) -> NfId {
-        self.owner
-    }
-
-    /// Bound clusters.
-    pub fn clusters(&self) -> &[AccelClusterId] {
-        &self.clusters
-    }
-
-    /// Validate a DMA target against the cluster's TLB bank. A miss is
-    /// fatal for the cluster (§4.3: "S-NIC treats any cluster TLB misses
-    /// as fatal errors").
-    pub fn validate_access(&self, va: u64, len: u64, write: bool) -> Result<u64, SnicError> {
-        let start = self.tlb_bank.translate(va, write)?;
-        if len > 1 {
-            // The whole range must translate contiguously.
-            let end = self.tlb_bank.translate(va + len - 1, write).map_err(|_| {
-                IsolationError::AccelFault {
-                    cluster: self.clusters[0],
-                    addr: va + len - 1,
-                }
-            })?;
-            if end - start != len - 1 {
-                return Err(IsolationError::AccelFault {
-                    cluster: self.clusters[0],
-                    addr: va,
-                }
-                .into());
-            }
-        }
-        Ok(start)
-    }
-
-    /// Submit a request; completion depends only on this tenant's own
-    /// prior submissions — the isolation property under test.
-    pub fn submit(&mut self, now: Picos, req: &AccelRequest) -> (AccelResponse, Picos) {
-        let resp = self.engine.execute(req);
-        let done = self.pool.schedule(now, resp.cycles);
-        (resp, done)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::raid::RaidAccel;
-    use snic_mem::pagetable::PageMapping;
-    use snic_types::CoreId;
-
-    fn raid_req(len: usize) -> AccelRequest {
-        let block = vec![0xabu8; len];
-        AccelRequest {
-            data: RaidAccel::frame(&[&block, &block]),
-            opcode: crate::raid::OP_PARITY,
-        }
-    }
 
     #[test]
     fn pool_allocates_and_releases() {
@@ -357,112 +178,5 @@ mod tests {
         // Requesting 2 with only 1 free must fail without taking the 1.
         assert!(p.allocate(NfId(2), 2).is_err());
         assert_eq!(p.available(), 1);
-    }
-
-    #[test]
-    fn shared_latency_leaks_cotenant_activity() {
-        let mk = || SharedAccelerator::new(Box::new(RaidAccel::new()), 2, 1_000_000_000);
-        // Victim alone.
-        let mut quiet = mk();
-        let (_, t_alone) = quiet.submit(NfId(1), Picos(0), &raid_req(4096));
-        // Victim after an attacker flood.
-        let mut noisy = mk();
-        for _ in 0..8 {
-            let _ = noisy.submit(NfId(2), Picos(0), &raid_req(65_536));
-        }
-        let (_, t_contended) = noisy.submit(NfId(1), Picos(0), &raid_req(4096));
-        assert!(
-            t_contended > t_alone,
-            "shared accel must exhibit contention"
-        );
-    }
-
-    fn locked_bank(core: u16) -> Tlb {
-        let mut t = Tlb::new(CoreId(core), 4);
-        t.install(PageMapping {
-            va: 0,
-            pa: 0x4000_0000,
-            page_size: 2 << 20,
-            writable: true,
-        })
-        .unwrap();
-        t.lock();
-        t
-    }
-
-    #[test]
-    fn virtual_latency_independent_of_other_tenants() {
-        let mk = |owner: u64| {
-            VirtualAccelerator::new(
-                NfId(owner),
-                vec![AccelClusterId {
-                    kind: AccelKind::Raid,
-                    index: owner as u16,
-                }],
-                Box::new(RaidAccel::new()),
-                2,
-                1_000_000_000,
-                locked_bank(owner as u16),
-            )
-        };
-        let mut victim_a = mk(1);
-        let (_, t_alone) = victim_a.submit(Picos(0), &raid_req(4096));
-
-        // A different tenant's virtual accel floods — distinct hardware,
-        // distinct pool, no effect on the victim.
-        let mut attacker = mk(2);
-        for _ in 0..16 {
-            let _ = attacker.submit(Picos(0), &raid_req(65_536));
-        }
-        let mut victim_b = mk(1);
-        let (_, t_after) = victim_b.submit(Picos(0), &raid_req(4096));
-        assert_eq!(t_alone, t_after);
-    }
-
-    #[test]
-    fn virtual_validates_dma_against_tlb_bank() {
-        let v = VirtualAccelerator::new(
-            NfId(1),
-            vec![AccelClusterId {
-                kind: AccelKind::Dpi,
-                index: 0,
-            }],
-            Box::new(RaidAccel::new()),
-            4,
-            1_000_000_000,
-            locked_bank(0),
-        );
-        // Inside the 2 MB window: fine.
-        assert_eq!(v.validate_access(0x100, 64, false).unwrap(), 0x4000_0100);
-        // Outside: fatal fault.
-        assert!(v.validate_access(4 << 20, 64, false).is_err());
-        // Straddling the end: fault.
-        assert!(v.validate_access((2 << 20) - 32, 64, false).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "must be locked")]
-    fn unlocked_bank_rejected() {
-        let t = Tlb::new(CoreId(0), 4);
-        let _ = VirtualAccelerator::new(
-            NfId(1),
-            vec![],
-            Box::new(RaidAccel::new()),
-            1,
-            1_000_000_000,
-            t,
-        );
-    }
-
-    #[test]
-    fn thread_pool_parallelism() {
-        // Two threads: two equal requests at t=0 finish together; a third
-        // queues behind them.
-        let mut pool = ThreadPool::new(2, 1_000_000_000);
-        let a = pool.schedule(Picos(0), 1000);
-        let b = pool.schedule(Picos(0), 1000);
-        let c = pool.schedule(Picos(0), 1000);
-        assert_eq!(a, b);
-        assert_eq!(c.0, 2 * a.0);
     }
 }

@@ -13,10 +13,7 @@
 //! frames cannot benefit from more threads (Figure 8's flat 64 B curve).
 
 use snic_nf::dpi::AhoCorasick;
-use snic_nf::NullSink;
-use snic_types::{AccelKind, ByteSize};
-
-use crate::engine::{AccelEngine, AccelRequest, AccelResponse};
+use snic_types::ByteSize;
 
 /// Per-byte walk cost in thread cycles.
 const BYTE_CYCLES: u64 = 8;
@@ -32,7 +29,7 @@ pub struct DpiAccelConfig {
     pub clock_hz: u64,
     /// SRAM graph cache capacity in bytes.
     pub graph_cache: ByteSize,
-    /// Frontend dispatch capacity in packets per second.
+    /// Dispatch capacity of the frontend in packets per second.
     pub frontend_pps: u64,
 }
 
@@ -101,26 +98,6 @@ impl DpiAccel {
         let parallel = f64::from(threads) / service_s;
         parallel.min(self.config.frontend_pps as f64)
     }
-
-    /// The automaton, for functional assertions.
-    pub fn automaton(&self) -> &AhoCorasick {
-        &self.automaton
-    }
-}
-
-impl AccelEngine for DpiAccel {
-    fn kind(&self) -> AccelKind {
-        AccelKind::Dpi
-    }
-
-    fn execute(&mut self, req: &AccelRequest) -> AccelResponse {
-        let matches = self.automaton.scan(&req.data, &mut NullSink);
-        AccelResponse {
-            data: Vec::new(),
-            result: matches,
-            cycles: self.service_cycles(req.data.len()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -130,20 +107,6 @@ mod tests {
 
     fn small() -> DpiAccel {
         DpiAccel::new(&synth_patterns(500, 3), DpiAccelConfig::default())
-    }
-
-    #[test]
-    fn execute_counts_matches() {
-        let mut acc = DpiAccel::new(
-            &[b"exploit".to_vec(), b"shell".to_vec()],
-            DpiAccelConfig::default(),
-        );
-        let resp = acc.execute(&AccelRequest {
-            data: b"an exploit dropping a shell and another shell".to_vec(),
-            opcode: 0,
-        });
-        assert_eq!(resp.result, 3);
-        assert!(resp.cycles > REQUEST_CYCLES);
     }
 
     #[test]

@@ -7,40 +7,25 @@
 //! threads into *clusters*, places a TLB bank in front of each cluster,
 //! and binds clusters to network functions at `nf_launch` time.
 //!
-//! - [`engine`]: the accelerator-engine abstraction (real work + a cycle
-//!   cost model),
-//! - [`dpi`]: the DPI engine (Aho-Corasick graph walker with a graph-cache
-//!   model, Figures 3 and 8),
-//! - [`zip`]: an LZ77-family compression engine (real round-trip
-//!   compression),
-//! - [`raid`]: XOR-parity storage acceleration (RAID-5 stripe parity and
-//!   reconstruction),
-//! - [`crypto_accel`]: the security co-processor (SHA-256 / RSA offload
-//!   with the Appendix C rate model),
-//! - [`cluster`]: hardware-thread clusters, TLB banks, and the shared
-//!   (commodity) vs. virtualized (S-NIC) service disciplines,
-//! - [`frontend`]: the frontend scheduler's guaranteed per-vAccel DRAM
-//!   bandwidth (§4.3's anti-contention reservation),
+//! - [`dpi`]: the DPI engine's cost model (Aho-Corasick graph walker with
+//!   a graph-cache model, Figures 3 and 8),
+//! - [`cluster`]: hardware-thread cluster allocation, release and fault
+//!   poisoning — what `nf_launch`, `nf_teardown` and the fault paths of
+//!   the device bind and unbind,
 //! - [`profile`]: the Table 7 accelerator memory profiles and their TLB
 //!   bank sizing.
+//!
+//! Beyond the Figure 8 cost model the crate covers *allocation and
+//! fault containment*, not service time: no engine executes requests and
+//! no thread pool queues them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod crypto_accel;
 pub mod dpi;
-pub mod engine;
-pub mod frontend;
 pub mod profile;
-pub mod raid;
-pub mod zip;
 
-pub use cluster::{ClusterPool, SharedAccelerator, VirtualAccelerator};
-pub use crypto_accel::CryptoAccel;
+pub use cluster::ClusterPool;
 pub use dpi::{DpiAccel, DpiAccelConfig};
-pub use engine::{AccelEngine, AccelRequest, AccelResponse};
-pub use frontend::{Frontend, FrontendMode};
 pub use profile::{accel_profile, AccelMemoryProfile};
-pub use raid::RaidAccel;
-pub use zip::ZipAccel;

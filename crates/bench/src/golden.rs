@@ -16,7 +16,6 @@ use std::fmt::Write as _;
 
 use snic_sim::Exec;
 
-use crate::blast::{blast_matrix_with, render_matrix};
 use crate::fig5::{self, DegradationPoint};
 use crate::{fig6, fig8, Scale};
 
@@ -108,12 +107,6 @@ pub fn fig8_text(scale: &Scale) -> String {
         let _ = writeln!(out, "{line}");
     }
     out
-}
-
-/// The blast-radius matrix as a golden document (the same rendering
-/// EXPERIMENTS.md embeds).
-pub fn blast_text(scale: &Scale) -> String {
-    render_matrix(&blast_matrix_with(Exec::Parallel, scale))
 }
 
 #[cfg(test)]

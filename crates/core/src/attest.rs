@@ -18,7 +18,6 @@ use snic_crypto::bigint::BigUint;
 use snic_crypto::dh::{DhKeyPair, DhParams};
 use snic_crypto::keys::Certificate;
 use snic_crypto::rsa::{RsaPublicKey, RsaSignature};
-use snic_crypto::sha256::sha256;
 use snic_types::{NfId, SnicError};
 
 use crate::device::SmartNic;
@@ -219,13 +218,6 @@ impl Verifier {
             .expect("accept() must succeed before deriving a key")
             .session_key(function_public, &self.nonce)
     }
-}
-
-/// Convenience: hash an expected initial state the same way `nf_launch`
-/// does not — verifiers normally learn the expected measurement from the
-/// launch receipt; this helper is for tests that reconstruct it.
-pub fn measurement_of_blob(blob: &[u8]) -> [u8; 32] {
-    sha256(blob)
 }
 
 #[cfg(test)]

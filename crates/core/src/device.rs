@@ -24,8 +24,8 @@ use snic_pktio::rules::RuleTable;
 use snic_pktio::vpp::VppBufferSpec;
 use snic_telemetry::{metrics, NullSink, TelemetrySink};
 use snic_types::{
-    AccelClusterId, AccelKind, ByteSize, CoreId, NfId, NfState, Packet, Picos, SnicError,
-    TransientResource,
+    AccelClusterId, AccelKind, ByteSize, CoreId, IsolationError, NfId, NfState, Packet, Picos,
+    SnicError, TransientResource,
 };
 use snic_verify::{
     analyze_launch, verify_denylist_coverage, verify_manifests, verify_tlb_state, BusSpec,
@@ -166,7 +166,9 @@ pub struct SmartNic {
     now: Picos,
     ek: EndorsementKey,
     ak: AttestationKey,
-    tx_wire: VecDeque<Packet>,
+    /// Transmitted packets not yet drained, each tagged with its sender:
+    /// a function's entries are the descriptors its ODB holds (§4.4).
+    tx_wire: VecDeque<(NfId, Packet)>,
     /// Host RAM model, target of the multi-bank DMA controller (§4.2).
     host_mem: PhysMem,
     dma_banks: HashMap<CoreId, DmaBank>,
@@ -1265,21 +1267,40 @@ impl SmartNic {
     }
 
     /// The NF hands a packet to the output module.
+    ///
+    /// The function's output descriptor buffer is fixed at launch: one
+    /// 32-byte descriptor per undrained packet, the PDB's rule on the way
+    /// out. A full ODB refuses the packet with
+    /// [`SnicError::PortBufferExhausted`] — nothing is queued or counted —
+    /// and the function retries once [`SmartNic::wire_pop`] has drained
+    /// a slot, so a function that transmits while nothing drains cannot
+    /// grow the device.
     pub fn tx_packet(&mut self, nf: NfId, pkt: Packet) -> Result<(), SnicError> {
         self.fail_if_crashed()?;
         self.datapath_gate(nf)?;
         let record = self.launched.get_mut(&nf).ok_or(SnicError::NoSuchNf(nf))?;
+        // The wire is the ODB: the sender's entries are its descriptors,
+        // so there is no second count to keep in step across teardown.
+        let undrained = self
+            .tx_wire
+            .iter()
+            .filter(|(owner, _)| *owner == nf)
+            .count() as u64;
+        if (undrained + 1) * 32 > record.vpp.odb.bytes() {
+            return Err(SnicError::PortBufferExhausted);
+        }
         record.tx_sent += 1;
         if self.telemetry.enabled() {
             self.telemetry.counter_add(nf.0, metrics::TX_SENT, 1);
         }
-        self.tx_wire.push_back(pkt);
+        self.tx_wire.push_back((nf, pkt));
         Ok(())
     }
 
-    /// Drain one packet from the wire side.
+    /// Drain one packet from the wire side, freeing its sender's ODB
+    /// slot.
     pub fn wire_pop(&mut self) -> Option<Packet> {
-        self.tx_wire.pop_front()
+        self.tx_wire.pop_front().map(|(_, pkt)| pkt)
     }
 
     // ------------------------------------------------------------------
@@ -1401,12 +1422,13 @@ impl SmartNic {
     }
 
     /// Submit one accelerator request on behalf of `nf` — the §4.3
-    /// fault-domain model. Returns the (nominal, deterministic) service
-    /// latency. An injected [`FaultKind::AccelClusterFault`] is
-    /// cluster-fatal: under S-NIC the owner's clusters are poisoned
-    /// (withheld from reallocation until a power cycle) and the owner
-    /// faults; on a commodity NIC the *shared* engine wedges and the
-    /// whole device hard-crashes.
+    /// fault-domain model. This models allocation and fault containment,
+    /// not service time: no engine runs and nothing queues, so the
+    /// returned latency is nominal and deterministic. An injected
+    /// [`FaultKind::AccelClusterFault`] is cluster-fatal: under S-NIC the
+    /// owner's clusters are poisoned (withheld from reallocation until a
+    /// power cycle) and the owner faults; on a commodity NIC the *shared*
+    /// engine wedges and the whole device hard-crashes.
     pub fn accel_submit(&mut self, nf: NfId) -> Result<Picos, SnicError> {
         self.fail_if_crashed()?;
         let record = self.launched.get(&nf).ok_or(SnicError::NoSuchNf(nf))?;
@@ -1456,30 +1478,36 @@ impl SmartNic {
         if !self.launched.contains_key(&nf) {
             return Err(SnicError::NoSuchNf(nf));
         }
-        *self.bus_ops.entry(nf).or_default() += ops;
+        let total = self.bus_ops.entry(nf).or_default();
+        *total = total.saturating_add(ops);
+        let total = *total;
         if self.telemetry.enabled() {
             self.telemetry
                 .counter_add(nf.0, metrics::BUS_FLOOD_OPS, ops);
         }
-        match self.config.mode {
+        // Bus cycles each op costs the issuer.
+        let stretch = match self.config.mode {
             NicMode::Commodity => {
-                if self.bus_ops[&nf] > self.config.bus_crash_threshold {
+                if total > self.config.bus_crash_threshold {
                     self.crashed = true;
                     return Err(SnicError::NicCrashed);
                 }
                 // Unarbitrated: each op takes one bus cycle.
-                Ok(Picos(ops * 1_000_000 / (self.config.clock_hz / 1_000_000)))
+                1
             }
-            NicMode::Snic => {
-                // Temporal partitioning: the NF only owns 1/N of bus
-                // time, so the flood stretches by the domain count but
-                // can never saturate the shared bus.
-                let domains = self.launched.len().max(1) as u64;
-                Ok(Picos(
-                    ops * domains * 1_000_000 / (self.config.clock_hz / 1_000_000),
-                ))
-            }
-        }
+            // Temporal partitioning: the NF only owns 1/N of bus time,
+            // so the flood stretches by the domain count but can never
+            // saturate the shared bus.
+            NicMode::Snic => self.launched.len().max(1) as u64,
+        };
+        // `ops` is the tenant's number: a flood too long for the
+        // picosecond clock is refused, not wrapped.
+        ops.checked_mul(stretch)
+            .and_then(|cycles| cycles.checked_mul(1_000_000))
+            .map(|ps| Picos(ps / (self.config.clock_hz / 1_000_000)))
+            .ok_or_else(|| {
+                SnicError::InvalidConfig("bus flood outlasts the simulated clock".into())
+            })
     }
 
     /// Clusters bound to `nf` for `kind`.
@@ -1512,6 +1540,34 @@ impl SmartNic {
             .ok_or_else(|| SnicError::InvalidConfig("no DMA bank configured".into()))
     }
 
+    /// Admit one DMA transfer: the function must be operational,
+    /// `nic_off` — the tenant's number — must stay inside the address
+    /// space, and `core`'s bank must sanction both ends. Returns the
+    /// NIC-side physical address.
+    fn dma_admit(
+        &mut self,
+        nf: NfId,
+        core: CoreId,
+        direction: DmaDirection,
+        nic_off: u64,
+        host_addr: u64,
+        len: u64,
+    ) -> Result<u64, SnicError> {
+        self.fail_if_crashed()?;
+        let record = self.launched.get(&nf).ok_or(SnicError::NoSuchNf(nf))?;
+        if !record.state.is_operational() {
+            return Err(SnicError::NfFaulted(nf));
+        }
+        let (base, _) = record.region;
+        let nic_addr = base
+            .checked_add(nic_off)
+            .ok_or(IsolationError::DmaViolation { addr: nic_off })?;
+        self.dma_fault_gate(nf, nic_addr)?;
+        self.dma_bank(nf, core)?
+            .validate(direction, nic_addr, host_addr, len)?;
+        Ok(nic_addr)
+    }
+
     /// DMA from the function's region (at `nic_off`) to host RAM.
     pub fn dma_to_host(
         &mut self,
@@ -1521,16 +1577,8 @@ impl SmartNic {
         host_addr: u64,
         len: u64,
     ) -> Result<(), SnicError> {
-        self.fail_if_crashed()?;
-        let record = self.launched.get(&nf).ok_or(SnicError::NoSuchNf(nf))?;
-        if !record.state.is_operational() {
-            return Err(SnicError::NfFaulted(nf));
-        }
-        let (base, _) = record.region;
-        let nic_addr = base + nic_off;
-        self.dma_fault_gate(nf, nic_addr)?;
-        self.dma_bank(nf, core)?
-            .validate(DmaDirection::NicToHost, nic_addr, host_addr, len)?;
+        let nic_addr =
+            self.dma_admit(nf, core, DmaDirection::NicToHost, nic_off, host_addr, len)?;
         let mut buf = vec![0u8; len as usize];
         self.guard.raw_mem().read(nic_addr, &mut buf);
         self.host_mem.write(host_addr, &buf);
@@ -1567,16 +1615,8 @@ impl SmartNic {
         host_addr: u64,
         len: u64,
     ) -> Result<(), SnicError> {
-        self.fail_if_crashed()?;
-        let record = self.launched.get(&nf).ok_or(SnicError::NoSuchNf(nf))?;
-        if !record.state.is_operational() {
-            return Err(SnicError::NfFaulted(nf));
-        }
-        let (base, _) = record.region;
-        let nic_addr = base + nic_off;
-        self.dma_fault_gate(nf, nic_addr)?;
-        self.dma_bank(nf, core)?
-            .validate(DmaDirection::HostToNic, nic_addr, host_addr, len)?;
+        let nic_addr =
+            self.dma_admit(nf, core, DmaDirection::HostToNic, nic_off, host_addr, len)?;
         let mut buf = vec![0u8; len as usize];
         self.host_mem.read(host_addr, &mut buf);
         self.guard.raw_mem().write(nic_addr, &buf);
@@ -1655,6 +1695,7 @@ fn manifest_of(nf: NfId, r: &NfRecord) -> VnicManifest {
 mod tests {
     use super::*;
     use crate::instr::NfImage;
+    use proptest::prelude::*;
     use snic_pktio::rules::SwitchRule;
     use snic_pktio::vpp::VppBufferSpec;
     use snic_types::packet::PacketBuilder;
@@ -1896,19 +1937,156 @@ mod tests {
 
     #[test]
     fn vpp_capacity_enforced() {
-        let mut nic = snic();
+        for mut nic in both_modes() {
+            // pdb 64 bytes = 2 descriptors, whatever the PB could hold.
+            let id = launch_vpp(&mut nic, 256, 64, 1024);
+            assert_eq!(nic.rx_packet(&pkt(80)).unwrap(), Some(id));
+            assert_eq!(nic.rx_packet(&pkt(80)).unwrap(), Some(id));
+            assert_eq!(nic.rx_packet(&pkt(80)).unwrap(), Some(id));
+            assert_eq!(nic.record_of(id).unwrap().rx_dropped, 1);
+        }
+    }
+
+    /// The device is the one VPP (§4.4), so its buffer rules are checked
+    /// against both personalities: the commodity shared-pool buffers and
+    /// the S-NIC ring at the top of the function's region.
+    fn both_modes() -> [SmartNic; 2] {
+        [commodity(), snic()]
+    }
+
+    /// Launch on core 0 behind port 80 with the given PB/PDB/ODB bytes.
+    fn launch_vpp(nic: &mut SmartNic, pb: u64, pdb: u64, odb: u64) -> NfId {
         let mut r = req_with_rule(0, 4, 80);
         r.vpp = VppBufferSpec {
-            pb: ByteSize(256),
-            pdb: ByteSize(64),
-            odb: ByteSize::kib(1),
+            pb: ByteSize(pb),
+            pdb: ByteSize(pdb),
+            odb: ByteSize(odb),
         };
-        let id = nic.nf_launch(r).unwrap().nf_id;
-        // pdb 64 bytes = 2 descriptors.
-        assert_eq!(nic.rx_packet(&pkt(80)).unwrap(), Some(id));
-        assert_eq!(nic.rx_packet(&pkt(80)).unwrap(), Some(id));
-        assert_eq!(nic.rx_packet(&pkt(80)).unwrap(), Some(id));
-        assert_eq!(nic.record_of(id).unwrap().rx_dropped, 1);
+        nic.nf_launch(r).unwrap().nf_id
+    }
+
+    /// A 64-byte frame for port 80 tagged `n`: one whole ring slot, so PB
+    /// bytes and ring bytes agree and a wrap lands on a drained slot.
+    fn frame64(n: u8) -> Packet {
+        let p = PacketBuilder::new(1, 2, Protocol::Udp, u16::from(n), 80)
+            .payload(vec![n; 22])
+            .build();
+        assert_eq!(p.len(), 64);
+        p
+    }
+
+    #[test]
+    fn rx_is_fifo_across_a_ring_wrap() {
+        for mut nic in both_modes() {
+            // PB of 256 bytes: a four-slot ring under S-NIC.
+            let id = launch_vpp(&mut nic, 256, 1024, 1024);
+            let mut polled = Vec::new();
+            for n in 1..=3 {
+                nic.rx_packet(&frame64(n)).unwrap();
+            }
+            for _ in 0..2 {
+                polled.push(nic.poll_packet(id).unwrap().unwrap());
+            }
+            // Slots 3, then (wrapping) 0 and 1 — the two just drained.
+            for n in 4..=6 {
+                nic.rx_packet(&frame64(n)).unwrap();
+            }
+            while let Some(p) = nic.poll_packet(id).unwrap() {
+                polled.push(p);
+            }
+            let sent: Vec<Packet> = (1..=6).map(frame64).collect();
+            assert_eq!(
+                polled,
+                sent,
+                "{:?}: arrival order, byte for byte",
+                nic.mode()
+            );
+            let record = nic.record_of(id).unwrap();
+            assert_eq!((record.rx_delivered, record.rx_dropped), (6, 0));
+        }
+    }
+
+    #[test]
+    fn pb_overflow_drops_and_draining_frees_space() {
+        for mut nic in both_modes() {
+            // PB of 128 bytes holds exactly two 64-byte frames, whatever
+            // the PDB could still describe.
+            let id = launch_vpp(&mut nic, 128, 1024, 1024);
+            for n in 1..=3 {
+                assert_eq!(nic.rx_packet(&frame64(n)).unwrap(), Some(id));
+            }
+            assert_eq!(nic.record_of(id).unwrap().rx_dropped, 1);
+            // Draining one frees its bytes (and, under S-NIC, its slot).
+            assert_eq!(nic.poll_packet(id).unwrap(), Some(frame64(1)));
+            nic.rx_packet(&frame64(4)).unwrap();
+            assert_eq!(nic.record_of(id).unwrap().rx_dropped, 1);
+            assert_eq!(nic.poll_packet(id).unwrap(), Some(frame64(2)));
+            assert_eq!(nic.poll_packet(id).unwrap(), Some(frame64(4)));
+            assert_eq!(nic.poll_packet(id).unwrap(), None);
+            assert_eq!(nic.record_of(id).unwrap().rx_delivered, 3);
+        }
+    }
+
+    #[test]
+    fn odb_overflow_rejects_without_losing() {
+        for mut nic in both_modes() {
+            // ODB of 64 bytes = two output descriptors.
+            let id = launch_vpp(&mut nic, 1024, 1024, 64);
+            let other = nic.nf_launch(req(1, 4)).unwrap().nf_id;
+            nic.tx_packet(id, frame64(1)).unwrap();
+            nic.tx_packet(id, frame64(2)).unwrap();
+            assert_eq!(
+                nic.tx_packet(id, frame64(3)).unwrap_err(),
+                SnicError::PortBufferExhausted,
+                "ODB full: the function must retry"
+            );
+            assert_eq!(
+                nic.record_of(id).unwrap().tx_sent,
+                2,
+                "a refusal is not a send"
+            );
+            // The backlog is the sender's alone: a co-tenant still transmits.
+            nic.tx_packet(other, frame64(9)).unwrap();
+            // Draining one descriptor admits the retry; nothing was lost.
+            assert_eq!(nic.wire_pop(), Some(frame64(1)));
+            nic.tx_packet(id, frame64(3)).unwrap();
+            assert_eq!(nic.record_of(id).unwrap().tx_sent, 3);
+            let drained: Vec<Packet> = std::iter::from_fn(|| nic.wire_pop()).collect();
+            assert_eq!(drained, [frame64(2), frame64(9), frame64(3)]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        #[test]
+        fn vpp_conserves_packets(lens in proptest::collection::vec(0usize..200, 1..60)) {
+            for mut nic in both_modes() {
+                // Sixteen descriptors of at most four ring slots each fit
+                // the 4 KiB PB exactly, so the S-NIC ring cannot lap its
+                // own backlog.
+                let id = launch_vpp(&mut nic, 4096, 32 * 16, 1024);
+                let mut accepted = Vec::new();
+                for (i, &len) in lens.iter().enumerate() {
+                    let pkt = PacketBuilder::new(i as u32, 2, Protocol::Udp, 1, 80)
+                        .payload(vec![i as u8; len])
+                        .build();
+                    let dropped = nic.record_of(id).unwrap().rx_dropped;
+                    prop_assert_eq!(nic.rx_packet(&pkt).unwrap(), Some(id));
+                    if nic.record_of(id).unwrap().rx_dropped == dropped {
+                        accepted.push(pkt);
+                    }
+                }
+                let (n, dropped) = (accepted.len() as u64, nic.record_of(id).unwrap().rx_dropped);
+                prop_assert_eq!(n + dropped, lens.len() as u64);
+                // Every accepted packet is delivered exactly once, intact.
+                for pkt in accepted {
+                    prop_assert_eq!(nic.poll_packet(id).unwrap(), Some(pkt));
+                }
+                prop_assert_eq!(nic.poll_packet(id).unwrap(), None);
+                prop_assert_eq!(nic.record_of(id).unwrap().rx_delivered, n);
+            }
+        }
     }
 
     #[test]
@@ -1934,6 +2112,44 @@ mod tests {
         let t = snic_nic.bus_flood(b, 100_000_000).unwrap();
         assert!(!snic_nic.is_crashed());
         assert!(t > Picos::ZERO);
+    }
+
+    #[test]
+    fn bus_flood_op_count_saturates() {
+        // The running per-function total is a sum of tenant numbers.
+        let mut nic = commodity();
+        let a = nic.nf_launch(req(0, 4)).unwrap().nf_id;
+        nic.bus_flood(a, 1).unwrap();
+        assert_eq!(
+            nic.bus_flood(a, u64::MAX).unwrap_err(),
+            SnicError::NicCrashed
+        );
+    }
+
+    #[test]
+    fn bus_flood_too_long_for_the_clock_is_refused_unarbitrated() {
+        let mut config = NicConfig::small(NicMode::Commodity);
+        config.bus_crash_threshold = u64::MAX;
+        let mut nic = SmartNic::new(config, &vendor());
+        let a = nic.nf_launch(req(0, 4)).unwrap().nf_id;
+        assert!(matches!(
+            nic.bus_flood(a, u64::MAX),
+            Err(SnicError::InvalidConfig(_))
+        ));
+        assert!(!nic.is_crashed());
+    }
+
+    #[test]
+    fn bus_flood_too_long_for_the_clock_is_refused_arbitrated() {
+        let mut nic = snic();
+        let a = nic.nf_launch(req(0, 4)).unwrap().nf_id;
+        nic.nf_launch(req(1, 4)).unwrap();
+        // Two domains: `ops * domains` is what no longer fits.
+        assert!(matches!(
+            nic.bus_flood(a, u64::MAX / 2 + 1),
+            Err(SnicError::InvalidConfig(_))
+        ));
+        assert!(!nic.is_crashed());
     }
 
     #[test]
@@ -2184,11 +2400,7 @@ mod tests {
 
     #[test]
     fn dma_outside_host_window_rejected() {
-        use snic_types::IsolationError;
-        let mut nic = snic();
-        let mut r = req(0, 4);
-        r.host_window = Some((0x1000_0000, 0x1000));
-        let id = nic.nf_launch(r).unwrap().nf_id;
+        let (mut nic, id) = nic_with_host_window();
         // Target beyond the sanctioned host window: the §4.2 property
         // that a function cannot aim DMA at arbitrary host memory.
         let err = nic
@@ -2206,6 +2418,38 @@ mod tests {
             err,
             SnicError::Isolation(IsolationError::DmaViolation { .. })
         ));
+    }
+
+    /// An S-NIC with one function on core 0 that owns the host window
+    /// `[0x1000_0000, +0x1000)`.
+    fn nic_with_host_window() -> (SmartNic, NfId) {
+        let mut nic = snic();
+        let mut r = req(0, 4);
+        r.host_window = Some((0x1000_0000, 0x1000));
+        let id = nic.nf_launch(r).unwrap().nf_id;
+        (nic, id)
+    }
+
+    // `base + u64::MAX` must be refused — not wrapped below the window
+    // (release) or panicked on (test profile).
+    #[test]
+    fn dma_to_host_offset_overflow_is_a_violation() {
+        let (mut nic, id) = nic_with_host_window();
+        assert_eq!(
+            nic.dma_to_host(id, CoreId(0), u64::MAX, 0x1000_0000, 8)
+                .unwrap_err(),
+            IsolationError::DmaViolation { addr: u64::MAX }.into()
+        );
+    }
+
+    #[test]
+    fn dma_from_host_offset_overflow_is_a_violation() {
+        let (mut nic, id) = nic_with_host_window();
+        assert_eq!(
+            nic.dma_from_host(id, CoreId(0), u64::MAX, 0x1000_0000, 8)
+                .unwrap_err(),
+            IsolationError::DmaViolation { addr: u64::MAX }.into()
+        );
     }
 
     #[test]

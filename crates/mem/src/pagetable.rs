@@ -104,11 +104,6 @@ impl PageTable {
     pub fn mapped_bytes(&self) -> ByteSize {
         ByteSize(self.mappings.iter().map(|m| m.page_size).sum())
     }
-
-    /// Iterate over the physical ranges this table maps.
-    pub fn phys_ranges(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.mappings.iter().map(|m| (m.pa, m.page_size))
-    }
 }
 
 #[cfg(test)]

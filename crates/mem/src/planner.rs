@@ -97,11 +97,6 @@ impl PlanOutcome {
     pub fn total_allocated(&self) -> ByteSize {
         ByteSize(self.regions.iter().map(|r| r.allocated().bytes()).sum())
     }
-
-    /// Total wasted bytes.
-    pub fn total_waste(&self) -> ByteSize {
-        ByteSize(self.regions.iter().map(|r| r.waste().bytes()).sum())
-    }
 }
 
 /// Plan one region: waste-minimizing greedy cover.

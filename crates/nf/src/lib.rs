@@ -49,14 +49,9 @@ pub use sketch::{CountMinSketch, SketchMonitor};
 use snic_types::Packet;
 use snic_uarch::stream::Access;
 
-/// Construct one NF of each kind with default (paper-matching) parameters.
+/// Construct one NF by kind with default (paper-matching) parameters.
 ///
 /// `seed` controls rule/pattern generation so experiments are reproducible.
-pub fn build_all(seed: u64) -> Vec<Box<dyn NetworkFunction>> {
-    NfKind::ALL.iter().map(|&k| build(k, seed)).collect()
-}
-
-/// Construct one NF by kind.
 pub fn build(kind: NfKind, seed: u64) -> Box<dyn NetworkFunction> {
     match kind {
         NfKind::Firewall => Box::new(FirewallNf::with_defaults(seed)),

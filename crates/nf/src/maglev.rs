@@ -88,19 +88,9 @@ impl MaglevNf {
         MaglevNf::new(backends, DEFAULT_TABLE_SIZE)
     }
 
-    /// Number of backends.
-    pub fn backend_count(&self) -> usize {
-        self.backends.len()
-    }
-
     /// The lookup table (for distribution tests).
     pub fn table(&self) -> &[u32] {
         &self.table
-    }
-
-    /// Backend index a flow hashes to (ignoring connection tracking).
-    pub fn table_lookup(&self, ft: &FiveTuple) -> u32 {
-        self.table[(ft.stable_hash() % self.table.len() as u64) as usize]
     }
 
     /// Packets steered so far.

@@ -8,10 +8,9 @@
 //! - [`rules`]: switching rules over five-tuples, MACs, and VXLAN VNIs,
 //! - [`vxlan`]: RFC 7348 encap/decap so NFs can act as VXLAN endpoints,
 //! - [`port`]: physical RX/TX port buffer accounting (reservations),
-//! - [`scheduler`]: FIFO (commodity) vs. deficit-round-robin (S-NIC)
-//!   packet schedulers for the output module,
-//! - [`vpp`]: the virtual packet pipeline with its buffer inventory
-//!   (PB/PDB/ODB — Table 4's TLB sizing) and per-VPP rate guarantees,
+//! - [`vpp`]: a VPP's buffer inventory (PB/PDB/ODB — Table 4's TLB
+//!   sizing); the pipeline itself is `SmartNic::{rx_packet, poll_packet,
+//!   tx_packet}` in `snic-core`, where packets sit in simulated DRAM,
 //! - [`dma`]: the multi-bank DMA controller with per-direction windows
 //!   (§4.2's SR-IOV-style isolation for NIC/host transfers).
 
@@ -21,13 +20,11 @@
 pub mod dma;
 pub mod port;
 pub mod rules;
-pub mod scheduler;
 pub mod vpp;
 pub mod vxlan;
 
 pub use dma::{DmaBank, DmaDirection};
 pub use port::PortBuffers;
 pub use rules::{RuleMatch, RuleTable, SwitchRule};
-pub use scheduler::{DrrScheduler, FifoScheduler, PacketScheduler, TxItem};
-pub use vpp::{VirtualPacketPipeline, VppBufferSpec};
+pub use vpp::VppBufferSpec;
 pub use vxlan::{vxlan_decap, vxlan_encap};

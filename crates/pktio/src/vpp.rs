@@ -1,16 +1,15 @@
-//! The virtual packet pipeline (VPP, §4.4).
+//! The buffer inventory of a virtual packet pipeline (VPP, §4.4).
 //!
 //! A VPP owns three DRAM buffers — the packet buffer (PB), the packet
 //! descriptor buffer (PDB), and the output descriptor buffer (ODB). On a
 //! LiquidIO these are 2 MB, 128 KB, and 1 MB, which is why a VPP needs
-//! exactly 3 TLB entries (§5.2). The pipeline enforces its buffer
-//! capacity: when the PB fills, arriving packets are dropped and counted,
-//! so one NF's backlog can never consume another NF's buffer space.
-
-use std::collections::VecDeque;
+//! exactly 3 TLB entries (§5.2). The device (`snic-core`'s `SmartNic`)
+//! enforces them: a full PB or PDB drops and counts the arriving packet,
+//! a full ODB refuses the transmit, so one NF's backlog can never consume
+//! another NF's buffer space.
 
 use snic_mem::planner::{plan_regions, PagePolicy};
-use snic_types::{ByteSize, NfId, Packet, VppId};
+use snic_types::ByteSize;
 
 /// The VPP buffer inventory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,213 +46,12 @@ impl VppBufferSpec {
     }
 }
 
-/// Per-descriptor bookkeeping bytes in the PDB/ODB.
-const DESCRIPTOR_BYTES: u64 = 32;
-
-/// A virtual packet pipeline bound to one NF.
-#[derive(Debug)]
-pub struct VirtualPacketPipeline {
-    id: VppId,
-    owner: NfId,
-    spec: VppBufferSpec,
-    rx: VecDeque<Packet>,
-    tx: VecDeque<Packet>,
-    rx_bytes: u64,
-    tx_bytes: u64,
-    rx_dropped: u64,
-    rx_delivered: u64,
-    tx_sent: u64,
-}
-
-impl VirtualPacketPipeline {
-    /// Create a VPP for `owner` with the given buffers.
-    pub fn new(id: VppId, owner: NfId, spec: VppBufferSpec) -> VirtualPacketPipeline {
-        VirtualPacketPipeline {
-            id,
-            owner,
-            spec,
-            rx: VecDeque::new(),
-            tx: VecDeque::new(),
-            rx_bytes: 0,
-            tx_bytes: 0,
-            rx_dropped: 0,
-            rx_delivered: 0,
-            tx_sent: 0,
-        }
-    }
-
-    /// Pipeline id.
-    pub fn id(&self) -> VppId {
-        self.id
-    }
-
-    /// Owning NF.
-    pub fn owner(&self) -> NfId {
-        self.owner
-    }
-
-    /// Buffer spec.
-    pub fn spec(&self) -> &VppBufferSpec {
-        &self.spec
-    }
-
-    /// The packet input module delivers a packet into the PB/PDB.
-    /// Returns `false` (and counts a drop) when the buffers are full.
-    pub fn enqueue_rx(&mut self, pkt: Packet) -> bool {
-        let need = pkt.len() as u64;
-        let pdb_full = (self.rx.len() as u64 + 1) * DESCRIPTOR_BYTES > self.spec.pdb.bytes();
-        if self.rx_bytes + need > self.spec.pb.bytes() || pdb_full {
-            self.rx_dropped += 1;
-            return false;
-        }
-        self.rx_bytes += need;
-        self.rx.push_back(pkt);
-        true
-    }
-
-    /// The NF polls its next packet.
-    pub fn poll_rx(&mut self) -> Option<Packet> {
-        let p = self.rx.pop_front()?;
-        self.rx_bytes -= p.len() as u64;
-        self.rx_delivered += 1;
-        Some(p)
-    }
-
-    /// The NF hands a processed packet to the output module. Returns
-    /// `false` if the ODB is full (the NF must retry later).
-    pub fn enqueue_tx(&mut self, pkt: Packet) -> bool {
-        let odb_full = (self.tx.len() as u64 + 1) * DESCRIPTOR_BYTES > self.spec.odb.bytes();
-        if odb_full {
-            return false;
-        }
-        self.tx_bytes += pkt.len() as u64;
-        self.tx.push_back(pkt);
-        true
-    }
-
-    /// The packet output module drains one packet toward the wire.
-    pub fn drain_tx(&mut self) -> Option<Packet> {
-        let p = self.tx.pop_front()?;
-        self.tx_bytes -= p.len() as u64;
-        self.tx_sent += 1;
-        Some(p)
-    }
-
-    /// RX packets waiting.
-    pub fn rx_depth(&self) -> usize {
-        self.rx.len()
-    }
-
-    /// Packets dropped because this VPP's own buffers were full.
-    pub fn rx_dropped(&self) -> u64 {
-        self.rx_dropped
-    }
-
-    /// Packets delivered to the NF.
-    pub fn rx_delivered(&self) -> u64 {
-        self.rx_delivered
-    }
-
-    /// Packets placed on the wire.
-    pub fn tx_sent(&self) -> u64 {
-        self.tx_sent
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snic_types::packet::PacketBuilder;
-    use snic_types::Protocol;
-
-    fn pkt(n: u16) -> Packet {
-        PacketBuilder::new(1, 2, Protocol::Udp, n, 80)
-            .payload(vec![0u8; 100])
-            .build()
-    }
-
-    fn vpp(pb: ByteSize) -> VirtualPacketPipeline {
-        VirtualPacketPipeline::new(
-            VppId(0),
-            NfId(1),
-            VppBufferSpec {
-                pb,
-                pdb: ByteSize::kib(1),
-                odb: ByteSize::kib(1),
-            },
-        )
-    }
 
     #[test]
     fn default_spec_needs_three_tlb_entries() {
         assert_eq!(VppBufferSpec::default().tlb_entries(), 3);
-    }
-
-    #[test]
-    fn rx_fifo_order() {
-        let mut v = vpp(ByteSize::mib(1));
-        assert!(v.enqueue_rx(pkt(1)));
-        assert!(v.enqueue_rx(pkt(2)));
-        assert_eq!(v.poll_rx().unwrap().udp().unwrap().src_port, 1);
-        assert_eq!(v.poll_rx().unwrap().udp().unwrap().src_port, 2);
-        assert!(v.poll_rx().is_none());
-        assert_eq!(v.rx_delivered(), 2);
-    }
-
-    #[test]
-    fn pb_overflow_drops() {
-        // PB of 300 bytes holds exactly two ~150-byte frames.
-        let mut v = vpp(ByteSize(320));
-        assert!(v.enqueue_rx(pkt(1)));
-        assert!(v.enqueue_rx(pkt(2)));
-        assert!(!v.enqueue_rx(pkt(3)));
-        assert_eq!(v.rx_dropped(), 1);
-        // Draining frees space.
-        let _ = v.poll_rx();
-        assert!(v.enqueue_rx(pkt(3)));
-    }
-
-    #[test]
-    fn pdb_overflow_drops() {
-        // PDB of 64 bytes holds two descriptors regardless of PB space.
-        let mut v = VirtualPacketPipeline::new(
-            VppId(0),
-            NfId(1),
-            VppBufferSpec {
-                pb: ByteSize::mib(8),
-                pdb: ByteSize(64),
-                odb: ByteSize::kib(1),
-            },
-        );
-        assert!(v.enqueue_rx(pkt(1)));
-        assert!(v.enqueue_rx(pkt(2)));
-        assert!(!v.enqueue_rx(pkt(3)));
-    }
-
-    #[test]
-    fn tx_path_counts() {
-        let mut v = vpp(ByteSize::mib(1));
-        assert!(v.enqueue_tx(pkt(9)));
-        assert_eq!(v.drain_tx().unwrap().udp().unwrap().src_port, 9);
-        assert!(v.drain_tx().is_none());
-        assert_eq!(v.tx_sent(), 1);
-    }
-
-    #[test]
-    fn odb_overflow_rejects_without_losing() {
-        let mut v = VirtualPacketPipeline::new(
-            VppId(0),
-            NfId(1),
-            VppBufferSpec {
-                pb: ByteSize::mib(1),
-                pdb: ByteSize::kib(1),
-                odb: ByteSize(64),
-            },
-        );
-        assert!(v.enqueue_tx(pkt(1)));
-        assert!(v.enqueue_tx(pkt(2)));
-        assert!(!v.enqueue_tx(pkt(3)), "ODB full: NF must retry");
-        let _ = v.drain_tx();
-        assert!(v.enqueue_tx(pkt(3)));
     }
 }

@@ -1,12 +1,11 @@
 //! Property tests across the packet-IO crate: VXLAN transparency, rule
-//! classification totality, VPP conservation.
+//! classification totality.
 
 use proptest::prelude::*;
 use snic_pktio::rules::{RuleMatch, RuleTable, SwitchRule};
-use snic_pktio::vpp::{VirtualPacketPipeline, VppBufferSpec};
 use snic_pktio::vxlan::{vxlan_decap, vxlan_encap};
 use snic_types::packet::PacketBuilder;
-use snic_types::{ByteSize, NfId, Protocol, VppId};
+use snic_types::{NfId, Protocol};
 
 proptest! {
     #[test]
@@ -49,32 +48,5 @@ proptest! {
             .map(|(i, _)| NfId(i as u64))
             .next();
         prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn vpp_conserves_packets(
-        lens in proptest::collection::vec(0usize..200, 1..60),
-    ) {
-        let mut vpp = VirtualPacketPipeline::new(
-            VppId(0),
-            NfId(1),
-            VppBufferSpec { pb: ByteSize::kib(4), pdb: ByteSize(32 * 16), odb: ByteSize::kib(1) },
-        );
-        let mut accepted = 0u64;
-        for (i, &len) in lens.iter().enumerate() {
-            let pkt = PacketBuilder::new(i as u32, 2, Protocol::Udp, 1, 2)
-                .payload(vec![0u8; len])
-                .build();
-            if vpp.enqueue_rx(pkt) {
-                accepted += 1;
-            }
-        }
-        prop_assert_eq!(accepted + vpp.rx_dropped(), lens.len() as u64);
-        let mut polled = 0u64;
-        while vpp.poll_rx().is_some() {
-            polled += 1;
-        }
-        prop_assert_eq!(polled, accepted, "every accepted packet is deliverable exactly once");
-        prop_assert_eq!(vpp.rx_depth(), 0);
     }
 }

@@ -20,9 +20,7 @@
 //!   churn) the paper's stationary snapshot cannot express — drives the
 //!   32–64-tenant streaming sweeps.
 //!
-//! All generators are deterministic given a seed. [`wire`] adds a
-//! compact binary serialization so generated traces can be exported and
-//! replayed byte-identically.
+//! All generators are deterministic given a seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +30,6 @@ pub mod flows;
 pub mod ictf;
 pub mod payload;
 pub mod phases;
-pub mod wire;
 pub mod zipf;
 
 pub use caida::{CaidaConfig, CaidaLikeTrace};
@@ -40,5 +37,4 @@ pub use flows::{FlowTable, FlowTableConfig};
 pub use ictf::{IctfConfig, IctfLikeTrace};
 pub use payload::PayloadGen;
 pub use phases::{PhaseSchedule, PhasedConfig, PhasedTrace};
-pub use wire::{deserialize_trace, load_trace, save_trace, serialize_trace};
 pub use zipf::ZipfSampler;

@@ -24,14 +24,6 @@ pub enum IsolationError {
         /// The function that owns the page.
         owner: NfId,
     },
-    /// An accelerator hardware thread faulted outside its TLB bank (fatal
-    /// for the cluster per §4.3).
-    AccelFault {
-        /// The faulting cluster.
-        cluster: AccelClusterId,
-        /// The offending address.
-        addr: u64,
-    },
     /// A DMA request targeted memory outside the sanctioned windows (§4.2).
     DmaViolation {
         /// The offending bus address.
@@ -61,11 +53,6 @@ impl core::fmt::Display for IsolationError {
                     "management access to {addr:#x} denied; page owned by {owner}"
                 )
             }
-            IsolationError::AccelFault { cluster, addr } => write!(
-                f,
-                "accelerator cluster {:?}#{} faulted at {addr:#x}",
-                cluster.kind, cluster.index
-            ),
             IsolationError::DmaViolation { addr } => {
                 write!(f, "DMA to unsanctioned address {addr:#x}")
             }

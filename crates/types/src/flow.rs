@@ -39,15 +39,6 @@ impl Protocol {
     }
 }
 
-/// Direction of a packet relative to a flow's initiator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FlowDirection {
-    /// From the flow initiator toward the responder.
-    Forward,
-    /// From the responder back to the initiator.
-    Reverse,
-}
-
 /// A five-tuple flow key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FiveTuple {

@@ -1,14 +1,9 @@
 //! Principal and resource identifiers.
 //!
 //! The paper's threat model (§2) distinguishes eight principal types; the
-//! ones that appear as *identifiers* in the device model are tenants and
-//! their network functions, plus the physical resources that `nf_launch`
-//! binds to a virtual smart NIC: programmable cores, accelerator clusters,
-//! virtual packet pipelines, and physical ports.
-
-/// Identifier of a datacenter tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TenantId(pub u32);
+//! ones that appear as *identifiers* in the device model are network
+//! functions, plus the physical resources that `nf_launch` binds to a
+//! virtual smart NIC: programmable cores and accelerator clusters.
 
 /// Opaque identifier of a launched network function.
 ///
@@ -68,20 +63,6 @@ impl AccelKind {
     }
 }
 
-/// Index of a virtual packet pipeline (§4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct VppId(pub u16);
-
-/// Index of a physical RX or TX port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PortId(pub u16);
-
-impl core::fmt::Display for TenantId {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "tenant{}", self.0)
-    }
-}
-
 impl core::fmt::Display for NfId {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(f, "nf{}", self.0)
@@ -110,12 +91,10 @@ mod tests {
     fn ids_order_and_compare() {
         assert!(NfId(1) < NfId(2));
         assert!(CoreId(0) < CoreId(15));
-        assert_eq!(TenantId(7), TenantId(7));
     }
 
     #[test]
     fn display_forms() {
-        assert_eq!(TenantId(3).to_string(), "tenant3");
         assert_eq!(NfId(9).to_string(), "nf9");
         assert_eq!(CoreId(2).to_string(), "core2");
     }

@@ -462,13 +462,6 @@ impl PacketBuilder {
         }
     }
 
-    /// Override the Ethernet source/destination MACs.
-    pub fn macs(mut self, src: MacAddr, dst: MacAddr) -> Self {
-        self.eth.src = src;
-        self.eth.dst = dst;
-        self
-    }
-
     /// Set the application payload bytes.
     pub fn payload(mut self, payload: Vec<u8>) -> Self {
         self.payload = payload;

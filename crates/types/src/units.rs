@@ -200,19 +200,9 @@ impl core::ops::Sub for Cycles {
 pub struct Bandwidth(pub u64);
 
 impl Bandwidth {
-    /// Construct from gigabits per second.
-    pub const fn gbps(n: u64) -> Self {
-        Bandwidth(n * 1_000_000_000 / 8)
-    }
-
     /// Construct from megabytes per second.
     pub const fn mbytes_per_sec(n: u64) -> Self {
         Bandwidth(n * 1_000_000)
-    }
-
-    /// Bytes per second.
-    pub const fn bytes_per_sec(self) -> u64 {
-        self.0
     }
 
     /// Time to transfer `size` at this bandwidth.

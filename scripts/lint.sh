@@ -34,22 +34,34 @@ budgeted_test() {
     fi
 }
 
+# Tier-1 covers every crate: `default-members` in the root manifest
+# makes the plain command test the facade package and `crates/*`. Among
+# the suites that matter most to a refactor:
+#
+# - The layers regeneration runs through (snic-types, snic-trace,
+#   snic-nf): headers-only frames are prefixes of full frames, no
+#   header-only NF reads a payload, the bulk DIR-24-8 build equals
+#   ordered inserts.
+# - Fault-matrix smoke (`fault_determinism`): the blast-radius
+#   differential must be deterministic regardless of executor
+#   parallelism.
+# - Golden snapshots (`golden`): every figure pipeline's rendered output
+#   at the pinned scale must match the checked-in documents
+#   byte-for-byte (regenerate intentionally with SNIC_BLESS=1).
+# - Determinism differentials (`cache_differential`,
+#   `engine_differential`, `shard_determinism`): the optimized hot path
+#   (packed tag scan, two-phase bulk probing) must match the reference
+#   models event-for-event, and sharding a colocation run across worker
+#   threads must be byte-identical to the serial interleaving engine —
+#   stats and telemetry both — for every shard count.
+# - Streaming identity (`streaming_differential`,
+#   `parallel_determinism`): a streamed tenant pipeline must equal its
+#   materialized recording event for event, and serial, parallel and
+#   sharded runs of one job spec must agree — the oracles any change to
+#   regeneration (what a tenant is fed, how tenants are built) leans on.
 echo "==> tier-1: cargo build --release && cargo test -q (budget ${budget}s per test binary)"
 cargo build --release
 budgeted_test
-
-# The layers regeneration runs through. Tier-1 tests only the root
-# package, so the unit and property tests of the packet, trace and NF
-# crates (headers-only frames are prefixes of full frames, no
-# header-only NF reads a payload, the bulk DIR-24-8 build equals ordered
-# inserts) run here.
-echo "==> regeneration layers: snic-types, snic-trace, snic-nf"
-budgeted_test -p snic-nf -p snic-trace -p snic-types
-
-# Fault-matrix smoke gate: the blast-radius differential must be
-# deterministic regardless of executor parallelism.
-echo "==> fault-matrix smoke: serial/parallel determinism"
-cargo test -q -p snic-bench --test fault_determinism matrix_serial_and_parallel_byte_identical
 
 # Script demo: every line of scripts/demo.snic lowers onto snicd's verb
 # table and is answered "ok":true (a refused line exits 3).
@@ -87,29 +99,6 @@ cargo run -q --release --bin snicctl -- soak --gate > /dev/null
 # with SNIC_BLESS=1).
 echo "==> covert-channel leakage gate (snicctl leakage --smoke --gate)"
 cargo run -q --release --bin snicctl -- leakage --smoke --gate > /dev/null
-
-# Golden snapshots: every figure pipeline's rendered output at the
-# pinned scale must match the checked-in documents byte-for-byte
-# (regenerate intentionally with SNIC_BLESS=1).
-echo "==> golden snapshots"
-cargo test -q -p snic-bench --test golden
-
-# Determinism differentials: the optimized hot path (packed tag scan,
-# two-phase bulk probing) must match the reference models event-for-
-# event, and sharding a colocation run across worker threads must be
-# byte-identical to the serial interleaving engine — stats and
-# telemetry both — for every shard count.
-echo "==> engine differentials + shard determinism"
-cargo test -q -p snic-uarch --test cache_differential
-cargo test -q -p snic-uarch --test engine_differential
-cargo test -q -p snic-bench --test shard_determinism
-
-# Streaming identity: a streamed tenant pipeline must equal its
-# materialized recording event for event, and serial, parallel and
-# sharded runs of one job spec must agree — the oracles any change to
-# regeneration (what a tenant is fed, how tenants are built) leans on.
-echo "==> streaming differential + parallel determinism"
-budgeted_test -p snic-bench --test streaming_differential --test parallel_determinism
 
 # Telemetry overhead gate: recording the fig5 smoke sweep must stay
 # within 10 percent wall clock of the sink-off run, with bit-identical
