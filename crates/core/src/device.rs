@@ -135,6 +135,8 @@ pub struct NfRecord {
     pdb_slots: u64,
     /// Next packet-slot offset within the region's packet ring (S-NIC).
     ring_next: u64,
+    /// ODB descriptors in use: this function's packets still on the wire.
+    tx_undrained: u64,
     /// Statistics.
     pub rx_delivered: u64,
     /// Packets dropped at the VPP.
@@ -886,6 +888,7 @@ impl SmartNic {
             pb_cap: req.vpp.pb.bytes(),
             pdb_slots: req.vpp.pdb.bytes() / 32,
             ring_next: 0,
+            tx_undrained: 0,
             rx_delivered: 0,
             rx_dropped: 0,
             tx_sent: 0,
@@ -1279,16 +1282,10 @@ impl SmartNic {
         self.fail_if_crashed()?;
         self.datapath_gate(nf)?;
         let record = self.launched.get_mut(&nf).ok_or(SnicError::NoSuchNf(nf))?;
-        // The wire is the ODB: the sender's entries are its descriptors,
-        // so there is no second count to keep in step across teardown.
-        let undrained = self
-            .tx_wire
-            .iter()
-            .filter(|(owner, _)| *owner == nf)
-            .count() as u64;
-        if (undrained + 1) * 32 > record.vpp.odb.bytes() {
+        if (record.tx_undrained + 1) * 32 > record.vpp.odb.bytes() {
             return Err(SnicError::PortBufferExhausted);
         }
+        record.tx_undrained += 1;
         record.tx_sent += 1;
         if self.telemetry.enabled() {
             self.telemetry.counter_add(nf.0, metrics::TX_SENT, 1);
@@ -1298,9 +1295,14 @@ impl SmartNic {
     }
 
     /// Drain one packet from the wire side, freeing its sender's ODB
-    /// slot.
+    /// slot. A sender torn down in the meantime has no ODB left to free,
+    /// and ids are never reused, so its packets free nobody else's.
     pub fn wire_pop(&mut self) -> Option<Packet> {
-        self.tx_wire.pop_front().map(|(_, pkt)| pkt)
+        let (sender, pkt) = self.tx_wire.pop_front()?;
+        if let Some(record) = self.launched.get_mut(&sender) {
+            record.tx_undrained -= 1;
+        }
+        Some(pkt)
     }
 
     // ------------------------------------------------------------------
@@ -1909,6 +1911,30 @@ mod tests {
     }
 
     #[test]
+    fn ownership_holds_one_range_per_live_region() {
+        for mut nic in both_modes() {
+            // 64 launches of mixed sizes, each tearing down the core's
+            // previous tenant first: freed regions are split and reused,
+            // neighbours belong to different functions.
+            let mut on_core = [None; 4];
+            for step in 0..64u64 {
+                let core = (step % 4) as usize;
+                if let Some(old) = on_core[core].take() {
+                    nic.nf_teardown(old).unwrap();
+                }
+                let mem = [4, 16, 8, 12, 4, 20][step as usize % 6];
+                on_core[core] = Some(nic.nf_launch(req(core as u16, mem)).unwrap().nf_id);
+                let owned = nic.resource_snapshot().owned;
+                assert_eq!(owned.len(), nic.live_nfs(), "step {step}: {owned:?}");
+                for id in on_core.iter().flatten() {
+                    let region = nic.record_of(*id).unwrap().region;
+                    assert!(owned.contains(&(region.0, region.1, *id)), "step {step}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn teardown_unknown_nf_fails() {
         let mut nic = snic();
         assert_eq!(
@@ -2053,6 +2079,33 @@ mod tests {
             assert_eq!(nic.record_of(id).unwrap().tx_sent, 3);
             let drained: Vec<Packet> = std::iter::from_fn(|| nic.wire_pop()).collect();
             assert_eq!(drained, [frame64(2), frame64(9), frame64(3)]);
+        }
+    }
+
+    #[test]
+    fn a_torn_down_senders_backlog_frees_no_successors_odb_slot() {
+        for mut nic in both_modes() {
+            // The sender fills its two-descriptor ODB and is torn down
+            // with both packets still on the wire.
+            let gone = launch_vpp(&mut nic, 1024, 1024, 64);
+            nic.tx_packet(gone, frame64(1)).unwrap();
+            nic.tx_packet(gone, frame64(2)).unwrap();
+            nic.nf_teardown(gone).unwrap();
+            // Its successor on the same core starts with an empty ODB...
+            let next = launch_vpp(&mut nic, 1024, 1024, 64);
+            nic.tx_packet(next, frame64(3)).unwrap();
+            nic.tx_packet(next, frame64(4)).unwrap();
+            let full = Err(SnicError::PortBufferExhausted);
+            assert_eq!(nic.tx_packet(next, frame64(5)), full);
+            // ...and draining the dead sender's packets credits nobody.
+            assert_eq!(nic.wire_pop(), Some(frame64(1)));
+            assert_eq!(nic.wire_pop(), Some(frame64(2)));
+            assert_eq!(nic.tx_packet(next, frame64(5)), full);
+            assert_eq!(nic.wire_pop(), Some(frame64(3)));
+            nic.tx_packet(next, frame64(5)).unwrap();
+            let drained: Vec<Packet> = std::iter::from_fn(|| nic.wire_pop()).collect();
+            assert_eq!(drained, [frame64(4), frame64(5)]);
+            assert_eq!(nic.record_of(next).unwrap().tx_sent, 3);
         }
     }
 

@@ -1,10 +1,12 @@
 //! Arbitrary-precision unsigned integers.
 //!
 //! Little-endian `u64` limbs, schoolbook multiplication, Knuth Algorithm D
-//! division, binary modular exponentiation, Miller–Rabin primality testing,
-//! and modular inverse via the extended Euclidean algorithm. Sized for the
-//! needs of [`crate::dh`] (2048-bit) and [`crate::rsa`] (1024–2048 bit), not
-//! for general-purpose performance.
+//! division, windowed modular exponentiation in Montgomery form (binary
+//! square-and-multiply for the even moduli Montgomery reduction cannot
+//! take), Miller–Rabin primality testing, and modular inverse via the
+//! extended Euclidean algorithm. Sized for the needs of [`crate::dh`]
+//! (61-bit test group, 2048-bit RFC 3526 group) and [`crate::rsa`]
+//! (768-bit simulated hierarchy); no constant-time hardening.
 
 use rand::Rng;
 
@@ -340,7 +342,8 @@ impl BigUint {
         self.mul(other).rem(modulus)
     }
 
-    /// `self^exp mod modulus` by left-to-right binary exponentiation.
+    /// `self^exp mod modulus`: windowed exponentiation in Montgomery form
+    /// for an odd modulus, binary square-and-multiply for an even one.
     ///
     /// # Panics
     ///
@@ -350,6 +353,18 @@ impl BigUint {
         if modulus == &BigUint::one() {
             return BigUint::zero();
         }
+        if modulus.is_even() {
+            return self.modpow_binary(exp, modulus);
+        }
+        let ctx = Montgomery::new(modulus);
+        ctx.leave(&ctx.pow(&ctx.enter(&self.rem(modulus)), exp))
+    }
+
+    /// Left-to-right binary exponentiation with a full multiply and
+    /// divide per step: what `modpow` runs for an even modulus greater
+    /// than 1 (nothing on a serving path has one), and the model the
+    /// Montgomery path is tested against.
+    fn modpow_binary(&self, exp: &BigUint, modulus: &BigUint) -> BigUint {
         let mut result = BigUint::one();
         let base = self.rem(modulus);
         let nbits = exp.bits();
@@ -445,16 +460,23 @@ impl BigUint {
         let s = trailing_zeros(&n_minus_1);
         let d = n_minus_1.shr(s);
         let n_minus_3 = self.sub(&BigUint::from_u64(3));
+        // One Montgomery context for every round; `x` stays in Montgomery
+        // form, which is a bijection on [0, n), so it is compared against
+        // the forms of 1 and n-1.
+        let ctx = Montgomery::new(self);
+        let one = ctx.enter(&BigUint::one());
+        let minus_one = ctx.enter(&n_minus_1);
+        let mut scratch = ctx.scratch();
         'witness: for _ in 0..rounds {
             // Random base in [2, n-2].
             let a = BigUint::random_below(rng, &n_minus_3).add(&two);
-            let mut x = a.modpow(&d, self);
-            if x == BigUint::one() || x == n_minus_1 {
+            let mut x = ctx.pow(&ctx.enter(&a), &d);
+            if x == one || x == minus_one {
                 continue 'witness;
             }
             for _ in 0..s - 1 {
-                x = x.mulmod(&x, self);
-                if x == n_minus_1 {
+                ctx.square(&mut x, &mut scratch);
+                if x == minus_one {
                     continue 'witness;
                 }
             }
@@ -481,6 +503,149 @@ impl BigUint {
                 return candidate;
             }
         }
+    }
+}
+
+/// Exponents longer than this use a 4-bit fixed window: its 14 table
+/// multiplies are repaid once `bits / 2 - bits / 4` exceeds them. The
+/// 17-bit RSA public exponent stays binary; private, Diffie–Hellman and
+/// Miller–Rabin exponents are windowed.
+const WINDOW_MIN_BITS: usize = 56;
+
+/// Montgomery arithmetic modulo a fixed odd `n > 1` of `k` limbs, with
+/// `R = 2^(64k)`. Residues are `k`-limb little-endian slices holding
+/// `x·R mod n`, always fully reduced.
+struct Montgomery<'a> {
+    n: &'a [u64],
+    /// `-n⁻¹ mod 2^64`.
+    n0_inv: u64,
+    /// `R² mod n`: multiplying by it enters Montgomery form.
+    r2: Vec<u64>,
+}
+
+impl<'a> Montgomery<'a> {
+    fn new(modulus: &'a BigUint) -> Montgomery<'a> {
+        let n = &modulus.limbs[..];
+        debug_assert!(n[0] & 1 == 1 && modulus > &BigUint::one());
+        // Newton's iteration doubles the correct low bits each round,
+        // starting from the three every odd n0 gives (n0² ≡ 1 mod 8).
+        let mut inv = n[0];
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
+        }
+        let mut r2 = BigUint::one().shl(128 * n.len()).rem(modulus).limbs;
+        r2.resize(n.len(), 0);
+        Montgomery {
+            n,
+            n0_inv: inv.wrapping_neg(),
+            r2,
+        }
+    }
+
+    /// Working space for [`Montgomery::mul`]: `k + 2` limbs.
+    fn scratch(&self) -> Vec<u64> {
+        vec![0; self.n.len() + 2]
+    }
+
+    /// `t[..k] = a·b·R⁻¹ mod n` (coarsely integrated operand scanning:
+    /// each limb of `b` is multiplied in and one limb of `n`-multiples
+    /// reduced out, so `t` never exceeds `k + 2` limbs). `a, b < n`.
+    fn mul(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
+        let (n, k) = (self.n, self.n.len());
+        let (a, b) = (&a[..k], &b[..k]);
+        t.fill(0);
+        for &bi in b {
+            let mut carry = 0u128;
+            for j in 0..k {
+                let cur = u128::from(t[j]) + u128::from(a[j]) * u128::from(bi) + carry;
+                t[j] = cur as u64;
+                carry = cur >> 64;
+            }
+            let cur = u128::from(t[k]) + carry;
+            t[k] = cur as u64;
+            t[k + 1] = (cur >> 64) as u64;
+
+            let m = t[0].wrapping_mul(self.n0_inv);
+            let mut carry = (u128::from(t[0]) + u128::from(m) * u128::from(n[0])) >> 64;
+            for j in 1..k {
+                let cur = u128::from(t[j]) + u128::from(m) * u128::from(n[j]) + carry;
+                t[j - 1] = cur as u64;
+                carry = cur >> 64;
+            }
+            let cur = u128::from(t[k]) + carry;
+            t[k - 1] = cur as u64;
+            t[k] = t[k + 1] + (cur >> 64) as u64;
+        }
+        // t < 2n here; one conditional subtraction fully reduces it.
+        if t[k] != 0 || t[..k].iter().rev().ge(n.iter().rev()) {
+            let mut borrow = false;
+            for j in 0..k {
+                let (d, b1) = t[j].overflowing_sub(n[j]);
+                let (d, b2) = d.overflowing_sub(u64::from(borrow));
+                t[j] = d;
+                borrow = b1 | b2;
+            }
+        }
+    }
+
+    /// `x = x²` in Montgomery form.
+    fn square(&self, x: &mut [u64], t: &mut [u64]) {
+        self.mul(x, x, t);
+        x.copy_from_slice(&t[..x.len()]);
+    }
+
+    /// The Montgomery form of `x < n`.
+    fn enter(&self, x: &BigUint) -> Vec<u64> {
+        let mut padded = x.limbs.clone();
+        padded.resize(self.n.len(), 0);
+        let mut t = self.scratch();
+        self.mul(&padded, &self.r2, &mut t);
+        t.truncate(self.n.len());
+        t
+    }
+
+    /// The value a Montgomery residue stands for.
+    fn leave(&self, x: &[u64]) -> BigUint {
+        let mut one = vec![0; self.n.len()];
+        one[0] = 1;
+        let mut t = self.scratch();
+        self.mul(x, &one, &mut t);
+        t.truncate(self.n.len());
+        let mut out = BigUint { limbs: t };
+        out.normalize();
+        out
+    }
+
+    /// `base^exp`, residue in and residue out: left-to-right over
+    /// fixed windows of the exponent, `w` squarings and at most one table
+    /// multiply per window. The window width depends on `exp.bits()`
+    /// alone.
+    fn pow(&self, base: &[u64], exp: &BigUint) -> Vec<u64> {
+        let k = self.n.len();
+        let w = if exp.bits() > WINDOW_MIN_BITS { 4 } else { 1 };
+        let mut t = self.scratch();
+        // table[d] = base^d for every window digit d.
+        let mut table = vec![0u64; k << w];
+        table[..k].copy_from_slice(&self.enter(&BigUint::one()));
+        table[k..2 * k].copy_from_slice(base);
+        for d in 2..1 << w {
+            let (lower, upper) = table.split_at_mut(d * k);
+            self.mul(&lower[(d - 1) * k..], base, &mut t);
+            upper[..k].copy_from_slice(&t[..k]);
+        }
+        let mut x = table[..k].to_vec();
+        for i in (0..exp.bits().div_ceil(w)).rev() {
+            for _ in 0..w {
+                self.square(&mut x, &mut t);
+            }
+            // `w` divides 64, so a window never straddles two limbs.
+            let digit = (exp.limbs[i * w / 64] >> (i * w % 64)) as usize & ((1 << w) - 1);
+            if digit != 0 {
+                self.mul(&x, &table[digit * k..(digit + 1) * k], &mut t);
+                x.copy_from_slice(&t[..k]);
+            }
+        }
+        x
     }
 }
 
@@ -654,7 +819,99 @@ mod tests {
         assert!(r < v);
     }
 
+    /// A random value of exactly `limbs` limbs.
+    fn random_limbs(rng: &mut impl Rng, limbs: usize) -> BigUint {
+        let mut limbs: Vec<u64> = (0..limbs).map(|_| rng.random()).collect();
+        *limbs.last_mut().expect("at least one limb") |= 1 << 63;
+        BigUint { limbs }
+    }
+
+    #[test]
+    fn montgomery_modpow_matches_square_and_multiply() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x4d6f_6e74);
+        for limbs in [1usize, 2, 3, 6, 12, 13, 32] {
+            for case in 0..if limbs > 13 { 2 } else { 4 } {
+                let mut m = random_limbs(&mut rng, limbs);
+                m.limbs[0] |= 1;
+                if case == 0 {
+                    m.limbs[limbs - 1] = u64::MAX;
+                }
+                let width = 64 * limbs;
+                let all_ones = BigUint::one().shl(width).sub(&BigUint::one());
+                let exps = [
+                    BigUint::zero(),
+                    BigUint::one(),
+                    BigUint::one().shl(5),
+                    BigUint::one().shl(width - 1),
+                    all_ones.clone(),
+                    // One bit past the binary/windowed switch on either side.
+                    all_ones.shr(width - WINDOW_MIN_BITS.min(width)),
+                    all_ones.shr(width - (WINDOW_MIN_BITS + 1).min(width)),
+                    random_limbs(&mut rng, limbs),
+                ];
+                let bases = [
+                    BigUint::zero(),
+                    BigUint::one(),
+                    m.sub(&BigUint::one()),
+                    m.clone(),
+                    // At least the modulus, and wider than it.
+                    random_limbs(&mut rng, limbs + 1),
+                    random_limbs(&mut rng, limbs).add(&m),
+                ];
+                for base in &bases {
+                    for exp in &exps {
+                        assert_eq!(
+                            base.modpow(exp, &m),
+                            base.modpow_binary(exp, &m),
+                            "{base}^{exp} mod {m}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn modpow_edge_moduli() {
+        let (three, five) = (BigUint::from_u64(3), BigUint::from_u64(5));
+        assert_eq!(three.modpow(&five, &BigUint::one()), BigUint::zero());
+        assert_eq!(
+            three.modpow(&BigUint::zero(), &BigUint::one()),
+            BigUint::zero()
+        );
+        // The smallest odd modulus Montgomery form takes.
+        assert_eq!(five.modpow(&five, &three), BigUint::from_u64(2));
+        // An even modulus takes the binary path: 3^5 = 243 = 15·16 + 3.
+        assert_eq!(three.modpow(&five, &BigUint::from_u64(16)), three);
+        assert_eq!(
+            three.modpow(&five, &BigUint::one().shl(200)),
+            BigUint::from_u64(243)
+        );
+    }
+
     proptest! {
+        #[test]
+        fn montgomery_matches_on_random_shapes(
+            base in proptest::collection::vec(any::<u64>(), 0..9),
+            exp in proptest::collection::vec(any::<u64>(), 0..4),
+            modulus in proptest::collection::vec(any::<u64>(), 1..7),
+        ) {
+            let [mut base, mut exp, mut modulus] =
+                [base, exp, modulus].map(|limbs| BigUint { limbs });
+            modulus.limbs[0] |= 1;
+            base.normalize();
+            exp.normalize();
+            modulus.normalize();
+            prop_assert_eq!(
+                base.modpow(&exp, &modulus),
+                if modulus == BigUint::one() {
+                    BigUint::zero()
+                } else {
+                    base.modpow_binary(&exp, &modulus)
+                }
+            );
+        }
+
         #[test]
         fn add_sub_inverse(a in any::<u128>(), b in any::<u128>()) {
             let (x, y) = (big(a), big(b));

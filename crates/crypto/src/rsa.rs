@@ -27,12 +27,21 @@ pub struct RsaPublicKey {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RsaSignature(pub Vec<u8>);
 
-/// An RSA key pair.
+/// An RSA key pair. Besides the private exponent it keeps the factors
+/// and the Chinese-remainder constants [`RsaKeyPair::sign`] works with.
 #[derive(Debug, Clone)]
 pub struct RsaKeyPair {
     /// The public half.
     pub public: RsaPublicKey,
     d: BigUint,
+    p: BigUint,
+    q: BigUint,
+    /// `d mod (p - 1)`.
+    dp: BigUint,
+    /// `d mod (q - 1)`.
+    dq: BigUint,
+    /// `q⁻¹ mod p`.
+    q_inv: BigUint,
 }
 
 impl RsaKeyPair {
@@ -51,39 +60,74 @@ impl RsaKeyPair {
                 continue;
             }
             let n = p.mul(&q);
-            let phi = p.sub(&BigUint::one()).mul(&q.sub(&BigUint::one()));
-            let Some(d) = e.modinv(&phi) else { continue };
+            let (p1, q1) = (p.sub(&BigUint::one()), q.sub(&BigUint::one()));
+            let Some(d) = e.modinv(&p1.mul(&q1)) else {
+                continue;
+            };
             return RsaKeyPair {
                 public: RsaPublicKey { n, e },
+                dp: d.rem(&p1),
+                dq: d.rem(&q1),
+                q_inv: q.modinv(&p).expect("distinct primes are coprime"),
                 d,
+                p,
+                q,
             };
         }
     }
 
     /// Sign `message`: pad SHA-256(message) and apply the private exponent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the modulus is under 62 bytes, too small for the padding.
     pub fn sign(&self, message: &[u8]) -> RsaSignature {
-        let em = pad_digest(&sha256(message), self.public.n.bits());
+        let em = pad_digest(&sha256(message), self.public.n.bits())
+            .expect("modulus too small for PKCS#1 padding");
         let m = BigUint::from_be_bytes(&em);
         debug_assert!(m < self.public.n);
-        RsaSignature(m.modpow(&self.d, &self.public.n).to_be_bytes())
+        let RsaPublicKey { n, e } = &self.public;
+        let mut s = self.crt_power(&m);
+        // A CRT signature computed with a fault in one half is correct
+        // modulo one prime and wrong modulo the other, so its difference
+        // from the true signature shares exactly one factor with n
+        // (Boneh–DeMillo–Lipton). Nothing leaves before it verifies.
+        if s.modpow(e, n) != m {
+            s = m.modpow(&self.d, n);
+        }
+        RsaSignature(s.to_be_bytes())
+    }
+
+    /// `m^d mod n` from its halves modulo `p` and `q` (Garner's
+    /// recombination): two half-width exponentiations in place of one
+    /// full-width one.
+    fn crt_power(&self, m: &BigUint) -> BigUint {
+        let sp = m.modpow(&self.dp, &self.p);
+        let sq = m.modpow(&self.dq, &self.q);
+        // h = q⁻¹ (sp - sq) mod p, with p added to keep the difference
+        // non-negative.
+        let h = sp
+            .add(&self.p)
+            .sub(&sq.rem(&self.p))
+            .mulmod(&self.q_inv, &self.p);
+        sq.add(&h.mul(&self.q))
     }
 }
 
 impl RsaPublicKey {
     /// Verify `signature` over `message`.
     pub fn verify(&self, message: &[u8], signature: &RsaSignature) -> bool {
+        // The key may come from the party being verified (the AK inside
+        // a quote): a modulus too small to pad for verifies nothing.
+        let Some(expect) = pad_digest(&sha256(message), self.n.bits()) else {
+            return false;
+        };
         let s = BigUint::from_be_bytes(&signature.0);
         if s >= self.n {
             return false;
         }
-        let em = s.modpow(&self.e, &self.n).to_be_bytes();
-        let expect = pad_digest(&sha256(message), self.n.bits());
-        // Compare without the leading zero byte stripped by to_be_bytes.
-        let expect_trimmed: Vec<u8> = {
-            let start = expect.iter().position(|&b| b != 0).unwrap_or(expect.len());
-            expect[start..].to_vec()
-        };
-        em == expect_trimmed
+        // Compare as integers: `expect` starts with a zero byte.
+        s.modpow(&self.e, &self.n) == BigUint::from_be_bytes(&expect)
     }
 
     /// Serialize for hashing/certification (modulus then exponent).
@@ -96,8 +140,9 @@ impl RsaPublicKey {
 }
 
 /// EMSA-PKCS1-v1_5-style padding: `00 01 FF.. 00 | prefix | digest`,
-/// sized to the modulus length.
-fn pad_digest(digest: &[u8; 32], modulus_bits: usize) -> Vec<u8> {
+/// sized to the modulus length; `None` if the modulus is too short to
+/// hold it.
+fn pad_digest(digest: &[u8; 32], modulus_bits: usize) -> Option<Vec<u8>> {
     // DER prefix for SHA-256 (RFC 8017 §9.2 note 1).
     const PREFIX: [u8; 19] = [
         0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01, 0x65, 0x03, 0x04, 0x02, 0x01,
@@ -105,7 +150,9 @@ fn pad_digest(digest: &[u8; 32], modulus_bits: usize) -> Vec<u8> {
     ];
     let k = modulus_bits.div_ceil(8);
     let t_len = PREFIX.len() + digest.len();
-    assert!(k >= t_len + 11, "modulus too small for PKCS#1 padding");
+    if k < t_len + 11 {
+        return None;
+    }
     let mut em = Vec::with_capacity(k);
     em.push(0x00);
     em.push(0x01);
@@ -113,7 +160,7 @@ fn pad_digest(digest: &[u8; 32], modulus_bits: usize) -> Vec<u8> {
     em.push(0x00);
     em.extend_from_slice(&PREFIX);
     em.extend_from_slice(digest);
-    em
+    Some(em)
 }
 
 #[cfg(test)]
@@ -164,6 +211,81 @@ mod tests {
         assert!(!kp.public.verify(b"msg", &huge));
     }
 
+    /// The padded digest `sign` exponentiates.
+    fn padded(kp: &RsaKeyPair, message: &[u8]) -> BigUint {
+        let em = pad_digest(&sha256(message), kp.public.n.bits()).expect("fits");
+        BigUint::from_be_bytes(&em)
+    }
+
+    #[test]
+    fn crt_signature_is_the_full_exponent_signature() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xc127);
+        // Even and odd widths: with an odd one q is a bit longer than p.
+        for bits in [512usize, 513, 600, 767, 768].into_iter().cycle().take(50) {
+            let kp = RsaKeyPair::generate(&mut rng, bits);
+            let m = padded(&kp, b"quote");
+            let full = m.modpow(&kp.d, &kp.public.n);
+            assert_eq!(kp.crt_power(&m), full, "{bits}-bit key");
+            assert_eq!(kp.sign(b"quote"), RsaSignature(full.to_be_bytes()));
+        }
+    }
+
+    #[test]
+    fn a_faulty_crt_half_never_leaves_sign() {
+        let good = test_keypair();
+        let m = padded(&good, b"msg");
+        for half in 0..2 {
+            // The test's fault injector: one half-exponent off by one.
+            let mut faulty = good.clone();
+            let d_half = if half == 0 {
+                &mut faulty.dp
+            } else {
+                &mut faulty.dq
+            };
+            *d_half = d_half.add(&BigUint::one());
+            // Released as computed, the signature would differ from the
+            // true one by a multiple of exactly one prime: gcd with n
+            // factors the key.
+            let (bad, want) = (faulty.crt_power(&m), good.crt_power(&m));
+            let delta = if bad > want {
+                bad.sub(&want)
+            } else {
+                want.sub(&bad)
+            };
+            let (still_right, now_wrong) = if half == 0 {
+                (&good.q, &good.p)
+            } else {
+                (&good.p, &good.q)
+            };
+            assert!(!delta.is_zero() && delta.rem(still_right).is_zero());
+            assert!(!delta.rem(now_wrong).is_zero());
+            // The pre-release check catches it and recomputes.
+            assert_eq!(faulty.sign(b"msg"), good.sign(b"msg"));
+            assert!(good.public.verify(b"msg", &faulty.sign(b"msg")));
+        }
+    }
+
+    #[test]
+    fn verify_rejects_hostile_keys_without_panicking() {
+        let kp = test_keypair();
+        let sig = kp.sign(b"msg");
+        let with = |n: BigUint, e: BigUint| RsaPublicKey { n, e };
+        let e = kp.public.e.clone();
+        // A modulus too short for the padding (the parent panicked here:
+        // "modulus too small for PKCS#1 padding").
+        let short = BigUint::from_u64(0xffff_ffff_ffff_ffc5);
+        assert!(!with(short, e.clone()).verify(b"msg", &RsaSignature(vec![2])));
+        assert!(!with(BigUint::zero(), e.clone()).verify(b"msg", &sig));
+        assert!(!with(BigUint::one(), e.clone()).verify(b"msg", &RsaSignature(vec![])));
+        // An even modulus of full size (Montgomery form cannot take it).
+        let even = kp.public.n.add(&BigUint::one());
+        assert!(!with(even, e.clone()).verify(b"msg", &sig));
+        // A signature at or above the modulus, and a zero exponent.
+        let above = RsaSignature(kp.public.n.add(&BigUint::one()).to_be_bytes());
+        assert!(!kp.public.verify(b"msg", &above));
+        assert!(!with(kp.public.n.clone(), BigUint::zero()).verify(b"msg", &sig));
+    }
+
     #[test]
     fn signing_is_deterministic() {
         let kp = test_keypair();
@@ -172,7 +294,7 @@ mod tests {
 
     #[test]
     fn padding_shape() {
-        let em = pad_digest(&sha256(b"x"), 512);
+        let em = pad_digest(&sha256(b"x"), 512).expect("64 bytes hold the padding");
         assert_eq!(em.len(), 64);
         assert_eq!(em[0], 0x00);
         assert_eq!(em[1], 0x01);

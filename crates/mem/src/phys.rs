@@ -6,17 +6,25 @@
 //! address-range bookkeeping structure. Memory is materialized lazily in
 //! 4 KiB granules; untouched granules read as zero.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use snic_types::ByteSize;
 
 /// Granule size for lazy materialization (also the ownership granule).
 pub const PAGE_GRANULE: u64 = 4096;
 
+/// Granules per slab of the sparse table (2 MiB of address space).
+const SLAB: u64 = 512;
+
 /// Sparse, lazily-materialized physical memory.
 #[derive(Debug, Default)]
 pub struct PhysMem {
-    granules: HashMap<u64, Box<[u8]>>,
+    /// Slab index → one slot per granule of the slab, `None` until
+    /// written. Ordered, so a scrub reaches the slabs inside its range
+    /// without probing the indices between them, and a slab's slots are
+    /// walked as an array, not looked up one by one. A slab outlives its
+    /// granules: 8 KiB per 2 MiB of address space ever written.
+    slabs: BTreeMap<u64, Vec<Option<Box<[u8]>>>>,
     size: u64,
 }
 
@@ -24,7 +32,7 @@ impl PhysMem {
     /// Create a physical memory of `size` bytes.
     pub fn new(size: ByteSize) -> PhysMem {
         PhysMem {
-            granules: HashMap::new(),
+            slabs: BTreeMap::new(),
             size: size.bytes(),
         }
     }
@@ -57,7 +65,8 @@ impl PhysMem {
             let g = cur / PAGE_GRANULE;
             let off = (cur % PAGE_GRANULE) as usize;
             let n = ((PAGE_GRANULE as usize) - off).min(out.len() - done);
-            match self.granules.get(&g) {
+            let slab = self.slabs.get(&(g / SLAB));
+            match slab.and_then(|s| s[(g % SLAB) as usize].as_deref()) {
                 Some(data) => out[done..done + n].copy_from_slice(&data[off..off + n]),
                 None => out[done..done + n].fill(0),
             }
@@ -81,10 +90,12 @@ impl PhysMem {
             let g = cur / PAGE_GRANULE;
             let off = (cur % PAGE_GRANULE) as usize;
             let n = ((PAGE_GRANULE as usize) - off).min(data.len() - done);
-            let granule = self
-                .granules
-                .entry(g)
-                .or_insert_with(|| vec![0u8; PAGE_GRANULE as usize].into_boxed_slice());
+            let slab = self
+                .slabs
+                .entry(g / SLAB)
+                .or_insert_with(|| vec![None; SLAB as usize]);
+            let granule = slab[(g % SLAB) as usize]
+                .get_or_insert_with(|| vec![0u8; PAGE_GRANULE as usize].into_boxed_slice());
             granule[off..off + n].copy_from_slice(&data[done..done + n]);
             done += n;
         }
@@ -106,31 +117,37 @@ impl PhysMem {
     /// memory scrubbing, §4.6).
     pub fn scrub(&mut self, addr: u64, len: u64) {
         assert!(self.in_bounds(addr, len as usize), "scrub out of bounds");
-        // Drop fully-covered granules; zero the partial edges.
-        let first = addr / PAGE_GRANULE;
-        let last = (addr + len).div_ceil(PAGE_GRANULE);
-        for g in first..last {
-            let g_start = g * PAGE_GRANULE;
-            let g_end = g_start + PAGE_GRANULE;
-            if addr <= g_start && addr + len >= g_end {
-                self.granules.remove(&g);
-            } else if let Some(data) = self.granules.get_mut(&g) {
+        // Only resident granules hold anything to zero: drop the fully
+        // covered ones, zero the partial edges.
+        let end = addr + len;
+        let (first, last) = (addr / PAGE_GRANULE, end.div_ceil(PAGE_GRANULE));
+        for (&slab, slots) in self.slabs.range_mut(first / SLAB..last.div_ceil(SLAB)) {
+            let base = slab * SLAB;
+            for g in first.max(base)..last.min(base + SLAB) {
+                let slot = &mut slots[(g - base) as usize];
+                let Some(data) = slot else { continue };
+                let g_start = g * PAGE_GRANULE;
                 let s = addr.max(g_start) - g_start;
-                let e = (addr + len).min(g_end) - g_start;
-                data[s as usize..e as usize].fill(0);
+                let e = end.min(g_start + PAGE_GRANULE) - g_start;
+                if e - s == PAGE_GRANULE {
+                    *slot = None;
+                } else {
+                    data[s as usize..e as usize].fill(0);
+                }
             }
         }
     }
 
     /// Number of materialized granules (resident footprint of the model).
     pub fn resident_granules(&self) -> usize {
-        self.granules.len()
+        self.slabs.values().flatten().flatten().count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mem() -> PhysMem {
         PhysMem::new(ByteSize::mib(64))
@@ -201,6 +218,97 @@ mod tests {
         assert_eq!(m.resident_granules(), 4);
         m.scrub(0, 16384);
         assert_eq!(m.resident_granules(), 0);
+    }
+
+    #[test]
+    fn scrub_cost_follows_resident_granules_not_the_span() {
+        // A petabyte of address space with three granules in it: a scrub
+        // that walked granule indices would take 2^38 steps.
+        let mut m = PhysMem::new(ByteSize(1 << 50));
+        for addr in [0, 1 << 40, (1 << 50) - 8] {
+            m.write(addr, &[0x33; 8]);
+        }
+        assert_eq!(m.resident_granules(), 3);
+        m.scrub(0, 1 << 50);
+        assert_eq!(m.resident_granules(), 0);
+    }
+
+    /// Granules of the model address space, which starts at `ORIGIN`:
+    /// half of it in one slab of the table, half in the next.
+    const SPACE: u64 = 12;
+    const ORIGIN: u64 = (3 * SLAB - SPACE / 2) * PAGE_GRANULE;
+
+    /// Flat memory plus the set of resident granules, scrubbed by the
+    /// per-granule walk `PhysMem::scrub` used to be: the model.
+    struct PerGranule {
+        bytes: Vec<u8>,
+        resident: std::collections::HashSet<u64>,
+    }
+
+    impl PerGranule {
+        fn write(&mut self, addr: u64, data: &[u8]) {
+            self.bytes[addr as usize..][..data.len()].copy_from_slice(data);
+            if !data.is_empty() {
+                let end = addr + data.len() as u64;
+                self.resident
+                    .extend(addr / PAGE_GRANULE..end.div_ceil(PAGE_GRANULE));
+            }
+        }
+
+        fn scrub(&mut self, addr: u64, len: u64) {
+            let first = addr / PAGE_GRANULE;
+            let last = (addr + len).div_ceil(PAGE_GRANULE);
+            for g in first..last {
+                let g_start = g * PAGE_GRANULE;
+                let g_end = g_start + PAGE_GRANULE;
+                if addr <= g_start && addr + len >= g_end {
+                    self.resident.remove(&g);
+                }
+                let s = addr.max(g_start);
+                let e = (addr + len).min(g_end);
+                self.bytes[s as usize..e as usize].fill(0);
+            }
+        }
+    }
+
+    proptest! {
+        /// Writes and scrubs at aligned and unaligned addresses, empty,
+        /// inside one granule, across several: after every step the
+        /// memory reads as the flat model does and keeps resident exactly
+        /// the granules the per-granule walk kept.
+        #[test]
+        fn scrub_matches_the_per_granule_walk(
+            ops in proptest::collection::vec(
+                (any::<bool>(), 0..SPACE, 0..3u64, 0..4usize, 0..4usize, 1u8..=255),
+                1..24,
+            ),
+        ) {
+            let bytes = SPACE * PAGE_GRANULE;
+            let mut mem = PhysMem::new(ByteSize(ORIGIN + bytes));
+            let mut model = PerGranule {
+                bytes: vec![0; bytes as usize],
+                resident: Default::default(),
+            };
+            for (write, granule, granules, addr_off, len_off, fill) in ops {
+                // On a granule boundary, one byte either side of it, or
+                // well inside.
+                let offs = [0, 1, 100, PAGE_GRANULE - 1];
+                let addr = granule * PAGE_GRANULE + offs[addr_off];
+                let len = (granules * PAGE_GRANULE + offs[len_off]).min(bytes - addr);
+                if write {
+                    let data = vec![fill; len as usize];
+                    mem.write(ORIGIN + addr, &data);
+                    model.write(addr, &data);
+                } else {
+                    mem.scrub(ORIGIN + addr, len);
+                    model.scrub(addr, len);
+                }
+                let mut seen = vec![0u8; bytes as usize];
+                mem.read(ORIGIN, &mut seen);
+                prop_assert!(seen == model.bytes, "contents differ");
+                prop_assert_eq!(mem.resident_granules(), model.resident.len());
+            }
+        }
     }
 
     #[test]

@@ -862,7 +862,6 @@ impl Daemon {
         let params = DhParams::tiny_test_group();
         let mut verifier = Verifier::hello(&mut StdRng::seed_from_u64(seed ^ 0xA77E57));
         let nonce = verifier.nonce;
-        let vendor_pub = self.vendor.public().clone();
         let f = FunctionAttestation::respond(
             &mut StdRng::seed_from_u64(seed ^ 0xF0),
             &mut self.nic,
@@ -874,7 +873,7 @@ impl Daemon {
         let v_pub = verifier
             .accept(
                 &mut StdRng::seed_from_u64(seed ^ 0xF1),
-                &vendor_pub,
+                self.vendor.public(),
                 &measurement,
                 &f.quote,
             )

@@ -59,6 +59,16 @@ budgeted_test() {
 #   materialized recording event for event, and serial, parallel and
 #   sharded runs of one job spec must agree — the oracles any change to
 #   regeneration (what a tenant is fed, how tenants are built) leans on.
+# - The lifecycle kernels against the implementations they replaced
+#   (snic-crypto, snic-mem): Montgomery `modpow` ≡ the retained
+#   square-and-multiply, CRT `sign` ≡ `m^d mod n` with a faulted half
+#   caught before release, range-keyed `PageOwnership` and the slab
+#   `PhysMem::scrub` ≡ their per-granule models step for step; and the
+#   known answers captured at the commit before them (key and signature
+#   digests in `protocol_properties`, a 40-lifecycle churn's responses,
+#   transcript, state and sealed image in `serve_restart`) — the oracles
+#   any later change to snic-crypto or snic-mem leans on. Their speed is
+#   not gated here: the benchmark's paired protocol decides that.
 echo "==> tier-1: cargo build --release && cargo test -q (budget ${budget}s per test binary)"
 cargo build --release
 budgeted_test

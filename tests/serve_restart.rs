@@ -472,3 +472,87 @@ fn an_image_cannot_be_rebound_to_another_tenant() {
         assert!(err.contains("digest mismatch"), "{err}");
     }
 }
+
+/// `lifecycles` NF lifecycles the way `serve_churn` drives them: four
+/// tenants round-robin, `launch` (4…32 MiB) → `attest` → `stats` →
+/// `teardown`, a `snapshot` after every tenth.
+fn churn(lifecycles: usize) -> Vec<String> {
+    let mut lines: Vec<String> = (0..4)
+        .map(|t| format!(r#"{{"op":"register","tenant":"t{t}","id":{}}}"#, t + 1))
+        .collect();
+    let mems = [4, 32, 12, 8, 28, 16, 24, 20];
+    for k in 0..lifecycles {
+        let launch = format!(r#","name":"nf","mem":{}"#, mems[k % mems.len()]);
+        for (op, extra) in [
+            ("launch", launch.as_str()),
+            ("attest", r#","name":"nf""#),
+            ("stats", r#","name":"nf""#),
+            ("teardown", r#","name":"nf""#),
+        ] {
+            let (t, id) = (k % 4, lines.len() + 1);
+            lines.push(format!(
+                r#"{{"op":"{op}","tenant":"t{t}","id":{id}{extra}}}"#
+            ));
+        }
+        if (k + 1) % 10 == 0 {
+            lines.push(format!(r#"{{"op":"snapshot","id":{}}}"#, lines.len() + 1));
+        }
+    }
+    lines
+}
+
+/// The lifecycle kernels (RSA, page ownership, scrub) may change what
+/// they cost, never what they answer: the digests below were captured
+/// at the commit before Montgomery/CRT signing, range-keyed ownership
+/// and the resident-only scrub, over everything a client or a restart
+/// can see — the response stream, the serve transcript, the state
+/// fingerprint (ownership ranges, denylist and free list with three
+/// functions left live) and the sealed exit image.
+#[test]
+fn a_churn_run_answers_as_it_did_before_the_lifecycle_kernels_changed() {
+    use snic::crypto::sha256::{sha256, to_hex};
+    let mut lines = churn(40);
+    for t in 0..3 {
+        let id = lines.len() + 1;
+        lines.push(format!(
+            r#"{{"op":"launch","tenant":"t{t}","id":{id},"name":"kept","mem":{}}}"#,
+            8 + 4 * t
+        ));
+    }
+    let opts = HostOpts {
+        snapshot_out: Some(scratch("churn.image")),
+        ..HostOpts::default()
+    };
+    let mut host = Host::boot(&opts).expect("boot");
+    let input: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    let mut responses = Vec::new();
+    host.serve(input.as_bytes(), &mut responses).expect("serve");
+    let state = host.daemon().state_fingerprint();
+    let transcript = render_serve_transcript(host.daemon().transcript());
+    host.finish().expect("finish");
+    let path = opts.snapshot_out.expect("set above");
+    let image = std::fs::read(&path).expect("exit-time image");
+    let _ = std::fs::remove_file(&path);
+
+    let responses = String::from_utf8(responses).expect("UTF-8");
+    assert_eq!(responses.lines().count(), lines.len());
+    assert!(responses.lines().all(|r| r.contains(r#""ok":true"#)));
+    assert_eq!(responses.matches(r#""verified":true"#).count(), 40);
+    let digest = |bytes: &[u8]| to_hex(&sha256(bytes));
+    assert_eq!(
+        digest(responses.as_bytes()),
+        "ea407f04fcc370d4a93091e5a161b12021b9c9efa6f69e980575936823ea5d1a"
+    );
+    assert_eq!(
+        digest(transcript.as_bytes()),
+        "b495ccc1af54f0c25cdf249032f4de5e5e9206320e1c5b666be032691cfac926"
+    );
+    assert_eq!(
+        digest(state.as_bytes()),
+        "9ccc494c3ea92b311d2cc3857b7de6cee4324b799486347fbdb9ff0887cc6fa0"
+    );
+    assert_eq!(
+        digest(&image),
+        "093906654d7463636742aa40a793deb08b699514986bbf562c4767b8b986ec9c"
+    );
+}
