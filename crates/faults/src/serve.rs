@@ -13,6 +13,7 @@
 //! can lint daemon transcripts without depending on the daemon.
 
 use std::fmt;
+use std::sync::Arc;
 
 use snic_types::Picos;
 
@@ -81,7 +82,9 @@ pub struct ServeRecord {
     /// Simulated time of the event.
     pub at: Picos,
     /// The tenant the event concerns (empty for daemon-wide events).
-    pub tenant: String,
+    /// Shared: a daemon writes two records per request and keeps them
+    /// all, so each holds a reference to the one name, not a copy.
+    pub tenant: Arc<str>,
     /// The protocol request id (0 for tenant- or daemon-wide events).
     pub id: u64,
     /// What happened.
@@ -139,7 +142,7 @@ mod tests {
         ServeRecord {
             seq,
             at: Picos(seq * 10),
-            tenant: tenant.to_string(),
+            tenant: tenant.into(),
             id,
             kind,
         }

@@ -6,6 +6,7 @@
 //! decisions replay bit-identically from a request history.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use snic_types::{NfId, Picos};
 
@@ -173,6 +174,8 @@ pub struct TenantStats {
 /// Everything the daemon tracks per tenant.
 #[derive(Debug)]
 pub struct TenantState {
+    /// The tenant's name, shared with every transcript record about it.
+    pub name: Arc<str>,
     /// Admission limits.
     pub quota: TenantQuota,
     /// The bounded queue.
@@ -188,9 +191,10 @@ pub struct TenantState {
 }
 
 impl TenantState {
-    /// A fresh tenant under `quota`, bucket full at `now`.
-    pub fn new(quota: TenantQuota, now: Picos) -> TenantState {
+    /// A fresh tenant called `name` under `quota`, bucket full at `now`.
+    pub fn new(name: Arc<str>, quota: TenantQuota, now: Picos) -> TenantState {
         TenantState {
+            name,
             quota,
             queue: VecDeque::new(),
             bucket: TokenBucket::full(&quota, now),

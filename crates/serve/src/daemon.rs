@@ -33,6 +33,7 @@
 //! queue, and thaws the tenant.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -47,6 +48,7 @@ use snic_crypto::keys::VendorCa;
 use snic_crypto::sha256::{sha256, to_hex};
 use snic_faults::{FaultKind, FaultPlan, FaultSite, ServeEventKind, ServeRecord};
 use snic_pktio::rules::{RuleMatch, SwitchRule};
+use snic_telemetry::json::escape_into;
 use snic_telemetry::{metrics, Json, Recorder, TelemetrySink};
 use snic_types::mix::{fnv1a, mix64, FNV_OFFSET, GOLDEN_GAMMA};
 use snic_types::packet::PacketBuilder;
@@ -54,7 +56,7 @@ use snic_types::{ByteSize, CoreId, NfId, NfState, Picos, Protocol};
 use snic_verify::Finding;
 
 use crate::admission::{Pending, QueuedOp, TenantQuota, TenantState};
-use crate::protocol::{accept, codes, esc, parse_request, reject, Request};
+use crate::protocol::{self, codes, extra, parse_request, Request};
 
 /// Daemon configuration. Rendered canonically into snapshot images;
 /// two daemons with equal configs and equal input histories are
@@ -164,10 +166,14 @@ fn after_us(now: Picos, us: u64) -> Option<Picos> {
     now.0.checked_add(ps).map(Picos)
 }
 
-/// Outcome of one op: response extras, or a typed rejection.
-type ExecResult = Result<Vec<(&'static str, String)>, (&'static str, String)>;
+/// A typed rejection: the stable code and the human-readable text.
+type Reject = (&'static str, String);
 
-fn bad(error: impl Into<String>) -> (&'static str, String) {
+/// Outcome of one op: its extras appended to the response line it was
+/// handed (see [`extra`]), or a typed rejection.
+type ExecResult = Result<(), Reject>;
+
+fn bad(error: impl Into<String>) -> Reject {
     (codes::BAD_REQUEST, error.into())
 }
 
@@ -179,10 +185,10 @@ pub enum Class {
     Queued(fn(&Request) -> Result<QueuedOp, String>),
     /// Executes immediately on behalf of the request's tenant, which
     /// its response names.
-    Tenant(fn(&mut Daemon, &Request) -> ExecResult),
+    Tenant(fn(&mut Daemon, &Request, &mut String) -> ExecResult),
     /// Executes immediately on the daemon as a whole; its response
     /// names no tenant.
-    Daemon(fn(&mut Daemon, &Request) -> ExecResult),
+    Daemon(fn(&mut Daemon, &Request, &mut String) -> ExecResult),
 }
 
 /// One protocol op. Its row in [`VERBS`] is the only place its name is
@@ -337,9 +343,13 @@ pub struct Daemon {
     vendor: VendorCa,
     nic: SmartNic,
     recorder: Arc<Recorder>,
-    tenants: BTreeMap<String, TenantState>,
-    /// Tenant names in first-contact order (round-robin schedule).
-    order: Vec<String>,
+    /// Tenants in first-contact order: a tenant's slot is its place in
+    /// the round-robin schedule, and what a line's tenant name is
+    /// resolved to, once.
+    tenants: Vec<TenantState>,
+    /// Slot by name; name order is the order fingerprints, `health` and
+    /// the fault scan walk tenants in.
+    slots: BTreeMap<Arc<str>, usize>,
     cursor: usize,
     /// Every ingested line, verbatim — the event source.
     history: Vec<String>,
@@ -348,6 +358,9 @@ pub struct Daemon {
     draining: bool,
     served_total: u64,
     packet_seq: u32,
+    /// Length of the device's fault log when `scan_faults` last walked
+    /// the tenants.
+    faults_scanned: usize,
     /// Response lines of the line being ingested, in order.
     out: Vec<String>,
 }
@@ -367,8 +380,8 @@ impl Daemon {
             vendor,
             nic,
             recorder,
-            tenants: BTreeMap::new(),
-            order: Vec::new(),
+            tenants: Vec::new(),
+            slots: BTreeMap::new(),
             cursor: 0,
             history: Vec::new(),
             audit: Vec::new(),
@@ -376,6 +389,7 @@ impl Daemon {
             draining: false,
             served_total: 0,
             packet_seq: 0,
+            faults_scanned: 0,
             out: Vec::new(),
         }
     }
@@ -403,27 +417,50 @@ impl Daemon {
     /// Whether `tenant` is currently frozen (fault attributed, queue
     /// held until `reclaim`).
     pub fn is_frozen(&self, tenant: &str) -> bool {
-        self.tenants.get(tenant).is_some_and(|t| t.frozen.is_some())
+        self.tenant(tenant).is_some_and(|t| t.frozen.is_some())
     }
 
     /// Per-tenant accounting, for gates and tables.
     pub fn tenant_stats(&self, tenant: &str) -> Option<crate::admission::TenantStats> {
-        self.tenants.get(tenant).map(|t| t.stats)
+        self.tenant(tenant).map(|t| t.stats)
     }
 
     /// Current queue depth of `tenant` (0 if unknown).
     pub fn queue_depth(&self, tenant: &str) -> usize {
-        self.tenants.get(tenant).map_or(0, |t| t.queue.len())
+        self.tenant(tenant).map_or(0, |t| t.queue.len())
     }
 
     /// The configured queue bound of `tenant`, if registered.
     pub fn queue_bound(&self, tenant: &str) -> Option<u32> {
-        self.tenants.get(tenant).map(|t| t.quota.queue_depth)
+        self.tenant(tenant).map(|t| t.quota.queue_depth)
     }
 
     /// Tenant names in first-contact (round-robin) order.
     pub fn tenant_names(&self) -> Vec<String> {
-        self.order.clone()
+        self.tenants.iter().map(|t| t.name.to_string()).collect()
+    }
+
+    fn tenant(&self, name: &str) -> Option<&TenantState> {
+        self.slots.get(name).map(|&slot| &self.tenants[slot])
+    }
+
+    /// Tenants in name order.
+    fn by_name(&self) -> impl Iterator<Item = &TenantState> {
+        self.slots.values().map(|&slot| &self.tenants[slot])
+    }
+
+    /// The slot of the tenant called `name`, registered under `quota`
+    /// if this is its first contact.
+    fn slot_of(&mut self, name: &str, quota: TenantQuota) -> usize {
+        if let Some(&slot) = self.slots.get(name) {
+            return slot;
+        }
+        let name: Arc<str> = Arc::from(name);
+        let slot = self.tenants.len();
+        self.tenants
+            .push(TenantState::new(name.clone(), quota, self.nic.now()));
+        self.slots.insert(name, slot);
+        slot
     }
 
     /// Run Pass 4 over the daemon's own transcript.
@@ -451,21 +488,23 @@ impl Daemon {
             "daemon draining={} served_total={} seq={} cursor={} packet_seq={}\n",
             self.draining, self.served_total, self.seq, self.cursor, self.packet_seq
         ));
-        for (name, t) in &self.tenants {
+        for t in self.by_name() {
             s.push_str(&format!(
-                "tenant {name} frozen={:?} stats={:?} nfs={:?} queue={:?} bucket={:?}\n",
-                t.frozen, t.stats, t.nfs, t.queue, t.bucket
+                "tenant {} frozen={:?} stats={:?} nfs={:?} queue={:?} bucket={:?}\n",
+                t.name, t.frozen, t.stats, t.nfs, t.queue, t.bucket
             ));
         }
         s
     }
 
-    /// Append to the transcript, stamped with the simulated clock.
-    fn record(&mut self, tenant: &str, id: u64, kind: ServeEventKind) {
+    /// Append to the transcript, stamped with the simulated clock. The
+    /// record shares the name of the tenant in `slot`; `None` is a
+    /// daemon-wide event.
+    fn record(&mut self, slot: Option<usize>, id: u64, kind: ServeEventKind) {
         self.audit.push(ServeRecord {
             seq: self.seq,
             at: self.nic.now(),
-            tenant: tenant.to_string(),
+            tenant: slot.map_or_else(|| Arc::from(""), |slot| self.tenants[slot].name.clone()),
             id,
             kind,
         });
@@ -488,7 +527,7 @@ impl Daemon {
         }
         self.nic.advance(Picos(self.cfg.tick_ps));
         match parse_request(trimmed) {
-            Err(e) => self.respond(0, "", "?", Err(bad(e))),
+            Err(e) => self.refuse(0, "", "?", bad(e)),
             Ok(req) => self.dispatch(&req),
         }
         for _ in 0..self.cfg.auto_steps {
@@ -509,25 +548,45 @@ impl Daemon {
         n
     }
 
-    /// The one place a response line is rendered.
-    fn respond(&mut self, id: u64, tenant: &str, op: &str, result: ExecResult) {
-        self.out.push(match result {
-            Ok(extras) => accept(id, tenant, op, &extras),
-            Err((code, error)) => reject(id, tenant, op, code, &error),
-        });
+    /// The one place a response line is rendered, in the one buffer it
+    /// is handed back in: the head, then the extras `run` appends after
+    /// `"ok":true` — or, where `run` refuses, the typed rejection in
+    /// their place. Returns the rejection code, if any.
+    fn respond(
+        &mut self,
+        id: u64,
+        tenant: &str,
+        op: &str,
+        run: impl FnOnce(&mut Daemon, &mut String) -> ExecResult,
+    ) -> Option<&'static str> {
+        let mut line = String::with_capacity(96);
+        protocol::head(&mut line, id, tenant, op);
+        let head = line.len();
+        line.push_str(protocol::OK);
+        let refused = run(self, &mut line).err();
+        if let Some((code, error)) = &refused {
+            line.truncate(head);
+            protocol::refusal(&mut line, code, error);
+        }
+        line.push('}');
+        self.out.push(line);
+        refused.map(|(code, _)| code)
+    }
+
+    fn refuse(&mut self, id: u64, tenant: &str, op: &str, why: Reject) {
+        self.respond(id, tenant, op, |_, _| Err(why));
     }
 
     fn dispatch(&mut self, req: &Request) {
         let Some(verb) = VERBS.iter().find(|v| v.name == req.op) else {
-            return self.respond(req.id, &req.tenant, &req.op, Err(bad("unknown op")));
+            return self.refuse(req.id, &req.tenant, &req.op, bad("unknown op"));
         };
         let (tenant, run) = match verb.class {
             Class::Queued(parse) => return self.admit(verb.name, parse(req), req),
-            Class::Tenant(run) => (req.tenant.as_str(), run),
+            Class::Tenant(run) => (&*req.tenant, run),
             Class::Daemon(run) => ("", run),
         };
-        let result = run(self, req);
-        self.respond(req.id, tenant, verb.name, result);
+        self.respond(req.id, tenant, verb.name, |d, line| run(d, req, line));
     }
 
     // --------------------------------------------------------------
@@ -536,17 +595,12 @@ impl Daemon {
 
     fn admit(&mut self, tag: &'static str, op: Result<QueuedOp, String>, req: &Request) {
         if req.tenant.is_empty() {
-            return self.respond(req.id, "", tag, Err(bad("tenant required")));
+            return self.refuse(req.id, "", tag, bad("tenant required"));
         }
         let now = self.nic.now();
-        let quota = self.cfg.quota;
-        if !self.tenants.contains_key(&req.tenant) {
-            self.tenants
-                .insert(req.tenant.clone(), TenantState::new(quota, now));
-            self.order.push(req.tenant.clone());
-        }
+        let slot = self.slot_of(&req.tenant, self.cfg.quota);
         let draining = self.draining;
-        let t = self.tenants.get_mut(&req.tenant).expect("registered");
+        let t = &mut self.tenants[slot];
         t.stats.submitted += 1;
         let deadline = req
             .num("deadline_us")
@@ -583,9 +637,9 @@ impl Daemon {
         match verdict {
             Err((code, error)) => {
                 t.stats.shed += 1;
-                self.record(&req.tenant, req.id, ServeEventKind::Shed { code });
+                self.record(Some(slot), req.id, ServeEventKind::Shed { code });
                 self.count(metrics::SERVE_SHED);
-                self.respond(req.id, &req.tenant, tag, Err((code, error)));
+                self.refuse(req.id, &req.tenant, tag, (code, error));
             }
             Ok((op, deadline)) => {
                 t.queue.push_back(Pending {
@@ -601,7 +655,7 @@ impl Daemon {
                     depth,
                     bound,
                 };
-                self.record(&req.tenant, req.id, admitted);
+                self.record(Some(slot), req.id, admitted);
                 self.count(metrics::SERVE_ADMITTED);
                 self.recorder
                     .record(0, metrics::SERVE_QUEUE_DEPTH, u64::from(depth));
@@ -616,95 +670,93 @@ impl Daemon {
     /// Serve at most one queued request, round-robin across unfrozen
     /// tenants. Returns whether anything was served.
     fn pump(&mut self) -> bool {
-        let n = self.order.len();
-        if n == 0 {
-            return false;
-        }
+        let n = self.tenants.len();
         for k in 0..n {
-            let idx = (self.cursor + k) % n;
-            let name = &self.order[idx];
-            let ready = self
-                .tenants
-                .get(name)
-                .is_some_and(|t| t.frozen.is_none() && !t.queue.is_empty());
-            if !ready {
+            let slot = (self.cursor + k) % n;
+            let t = &mut self.tenants[slot];
+            if t.frozen.is_some() {
                 continue;
             }
-            let name = name.clone();
-            self.cursor = (idx + 1) % n;
-            let pending = self
-                .tenants
-                .get_mut(&name)
-                .expect("in order")
-                .queue
-                .pop_front()
-                .expect("checked non-empty");
-            self.execute(&name, pending);
+            let Some(pending) = t.queue.pop_front() else {
+                continue;
+            };
+            self.cursor = (slot + 1) % n;
+            self.execute(slot, pending);
             return true;
         }
         false
     }
 
-    fn execute(&mut self, tenant: &str, p: Pending) {
-        let now = self.nic.now();
-        if let Some(d) = p.deadline {
-            if now > d {
-                let t = self.tenants.get_mut(tenant).expect("serving");
-                t.stats.expired += 1;
-                self.record(tenant, p.id, ServeEventKind::Expired);
-                self.count(metrics::SERVE_EXPIRED);
-                let error = format!("deadline {}ps passed while queued", d.0);
-                return self.respond(p.id, tenant, p.op.tag(), Err((codes::EXPIRED, error)));
-            }
+    fn execute(&mut self, slot: usize, p: Pending) {
+        let tenant = self.tenants[slot].name.clone();
+        let (id, tag) = (p.id, p.op.tag());
+        if let Some(d) = p.deadline.filter(|&d| self.nic.now() > d) {
+            self.tenants[slot].stats.expired += 1;
+            self.record(Some(slot), id, ServeEventKind::Expired);
+            self.count(metrics::SERVE_EXPIRED);
+            let error = format!("deadline {}ps passed while queued", d.0);
+            return self.refuse(id, &tenant, tag, (codes::EXPIRED, error));
         }
-        let tag = p.op.tag();
-        let result = match p.op {
+        let code = self.respond(id, &tenant, tag, |d, line| match p.op {
             QueuedOp::Launch {
                 name,
                 core,
                 mem_mib,
                 port,
-            } => self.exec_launch(tenant, p.id, &name, core, mem_mib, port, p.deadline),
-            QueuedOp::Teardown { name } => self.exec_teardown(tenant, &name),
-            QueuedOp::Attest { name } => self.exec_attest(tenant, p.id, &name),
-            QueuedOp::Stats { name } => self.exec_stats(tenant, &name),
-            QueuedOp::Send { count, port } => self.exec_send(count, port),
-            QueuedOp::Poll { name } => self.exec_poll(tenant, &name),
-        };
+            } => d.exec_launch(slot, id, &name, core, mem_mib, port, p.deadline, line),
+            QueuedOp::Teardown { name } => d.exec_teardown(slot, &name, line),
+            QueuedOp::Attest { name } => d.exec_attest(slot, id, &name, line),
+            QueuedOp::Stats { name } => d.exec_stats(slot, &name, line),
+            QueuedOp::Send { count, port } => d.exec_send(count, port, line),
+            QueuedOp::Poll { name } => d.exec_poll(slot, &name, line),
+        });
         self.served_total += 1;
-        let t = self.tenants.get_mut(tenant).expect("serving");
+        let t = &mut self.tenants[slot];
         t.stats.served += 1;
-        let code = result.as_ref().err().map(|(code, _)| *code);
         if code.is_some() {
             t.stats.failed += 1;
         }
         let ok = code.is_none();
-        self.record(tenant, p.id, ServeEventKind::Served { ok, code });
+        self.record(Some(slot), id, ServeEventKind::Served { ok, code });
         self.count(metrics::SERVE_SERVED);
-        self.respond(p.id, tenant, tag, result);
         self.scan_faults();
+    }
+
+    /// Unfrozen tenants that own a `Faulted` NF, in name order, each
+    /// with the first such NF's name.
+    fn newly_faulted(&self) -> Vec<(usize, String)> {
+        let faulted = |nf: &NfId| matches!(self.nic.state_of(*nf), Ok(NfState::Faulted));
+        self.slots
+            .values()
+            .filter(|&&slot| self.tenants[slot].frozen.is_none())
+            .filter_map(|&slot| {
+                let mut nfs = self.tenants[slot].nfs.iter();
+                nfs.find_map(|(name, nf)| faulted(nf).then(|| (slot, name.clone())))
+            })
+            .collect()
     }
 
     /// Attribute newly `Faulted` NFs to their owning tenants and freeze
     /// those tenants' queues. The serving layer's blast radius is
     /// exactly the faulted tenant: everyone else keeps being served.
+    ///
+    /// An NF becomes `Faulted` only through a device transition, every
+    /// transition is noted in the device's fault log, and the daemon
+    /// never drains that log — so while the log has not grown since the
+    /// last walk there is nothing new to find, and a served request
+    /// costs one length compare instead of a walk over every NF of
+    /// every tenant.
     fn scan_faults(&mut self) {
-        let mut newly: Vec<(String, String)> = Vec::new();
-        for (tname, t) in &self.tenants {
-            if t.frozen.is_some() {
-                continue;
-            }
-            for (nf_name, nf) in &t.nfs {
-                if matches!(self.nic.state_of(*nf), Ok(NfState::Faulted)) {
-                    newly.push((tname.clone(), nf_name.clone()));
-                    break;
-                }
-            }
+        let noted = self.nic.fault_log().len();
+        if noted == self.faults_scanned {
+            debug_assert!(self.newly_faulted().is_empty(), "a fault the log missed");
+            return;
         }
-        for (tname, nf_name) in newly {
+        self.faults_scanned = noted;
+        for (slot, nf_name) in self.newly_faulted() {
             let reason = format!("nf '{nf_name}' faulted");
-            self.tenants.get_mut(&tname).expect("scanned above").frozen = Some(reason.clone());
-            self.record(&tname, 0, ServeEventKind::Frozen { reason });
+            self.tenants[slot].frozen = Some(reason.clone());
+            self.record(Some(slot), 0, ServeEventKind::Frozen { reason });
             self.count(metrics::SERVE_FROZEN);
         }
     }
@@ -713,16 +765,14 @@ impl Daemon {
     // Queued-op execution
     // --------------------------------------------------------------
 
-    fn lookup(&self, tenant: &str, name: &str) -> Result<NfId, (&'static str, String)> {
-        self.tenants
-            .get(tenant)
-            .and_then(|t| t.nfs.get(name).copied())
-            .ok_or_else(|| {
-                (
-                    codes::UNKNOWN_NF,
-                    format!("tenant '{tenant}' has no NF '{name}'"),
-                )
-            })
+    fn lookup(&self, slot: usize, name: &str) -> Result<NfId, Reject> {
+        let t = &self.tenants[slot];
+        t.nfs.get(name).copied().ok_or_else(|| {
+            (
+                codes::UNKNOWN_NF,
+                format!("tenant '{}' has no NF '{name}'", t.name),
+            )
+        })
     }
 
     fn free_core(&self) -> Option<u16> {
@@ -737,15 +787,17 @@ impl Daemon {
     #[allow(clippy::too_many_arguments)]
     fn exec_launch(
         &mut self,
-        tenant: &str,
+        slot: usize,
         id: u64,
         name: &str,
         core: Option<u16>,
         mem_mib: u64,
         port: Option<u16>,
         deadline: Option<Picos>,
+        line: &mut String,
     ) -> ExecResult {
-        let t = self.tenants.get(tenant).expect("serving");
+        let t = &self.tenants[slot];
+        let tenant = t.name.clone();
         if t.nfs.len() >= t.quota.max_live_nfs as usize {
             return Err((
                 codes::QUOTA,
@@ -778,18 +830,15 @@ impl Daemon {
             });
         }
         let before = self.nic.resource_snapshot();
-        let policy = RetryPolicy::jittered(request_seed(self.cfg.seed, tenant, id));
+        let policy = RetryPolicy::jittered(request_seed(self.cfg.seed, &tenant, id));
         match NicOs::new(&mut self.nic).nf_create_with_deadline(request, policy, deadline) {
             Ok(receipt) => {
-                self.tenants
-                    .get_mut(tenant)
-                    .expect("serving")
+                self.tenants[slot]
                     .nfs
                     .insert(name.to_string(), receipt.nf_id);
-                Ok(vec![
-                    ("nf", receipt.nf_id.0.to_string()),
-                    ("latency_ps", receipt.latency.total().0.to_string()),
-                ])
+                extra(line, "nf", receipt.nf_id.0);
+                extra(line, "latency_ps", receipt.latency.total().0);
+                Ok(())
             }
             Err(RetryError::DeadlineExceeded { attempts, deadline }) => {
                 debug_assert_eq!(
@@ -821,16 +870,13 @@ impl Daemon {
         }
     }
 
-    fn exec_teardown(&mut self, tenant: &str, name: &str) -> ExecResult {
-        let nf = self.lookup(tenant, name)?;
+    fn exec_teardown(&mut self, slot: usize, name: &str, line: &mut String) -> ExecResult {
+        let nf = self.lookup(slot, name)?;
         match self.nic.nf_teardown(nf) {
             Ok(receipt) => {
-                self.tenants
-                    .get_mut(tenant)
-                    .expect("serving")
-                    .nfs
-                    .remove(name);
-                Ok(vec![("scrub_ps", receipt.latency.scrub.0.to_string())])
+                self.tenants[slot].nfs.remove(name);
+                extra(line, "scrub_ps", receipt.latency.scrub.0);
+                Ok(())
             }
             Err(snic_types::SnicError::PowerLoss) => {
                 // The scrub was interrupted: its watermark ticket
@@ -838,11 +884,7 @@ impl Daemon {
                 // until `resume-scrubs`. Power comes back immediately
                 // (the daemon is the operator) and the NF is gone.
                 self.nic.restore_power();
-                self.tenants
-                    .get_mut(tenant)
-                    .expect("serving")
-                    .nfs
-                    .remove(name);
+                self.tenants[slot].nfs.remove(name);
                 Err((
                     codes::FAULT,
                     "power lost mid-scrub; region pending with watermark".to_string(),
@@ -852,13 +894,13 @@ impl Daemon {
         }
     }
 
-    fn exec_attest(&mut self, tenant: &str, id: u64, name: &str) -> ExecResult {
-        let nf = self.lookup(tenant, name)?;
+    fn exec_attest(&mut self, slot: usize, id: u64, name: &str, line: &mut String) -> ExecResult {
+        let nf = self.lookup(slot, name)?;
         let measurement = self
             .nic
             .measurement_of(nf)
             .map_err(|e| (codes::FAULT, e.to_string()))?;
-        let seed = request_seed(self.cfg.seed, tenant, id);
+        let seed = request_seed(self.cfg.seed, &self.tenants[slot].name, id);
         let params = DhParams::tiny_test_group();
         let mut verifier = Verifier::hello(&mut StdRng::seed_from_u64(seed ^ 0xA77E57));
         let nonce = verifier.nonce;
@@ -879,23 +921,23 @@ impl Daemon {
             )
             .map_err(|e| (codes::FAULT, e.to_string()))?;
         let ok = f.session_key(&v_pub) == verifier.session_key(&f.quote.dh_public);
-        Ok(vec![("verified", ok.to_string())])
+        extra(line, "verified", ok);
+        Ok(())
     }
 
-    fn exec_stats(&mut self, tenant: &str, name: &str) -> ExecResult {
-        let nf = self.lookup(tenant, name)?;
+    fn exec_stats(&mut self, slot: usize, name: &str, line: &mut String) -> ExecResult {
+        let nf = self.lookup(slot, name)?;
         let r = self
             .nic
             .record_of(nf)
             .map_err(|e| (codes::FAULT, e.to_string()))?;
-        Ok(vec![
-            ("delivered", r.rx_delivered.to_string()),
-            ("dropped", r.rx_dropped.to_string()),
-            ("sent", r.tx_sent.to_string()),
-        ])
+        extra(line, "delivered", r.rx_delivered);
+        extra(line, "dropped", r.rx_dropped);
+        extra(line, "sent", r.tx_sent);
+        Ok(())
     }
 
-    fn exec_send(&mut self, count: u32, port: u16) -> ExecResult {
+    fn exec_send(&mut self, count: u32, port: u16, line: &mut String) -> ExecResult {
         let mut delivered = 0u32;
         for _ in 0..count {
             self.packet_seq += 1;
@@ -906,19 +948,19 @@ impl Daemon {
                 (1024 + self.packet_seq % 60_000) as u16,
                 port,
             )
-            .payload(b"snicd".to_vec())
-            .build();
+            .build_around(b"snicd");
             match self.nic.rx_packet(&pkt) {
                 Ok(Some(_)) => delivered += 1,
                 Ok(None) => {}
                 Err(e) => return Err((codes::FAULT, e.to_string())),
             }
         }
-        Ok(vec![("delivered", delivered.to_string())])
+        extra(line, "delivered", delivered);
+        Ok(())
     }
 
-    fn exec_poll(&mut self, tenant: &str, name: &str) -> ExecResult {
-        let nf = self.lookup(tenant, name)?;
+    fn exec_poll(&mut self, slot: usize, name: &str, line: &mut String) -> ExecResult {
+        let nf = self.lookup(slot, name)?;
         let mut n = 0u32;
         loop {
             match self.nic.poll_packet(nf) {
@@ -927,14 +969,15 @@ impl Daemon {
                 Err(e) => return Err((codes::FAULT, e.to_string())),
             }
         }
-        Ok(vec![("polled", n.to_string())])
+        extra(line, "polled", n);
+        Ok(())
     }
 
     // --------------------------------------------------------------
     // Management ops
     // --------------------------------------------------------------
 
-    fn op_register(&mut self, req: &Request) -> ExecResult {
+    fn op_register(&mut self, req: &Request, line: &mut String) -> ExecResult {
         if req.tenant.is_empty() {
             return Err(bad("tenant required"));
         }
@@ -951,20 +994,13 @@ impl Daemon {
         if let Some(r) = req.num("refill_ps") {
             quota.refill_ps = r;
         }
-        match self.tenants.get_mut(&req.tenant) {
-            Some(t) => t.quota = quota,
-            None => {
-                let fresh = TenantState::new(quota, self.nic.now());
-                self.tenants.insert(req.tenant.clone(), fresh);
-                self.order.push(req.tenant.clone());
-            }
-        }
-        Ok(vec![
-            ("queue_depth", quota.queue_depth.to_string()),
-            ("max_live_nfs", quota.max_live_nfs.to_string()),
-            ("burst", quota.burst.to_string()),
-            ("refill_ps", quota.refill_ps.to_string()),
-        ])
+        let slot = self.slot_of(&req.tenant, quota);
+        self.tenants[slot].quota = quota;
+        extra(line, "queue_depth", quota.queue_depth);
+        extra(line, "max_live_nfs", quota.max_live_nfs);
+        extra(line, "burst", quota.burst);
+        extra(line, "refill_ps", quota.refill_ps);
+        Ok(())
     }
 
     /// `step {"n":k}`: run up to `k` service-pump steps explicitly,
@@ -972,23 +1008,29 @@ impl Daemon {
     /// config this is the only way queued work gets served, which lets
     /// schedules control the service rate — the soak harness and the
     /// admission property tests drive backpressure this way.
-    fn op_step(&mut self, req: &Request) -> ExecResult {
+    fn op_step(&mut self, req: &Request, line: &mut String) -> ExecResult {
         let n = req.num("n").unwrap_or(1);
         let served = (0..n).take_while(|_| self.pump()).count();
-        Ok(vec![("served", served.to_string())])
+        extra(line, "served", served);
+        Ok(())
     }
 
-    fn op_health(&mut self, _: &Request) -> ExecResult {
-        let mut tenants = String::from("{");
-        for (i, (name, t)) in self.tenants.iter().enumerate() {
+    fn op_health(&mut self, _: &Request, line: &mut String) -> ExecResult {
+        extra(line, "now_ps", self.nic.now().0);
+        extra(line, "draining", self.draining);
+        extra(line, "pending_scrubs", self.nic.pending_scrubs().len());
+        line.push_str(",\"tenants\":{");
+        for (i, t) in self.by_name().enumerate() {
             if i > 0 {
-                tenants.push(',');
+                line.push(',');
             }
-            tenants.push_str(&format!(
-                "\"{}\":{{\"frozen\":{},\"queued\":{},\"live\":{},\"submitted\":{},\
+            line.push('"');
+            escape_into(line, &t.name);
+            let _ = write!(
+                line,
+                "\":{{\"frozen\":{},\"queued\":{},\"live\":{},\"submitted\":{},\
                  \"admitted\":{},\"served\":{},\"failed\":{},\"shed\":{},\"expired\":{},\
                  \"reclaimed\":{}}}",
-                esc(name),
                 t.frozen.is_some(),
                 t.queue.len(),
                 t.nfs.len(),
@@ -999,47 +1041,44 @@ impl Daemon {
                 t.stats.shed,
                 t.stats.expired,
                 t.stats.reclaimed,
-            ));
+            );
         }
-        tenants.push('}');
-        Ok(vec![
-            ("now_ps", self.nic.now().0.to_string()),
-            ("draining", self.draining.to_string()),
-            (
-                "pending_scrubs",
-                self.nic.pending_scrubs().len().to_string(),
-            ),
-            ("tenants", tenants),
-        ])
+        line.push('}');
+        Ok(())
     }
 
-    fn op_telemetry_summary(&mut self, _: &Request) -> ExecResult {
+    fn op_telemetry_summary(&mut self, _: &Request, line: &mut String) -> ExecResult {
         let summary = self.recorder.summary();
-        let counters: Vec<String> = summary
-            .counters
-            .iter()
-            .filter(|((domain, metric), _)| {
-                *domain == 0 && (metric.starts_with("serve.") || metric.starts_with("nicos."))
-            })
-            .map(|((_, metric), value)| format!("\"{}\":{value}", esc(metric)))
-            .collect();
-        Ok(vec![("counters", format!("{{{}}}", counters.join(",")))])
+        let counters = summary.counters.iter().filter(|((domain, metric), _)| {
+            *domain == 0 && (metric.starts_with("serve.") || metric.starts_with("nicos."))
+        });
+        line.push_str(",\"counters\":{");
+        for (i, ((_, metric), value)) in counters.enumerate() {
+            line.push_str(if i > 0 { ",\"" } else { "\"" });
+            escape_into(line, metric);
+            let _ = write!(line, "\":{value}");
+        }
+        line.push('}');
+        Ok(())
     }
 
-    fn op_verify(&mut self, _: &Request) -> ExecResult {
+    fn op_verify(&mut self, _: &Request, line: &mut String) -> ExecResult {
         let findings = self.lint();
-        let codes_list = findings
-            .iter()
-            .map(|f| format!("\"{}\"", f.kind.code()))
-            .collect::<Vec<_>>()
-            .join(",");
-        Ok(vec![
-            ("findings", findings.len().to_string()),
-            ("codes", format!("[{codes_list}]")),
-        ])
+        extra(line, "findings", findings.len());
+        line.push_str(",\"codes\":[");
+        for (i, f) in findings.iter().enumerate() {
+            let _ = write!(
+                line,
+                "{}\"{}\"",
+                if i > 0 { "," } else { "" },
+                f.kind.code()
+            );
+        }
+        line.push(']');
+        Ok(())
     }
 
-    fn op_inject_fault(&mut self, req: &Request) -> ExecResult {
+    fn op_inject_fault(&mut self, req: &Request, line: &mut String) -> ExecResult {
         let site = req.str("site");
         let site = FaultSite::ALL
             .into_iter()
@@ -1060,30 +1099,31 @@ impl Daemon {
         let nth = self.nic.fault_site_count(site) + after;
         self.nic
             .arm_faults(FaultPlan::none().on_nth(site, nth, kind));
-        Ok(vec![("nth", nth.to_string())])
+        extra(line, "nth", nth);
+        Ok(())
     }
 
-    fn op_advance(&mut self, req: &Request) -> ExecResult {
+    fn op_advance(&mut self, req: &Request, line: &mut String) -> ExecResult {
         let us = req.num("us").ok_or_else(|| bad("missing \"us\""))?;
         let now = self.nic.now();
         let then = after_us(now, us)
             .ok_or_else(|| bad(format!("\"us\" overflows the simulated clock: {us}")))?;
         self.nic.advance(then - now);
-        Ok(vec![("now_ps", then.0.to_string())])
+        extra(line, "now_ps", then.0);
+        Ok(())
     }
 
-    fn op_resume_scrubs(&mut self, _: &Request) -> ExecResult {
-        let done = self.nic.resume_scrubs();
-        Ok(vec![
-            ("completed", done.to_string()),
-            ("pending", self.nic.pending_scrubs().len().to_string()),
-        ])
+    fn op_resume_scrubs(&mut self, _: &Request, line: &mut String) -> ExecResult {
+        extra(line, "completed", self.nic.resume_scrubs());
+        extra(line, "pending", self.nic.pending_scrubs().len());
+        Ok(())
     }
 
-    fn op_reclaim(&mut self, req: &Request) -> ExecResult {
-        let Some(t) = self.tenants.get(&req.tenant) else {
+    fn op_reclaim(&mut self, req: &Request, line: &mut String) -> ExecResult {
+        let Some(&slot) = self.slots.get(&*req.tenant) else {
             return Err(bad("unknown tenant"));
         };
+        let t = &self.tenants[slot];
         // Tear down this tenant's faulted NFs (scrub + reclaim their
         // resources), then shed the held queue and thaw.
         let faulted: Vec<(String, NfId)> = t
@@ -1097,7 +1137,7 @@ impl Daemon {
                 self.nic.restore_power();
             }
         }
-        let t = self.tenants.get_mut(&req.tenant).expect("checked");
+        let t = &mut self.tenants[slot];
         for (name, _) in &faulted {
             t.nfs.remove(name);
         }
@@ -1106,21 +1146,20 @@ impl Daemon {
         t.stats.reclaimed += u64::from(shed);
         let was_frozen = t.frozen.take().is_some();
         for p in &dropped {
-            let held = Err((codes::FROZEN, "queue reclaimed".to_string()));
-            self.respond(p.id, &req.tenant, p.op.tag(), held);
+            let held = (codes::FROZEN, "queue reclaimed".to_string());
+            self.refuse(p.id, &req.tenant, p.op.tag(), held);
         }
-        self.record(&req.tenant, req.id, ServeEventKind::Reclaimed { shed });
+        self.record(Some(slot), req.id, ServeEventKind::Reclaimed { shed });
         if was_frozen {
-            self.record(&req.tenant, req.id, ServeEventKind::Thawed);
+            self.record(Some(slot), req.id, ServeEventKind::Thawed);
         }
-        Ok(vec![
-            ("torn_down", faulted.len().to_string()),
-            ("shed", shed.to_string()),
-            ("thawed", was_frozen.to_string()),
-        ])
+        extra(line, "torn_down", faulted.len());
+        extra(line, "shed", shed);
+        extra(line, "thawed", was_frozen);
+        Ok(())
     }
 
-    fn op_snapshot(&mut self, req: &Request) -> ExecResult {
+    fn op_snapshot(&mut self, req: &Request, line: &mut String) -> ExecResult {
         // The digest covers the config and the full input history
         // (including this very line): both are known before any effect
         // of the op, so a replayed `snapshot` line reproduces it
@@ -1135,32 +1174,26 @@ impl Daemon {
         let taken = ServeEventKind::SnapshotTaken {
             digest: digest.clone(),
         };
-        self.record("", req.id, taken);
-        Ok(vec![
-            ("digest", format!("\"{digest}\"")),
-            ("lines", self.history.len().to_string()),
-        ])
+        self.record(None, req.id, taken);
+        let _ = write!(line, ",\"digest\":\"{digest}\"");
+        extra(line, "lines", self.history.len());
+        Ok(())
     }
 
-    fn op_drain(&mut self, req: &Request) -> ExecResult {
+    fn op_drain(&mut self, req: &Request, line: &mut String) -> ExecResult {
         if self.draining {
             return Err((codes::DRAINING, "already draining".to_string()));
         }
         self.draining = true;
-        self.record("", req.id, ServeEventKind::DrainStarted);
+        self.record(None, req.id, ServeEventKind::DrainStarted);
         while self.pump() {}
         let served = self.served_total;
-        self.record("", req.id, ServeEventKind::DrainCompleted { served });
-        let frozen_pending: usize = self
-            .tenants
-            .values()
-            .filter(|t| t.frozen.is_some())
-            .map(|t| t.queue.len())
-            .sum();
-        Ok(vec![
-            ("served", served.to_string()),
-            ("frozen_pending", frozen_pending.to_string()),
-        ])
+        self.record(None, req.id, ServeEventKind::DrainCompleted { served });
+        let frozen = self.tenants.iter().filter(|t| t.frozen.is_some());
+        let frozen_pending: usize = frozen.map(|t| t.queue.len()).sum();
+        extra(line, "served", served);
+        extra(line, "frozen_pending", frozen_pending);
+        Ok(())
     }
 }
 
@@ -1272,6 +1305,42 @@ mod tests {
         assert!(
             out[0].ends_with("\"now_ps\":18446744073709000000}"),
             "{out:?}"
+        );
+    }
+
+    /// `scan_faults` walks the tenants only when the device's fault log
+    /// has grown; the rule it replaced walked them after every served
+    /// request. Over the soak schedule — an injected NF crash, the
+    /// freeze, a reclaim, launches and teardowns around them — the two
+    /// agree after every line: wherever the log stands where the last
+    /// walk left it, a walk finds nothing. (Debug builds assert the same
+    /// at every skipped walk, so every other test is this differential
+    /// too; `tests/golden/soak.txt` holds the always-walk transcript.)
+    #[test]
+    fn the_fault_scan_skips_only_walks_that_would_find_nothing() {
+        let seed = 0xBEEF;
+        let mut d = Daemon::new(crate::soak::soak_config(seed));
+        let (mut skipped, mut walked) = (0, 0);
+        for line in crate::soak::schedule(seed) {
+            let before = d.faults_scanned;
+            d.ingest(&line);
+            if d.nic.fault_log().len() == d.faults_scanned {
+                assert!(d.newly_faulted().is_empty(), "after {line}");
+            }
+            if d.faults_scanned == before {
+                skipped += 1;
+            } else {
+                walked += 1;
+            }
+        }
+        let froze = |r: &ServeRecord| matches!(r.kind, ServeEventKind::Frozen { .. });
+        assert!(
+            d.transcript().iter().any(froze),
+            "the schedule freezes a tenant"
+        );
+        assert!(
+            walked > 0 && skipped > 10 * walked,
+            "{walked} walked, {skipped} skipped"
         );
     }
 

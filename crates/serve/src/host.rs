@@ -71,7 +71,11 @@ impl HostOpts {
             };
             match flag.as_str() {
                 "--seed" => opts.cfg.seed = int(value()?)?,
-                "--tick-us" => opts.cfg.tick_ps = int(value()?)?.saturating_mul(1_000_000),
+                "--tick-us" => {
+                    opts.cfg.tick_ps = int(value()?)?
+                        .checked_mul(1_000_000)
+                        .ok_or(format!("{flag} overflows the simulated clock"))?;
+                }
                 "--auto-steps" => {
                     opts.cfg.auto_steps = u32::try_from(int(value()?)?)
                         .map_err(|_| format!("{flag} does not fit 32 bits"))?;
@@ -144,7 +148,9 @@ impl Host {
     /// with every line it got as far as sending journaled and ingested.
     pub fn serve(&mut self, input: impl BufRead, mut output: impl Write) -> Result<(), Fatal> {
         let mut emit = |r: &str| {
-            writeln!(output, "{r}")
+            output
+                .write_all(r.as_bytes())
+                .and_then(|()| output.write_all(b"\n"))
                 .and_then(|()| output.flush())
                 .map_err(|e| format!("write response: {e}"))
         };

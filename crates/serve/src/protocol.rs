@@ -2,8 +2,10 @@
 //! responses.
 //!
 //! One request per line, one response per completed request. Requests
-//! are parsed with the workspace's own `snic_telemetry::parse_json`
-//! (there is no serde); responses are hand-rendered in a canonical
+//! are read with the workspace's own JSON grammar through its borrowed
+//! sink, `snic_telemetry::read_members` (there is no serde, and a line
+//! that is served and forgotten builds no tree); responses are
+//! hand-rendered, each straight into its one buffer, in a canonical
 //! member order (`id`, `tenant`, `op`, `ok`, then op-specific fields)
 //! so transcripts are byte-stable and diffable.
 //!
@@ -11,9 +13,12 @@
 //! human-readable `error` text may evolve, the codes may not (CI and
 //! the exit-code table in the README key off them).
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::io::{BufRead, Read};
 
-use snic_telemetry::{parse_json, Json};
+use snic_telemetry::json::escape_into;
+use snic_telemetry::{read_members, Scalar};
 
 /// Stable rejection codes. These are API: tests, the soak gate, and
 /// `snicctl serve` exit codes key off them.
@@ -44,23 +49,32 @@ pub mod codes {
     pub const UNKNOWN_NF: &str = "SERVE-UNKNOWN-NF";
 }
 
-/// A parsed request line.
+/// A parsed request line, borrowed from it: every string is a slice of
+/// the line (owned only where the line spells it with escapes), and
+/// nested values — which no verb reads — are validated and dropped.
 #[derive(Debug, Clone)]
-pub struct Request {
+pub struct Request<'a> {
     /// The operation name (`launch`, `send`, `drain`, ...).
-    pub op: String,
+    pub op: Cow<'a, str>,
     /// The requesting tenant; empty for daemon-wide management ops.
-    pub tenant: String,
+    pub tenant: Cow<'a, str>,
     /// Client-chosen correlation id, echoed in the response.
     pub id: u64,
-    /// The full parsed body, for op-specific parameters.
-    pub body: Json,
+    /// Every top-level member in source order, for op-specific
+    /// parameters.
+    members: Vec<(Cow<'a, str>, Scalar<'a>)>,
 }
 
-impl Request {
+/// The first member called `key`: a repeated key reads as its first
+/// occurrence, as it did in the tree.
+fn first<'m, 'a>(members: &'m [(Cow<'a, str>, Scalar<'a>)], key: &str) -> Option<&'m Scalar<'a>> {
+    members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+impl Request<'_> {
     /// An op-specific `u64` parameter.
     pub fn num(&self, key: &str) -> Option<u64> {
-        self.body.get(key).and_then(Json::as_u64)
+        first(&self.members, key).and_then(Scalar::as_u64)
     }
 
     /// An op-specific integer parameter narrowed to `T`. A value `T`
@@ -74,30 +88,27 @@ impl Request {
 
     /// An op-specific string parameter.
     pub fn str(&self, key: &str) -> Option<&str> {
-        self.body.get(key).and_then(Json::as_str)
+        first(&self.members, key).and_then(Scalar::as_str)
     }
 }
 
 /// Parse one request line. `Err` carries text for a
 /// [`codes::BAD_REQUEST`] response.
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    let body = parse_json(line).map_err(|e| e.to_string())?;
-    let op = body
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or("missing \"op\"")?
-        .to_string();
-    let tenant = body
-        .get("tenant")
-        .and_then(Json::as_str)
-        .unwrap_or("")
-        .to_string();
-    let id = body.get("id").and_then(Json::as_u64).unwrap_or(0);
+pub fn parse_request(line: &str) -> Result<Request<'_>, String> {
+    let mut members = Vec::with_capacity(8);
+    read_members(line, |key, value| members.push((key, value))).map_err(|e| e.to_string())?;
+    let text = |key| match first(&members, key) {
+        Some(Scalar::Str(s)) => Some(s.clone()),
+        _ => None,
+    };
+    let op = text("op").ok_or("missing \"op\"")?;
+    let tenant = text("tenant").unwrap_or_default();
+    let id = first(&members, "id").and_then(Scalar::as_u64).unwrap_or(0);
     Ok(Request {
         op,
         tenant,
         id,
-        body,
+        members,
     })
 }
 
@@ -106,23 +117,44 @@ pub fn esc(s: &str) -> String {
     snic_telemetry::json::escape(s)
 }
 
-fn head(id: u64, tenant: &str, op: &str) -> String {
-    let mut s = format!("{{\"id\":{id}");
+/// Begin a response line in `out`: `{"id":..,"tenant":..,"op":..`, the
+/// tenant only when there is one.
+pub(crate) fn head(out: &mut String, id: u64, tenant: &str, op: &str) {
+    let _ = write!(out, "{{\"id\":{id}");
     if !tenant.is_empty() {
-        s.push_str(&format!(",\"tenant\":\"{}\"", esc(tenant)));
+        out.push_str(",\"tenant\":\"");
+        escape_into(out, tenant);
+        out.push('"');
     }
-    s.push_str(&format!(",\"op\":\"{}\"", esc(op)));
-    s
+    out.push_str(",\"op\":\"");
+    escape_into(out, op);
+    out.push('"');
+}
+
+/// What follows [`head`] and the extras of a success response.
+pub(crate) const OK: &str = ",\"ok\":true";
+
+/// Append one success extra, `,"key":value`, to a response line.
+pub(crate) fn extra(out: &mut String, key: &str, value: impl std::fmt::Display) {
+    let _ = write!(out, ",\"{key}\":{value}");
+}
+
+/// What follows [`head`] in a typed rejection, up to the closing brace.
+pub(crate) fn refusal(out: &mut String, code: &str, error: &str) {
+    let _ = write!(out, ",\"ok\":false,\"code\":\"{code}\",\"error\":\"");
+    escape_into(out, error);
+    out.push('"');
 }
 
 /// Render a success response. `extras` are `(key, raw JSON fragment)`
 /// pairs appended in order — the caller is responsible for fragment
 /// validity (use [`esc`] for strings).
 pub fn accept(id: u64, tenant: &str, op: &str, extras: &[(&str, String)]) -> String {
-    let mut s = head(id, tenant, op);
-    s.push_str(",\"ok\":true");
+    let mut s = String::with_capacity(96);
+    head(&mut s, id, tenant, op);
+    s.push_str(OK);
     for (k, v) in extras {
-        s.push_str(&format!(",\"{k}\":{v}"));
+        extra(&mut s, k, v);
     }
     s.push('}');
     s
@@ -130,11 +162,10 @@ pub fn accept(id: u64, tenant: &str, op: &str, extras: &[(&str, String)]) -> Str
 
 /// Render a typed rejection response.
 pub fn reject(id: u64, tenant: &str, op: &str, code: &str, error: &str) -> String {
-    let mut s = head(id, tenant, op);
-    s.push_str(&format!(
-        ",\"ok\":false,\"code\":\"{code}\",\"error\":\"{}\"}}",
-        esc(error)
-    ));
+    let mut s = String::with_capacity(128);
+    head(&mut s, id, tenant, op);
+    refusal(&mut s, code, error);
+    s.push('}');
     s
 }
 
@@ -193,6 +224,7 @@ pub fn pump_lines<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snic_telemetry::{parse_json, Json};
 
     #[test]
     fn request_round_trip() {
@@ -214,6 +246,164 @@ mod tests {
         assert_eq!(r.num("port"), Some(65_616));
         let err = r.int::<u16>("port").expect_err("65616 is no port");
         assert!(err.contains("\"port\"") && err.contains("65616"), "{err}");
+    }
+
+    /// What `parse_request` was before it read lines in place: the
+    /// owned tree, then lookups in it. The oracle of the differential
+    /// below.
+    fn tree_request(line: &str) -> Result<(String, String, u64, Json), String> {
+        let body = parse_json(line).map_err(|e| e.to_string())?;
+        let text = |key| body.get(key).and_then(Json::as_str);
+        let op = text("op").ok_or("missing \"op\"")?.to_string();
+        let tenant = text("tenant").unwrap_or("").to_string();
+        let id = body.get("id").and_then(Json::as_u64).unwrap_or(0);
+        Ok((op, tenant, id, body))
+    }
+
+    /// Keys as a line spells them; several spell the same key, so
+    /// duplicates — across spellings too — are common.
+    const KEYS: &[&str] = &[
+        "op",
+        "op",
+        "tenant",
+        "id",
+        "id",
+        "count",
+        "port",
+        "name",
+        "\\u006fp",
+        "i\\u0064",
+        "é",
+        "a\\nb",
+        "",
+        "ten\\u0061nt",
+    ];
+    /// The same, decoded, plus one no line holds.
+    const LOOKUPS: &[&str] = &[
+        "op", "tenant", "id", "count", "port", "name", "é", "a\nb", "", "absent",
+    ];
+    /// Member values as a line spells them: strings plain and escaped
+    /// (`\u` pairs, a lone surrogate, the `+` `from_str_radix` lets
+    /// through), integers around 2^53 and 2^64, floats, `-0`, literals,
+    /// nested values no verb reads, and values that are not JSON.
+    const VALUES: &[&str] = &[
+        r#""send""#,
+        r#""t0""#,
+        r#""nf""#,
+        r#""""#,
+        r#""a b\téé""#,
+        r#""q\"\\\/\b\f\n\r\t""#,
+        r#""\u00e9\u0041""#,
+        r#""\ud83d\ude00""#,
+        r#""\udc00x""#,
+        r#""\u+041""#,
+        "0",
+        "7",
+        "80",
+        "65535",
+        "65536",
+        "4294967296",
+        "9007199254740991",
+        "9007199254740992",
+        "9007199254740993",
+        "18446744073709551615",
+        "18446744073709551616",
+        "18446744073709551617",
+        "3.0",
+        "2e3",
+        "0.5",
+        "1e400",
+        "-0",
+        "-0.0",
+        "-1",
+        "1E2",
+        "01",
+        "true",
+        "false",
+        "null",
+        "[]",
+        "{}",
+        r#"[1,{"a":null}]"#,
+        r#"{"op":"inner","id":[9]}"#,
+        "[[[[[[1]]]]]]",
+        "tru",
+        "nul",
+        "1.2.3",
+        "-",
+        "+1",
+        r#""\q""#,
+        r#""\u12""#,
+        r#""\u12é4""#,
+        r#""open"#,
+        "[1,]",
+        r#"{"a"}"#,
+        "",
+    ];
+    const GAPS: &[&str] = &["", "", "", " ", "\t", " \r\n "];
+    const TAILS: &[&str] = &["", "", "", " ", "x", "}", ",", " {}", "\u{0}"];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4_000))]
+
+        /// The borrowed reader and the tree parser are one grammar: on
+        /// any line, the same error text or the same answer to every
+        /// lookup a verb can make.
+        #[test]
+        fn request_reader_answers_as_the_tree_parser(
+            members in proptest::collection::vec(
+                (0..KEYS.len(), 0..VALUES.len(), 0..GAPS.len(), 0..GAPS.len()),
+                0..9,
+            ),
+            shape in 0u8..16,
+            cut in 0usize..400,
+            tail in 0..TAILS.len(),
+        ) {
+            let gap = |i: usize| GAPS[i];
+            let mut line = String::from(gap(cut % GAPS.len()));
+            match shape {
+                // Documents that are not objects: they parse, and hold no op.
+                0 => line.push_str(VALUES[cut % VALUES.len()]),
+                1 => line.push_str(r#"["op","send"]"#),
+                _ => {
+                    line.push('{');
+                    for (i, &(key, value, before, after)) in members.iter().enumerate() {
+                        let comma = if i > 0 { "," } else { "" };
+                        let (before, after) = (gap(before), gap(after));
+                        let (key, value) = (KEYS[key], VALUES[value]);
+                        line.push_str(&format!("{comma}{before}\"{key}\"{after}:{before}{value}{after}"));
+                    }
+                    line.push('}');
+                }
+            }
+            line.push_str(TAILS[tail]);
+            // Every fourth line is truncated, anywhere a character ends.
+            if shape % 4 == 3 {
+                let mut at = cut.min(line.len());
+                while !line.is_char_boundary(at) {
+                    at -= 1;
+                }
+                line.truncate(at);
+            }
+
+            match (parse_request(&line), tree_request(&line)) {
+                (Err(reader), Err(tree)) => proptest::prop_assert_eq!(reader, tree, "{}", line),
+                (Ok(req), Ok((op, tenant, id, body))) => {
+                    proptest::prop_assert_eq!((&*req.op, &*req.tenant, req.id), (&*op, &*tenant, id));
+                    for key in LOOKUPS {
+                        let member = body.get(key);
+                        let num = member.and_then(Json::as_u64);
+                        proptest::prop_assert_eq!(req.num(key), num, "{} in {}", key, line);
+                        proptest::prop_assert_eq!(req.str(key), member.and_then(Json::as_str));
+                        let narrow = num.map(|n| u16::try_from(n).map_err(|_| n)).transpose();
+                        let narrowed = req.int::<u16>(key).map_err(|_| req.num(key).expect("a number"));
+                        proptest::prop_assert_eq!(narrowed, narrow);
+                    }
+                }
+                (reader, tree) => proptest::prop_assert!(
+                    false, "{}: reader {:?}, tree {:?}", line, reader, tree.map(|t| (t.0, t.1, t.2))
+                ),
+            }
+        }
     }
 
     #[test]

@@ -109,15 +109,15 @@ mod tests {
             };
             let parsed = parse_request(request).expect("lowered lines are requests");
             assert_eq!(
-                (parsed.op.as_str(), parsed.tenant.as_str(), parsed.id),
+                (&*parsed.op, &*parsed.tenant, parsed.id),
                 (verb.name, TENANT, 2)
             );
             assert_eq!(parsed.num("extra"), Some(7));
             if let Some(key) = verb.positional {
                 assert_eq!(parsed.str(key), Some("x"), "{request}");
             }
-            let members = match &parsed.body {
-                Json::Obj(members) => members.len(),
+            let members = match snic_telemetry::parse_json(request) {
+                Ok(Json::Obj(members)) => members.len(),
                 other => panic!("{other:?}"),
             };
             assert_eq!(members, 4 + usize::from(verb.positional.is_some()));

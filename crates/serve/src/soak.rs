@@ -364,7 +364,7 @@ fn report_of(seed: u64, daemon: &Daemon, responses: Vec<String>) -> SoakReport {
     let mut victim = VictimOutcome::default();
     let mut thaw_seq = None;
     for r in daemon.transcript() {
-        if r.tenant != "bravo" {
+        if &*r.tenant != "bravo" {
             continue;
         }
         match &r.kind {

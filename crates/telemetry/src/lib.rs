@@ -36,7 +36,7 @@ mod trace;
 
 pub use buffer::BufferSink;
 pub use hist::Histogram;
-pub use json::{parse_json, Json, JsonError};
+pub use json::{parse_json, read_members, Json, JsonError, Scalar};
 pub use recorder::Recorder;
 pub use sink::{metrics, NullSink, TelemetrySink};
 pub use summary::{Summary, SummaryDelta};

@@ -1,15 +1,36 @@
 //! The in-memory recording sink.
 
+use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
 
+use crate::hist::Histogram;
 use crate::sink::TelemetrySink;
 use crate::summary::Summary;
 use crate::trace::{Phase, TraceEvent};
 
+/// Counters and histograms are keyed by the `&'static str` the
+/// [`TelemetrySink`] API passes, so an event costs a map probe and no
+/// `String`; [`Summary`]'s owned keys are made when one is asked for.
+/// `(u64, &str)` orders as `(u64, String)` does.
 #[derive(Debug, Default)]
 struct Inner {
-    summary: Summary,
+    counters: BTreeMap<(u64, &'static str), u64>,
+    hists: BTreeMap<(u64, &'static str), Histogram>,
     events: Vec<TraceEvent>,
+}
+
+impl Inner {
+    fn summary(&self) -> Summary {
+        let owned = |&(domain, metric): &(u64, &str)| (domain, metric.to_string());
+        Summary {
+            counters: self.counters.iter().map(|(k, v)| (owned(k), *v)).collect(),
+            hists: self
+                .hists
+                .iter()
+                .map(|(k, h)| (owned(k), h.clone()))
+                .collect(),
+        }
+    }
 }
 
 /// A [`TelemetrySink`] that aggregates counters/histograms into a
@@ -37,7 +58,7 @@ impl Recorder {
 
     /// Snapshot of the aggregated counters and histograms.
     pub fn summary(&self) -> Summary {
-        self.lock().summary.clone()
+        self.lock().summary()
     }
 
     /// Snapshot of the recorded events, in emission order.
@@ -46,13 +67,13 @@ impl Recorder {
     }
 
     /// Consume the recorder, returning its summary and events without
-    /// cloning.
+    /// cloning the events.
     pub fn into_parts(self) -> (Summary, Vec<TraceEvent>) {
         let inner = self
             .inner
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
-        (inner.summary, inner.events)
+        (inner.summary(), inner.events)
     }
 }
 
@@ -63,30 +84,21 @@ impl TelemetrySink for Recorder {
     }
 
     fn counter_add(&self, domain: u64, metric: &'static str, delta: u64) {
-        let mut inner = self.lock();
-        *inner
-            .summary
-            .counters
-            .entry((domain, metric.to_string()))
-            .or_insert(0) += delta;
+        *self.lock().counters.entry((domain, metric)).or_insert(0) += delta;
     }
 
     fn record(&self, domain: u64, metric: &'static str, value: u64) {
-        let mut inner = self.lock();
-        inner
-            .summary
+        self.lock()
             .hists
-            .entry((domain, metric.to_string()))
+            .entry((domain, metric))
             .or_default()
             .record(value);
     }
 
-    fn merge_hist(&self, domain: u64, metric: &'static str, hist: &crate::hist::Histogram) {
-        let mut inner = self.lock();
-        inner
-            .summary
+    fn merge_hist(&self, domain: u64, metric: &'static str, hist: &Histogram) {
+        self.lock()
             .hists
-            .entry((domain, metric.to_string()))
+            .entry((domain, metric))
             .or_default()
             .merge(hist);
     }
@@ -159,6 +171,40 @@ mod tests {
         }
         batched.merge_hist(3, "uarch.bus_wait_cycles", &local);
         assert_eq!(per_sample.summary(), batched.summary());
+    }
+
+    /// Keying by `&'static str` changes what an event costs, not what a
+    /// summary says: the text form of a mixed sequence, byte for byte as
+    /// the `String`-keyed recorder wrote it.
+    #[test]
+    fn recorder_summary_is_unchanged() {
+        let r = Recorder::new();
+        let mut batch = crate::hist::Histogram::new();
+        for v in [3u64, 9, 27] {
+            batch.record(v);
+        }
+        for round in 0..3u64 {
+            r.counter_add(2, "nf.rx_polled", 1);
+            r.counter_add(0, "serve.served", round);
+            r.counter_add(0, "device.rx_packets", 4);
+            r.counter_add(10, "nf.rx_polled", 2);
+            r.record(0, "serve.queue_depth", round + 1);
+            r.record(1, "device.scrub_ps", 500 * round);
+            r.merge_hist(0, "serve.queue_depth", &batch);
+            r.merge_hist(3, "uarch.bus_wait_cycles", &batch);
+        }
+        let want = "# snic-telemetry summary v1\n\
+                    counter 0 device.rx_packets 12\n\
+                    counter 0 serve.served 3\n\
+                    counter 2 nf.rx_polled 3\n\
+                    counter 10 nf.rx_polled 6\n\
+                    hist 0 serve.queue_depth 12 123 1 27\n\
+                    hist 1 device.scrub_ps 3 1500 0 1000\n\
+                    hist 3 uarch.bus_wait_cycles 9 117 3 27\n";
+        assert_eq!(r.summary().to_text(), want);
+        assert_eq!(r.summary().counter(10, "nf.rx_polled"), 6);
+        let (summary, _) = r.into_parts();
+        assert_eq!(summary.to_text(), want);
     }
 
     #[test]

@@ -529,6 +529,17 @@ impl PacketBuilder {
         Packet::from_bytes(out.freeze())
     }
 
+    /// Serialize into a [`Packet`] around a borrowed `payload`: the
+    /// frame [`PacketBuilder::build`] produces for the same bytes, in
+    /// the frame's one allocation — for callers that build a packet per
+    /// request and keep none. Bytes given to [`PacketBuilder::payload`]
+    /// are not consulted.
+    pub fn build_around(self, payload: &[u8]) -> Packet {
+        let (headers, len) = self.headers(payload.len());
+        let frame = headers[..len].iter().chain(payload).copied();
+        Packet::from_bytes(frame.collect())
+    }
+
     /// Serialize only the headers of a frame whose payload is
     /// `payload_len` bytes long — what a snaplen-truncated capture (a
     /// CAIDA trace) holds. The frame ends after the L4 header while
@@ -601,6 +612,7 @@ mod tests {
         ] {
             let builder = PacketBuilder::new(0x0a000001, 0x0a000002, protocol, 1234, 80).ttl(9);
             let full = builder.clone().payload(vec![0x5a; 300]).build();
+            assert_eq!(builder.clone().build_around(&[0x5a; 300]), full);
             let headers = builder.build_headers(300);
             assert_eq!(headers.len(), len, "{protocol:?}");
             assert_eq!(headers.data[..], full.data[..len], "{protocol:?}");

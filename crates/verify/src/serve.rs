@@ -48,7 +48,7 @@ pub fn lint_serve_transcript(records: &[ServeRecord]) -> Vec<Finding> {
         if r.tenant.is_empty() {
             continue; // daemon-wide events carry no per-tenant claims
         }
-        let t = tenants.entry(r.tenant.as_str()).or_insert_with(|| {
+        let t = tenants.entry(&*r.tenant).or_insert_with(|| {
             let index = next_index;
             next_index += 1;
             TenantLint {

@@ -69,6 +69,15 @@ budgeted_test() {
 #   transcript, state and sealed image in `serve_restart`) — the oracles
 #   any later change to snic-crypto or snic-mem leans on. Their speed is
 #   not gated here: the benchmark's paired protocol decides that.
+# - The request path (snic-telemetry `json`, snic-serve `protocol` and
+#   `daemon`): the known answers of a 2 000-request data-plane run and
+#   of 200 lines with 63 KiB string members, captured at the commit
+#   before the borrowed reader (`serve_restart`); reader ≡ tree — one
+#   grammar, two sinks, the same lookups and error texts on generated
+#   lines (`request_reader_answers_as_the_tree_parser`); and the
+#   allocation budget of a `send`/`poll`/`stats` line, an exact count
+#   that may not grow with history (`serve_alloc_budget`) — the oracles
+#   any later change to parsing, admission or rendering leans on.
 echo "==> tier-1: cargo build --release && cargo test -q (budget ${budget}s per test binary)"
 cargo build --release
 budgeted_test

@@ -120,6 +120,12 @@ mod tests {
         assert!(parse_opts(&s(&["--seed", "many"])).is_err());
         // Nothing is narrowed, defaulted or skipped silently.
         assert!(parse_opts(&s(&["--auto-steps", "4294967297"])).is_err());
+        // 18446744073709 us is the last tick u64 picoseconds hold; one
+        // more used to saturate and boot a daemon on a different clock.
+        let o = parse_opts(&s(&["--tick-us", "18446744073709"])).expect("fits");
+        assert_eq!(o.cfg.tick_ps, 18_446_744_073_709_000_000);
+        let err = parse_opts(&s(&["--tick-us", "18446744073710"])).expect_err("overflows");
+        assert!(err.contains("--tick-us overflows"), "{err}");
         assert!(parse_opts(&s(&["--journal"])).is_err());
         assert!(parse_opts(&s(&["requests.jsonl"])).is_err());
         let o = parse_opts(&s(&["--seed", "18446744073709551557"])).expect("parse");

@@ -556,3 +556,197 @@ fn a_churn_run_answers_as_it_did_before_the_lifecycle_kernels_changed() {
         "093906654d7463636742aa40a793deb08b699514986bbf562c4767b8b986ec9c"
     );
 }
+
+/// Serve `lines` through a host with `cfg`; returns everything a client
+/// or a restart can see: the response stream, the serve transcript, the
+/// state fingerprint and the sealed exit image.
+fn observables(cfg: DaemonConfig, lines: &[String], image: &str) -> [Vec<u8>; 4] {
+    let opts = HostOpts {
+        cfg,
+        snapshot_out: Some(scratch(image)),
+        ..HostOpts::default()
+    };
+    let mut host = Host::boot(&opts).expect("boot");
+    let input: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    let mut responses = Vec::new();
+    host.serve(input.as_bytes(), &mut responses).expect("serve");
+    let state = host.daemon().state_fingerprint();
+    let transcript = render_serve_transcript(host.daemon().transcript());
+    host.finish().expect("finish");
+    let path = opts.snapshot_out.expect("set above");
+    let image = std::fs::read(&path).expect("exit-time image");
+    let _ = std::fs::remove_file(&path);
+    [
+        responses,
+        transcript.into_bytes(),
+        state.into_bytes(),
+        image,
+    ]
+}
+
+/// `bodies` with each `{id}` replaced by the line's 1-based number.
+fn numbered(bodies: impl IntoIterator<Item = String>) -> Vec<String> {
+    let number = |(i, body): (usize, String)| body.replace("{id}", &(i + 1).to_string());
+    bodies.into_iter().enumerate().map(number).collect()
+}
+
+/// The request path (parse, admission, counters, rendering) may change
+/// what it costs, never what it answers: the digests below were captured
+/// at the commit before the borrowed request reader, the static-keyed
+/// recorder and in-place rendering. Two runs, hashed one after the
+/// other. The first is `serve_dataplane`'s shape under the default
+/// config — four tenants, 2 000 requests of 6 `send` : 1 `poll` :
+/// 1 `stats` in a seeded order — followed by a tenant name that needs
+/// every escape, a rate-limited tenant's shed, malformed lines, an
+/// unknown op, `telemetry-summary` and `health`. The second serves by
+/// explicit `step`s, so a queue can build: an overload shed, a request
+/// that expires while queued, a `reclaim` of nothing.
+#[test]
+fn a_dataplane_run_answers_as_it_did_before_the_request_path_changed() {
+    use snic::crypto::sha256::{sha256, to_hex};
+    let mut bodies: Vec<String> = Vec::new();
+    for t in 0..4 {
+        bodies.push(format!(
+            r#"{{"op":"register","tenant":"t{t}","id":{{id}}}}"#
+        ));
+    }
+    for t in 0..4 {
+        let launch = format!(r#"{{"op":"launch","tenant":"t{t}","id":{{id}},"name":"nf","mem":8"#);
+        bodies.push(format!(r#"{launch},"port":{}}}"#, 2_000 + t));
+    }
+    let mut rng = 0x5eed_da7a_u64;
+    let mut next = || {
+        rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut block = [
+        "send", "send", "send", "send", "send", "send", "poll", "stats",
+    ];
+    for i in 0..2_000 {
+        if i % block.len() == 0 {
+            for k in (1..block.len()).rev() {
+                block.swap(k, (next() % (k as u64 + 1)) as usize);
+            }
+        }
+        let (t, op) = (i % 4, block[i % block.len()]);
+        let args = match op {
+            "send" => format!(r#""count":4,"port":{}"#, 2_000 + t),
+            _ => r#""name":"nf""#.to_string(),
+        };
+        bodies.push(format!(
+            r#"{{"op":"{op}","tenant":"t{t}","id":{{id}},{args}}}"#
+        ));
+    }
+    bodies.extend(
+        [
+            // Every escape the reader knows, in a member the response
+            // echoes and the transcript keeps; whitespace around every
+            // token.
+            r#" { "op" : "send" , "tenant" : "q\"\\\/\b\f\n\r\téé" , "id" : {id} , "count" : 1 , "port" : 2001 } "#,
+            r#"{"op":"poll","tenant":"q\"\\\/\b\f\n\r\téé","id":{id},"name":"nf"}"#,
+            r#"{"op":"register","tenant":"slow","id":{id},"burst":1,"refill_ps":9000000000000}"#,
+            r#"{"op":"send","tenant":"slow","id":{id},"count":2,"port":2000,"ignored":[1,{"a":null}],"id":7}"#,
+            r#"{"op":"send","tenant":"slow","id":{id},"count":2,"port":2000}"#,
+            r#"{"op":"send","tenant":"t0","id":{id},"count":1,"port":2000"#,
+            r#"{"op":"send","tenant":"t0","id":{id}.0,"count":1.0,"port":2e3}"#,
+            r#"{"op":"send","tenant":"t0","id":{id},"count":1,"port":65616}"#,
+            r#"{"op":"frobnicate","tenant":"t1","id":{id}}"#,
+            r#"{"tenant":"t1","id":{id}}"#,
+            r#"{"op":"stats","id":{id},"name":"nf"}"#,
+            r#"{"op":"telemetry-summary","id":{id}}"#,
+            r#"{"op":"health","id":{id}}"#,
+        ]
+        .map(str::to_string),
+    );
+    let lines = numbered(bodies);
+    let first = observables(DaemonConfig::default(), &lines, "dataplane.image");
+    let responses = String::from_utf8(first[0].clone()).expect("UTF-8");
+    assert_eq!(responses.lines().count(), lines.len());
+    assert_eq!(responses.matches(r#""ok":false"#).count(), 7, "{responses}");
+    assert!(responses.contains("SERVE-RATE-LIMITED"));
+
+    let lines = numbered(
+        [
+            r#"{"op":"register","tenant":"a","id":{id},"queue_depth":2,"burst":9}"#,
+            r#"{"op":"launch","tenant":"a","id":{id},"name":"fw","mem":8,"port":80}"#,
+            r#"{"op":"step","id":{id}}"#,
+            r#"{"op":"send","tenant":"a","id":{id},"count":3,"port":80,"deadline_us":5}"#,
+            r#"{"op":"stats","tenant":"a","id":{id},"name":"fw"}"#,
+            r#"{"op":"poll","tenant":"a","id":{id},"name":"fw"}"#,
+            r#"{"op":"advance","id":{id},"us":10}"#,
+            r#"{"op":"step","id":{id},"n":5}"#,
+            r#"{"op":"poll","tenant":"a","id":{id},"name":"nope"}"#,
+            r#"{"op":"step","id":{id},"n":1}"#,
+            r#"{"op":"reclaim","tenant":"a","id":{id}}"#,
+            r#"{"op":"reclaim","tenant":"b","id":{id}}"#,
+            r#"{"op":"telemetry-summary","id":{id}}"#,
+            r#"{"op":"health","id":{id}}"#,
+            r#"{"op":"verify","id":{id}}"#,
+        ]
+        .map(str::to_string),
+    );
+    let second = observables(config(), &lines, "stepped.image");
+    let responses = String::from_utf8(second[0].clone()).expect("UTF-8");
+    for code in ["SERVE-OVERLOADED", "SERVE-EXPIRED", "SERVE-UNKNOWN-NF"] {
+        assert!(responses.contains(code), "no {code}:\n{responses}");
+    }
+
+    let digest = |i: usize| to_hex(&sha256(&[&first[i][..], &second[i][..]].concat()));
+    assert_eq!(
+        [digest(0), digest(1), digest(2), digest(3)],
+        [
+            "29fff0e82db77ae2b33bfff18ab544c7dc3860d6fac59706c87b5cda3ee8e55c",
+            "b4ed9f286e990ca49e73750c5b744d523ef3bb7af91f07f9558a9ddcea71e3bd",
+            "784cd247b42cca48b0983f24bb6e7de53f919ce01505f86816fe5cc466683f8b",
+            "f4e7a331d1f30c6d5f6bc591522cfe826dd6f6c487537cacf291b1113119ff8e",
+        ],
+        "responses, transcript, state fingerprint, sealed image"
+    );
+}
+
+/// One accepted line may carry a string member of almost
+/// `MAX_LINE_BYTES`. The JSON reader used to re-validate the rest of the
+/// line for every character it copied, so such a line held the
+/// single-writer daemon for tens to hundreds of milliseconds with every
+/// tenant waiting: these 200 took 57 s at the parent commit. Copied a
+/// run at a time they take ≈ 0.1 s; the bound sits between, a factor of
+/// twenty from either. The answers — the string echoed in a rejection,
+/// ignored in a `send`, as a tenant name, as a key — are the digest
+/// captured at the parent.
+#[test]
+fn long_string_members_are_answered_in_linear_time() {
+    use snic::crypto::sha256::{sha256, to_hex};
+    const LEN: usize = 63 << 10;
+    let fill = |unit: &str| unit.repeat(LEN / unit.len());
+    let strings = [fill("x"), fill(r"\né\\"), fill("é€𝄞")];
+    let mut bodies = vec![
+        r#"{"op":"launch","tenant":"t0","id":{id},"name":"nf","mem":8,"port":80}"#.to_string(),
+    ];
+    for i in 0..200 {
+        let long = &strings[i % 3];
+        bodies.push(match i % 4 {
+            0 => format!(r#"{{"op":"poll","tenant":"t0","id":{{id}},"name":"{long}"}}"#),
+            1 => format!(
+                r#"{{"op":"send","pad":"{long}","tenant":"t0","id":{{id}},"count":1,"port":80}}"#
+            ),
+            2 => format!(r#"{{"op":"send","tenant":"{long}","id":{{id}},"count":1,"port":80}}"#),
+            _ => format!(r#"{{"{long}":1,"op":"stats","tenant":"t0","id":{{id}},"name":"nf"}}"#),
+        });
+    }
+    let input: String = numbered(bodies).iter().map(|l| format!("{l}\n")).collect();
+    let mut host = Host::boot(&HostOpts::default()).expect("boot");
+    let mut responses = Vec::new();
+    let start = std::time::Instant::now();
+    host.serve(input.as_bytes(), &mut responses).expect("serve");
+    let took = start.elapsed();
+    assert_eq!(responses.iter().filter(|&&b| b == b'\n').count(), 201);
+    assert_eq!(
+        to_hex(&sha256(&responses)),
+        "97d5d35577d659f8eddcfe28004a7452ff182639c70cf0db699a55f076d430be",
+        "the parent's answers"
+    );
+    assert!(took.as_secs_f64() < 2.0, "200 long lines took {took:?}");
+}
