@@ -10,10 +10,18 @@
 //! generator (diurnal cycles, flash crowds, heavy-hitter migration,
 //! churn) feeds a per-tenant NF personality whose recorded accesses
 //! stream straight into the engine through an O(chunk) buffer, capped at
-//! an exact per-tenant event budget. Memory is O(tenants × chunk)
-//! regardless of run length, and every stage is seeded, so serial,
+//! an exact per-tenant event budget. Every stage is seeded, so serial,
 //! parallel, and sharded executions are bit-identical
 //! (`crates/bench/tests/streaming_differential.rs` holds this).
+//!
+//! Memory does not depend on run length. What it does depend on is how
+//! the run reaches the engine ([`snic_sim::run_sharded`]): an
+//! interleaved run needs every tenant's NF resident at once — O(tenants
+//! × NF) — while a split S-NIC run simulates each tenant alone, and
+//! [`colo_spec`] then hands it *deferred* pipelines: a tenant's NF is
+//! built when a worker picks the tenant up and dropped when its budget
+//! ends, so memory is O(workers × largest NF) however many tenants
+//! share the NIC.
 
 use snic_nf::{NfKind, StreamingRecorder};
 use snic_sim::{JobSpec, SimJob};
@@ -21,7 +29,7 @@ use snic_trace::PhaseSchedule;
 use snic_types::mix;
 use snic_uarch::config::MachineConfig;
 use snic_uarch::engine::RunOutcome;
-use snic_uarch::{Access, StreamedSource, TraceSource};
+use snic_uarch::{Access, EventSource, StreamedSource, TraceSource};
 
 use crate::streams::{build_scaled, Frames};
 use crate::Scale;
@@ -72,8 +80,14 @@ fn regen_weight(kind: NfKind) -> u64 {
 /// with many events per packet most of a billion-event run while every
 /// tenant still contributes at least a 1/(64·tenants) floor.
 /// Unweighted budgets split evenly (the sweep default).
+///
+/// # Panics
+///
+/// Panics if `tenants` is 0 or `total_events < tenants` (every tenant
+/// feeds the engine at least one event).
 pub fn tenant_mix(tenants: usize, seed: u64, total_events: u64, weighted: bool) -> Vec<TenantSpec> {
     assert!(tenants > 0, "no tenants");
+    assert!(total_events >= tenants as u64, "fewer events than tenants");
     let kinds: Vec<NfKind> = (0..tenants)
         .map(|i| NfKind::ALL[i % NfKind::ALL.len()])
         .collect();
@@ -94,17 +108,25 @@ pub fn tenant_mix(tenants: usize, seed: u64, total_events: u64, weighted: bool) 
         .iter()
         .map(|&w| ((total_events as u128 * w / sum_w) as u64).max(floor))
         .collect();
-    // Rounding and floors drift the sum; settle the difference on the
-    // largest budget so the total is exact.
+    // Rounding and floors drift the sum. A shortfall goes to the largest
+    // budget; a surplus comes off the largest budgets in turn, none
+    // below 1 (floors can exceed a small total many times over).
     let assigned: u64 = events.iter().sum();
-    let top = (0..tenants)
-        .max_by_key(|&i| events[i])
-        .expect("at least one tenant");
+    let largest = |events: &[u64]| {
+        (0..tenants)
+            .max_by_key(|&i| events[i])
+            .expect("at least one tenant")
+    };
     if assigned < total_events {
+        let top = largest(&events);
         events[top] += total_events - assigned;
-    } else {
-        let surplus = assigned - total_events;
-        events[top] = events[top].saturating_sub(surplus).max(1);
+    }
+    let mut surplus = assigned.saturating_sub(total_events);
+    while surplus > 0 {
+        let top = largest(&events);
+        let take = surplus.min(events[top] - 1);
+        events[top] -= take;
+        surplus -= take;
     }
     (0..tenants)
         .map(|i| {
@@ -152,6 +174,45 @@ impl TraceSource for CappedSource {
     }
 }
 
+/// A tenant pipeline that exists only while it is being drained: `make`
+/// runs on the first `fill`, and the pipeline it built is dropped the
+/// moment a `fill` returns 0 (further fills keep answering 0). `rewind`
+/// forgets it, so the next pass rebuilds from the same seeds.
+struct DeferredSource<F> {
+    make: F,
+    inner: Option<Box<dyn TraceSource>>,
+    drained: bool,
+}
+
+impl<F: Fn() -> Box<dyn TraceSource> + Send> TraceSource for DeferredSource<F> {
+    fn fill(&mut self, out: &mut [Access]) -> usize {
+        if self.drained {
+            return 0;
+        }
+        let n = self.inner.get_or_insert_with(&self.make).fill(out);
+        if n == 0 {
+            self.inner = None;
+            self.drained = true;
+        }
+        n
+    }
+
+    fn rewind(&mut self) {
+        self.inner = None;
+        self.drained = false;
+    }
+}
+
+/// One pass of a [`DeferredSource`] over `make`, as an engine stream.
+fn deferred(make: impl Fn() -> Box<dyn TraceSource> + Send + 'static) -> EventSource {
+    StreamedSource::new(Box::new(DeferredSource {
+        make,
+        inner: None,
+        drained: false,
+    }))
+    .into()
+}
+
 /// Build one tenant's streaming reference-stream pipeline:
 /// phased packets → NF personality → exact event cap. The packet stream
 /// is endless; the event cap, not a packet count, bounds the pipeline.
@@ -192,9 +253,14 @@ pub fn many_tenant_commodity(tenants: usize, l2_bytes: u64) -> MachineConfig {
     MachineConfig::commodity(tenants as u32, quantize_l2(l2_bytes, ways)).with_l2_ways(ways)
 }
 
-/// A re-windable job spec for one streamed colocation run. Building the
-/// job constructs every tenant's NF (a 64 MB table for each LPM), so the
-/// tenants are built across the worker pool, in `specs` order.
+/// A re-windable job spec for one streamed colocation run.
+///
+/// A run that [`snic_sim::run_sharded`] will split (`shards > 1` on a
+/// shardable machine) gets deferred pipelines: building the job builds
+/// no NF, and each tenant's structures (a 64 MB table for each LPM) live
+/// only while a worker simulates that tenant. An interleaved run needs
+/// every tenant resident from its first event, so its tenants are built
+/// up front across the worker pool, in `specs` order.
 pub fn colo_spec(
     scale: &Scale,
     specs: &[TenantSpec],
@@ -203,10 +269,19 @@ pub fn colo_spec(
 ) -> JobSpec {
     let scale = *scale;
     let specs = specs.to_vec();
+    let split = shards > 1 && snic_sim::shardable(&cfg);
     JobSpec::new(move || {
-        let streams = snic_sim::par_map(specs.iter().collect(), |s| {
-            StreamedSource::new(tenant_source(s, &scale)).into()
-        });
+        let streams = if split {
+            specs
+                .iter()
+                .cloned()
+                .map(|s| deferred(move || tenant_source(&s, &scale)))
+                .collect()
+        } else {
+            snic_sim::par_map(specs.iter().collect(), |s| {
+                StreamedSource::new(tenant_source(s, &scale)).into()
+            })
+        };
         SimJob::new(cfg.clone(), streams).with_shards(shards)
     })
 }
@@ -360,9 +435,9 @@ pub struct BillionReport {
 
 /// Run one streamed S-NIC colocation with `total_events` events spread
 /// over `tenants` personality-weighted tenants — the billion-event
-/// configuration when `total_events >= 1e9`. Memory stays
-/// O(tenants × chunk); the materialized equivalent would need
-/// `16 × total_events` bytes of `Access` alone.
+/// configuration when `total_events >= 1e9`. With `shards > 1` memory
+/// stays O(workers × largest NF); the materialized equivalent would
+/// need `16 × total_events` bytes of `Access` alone.
 pub fn billion_run(
     scale: &Scale,
     tenants: usize,
@@ -404,7 +479,10 @@ pub fn render_billion(r: &BillionReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use snic_sim::Exec;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn tiny() -> Scale {
         Scale {
@@ -419,14 +497,43 @@ mod tests {
 
     #[test]
     fn tenant_mix_conserves_total_events() {
-        for tenants in [1, 5, 32, 64] {
+        // The small totals are floors exceeding the budget: 48 floors of
+        // 1 against fewer events than that was "engine processed 48".
+        let million = [1, 5, 32, 64].map(|t| (t, 1_000_000));
+        let small = [(48, 48), (48, 49), (48, 100), (64, 64), (7, 10)];
+        for (tenants, total) in million.into_iter().chain(small) {
             for weighted in [false, true] {
-                let specs = tenant_mix(tenants, 0xface, 1_000_000, weighted);
+                let specs = tenant_mix(tenants, 0xface, total, weighted);
                 assert_eq!(specs.len(), tenants);
-                let total: u64 = specs.iter().map(|s| s.events).sum();
-                assert_eq!(total, 1_000_000, "tenants={tenants} weighted={weighted}");
+                let sum: u64 = specs.iter().map(|s| s.events).sum();
+                assert_eq!(sum, total, "tenants={tenants} weighted={weighted}");
                 assert!(specs.iter().all(|s| s.events >= 1));
             }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer events than tenants")]
+    fn tenant_mix_refuses_fewer_events_than_tenants() {
+        tenant_mix(48, 0xc010, 10, true);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// "Exactly `total_events`" at every size: small totals, where
+        /// the floors are most of the budget, as well as the billion.
+        #[test]
+        fn budgets_sum_exactly(
+            tenants in 1usize..=64,
+            extra in prop_oneof![0u64..256, 0u64..100_000, 0u64..1_000_000_000],
+            weighted in any::<bool>(),
+        ) {
+            let total = (tenants as u64 + extra).min(1_000_000_000);
+            let specs = tenant_mix(tenants, 0xface, total, weighted);
+            prop_assert_eq!(specs.len(), tenants);
+            prop_assert_eq!(specs.iter().map(|s| s.events).sum::<u64>(), total);
+            prop_assert!(specs.iter().all(|s| s.events >= 1));
         }
     }
 
@@ -443,6 +550,24 @@ mod tests {
         );
     }
 
+    /// One pass of `src`, pulled through an odd-sized buffer until the
+    /// 0 fill.
+    fn drain_pass(src: &mut dyn TraceSource) -> Vec<Access> {
+        let mut buf = [Access {
+            insns: 1,
+            addr: 0,
+            kind: snic_uarch::AccessKind::Load,
+        }; 333];
+        let mut all = Vec::new();
+        loop {
+            let n = src.fill(&mut buf);
+            if n == 0 {
+                return all;
+            }
+            all.extend_from_slice(&buf[..n]);
+        }
+    }
+
     #[test]
     fn tenant_source_respects_exact_cap_and_rewinds() {
         let spec = TenantSpec {
@@ -452,26 +577,10 @@ mod tests {
             events: 2_000,
         };
         let mut src = tenant_source(&spec, &tiny());
-        let mut buf = [Access {
-            insns: 1,
-            addr: 0,
-            kind: snic_uarch::AccessKind::Load,
-        }; 333];
-        let drain = |src: &mut Box<dyn TraceSource>, buf: &mut [Access]| {
-            let mut v = Vec::new();
-            loop {
-                let n = src.fill(buf);
-                if n == 0 {
-                    break;
-                }
-                v.extend_from_slice(&buf[..n]);
-            }
-            v
-        };
-        let first = drain(&mut src, &mut buf);
+        let first = drain_pass(&mut *src);
         assert_eq!(first.len(), 2_000, "cap must be exact");
         src.rewind();
-        assert_eq!(drain(&mut src, &mut buf), first, "rewind must replay");
+        assert_eq!(drain_pass(&mut *src), first, "rewind must replay");
     }
 
     #[test]
@@ -489,6 +598,115 @@ mod tests {
         );
         let built = colo_spec(&tiny(), &specs, cfg, 1).run();
         assert_eq!(built.nfs, serially_built.run().nfs);
+    }
+
+    /// How many [`Counted`] sources were built, are live, and were ever
+    /// live at once.
+    #[derive(Default)]
+    struct Residency {
+        built: AtomicUsize,
+        live: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    impl Residency {
+        fn get(counter: &AtomicUsize) -> usize {
+            counter.load(Ordering::SeqCst)
+        }
+
+        /// A factory of tenant `tenant`'s counted source.
+        fn factory(self: &Arc<Self>, tenant: u64) -> impl Fn() -> Box<dyn TraceSource> + Send {
+            let res = Arc::clone(self);
+            move || {
+                res.built.fetch_add(1, Ordering::SeqCst);
+                let live = res.live.fetch_add(1, Ordering::SeqCst) + 1;
+                res.peak.fetch_max(live, Ordering::SeqCst);
+                Box::new(Counted {
+                    left: 6_000 + 500 * tenant,
+                    seed: 0xd0 + tenant,
+                    res: Arc::clone(&res),
+                })
+            }
+        }
+    }
+
+    /// A source of `left` events that counts itself live from
+    /// construction to drop.
+    struct Counted {
+        left: u64,
+        seed: u64,
+        res: Arc<Residency>,
+    }
+
+    impl TraceSource for Counted {
+        fn fill(&mut self, out: &mut [Access]) -> usize {
+            let n = self.left.min(out.len() as u64) as usize;
+            for slot in &mut out[..n] {
+                self.left -= 1;
+                *slot = Access {
+                    insns: 3,
+                    addr: (mix::fnv1a(self.seed, &self.left.to_le_bytes()) % (1 << 18)) & !7,
+                    kind: snic_uarch::AccessKind::Load,
+                };
+            }
+            n
+        }
+
+        fn rewind(&mut self) {
+            unreachable!("a deferred source rebuilds instead of rewinding");
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.res.live.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn deferred_residency_is_bounded_by_workers() {
+        let n = 8;
+        let cfg = many_tenant_snic(n, 1 << 20);
+        let mut outcomes = Vec::new();
+        for k in [2, 3, 8] {
+            let res = Arc::new(Residency::default());
+            let streams = (0..n as u64).map(|t| deferred(res.factory(t))).collect();
+            outcomes.push(SimJob::new(cfg.clone(), streams).with_shards(k).run());
+            assert_eq!(Residency::get(&res.built), n, "one build per tenant");
+            let peak = Residency::get(&res.peak);
+            let bound = k.min(snic_sim::default_threads());
+            assert!((1..=bound).contains(&peak), "k={k}: peak {peak} > {bound}");
+            assert_eq!(Residency::get(&res.live), 0, "k={k}: none outlives the run");
+        }
+        // The interleaved call over the same (eagerly built) tenants is
+        // the oracle, and it does hold all of them at once.
+        let res = Arc::new(Residency::default());
+        let eager = (0..n as u64)
+            .map(|t| StreamedSource::new(res.factory(t)()).into())
+            .collect();
+        assert_eq!(Residency::get(&res.live), n);
+        let interleaved = SimJob::new(cfg, eager).run();
+        assert!(outcomes.iter().all(|o| o.nfs == interleaved.nfs));
+    }
+
+    #[test]
+    fn deferred_source_drops_when_drained_and_rebuilds_on_rewind() {
+        let res = Arc::new(Residency::default());
+        let mut src = DeferredSource {
+            make: res.factory(1),
+            inner: None,
+            drained: false,
+        };
+        assert_eq!(Residency::get(&res.built), 0, "nothing is built unasked");
+        let first = drain_pass(&mut src);
+        assert_eq!(first.len(), 6_500);
+        assert_eq!(Residency::get(&res.live), 0, "dropped at the 0 fill");
+        assert!(drain_pass(&mut src).is_empty(), "a drained source stays so");
+        assert_eq!(Residency::get(&res.built), 1, "and builds nothing");
+        src.rewind();
+        assert_eq!(drain_pass(&mut src), first, "second pass, byte for byte");
+        assert_eq!(Residency::get(&res.built), 2);
+        assert_eq!(Residency::get(&res.live), 0);
     }
 
     #[test]

@@ -14,12 +14,19 @@
 //! - engine outcomes: a colocation fed by [`StreamedSource`]s ≡ the
 //!   same colocation fed by `SharedReplayStream`s, including multi-pass
 //!   (`passes = 2`) replays and warmup windows;
-//! - dispatch: serial ≡ parallel ≡ sharded for streamed jobs.
+//! - dispatch: serial ≡ parallel ≡ sharded for streamed jobs;
+//! - the oracle: the 32-tenant mix as one 32-lane interleaved engine
+//!   call ≡ the same mix with every tenant simulated alone, statistics
+//!   and telemetry.
 
+use std::sync::Arc;
+
+use snic_bench::colo::{colo_spec, many_tenant_snic, outcome_events, tenant_mix};
 use snic_bench::streams::{all_traces, nf_access_trace, nf_trace_source, streamed_nf_source};
 use snic_bench::Scale;
 use snic_nf::NfKind;
 use snic_sim::{map_exec, Exec, JobSpec, SimJob};
+use snic_telemetry::{Recorder, TelemetrySink};
 use snic_uarch::config::MachineConfig;
 use snic_uarch::stream::SharedReplayStream;
 use snic_uarch::{Access, AccessKind, EventSource, StreamedSource};
@@ -163,4 +170,30 @@ fn streamed_jobs_serial_parallel_sharded_identical() {
     let parallel = map_exec(Exec::Parallel, vec![&streamed; 2], JobSpec::run);
     assert_eq!(parallel[0].nfs, serial.nfs);
     assert_eq!(parallel[1].nfs, serial.nfs);
+}
+
+#[test]
+fn interleaved_32_tenant_mix_is_the_oracle_of_every_split() {
+    // `stream_mix32`'s shape at a small budget. Shards = 1 is one
+    // 32-lane engine call over eagerly built tenants; every k > 1 runs
+    // the tenants alone from deferred pipelines, on at most k workers
+    // (k = 3 does not divide 32, k = 40 exceeds it).
+    let specs = tenant_mix(32, 0xf15a, 64_000, false);
+    let recorded = |shards: usize| {
+        let rec = Arc::new(Recorder::new());
+        let sink = Arc::clone(&rec) as Arc<dyn TelemetrySink>;
+        let outcome = colo_spec(&tiny(), &specs, many_tenant_snic(32, 4 << 20), shards)
+            .build()
+            .with_sink(sink)
+            .run();
+        (outcome, rec.summary().render())
+    };
+    let (oracle, oracle_summary) = recorded(1);
+    assert_eq!(outcome_events(&oracle), 64_000);
+    assert_eq!(oracle.nfs.len(), 32);
+    for shards in [2, 3, 32, 40] {
+        let (split, summary) = recorded(shards);
+        assert_eq!(oracle.nfs, split.nfs, "shards={shards}");
+        assert_eq!(oracle_summary, summary, "telemetry, shards={shards}");
+    }
 }

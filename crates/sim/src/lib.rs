@@ -14,11 +14,12 @@
 //!   sources that are consumed by running);
 //! - [`run_sharded`] — the one way a colocation reaches the engine, and
 //!   its *intra-run* parallelism: under the S-NIC disciplines (see
-//!   [`shardable`]) the tenant list splits into contiguous chunks
-//!   simulated concurrently with their global tenant ids, then
-//!   reassembled — and, with a sink, telemetry replayed in shard order
-//!   from per-shard [`BufferSink`]s — bit-identical to the serial run,
-//!   which is the same call with one part;
+//!   [`shardable`]) an isolated tenant is simulated alone — one
+//!   one-lane engine call per tenant with its global id, pulled off the
+//!   pool's work queue by up to `shards` workers, then reassembled in
+//!   tenant order — and, with a sink, telemetry replayed in tenant
+//!   order from per-tenant [`BufferSink`]s — bit-identical to the
+//!   interleaved run, which is one engine call over every tenant;
 //! - [`par_map`] / [`par_map_on`] — an order-preserving worker pool on
 //!   [`std::thread::scope`] for arbitrary independent work (whole jobs
 //!   via `par_map(jobs, SimJob::run)`, per-NF launches, per-domain solo
@@ -90,10 +91,11 @@ impl SimJob {
         self
     }
 
-    /// Split this run across up to `shards` worker threads (see
-    /// [`run_sharded`]). Only takes effect when the machine
-    /// configuration is [`shardable`]; otherwise the run stays serial
-    /// — either way the outcome is bit-identical.
+    /// Simulate each tenant alone on up to `shards` worker threads
+    /// (see [`run_sharded`]). Only takes effect when the machine
+    /// configuration is [`shardable`]; otherwise the run stays one
+    /// interleaved engine call — either way the outcome is
+    /// bit-identical.
     pub fn with_shards(mut self, shards: usize) -> SimJob {
         self.shards = shards.max(1);
         self
@@ -179,19 +181,24 @@ pub fn shardable(cfg: &MachineConfig) -> bool {
     !matches!(cfg.l2_partition, Partition::Shared) && matches!(cfg.bus, BusKind::Temporal { .. })
 }
 
-/// Run one colocation, sharded when the model allows it: split the
-/// tenant list into `shards` contiguous chunks, simulate each chunk on
-/// the worker pool with the tenants' *global* ids (way slice, bus epoch
-/// slot, telemetry domain, address-space tag all follow the id, not the
-/// chunk position), and reassemble per-tenant results in tenant order.
+/// Run one colocation, split when the model allows it: with
+/// `shards > 1` on a [`shardable`] configuration every tenant is its own
+/// part — a one-lane engine call with the tenant's *global* id (way
+/// slice, bus epoch slot, telemetry domain, address-space tag all follow
+/// the id, not the part) and its own warm-up window — and the parts run
+/// on `min(shards, default_threads(), n)` workers pulling from one
+/// queue, so a stream is first touched when a worker picks its tenant
+/// up and is dropped when that tenant's call returns. `shards` bounds
+/// the workers, and through them how many tenants are live at once; it
+/// does not choose the split.
 ///
-/// Only a [`shardable`] configuration fans out; anything else, like
-/// `shards <= 1`, is a single part covering ids `0..n` that runs on the
-/// calling thread and writes straight to the caller's sink. Either way
-/// the outcome — and, with a live sink, the telemetry operation stream
-/// — is bit-identical to the serial run: each shard of a multi-part run
-/// buffers its telemetry in a [`BufferSink`] and the buffers are
-/// replayed into the real sink in shard order
+/// `shards <= 1`, or a configuration that is not shardable, is the
+/// single interleaved engine call over ids `0..n` on the calling
+/// thread, writing straight to the caller's sink — the oracle every
+/// split run is held to. Either way the outcome — and, with a live
+/// sink, the telemetry operation stream — is bit-identical: each part
+/// of a split run buffers its telemetry in a [`BufferSink`] and the
+/// buffers are replayed into the real sink in tenant order
 /// (`crates/bench/tests/shard_determinism.rs` holds all of this
 /// bit-for-bit).
 pub fn run_sharded(
@@ -201,49 +208,46 @@ pub fn run_sharded(
     shards: usize,
     sink: Option<&dyn TelemetrySink>,
 ) -> RunOutcome {
-    let n = streams.len();
-    let shards = if shardable(cfg) {
-        shards.clamp(1, n.max(1))
-    } else {
-        1
-    };
-    if shards == 1 {
-        let ids: Vec<u32> = (0..n as u32).collect();
-        return match sink {
-            Some(sink) => run_colocated_ids_sink(cfg, streams, warmups, &ids, sink),
-            None => run_colocated_ids_sink(cfg, streams, warmups, &ids, &NullSink),
-        };
+    if shards > 1 && shardable(cfg) {
+        return run_split(cfg, streams, warmups, shards.min(default_threads()), sink);
     }
-    let warm: Vec<u64> = (0..n)
-        .map(|i| warmups.get(i).copied().unwrap_or(0))
-        .collect();
-    // Contiguous tenant chunks [s*n/S, (s+1)*n/S), never empty.
-    let mut parts: Vec<(usize, Vec<EventSource>)> = Vec::with_capacity(shards);
-    let mut it = streams.into_iter();
-    for s in 0..shards {
-        let lo = s * n / shards;
-        let hi = (s + 1) * n / shards;
-        parts.push((lo, it.by_ref().take(hi - lo).collect()));
+    let ids: Vec<u32> = (0..streams.len() as u32).collect();
+    match sink {
+        Some(sink) => run_colocated_ids_sink(cfg, streams, warmups, &ids, sink),
+        None => run_colocated_ids_sink(cfg, streams, warmups, &ids, &NullSink),
     }
+}
+
+/// The split leg of [`run_sharded`]: one engine call per tenant on
+/// `workers` threads, per-tenant results (and buffered telemetry) put
+/// back in tenant order.
+fn run_split(
+    cfg: &MachineConfig,
+    streams: Vec<EventSource>,
+    warmups: &[u64],
+    workers: usize,
+    sink: Option<&dyn TelemetrySink>,
+) -> RunOutcome {
     let live = sink.is_some_and(TelemetrySink::enabled);
-    let results = par_map(parts, |(lo, chunk)| {
-        let ids: Vec<u32> = (lo as u32..(lo + chunk.len()) as u32).collect();
-        let w = &warm[lo..lo + chunk.len()];
+    let parts: Vec<(usize, EventSource)> = streams.into_iter().enumerate().collect();
+    let results = par_map_on(parts, workers, |(tenant, stream)| {
+        let id = [tenant as u32];
+        let warm = [warmups.get(tenant).copied().unwrap_or(0)];
         if live {
             let buf = BufferSink::new();
-            let out = run_colocated_ids_sink(cfg, chunk, w, &ids, &buf);
+            let out = run_colocated_ids_sink(cfg, vec![stream], &warm, &id, &buf);
             (out, Some(buf))
         } else {
-            let out = run_colocated_ids_sink(cfg, chunk, w, &ids, &NullSink);
+            let out = run_colocated_ids_sink(cfg, vec![stream], &warm, &id, &NullSink);
             (out, None)
         }
     });
-    let mut nfs = Vec::with_capacity(n);
+    let mut nfs = Vec::with_capacity(results.len());
     for (out, buf) in results {
         nfs.extend(out.nfs);
         if let (Some(buf), Some(sink)) = (buf, sink) {
-            // Shard order = tenant order: the real sink sees the exact
-            // operation sequence of a serial run.
+            // Part order = tenant order: the real sink sees the exact
+            // operation sequence of the interleaved run.
             buf.replay(&sink);
         }
     }
@@ -466,6 +470,29 @@ mod tests {
         for shards in [1, 2, 3, 5, 16] {
             let sharded = run_sharded(&cfg, mk(5), &warm, shards, None);
             assert_eq!(serial.nfs, sharded.nfs, "shards={shards}");
+        }
+    }
+
+    #[test]
+    fn split_run_on_one_worker_keeps_tenant_order() {
+        // What `SNIC_SIM_THREADS=1` gives a sharded job: every tenant
+        // alone, one after another on the calling thread. Distinct
+        // seeds and warm-ups make any permutation visible.
+        let mk = || -> Vec<EventSource> {
+            (0..5)
+                .map(|i| SyntheticStream::new(1 << 18, 6, 3, 2_000 + 300 * i, 5 + i).into())
+                .collect()
+        };
+        let cfg = MachineConfig::snic(5, 1 << 20);
+        let warm = [100u64, 200, 300, 400];
+        let interleaved = run_colocated_warm(&cfg, mk(), &warm);
+        let split = run_split(&cfg, mk(), &warm, 1, None);
+        assert_eq!(interleaved.nfs, split.nfs);
+        for (tenant, stream) in mk().into_iter().enumerate() {
+            let w = warm.get(tenant).copied().unwrap_or(0);
+            let alone =
+                run_colocated_ids_sink(&cfg, vec![stream], &[w], &[tenant as u32], &NullSink);
+            assert_eq!(alone.nfs[0], split.nfs[tenant], "tenant {tenant}");
         }
     }
 

@@ -59,6 +59,15 @@ budgeted_test() {
 #   materialized recording event for event, and serial, parallel and
 #   sharded runs of one job spec must agree — the oracles any change to
 #   regeneration (what a tenant is fed, how tenants are built) leans on.
+#   `interleaved_32_tenant_mix_is_the_oracle_of_every_split` holds the
+#   one-lane-per-tenant split to the 32-lane interleaved engine call,
+#   stats and telemetry, for shard counts that divide 32, do not, and
+#   exceed it.
+# - Residency (`deferred_residency_is_bounded_by_workers` in
+#   snic-bench's `colo`): a split run builds each tenant's pipeline
+#   once, holds at most min(shards, workers) of them at a time, and
+#   leaves none behind — what the streaming gate's RSS budget below
+#   measures from outside.
 # - The lifecycle kernels against the implementations they replaced
 #   (snic-crypto, snic-mem): Montgomery `modpow` ≡ the retained
 #   square-and-multiply, CRT `sign` ≡ `m^d mod n` with a faulted half
@@ -130,8 +139,9 @@ cargo run -q --release --bin snicctl -- telemetry overhead
 # schedules) must first prove serial≡sharded bit-identity at small
 # scale, then process exactly 1e9 engine events through O(chunk)
 # streaming sources with peak RSS under SNIC_MEM_BUDGET_MB (default
-# 640 — the mix's resident NF structures, dominated by eight 64 MB
-# DIR-24-8 tables, plus streaming state; independent of event count).
+# 256 — workers × the largest structure, a 64 MB DIR-24-8 table, plus
+# streaming state; independent of event count and of tenant count.
+# Measured ≈ 82; every tenant resident at once is ≈ 574 and fails).
 # SNIC_TRACE_GATE_EVENTS trims the run on slow machines.
 echo "==> bounded-memory streaming gate (snicctl trace billion --gate)"
 cargo run -q --release --bin snicctl -- trace billion --gate \

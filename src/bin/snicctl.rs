@@ -32,9 +32,9 @@ use snic::serve::host::{Fatal, Host, HostOpts};
 /// prints the tenant mix (personality, event budget, phase schedule);
 /// `sweep` runs a streamed commodity-vs-S-NIC colocation at each
 /// cotenancy; `billion` is one S-NIC run with `--events` total events
-/// streamed in O(chunk) memory, where `--gate` enforces a small-scale
-/// serial≡sharded identity check, the exact event count, and peak RSS
-/// <= `SNIC_MEM_BUDGET_MB`.
+/// streamed in O(workers × NF) memory, where `--gate` enforces a
+/// small-scale serial≡sharded identity check, the exact event count, and
+/// peak RSS <= `SNIC_MEM_BUDGET_MB`.
 fn trace_main(args: &[String]) -> Result<String, String> {
     use snic::bench::colo;
     use snic::bench::Scale;
@@ -83,10 +83,18 @@ fn trace_main(args: &[String]) -> Result<String, String> {
         }
     }
     let scale = Scale::quick();
+    // `describe` and `billion` share one mix: the first `--tenants`
+    // count and `--events` in total, every tenant fed at least one.
+    let tenants = tenants_list.as_ref().map_or(48, |l| l[0]);
+    let total = events.unwrap_or(1_000_000_000);
+    if matches!(verb, "describe" | "billion") && total < tenants as u64 {
+        return Err(format!(
+            "{}\n(--events {total} is fewer than one event for each of {tenants} tenants)",
+            usage()
+        ));
+    }
     match verb {
         "describe" => {
-            let tenants = tenants_list.map_or(48, |l| l[0]);
-            let total = events.unwrap_or(1_000_000_000);
             let mix = colo::tenant_mix(tenants, seed, total, true);
             let mut out = vec![format!(
                 "streamed tenant mix: {tenants} tenants, {total} events total"
@@ -108,8 +116,6 @@ fn trace_main(args: &[String]) -> Result<String, String> {
             Ok(colo::render_sweep(&rows))
         }
         "billion" => {
-            let tenants = tenants_list.map_or(48, |l| l[0]);
-            let total = events.unwrap_or(1_000_000_000);
             let mut out = Vec::new();
             if gate {
                 // Identity first, at a scale where re-running is cheap:
@@ -140,14 +146,16 @@ fn trace_main(args: &[String]) -> Result<String, String> {
                         report.events
                     ));
                 }
-                // Default budget: the 48-tenant mix's resident NF
-                // structures (dominated by eight 64 MB DIR-24-8 tables,
-                // the paper's Table 6 footprint) plus the O(tenants ×
-                // chunk) streaming state — independent of event count.
+                // Default budget: workers × the largest NF structure (a
+                // 64 MB DIR-24-8 table, the paper's Table 6 footprint)
+                // plus the identity leg's six resident tenants and the
+                // O(tenants × chunk) streaming state — independent of
+                // event count and of tenant count. Measured ≈ 82 MiB;
+                // every tenant resident at once is ≈ 574 and fails it.
                 let budget_mb: u64 = std::env::var("SNIC_MEM_BUDGET_MB")
                     .ok()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or(640);
+                    .unwrap_or(256);
                 match report.peak_rss_mb {
                     Some(rss) if rss > budget_mb => {
                         return Err(format!(
@@ -939,6 +947,16 @@ attest ids
         assert!(trace_main(&s(&["describe", "--tenants", "0"])).is_err());
         assert!(trace_main(&s(&["describe", "--tenants", "65"])).is_err());
         assert!(trace_main(&s(&["billion", "--events"])).is_err());
+        // Fewer events than tenants is a usage error, with or without the
+        // gate — not "engine processed 48", not a panic.
+        for verb in ["describe", "billion"] {
+            let e = trace_main(&s(&[verb, "--tenants", "48", "--events", "10", "--gate"]));
+            let e = e.unwrap_err();
+            assert!(e.starts_with("usage: ") && e.contains("--events 10"), "{e}");
+        }
+        let one_each = ["billion", "--tenants", "4", "--events", "4", "--gate"];
+        let exact = trace_main(&s(&one_each)).unwrap();
+        assert!(exact.contains("gate: OK (4 events"), "{exact}");
         let desc = trace_main(&s(&["describe", "--tenants", "8", "--events", "80000"])).unwrap();
         assert_eq!(desc.matches("  tenant ").count(), 8, "{desc}");
         assert!(desc.contains("Dpi"), "{desc}");
