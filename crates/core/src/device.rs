@@ -358,9 +358,13 @@ impl SmartNic {
         self.now
     }
 
-    /// Advance simulated time.
-    pub fn advance(&mut self, dt: Picos) {
-        self.now += dt;
+    /// Advance simulated time, returning the new time; `None`, with the
+    /// clock left where it was, if the u64-picosecond clock cannot hold
+    /// it.
+    #[must_use = "a clock at its end does not advance"]
+    pub fn advance(&mut self, dt: Picos) -> Option<Picos> {
+        self.now = Picos(self.now.0.checked_add(dt.0)?);
+        Some(self.now)
     }
 
     /// True after a bus-DoS hard crash (§3.3's Agilio attack).
@@ -1231,12 +1235,35 @@ impl SmartNic {
                 let ring_span = record.pb_cap.min(rlen / 2);
                 let ring_base = rbase + rlen - ring_span;
                 let aligned = len.div_ceil(64) * 64;
-                if record.ring_next + aligned > ring_span {
-                    record.ring_next = 0;
+                // Frames take 64-byte-aligned slots in arrival order,
+                // wrapping to the ring's start when the end cannot hold
+                // the next one. A slot that would reach the oldest
+                // unpolled frame is refused like a full PB: the ring
+                // never laps its own backlog.
+                let at = if record.ring_next + aligned > ring_span {
+                    0
+                } else {
+                    record.ring_next
+                };
+                let fits = match record.rx_queue.front() {
+                    None => at + aligned <= ring_span,
+                    Some(&(oldest, _)) => {
+                        let oldest = oldest - ring_base;
+                        // Queued frames run from `oldest` to `ring_next`,
+                        // across the end of the ring when it has wrapped.
+                        if oldest < record.ring_next {
+                            at == record.ring_next || aligned <= oldest
+                        } else {
+                            at == record.ring_next && at + aligned <= oldest
+                        }
+                    }
+                };
+                if !fits {
+                    record.rx_dropped += 1;
+                    return Ok(Some(nf));
                 }
-                let b = ring_base + record.ring_next;
-                record.ring_next += aligned;
-                b
+                record.ring_next = at + aligned;
+                ring_base + at
             }
         };
         self.guard
@@ -2054,6 +2081,30 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_that_would_lap_the_ring_is_dropped_not_overlaid() {
+        for mut nic in both_modes() {
+            // A 320-byte PB holds two 142-byte frames' bytes, but under
+            // S-NIC their 192-byte slots overrun its five-slot ring: the
+            // second would wrap onto the first, still unpolled.
+            let id = launch_vpp(&mut nic, 320, 1024, 1024);
+            let frame = |n: u8| {
+                PacketBuilder::new(1, 2, Protocol::Udp, u16::from(n), 80)
+                    .payload(vec![n; 100])
+                    .build()
+            };
+            assert_eq!(frame(1).len(), 142);
+            nic.rx_packet(&frame(1)).unwrap();
+            nic.rx_packet(&frame(2)).unwrap();
+            let lapped = u64::from(nic.mode() == NicMode::Snic);
+            assert_eq!(nic.record_of(id).unwrap().rx_dropped, lapped);
+            assert_eq!(nic.poll_packet(id).unwrap(), Some(frame(1)));
+            let second = (lapped == 0).then(|| frame(2));
+            assert_eq!(nic.poll_packet(id).unwrap(), second, "{:?}", nic.mode());
+            assert_eq!(nic.poll_packet(id).unwrap(), None);
+        }
+    }
+
+    #[test]
     fn odb_overflow_rejects_without_losing() {
         for mut nic in both_modes() {
             // ODB of 64 bytes = two output descriptors.
@@ -2138,6 +2189,47 @@ mod tests {
                 }
                 prop_assert_eq!(nic.poll_packet(id).unwrap(), None);
                 prop_assert_eq!(nic.record_of(id).unwrap().rx_delivered, n);
+            }
+        }
+
+        /// Random frame sizes and rx/poll interleavings against PBs too
+        /// small for the backlog: every accepted frame polls back
+        /// byte-equal in arrival order in both modes; commodity admits
+        /// exactly by PB bytes and PDB slots, and S-NIC never admits
+        /// more.
+        #[test]
+        fn rx_ring_polls_back_every_accepted_frame_intact(
+            pb in 64u64..1024,
+            ops in proptest::collection::vec((0usize..300, 0u8..3), 1..80),
+        ) {
+            for mut nic in both_modes() {
+                let id = launch_vpp(&mut nic, pb, 32 * 8, 1024);
+                let mut queued: VecDeque<Packet> = VecDeque::new();
+                for (i, &(len, op)) in ops.iter().enumerate() {
+                    if op == 0 {
+                        prop_assert_eq!(nic.poll_packet(id).unwrap(), queued.pop_front());
+                        continue;
+                    }
+                    let pkt = PacketBuilder::new(i as u32, 2, Protocol::Udp, 1, 80)
+                        .payload(vec![i as u8; len])
+                        .build();
+                    let bytes: u64 = queued.iter().map(|p| p.len() as u64).sum();
+                    let by_bytes = bytes + pkt.len() as u64 <= pb && queued.len() < 8;
+                    let dropped = nic.record_of(id).unwrap().rx_dropped;
+                    nic.rx_packet(&pkt).unwrap();
+                    let accepted = nic.record_of(id).unwrap().rx_dropped == dropped;
+                    match nic.mode() {
+                        NicMode::Commodity => prop_assert_eq!(accepted, by_bytes),
+                        NicMode::Snic => prop_assert!(by_bytes || !accepted),
+                    }
+                    if accepted {
+                        queued.push_back(pkt);
+                    }
+                }
+                while let Some(want) = queued.pop_front() {
+                    prop_assert_eq!(nic.poll_packet(id).unwrap(), Some(want), "{:?}", nic.mode());
+                }
+                prop_assert_eq!(nic.poll_packet(id).unwrap(), None);
             }
         }
     }

@@ -248,7 +248,15 @@ impl<'a> NicOs<'a> {
                         telemetry.record(0, metrics::NICOS_BACKOFF_PS, applied.0);
                         telemetry.instant(0, "nicos.retry_backoff", self.nic.now().0);
                     }
-                    self.nic.advance(applied);
+                    if self.nic.advance(applied).is_none() {
+                        // The clock cannot hold another backoff: the
+                        // retry budget is spent as surely as by count.
+                        note_outcome(self.nic, attempt, metrics::NICOS_GIVEUP_BUDGET);
+                        return Err(RetryError::Exhausted {
+                            attempts: attempt,
+                            last: e,
+                        });
+                    }
                     backoff = Picos((backoff.0 * 2).min(policy.max_backoff.0));
                     attempt += 1;
                 }

@@ -525,8 +525,22 @@ impl Daemon {
         if trimmed.is_empty() || trimmed.starts_with('#') {
             return Vec::new();
         }
-        self.nic.advance(Picos(self.cfg.tick_ps));
-        match parse_request(trimmed) {
+        let parsed = parse_request(trimmed);
+        if self.nic.advance(Picos(self.cfg.tick_ps)).is_none() {
+            // The clock is at its end: answer, and change nothing else.
+            let (id, tenant, op) = match &parsed {
+                Ok(req) => (req.id, &*req.tenant, &*req.op),
+                Err(_) => (0, "", "?"),
+            };
+            let why = format!(
+                "a {} ps tick overflows the simulated clock at {} ps",
+                self.cfg.tick_ps,
+                self.nic.now().0
+            );
+            self.refuse(id, tenant, op, (codes::CLOCK_EXHAUSTED, why));
+            return std::mem::take(&mut self.out);
+        }
+        match parsed {
             Err(e) => self.refuse(0, "", "?", bad(e)),
             Ok(req) => self.dispatch(&req),
         }
@@ -1107,8 +1121,8 @@ impl Daemon {
         let us = req.num("us").ok_or_else(|| bad("missing \"us\""))?;
         let now = self.nic.now();
         let then = after_us(now, us)
+            .and_then(|then| self.nic.advance(then - now))
             .ok_or_else(|| bad(format!("\"us\" overflows the simulated clock: {us}")))?;
-        self.nic.advance(then - now);
         extra(line, "now_ps", then.0);
         Ok(())
     }
@@ -1306,6 +1320,32 @@ mod tests {
             out[0].ends_with("\"now_ps\":18446744073709000000}"),
             "{out:?}"
         );
+    }
+
+    /// Every line adds a tick through `SmartNic::advance`: the line whose
+    /// tick the clock cannot hold is refused with a stable code and
+    /// leaves the state as it found it, instead of wrapping the clock
+    /// (release) or panicking the daemon (debug).
+    #[test]
+    fn a_tick_past_the_end_of_the_clock_is_refused_without_effect() {
+        let mut d = Daemon::new(DaemonConfig {
+            tick_ps: u64::MAX - 1,
+            ..DaemonConfig::default()
+        });
+        let first = d.ingest(r#"{"op":"send","tenant":"a","id":1,"count":1,"port":80}"#);
+        assert!(first[0].contains("\"ok\":true"), "{first:?}");
+        let state = d.state_fingerprint();
+        for line in [
+            r#"{"op":"send","tenant":"a","id":2,"count":1,"port":80}"#,
+            "not json",
+        ] {
+            let out = d.ingest(line);
+            assert_eq!(out.len(), 1, "{line}: {out:?}");
+            assert!(out[0].contains(codes::CLOCK_EXHAUSTED), "{}", out[0]);
+            assert_eq!(d.state_fingerprint(), state, "{line}");
+        }
+        assert!(d.ingest(r#"{"op":"health","id":3}"#)[0].contains("\"id\":3"));
+        assert_eq!(d.nic.now(), Picos(u64::MAX - 1));
     }
 
     /// `scan_faults` walks the tenants only when the device's fault log

@@ -47,6 +47,9 @@ pub mod codes {
     pub const RETRIES_EXHAUSTED: &str = "SERVE-RETRIES-EXHAUSTED";
     /// The named NF does not exist for this tenant.
     pub const UNKNOWN_NF: &str = "SERVE-UNKNOWN-NF";
+    /// The line's tick would carry the simulated clock past its u64
+    /// picoseconds; the line was refused without effect.
+    pub const CLOCK_EXHAUSTED: &str = "SERVE-CLOCK-EXHAUSTED";
 }
 
 /// A parsed request line, borrowed from it: every string is a slice of

@@ -36,9 +36,11 @@
 //! the engine to it bit-for-bit.
 //!
 //! The pool uses only the standard library (the workspace is offline;
-//! no rayon). Worker count defaults to
-//! [`std::thread::available_parallelism`] and can be pinned with the
-//! `SNIC_SIM_THREADS` environment variable.
+//! no rayon). Worker count defaults to [`default_threads`]
+//! ([`std::thread::available_parallelism`], pinnable with the
+//! `SNIC_SIM_THREADS` environment variable), and every worker beyond the
+//! caller's own holds a thread of the budget the engine's helper thread
+//! also draws from, so the two never oversubscribe the host.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,6 +49,8 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use snic_telemetry::{BufferSink, NullSink, TelemetrySink};
+pub use snic_uarch::budget::default_threads;
+use snic_uarch::budget::Threads;
 use snic_uarch::bus::BusKind;
 use snic_uarch::cache::Partition;
 use snic_uarch::config::MachineConfig;
@@ -265,21 +269,6 @@ pub enum Exec {
     Parallel,
 }
 
-/// Worker count used by [`par_map`]:
-/// `SNIC_SIM_THREADS` when set to a positive integer, else
-/// [`std::thread::available_parallelism`], else 1.
-pub fn default_threads() -> usize {
-    std::env::var("SNIC_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-}
-
 /// Run every job, dispatching on [`Exec`]; outcomes come back in input
 /// order.
 pub fn execute(exec: Exec, jobs: Vec<SimJob>) -> Vec<RunOutcome> {
@@ -312,20 +301,26 @@ where
     par_map_on(items, default_threads(), f)
 }
 
-/// Apply `f` to every item using exactly `threads` workers, returning
+/// Apply `f` to every item using up to `threads` workers, returning
 /// results in input order.
 ///
 /// Work is pulled from a shared queue, so long and short items mix
 /// freely without a static partition; the result of item `i` always
-/// lands in slot `i`. With `threads <= 1` (or a single item) this is a
-/// plain in-order map on the calling thread.
+/// lands in slot `i`. The calling thread's hardware thread serves one
+/// worker and every other worker holds a spare thread from the
+/// process-wide budget ([`snic_uarch::budget`]) for the whole map, taken
+/// without waiting: a nested map, or one issued while the budget is
+/// spent, gets fewer workers, and engine calls inside the workers stay
+/// inline. With `threads <= 1`, a single item, or no spare thread this
+/// is a plain in-order map on the calling thread.
 pub fn par_map_on<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let threads = threads.min(items.len()).max(1);
+    let spare = Threads::take(threads.min(items.len()).saturating_sub(1));
+    let threads = 1 + spare.count();
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }

@@ -18,34 +18,51 @@
 //! production engine, restructured for throughput and differentially
 //! tested against the reference (`tests/engine_differential.rs`).
 //!
-//! # Two-phase hot path
+//! # Front → batch → back
 //!
 //! The restructuring exploits one architectural fact: **L1s are
 //! private**. A stream's L1 hit/miss sequence depends only on its own
 //! address sequence, never on co-tenant activity, so L1 work needs no
-//! global interleaving at all. Each stream therefore runs in two
-//! phases:
+//! global interleaving at all. Each lane is therefore two parts that
+//! exchange batches:
 //!
-//! - **Bulk L1 phase** ([`Lane::refill`]): pull a chunk of events,
-//!   decode all addresses in one batched pass (tag OR + prefix-sum of
-//!   instruction counts), and probe the private L1 branch-free — the
-//!   tag compare is the [`crate::simd`] four-lane scan, the victim pick
-//!   a select chain, and the fill an unconditional store (on a hit the
-//!   stored tag is unchanged, so "always store" needs no branch). L1
-//!   misses are compacted into a dense queue of *L2 events*.
-//! - **L2-event scheduler**: only those L2 events re-enter the global
-//!   interleaved loop, keyed by `(clock before the missing event,
-//!   stream index)` — exactly the key the per-event loop would give
-//!   them, with hit timing collapsed into prefix-sum arithmetic. Shared
-//!   state (L2 contents, bus arbiter) is touched in the identical
-//!   order, so commodity coupling (shared LRU + FCFS queueing) is
-//!   reproduced bit-for-bit; the run-ahead and runner-up-caching tricks
-//!   from the per-event loop carry over unchanged.
+//! - **Front** ([`Front::fill`]): the lane's source, its private L1 and
+//!   its warm-up cap. It pulls chunks of events, decodes each chunk in
+//!   one batched pass (tag OR + prefix-sum of instruction counts), and
+//!   probes the private L1 branch-free: a set keeps its tags in recency
+//!   order, so LRU needs no stamps and a probe is four compares, three
+//!   selects and one store ([`PrivateL1`]).
+//! - **Batch**: up to [`BATCH_CHUNKS`] chunks compacted to their *L2
+//!   events* — per L1 miss, the instructions before it, the
+//!   instructions through it, and its tagged address — plus the batch's
+//!   event, instruction and tail totals. A batch never crosses the
+//!   warm-up boundary, so the snapshot lands on a batch close.
+//! - **Back** ([`Back`]): the lane's clock, statistics, warm-up snapshot
+//!   and bus telemetry. Only L2 events enter the global interleaved
+//!   loop, keyed by `(clock before the missing event, stream index)` —
+//!   exactly the key the per-event loop would give them, with hit
+//!   timing collapsed into the batch's instruction sums. Shared state
+//!   (L2 contents, bus arbiter) is touched in the identical order, so
+//!   commodity coupling (shared LRU + FCFS queueing) is reproduced
+//!   bit-for-bit; the run-ahead and runner-up-caching tricks from the
+//!   per-event loop carry over unchanged.
 //!
 //! Between two L1 misses a stream's clock advances by the pure sum of
 //! instruction counts, so nothing observable distinguishes this from
 //! processing every event individually — the differential suite and the
 //! goldens hold the two engines bit-identical.
+//!
+//! Because a front touches nothing shared, it can run on another
+//! hardware thread. A call starts with every back pulling from its own
+//! front inline; once it has consumed [`HELPER_START`] events that way
+//! and can take a spare thread from the process-wide
+//! [`crate::budget`] without waiting, one scoped helper thread takes
+//! over every lane's front, filling bounded per-lane queues of
+//! [`QUEUE_DEPTH`] batches round-robin while the scheduler drains
+//! them. Either side that finds nothing to do spins briefly, yields,
+//! then parks until the other wakes it; a panic on the helper is
+//! re-raised on the caller, and a panic on the caller stops the helper.
+//! Which thread ran a front changes nothing a batch contains.
 //!
 //! # Sharding
 //!
@@ -54,25 +71,52 @@
 //! from the stream's position in the input vector. Under the S-NIC
 //! disciplines — per-tenant way slices and epoch-partitioned bus
 //! windows — every tenant's outcome is independent of co-tenant
-//! activity, so a colocation run may be partitioned into per-core
-//! shards, each simulating a contiguous subset of tenants with their
-//! *global* ids, and the per-tenant results are bit-identical to the
-//! serial run (asserted by `snic-bench`'s shard-determinism suite).
-//! `snic-sim` drives the sharding; this module only guarantees that a
-//! tenant's simulation depends on nothing but its id and its stream.
+//! activity, so a colocation run may be split into one one-lane call per
+//! tenant with its *global* id, and the per-tenant results are
+//! bit-identical to the interleaved run (asserted by `snic-bench`'s
+//! shard-determinism suite). `snic-sim` drives the split; this module
+//! only guarantees that a tenant's simulation depends on nothing but its
+//! id and its stream.
+
+use std::cell::Cell;
+use std::sync::mpsc::{self, Receiver, RecvError, Sender, SyncSender, TryRecvError};
+use std::thread::{Scope, ScopedJoinHandle};
 
 use snic_telemetry::{metrics, Histogram, NullSink, TelemetrySink};
 
+use crate::budget::Threads;
 use crate::bus::{BusArbiter, BusKind};
 use crate::cache::{Cache, CacheConfig, Partition, SetMap, TAG_INVALID};
 use crate::config::MachineConfig;
 use crate::stream::{Access, AccessKind, EventSource};
 
 /// Events processed per bulk-L1 chunk. 256 events × 16 bytes of raw
-/// access plus the decode arrays keep a lane's working set around 9 KiB
-/// — large enough that the scheduler's per-chunk bookkeeping vanishes,
-/// small enough to stay L1-resident on the host while streaming.
+/// access plus the decode arrays keep a front's working set around
+/// 9 KiB — small enough to stay L1-resident on the host while
+/// streaming.
 const CHUNK: usize = 256;
+
+/// Chunks a front compacts into one batch: 4 096 events, so a hand-off
+/// between front and back (a slot swap and two atomics when pipelined)
+/// is paid per ~4 k events, and only L2 events cross it. Handing the
+/// scheduler one chunk at a time, with its per-event prefix array,
+/// gained nothing over running the front inline.
+const BATCH_CHUNKS: usize = 16;
+
+/// Batches a lane's queue holds ahead of its back when a helper runs
+/// the fronts. Queue memory is at most (`QUEUE_DEPTH` + 1) batches per
+/// lane, each at most `BATCH_CHUNKS × CHUNK` 24-byte L2 events: 864 KiB
+/// per lane for a stream that misses on every event, ~16 % of that at
+/// the fig5 traces' L1 miss rate.
+const QUEUE_DEPTH: usize = 8;
+
+/// Events a call consumes inline before it may start a helper thread.
+/// A scoped spawn and join measured ≈ 20 µs on the 2-thread reference
+/// host, where 2^18 events take ≈ 1.6 ms inline: a call that gets this
+/// far has paid ≈ 80× the spawn before it asks, and the short calls —
+/// every leakage-battery bit slot (≤ 16 k events), the engine's unit
+/// tests (≤ 160 k) — never spawn at all.
+const HELPER_START: u64 = 1 << 18;
 
 /// Per-NF statistics from one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -211,108 +255,85 @@ pub(crate) fn validate_domains(cfg: &MachineConfig, tenant_ids: &[u32], n_stream
     }
 }
 
-/// One 4-way set of the private L1: the tag quad and its LRU stamps
-/// packed into a single 64-byte record so a probe touches exactly one
-/// host cache line (the split tag/stamp arrays of the general [`Cache`]
-/// pay a second line on every miss for the victim scan).
-#[repr(align(64))]
+/// One 4-way set of the private L1: its tags in recency order, most
+/// recent first, in one 32-byte record so a probe touches exactly one
+/// host cache line.
+#[repr(align(32))]
 #[derive(Debug, Clone, Copy)]
 struct L1Set {
     tags: [u64; 4],
-    stamps: [u64; 4],
 }
 
-/// Line storage of a [`PrivateL1`], specialized by associativity.
+/// Line storage of a [`PrivateL1`], specialized by associativity. Every
+/// set keeps its tags in recency order, so LRU needs no stamps: a hit
+/// moves its tag to the front, a miss shifts every tag back one way and
+/// drops the last — the least recently used line, or an invalid way
+/// while the set is still filling.
 #[derive(Debug)]
 enum L1Store {
     /// Every shipped L1 is 4-way: one [`L1Set`] record per set.
     W4(Box<[L1Set]>),
-    /// Any other associativity — the correctness fallback, laid out
-    /// like the general [`Cache`].
-    General {
-        tags: Box<[u64]>,
-        stamps: Box<[u64]>,
-        ways: usize,
-    },
+    /// Any other associativity — the correctness fallback.
+    General { tags: Box<[u64]>, ways: usize },
 }
 
 /// A single-tenant private L1: the [`Cache`] model specialized to what
 /// an L1 actually needs. No partition table (one tenant), no owner
-/// array (every line is the tenant's), no per-tenant counter growth —
-/// which makes the update *branch-free*: the hit mask is the
-/// [`crate::simd`] lane scan shape, the LRU victim a select chain, and
-/// the fill an unconditional store (on a hit the stored tag equals the
-/// old tag, so hit and miss share one store path). Behaviour is
-/// bit-identical to `Cache::new(l1, Partition::Shared)` driven by a
-/// single tenant — the reference engine does exactly that, and the
-/// differential suite holds the two equal.
+/// array (every line is the tenant's), no per-tenant counter growth,
+/// and — since nothing outside the lane sees which way a line sits in —
+/// no LRU stamps: recency is the order of a set's tags, which makes the
+/// update *branch-free*. Its hit/miss sequence is identical to
+/// `Cache::new(l1, Partition::Shared)` driven by a single tenant — the
+/// reference engine does exactly that, and the differential suite holds
+/// the two equal.
 #[derive(Debug)]
 struct PrivateL1 {
     store: L1Store,
     set_map: SetMap,
-    clock: u64,
 }
 
 impl PrivateL1 {
     fn new(cfg: &CacheConfig) -> PrivateL1 {
-        assert!(
-            cfg.ways <= 64,
-            "associativity above 64 is unsupported (the hit scan packs \
-             way matches into a u64 bitmask)"
-        );
         let sets = cfg.sets() as usize;
         let store = if cfg.ways == 4 {
             L1Store::W4(
                 vec![
                     L1Set {
-                        tags: [TAG_INVALID; 4],
-                        stamps: [0; 4],
+                        tags: [TAG_INVALID; 4]
                     };
                     sets
                 ]
                 .into_boxed_slice(),
             )
         } else {
-            let n = sets * cfg.ways as usize;
             L1Store::General {
-                tags: vec![TAG_INVALID; n].into_boxed_slice(),
-                stamps: vec![0; n].into_boxed_slice(),
+                tags: vec![TAG_INVALID; sets * cfg.ways as usize].into_boxed_slice(),
                 ways: cfg.ways as usize,
             }
         };
         PrivateL1 {
             store,
             set_map: SetMap::build(cfg),
-            clock: 0,
         }
     }
 
     /// Probe-and-update one 4-way set record; returns `true` on hit.
+    /// Way `k` keeps its tag if the hit lies before it and takes way
+    /// `k - 1`'s otherwise (on a miss every way shifts), and the probed
+    /// tag lands in front — three selects and one 32-byte store.
     #[inline(always)]
-    fn probe_set4(s: &mut L1Set, tag: u64, clock: u64) -> bool {
-        let m = u64::from(s.tags[0] == tag)
-            | u64::from(s.tags[1] == tag) << 1
-            | u64::from(s.tags[2] == tag) << 2
-            | u64::from(s.tags[3] == tag) << 3;
-        let (s1, s2, s3) = (s.stamps[1], s.stamps[2], s.stamps[3]);
-        let mut vw = 0usize;
-        let mut best = s.stamps[0];
-        if s1 < best {
-            vw = 1;
-            best = s1;
-        }
-        if s2 < best {
-            vw = 2;
-            best = s2;
-        }
-        if s3 < best {
-            vw = 3;
-        }
-        let hit = m != 0;
-        let way = if hit { m.trailing_zeros() as usize } else { vw };
-        s.tags[way] = tag;
-        s.stamps[way] = clock;
-        hit
+    fn probe_set4(s: &mut L1Set, tag: u64) -> bool {
+        let [t0, t1, t2, t3] = s.tags;
+        let h0 = t0 == tag;
+        let h1 = h0 | (t1 == tag);
+        let h2 = h1 | (t2 == tag);
+        s.tags = [
+            tag,
+            if h0 { t1 } else { t0 },
+            if h1 { t2 } else { t1 },
+            if h2 { t3 } else { t2 },
+        ];
+        h2 | (t3 == tag)
     }
 
     /// Probe every address of a chunk, compacting the misses (chunk
@@ -322,7 +343,6 @@ impl PrivateL1 {
     /// branch-free body with a single bounds check per event.
     fn probe_chunk(&mut self, addrs: &[u64], miss_pos: &mut [u32], miss_addr: &mut [u64]) -> usize {
         let mut m = 0usize;
-        let mut clock = self.clock;
         match (&mut self.store, self.set_map) {
             (
                 L1Store::W4(sets),
@@ -333,12 +353,11 @@ impl PrivateL1 {
                 },
             ) => {
                 for (k, &addr) in addrs.iter().enumerate() {
-                    clock += 1;
                     let line_addr = addr >> line_shift;
                     let set = (line_addr & set_mask) as usize;
                     let tag = line_addr >> set_shift;
                     debug_assert!(tag != TAG_INVALID, "address maps to the tag sentinel");
-                    let hit = PrivateL1::probe_set4(&mut sets[set], tag, clock);
+                    let hit = PrivateL1::probe_set4(&mut sets[set], tag);
                     miss_pos[m] = k as u32;
                     miss_addr[m] = addr;
                     m += usize::from(!hit);
@@ -346,24 +365,16 @@ impl PrivateL1 {
             }
             (store, set_map) => {
                 for (k, &addr) in addrs.iter().enumerate() {
-                    clock += 1;
                     let (set, tag) = set_map.locate(addr);
                     debug_assert!(tag != TAG_INVALID, "address maps to the tag sentinel");
                     let hit = match store {
-                        L1Store::W4(sets) => PrivateL1::probe_set4(&mut sets[set], tag, clock),
-                        L1Store::General { tags, stamps, ways } => {
-                            let lo = set * *ways;
-                            let hi = lo + *ways;
-                            let mask = crate::simd::match_mask(&tags[lo..hi], tag);
-                            let hit = mask != 0;
-                            let way = if hit {
-                                mask.trailing_zeros() as usize
-                            } else {
-                                crate::simd::min_stamp_way(&stamps[lo..hi])
-                            };
-                            tags[lo + way] = tag;
-                            stamps[lo + way] = clock;
-                            hit
+                        L1Store::W4(sets) => PrivateL1::probe_set4(&mut sets[set], tag),
+                        L1Store::General { tags, ways } => {
+                            let set = &mut tags[set * *ways..][..*ways];
+                            let way = set.iter().position(|&t| t == tag);
+                            set[..=way.unwrap_or(*ways - 1)].rotate_right(1);
+                            set[0] = tag;
+                            way.is_some()
                         }
                     };
                     miss_pos[m] = k as u32;
@@ -372,50 +383,68 @@ impl PrivateL1 {
                 }
             }
         }
-        self.clock = clock;
         m
     }
 }
 
-/// One stream's simulation state: its source, private L1, current bulk
-/// chunk, and cumulative statistics.
-struct Lane {
+/// One L1 miss as a back consumes it.
+#[derive(Debug, Clone, Copy)]
+struct L2Event {
+    /// Instructions of the L1 hits between the previous L2 event (or
+    /// the batch start) and this miss: the key time is the lane clock
+    /// plus this.
+    before: u64,
+    /// `before` plus the missing event's own instructions: the clock at
+    /// which the miss reaches the L2.
+    through: u64,
+    /// Tagged address of the miss.
+    addr: u64,
+}
+
+/// A run of one lane's events compacted to its L2 events — what a front
+/// hands its back.
+#[derive(Debug, Default)]
+struct Batch {
+    /// The L1 misses, in stream order.
+    misses: Vec<L2Event>,
+    /// Events the batch covers, hits included; 0 = the stream ended.
+    events: u64,
+    /// Instructions the batch covers.
+    insns: u64,
+    /// Instructions after the last miss.
+    tail: u64,
+    /// Whether the warm-up window closes exactly at the batch's end.
+    warm_end: bool,
+}
+
+/// A lane's private half: its source, private L1, decode and probe
+/// buffers, and warm-up cap. It touches nothing shared, so it may run
+/// on any thread.
+struct Front {
     src: EventSource,
     l1: PrivateL1,
     /// Raw events of the current chunk.
     raw: Box<[Access]>,
     /// Tagged addresses of the current chunk (decode pass output).
     addrs: Box<[u64]>,
-    /// `prefix[k]` = instructions of chunk events `[0, k)`; the clock
-    /// distance between any two in-chunk positions is a subtraction.
+    /// `prefix[k]` = instructions of chunk events `[0, k)`.
     prefix: Box<[u64]>,
     /// Chunk positions of the L1 misses, densely packed.
     miss_pos: Box<[u32]>,
-    /// Tagged addresses of those misses (decoded once in the bulk pass).
+    /// Tagged addresses of those misses.
     miss_addr: Box<[u64]>,
-    chunk_len: usize,
-    nmiss: usize,
-    /// Next unconsumed entry of `miss_pos`/`miss_addr`.
-    next_miss: usize,
-    /// Chunk events already folded into `time`.
-    consumed: usize,
-    /// Local clock after the last consumed event.
-    time: u64,
-    /// Events until the warmup snapshot boundary (0 = no warmup or
-    /// already snapshotted); refills never cross the boundary, so the
-    /// snapshot always lands exactly on a chunk close.
-    warm_left: u64,
-    /// Global tenant id: way slice, epoch slot, telemetry domain, and
-    /// address-space tag.
+    /// Address-space tag (the lane's tenant id).
     tenant: u32,
-    st: NfRunStats,
-    snapshot: Option<NfRunStats>,
-    tel: BusTelemetry,
+    /// Events until the warm-up boundary (0 = no warm-up or already
+    /// crossed); a batch never pulls past it.
+    warm_left: u64,
+    /// Set by the fill that found the stream exhausted.
+    done: bool,
 }
 
-impl Lane {
-    fn new(src: EventSource, tenant: u32, warm: u64, l1: &CacheConfig) -> Lane {
-        Lane {
+impl Front {
+    fn new(src: EventSource, tenant: u32, warm: u64, l1: &CacheConfig) -> Front {
+        Front {
             src,
             l1: PrivateL1::new(l1),
             raw: vec![
@@ -431,12 +460,122 @@ impl Lane {
             prefix: vec![0; CHUNK + 1].into_boxed_slice(),
             miss_pos: vec![0; CHUNK].into_boxed_slice(),
             miss_addr: vec![0; CHUNK].into_boxed_slice(),
-            chunk_len: 0,
-            nmiss: 0,
-            next_miss: 0,
-            consumed: 0,
-            time: 0,
+            tenant,
             warm_left: warm,
+            done: false,
+        }
+    }
+
+    /// Refill `out` with the lane's next batch: up to [`BATCH_CHUNKS`]
+    /// chunks, each decoded, probed against the private L1 and
+    /// compacted to its L2 events, stopping early at the warm-up
+    /// boundary or the end of the stream. An empty batch means the
+    /// stream has ended.
+    fn fill(&mut self, out: &mut Batch) {
+        out.misses.clear();
+        out.events = 0;
+        out.insns = 0;
+        out.warm_end = false;
+        // Instructions since the last miss, carried across chunks.
+        let mut pending = 0u64;
+        for _ in 0..BATCH_CHUNKS {
+            let cap = match self.warm_left {
+                0 => CHUNK,
+                w => w.min(CHUNK as u64) as usize,
+            };
+            let Front {
+                src,
+                raw,
+                addrs,
+                prefix,
+                l1,
+                miss_pos,
+                miss_addr,
+                tenant,
+                ..
+            } = self;
+            // Pass 1 — decode: prefix-sum the instruction counts and tag
+            // every address with the lane's address-space id. Replay-
+            // backed sources lend their backing store directly
+            // (zero-copy); the rest synthesize into the chunk buffer
+            // first. A borrowed run may be *short* without meaning
+            // end-of-stream (shared recordings stop at each pass
+            // boundary) — only an empty chunk ends the lane.
+            let events: &[Access] = match src.next_slice(cap) {
+                Some(run) => run,
+                None => {
+                    let n = src.next_batch(&mut raw[..cap]);
+                    &raw[..n]
+                }
+            };
+            let n = events.len();
+            if n == 0 {
+                break;
+            }
+            let t = *tenant as usize;
+            prefix[0] = 0;
+            let mut acc = 0u64;
+            for (k, a) in events.iter().enumerate() {
+                acc += u64::from(a.insns);
+                prefix[k + 1] = acc;
+                addrs[k] = tagged(t, a.addr);
+            }
+            // Start pulling the *next* chunk's trace lines into the host
+            // cache now — the probe pass gives the loads time to land.
+            src.prefetch_ahead(CHUNK);
+            // Pass 2 — probe the private L1 branch-free and compact the
+            // misses (unconditional stores + conditional increment).
+            let nmiss = l1.probe_chunk(&addrs[..n], &mut miss_pos[..], &mut miss_addr[..]);
+            // Pass 3 — one L2 event per miss, its hit run folded into
+            // instruction counts.
+            let mut from = 0;
+            for (&k, &addr) in miss_pos[..nmiss].iter().zip(&miss_addr[..nmiss]) {
+                let k = k as usize;
+                out.misses.push(L2Event {
+                    before: pending + (prefix[k] - prefix[from]),
+                    through: pending + (prefix[k + 1] - prefix[from]),
+                    addr,
+                });
+                pending = 0;
+                from = k + 1;
+            }
+            pending += prefix[n] - prefix[from];
+            out.events += n as u64;
+            out.insns += prefix[n];
+            if self.warm_left > 0 {
+                self.warm_left -= n as u64;
+                if self.warm_left == 0 {
+                    out.warm_end = true;
+                    break;
+                }
+            }
+        }
+        out.tail = pending;
+        self.done = out.events == 0;
+    }
+}
+
+/// A lane's scheduled half: its clock, statistics, warm-up snapshot and
+/// bus telemetry, and the batch it is consuming.
+struct Back {
+    batch: Batch,
+    /// Next unconsumed entry of `batch.misses`.
+    next: usize,
+    /// Local clock after the last consumed event.
+    time: u64,
+    /// Global tenant id: way slice, epoch slot, telemetry domain.
+    tenant: u32,
+    st: NfRunStats,
+    snapshot: Option<NfRunStats>,
+    tel: BusTelemetry,
+}
+
+impl Back {
+    fn new(tenant: u32) -> Back {
+        Back {
+            batch: Batch::default(),
+            next: 0,
+            time: 0,
             tenant,
             st: NfRunStats::zero(),
             snapshot: None,
@@ -444,102 +583,39 @@ impl Lane {
         }
     }
 
-    /// Bulk L1 phase: pull the next chunk, batch-decode every address,
-    /// prefix-sum the instruction counts, probe the private L1
-    /// branch-free, and compact the misses into the L2-event queue.
-    fn refill(&mut self) {
-        // Never pull past the warmup boundary: the snapshot must be the
-        // state after exactly `warm` events, and snapshots are taken at
-        // chunk closes.
-        let cap = if self.warm_left > 0 && self.warm_left < CHUNK as u64 {
-            self.warm_left as usize
-        } else {
-            CHUNK
-        };
-        let Lane {
-            src,
-            raw,
-            addrs,
-            prefix,
-            l1,
-            miss_pos,
-            miss_addr,
-            tenant,
-            chunk_len,
-            next_miss,
-            consumed,
-            nmiss,
-            ..
-        } = self;
-        // Pass 1 — decode: prefix-sum the instruction counts and tag
-        // every address with the lane's address-space id. Replay-backed
-        // sources lend their backing store directly (zero-copy); the
-        // rest synthesize into the chunk buffer first. Note a borrowed
-        // run may be *short* without meaning end-of-stream (shared
-        // recordings stop at each pass boundary) — only an empty chunk
-        // terminates the lane.
-        let events: &[Access] = match src.next_slice(cap) {
-            Some(run) => run,
-            None => {
-                let n = src.next_batch(&mut raw[..cap]);
-                &raw[..n]
-            }
-        };
-        let n = events.len();
-        let t = *tenant as usize;
-        prefix[0] = 0;
-        let mut acc = 0u64;
-        for (k, a) in events.iter().enumerate() {
-            acc += u64::from(a.insns);
-            prefix[k + 1] = acc;
-            addrs[k] = tagged(t, a.addr);
-        }
-        // Start pulling the *next* chunk's trace lines into the host
-        // cache now — the probe pass and the L2 events of this chunk
-        // give the loads a microsecond of latency to hide under.
-        src.prefetch_ahead(CHUNK);
-        *chunk_len = n;
-        *next_miss = 0;
-        *consumed = 0;
-        // Pass 2 — probe the private L1 branch-free and compact the
-        // misses (unconditional stores + conditional increment).
-        *nmiss = l1.probe_chunk(&addrs[..n], &mut miss_pos[..], &mut miss_addr[..]);
-    }
-
-    /// Fold the tail of the current chunk (all L1 hits past the last
-    /// miss) into the clock and credit the chunk's L1 statistics; take
-    /// the warmup snapshot when the boundary lands here.
-    fn close_chunk(&mut self) {
+    /// Fold the consumed batch's tail (all L1 hits past its last miss)
+    /// into the clock and credit its L1 statistics; take the warm-up
+    /// snapshot when the boundary lands here.
+    fn close_batch(&mut self) {
+        let b = &self.batch;
         debug_assert_eq!(
-            self.next_miss, self.nmiss,
-            "chunk closed with misses pending"
+            self.next,
+            b.misses.len(),
+            "batch closed with misses pending"
         );
-        let len = self.chunk_len;
-        self.time += self.prefix[len] - self.prefix[self.consumed];
-        self.st.insns += self.prefix[len];
-        self.st.l1_hits += (len - self.nmiss) as u64;
-        self.st.l1_misses += self.nmiss as u64;
-        self.consumed = len;
-        if self.warm_left > 0 {
-            self.warm_left -= len as u64;
-            if self.warm_left == 0 {
-                // Same accounting as the per-event loop at `ev == warm`:
-                // `cycles` is the clock after the warm-th event and the
-                // counters are cumulative at that instant.
-                self.st.cycles = self.time;
-                self.snapshot = Some(self.st.clone());
-            }
+        let misses = b.misses.len() as u64;
+        self.time += b.tail;
+        self.st.insns += b.insns;
+        self.st.l1_hits += b.events - misses;
+        self.st.l1_misses += misses;
+        if b.warm_end {
+            // Same accounting as the per-event loop at `ev == warm`:
+            // `cycles` is the clock after the warm-th event and the
+            // counters are cumulative at that instant.
+            self.st.cycles = self.time;
+            self.snapshot = Some(self.st.clone());
         }
     }
 
-    /// Ensure an unconsumed L2 event exists, closing and refilling
-    /// chunks as needed. Returns `false` when the stream is exhausted
-    /// (final `cycles` recorded).
-    fn advance(&mut self) -> bool {
-        while self.next_miss == self.nmiss {
-            self.close_chunk();
-            self.refill();
-            if self.chunk_len == 0 {
+    /// Ensure an unconsumed L2 event exists, closing and pulling batches
+    /// as needed. Returns `false` when the stream is exhausted (final
+    /// `cycles` recorded).
+    fn advance(&mut self, lane: usize, feed: &mut Feed<'_, '_>) -> bool {
+        while self.next == self.batch.misses.len() {
+            self.close_batch();
+            feed.pull(lane, &mut self.batch);
+            self.next = 0;
+            if self.batch.events == 0 {
                 self.st.cycles = self.time;
                 return false;
             }
@@ -552,8 +628,7 @@ impl Lane {
     /// key the per-event loop assigns it.
     #[inline]
     fn next_miss_key_time(&self) -> u64 {
-        let k = self.miss_pos[self.next_miss] as usize;
-        self.time + (self.prefix[k] - self.prefix[self.consumed])
+        self.time + self.batch.misses[self.next].before
     }
 
     /// Process the next L2 event against the shared L2 and bus, folding
@@ -566,13 +641,10 @@ impl Lane {
         cfg: &MachineConfig,
         telemetry_on: bool,
     ) {
-        let j = self.next_miss;
-        let k = self.miss_pos[j] as usize;
-        // Clock after the missing event's instruction charge: every
-        // event since the last consumed one was an L1 hit (cost = its
-        // insns), so the whole run collapses to a prefix-sum delta.
-        let mut now = self.time + (self.prefix[k + 1] - self.prefix[self.consumed]);
-        if l2.access(self.tenant, self.miss_addr[j]) {
+        let e = self.batch.misses[self.next];
+        // Clock after the missing event's instruction charge.
+        let mut now = self.time + e.through;
+        if l2.access(self.tenant, e.addr) {
             self.st.l2_hits += 1;
             now += cfg.l2_hit_cycles;
         } else {
@@ -590,13 +662,221 @@ impl Lane {
             now = start + cfg.bus_beat_cycles + cfg.dram_cycles;
         }
         self.time = now;
-        self.consumed = k + 1;
-        self.next_miss = j + 1;
+        self.next += 1;
         // Host-cache hint: the lane's next L2 event is already sitting
-        // in the compacted miss queue, so warm its set lines while the
-        // scheduler decides whose turn is next.
-        if j + 1 < self.nmiss {
-            l2.prefetch(self.miss_addr[j + 1]);
+        // in the batch, so warm its set lines while the scheduler
+        // decides whose turn is next.
+        if let Some(n) = self.batch.misses.get(self.next) {
+            l2.prefetch(n.addr);
+        }
+    }
+}
+
+thread_local! {
+    /// Test override of the helper policy for calls made on this
+    /// thread: `Some(true)` starts it at the first batch outside the
+    /// budget, `Some(false)` never starts it.
+    static FORCE_HELPER: Cell<Option<bool>> = const { Cell::new(None) };
+    /// Helpers started by calls made on this thread.
+    static HELPERS_STARTED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Run `f` with the helper thread forced on (from the first batch,
+/// regardless of the budget) or off for every engine call `f` makes on
+/// this thread. A test hook: production calls decide by the budget and
+/// [`HELPER_START`] alone, and outcomes do not depend on either.
+#[doc(hidden)]
+pub fn with_helper<R>(on: bool, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<bool>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            FORCE_HELPER.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(FORCE_HELPER.with(|c| c.replace(Some(on))));
+    f()
+}
+
+/// Helper threads started by engine calls made on this thread so far —
+/// a test hook.
+#[doc(hidden)]
+pub fn helpers_started() -> u64 {
+    HELPERS_STARTED.with(Cell::get)
+}
+
+/// `try_recv` rounds a waiting side spins before it blocks in `recv`
+/// (which yields, then parks): a hand-off wait is usually shorter than a
+/// park and the wake-up that ends it, and the side that would pay for
+/// the wake-up is the busy one.
+const SPINS: u32 = 1 << 10;
+
+/// `rx.recv()`, spinning on `try_recv` first.
+fn recv_spinning<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    for _ in 0..SPINS {
+        match rx.try_recv() {
+            Ok(v) => return Ok(v),
+            Err(TryRecvError::Empty) => std::hint::spin_loop(),
+            Err(TryRecvError::Disconnected) => return Err(RecvError),
+        }
+    }
+    rx.recv()
+}
+
+/// The helper's loop: fill every live lane's queue round-robin with
+/// batches the scheduler has handed back, until every front has
+/// published its end. Each lane owns [`QUEUE_DEPTH`] batches here plus
+/// the one its back holds, so a send never blocks and the helper waits
+/// only when no lane has a batch to fill. A scheduler that is gone
+/// (unwinding) disconnects both channels, which ends the loop.
+fn run_fronts(
+    mut fronts: Vec<Front>,
+    filled: Vec<SyncSender<Batch>>,
+    spent: Receiver<(usize, Batch)>,
+) {
+    let mut free: Vec<Vec<Batch>> = fronts
+        .iter()
+        .map(|_| (0..QUEUE_DEPTH).map(|_| Batch::default()).collect())
+        .collect();
+    let mut live = fronts.iter().filter(|f| !f.done).count();
+    while live > 0 {
+        let mut any = false;
+        for ((front, tx), free) in fronts.iter_mut().zip(&filled).zip(&mut free) {
+            if front.done {
+                continue;
+            }
+            let Some(mut batch) = free.pop() else {
+                continue;
+            };
+            front.fill(&mut batch);
+            live -= usize::from(front.done);
+            if tx.send(batch).is_err() {
+                return;
+            }
+            any = true;
+        }
+        let mut back = if any {
+            spent.try_recv().ok()
+        } else {
+            match recv_spinning(&spent) {
+                Ok(b) => Some(b),
+                Err(RecvError) => return,
+            }
+        };
+        while let Some((lane, batch)) = back {
+            free[lane].push(batch);
+            back = spent.try_recv().ok();
+        }
+    }
+}
+
+/// The scheduler's end of a running helper.
+struct Pipe<'scope> {
+    /// Lane `i`'s filled batches, in stream order.
+    filled: Vec<Receiver<Batch>>,
+    /// Consumed batches, back to the helper to refill.
+    spent: Sender<(usize, Batch)>,
+    helper: ScopedJoinHandle<'scope, ()>,
+}
+
+/// Where the backs' batches come from: each lane's front, called inline
+/// on the scheduler's thread, until the call may start a helper — then
+/// the helper's queues.
+struct Feed<'scope, 'env> {
+    /// The fronts while they run inline; empty once the helper owns them.
+    fronts: Vec<Front>,
+    /// Events consumed inline so far.
+    inline_events: u64,
+    /// `inline_events` at which to try starting the helper (`u64::MAX`:
+    /// never).
+    start_at: u64,
+    /// Whether starting takes a thread from the budget.
+    budgeted: bool,
+    scope: &'scope Scope<'scope, 'env>,
+    pipe: Option<Pipe<'scope>>,
+}
+
+impl<'scope, 'env> Feed<'scope, 'env> {
+    fn new(fronts: Vec<Front>, scope: &'scope Scope<'scope, 'env>) -> Feed<'scope, 'env> {
+        let (start_at, budgeted) = match FORCE_HELPER.with(Cell::get) {
+            None => (HELPER_START, true),
+            Some(true) => (0, false),
+            Some(false) => (u64::MAX, true),
+        };
+        Feed {
+            fronts,
+            inline_events: 0,
+            start_at,
+            budgeted,
+            scope,
+            pipe: None,
+        }
+    }
+
+    /// Swap lane `lane`'s next batch into `batch`.
+    fn pull(&mut self, lane: usize, batch: &mut Batch) {
+        let Some(pipe) = &self.pipe else {
+            self.fronts[lane].fill(batch);
+            self.inline_events += batch.events;
+            if self.inline_events >= self.start_at {
+                self.try_start();
+            }
+            return;
+        };
+        match recv_spinning(&pipe.filled[lane]) {
+            Ok(mut next) => {
+                std::mem::swap(batch, &mut next);
+                // A helper that has already finished needs no batch back.
+                let _ = pipe.spent.send((lane, next));
+            }
+            // The helper is gone without this lane's end: it panicked.
+            Err(RecvError) => {
+                self.finish();
+                unreachable!("a lane's queue closes before its end only if the helper panics");
+            }
+        }
+    }
+
+    /// Hand every front to a helper thread, if a spare hardware thread
+    /// can be had without waiting.
+    fn try_start(&mut self) {
+        let threads = Threads::take(usize::from(self.budgeted));
+        if self.budgeted && threads.count() == 0 {
+            return;
+        }
+        self.start_at = u64::MAX;
+        let (txs, filled): (Vec<_>, Vec<_>) = self
+            .fronts
+            .iter()
+            .map(|_| mpsc::sync_channel(QUEUE_DEPTH))
+            .unzip();
+        let (spent, spent_rx) = mpsc::channel();
+        let fronts = std::mem::take(&mut self.fronts);
+        let helper = self.scope.spawn(move || {
+            let _threads = threads;
+            run_fronts(fronts, txs, spent_rx);
+        });
+        self.pipe = Some(Pipe {
+            filled,
+            spent,
+            helper,
+        });
+        HELPERS_STARTED.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Close the queues and join the helper, re-raising its panic as
+    /// this call's.
+    fn finish(&mut self) {
+        let Some(Pipe {
+            filled,
+            spent,
+            helper,
+        }) = self.pipe.take()
+        else {
+            return;
+        };
+        drop((filled, spent));
+        if let Err(payload) = helper.join() {
+            std::panic::resume_unwind(payload);
         }
     }
 }
@@ -673,11 +953,11 @@ pub fn run_colocated_ids_sink<S: TelemetrySink + ?Sized>(
     // every guarded block below folds away.
     let telemetry_on = sink.enabled();
 
-    let mut lanes: Vec<Lane> = streams
+    let fronts: Vec<Front> = streams
         .into_iter()
         .enumerate()
         .map(|(i, src)| {
-            Lane::new(
+            Front::new(
                 src,
                 tenant_ids[i],
                 warmup_events.get(i).copied().unwrap_or(0),
@@ -685,81 +965,87 @@ pub fn run_colocated_ids_sink<S: TelemetrySink + ?Sized>(
             )
         })
         .collect();
+    let mut backs: Vec<Back> = tenant_ids.iter().map(|&t| Back::new(t)).collect();
 
-    // `keys[i]` is lane `i`'s next L2 event key `(clock before the
-    // event, i)` — the index makes every key distinct — or `DEAD` once
-    // the stream is exhausted. Priming a lane runs its bulk L1 phase up
-    // to the first L2 event; miss-free streams complete entirely here.
-    const DEAD: (u64, usize) = (u64::MAX, usize::MAX);
-    let mut keys: Vec<(u64, usize)> = lanes
-        .iter_mut()
-        .enumerate()
-        .map(|(i, l)| {
-            if l.advance() {
-                (l.next_miss_key_time(), i)
-            } else {
-                DEAD
-            }
-        })
-        .collect();
+    std::thread::scope(|scope| {
+        let mut feed = Feed::new(fronts, scope);
+        // `keys[i]` is lane `i`'s next L2 event key `(clock before the
+        // event, i)` — the index makes every key distinct — or `DEAD`
+        // once the stream is exhausted. Priming a lane pulls batches up
+        // to its first L2 event; miss-free streams complete entirely
+        // here.
+        const DEAD: (u64, usize) = (u64::MAX, usize::MAX);
+        let mut keys: Vec<(u64, usize)> = backs
+            .iter_mut()
+            .enumerate()
+            .map(|(i, b)| {
+                if b.advance(i, &mut feed) {
+                    (b.next_miss_key_time(), i)
+                } else {
+                    DEAD
+                }
+            })
+            .collect();
 
-    loop {
-        // Pick the lane with the smallest key and cache the runner-up in
-        // one pass (keys are distinct, so the second-smallest key IS the
-        // minimum over the other lanes): lane counts are core counts, so
-        // a linear scan beats heap maintenance per event.
-        let mut best = DEAD;
-        let mut runner_up = DEAD;
-        for &k in &keys {
-            if k < best {
-                runner_up = best;
-                best = k;
-            } else if k < runner_up {
-                runner_up = k;
-            }
-        }
-        if best == DEAD {
-            break;
-        }
-        let i = best.1;
-        let lane = &mut lanes[i];
-
-        // Run ahead: keep consuming lane `i`'s L2 events while its key
-        // stays below the (unchanged) runner-up — a single drain when it
-        // is the only live lane.
         loop {
-            lane.consume_miss(&mut l2, &mut arbiter, cfg, telemetry_on);
-            if !lane.advance() {
-                keys[i] = DEAD;
+            // Pick the lane with the smallest key and cache the runner-up
+            // in one pass (keys are distinct, so the second-smallest key
+            // IS the minimum over the other lanes): lane counts are core
+            // counts, so a linear scan beats heap maintenance per event.
+            let mut best = DEAD;
+            let mut runner_up = DEAD;
+            for &k in &keys {
+                if k < best {
+                    runner_up = best;
+                    best = k;
+                } else if k < runner_up {
+                    runner_up = k;
+                }
+            }
+            if best == DEAD {
                 break;
             }
-            let k = (lane.next_miss_key_time(), i);
-            if runner_up < k {
-                keys[i] = k;
-                break;
+            let i = best.1;
+            let back = &mut backs[i];
+
+            // Run ahead: keep consuming lane `i`'s L2 events while its
+            // key stays below the (unchanged) runner-up — a single drain
+            // when it is the only live lane.
+            loop {
+                back.consume_miss(&mut l2, &mut arbiter, cfg, telemetry_on);
+                if !back.advance(i, &mut feed) {
+                    keys[i] = DEAD;
+                    break;
+                }
+                let k = (back.next_miss_key_time(), i);
+                if runner_up < k {
+                    keys[i] = k;
+                    break;
+                }
             }
         }
-    }
+        feed.finish();
+    });
 
     // Subtract the warmup portion (streams shorter than the warmup keep
     // their full statistics).
-    let nfs: Vec<NfRunStats> = lanes
+    let nfs: Vec<NfRunStats> = backs
         .iter()
-        .map(|lane| match &lane.snapshot {
+        .map(|back| match &back.snapshot {
             Some(w) => NfRunStats {
-                insns: lane.st.insns - w.insns,
-                cycles: lane.st.cycles.saturating_sub(w.cycles),
-                l1_hits: lane.st.l1_hits - w.l1_hits,
-                l1_misses: lane.st.l1_misses - w.l1_misses,
-                l2_hits: lane.st.l2_hits - w.l2_hits,
-                l2_misses: lane.st.l2_misses - w.l2_misses,
+                insns: back.st.insns - w.insns,
+                cycles: back.st.cycles.saturating_sub(w.cycles),
+                l1_hits: back.st.l1_hits - w.l1_hits,
+                l1_misses: back.st.l1_misses - w.l1_misses,
+                l2_hits: back.st.l2_hits - w.l2_hits,
+                l2_misses: back.st.l2_misses - w.l2_misses,
             },
-            None => lane.st.clone(),
+            None => back.st.clone(),
         })
         .collect();
     if telemetry_on {
-        for (lane, s) in lanes.iter().zip(&nfs) {
-            let d = u64::from(lane.tenant);
+        for (back, s) in backs.iter().zip(&nfs) {
+            let d = u64::from(back.tenant);
             sink.span_begin(d, "uarch.nf_run", 0);
             sink.span_end(d, "uarch.nf_run", s.cycles);
             sink.counter_add(d, metrics::INSNS, s.insns);
@@ -771,7 +1057,7 @@ pub fn run_colocated_ids_sink<S: TelemetrySink + ?Sized>(
             // Flush the batched bus telemetry. Guards keep a miss-free
             // run from materializing zero-valued entries, matching the
             // per-sample behaviour this replaces.
-            let t = &lane.tel;
+            let t = &back.tel;
             if t.grants > 0 {
                 sink.counter_add(d, metrics::BUS_GRANTS, t.grants);
                 sink.merge_hist(d, metrics::BUS_WAIT_CYCLES, &t.wait);

@@ -14,8 +14,11 @@
 //! - [`stream`]: the memory-reference stream abstraction that network
 //!   functions emit (their real per-packet data-structure walks),
 //! - [`engine`]: the multi-stream interleaving simulator that produces
-//!   per-NF cycles and IPC (two-phase: bulk branch-free L1 probing plus
-//!   an L2-event scheduler, shardable across tenants),
+//!   per-NF cycles and IPC (each lane's branch-free private-L1 front
+//!   hands batches of L2 events to the shared-hierarchy scheduler, from
+//!   a helper thread when one is spare; shardable across tenants),
+//! - [`budget`]: the process-wide hardware-thread budget the engine's
+//!   helper and `snic-sim`'s worker pool draw from,
 //! - [`reference`]: the per-event engine kept as the executable
 //!   specification the production engine is differentially tested
 //!   against,
@@ -32,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod budget;
 pub mod bus;
 pub mod cache;
 pub mod config;

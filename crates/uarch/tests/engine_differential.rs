@@ -11,14 +11,26 @@
 //! bus disciplines), random stream mixes, and random warmup boundaries
 //! through both engines and requires bit-identical statistics — plus
 //! identical telemetry streams when a recording sink is attached.
+//!
+//! The production engine itself runs two ways — every lane's front
+//! inline on the scheduler's thread, or on a helper thread feeding it
+//! batches — and `engine::with_helper` forces either, so the suite also
+//! holds pipelined ≡ inline ≡ reference, and pins what the helper does
+//! when a source panics or the thread budget is spent.
+
+use std::sync::mpsc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use proptest::TestRng;
-use snic_telemetry::Recorder;
-use snic_uarch::engine::{run_colocated_ids_sink, run_colocated_warm};
+use snic_telemetry::{BufferSink, NullSink, Recorder};
+use snic_uarch::budget::Threads;
+use snic_uarch::engine::{
+    helpers_started, run_colocated_ids_sink, run_colocated_warm, with_helper, RunOutcome,
+};
 use snic_uarch::reference::{run_reference, NullObserver};
 use snic_uarch::stream::{Access, AccessKind, EventSource, SharedReplayStream, SyntheticStream};
-use snic_uarch::{BusKind, CacheConfig, MachineConfig, Partition};
+use snic_uarch::{BusKind, CacheConfig, MachineConfig, Partition, StreamedSource, TraceSource};
 
 /// Random but legal machine configuration: every cache discipline and
 /// both bus kinds, with geometries small enough that sets fill, evict,
@@ -159,4 +171,197 @@ proptest! {
             );
         }
     }
+
+    /// Pipelined ≡ inline ≡ reference: every cache personality under
+    /// both bus disciplines, 1–32 lanes, and per-lane warm-ups of zero,
+    /// inside a batch, exactly at a batch edge, and past the stream's
+    /// end — statistics with the sink off, statistics and the exact
+    /// sink operation stream with it on.
+    #[test]
+    fn pipelined_inline_and_reference_agree(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let tenants = 1 + rng.below(32) as u32;
+        let cfg = personality(&mut rng, tenants);
+        let seeds: Vec<u64> = (0..tenants).map(|_| rng.below(u64::MAX)).collect();
+        let mk = || -> Vec<EventSource> {
+            seeds.iter().map(|&x| batched_stream(&mut TestRng::new(x))).collect()
+        };
+        let warmups: Vec<u64> = (0..tenants)
+            .map(|_| match rng.below(4) {
+                0 => 0,
+                1 => 1 + rng.below(BATCH - 1),
+                2 => BATCH * (1 + rng.below(3)),
+                _ => 1 << 20,
+            })
+            .collect();
+        let ids: Vec<u32> = (0..tenants).collect();
+        let run = |helper: bool, sink: Option<&BufferSink>| -> RunOutcome {
+            with_helper(helper, || match sink {
+                Some(s) => run_colocated_ids_sink(&cfg, mk(), &warmups, &ids, s),
+                None => run_colocated_ids_sink(&cfg, mk(), &warmups, &ids, &NullSink),
+            })
+        };
+        let ops = |buf: &BufferSink| format!("{buf:?}");
+
+        let reference_ops = BufferSink::new();
+        let reference = run_reference(&cfg, mk(), &warmups, &reference_ops, &mut NullObserver);
+        for helper in [false, true] {
+            let started = helpers_started();
+            prop_assert_eq!(
+                &run(helper, None).nfs, &reference.nfs,
+                "helper={} diverged under {:?} warmups {:?}", helper, cfg, warmups
+            );
+            let buf = BufferSink::new();
+            prop_assert_eq!(&run(helper, Some(&buf)).nfs, &reference.nfs, "helper={}, sink on", helper);
+            prop_assert_eq!(ops(&buf), ops(&reference_ops), "helper={}: sink operations", helper);
+            prop_assert_eq!(helpers_started() - started, 2 * u64::from(helper));
+        }
+    }
+}
+
+/// Events per batch a front hands its back (`BATCH_CHUNKS × CHUNK` in
+/// the engine): the warm-up edge cases straddle it.
+const BATCH: u64 = 16 * 256;
+
+/// A machine for `tenants` lanes in one of the three cache
+/// personalities, on either bus discipline, with the L2 widened past 16
+/// ways where more tenants need a slice each.
+fn personality(rng: &mut TestRng, tenants: u32) -> MachineConfig {
+    let ways = tenants.clamp(16, 32);
+    let l2_bytes = u64::from(ways) * 64 * [64u64, 128, 256][rng.below(3) as usize];
+    let mut cfg = match rng.below(3) {
+        0 => MachineConfig::commodity(tenants, l2_bytes),
+        1 => MachineConfig::snic(tenants, l2_bytes),
+        _ => {
+            let mut allocation = vec![1u32; tenants as usize];
+            for _ in 0..ways - tenants.min(ways) {
+                allocation[rng.below(u64::from(tenants)) as usize] += 1;
+            }
+            MachineConfig::snic_secdcp(allocation, l2_bytes)
+        }
+    }
+    .with_l2_ways(ways);
+    if rng.below(2) == 0 {
+        cfg.bus = match cfg.bus {
+            BusKind::Fcfs => BusKind::Temporal { domains: tenants },
+            BusKind::Temporal { .. } => BusKind::Fcfs,
+        };
+    }
+    if rng.below(3) == 0 {
+        cfg.l1 = CacheConfig {
+            size: 4 << 10,
+            ways: 4,
+            line: 64,
+        };
+    }
+    cfg
+}
+
+/// A stream long enough to span several batches, or short enough to
+/// end inside the first: the generators of [`stream`] with lengths up
+/// to three batches and a bit.
+fn batched_stream(rng: &mut TestRng) -> EventSource {
+    let len = rng.below(3 * BATCH + 700);
+    if rng.below(3) == 0 {
+        let accesses: Vec<Access> = (0..len)
+            .map(|_| Access {
+                insns: 1 + rng.below(12) as u32,
+                addr: rng.below(1 << 22),
+                kind: AccessKind::Load,
+            })
+            .collect();
+        SharedReplayStream::repeated(accesses.into(), 1 + rng.below(2) as u32).into()
+    } else {
+        let synth = SyntheticStream::new(
+            1u64 << (10 + rng.below(12)),
+            1 + rng.below(8) as u32,
+            rng.below(8) as u32,
+            len,
+            rng.below(u64::MAX),
+        );
+        match rng.below(2) {
+            0 => synth.into(),
+            _ => {
+                StreamedSource::with_chunk(Box::new(synth), 1, 1 + rng.below(5_000) as usize).into()
+            }
+        }
+    }
+}
+
+/// A generator that panics on its third fill.
+struct PanicsOnThirdFill {
+    inner: SyntheticStream,
+    fills: u32,
+}
+
+impl TraceSource for PanicsOnThirdFill {
+    fn fill(&mut self, out: &mut [Access]) -> usize {
+        self.fills += 1;
+        assert!(self.fills < 3, "source failed on its third fill");
+        self.inner.fill(out)
+    }
+
+    fn rewind(&mut self) {
+        self.inner.rewind();
+    }
+}
+
+#[test]
+fn a_panicking_source_panics_the_caller_in_both_modes() {
+    for helper in [false, true] {
+        // The panicking lane is lane 1, whose first batch the helper
+        // (started after lane 0's first inline batch) fills when forced.
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let streams = vec![
+                SyntheticStream::new(1 << 20, 4, 3, 50_000, 7).into(),
+                StreamedSource::with_chunk(
+                    Box::new(PanicsOnThirdFill {
+                        inner: SyntheticStream::new(1 << 20, 4, 3, 50_000, 8),
+                        fills: 0,
+                    }),
+                    1,
+                    1_000,
+                )
+                .into(),
+            ];
+            let cfg = MachineConfig::commodity(2, 256 << 10);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                with_helper(helper, || run_colocated_warm(&cfg, streams, &[]))
+            }));
+            let message = caught.err().and_then(|p| {
+                p.downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+            });
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("helper={helper}: the call hung instead of panicking"));
+        assert_eq!(
+            message.as_deref(),
+            Some("source failed on its third fill"),
+            "helper={helper}: the source's own panic must reach the caller"
+        );
+    }
+}
+
+#[test]
+fn an_exhausted_budget_starts_no_helper() {
+    // Long enough to pass the inline threshold; no other test of this
+    // binary takes threads from the budget.
+    let mk = || -> Vec<EventSource> {
+        (0..2)
+            .map(|i| SyntheticStream::new(1 << 20, 4, 3, 400_000, 11 + i).into())
+            .collect()
+    };
+    let cfg = MachineConfig::snic(2, 256 << 10);
+    let pipelined = with_helper(true, || run_colocated_warm(&cfg, mk(), &[1_000, 0]));
+    let held = Threads::take(usize::MAX);
+    let before = helpers_started();
+    let starved = run_colocated_warm(&cfg, mk(), &[1_000, 0]);
+    assert_eq!(helpers_started(), before, "no spare thread, no helper");
+    drop(held);
+    assert_eq!(starved.nfs, pipelined.nfs);
 }

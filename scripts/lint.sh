@@ -50,10 +50,28 @@ budgeted_test() {
 #   byte-for-byte (regenerate intentionally with SNIC_BLESS=1).
 # - Determinism differentials (`cache_differential`,
 #   `engine_differential`, `shard_determinism`): the optimized hot path
-#   (packed tag scan, two-phase bulk probing) must match the reference
-#   models event-for-event, and sharding a colocation run across worker
-#   threads must be byte-identical to the serial interleaving engine —
-#   stats and telemetry both — for every shard count.
+#   (packed tag scan, recency-ordered private L1, batched front → back
+#   hand-off) must match the reference models event-for-event, and
+#   sharding a colocation run across worker threads must be
+#   byte-identical to the serial interleaving engine — stats and
+#   telemetry both — for every shard count.
+#   `pipelined_inline_and_reference_agree` holds the engine with its
+#   fronts on a helper thread to the same engine inline and to the
+#   reference (1–32 lanes, warm-ups inside a batch, at a batch edge and
+#   past the stream, sink off and on);
+#   `a_panicking_source_panics_the_caller_in_both_modes` and
+#   `an_exhausted_budget_starts_no_helper` pin the helper's panic and
+#   thread-budget contracts. The tier-1 run mostly takes the pipelined
+#   path on large calls; the same suite and the goldens run once more
+#   below with `SNIC_SIM_THREADS=1`, where no engine call may start a
+#   helper.
+# - The S-NIC RX ring (`snic-core` `device`):
+#   `a_frame_that_would_lap_the_ring_is_dropped_not_overlaid` and
+#   `rx_ring_polls_back_every_accepted_frame_intact` — a frame whose
+#   aligned slot would reach the oldest unpolled one is dropped, and
+#   every accepted frame polls back byte-equal in FIFO order in both
+#   modes; `a_tick_past_the_end_of_the_clock_is_refused_without_effect`
+#   (`snic-serve` `daemon`) — the clock never wraps.
 # - Streaming identity (`streaming_differential`,
 #   `parallel_determinism`): a streamed tenant pipeline must equal its
 #   materialized recording event for event, and serial, parallel and
@@ -90,6 +108,14 @@ budgeted_test() {
 echo "==> tier-1: cargo build --release && cargo test -q (budget ${budget}s per test binary)"
 cargo build --release
 budgeted_test
+
+# The inline engine end to end: with one hardware thread in the budget
+# no engine call starts a helper, so the differentials and every golden
+# must hold on the path a single-core host (or a busy worker pool) runs.
+echo "==> inline engine: engine_differential + goldens under SNIC_SIM_THREADS=1"
+SNIC_SIM_THREADS=1 budgeted_test -p snic-uarch --test engine_differential
+SNIC_SIM_THREADS=1 budgeted_test -p snic-bench --test golden
+SNIC_SIM_THREADS=1 budgeted_test -p snic --test serve_soak --test leakage_matrix
 
 # Script demo: every line of scripts/demo.snic lowers onto snicd's verb
 # table and is answered "ok":true (a refused line exits 3).
