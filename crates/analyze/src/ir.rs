@@ -81,13 +81,6 @@ pub struct RegionDecl {
     pub class: RegionClass,
 }
 
-impl RegionDecl {
-    /// True if `[base, base+len)` lies inside the window `(wbase, wlen)`.
-    pub fn within(&self, (wbase, wlen): (u64, u64)) -> bool {
-        self.base >= wbase && self.base.saturating_add(self.len) <= wbase.saturating_add(wlen)
-    }
-}
-
 /// One IR operation. `insns` is the instruction-count weight used by the
 /// loop-bound pass (it mirrors the `insns` argument the real NF passes
 /// to `AccessSink::touch`).

@@ -280,7 +280,7 @@ mod tests {
             NfKind::Monitor,
         ] {
             let nf = snic_nf::build(kind, 7);
-            let sub = snic_nf::launch_analysis(nf.as_ref()).expect("paper NFs lower to IR");
+            let sub = snic_nf::launch_analysis(nf.as_ref());
             let report = analyze(&sub.program, &sub.manifest);
             assert!(report.is_clean(), "{kind:?}: {report}");
         }

@@ -6,7 +6,7 @@
 //! sizes grow, the per-packet processing costs increase and a function
 //! benefits from access to more hardware threads."
 
-use snic_accel::dpi::{DpiAccel, DpiAccelConfig};
+use crate::dpi::{DpiAccel, DpiAccelConfig};
 use snic_nf::dpi::synth_patterns;
 
 use crate::{render_table, Scale};

@@ -5,6 +5,10 @@
 //! `snicctl exp all` runs the lot in one process. Scale is controlled
 //! by [`Scale`]: `quick` (CI friendly) vs `paper` (full workload
 //! sizes); `snicctl exp` takes `--full` to select the latter.
+//!
+//! Two accelerator models sit beside the entries that use them: [`dpi`],
+//! the Figure 8 DPI cost model, and `profile`, the Table 7 accelerator
+//! memory profiles behind Tables 3 and 7.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,6 +16,7 @@
 pub mod blast;
 pub mod colo;
 pub mod differential;
+pub mod dpi;
 pub mod experiments;
 pub mod fig5;
 pub mod fig6;
@@ -19,6 +24,7 @@ pub mod fig7;
 pub mod fig8;
 pub mod golden;
 pub mod perf;
+mod profile;
 pub mod streams;
 pub mod tables;
 pub mod telemetry;

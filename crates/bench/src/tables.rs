@@ -4,8 +4,8 @@
 
 use std::fmt::Write as _;
 
+use crate::profile::accel_profile;
 use rand::SeedableRng;
-use snic_accel::profile::accel_profile;
 use snic_core::attest::{FunctionAttestation, Verifier};
 use snic_core::config::{NicConfig, NicMode};
 use snic_core::device::SmartNic;

@@ -33,12 +33,12 @@ use snic_verify::{
 };
 
 use crate::alloc::{BufferAllocator, META_BASE, META_SLOT, POOL_BASE};
+use crate::cluster::ClusterPool;
 use crate::config::{NicConfig, NicMode};
 use crate::instr::{
     scrub_time, sha_digest_time, LaunchLatency, LaunchReceipt, LaunchRequest, TeardownLatency,
     TeardownReceipt, ALLOWLISTING, DENYLISTING, TLB_SETUP,
 };
-use snic_accel::cluster::ClusterPool;
 
 /// Physical base of the region pool used for S-NIC private regions.
 const REGION_BASE: u64 = 0x0800_0000;
@@ -1539,14 +1539,6 @@ impl SmartNic {
             })
     }
 
-    /// Clusters bound to `nf` for `kind`.
-    pub fn clusters_of(&self, nf: NfId, kind: AccelKind) -> Vec<AccelClusterId> {
-        self.launched
-            .get(&nf)
-            .map(|r| r.accel.iter().filter(|c| c.kind == kind).copied().collect())
-            .unwrap_or_default()
-    }
-
     // ------------------------------------------------------------------
     // Host DMA (§4.2)
     // ------------------------------------------------------------------
@@ -1729,6 +1721,16 @@ mod tests {
     use snic_pktio::vpp::VppBufferSpec;
     use snic_types::packet::PacketBuilder;
     use snic_types::Protocol;
+
+    impl SmartNic {
+        /// Clusters bound to `nf` for `kind`.
+        fn clusters_of(&self, nf: NfId, kind: AccelKind) -> Vec<AccelClusterId> {
+            self.launched
+                .get(&nf)
+                .map(|r| r.accel.iter().filter(|c| c.kind == kind).copied().collect())
+                .unwrap_or_default()
+        }
+    }
 
     fn vendor() -> VendorCa {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);

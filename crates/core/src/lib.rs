@@ -19,8 +19,8 @@
 //!
 //! - [`config`]: device configuration,
 //! - [`alloc`]: the commodity shared buffer allocator (attack surface),
-//! - [`archs`]: executable models of the §3.2 commodity architectures
-//!   (LiquidIO MIPS segments, BlueField TrustZone),
+//! - [`cluster`]: accelerator hardware-thread cluster allocation and
+//!   fault poisoning (§4.3),
 //! - [`instr`]: the trusted instructions of Table 1
 //!   (`nf_launch` / `nf_attest` / `nf_teardown`) with the Figure 6
 //!   latency model,
@@ -29,8 +29,7 @@
 //! - [`channel`]: authenticated-encrypted channels over attested keys,
 //! - [`enclave`]: host-level enclave endpoints (SGX-like),
 //! - [`constellation`]: constellations of trusted computations (§4.7),
-//! - [`nicos`]: the NIC OS management API (Table 1's first column),
-//! - [`chain`]: cross-VPP NF chaining (the §4.8 extension).
+//! - [`nicos`]: the NIC OS management API (Table 1's first column).
 //!
 //! The device is instrumented for deterministic fault injection
 //! (`snic-faults`): arm it with [`SmartNic::inject_faults`], and every
@@ -43,10 +42,9 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod archs;
 pub mod attest;
-pub mod chain;
 pub mod channel;
+pub mod cluster;
 pub mod config;
 pub mod constellation;
 pub mod device;

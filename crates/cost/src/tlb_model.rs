@@ -74,14 +74,6 @@ impl CostEstimate {
         }
     }
 
-    /// Element-wise sum.
-    pub fn plus(self, other: CostEstimate) -> CostEstimate {
-        CostEstimate {
-            area_mm2: self.area_mm2 + other.area_mm2,
-            power_w: self.power_w + other.power_w,
-        }
-    }
-
     /// The zero cost.
     pub fn zero() -> CostEstimate {
         CostEstimate {
@@ -208,15 +200,5 @@ mod tests {
                 "{entries}: power {power}"
             );
         }
-    }
-
-    #[test]
-    fn cost_estimate_arithmetic() {
-        let a = CostEstimate::tlbs(54, 16);
-        let b = CostEstimate::tlbs(70, 16);
-        let s = a.plus(b);
-        assert!((s.area_mm2 - (a.area_mm2 + b.area_mm2)).abs() < 1e-12);
-        let z = CostEstimate::zero().plus(a);
-        assert_eq!(z, a);
     }
 }

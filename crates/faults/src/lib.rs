@@ -20,10 +20,9 @@
 //!
 //! **Determinism is the contract.** Nothing here reads a wall clock or
 //! an OS entropy source: triggers fire on simulated [`Picos`] time and
-//! per-site event counters, and [`FaultPlan::seeded`] derives its
-//! pseudo-random schedule from a caller-supplied seed via a fixed LCG.
-//! The same plan driven by the same operation sequence yields a
-//! byte-identical transcript, on any thread of the `snic-sim` pool.
+//! per-site event counters. The same plan driven by the same operation
+//! sequence yields a byte-identical transcript, on any thread of the
+//! `snic-sim` pool.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -207,42 +206,6 @@ impl FaultPlan {
     /// Shorthand: fire `fault` on the `n`th event at `site`.
     pub fn on_nth(self, site: FaultSite, n: u64, fault: FaultKind) -> FaultPlan {
         self.inject(FaultTrigger::OnNthEvent { site, n }, fault)
-    }
-
-    /// Shorthand: fire `fault` at the first `site` check at/after `at`.
-    pub fn at_time(self, site: FaultSite, at: Picos, fault: FaultKind) -> FaultPlan {
-        self.inject(FaultTrigger::AtTime { site, at }, fault)
-    }
-
-    /// A pseudo-random plan of `count` faults derived entirely from
-    /// `seed` (fixed LCG; no wall clock, no OS entropy). Each fault is
-    /// drawn from the taxonomy and armed on a small Nth-event trigger
-    /// at its natural site, so short scripted episodes still hit it.
-    pub fn seeded(seed: u64, count: usize) -> FaultPlan {
-        let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
-        let mut next = move || {
-            // Knuth MMIX LCG: deterministic across platforms.
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            state >> 33
-        };
-        const MENU: [(FaultKind, FaultSite); 7] = [
-            (FaultKind::NfCrash, FaultSite::DataPath),
-            (FaultKind::AccelClusterFault, FaultSite::Accel),
-            (FaultKind::DmaBusError, FaultSite::Dma),
-            (FaultKind::DramExhaustion, FaultSite::Launch),
-            (FaultKind::AccelPoolExhaustion, FaultSite::Launch),
-            (FaultKind::NicOsCrash, FaultSite::NicOs),
-            (FaultKind::PowerLoss, FaultSite::Scrub),
-        ];
-        let mut plan = FaultPlan::none();
-        for _ in 0..count {
-            let (fault, site) = MENU[(next() % MENU.len() as u64) as usize];
-            let n = next() % 4 + 1;
-            plan = plan.on_nth(site, n, fault);
-        }
-        plan
     }
 
     /// The scheduled rules.
@@ -512,7 +475,11 @@ mod tests {
 
     #[test]
     fn time_trigger_fires_at_threshold() {
-        let plan = FaultPlan::none().at_time(FaultSite::Scrub, Picos(100), FaultKind::PowerLoss);
+        let trigger = FaultTrigger::AtTime {
+            site: FaultSite::Scrub,
+            at: Picos(100),
+        };
+        let plan = FaultPlan::none().inject(trigger, FaultKind::PowerLoss);
         let mut inj = FaultInjector::new(plan);
         assert_eq!(inj.check(FaultSite::Scrub, Picos(99), None), None);
         assert_eq!(
@@ -537,7 +504,11 @@ mod tests {
     #[test]
     fn transcript_is_deterministic() {
         let run = || {
-            let mut inj = FaultInjector::new(FaultPlan::seeded(42, 5));
+            let plan = FaultPlan::none()
+                .on_nth(FaultSite::Dma, 2, FaultKind::DmaBusError)
+                .on_nth(FaultSite::DataPath, 3, FaultKind::NfCrash)
+                .on_nth(FaultSite::Scrub, 1, FaultKind::PowerLoss);
+            let mut inj = FaultInjector::new(plan);
             for i in 0..40u64 {
                 for site in FaultSite::ALL {
                     let _ = inj.check(site, Picos(i * 10), Some(NfId(i % 3)));
@@ -547,17 +518,8 @@ mod tests {
         };
         let a = run();
         let b = run();
-        assert_eq!(a, b, "same seed + same schedule => identical transcript");
+        assert_eq!(a, b, "same plan + same schedule => identical transcript");
         assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn seeded_plans_differ_by_seed() {
-        let a = FaultPlan::seeded(1, 8);
-        let b = FaultPlan::seeded(2, 8);
-        assert_eq!(a.rules().len(), 8);
-        assert_ne!(a, b);
-        assert_eq!(a, FaultPlan::seeded(1, 8));
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl Denylist {
     pub fn is_empty(&self) -> bool {
         self.intervals.is_empty()
     }
-
-    /// Total denied bytes.
-    pub fn denied_bytes(&self) -> u64 {
-        self.intervals.iter().map(|&(_, l, _)| l).sum()
-    }
 }
 
 #[cfg(test)]
@@ -157,14 +152,6 @@ mod tests {
         assert!(d.deny(0x9000, 0, NfId(3)).is_err());
         // The failed calls left the interval set untouched.
         assert_eq!(d.len(), 1);
-    }
-
-    #[test]
-    fn denied_bytes_accumulate() {
-        let mut d = Denylist::new();
-        d.deny(0, 100, NfId(1)).unwrap();
-        d.deny(200, 300, NfId(2)).unwrap();
-        assert_eq!(d.denied_bytes(), 400);
     }
 
     proptest! {

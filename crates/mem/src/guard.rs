@@ -96,11 +96,6 @@ impl MemoryGuard {
         }
     }
 
-    /// Whether the audit log is recording.
-    pub fn audit_enabled(&self) -> bool {
-        self.audit.borrow().is_some()
-    }
-
     fn record(&self, who: Principal, addr: u64, len: usize, kind: AccessKind, granted: bool) {
         if let Some(log) = self.audit.borrow_mut().as_mut() {
             log.push(AccessRecord {
@@ -220,6 +215,13 @@ impl MemoryGuard {
 mod tests {
     use super::*;
     use crate::pagetable::PageMapping;
+
+    impl MemoryGuard {
+        /// Whether the audit log is recording.
+        fn audit_enabled(&self) -> bool {
+            self.audit.borrow().is_some()
+        }
+    }
 
     const MB: u64 = 1 << 20;
 

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use snic_types::{ByteSize, NfId, SnicError};
+use snic_types::{NfId, SnicError};
 
 use crate::phys::PAGE_GRANULE;
 
@@ -90,17 +90,6 @@ impl PageOwnership {
         (granule < end).then_some(owner)
     }
 
-    /// Total bytes currently owned by `owner`.
-    pub fn owned_bytes(&self, owner: NfId) -> ByteSize {
-        let ranges = self.owned_ranges();
-        ByteSize(ranges.iter().filter(|r| r.2 == owner).map(|r| r.1).sum())
-    }
-
-    /// Total bytes owned by any NF.
-    pub fn total_owned(&self) -> ByteSize {
-        ByteSize(self.owned_ranges().iter().map(|r| r.1).sum())
-    }
-
     /// The owned address space as maximal `(base, len, owner)` ranges,
     /// sorted by base — adjacent same-owner granules are coalesced. This
     /// is the verifier's view of the ownership map.
@@ -116,7 +105,21 @@ impl PageOwnership {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use snic_types::ByteSize;
     use std::collections::HashMap;
+
+    impl PageOwnership {
+        /// Total bytes currently owned by `owner`.
+        fn owned_bytes(&self, owner: NfId) -> ByteSize {
+            let ranges = self.owned_ranges();
+            ByteSize(ranges.iter().filter(|r| r.2 == owner).map(|r| r.1).sum())
+        }
+
+        /// Total bytes owned by any NF.
+        fn total_owned(&self) -> ByteSize {
+            ByteSize(self.owned_ranges().iter().map(|r| r.1).sum())
+        }
+    }
 
     /// The paper's bitmap, one entry per owned granule: the
     /// implementation this module had before it kept ranges, retained as

@@ -6,8 +6,6 @@
 //! software description that `nf_launch` walks to install locked TLB
 //! entries and to populate the ownership bitmap.
 
-use snic_types::ByteSize;
-
 /// One mapping: a virtual range onto a physical range of equal length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageMapping {
@@ -99,11 +97,6 @@ impl PageTable {
     pub fn is_empty(&self) -> bool {
         self.mappings.is_empty()
     }
-
-    /// Total mapped virtual span.
-    pub fn mapped_bytes(&self) -> ByteSize {
-        ByteSize(self.mappings.iter().map(|m| m.page_size).sum())
-    }
 }
 
 #[cfg(test)]
@@ -174,12 +167,6 @@ mod tests {
             page_size: 2 * MB,
             writable: false,
         });
-    }
-
-    #[test]
-    fn mapped_bytes_totals() {
-        assert_eq!(table().mapped_bytes(), ByteSize(34 * MB));
-        assert_eq!(table().len(), 2);
     }
 
     #[test]

@@ -101,18 +101,6 @@ impl PhysMem {
         }
     }
 
-    /// Read a `u64` (little-endian) at `addr`.
-    pub fn read_u64(&self, addr: u64) -> u64 {
-        let mut buf = [0u8; 8];
-        self.read(addr, &mut buf);
-        u64::from_le_bytes(buf)
-    }
-
-    /// Write a `u64` (little-endian) at `addr`.
-    pub fn write_u64(&mut self, addr: u64, v: u64) {
-        self.write(addr, &v.to_le_bytes());
-    }
-
     /// Zero the byte range `addr..addr+len` (used by `nf_teardown`'s
     /// memory scrubbing, §4.6).
     pub fn scrub(&mut self, addr: u64, len: u64) {
@@ -137,17 +125,19 @@ impl PhysMem {
             }
         }
     }
-
-    /// Number of materialized granules (resident footprint of the model).
-    pub fn resident_granules(&self) -> usize {
-        self.slabs.values().flatten().flatten().count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl PhysMem {
+        /// Number of materialized granules (resident footprint of the model).
+        fn resident_granules(&self) -> usize {
+            self.slabs.values().flatten().flatten().count()
+        }
+    }
 
     fn mem() -> PhysMem {
         PhysMem::new(ByteSize::mib(64))
@@ -179,13 +169,6 @@ mod tests {
         m.read(addr, &mut buf);
         assert_eq!(buf, [1, 2, 3, 4, 5, 6]);
         assert_eq!(m.resident_granules(), 2);
-    }
-
-    #[test]
-    fn u64_round_trip() {
-        let mut m = mem();
-        m.write_u64(0x2000, 0xdead_beef_cafe_f00d);
-        assert_eq!(m.read_u64(0x2000), 0xdead_beef_cafe_f00d);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use snic_types::{CoreId, IsolationError};
 
-use crate::pagetable::{PageMapping, PageTable};
+use crate::pagetable::PageMapping;
 
 /// One TLB entry (same shape as a [`PageMapping`] plus validity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,14 +74,6 @@ impl Tlb {
             });
         }
         self.entries.push(TlbEntry { mapping });
-        Ok(())
-    }
-
-    /// Install every mapping of `table`.
-    pub fn install_table(&mut self, table: &PageTable) -> Result<(), IsolationError> {
-        for m in table.mappings() {
-            self.install(*m)?;
-        }
         Ok(())
     }
 
@@ -210,16 +202,5 @@ mod tests {
                 capacity: 1,
             }
         );
-    }
-
-    #[test]
-    fn install_table_copies_all() {
-        let mut pt = PageTable::new();
-        pt.map(mapping(0, 0, 2 * MB, true));
-        pt.map(mapping(2 * MB, 4 * MB, 2 * MB, true));
-        let mut t = Tlb::new(CoreId(3), 4);
-        t.install_table(&pt).unwrap();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.reachable_ranges(), vec![(0, 2 * MB), (4 * MB, 2 * MB)]);
     }
 }

@@ -153,12 +153,8 @@ pub trait NetworkFunction: Send {
     fn memory_profile(&self) -> MemoryProfile;
 
     /// The NF's dataflow IR for Pass 0 static analysis (see
-    /// [`crate::lowering`]). `None` means the NF provides no program for
-    /// the analyzer — `nf_launch` will refuse it when analysis is
-    /// required.
-    fn dataflow_ir(&self) -> Option<snic_analyze::NfProgram> {
-        None
-    }
+    /// [`crate::lowering`]).
+    fn dataflow_ir(&self) -> snic_analyze::NfProgram;
 }
 
 /// Virtual-address-space layout shared by all NFs.

@@ -271,8 +271,8 @@ impl NetworkFunction for DpiNf {
         Verdict::Matched(matches as u32)
     }
 
-    fn dataflow_ir(&self) -> Option<snic_analyze::NfProgram> {
-        Some(crate::lowering::dpi_ir(self))
+    fn dataflow_ir(&self) -> snic_analyze::NfProgram {
+        crate::lowering::dpi_ir(self)
     }
 
     fn memory_profile(&self) -> MemoryProfile {

@@ -108,8 +108,6 @@ pub struct FirewallNf {
     cache_limit: usize,
     /// Flow keys in insertion order, for FIFO eviction when full.
     eviction_queue: std::collections::VecDeque<FiveTuple>,
-    hits: u64,
-    misses: u64,
     dropped: u64,
 }
 
@@ -122,8 +120,6 @@ impl FirewallNf {
             cache: DetHashMap::default(),
             cache_limit,
             eviction_queue: std::collections::VecDeque::new(),
-            hits: 0,
-            misses: 0,
             dropped: 0,
         }
     }
@@ -133,24 +129,9 @@ impl FirewallNf {
         FirewallNf::new(synth_rules(643, seed), 200_000)
     }
 
-    /// Cache hit count.
-    pub fn cache_hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache miss count.
-    pub fn cache_misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Packets dropped so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Number of cached flows.
-    pub fn cached_flows(&self) -> usize {
-        self.cache.len()
     }
 
     /// Number of configured rules.
@@ -204,10 +185,8 @@ impl NetworkFunction for FirewallNf {
         // Flow-cache probe (hash + bucket load).
         sink.touch(self.bucket_addr(&ft), AccessKind::Load, 220);
         let allow = if let Some(&allow) = self.cache.get(&ft) {
-            self.hits += 1;
             allow
         } else {
-            self.misses += 1;
             let allow = self.scan_rules(&ft, sink);
             if self.cache.len() >= self.cache_limit {
                 if let Some(old) = self.eviction_queue.pop_front() {
@@ -229,8 +208,8 @@ impl NetworkFunction for FirewallNf {
         }
     }
 
-    fn dataflow_ir(&self) -> Option<snic_analyze::NfProgram> {
-        Some(crate::lowering::firewall_ir(self))
+    fn dataflow_ir(&self) -> snic_analyze::NfProgram {
+        crate::lowering::firewall_ir(self)
     }
 
     fn memory_profile(&self) -> MemoryProfile {
@@ -298,14 +277,21 @@ mod tests {
         assert_eq!(fw.process(&pkt(1, 2, 80), &mut NullSink), Verdict::Forward);
     }
 
+    /// Whether `p` hits the flow cache: a hit touches exactly the two
+    /// packet-buffer loads and the bucket probe, a miss also scans rules
+    /// and inserts.
+    fn hits(fw: &mut FirewallNf, p: &Packet) -> bool {
+        let mut sink = RecordingSink::new();
+        let _ = fw.process(p, &mut sink);
+        sink.accesses().len() == 3
+    }
+
     #[test]
     fn cache_hit_after_first_packet() {
         let mut fw = FirewallNf::with_defaults(1);
         let p = pkt(5, 6, 443);
-        let _ = fw.process(&p, &mut NullSink);
-        let _ = fw.process(&p, &mut NullSink);
-        assert_eq!(fw.cache_misses(), 1);
-        assert_eq!(fw.cache_hits(), 1);
+        assert!(!hits(&mut fw, &p));
+        assert!(hits(&mut fw, &p));
     }
 
     #[test]
@@ -323,10 +309,9 @@ mod tests {
     fn eviction_keeps_cache_bounded() {
         let mut fw = FirewallNf::new(synth_rules(10, 3), 16);
         for i in 0..100u32 {
-            let _ = fw.process(&pkt(i, i + 1, 80), &mut NullSink);
+            assert!(!hits(&mut fw, &pkt(i, i + 1, 80)));
         }
-        assert!(fw.cached_flows() <= 16);
-        assert_eq!(fw.cache_misses(), 100);
+        assert!(fw.cache.len() <= 16);
     }
 
     #[test]
@@ -337,13 +322,7 @@ mod tests {
         for i in 10..20u32 {
             let _ = fw.process(&pkt(i, i, 80), &mut NullSink);
         }
-        let misses_before = fw.cache_misses();
-        let _ = fw.process(&first, &mut NullSink);
-        assert_eq!(
-            fw.cache_misses(),
-            misses_before + 1,
-            "evicted flow must miss"
-        );
+        assert!(!hits(&mut fw, &first), "evicted flow must miss");
     }
 
     #[test]

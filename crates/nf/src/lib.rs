@@ -9,10 +9,6 @@
 //! | LPM | DIR-24-8 longest-prefix match over 16,000 random rules | [`lpm`] |
 //! | Monitor (Mon) | Per-five-tuple packet counters over measurement windows | [`monitor`] |
 //!
-//! The [`sketch`] module adds a bounded-memory Monitor variant
-//! (count-min + SpaceSaving heavy hitters) as an S-NIC-friendly
-//! alternative to the HashMap Monitor's large preallocation.
-//!
 //! Each NF is a *real implementation* — it classifies/translates/matches
 //! actual packets — and doubles as the source of the memory-reference
 //! streams that drive the Figure 5 microarchitectural experiments: every
@@ -33,7 +29,6 @@ pub mod maglev;
 pub mod monitor;
 pub mod nat;
 pub mod profile;
-pub mod sketch;
 
 pub use common::{AccessSink, NetworkFunction, NfKind, NullSink, RecordingSink, Verdict};
 pub use dpi::DpiNf;
@@ -44,7 +39,6 @@ pub use maglev::MaglevNf;
 pub use monitor::MonitorNf;
 pub use nat::NatNf;
 pub use profile::{paper_profile, MemoryProfile};
-pub use sketch::{CountMinSketch, SketchMonitor};
 
 use snic_types::Packet;
 use snic_uarch::stream::Access;
@@ -239,20 +233,7 @@ mod tests {
     /// comparison cannot pass by comparing nothing.
     #[test]
     fn header_only_kinds_never_read_the_payload() {
-        type Make = Box<dyn Fn() -> Box<dyn NetworkFunction>>;
-        let mut subjects: Vec<(String, bool, Make)> = NfKind::ALL
-            .iter()
-            .map(|&k| {
-                let make: Make = Box::new(move || build(k, 7));
-                (format!("{k:?}"), k.reads_payload(), make)
-            })
-            .collect();
-        subjects.push((
-            "SketchMonitor".to_string(),
-            NfKind::Monitor.reads_payload(),
-            Box::new(|| Box::new(SketchMonitor::with_defaults(7))),
-        ));
-        for (name, reads_payload, make) in &subjects {
+        for kind in NfKind::ALL {
             for schedule in [PhaseSchedule::stationary(), PhaseSchedule::realistic(400)] {
                 let generator = || {
                     PhasedTrace::new(PhasedConfig {
@@ -265,7 +246,7 @@ mod tests {
                     })
                 };
                 let (mut full, mut headers) = (generator(), generator());
-                let (mut fed_full, mut fed_headers) = (make(), make());
+                let (mut fed_full, mut fed_headers) = (build(kind, 7), build(kind, 7));
                 let (mut sink_full, mut sink_headers) =
                     (RecordingSink::new(), RecordingSink::new());
                 let mut verdicts_agree = true;
@@ -282,11 +263,11 @@ mod tests {
                     };
                 }
                 let same_accesses = sink_full.accesses() == sink_headers.accesses();
-                if *reads_payload {
-                    assert!(!same_accesses, "{name} never looked at a payload");
+                if kind.reads_payload() {
+                    assert!(!same_accesses, "{kind:?} never looked at a payload");
                 } else {
-                    assert!(same_accesses, "{name} accesses depend on the payload");
-                    assert!(verdicts_agree, "{name} verdicts depend on the payload");
+                    assert!(same_accesses, "{kind:?} accesses depend on the payload");
+                    assert!(verdicts_agree, "{kind:?} verdicts depend on the payload");
                 }
             }
         }

@@ -68,12 +68,12 @@ pub fn analysis_manifest(kind: NfKind) -> AnalysisManifest {
 }
 
 /// The Pass 0 submission for an NF: its IR plus the manifest for its
-/// kind. `None` for NFs without a lowering (e.g. the sketch monitor).
-pub fn launch_analysis(nf: &dyn NetworkFunction) -> Option<LaunchAnalysis> {
-    nf.dataflow_ir().map(|program| LaunchAnalysis {
-        program,
+/// kind.
+pub fn launch_analysis(nf: &dyn NetworkFunction) -> LaunchAnalysis {
+    LaunchAnalysis {
+        program: nf.dataflow_ir(),
         manifest: analysis_manifest(nf.kind()),
-    })
+    }
 }
 
 fn declare_windows(p: &mut ProgramBuilder) -> (RegionId, RegionId, RegionId) {
@@ -376,7 +376,7 @@ mod tests {
     fn all_six_nfs_analyze_clean() {
         for kind in NfKind::ALL {
             let nf = small_nf(kind);
-            let la = launch_analysis(nf.as_ref()).expect("paper NFs have lowerings");
+            let la = launch_analysis(nf.as_ref());
             let report = analyze(&la.program, &la.manifest);
             assert!(report.is_clean(), "{kind:?}:\n{report}");
             assert!(report.certificate.is_some());
@@ -387,7 +387,7 @@ mod tests {
     fn recorded_accesses_stay_inside_declared_regions() {
         for kind in NfKind::ALL {
             let mut nf = small_nf(kind);
-            let program = nf.dataflow_ir().expect("lowering");
+            let program = nf.dataflow_ir();
             let stream = crate::record_stream(nf.as_mut(), &traffic());
             assert!(!stream.is_empty(), "{kind:?} produced no accesses");
             for a in &stream {
@@ -408,7 +408,7 @@ mod tests {
     fn per_packet_insns_stay_under_proven_ceiling() {
         for kind in NfKind::ALL {
             let mut nf = small_nf(kind);
-            let la = launch_analysis(nf.as_ref()).unwrap();
+            let la = launch_analysis(nf.as_ref());
             let ceiling = analyze(&la.program, &la.manifest)
                 .insn_ceiling
                 .expect("ceiling");
@@ -432,7 +432,7 @@ mod tests {
         // scale).
         for kind in NfKind::ALL {
             let nf = small_nf(kind);
-            let la = launch_analysis(nf.as_ref()).unwrap();
+            let la = launch_analysis(nf.as_ref());
             let report = analyze(&la.program, &la.manifest);
             let ceiling = report.insn_ceiling.expect("ceiling");
             assert!(
@@ -448,22 +448,16 @@ mod tests {
         let small = DpiNf::with_small(1);
         let smaller = DpiNf::new(&crate::dpi::synth_patterns(100, 1));
         assert_ne!(
-            small.dataflow_ir().unwrap().digest(),
-            smaller.dataflow_ir().unwrap().digest(),
+            small.dataflow_ir().digest(),
+            smaller.dataflow_ir().digest(),
             "different automata must change the IR digest"
         );
         let fw_a = FirewallNf::with_defaults(1);
         let fw_b = FirewallNf::with_defaults(2);
         assert_eq!(
-            fw_a.dataflow_ir().unwrap().digest(),
-            fw_b.dataflow_ir().unwrap().digest(),
+            fw_a.dataflow_ir().digest(),
+            fw_b.dataflow_ir().digest(),
             "same shape, same digest regardless of rule contents"
         );
-    }
-
-    #[test]
-    fn sketch_monitor_has_no_lowering() {
-        let sk = crate::sketch::SketchMonitor::with_defaults(1);
-        assert!(launch_analysis(&sk).is_none());
     }
 }

@@ -207,8 +207,8 @@ impl NetworkFunction for LpmNf {
         }
     }
 
-    fn dataflow_ir(&self) -> Option<snic_analyze::NfProgram> {
-        Some(crate::lowering::lpm_ir(self))
+    fn dataflow_ir(&self) -> snic_analyze::NfProgram {
+        crate::lowering::lpm_ir(self)
     }
 
     fn memory_profile(&self) -> MemoryProfile {

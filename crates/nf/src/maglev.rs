@@ -63,7 +63,6 @@ pub fn build_table(backends: &[String], size: usize) -> Vec<u32> {
 /// The Maglev load-balancer NF.
 #[derive(Debug)]
 pub struct MaglevNf {
-    backends: Vec<String>,
     table: Vec<u32>,
     /// Connection tracking: flows pinned to their original backend.
     conn_track: DetHashMap<FiveTuple, u32>,
@@ -75,7 +74,6 @@ impl MaglevNf {
     pub fn new(backends: Vec<String>, table_size: usize) -> MaglevNf {
         let table = build_table(&backends, table_size);
         MaglevNf {
-            backends,
             table,
             conn_track: DetHashMap::default(),
             steered: 0,
@@ -96,14 +94,6 @@ impl MaglevNf {
     /// Packets steered so far.
     pub fn steered(&self) -> u64 {
         self.steered
-    }
-
-    /// Replace the backend set (simulating a backend failure/addition) and
-    /// rebuild the table. Tracked connections keep their old backend.
-    pub fn set_backends(&mut self, backends: Vec<String>) {
-        let size = self.table.len();
-        self.table = build_table(&backends, size);
-        self.backends = backends;
     }
 }
 
@@ -139,8 +129,8 @@ impl NetworkFunction for MaglevNf {
         Verdict::Steer(backend)
     }
 
-    fn dataflow_ir(&self) -> Option<snic_analyze::NfProgram> {
-        Some(crate::lowering::maglev_ir(self))
+    fn dataflow_ir(&self) -> snic_analyze::NfProgram {
+        crate::lowering::maglev_ir(self)
     }
 
     fn memory_profile(&self) -> MemoryProfile {
@@ -159,6 +149,15 @@ mod tests {
     use crate::common::NullSink;
     use snic_types::packet::PacketBuilder;
     use snic_types::Protocol;
+
+    impl MaglevNf {
+        /// Replace the backend set (simulating a backend failure/addition) and
+        /// rebuild the table. Tracked connections keep their old backend.
+        fn set_backends(&mut self, backends: Vec<String>) {
+            let size = self.table.len();
+            self.table = build_table(&backends, size);
+        }
+    }
 
     fn backends(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("b{i}")).collect()

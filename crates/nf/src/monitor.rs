@@ -141,16 +141,6 @@ impl MonitorNf {
             self.maybe_resize(time);
         }
     }
-
-    /// End the measurement window: report the flow count and reset the
-    /// map (as the UnivMon-style five-minute measurement does). Capacity
-    /// is retained, matching `HashMap::clear`.
-    pub fn end_window(&mut self, time: Picos) -> usize {
-        let flows = self.counts.len();
-        self.counts.clear();
-        self.last_time = self.last_time.max(time);
-        flows
-    }
 }
 
 impl NetworkFunction for MonitorNf {
@@ -169,8 +159,8 @@ impl NetworkFunction for MonitorNf {
         Verdict::Forward
     }
 
-    fn dataflow_ir(&self) -> Option<snic_analyze::NfProgram> {
-        Some(crate::lowering::monitor_ir(self))
+    fn dataflow_ir(&self) -> snic_analyze::NfProgram {
+        crate::lowering::monitor_ir(self)
     }
 
     fn memory_profile(&self) -> MemoryProfile {
@@ -246,19 +236,6 @@ mod tests {
         let mur = m.tracker().mur();
         assert!(mur < 1.0, "peak must exceed steady state, mur = {mur}");
         assert!(mur > 0.3, "mur implausibly low: {mur}");
-    }
-
-    #[test]
-    fn end_window_resets_counts() {
-        let mut m = MonitorNf::new(ByteSize::mib(1));
-        for i in 0..100u32 {
-            m.observe(flow(i), Picos(u64::from(i)), &mut NullSink);
-        }
-        assert_eq!(m.end_window(Picos(200)), 100);
-        assert_eq!(m.tracked_flows(), 0);
-        // Observations continue into the next window.
-        m.observe(flow(1), Picos(300), &mut NullSink);
-        assert_eq!(m.tracked_flows(), 1);
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl NatNf {
         NatNf::new(0xc0a8_0001)
     }
 
-    /// Flows currently holding a translation.
-    pub fn active_flows(&self) -> usize {
-        self.forward.len()
-    }
-
     /// Packets successfully translated.
     pub fn translated(&self) -> u64 {
         self.translated
@@ -193,8 +188,8 @@ impl NetworkFunction for NatNf {
         }
     }
 
-    fn dataflow_ir(&self) -> Option<snic_analyze::NfProgram> {
-        Some(crate::lowering::nat_ir(self))
+    fn dataflow_ir(&self) -> snic_analyze::NfProgram {
+        crate::lowering::nat_ir(self)
     }
 
     fn memory_profile(&self) -> MemoryProfile {
@@ -252,7 +247,7 @@ mod tests {
         let a = rewritten(nat.process(&pkt(1, 1000), &mut NullSink));
         let b = rewritten(nat.process(&pkt(1, 1000), &mut NullSink));
         assert_eq!(a.tcp().unwrap().src_port, b.tcp().unwrap().src_port);
-        assert_eq!(nat.active_flows(), 1);
+        assert_eq!(nat.forward.len(), 1);
         assert_eq!(nat.translated(), 2);
     }
 
@@ -262,7 +257,7 @@ mod tests {
         let a = rewritten(nat.process(&pkt(1, 1000), &mut NullSink));
         let b = rewritten(nat.process(&pkt(2, 1000), &mut NullSink));
         assert_ne!(a.tcp().unwrap().src_port, b.tcp().unwrap().src_port);
-        assert_eq!(nat.active_flows(), 2);
+        assert_eq!(nat.forward.len(), 2);
     }
 
     #[test]

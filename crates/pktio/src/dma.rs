@@ -96,20 +96,6 @@ impl DmaBank {
         self.locked
     }
 
-    /// Reconfigure windows; fails after locking.
-    pub fn reconfigure(
-        &mut self,
-        nic_window: DmaWindow,
-        host_window: DmaWindow,
-    ) -> Result<(), SnicError> {
-        if self.locked {
-            return Err(IsolationError::TlbLocked.into());
-        }
-        self.nic_window = nic_window;
-        self.host_window = host_window;
-        Ok(())
-    }
-
     /// Validate a transfer of `len` bytes between `nic_addr` and
     /// `host_addr` in the given direction; returns the byte count on
     /// success.
@@ -223,19 +209,6 @@ mod tests {
                 64
             )
             .is_err());
-    }
-
-    #[test]
-    fn lock_prevents_reconfiguration() {
-        let mut b = bank();
-        b.lock();
-        let w = DmaWindow {
-            base: 0,
-            len: u64::MAX / 2,
-        };
-        assert!(b.reconfigure(w, w).is_err());
-        // Windows unchanged: the wide transfer still fails.
-        assert!(b.validate(DmaDirection::NicToHost, 0, 0, 64).is_err());
     }
 
     #[test]

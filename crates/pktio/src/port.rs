@@ -70,19 +70,21 @@ impl PortBuffers {
         }
         freed
     }
-
-    /// The reservation held by `owner`.
-    pub fn reservation_of(&self, owner: NfId) -> ByteSize {
-        self.reservations
-            .get(&owner)
-            .copied()
-            .unwrap_or(ByteSize::ZERO)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PortBuffers {
+        /// The reservation held by `owner`.
+        fn reservation_of(&self, owner: NfId) -> ByteSize {
+            self.reservations
+                .get(&owner)
+                .copied()
+                .unwrap_or(ByteSize::ZERO)
+        }
+    }
 
     #[test]
     fn reserve_and_release() {

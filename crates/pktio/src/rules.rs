@@ -70,21 +70,6 @@ impl SwitchRule {
         }
     }
 
-    /// A rule matching an exact five-tuple.
-    pub fn for_flow(ft: FiveTuple, target: NfId, priority: u32) -> SwitchRule {
-        SwitchRule {
-            src_ip: RuleMatch::Exact(ft.src_ip),
-            dst_ip: RuleMatch::Exact(ft.dst_ip),
-            protocol: RuleMatch::Exact(ft.protocol),
-            src_port: RuleMatch::Exact(ft.src_port),
-            dst_port: RuleMatch::Exact(ft.dst_port),
-            dst_mac: RuleMatch::Any,
-            vni: RuleMatch::Any,
-            priority,
-            target,
-        }
-    }
-
     fn matches(&self, ft: &FiveTuple, dst_mac: &MacAddr, vni: Option<u32>) -> bool {
         let vni_ok = match (&self.vni, vni) {
             (RuleMatch::Any, _) => true,
@@ -165,6 +150,23 @@ impl RuleTable {
 mod tests {
     use super::*;
     use snic_types::packet::PacketBuilder;
+
+    impl SwitchRule {
+        /// A rule matching an exact five-tuple.
+        fn for_flow(ft: FiveTuple, target: NfId, priority: u32) -> SwitchRule {
+            SwitchRule {
+                src_ip: RuleMatch::Exact(ft.src_ip),
+                dst_ip: RuleMatch::Exact(ft.dst_ip),
+                protocol: RuleMatch::Exact(ft.protocol),
+                src_port: RuleMatch::Exact(ft.src_port),
+                dst_port: RuleMatch::Exact(ft.dst_port),
+                dst_mac: RuleMatch::Any,
+                vni: RuleMatch::Any,
+                priority,
+                target,
+            }
+        }
+    }
 
     fn pkt(dst_port: u16) -> Packet {
         PacketBuilder::new(0x0a000001, 0xc6330001, Protocol::Tcp, 5000, dst_port).build()

@@ -100,23 +100,6 @@ impl Histogram {
         }
     }
 
-    /// Upper bound of the bucket containing the q-quantile
-    /// (`0.0 ..= 1.0`), an approximation good to a factor of two.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return if i == 0 { 0 } else { 1u64 << i.min(63) };
-            }
-        }
-        self.max
-    }
-
     /// Merge another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {
@@ -143,7 +126,6 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.quantile_bound(0.5), 0);
     }
 
     #[test]
@@ -156,16 +138,6 @@ mod tests {
         assert_eq!(h.sum(), 1024);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 1000);
-    }
-
-    #[test]
-    fn quantile_bound_brackets_the_median() {
-        let mut h = Histogram::new();
-        for _ in 0..100 {
-            h.record(100);
-        }
-        let b = h.quantile_bound(0.5);
-        assert!((100..=256).contains(&b), "bound {b}");
     }
 
     #[test]

@@ -121,18 +121,6 @@ impl CaidaLikeTrace {
     pub fn distinct_flows(&self) -> usize {
         self.distinct_flows
     }
-
-    /// Count distinct flows seen in `[start, end)` — what a monitor NF
-    /// observing a measurement window would track.
-    pub fn flows_in_window(&self, start: Picos, end: Picos) -> usize {
-        let mut set = std::collections::HashSet::new();
-        for r in &self.records {
-            if r.time >= start && r.time < end {
-                set.insert(r.flow);
-            }
-        }
-        set.len()
-    }
 }
 
 #[cfg(test)]
@@ -177,15 +165,6 @@ mod tests {
         sizes.sort_unstable_by(|a, b| b.cmp(a));
         // Largest flow much bigger than median flow.
         assert!(sizes[0] >= 10 * sizes[sizes.len() / 2].max(1));
-    }
-
-    #[test]
-    fn window_counting_monotone_in_width() {
-        let t = one_second();
-        let w1 = t.flows_in_window(Picos::ZERO, Picos::millis(100));
-        let w2 = t.flows_in_window(Picos::ZERO, Picos::millis(500));
-        assert!(w2 >= w1);
-        assert!(w1 > 0);
     }
 
     #[test]

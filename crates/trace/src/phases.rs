@@ -102,17 +102,6 @@ impl PhaseSchedule {
         }
     }
 
-    /// True when every effect is disabled (the stationary snapshot).
-    pub fn is_stationary(&self) -> bool {
-        (self.diurnal_period == 0 || self.trough_active_pct >= 100)
-            && (self.flash_every == 0
-                || self.flash_len == 0
-                || self.flash_hot_flows == 0
-                || self.flash_share_pct == 0)
-            && self.migrate_every == 0
-            && (self.churn_every == 0 || self.churn_pct == 0)
-    }
-
     /// Active-flow percentage at packet `t`: a triangle wave from 100
     /// (peak, cycle start) down to `trough_active_pct` at mid-cycle and
     /// back. Integer arithmetic only.
@@ -383,7 +372,6 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
         let mut payloads = PayloadGen::new(cfg.seed ^ 0xbeef, Vec::new(), cfg.signature_rate);
         let mut ph = phased(500, 0x77, PhaseSchedule::stationary());
-        assert!(ph.schedule().is_stationary());
         for _ in 0..500 {
             let ft = flows.get(zipf.sample(&mut rng));
             let len = rng.random_range(32..=96);

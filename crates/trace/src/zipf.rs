@@ -56,23 +56,25 @@ impl ZipfSampler {
             .partition_point(|&c| c < u)
             .min(self.cumulative.len() - 1)
     }
-
-    /// The probability mass of `rank`.
-    pub fn pmf(&self, rank: usize) -> f64 {
-        let hi = self.cumulative[rank];
-        let lo = if rank == 0 {
-            0.0
-        } else {
-            self.cumulative[rank - 1]
-        };
-        hi - lo
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    impl ZipfSampler {
+        /// The probability mass of `rank`.
+        fn pmf(&self, rank: usize) -> f64 {
+            let hi = self.cumulative[rank];
+            let lo = if rank == 0 {
+                0.0
+            } else {
+                self.cumulative[rank - 1]
+            };
+            hi - lo
+        }
+    }
 
     #[test]
     fn pmf_sums_to_one() {

@@ -2,8 +2,9 @@
 //!
 //! This crate defines the vocabulary shared by every other crate in the
 //! workspace: packets and their protocol headers, five-tuple flow keys,
-//! principal identifiers (network functions, cores, accelerator clusters), physical units (bytes, cycles, picoseconds, bandwidth), and
-//! the common error type used by the device model.
+//! principal identifiers (network functions, cores, accelerator
+//! clusters), physical units (bytes, picoseconds), and the common error
+//! type used by the device model.
 //!
 //! Everything here is plain data: no simulation logic lives in this crate.
 
@@ -23,4 +24,4 @@ pub use flow::{FiveTuple, Protocol};
 pub use ids::{AccelClusterId, AccelKind, CoreId, NfId};
 pub use lifecycle::NfState;
 pub use packet::{EthernetHeader, Ipv4Header, MacAddr, Packet, TcpHeader, UdpHeader, VxlanHeader};
-pub use units::{Bandwidth, ByteSize, Cycles, Picos};
+pub use units::{ByteSize, Picos};

@@ -16,9 +16,6 @@ use crate::flow::Protocol;
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
     /// Deterministically derive a locally-administered unicast MAC from a seed.
     pub fn from_seed(seed: u64) -> MacAddr {
         let b = seed.to_be_bytes();

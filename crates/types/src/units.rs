@@ -1,6 +1,6 @@
 //! Physical units used throughout the simulator.
 //!
-//! All simulated time is integral (picoseconds or cycles) so experiments
+//! All simulated time is integral (picoseconds) so experiments
 //! are deterministic and never accumulate floating-point drift. Conversions
 //! to human-readable floating point happen only at reporting boundaries.
 
@@ -157,65 +157,6 @@ impl core::ops::Sub for Picos {
     }
 }
 
-/// A count of clock cycles on some clock domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct Cycles(pub u64);
-
-impl Cycles {
-    /// Zero cycles.
-    pub const ZERO: Cycles = Cycles(0);
-
-    /// Convert a cycle count on a clock of `hz` to picoseconds.
-    ///
-    /// Uses 128-bit intermediate arithmetic, so it does not overflow for any
-    /// realistic simulation length.
-    pub fn to_picos(self, hz: u64) -> Picos {
-        assert!(hz > 0, "clock frequency must be non-zero");
-        Picos(((self.0 as u128 * 1_000_000_000_000u128) / hz as u128) as u64)
-    }
-}
-
-impl core::ops::Add for Cycles {
-    type Output = Cycles;
-    fn add(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0 + rhs.0)
-    }
-}
-
-impl core::ops::AddAssign for Cycles {
-    fn add_assign(&mut self, rhs: Cycles) {
-        self.0 += rhs.0;
-    }
-}
-
-impl core::ops::Sub for Cycles {
-    type Output = Cycles;
-    fn sub(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0 - rhs.0)
-    }
-}
-
-/// Bandwidth in bytes per second.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct Bandwidth(pub u64);
-
-impl Bandwidth {
-    /// Construct from megabytes per second.
-    pub const fn mbytes_per_sec(n: u64) -> Self {
-        Bandwidth(n * 1_000_000)
-    }
-
-    /// Time to transfer `size` at this bandwidth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bandwidth is zero.
-    pub fn transfer_time(self, size: ByteSize) -> Picos {
-        assert!(self.0 > 0, "cannot transfer over zero bandwidth");
-        Picos(((size.0 as u128 * 1_000_000_000_000u128) / self.0 as u128) as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,19 +186,6 @@ mod tests {
         assert_eq!(ByteSize(512).to_string(), "512B");
         assert_eq!(ByteSize::kib(4).to_string(), "4.00KiB");
         assert_eq!(ByteSize::mib(360).to_string(), "360.00MiB");
-    }
-
-    #[test]
-    fn cycles_to_picos() {
-        // 1200 cycles at 1.2 GHz is exactly 1 microsecond.
-        assert_eq!(Cycles(1200).to_picos(1_200_000_000), Picos::micros(1));
-    }
-
-    #[test]
-    fn bandwidth_transfer_time() {
-        // 1 GB/s moving 1 MB takes 1 ms.
-        let bw = Bandwidth(1_000_000_000);
-        assert_eq!(bw.transfer_time(ByteSize(1_000_000)), Picos::millis(1));
     }
 
     #[test]

@@ -443,33 +443,6 @@ impl Cache {
         }
     }
 
-    /// Miss ratio for tenant `t` (0 when no accesses).
-    pub fn miss_ratio(&self, t: u32) -> f64 {
-        let h = self.hits(t);
-        let m = self.misses(t);
-        if h + m == 0 {
-            0.0
-        } else {
-            m as f64 / (h + m) as f64
-        }
-    }
-
-    /// Invalidate every line owned by tenant `t` (teardown zeroization,
-    /// §4.6: "The instruction also zeroes out the registers and cache
-    /// lines used by F").
-    pub fn flush_owner(&mut self, t: u32) -> u64 {
-        let mut flushed = 0;
-        for idx in 0..self.tags.len() {
-            if self.stamps[idx] != 0 && self.owners[idx] == t {
-                self.tags[idx] = TAG_INVALID;
-                self.stamps[idx] = 0;
-                self.owners[idx] = 0;
-                flushed += 1;
-            }
-        }
-        flushed
-    }
-
     /// Resize a SecDCP allocation between phases.
     ///
     /// # Panics
@@ -608,17 +581,7 @@ mod tests {
             }
             let _ = rounds;
         }
-        assert!(part.miss_ratio(0) > shared.miss_ratio(0));
-    }
-
-    #[test]
-    fn flush_owner_removes_lines() {
-        let mut c = tiny(Partition::StaticWays { tenants: 2 });
-        c.access(0, 0);
-        c.access(1, 512);
-        assert_eq!(c.flush_owner(0), 1);
-        assert!(!c.access(0, 0), "flushed line must miss");
-        assert!(c.access(1, 512), "other tenant's line must survive");
+        assert!(part.misses(0) > shared.misses(0));
     }
 
     #[test]

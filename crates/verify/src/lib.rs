@@ -70,7 +70,7 @@ pub mod trace;
 
 pub use faults::lint_fault_transcript;
 pub use manifest::{verify_denylist_coverage, verify_manifests, verify_tlb_state};
-pub use pass0::{analyze_launch, verify_programs, Pass0Outcome};
+pub use pass0::{analyze_launch, Pass0Outcome};
 pub use report::{
     Finding, FindingActor, FindingKind, VerificationReport, Violation, ViolationKind,
 };

@@ -12,7 +12,7 @@
 use snic_analyze::{analyze, AnalysisReport, AnalysisViolationKind, LaunchAnalysis};
 use snic_types::NfId;
 
-use crate::report::{VerificationReport, Violation, ViolationKind};
+use crate::report::{Violation, ViolationKind};
 
 /// Map an analyzer violation kind onto the verifier's unified enum. The
 /// stable `P0-*` codes are identical on both sides (asserted in tests);
@@ -75,19 +75,6 @@ pub fn analyze_launch(nf: NfId, submission: &LaunchAnalysis) -> Pass0Outcome {
         })
         .collect();
     Pass0Outcome { report, violations }
-}
-
-/// Run Pass 0 over a batch and collect a [`VerificationReport`] in the
-/// same shape Pass 1 produces (the `snicctl analyze` entry point).
-pub fn verify_programs(submissions: &[(NfId, LaunchAnalysis)]) -> VerificationReport {
-    let mut violations = Vec::new();
-    for (nf, sub) in submissions {
-        violations.extend(analyze_launch(*nf, sub).violations);
-    }
-    VerificationReport {
-        violations,
-        manifests_checked: submissions.len(),
-    }
 }
 
 #[cfg(test)]
@@ -155,13 +142,5 @@ mod tests {
         assert_eq!(out.certificate_digest(), [0u8; 32]);
         assert_eq!(out.violations[0].nf, Some(NfId(7)));
         assert_eq!(out.violations[0].code(), "P0-OOB-LOAD");
-    }
-
-    #[test]
-    fn batch_report_matches_pass1_shape() {
-        let r = verify_programs(&[(NfId(1), clean_submission()), (NfId(2), oob_submission())]);
-        assert_eq!(r.manifests_checked, 2);
-        assert!(!r.is_ok());
-        assert!(r.to_json().contains("P0-OOB-LOAD"));
     }
 }

@@ -19,6 +19,46 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --all-targets -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Inventory: an item stays only if something names it. Lists every
+# `pub fn|struct|enum|trait|const|type|static` declared before a
+# `crates/*/src` file's first `#[cfg(test)]` whose name occurs nowhere
+# else — in no other file under crates/, src/, tests/, examples/ or
+# benchmark/src, and not again in its own file's non-test code. Comment
+# lines and `pub use` re-exports do not count as naming it. A name that
+# also occurs elsewhere passes, so this is a floor, not a proof. The
+# allowlist is empty: delete the item with its test, or move it into
+# the test module when it is a probe a test relies on.
+echo "==> inventory: pub items nothing names"
+mapfile -t rust_files < <(find crates src tests examples benchmark/src -name '*.rs' | sort)
+orphans="$(awk '
+FNR == 1 { live = 1 }
+live && /#\[cfg\(test\)\]/ { live = 0 }
+live && FILENAME ~ /^crates\/[^\/]+\/src\// &&
+    match($0, /^[ \t]*pub (const |unsafe |async )*(fn|struct|enum|trait|const|type|static) +(mut +)?[A-Za-z_][A-Za-z0-9_]*/) {
+    n = split(substr($0, RSTART, RLENGTH), decl, /[ \t]+/)
+    item[FILENAME SUBSEP decl[n]] = FNR
+}
+!/^[ \t]*(\/\/|pub use )/ {
+    rest = $0
+    while (match(rest, /[A-Za-z_][A-Za-z0-9_]*/)) {
+        word = substr(rest, RSTART, RLENGTH)
+        if (!((word, FILENAME) in seen)) { seen[word, FILENAME] = 1; files[word]++ }
+        if (live) own[word, FILENAME]++
+        rest = substr(rest, RSTART + RLENGTH)
+    }
+}
+END {
+    for (k in item) {
+        split(k, at, SUBSEP)
+        if (files[at[2]] == 1 && own[at[2], at[1]] == 1) print at[1] ":" item[k] ": " at[2]
+    }
+}' "${rust_files[@]}" | sort)"
+if [ -n "$orphans" ]; then
+    echo "FAIL: pub items named nowhere outside their declaration and its file's tests:" >&2
+    echo "$orphans" >&2
+    exit 1
+fi
+
 # `cargo test -q "$@"` under the per-binary budget: `cargo test -q` ends
 # each binary's summary with "... finished in X.XXs".
 test_log="$(mktemp)"

@@ -111,8 +111,7 @@ proptest! {
     ) {
         let kind = NfKind::ALL[kind_idx];
         let mut nf = snic::nf::build(kind, seed);
-        let submission = snic::nf::launch_analysis(nf.as_ref())
-            .expect("every paper NF lowers to dataflow IR");
+        let submission = snic::nf::launch_analysis(nf.as_ref());
 
         // The static side: the IR verifies against its manifest.
         let report = analyze(&submission.program, &submission.manifest);
@@ -148,7 +147,7 @@ proptest! {
 #[test]
 fn stray_access_outside_granted_windows_is_flagged() {
     let nf = snic::nf::build(NfKind::Firewall, 7);
-    let submission = snic::nf::launch_analysis(nf.as_ref()).unwrap();
+    let submission = snic::nf::launch_analysis(nf.as_ref());
     let (me, neighbor) = (NfId(1), NfId(2));
     let linter = TraceLinter::new(
         &spec(),

@@ -1,53 +1,10 @@
-//! Integration coverage of the paper's extension points: NF chaining via
-//! cross-VPP links (§4.8) and SecDCP cache partitioning (§4.2, option 2).
+//! Integration coverage of the paper's SecDCP extension point: dynamic
+//! cache partitioning (§4.2, option 2).
 
-use snic::core::chain::{ChainLink, LINK_LATENCY};
-use snic::nf::{DpiNf, NatNf, NetworkFunction, NullSink, Verdict};
-use snic::types::packet::PacketBuilder;
-use snic::types::{NfId, Picos, Protocol};
 use snic::uarch::cache::{Cache, CacheConfig, Partition};
 use snic::uarch::config::MachineConfig;
 use snic::uarch::engine::run_colocated;
 use snic::uarch::stream::{EventSource, SyntheticStream};
-
-#[test]
-fn nat_to_dpi_chain_over_link() {
-    // Chain: NAT (NfId 1) → DPI (NfId 2) through the isolation-preserving
-    // link. The NAT rewrites, the DPI inspects the rewritten packet.
-    let mut link = ChainLink::new(NfId(1), NfId(2), 16);
-    let mut nat = NatNf::with_defaults(0);
-    let mut dpi = DpiNf::new(&[b"exfiltrate".to_vec()]);
-
-    let mut now = Picos::ZERO;
-    let mut matched_total = 0u32;
-    for i in 0..20u32 {
-        let payload = if i % 5 == 0 {
-            b"exfiltrate the data".to_vec()
-        } else {
-            b"benign".to_vec()
-        };
-        let pkt = PacketBuilder::new(0x0a00_0000 + i, 0xc633_0001, Protocol::Tcp, 10_000, 80)
-            .payload(payload)
-            .build();
-        let Verdict::Rewritten(rewritten) = nat.process(&pkt, &mut NullSink) else {
-            panic!("NAT should rewrite");
-        };
-        let ready = link.send(NfId(1), now, rewritten).expect("link capacity");
-        now = ready;
-        let delivered = link
-            .recv(NfId(2), now)
-            .expect("receiver ok")
-            .expect("message ready");
-        // NAT's rewrite survived the link.
-        assert_eq!(delivered.ipv4().unwrap().src, 0xc0a8_0001);
-        if let Verdict::Matched(m) = dpi.process(&delivered, &mut NullSink) {
-            matched_total += m;
-        }
-        now += LINK_LATENCY;
-    }
-    assert_eq!(matched_total, 4, "every 5th packet carries the signature");
-    assert_eq!(link.transferred(), 20);
-}
 
 #[test]
 fn secdcp_allows_asymmetric_allocations() {

@@ -1,7 +1,7 @@
 //! Cross-crate checks of the paper's quantitative claims — the
 //! "shape holds" assertions behind EXPERIMENTS.md.
 
-use snic::accel::dpi::{DpiAccel, DpiAccelConfig};
+use snic::bench::dpi::{DpiAccel, DpiAccelConfig};
 use snic::cost::overhead::{snic_overhead, OverheadConfig};
 use snic::cost::tco::{tco_report, TcoInputs};
 use snic::mem::planner::PagePolicy;
