@@ -257,10 +257,10 @@ pub fn many_tenant_commodity(tenants: usize, l2_bytes: u64) -> MachineConfig {
 ///
 /// A run that [`snic_sim::run_sharded`] will split (`shards > 1` on a
 /// shardable machine) gets deferred pipelines: building the job builds
-/// no NF, and each tenant's structures (a 64 MB table for each LPM) live
-/// only while a worker simulates that tenant. An interleaved run needs
-/// every tenant resident from its first event, so its tenants are built
-/// up front across the worker pool, in `specs` order.
+/// no NF, and each tenant's structures (flow tables, rule sets, automata,
+/// routes) live only while a worker simulates that tenant. An interleaved
+/// run needs every tenant resident from its first event, so its tenants
+/// are built up front across the worker pool, in `specs` order.
 pub fn colo_spec(
     scale: &Scale,
     specs: &[TenantSpec],

@@ -114,6 +114,7 @@ pub struct FirewallNf {
 impl FirewallNf {
     /// Build with an explicit ruleset and cache limit.
     pub fn new(rules: Vec<FirewallRule>, cache_limit: usize) -> FirewallNf {
+        // Unreachable: every non-test caller passes the constant 200 000.
         assert!(cache_limit > 0, "cache limit must be positive");
         FirewallNf {
             rules,

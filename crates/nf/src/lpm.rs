@@ -8,7 +8,9 @@
 //! table indexed by the top 24 address bits; prefixes longer than /24
 //! spill into 256-entry second-level tables. Lookups take one memory
 //! access for the common case and two for long prefixes — which is
-//! exactly the access pattern the reference stream reports.
+//! exactly the access pattern the reference stream reports. That flat
+//! 64 MB tbl24 is the *modeled* layout; the host keeps it as runs of
+//! equal entries, which a lookup's reported address cannot see.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -33,26 +35,38 @@ pub struct Prefix {
     pub next_hop: u32,
 }
 
+/// Entries of the modeled tbl24, one per /24.
+const TBL24_ENTRIES: u32 = 1 << 24;
+
 /// The DIR-24-8 table.
+///
+/// tbl24 is held run-length encoded as `(first /24, entry)` per run: a
+/// run lasts up to the next one's start (the last up to 2^24), the first
+/// starts at 0, starts strictly increase, and no two neighbouring runs
+/// hold one entry.
 #[derive(Debug)]
 pub struct Dir24_8 {
-    tbl24: Vec<u32>,
+    tbl24: Vec<(u32, u32)>,
     tbl8: Vec<u32>,
 }
 
 impl Dir24_8 {
     /// Build the finished table for `prefixes`. Longer prefixes
     /// override shorter ones; of two prefixes of one length covering an
-    /// address, the later in `prefixes` wins. Allocates the full 64 MB
-    /// tbl24 even for an empty list, like DPDK's implementation — this
-    /// is what gives LPM its Table 6 footprint.
+    /// address, the later in `prefixes` wins. tbl24 costs what the
+    /// prefixes cut it into — at most `2 × prefixes + 1` runs — not the
+    /// 2^24 entries DPDK allocates; [`Dir24_8::table_bytes`] still
+    /// reports those, which is LPM's Table 6 footprint.
     ///
-    /// Prefixes are painted in stable ascending-length order, so "longer
-    /// and later wins" is plain overwrite and no per-entry record of the
-    /// length that painted it is kept. tbl8 segments, though, are
-    /// numbered in the order `prefixes` first sends a longer-than-/24
+    /// Every prefix's edges in tbl24 (a ≤ /24 prefix's span, a longer
+    /// one's single /24) cut the index space into elementary runs no
+    /// prefix splits. The runs are painted in stable ascending-length
+    /// order, so "longer and later wins" is plain overwrite and no record
+    /// of the length that painted a run is kept. tbl8 segments, though,
+    /// are numbered in the order `prefixes` first sends a longer-than-/24
     /// prefix into each /24: a segment number is part of the addresses
     /// [`Dir24_8::lookup`] reports, so it must not depend on the sort.
+    /// Equal neighbouring runs are merged last.
     ///
     /// # Panics
     ///
@@ -60,21 +74,36 @@ impl Dir24_8 {
     /// fit 24 bits.
     pub fn build(prefixes: &[Prefix]) -> Dir24_8 {
         for p in prefixes {
+            // Unreachable: non-test prefixes are `synth_prefixes` output (/8–/32, hop < 2^24).
             assert!(p.len <= 32, "prefix length out of range");
             assert!(p.next_hop < (1 << 24), "next hop too large");
         }
+        // The /24 span a prefix paints in tbl24.
+        let span = |p: &Prefix| {
+            let base = mask(p.addr, p.len.min(24)) >> 8;
+            [base, base + (1 << (24 - p.len.min(24)))]
+        };
+        let mut edges: Vec<u32> = prefixes
+            .iter()
+            .flat_map(span)
+            .chain([0, TBL24_ENTRIES])
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
+        // The elementary run starting at edge `i`.
+        let run = |i: u32| edges.partition_point(|&e| e < i);
+
         let mut by_len: Vec<&Prefix> = prefixes.iter().collect();
         by_len.sort_by_key(|p| p.len);
         let (short, long) = by_len.split_at(by_len.partition_point(|p| p.len <= 24));
-
-        let mut tbl24 = vec![INVALID; 1 << 24];
+        let mut runs = vec![INVALID; edges.len() - 1];
         for p in short {
-            let base = (mask(p.addr, p.len) >> 8) as usize;
-            tbl24[base..base + (1 << (24 - p.len))].fill(p.next_hop);
+            let [base, end] = span(p);
+            runs[run(base)..run(end)].fill(p.next_hop);
         }
         let mut tbl8 = Vec::new();
         for p in prefixes.iter().filter(|p| p.len > 24) {
-            let slot = &mut tbl24[(p.addr >> 8) as usize];
+            let slot = &mut runs[run(p.addr >> 8)];
             if *slot & EXTEND_FLAG == 0 {
                 // A new segment starts as the /<=24 route it refines.
                 let seg = (tbl8.len() / 256) as u32;
@@ -83,18 +112,22 @@ impl Dir24_8 {
             }
         }
         for p in long {
-            let seg = (tbl24[(p.addr >> 8) as usize] & !EXTEND_FLAG) as usize;
+            let seg = (runs[run(p.addr >> 8)] & !EXTEND_FLAG) as usize;
             let base = seg * 256 + (mask(p.addr, p.len) & 0xff) as usize;
             tbl8[base..base + (1 << (32 - p.len))].fill(p.next_hop);
         }
+
+        let mut tbl24: Vec<(u32, u32)> = edges.into_iter().zip(runs).collect();
+        tbl24.dedup_by_key(|&mut (_, e)| e);
         Dir24_8 { tbl24, tbl8 }
     }
 
-    /// Look up `addr`, reporting table touches to `sink`.
+    /// Look up `addr`, reporting table touches to `sink`. The tbl24 touch
+    /// is the modeled flat table's entry, whatever run holds it.
     pub fn lookup(&self, addr: u32, sink: &mut dyn AccessSink) -> Option<u32> {
-        let i = (addr >> 8) as usize;
-        sink.touch(layout::HEAP_BASE + (i as u64) * 4, AccessKind::Load, 80);
-        let e = self.tbl24[i];
+        let i = addr >> 8;
+        sink.touch(layout::HEAP_BASE + u64::from(i) * 4, AccessKind::Load, 80);
+        let (_, e) = self.tbl24[self.tbl24.partition_point(|&(start, _)| start <= i) - 1];
         let hop = if e & EXTEND_FLAG != 0 {
             let seg = (e & !EXTEND_FLAG) as usize;
             let idx = seg * 256 + (addr & 0xff) as usize;
@@ -119,9 +152,10 @@ impl Dir24_8 {
         self.tbl8.len() / 256
     }
 
-    /// Resident bytes of the tables.
+    /// Bytes of the modeled tables: the flat 2^24-entry tbl24 plus the
+    /// tbl8 segments.
     pub fn table_bytes(&self) -> ByteSize {
-        ByteSize(vec_bytes(self.tbl24.len(), 4) + vec_bytes(self.tbl8.len(), 4))
+        ByteSize(vec_bytes(TBL24_ENTRIES as usize, 4) + vec_bytes(self.tbl8.len(), 4))
     }
 }
 
@@ -223,6 +257,8 @@ impl NetworkFunction for LpmNf {
 mod tests {
     use super::*;
     use crate::common::{NullSink, RecordingSink};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn p(addr: u32, len: u8, hop: u32) -> Prefix {
         Prefix {
@@ -232,10 +268,22 @@ mod tests {
         }
     }
 
-    /// The incremental algorithm `Dir24_8::build` replaced, kept as its
-    /// oracle: prefixes inserted one at a time in the caller's order,
-    /// with a per-entry record of the prefix length that painted it
-    /// deciding every overlap.
+    impl Dir24_8 {
+        /// tbl24 as the flat 2^24-entry table its runs stand for.
+        fn expanded_tbl24(&self) -> Vec<u32> {
+            let mut flat = Vec::with_capacity(TBL24_ENTRIES as usize);
+            for (k, &(_, e)) in self.tbl24.iter().enumerate() {
+                let end = self.tbl24.get(k + 1).map_or(TBL24_ENTRIES, |&(s, _)| s);
+                flat.resize(end as usize, e);
+            }
+            flat
+        }
+    }
+
+    /// The flat-table algorithm `Dir24_8::build` replaced, kept as its
+    /// oracle: prefixes inserted one at a time in the caller's order
+    /// into a 2^24-entry tbl24, with a per-entry record of the prefix
+    /// length that painted it deciding every overlap.
     struct OrderedInserts {
         tbl24: Vec<u32>,
         tbl8: Vec<u32>,
@@ -308,6 +356,38 @@ mod tests {
                 }
             }
         }
+
+        /// The flat table's lookup, touches included.
+        fn lookup(&self, addr: u32, sink: &mut dyn AccessSink) -> Option<u32> {
+            let i = (addr >> 8) as usize;
+            sink.touch(layout::HEAP_BASE + (i as u64) * 4, AccessKind::Load, 80);
+            let mut e = self.tbl24[i];
+            if e & EXTEND_FLAG != 0 {
+                let idx = (e & !EXTEND_FLAG) as usize * 256 + (addr & 0xff) as usize;
+                sink.touch(
+                    layout::HEAP_BASE + 0x400_0000 + (idx as u64) * 4,
+                    AccessKind::Load,
+                    40,
+                );
+                e = self.tbl8[idx];
+            }
+            (e != INVALID).then_some(e)
+        }
+
+        /// The flat table's resident bytes.
+        fn table_bytes(&self) -> ByteSize {
+            ByteSize(vec_bytes(self.tbl24.len(), 4) + vec_bytes(self.tbl8.len(), 4))
+        }
+    }
+
+    /// Both tbl8s equal, and every one of the 2^24 tbl24 entries.
+    fn assert_same_tables(prefixes: &[Prefix], what: &str) {
+        let (built, oracle) = (Dir24_8::build(prefixes), OrderedInserts::of(prefixes));
+        assert!(built.tbl8 == oracle.tbl8, "tbl8 differs, {what}");
+        assert!(
+            built.expanded_tbl24() == oracle.tbl24,
+            "tbl24 differs, {what}"
+        );
     }
 
     #[test]
@@ -343,15 +423,99 @@ mod tests {
             for (i, extra) in adversarial.iter().enumerate() {
                 prefixes.insert(i * 37, *extra);
             }
-            let built = Dir24_8::build(&prefixes);
-            let oracle = OrderedInserts::of(&prefixes);
-            assert!(built.tbl8_segments() > 3);
-            assert!(built.tbl8 == oracle.tbl8, "tbl8 differs, seed {seed}");
-            assert!(built.tbl24 == oracle.tbl24, "tbl24 differs, seed {seed}");
+            assert!(Dir24_8::build(&prefixes).tbl8_segments() > 3);
+            assert_same_tables(&prefixes, &format!("seed {seed}"));
         }
         let reversed: Vec<Prefix> = adversarial.iter().rev().copied().collect();
-        let (built, oracle) = (Dir24_8::build(&reversed), OrderedInserts::of(&reversed));
-        assert!(built.tbl8 == oracle.tbl8 && built.tbl24 == oracle.tbl24);
+        assert_same_tables(&reversed, "adversarial, reversed");
+        assert_same_tables(&synth_prefixes(16_000, 0xf15a), "16 000 prefixes");
+    }
+
+    #[test]
+    fn runs_are_maximal_and_bounded() {
+        for prefixes in [Vec::new(), synth_prefixes(16_000, 0xf15a)] {
+            let t = Dir24_8::build(&prefixes);
+            assert_eq!(t.tbl24[0].0, 0);
+            assert!(t
+                .tbl24
+                .windows(2)
+                .all(|w| w[0].0 < w[1].0 && w[0].1 != w[1].1));
+            assert!(t.tbl24.len() <= 2 * prefixes.len() + 1);
+        }
+        // Sibling /17s with one hop, and a /24 with its /16's hop, merge.
+        let t = Dir24_8::build(&[
+            p(0x0a00_0000, 17, 7),
+            p(0x0a00_8000, 17, 7),
+            p(0x0b00_0000, 16, 8),
+            p(0x0b00_0100, 24, 8),
+        ]);
+        let want = [
+            (0, INVALID),
+            (0x0a_0000, 7),
+            (0x0a_0100, INVALID),
+            (0x0b_0000, 8),
+            (0x0b_0100, INVALID),
+        ];
+        assert_eq!(t.tbl24, want);
+    }
+
+    /// /24s that many generated prefixes land in, so > /24 routes nest
+    /// and meet the ≤ /24 routes around them.
+    const HOT: [u32; 3] = [0x0a00_0100, 0x0a00_0200, 0xc0a8_0100];
+
+    /// Prefix lists with /0s, /32s, nested > /24s and duplicates (a
+    /// listed prefix again, with another hop).
+    fn prefix_lists() -> impl Strategy<Value = Vec<Prefix>> {
+        let one =
+            (0usize..6, any::<u32>(), 0u8..=32, 0u32..1 << 24).prop_map(|(pick, r, len, hop)| {
+                p(HOT.get(pick).map_or(r, |&h| h | (r & 0xff)), len, hop)
+            });
+        let dups = vec((any::<u32>(), 0u32..1 << 24), 0..4);
+        (vec(one, 1..40), dups).prop_map(|(mut list, dups)| {
+            for (i, hop) in dups {
+                let again = Prefix {
+                    next_hop: hop,
+                    ..list[i as usize % list.len()]
+                };
+                list.push(again);
+            }
+            list
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// In either order, a list's lookups return the flat oracle's
+        /// hops with its touches, probed at random and at every run edge
+        /// ±1, and report the flat table's bytes.
+        #[test]
+        fn runs_answer_and_touch_as_the_flat_table(
+            list in prefix_lists(),
+            probes in vec(any::<u32>(), 1..64),
+        ) {
+            for prefixes in [list.clone(), list.iter().rev().copied().collect()] {
+                let (built, oracle) = (Dir24_8::build(&prefixes), OrderedInserts::of(&prefixes));
+                prop_assert_eq!(built.table_bytes(), oracle.table_bytes());
+                let low = probes[0] & 0xff;
+                let edges = built
+                    .tbl24
+                    .iter()
+                    .flat_map(|&(s, _)| [s.wrapping_sub(1), s, s + 1])
+                    .filter(|&i| i < TBL24_ENTRIES)
+                    .flat_map(|i| [i << 8, i << 8 | low, i << 8 | 0xff]);
+                for addr in probes.iter().copied().chain(edges) {
+                    let (mut got, mut want) = (RecordingSink::new(), RecordingSink::new());
+                    prop_assert_eq!(
+                        built.lookup(addr, &mut got),
+                        oracle.lookup(addr, &mut want),
+                        "addr {:#010x}",
+                        addr
+                    );
+                    prop_assert_eq!(got.accesses(), want.accesses());
+                }
+            }
+        }
     }
 
     #[test]
@@ -453,6 +617,9 @@ mod tests {
     fn table_bytes_dominated_by_tbl24() {
         let t = Dir24_8::build(&[]);
         assert_eq!(t.table_bytes(), ByteSize((1u64 << 24) * 4));
+        // What the flat table reported for these: tbl24 and 5 231 segments.
+        let paper = Dir24_8::build(&synth_prefixes(16_000, 0xf15a));
+        assert_eq!(paper.table_bytes(), ByteSize(72_465_408));
     }
 
     #[test]

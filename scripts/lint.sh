@@ -205,9 +205,10 @@ cargo run -q --release --bin snicctl -- telemetry overhead
 # schedules) must first prove serial≡sharded bit-identity at small
 # scale, then process exactly 1e9 engine events through O(chunk)
 # streaming sources with peak RSS under SNIC_MEM_BUDGET_MB (default
-# 256 — workers × the largest structure, a 64 MB DIR-24-8 table, plus
-# streaming state; independent of event count and of tenant count.
-# Measured ≈ 82; every tenant resident at once is ≈ 574 and fails).
+# 64, about 3× the measured ≈ 15 — workers × the largest NF structure
+# plus streaming state; independent of event count and of tenant
+# count. LPM tenants holding the flat 64 MB tbl24 they model, ≈ 79,
+# fail it, and so does the interleaved --shards 1 run, ≈ 75).
 # SNIC_TRACE_GATE_EVENTS trims the run on slow machines.
 echo "==> bounded-memory streaming gate (snicctl trace billion --gate)"
 cargo run -q --release --bin snicctl -- trace billion --gate \
