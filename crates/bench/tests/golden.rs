@@ -70,6 +70,23 @@ fn fig8_matches_golden() {
     check("fig8.txt", &golden::fig8_text(&golden::golden_scale()));
 }
 
+/// Render registry entry `name` the way `snicctl exp <name>` does. The
+/// attack and verifier entries ignore `Scale`, so any scale pins them.
+fn exp_text(name: &str) -> String {
+    let run = snic_bench::experiments::find(name).expect(name).run;
+    run(&golden::golden_scale(), false)
+}
+
+#[test]
+fn exp_attacks_matches_golden() {
+    check("attacks.txt", &exp_text("attacks"));
+}
+
+#[test]
+fn exp_verify_matches_golden() {
+    check("verify.txt", &exp_text("verify"));
+}
+
 #[test]
 fn blast_matrix_matches_golden_and_invariants_hold() {
     let rows = blast_matrix_with(Exec::Parallel, &golden::golden_scale());
