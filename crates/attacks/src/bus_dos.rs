@@ -11,50 +11,29 @@
 //! victim's bus grants are bit-for-bit identical with and without the
 //! flood.
 
-use rand::SeedableRng;
-use snic_core::config::{NicConfig, NicMode};
-use snic_core::device::SmartNic;
-use snic_core::instr::{LaunchRequest, NfImage};
-use snic_crypto::keys::VendorCa;
+use snic_core::config::NicMode;
 use snic_pktio::rules::{RuleMatch, SwitchRule};
 use snic_types::packet::PacketBuilder;
-use snic_types::{ByteSize, CoreId, NfId, Protocol, SnicError};
-use snic_uarch::bus::{Arbiter, FcfsArbiter, TemporalArbiter};
+use snic_types::{NfId, Protocol, SnicError};
+use snic_uarch::bus::EPOCH_CYCLES;
+use snic_verify::{BusSpec, TraceLinter};
 
-use crate::AttackOutcome;
+use crate::traced::record_grant;
+use crate::watermark::{ATTACKER_BEAT, VICTIM_BEAT};
+use crate::{fresh_nic, launch, AttackOutcome};
 
 /// Execute the attack against a freshly built device in `mode`.
 pub fn run_bus_dos(mode: NicMode) -> AttackOutcome {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xd05);
-    let vendor = VendorCa::new(&mut rng);
-    let mut nic = SmartNic::new(NicConfig::small(mode), &vendor);
+    let mut nic = fresh_nic(mode, 0xd05);
 
     // Victim NF receiving port-443 traffic.
-    let mut victim_req = LaunchRequest::minimal(
-        CoreId(0),
-        ByteSize::mib(4),
-        NfImage {
-            code: b"victim".to_vec(),
-            config: vec![],
-        },
-    );
-    victim_req.rules.push(SwitchRule {
+    let port_443 = SwitchRule {
         dst_port: RuleMatch::Exact(443),
         priority: 5,
         ..SwitchRule::any(NfId(0))
-    });
-    let victim = nic.nf_launch(victim_req).expect("victim launch").nf_id;
-    let attacker = nic
-        .nf_launch(LaunchRequest::minimal(
-            CoreId(1),
-            ByteSize::mib(4),
-            NfImage {
-                code: b"test_subsat loop".to_vec(),
-                config: vec![],
-            },
-        ))
-        .expect("attacker launch")
-        .nf_id;
+    };
+    let victim = launch(&mut nic, 0, 4, b"victim", vec![], vec![port_443]);
+    let attacker = launch(&mut nic, 1, 4, b"test_subsat loop", vec![], vec![]);
 
     // The tight loop: issue bus operations until crash or give-up.
     let mut crashed = false;
@@ -64,6 +43,22 @@ pub fn run_bus_dos(mode: NicMode) -> AttackOutcome {
             break;
         }
     }
+
+    // The flood as the device's bus arbiter sees it, recorded for Pass 2:
+    // the attacker (domain 1) asks for the bus every 10 cycles while the
+    // victim (domain 0) issues a sparse request stream.
+    let spec = nic.device_spec();
+    let mut arbiter = spec.bus.arbiter(2);
+    let mut grants = Vec::new();
+    let mut victim_ready = 5u64;
+    for i in 0..200u64 {
+        record_grant(&mut arbiter, &mut grants, 1, i * 10, ATTACKER_BEAT);
+        if i.is_multiple_of(8) {
+            record_grant(&mut arbiter, &mut grants, 0, victim_ready, VICTIM_BEAT);
+            victim_ready += 150;
+        }
+    }
+    let findings = TraceLinter::new(&spec, Vec::new()).lint_bus(&grants);
 
     // Can the victim still receive traffic?
     let pkt = PacketBuilder::new(1, 2, Protocol::Tcp, 1000, 443).build();
@@ -75,6 +70,7 @@ pub fn run_bus_dos(mode: NicMode) -> AttackOutcome {
         mode,
         succeeded,
         format!("crashed={crashed} victim_alive={victim_alive}"),
+        findings,
     )
 }
 
@@ -84,36 +80,27 @@ pub fn run_bus_dos(mode: NicMode) -> AttackOutcome {
 /// Returns `(fcfs_delta, temporal_delta)`: the added grant latency (in
 /// cycles) the flood inflicts on the victim's first request.
 pub fn flood_latency_impact() -> (u64, u64) {
-    let victim_request = (100u64, 16u64); // Ready at cycle 100, 16 cycles.
-
-    let fcfs_delta = {
-        let mut quiet = FcfsArbiter::new();
-        let base = quiet.grant(0, victim_request.0, victim_request.1);
-        let mut noisy = FcfsArbiter::new();
+    let (ready, duration) = (100u64, 16u64); // The victim's one request.
+    let delta = |bus: BusSpec| {
+        let base = bus.arbiter(2).grant(0, ready, duration);
+        let mut noisy = bus.arbiter(2);
         for i in 0..1000 {
             let _ = noisy.grant(1, i, 90);
         }
-        let contended = noisy.grant(0, victim_request.0, victim_request.1);
-        contended - base
+        noisy.grant(0, ready, duration) - base
     };
-
-    let temporal_delta = {
-        let mut quiet = TemporalArbiter::new(2, 96);
-        let base = quiet.grant(0, victim_request.0, victim_request.1);
-        let mut noisy = TemporalArbiter::new(2, 96);
-        for i in 0..1000 {
-            let _ = noisy.grant(1, i, 90);
-        }
-        let contended = noisy.grant(0, victim_request.0, victim_request.1);
-        contended - base
-    };
-
-    (fcfs_delta, temporal_delta)
+    (
+        delta(BusSpec::Fcfs),
+        delta(BusSpec::Temporal {
+            epoch: EPOCH_CYCLES,
+        }),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snic_verify::FindingKind;
 
     #[test]
     fn commodity_nic_hard_crashes() {
@@ -121,6 +108,13 @@ mod tests {
         assert!(o.succeeded, "{o:?}");
         assert!(o.evidence.contains("crashed=true"));
         assert!(o.evidence.contains("victim_alive=false"));
+        // The same run's FCFS grants couple the victim to the flood.
+        assert!(
+            o.findings
+                .iter()
+                .any(|f| f.kind == FindingKind::BusInterference),
+            "{o:?}"
+        );
     }
 
     #[test]
@@ -129,6 +123,7 @@ mod tests {
         assert!(!o.succeeded, "{o:?}");
         assert!(o.evidence.contains("crashed=false"));
         assert!(o.evidence.contains("victim_alive=true"));
+        assert!(o.findings.is_empty(), "{o:?}");
     }
 
     #[test]
@@ -140,17 +135,8 @@ mod tests {
 
     #[test]
     fn power_cycle_recovers_commodity_nic() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let vendor = VendorCa::new(&mut rng);
-        let mut nic = SmartNic::new(NicConfig::small(NicMode::Commodity), &vendor);
-        let nf = nic
-            .nf_launch(LaunchRequest::minimal(
-                CoreId(0),
-                ByteSize::mib(4),
-                NfImage::default(),
-            ))
-            .unwrap()
-            .nf_id;
+        let mut nic = fresh_nic(NicMode::Commodity, 1);
+        let nf = launch(&mut nic, 0, 4, b"", vec![], vec![]);
         while nic.bus_flood(nf, 30_000_000).is_ok() {}
         assert!(nic.is_crashed());
         nic.power_cycle();

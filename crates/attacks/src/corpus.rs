@@ -38,6 +38,8 @@ fn envelope() -> AnalysisManifest {
 /// Packet-buffer window length as granted by [`envelope`].
 fn pktbuf_len() -> u64 {
     let m = envelope();
+    // Cannot fail: the firewall's paper manifest is constant and grants
+    // its packet-buffer window at `PKTBUF_BASE`.
     m.regions
         .iter()
         .find(|&&(b, _)| b == layout::PKTBUF_BASE)

@@ -14,66 +14,58 @@
 //! every page of the function, so both are refused — and teardown's
 //! scrub means even the *freed* pages reveal nothing.
 
-use rand::SeedableRng;
-use snic_core::config::{NicConfig, NicMode};
-use snic_core::device::SmartNic;
-use snic_core::instr::{LaunchRequest, NfImage};
-use snic_crypto::keys::VendorCa;
+use snic_core::config::NicMode;
 use snic_mem::guard::Principal;
-use snic_types::{ByteSize, CoreId};
+use snic_types::CoreId;
 
-use crate::AttackOutcome;
+use crate::traced::lint_memory_of;
+use crate::{fresh_nic, launch, AttackOutcome};
+
+/// The tenant's secret, 0x1000 bytes into its region.
+const SECRET: &[u8; 22] = b"TLS-PRIVATE-KEY-0xA1B2";
 
 /// Execute the attack against a freshly built device in `mode`.
 pub fn run_nicos_tamper(mode: NicMode) -> AttackOutcome {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x0517);
-    let vendor = VendorCa::new(&mut rng);
-    let mut nic = SmartNic::new(NicConfig::small(mode), &vendor);
+    let mut nic = fresh_nic(mode, 0x0517);
 
     // The tenant's function holds a secret in its private memory.
-    let nf = nic
-        .nf_launch(LaunchRequest::minimal(
-            CoreId(0),
-            ByteSize::mib(4),
-            NfImage {
-                code: b"tls-terminator".to_vec(),
-                config: vec![],
-            },
-        ))
-        .expect("launch")
-        .nf_id;
-    nic.nf_write(nf, CoreId(0), 0x1000, b"TLS-PRIVATE-KEY-0xA1B2")
-        .ok();
+    let nf = launch(&mut nic, 0, 4, b"tls-terminator", vec![], vec![]);
+    nic.nf_write(nf, CoreId(0), 0x1000, SECRET).ok();
+    // Cannot fail: `nf` was launched just above and is live.
+    let (base, _) = nic.record_of(nf).expect("live").region;
     // Commodity mode has no NF-virtual addressing; plant the secret the
     // way a commodity NF would: directly in its physical region.
-    let (base, _) = nic.record_of(nf).unwrap().region;
     if mode == NicMode::Commodity {
-        nic.mem_write(
-            Principal::TrustedHardware,
-            base + 0x1000,
-            b"TLS-PRIVATE-KEY-0xA1B2",
-        )
-        .expect("plant secret");
+        // Cannot fail: trusted hardware may write anywhere in bounds.
+        nic.mem_write(Principal::TrustedHardware, base + 0x1000, SECRET)
+            .expect("plant secret");
     }
 
+    // --- The attack, recorded. ---
+    nic.start_audit();
     // (a) The NIC OS reads the function's memory.
     let mut stolen = [0u8; 22];
     let read_ok = nic
         .mem_read(Principal::Management, base + 0x1000, &mut stolen)
         .is_ok()
-        && &stolen == b"TLS-PRIVATE-KEY-0xA1B2";
+        && &stolen == SECRET;
 
     // (b) The NIC OS patches the function's code page.
     let patch_ok = nic
         .mem_write(Principal::Management, base, b"evil-jump")
         .is_ok();
+    // Linted before teardown: the OS's reads of the scrubbed, freed
+    // pages in (c) are legitimately granted.
+    let findings = lint_memory_of(&mut nic);
 
     // (c) After teardown, the OS scavenges the freed pages for residue.
+    // Cannot fail: `nf` is live and no fault is armed.
     nic.nf_teardown(nf).expect("teardown");
     let mut residue = [0u8; 22];
+    // Cannot fail: teardown lifts the denylist from the freed pages.
     nic.mem_read(Principal::Management, base + 0x1000, &mut residue)
         .expect("freed pages readable");
-    let residue_found = &residue == b"TLS-PRIVATE-KEY-0xA1B2";
+    let residue_found = &residue == SECRET;
 
     let succeeded = read_ok || patch_ok || residue_found;
     AttackOutcome::new(
@@ -82,6 +74,7 @@ pub fn run_nicos_tamper(mode: NicMode) -> AttackOutcome {
         format!(
             "state_read={read_ok} code_patched={patch_ok} residue_after_teardown={residue_found}"
         ),
+        findings,
     )
 }
 

@@ -7,88 +7,65 @@
 //! the packet headers in those buffers, disrupting the intended NAT
 //! translations."
 
-use rand::SeedableRng;
-use snic_core::alloc::{BufferAllocator, META_SLOTS};
-use snic_core::config::{NicConfig, NicMode};
-use snic_core::device::SmartNic;
-use snic_core::instr::{LaunchRequest, NfImage};
-use snic_crypto::keys::VendorCa;
+use snic_core::config::NicMode;
 use snic_mem::guard::Principal;
 use snic_nf::{NatNf, NetworkFunction, NullSink};
 use snic_pktio::rules::{RuleMatch, SwitchRule};
 use snic_types::packet::PacketBuilder;
-use snic_types::{ByteSize, CoreId, NfId, Protocol};
+use snic_types::{CoreId, NfId, Protocol};
 
-use crate::AttackOutcome;
+use crate::traced::lint_memory_of;
+use crate::{fresh_nic, launch, victim_buffers, AttackOutcome};
 
 /// Execute the attack against a freshly built device in `mode`.
 pub fn run_packet_corruption(mode: NicMode) -> AttackOutcome {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xa77ac1);
-    let vendor = VendorCa::new(&mut rng);
-    let mut nic = SmartNic::new(NicConfig::small(mode), &vendor);
+    let mut nic = fresh_nic(mode, 0xa77ac1);
 
-    // Launch the MazuNAT victim with a rule steering port-80 traffic.
-    let mut victim_req = LaunchRequest::minimal(
-        CoreId(0),
-        ByteSize::mib(8),
-        NfImage {
-            code: b"mazu-nat".to_vec(),
-            config: vec![],
-        },
-    );
-    victim_req.rules.push(SwitchRule {
+    // The MazuNAT victim, with a rule steering port-80 traffic, and the
+    // malicious co-tenant.
+    let port_80 = SwitchRule {
         dst_port: RuleMatch::Exact(80),
         priority: 10,
         ..SwitchRule::any(NfId(0))
-    });
-    let victim = nic.nf_launch(victim_req).expect("victim launch").nf_id;
-
-    // Launch the malicious co-tenant.
-    let attacker_req = LaunchRequest::minimal(
-        CoreId(1),
-        ByteSize::mib(4),
-        NfImage {
-            code: b"malicious".to_vec(),
-            config: vec![],
-        },
-    );
-    let attacker = nic.nf_launch(attacker_req).expect("attacker launch").nf_id;
+    };
+    let victim = launch(&mut nic, 0, 8, b"mazu-nat", vec![], vec![port_80]);
+    let attacker = launch(&mut nic, 1, 4, b"malicious", vec![], vec![]);
 
     // A client packet arrives for the NAT.
     let original = PacketBuilder::new(0x0a00_0001, 0xc633_0001, Protocol::Tcp, 4321, 80)
         .payload(b"client data".to_vec())
         .build();
-    assert_eq!(nic.rx_packet(&original).expect("rx"), Some(victim));
+    // Cannot fail: the port-80 rule steers the frame into the victim's
+    // empty RX ring.
+    assert_eq!(nic.rx_packet(&original), Ok(Some(victim)));
 
-    // --- The attack: scan allocator metadata for the victim's packet
-    // buffers and flip destination-IP bytes in place. ---
+    // --- The attack, recorded: find the victim's packet buffers in the
+    // allocator metadata and flip destination-IP bytes in place. ---
+    nic.start_audit();
     let me = Principal::Nf(attacker, CoreId(1));
     let mut corrupted_any = false;
-    for slot in 0..META_SLOTS {
-        let Ok(meta) = BufferAllocator::read_slot(nic_guard(&nic), me, slot) else {
-            break; // Denied: S-NIC stopped the scan at the first read.
-        };
-        if meta.owner == victim && meta.in_use() && meta.is_packet() && meta.len > 0 {
-            // Corrupt the IPv4 destination address (offset 14 + 16).
-            let mut bad = [0xffu8; 4];
-            if nic.mem_read(me, meta.base + 30, &mut bad).is_ok() {
-                for b in &mut bad {
-                    *b ^= 0xff;
-                }
-                if nic.mem_write(me, meta.base + 30, &bad).is_ok() {
-                    corrupted_any = true;
-                }
+    for meta in victim_buffers(&nic, me, victim, true) {
+        // Corrupt the IPv4 destination address (offset 14 + 16).
+        let mut bad = [0xffu8; 4];
+        if nic.mem_read(me, meta.base + 30, &mut bad).is_ok() {
+            for b in &mut bad {
+                *b ^= 0xff;
             }
+            corrupted_any |= nic.mem_write(me, meta.base + 30, &bad).is_ok();
         }
     }
+    // Linted before the victim polls: polling frees the packet buffer,
+    // which takes it out of the domain map.
+    let findings = lint_memory_of(&mut nic);
 
     // The victim now polls and runs its NAT over whatever is in DRAM.
-    let mut nat = NatNf::with_defaults(0);
+    // Cannot fail: the frame `rx_packet` queued above is still there.
     let delivered = nic
         .poll_packet(victim)
-        .expect("poll")
-        .expect("packet queued");
-    let verdict = nat.process(&delivered, &mut NullSink);
+        .ok()
+        .flatten()
+        .expect("queued frame");
+    let verdict = NatNf::with_defaults(0).process(&delivered, &mut NullSink);
 
     // Evidence of disruption: the delivered bytes differ from what was
     // sent, and the header checksum no longer validates.
@@ -102,12 +79,8 @@ pub fn run_packet_corruption(mode: NicMode) -> AttackOutcome {
             "corrupted_any={corrupted_any} tampered={tampered} \
              checksum_broken={checksum_broken} nat_verdict={verdict:?}"
         ),
+        findings,
     )
-}
-
-/// Borrow helper: read-only guard access for metadata scans.
-fn nic_guard(nic: &SmartNic) -> &snic_mem::guard::MemoryGuard {
-    nic.guard_ref()
 }
 
 #[cfg(test)]

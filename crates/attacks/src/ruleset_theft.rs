@@ -7,17 +7,13 @@
 //! function to learn which threat signatures a target application is
 //! using."
 
-use rand::SeedableRng;
-use snic_core::alloc::{BufferAllocator, META_SLOTS};
-use snic_core::config::{NicConfig, NicMode};
-use snic_core::device::SmartNic;
-use snic_core::instr::{LaunchRequest, NfImage};
-use snic_crypto::keys::VendorCa;
+use snic_core::config::NicMode;
 use snic_mem::guard::Principal;
 use snic_nf::dpi::synth_patterns;
-use snic_types::{ByteSize, CoreId};
+use snic_types::CoreId;
 
-use crate::AttackOutcome;
+use crate::traced::lint_memory_of;
+use crate::{fresh_nic, launch, victim_buffers, AttackOutcome};
 
 /// Serialize a pattern list the way the victim's config blob stores it:
 /// `count: u32 | (len: u16 | bytes)*`.
@@ -47,50 +43,28 @@ pub fn parse_ruleset(data: &[u8]) -> Option<Vec<Vec<u8>>> {
 
 /// Execute the attack against a freshly built device in `mode`.
 pub fn run_ruleset_theft(mode: NicMode) -> AttackOutcome {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xd91);
-    let vendor = VendorCa::new(&mut rng);
-    let mut nic = SmartNic::new(NicConfig::small(mode), &vendor);
+    let mut nic = fresh_nic(mode, 0xd91);
 
     // The victim DPI function's threat signatures live in its config blob.
     let secret_patterns = synth_patterns(200, 0x5ec2e7);
-    let ruleset_blob = serialize_ruleset(&secret_patterns);
-    let victim_req = LaunchRequest::minimal(
-        CoreId(0),
-        ByteSize::mib(8),
-        NfImage {
-            code: b"dpi-engine".to_vec(),
-            config: ruleset_blob.clone(),
-        },
-    );
-    let victim = nic.nf_launch(victim_req).expect("victim launch").nf_id;
+    let ruleset = serialize_ruleset(&secret_patterns);
+    let victim = launch(&mut nic, 0, 8, b"dpi-engine", ruleset, vec![]);
+    let attacker = launch(&mut nic, 1, 4, b"thief", vec![], vec![]);
 
-    let attacker_req = LaunchRequest::minimal(
-        CoreId(1),
-        ByteSize::mib(4),
-        NfImage {
-            code: b"thief".to_vec(),
-            config: vec![],
-        },
-    );
-    let attacker = nic.nf_launch(attacker_req).expect("attacker launch").nf_id;
-
-    // --- The attack: walk allocator metadata for the victim's image
-    // buffer and read the ruleset out of DRAM. ---
+    // --- The attack, recorded: find the victim's image buffer in the
+    // allocator metadata and read the ruleset out of DRAM. ---
+    nic.start_audit();
     let me = Principal::Nf(attacker, CoreId(1));
     let mut stolen: Option<Vec<Vec<u8>>> = None;
-    for slot in 0..META_SLOTS {
-        let Ok(meta) = BufferAllocator::read_slot(nic.guard_ref(), me, slot) else {
-            break;
-        };
-        if meta.owner == victim && meta.in_use() && !meta.is_packet() && meta.len > 0 {
-            // The image is code || config; skip the code prefix.
-            let code_len = b"dpi-engine".len() as u64;
-            let mut buf = vec![0u8; (meta.len - code_len) as usize];
-            if nic.mem_read(me, meta.base + code_len, &mut buf).is_ok() {
-                stolen = parse_ruleset(&buf);
-            }
+    for meta in victim_buffers(&nic, me, victim, false) {
+        // The image is code || config; skip the code prefix.
+        let code_len = b"dpi-engine".len() as u64;
+        let mut buf = vec![0u8; meta.len.saturating_sub(code_len) as usize];
+        if nic.mem_read(me, meta.base + code_len, &mut buf).is_ok() {
+            stolen = parse_ruleset(&buf);
         }
     }
+    let findings = lint_memory_of(&mut nic);
 
     let succeeded = stolen.as_deref() == Some(&secret_patterns[..]);
     AttackOutcome::new(
@@ -100,6 +74,7 @@ pub fn run_ruleset_theft(mode: NicMode) -> AttackOutcome {
             Some(p) => format!("exfiltrated {} signatures; match={}", p.len(), succeeded),
             None => "no ruleset recovered".to_string(),
         },
+        findings,
     )
 }
 

@@ -1,11 +1,10 @@
-//! Pass 2 evidence: every attack scenario, re-run under the recorder.
+//! Pass 2 evidence: what the offline linter makes of each attack's run.
 //!
-//! The `run_*` functions in this crate decide attack success by looking
-//! at their *payload* (did the NAT translation break? did the ruleset
-//! match?). The traced variants here decide nothing themselves: they
-//! record what the scenario did — memory references from the guard's
-//! audit log, bus grants from the arbiter, cache accesses — and hand the
-//! recording to `snic-verify`'s offline [`TraceLinter`]. The linter's
+//! Every attack in this crate records what it does while it does it —
+//! memory references from the guard's audit log, bus grants as the
+//! arbiter issued them — and hands the recording to `snic-verify`'s
+//! offline [`TraceLinter`] through the helpers here before it judges its
+//! payload, so one run yields both the verdict and the findings. The
 //! findings are the evidence:
 //!
 //! - on a **commodity** device every scenario produces at least one
@@ -15,52 +14,49 @@
 //!   findings: the granted accesses never cross a domain, the temporal
 //!   bus grants match a solo replay, and partitioned cache outcomes are
 //!   a pure function of each tenant's own stream.
+//!
+//! [`lint_all`] collects them per scenario. Prime+Probe
+//! ([`traced_cache_probe`]) has no payload to judge and lives here whole.
 
-use rand::SeedableRng;
-use snic_core::alloc::{BufferAllocator, META_SLOTS};
-use snic_core::config::{NicConfig, NicMode};
+use snic_core::config::NicMode;
 use snic_core::device::SmartNic;
-use snic_core::instr::{LaunchRequest, NfImage};
-use snic_crypto::keys::VendorCa;
-use snic_mem::guard::Principal;
-use snic_pktio::rules::{RuleMatch, SwitchRule};
-use snic_types::packet::PacketBuilder;
-use snic_types::{AccelKind, ByteSize, CoreId, NfId, Protocol};
-use snic_uarch::bus::{Arbiter, FcfsArbiter, TemporalArbiter};
+use snic_types::AccelKind;
+use snic_uarch::bus::{BusArbiter, EPOCH_CYCLES};
 use snic_uarch::cache::{Cache, CacheConfig, Partition};
 use snic_verify::{
     BusGrantEvent, BusSpec, CacheAccessEvent, DeviceSpec, EnforcementMode, Finding, TraceBundle,
     TraceLinter,
 };
 
-use crate::watermark::{test_pattern, ATTACKER_BEAT, VICTIM_BEAT, VICTIM_PERIOD, WINDOW_CYCLES};
-
-/// Bus epoch used by the S-NIC temporal arbiter (must match the device).
-const BUS_EPOCH: u64 = 96;
+use crate::{
+    run_bus_dos, run_nicos_tamper, run_packet_corruption, run_ruleset_theft, run_watermark,
+};
 
 /// One scenario's recording, linted.
 #[derive(Debug, Clone)]
 pub struct TracedScenario {
-    /// Scenario name (matches the `run_*` attack it shadows).
+    /// Scenario name (matches the `run_*` attack it comes from).
     pub name: &'static str,
     /// What the offline linter flagged.
     pub findings: Vec<Finding>,
 }
 
-/// A traced attack replay: device mode in, linter findings out.
+/// A scenario run: device mode in, linter findings out.
 type Scenario = fn(NicMode) -> Vec<Finding>;
 
-/// Every traced scenario, by name, in reporting order.
+/// Every scenario, by name, in reporting order.
 const SCENARIOS: [(&str, Scenario); 6] = [
-    ("packet_corruption", traced_packet_corruption),
-    ("ruleset_theft", traced_ruleset_theft),
-    ("nicos_tamper", traced_nicos_tamper),
-    ("bus_dos", traced_bus_dos),
-    ("watermark", traced_watermark),
+    ("packet_corruption", |mode| {
+        run_packet_corruption(mode).findings
+    }),
+    ("ruleset_theft", |mode| run_ruleset_theft(mode).findings),
+    ("nicos_tamper", |mode| run_nicos_tamper(mode).findings),
+    ("bus_dos", |mode| run_bus_dos(mode).findings),
+    ("watermark", |mode| run_watermark(mode).1),
     ("cache_probe", traced_cache_probe),
 ];
 
-/// Run every traced scenario against `mode` and lint the recordings.
+/// Run every scenario against `mode` and collect what the linter flagged.
 ///
 /// Each scenario builds its own device and records in isolation, so the
 /// six runs fan across the `snic-sim` worker pool; the reporting order
@@ -72,28 +68,9 @@ pub fn lint_all(mode: NicMode) -> Vec<TracedScenario> {
     })
 }
 
-fn fresh_nic(mode: NicMode, seed: u64) -> SmartNic {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let vendor = VendorCa::new(&mut rng);
-    SmartNic::new(NicConfig::small(mode), &vendor)
-}
-
-fn launch(nic: &mut SmartNic, core: u16, mem_mib: u64, code: &[u8], config: Vec<u8>) -> NfId {
-    nic.nf_launch(LaunchRequest::minimal(
-        CoreId(core),
-        ByteSize::mib(mem_mib),
-        NfImage {
-            code: code.to_vec(),
-            config,
-        },
-    ))
-    .expect("scenario launch")
-    .nf_id
-}
-
 /// Lint whatever the audit log captured since `start_audit`, against the
 /// device's own spec and current domain map.
-fn lint_memory_of(nic: &mut SmartNic) -> Vec<Finding> {
+pub(crate) fn lint_memory_of(nic: &mut SmartNic) -> Vec<Finding> {
     let spec = nic.device_spec();
     let domains = nic.security_domains();
     let bundle = TraceBundle {
@@ -103,108 +80,35 @@ fn lint_memory_of(nic: &mut SmartNic) -> Vec<Finding> {
     TraceLinter::new(&spec, domains).lint(&bundle)
 }
 
-/// The §3.3 packet-corruption scenario under the recorder: scan the
-/// shared allocator's metadata for the victim's packet buffers, then
-/// flip header bytes in place.
-pub fn traced_packet_corruption(mode: NicMode) -> Vec<Finding> {
-    let mut nic = fresh_nic(mode, 0x77ac1);
-    let mut victim_req = LaunchRequest::minimal(
-        CoreId(0),
-        ByteSize::mib(8),
-        NfImage {
-            code: b"mazu-nat".to_vec(),
-            config: vec![],
-        },
-    );
-    victim_req.rules.push(SwitchRule {
-        dst_port: RuleMatch::Exact(80),
-        priority: 10,
-        ..SwitchRule::any(NfId(0))
+/// Ask `arbiter` for the bus on behalf of `domain` and log the grant as
+/// the arbiter issued it; returns the cycle the transfer starts.
+pub(crate) fn record_grant(
+    arbiter: &mut BusArbiter,
+    log: &mut Vec<BusGrantEvent>,
+    domain: u32,
+    ready: u64,
+    duration: u64,
+) -> u64 {
+    let granted = arbiter.grant(domain, ready, duration);
+    log.push(BusGrantEvent {
+        domain,
+        ready,
+        duration,
+        granted,
     });
-    let victim = nic.nf_launch(victim_req).expect("victim launch").nf_id;
-    let attacker = launch(&mut nic, 1, 4, b"malicious", vec![]);
-    let pkt = PacketBuilder::new(0x0a00_0001, 0xc633_0001, Protocol::Tcp, 4321, 80)
-        .payload(b"client data".to_vec())
-        .build();
-    nic.rx_packet(&pkt).expect("rx");
-
-    nic.start_audit();
-    let me = Principal::Nf(attacker, CoreId(1));
-    for slot in 0..META_SLOTS {
-        let Ok(meta) = BufferAllocator::read_slot(nic.guard_ref(), me, slot) else {
-            break;
-        };
-        if meta.owner == victim && meta.in_use() && meta.is_packet() && meta.len > 0 {
-            let mut bad = [0u8; 4];
-            if nic.mem_read(me, meta.base + 30, &mut bad).is_ok() {
-                for b in &mut bad {
-                    *b ^= 0xff;
-                }
-                let _ = nic.mem_write(me, meta.base + 30, &bad);
-            }
-        }
-    }
-    lint_memory_of(&mut nic)
+    granted
 }
 
-/// The §3.3 ruleset-theft scenario under the recorder: walk the metadata
-/// table for the victim's image buffer and read the ruleset out of DRAM.
-pub fn traced_ruleset_theft(mode: NicMode) -> Vec<Finding> {
-    let mut nic = fresh_nic(mode, 0xd91);
-    let ruleset = crate::ruleset_theft::serialize_ruleset(&snic_nf::dpi::synth_patterns(50, 7));
-    let victim = launch(&mut nic, 0, 8, b"dpi-engine", ruleset);
-    let attacker = launch(&mut nic, 1, 4, b"thief", vec![]);
-
-    nic.start_audit();
-    let me = Principal::Nf(attacker, CoreId(1));
-    for slot in 0..META_SLOTS {
-        let Ok(meta) = BufferAllocator::read_slot(nic.guard_ref(), me, slot) else {
-            break;
-        };
-        if meta.owner == victim && meta.in_use() && !meta.is_packet() && meta.len > 0 {
-            let code_len = b"dpi-engine".len() as u64;
-            let mut buf = vec![0u8; (meta.len - code_len) as usize];
-            let _ = nic.mem_read(me, meta.base + code_len, &mut buf);
-        }
-    }
-    lint_memory_of(&mut nic)
-}
-
-/// The NIC-OS tampering scenario under the recorder: the management
-/// plane reads a tenant secret and patches tenant code. The recording is
-/// drained *before* teardown — post-teardown management access to the
-/// scrubbed region is legitimately granted and must not pollute the
-/// trace.
-pub fn traced_nicos_tamper(mode: NicMode) -> Vec<Finding> {
-    let mut nic = fresh_nic(mode, 0x517);
-    let nf = launch(&mut nic, 0, 4, b"tls-terminator", vec![]);
-    nic.nf_write(nf, CoreId(0), 0x1000, b"TLS-PRIVATE-KEY-0xA1B2")
-        .ok();
-    let (base, _) = nic.record_of(nf).expect("live").region;
-    if mode == NicMode::Commodity {
-        nic.mem_write(
-            Principal::TrustedHardware,
-            base + 0x1000,
-            b"TLS-PRIVATE-KEY-0xA1B2",
-        )
-        .expect("plant secret");
-    }
-
-    nic.start_audit();
-    let mut stolen = [0u8; 22];
-    let _ = nic.mem_read(Principal::Management, base + 0x1000, &mut stolen);
-    let _ = nic.mem_write(Principal::Management, base, b"evil-jump");
-    lint_memory_of(&mut nic)
-}
-
-/// A hardware inventory for the bus/cache scenarios, which never build a
-/// full device (no memory is involved, only arbiter/cache models).
-fn synthetic_spec(mode: NicMode) -> DeviceSpec {
+/// A hardware inventory for the scenarios that never build a full device
+/// (no memory is involved, only arbiter/cache models).
+pub(crate) fn synthetic_spec(mode: NicMode) -> DeviceSpec {
     let (mode, bus) = match mode {
         NicMode::Commodity => (EnforcementMode::Commodity, BusSpec::Fcfs),
         NicMode::Snic => (
             EnforcementMode::Snic,
-            BusSpec::Temporal { epoch: BUS_EPOCH },
+            BusSpec::Temporal {
+                epoch: EPOCH_CYCLES,
+            },
         ),
     };
     DeviceSpec {
@@ -219,83 +123,6 @@ fn synthetic_spec(mode: NicMode) -> DeviceSpec {
         tx_capacity: 8 << 20,
         bus,
     }
-}
-
-fn arbiter_for(mode: NicMode) -> Box<dyn Arbiter> {
-    match mode {
-        NicMode::Commodity => Box::new(FcfsArbiter::new()),
-        NicMode::Snic => Box::new(TemporalArbiter::new(2, BUS_EPOCH)),
-    }
-}
-
-/// The §3.3 bus-DoS scenario under the recorder: the attacker (domain 1)
-/// floods the bus while the victim (domain 0) issues a sparse request
-/// stream; every grant is recorded as seen at the arbiter.
-pub fn traced_bus_dos(mode: NicMode) -> Vec<Finding> {
-    let mut arb = arbiter_for(mode);
-    let mut bus = Vec::new();
-    let grant = |arb: &mut dyn Arbiter, domain: u32, ready: u64, duration: u64| {
-        let granted = arb.grant(domain, ready, duration);
-        BusGrantEvent {
-            domain,
-            ready,
-            duration,
-            granted,
-        }
-    };
-    let mut victim_ready = 5u64;
-    for i in 0..200u64 {
-        bus.push(grant(arb.as_mut(), 1, i * 10, ATTACKER_BEAT));
-        if i.is_multiple_of(8) {
-            bus.push(grant(arb.as_mut(), 0, victim_ready, VICTIM_BEAT));
-            victim_ready += 150;
-        }
-    }
-    let bundle = TraceBundle {
-        bus,
-        ..TraceBundle::default()
-    };
-    TraceLinter::new(&synthetic_spec(mode), Vec::new()).lint(&bundle)
-}
-
-/// The §4.5 watermark scenario under the recorder: the attacker imprints
-/// a bit pattern by flooding in '1' windows; the victim's steady cadence
-/// is recorded alongside.
-pub fn traced_watermark(mode: NicMode) -> Vec<Finding> {
-    let mut arb = arbiter_for(mode);
-    let mut bus = Vec::new();
-    for (w, &bit) in test_pattern().iter().enumerate() {
-        let start = w as u64 * WINDOW_CYCLES;
-        if bit {
-            let mut t = start;
-            while t < start + WINDOW_CYCLES {
-                let granted = arb.grant(1, t, ATTACKER_BEAT);
-                bus.push(BusGrantEvent {
-                    domain: 1,
-                    ready: t,
-                    duration: ATTACKER_BEAT,
-                    granted,
-                });
-                t += ATTACKER_BEAT;
-            }
-        }
-        let mut t = start;
-        while t < start + WINDOW_CYCLES {
-            let granted = arb.grant(0, t, VICTIM_BEAT);
-            bus.push(BusGrantEvent {
-                domain: 0,
-                ready: t,
-                duration: VICTIM_BEAT,
-                granted,
-            });
-            t += VICTIM_PERIOD;
-        }
-    }
-    let bundle = TraceBundle {
-        bus,
-        ..TraceBundle::default()
-    };
-    TraceLinter::new(&synthetic_spec(mode), Vec::new()).lint(&bundle)
 }
 
 /// Prime+Probe under the recorder: the attacker (tenant 1) parks lines
@@ -344,26 +171,6 @@ pub fn traced_cache_probe(mode: NicMode) -> Vec<Finding> {
 mod tests {
     use super::*;
     use snic_verify::FindingKind;
-
-    #[test]
-    fn commodity_bus_dos_interferes_and_snic_does_not() {
-        let fs = traced_bus_dos(NicMode::Commodity);
-        assert!(
-            fs.iter().any(|f| f.kind == FindingKind::BusInterference),
-            "{fs:?}"
-        );
-        assert!(traced_bus_dos(NicMode::Snic).is_empty());
-    }
-
-    #[test]
-    fn commodity_watermark_interferes_and_snic_does_not() {
-        let fs = traced_watermark(NicMode::Commodity);
-        assert!(
-            fs.iter().any(|f| f.kind == FindingKind::BusInterference),
-            "{fs:?}"
-        );
-        assert!(traced_watermark(NicMode::Snic).is_empty());
-    }
 
     #[test]
     fn commodity_cache_probe_flagged_and_snic_clean() {

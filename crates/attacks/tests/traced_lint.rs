@@ -1,5 +1,5 @@
-//! The tentpole acceptance test for `snic-verify`'s Pass 2: run every
-//! attack scenario under the trace recorder and lint the recordings.
+//! The tentpole acceptance test for `snic-verify`'s Pass 2: lint every
+//! attack scenario's own recording.
 //!
 //! Commodity mode must light up at least one finding per scenario — the
 //! enabling pattern of each §3.3 attack is visible in the trace. S-NIC
@@ -11,17 +11,6 @@
 use snic_attacks::traced::lint_all;
 use snic_core::config::NicMode;
 use snic_verify::FindingKind;
-
-#[test]
-fn every_scenario_flagged_on_commodity() {
-    for scenario in lint_all(NicMode::Commodity) {
-        assert!(
-            !scenario.findings.is_empty(),
-            "commodity trace of `{}` must produce findings",
-            scenario.name
-        );
-    }
-}
 
 #[test]
 fn no_scenario_flagged_on_snic() {
@@ -38,6 +27,7 @@ fn no_scenario_flagged_on_snic() {
 #[test]
 fn commodity_findings_name_the_expected_patterns() {
     let scenarios = lint_all(NicMode::Commodity);
+    assert_eq!(scenarios.len(), 6);
     let kinds_of = |name: &str| -> Vec<FindingKind> {
         scenarios
             .iter()

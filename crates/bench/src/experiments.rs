@@ -202,7 +202,8 @@ fn attacks(_: &Scale, _: bool) -> String {
         out,
         "bus flood latency impact on victim: FCFS +{fcfs} cycles, temporal partitioning +{temporal} cycles"
     );
-    let (wm_fcfs, wm_temporal) = watermark::run_watermark();
+    let (wm_fcfs, _) = watermark::run_watermark(NicMode::Commodity);
+    let (wm_temporal, _) = watermark::run_watermark(NicMode::Snic);
     let _ = writeln!(
         out,
         "watermark fidelity (§4.5): FCFS {:.0}% decoded, temporal partitioning {:.0}% (chance)",
@@ -306,9 +307,8 @@ fn provision(mode: NicMode) -> (SmartNic, snic_types::NfId) {
 /// verifies the manifest sets of freshly provisioned devices in both
 /// modes, then demonstrates a refusal: a launch whose region overlaps a
 /// live function is rejected by the verifier (with a paper citation)
-/// before any device state changes. Pass 2 replays every attack
-/// scenario under the trace recorder and prints what the offline linter
-/// flagged.
+/// before any device state changes. Pass 2 runs every attack scenario
+/// with the recorder on and prints what the offline linter flagged.
 fn verify(_: &Scale, _: bool) -> String {
     let mut out = String::from("== Pass 1: manifest verification ==\n\n");
     for mode in [NicMode::Commodity, NicMode::Snic] {

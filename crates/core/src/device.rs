@@ -43,10 +43,6 @@ use crate::instr::{
 /// Physical base of the region pool used for S-NIC private regions.
 const REGION_BASE: u64 = 0x0800_0000;
 
-/// Epoch length (bus cycles) of the S-NIC temporal arbiter — the §4.5
-/// convention used across the attacks and uarch crates.
-const BUS_EPOCH: u64 = 96;
-
 /// Teardown zeroization proceeds in chunks of this size; the scrub
 /// watermark (and any injected power loss) has chunk granularity.
 const SCRUB_CHUNK: u64 = 256 * 1024;
@@ -521,7 +517,9 @@ impl SmartNic {
             NicMode::Commodity => (EnforcementMode::Commodity, BusSpec::Fcfs),
             NicMode::Snic => (
                 EnforcementMode::Snic,
-                BusSpec::Temporal { epoch: BUS_EPOCH },
+                BusSpec::Temporal {
+                    epoch: snic_uarch::bus::EPOCH_CYCLES,
+                },
             ),
         };
         DeviceSpec {

@@ -9,6 +9,11 @@
 //! *issue* during the early part of its own epoch so that in-flight
 //! operations finish before the epoch ends.
 
+/// Epoch length, in bus cycles, of the S-NIC temporal arbiter (§4.5): the
+/// one value the device model, the uarch machine and the attack harnesses
+/// all run with.
+pub const EPOCH_CYCLES: u64 = 96;
+
 /// Which arbiter a simulation uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BusKind {
@@ -19,14 +24,6 @@ pub enum BusKind {
         /// Number of security domains sharing the bus.
         domains: u32,
     },
-}
-
-/// A bus arbiter: answers "when may this request occupy the bus?".
-pub trait Arbiter {
-    /// Given a request from `domain` that becomes ready at cycle `ready`
-    /// and occupies the bus for `duration` cycles, return the cycle at
-    /// which the transfer *starts*.
-    fn grant(&mut self, domain: u32, ready: u64, duration: u64) -> u64;
 }
 
 /// First-come-first-served arbiter: a single busy-until register.
@@ -44,21 +41,18 @@ impl FcfsArbiter {
     pub fn new() -> FcfsArbiter {
         FcfsArbiter::default()
     }
-}
 
-impl Arbiter for FcfsArbiter {
-    fn grant(&mut self, _domain: u32, ready: u64, duration: u64) -> u64 {
+    /// See [`BusArbiter::grant`]; `domain` does not matter to FCFS.
+    pub fn grant(&mut self, _domain: u32, ready: u64, duration: u64) -> u64 {
         let start = ready.max(self.busy_until);
         self.busy_until = start + duration;
         start
     }
 }
 
-/// The engine's devirtualized arbiter: a closed enum over the two bus
-/// disciplines so the per-L2-miss grant is a direct (inlinable) call
-/// instead of a `Box<dyn Arbiter>` vtable dispatch. The [`Arbiter`]
-/// trait remains the extension point for the attack/verify harnesses,
-/// which drive arbiters generically.
+/// A bus arbiter: a closed enum over the two bus disciplines, so the
+/// engine's per-L2-miss grant is a direct (inlinable) call. The engine,
+/// the attack harnesses and Pass 2's solo replays all drive this type.
 #[derive(Debug)]
 pub enum BusArbiter {
     /// First-come-first-served (commodity baseline).
@@ -78,19 +72,15 @@ impl BusArbiter {
         }
     }
 
-    /// See [`Arbiter::grant`].
+    /// Given a request from `domain` that becomes ready at cycle `ready`
+    /// and occupies the bus for `duration` cycles, return the cycle at
+    /// which the transfer *starts*.
     #[inline]
     pub fn grant(&mut self, domain: u32, ready: u64, duration: u64) -> u64 {
         match self {
             BusArbiter::Fcfs(a) => a.grant(domain, ready, duration),
             BusArbiter::Temporal(a) => a.grant(domain, ready, duration),
         }
-    }
-}
-
-impl Arbiter for BusArbiter {
-    fn grant(&mut self, domain: u32, ready: u64, duration: u64) -> u64 {
-        BusArbiter::grant(self, domain, ready, duration)
     }
 }
 
@@ -112,7 +102,7 @@ pub struct TemporalArbiter {
     own_busy_until: Vec<u64>,
     /// Start of the most recent epoch each domain was granted in
     /// (initially the domain's first owned epoch). Purely a memo for
-    /// [`Arbiter::grant`]'s fast path: grants that land inside the
+    /// [`TemporalArbiter::grant`]'s fast path: grants that land inside the
     /// remembered window skip [`TemporalArbiter::next_window`]'s
     /// divisions entirely. Invariant: `win_start[d]` is always a
     /// multiple of `epoch` whose epoch index is owned by `d`.
@@ -162,16 +152,16 @@ impl TemporalArbiter {
             candidate = next_owned * self.epoch;
         }
     }
-}
 
-impl Arbiter for TemporalArbiter {
+    /// See [`BusArbiter::grant`].
+    ///
     /// # Panics
     ///
     /// Panics if `domain` is outside the configured schedule. Wrapping
     /// it (the old `domain % domains` behaviour) would silently hand
     /// two NFs the *same* epoch slot, coupling their grant times and
     /// masking exactly the interference this arbiter exists to prevent.
-    fn grant(&mut self, domain: u32, ready: u64, duration: u64) -> u64 {
+    pub fn grant(&mut self, domain: u32, ready: u64, duration: u64) -> u64 {
         let d = u64::from(domain);
         assert!(
             d < self.domains,

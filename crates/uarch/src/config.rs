@@ -6,7 +6,7 @@
 //! size, L1 cache size, and cache associativity and latency to match
 //! those of the Marvell smart NIC described in the iPipe paper."
 
-use crate::bus::BusKind;
+use crate::bus::{BusKind, EPOCH_CYCLES};
 use crate::cache::{CacheConfig, Partition};
 
 /// Full machine configuration for one colocation run.
@@ -54,7 +54,7 @@ impl MachineConfig {
             dram_cycles: 110,
             bus_beat_cycles: 16,
             bus: BusKind::Fcfs,
-            epoch_cycles: 96,
+            epoch_cycles: EPOCH_CYCLES,
         }
     }
 

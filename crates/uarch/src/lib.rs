@@ -44,7 +44,7 @@ pub mod reference;
 pub mod simd;
 pub mod stream;
 
-pub use bus::{Arbiter, BusKind, FcfsArbiter, TemporalArbiter};
+pub use bus::{BusKind, FcfsArbiter, TemporalArbiter};
 pub use cache::{Cache, CacheConfig, Partition};
 pub use config::MachineConfig;
 pub use engine::{

@@ -7,6 +7,7 @@
 
 use snic_pktio::vpp::VppBufferSpec;
 use snic_types::{AccelKind, CoreId, NfId};
+use snic_uarch::bus::{BusArbiter, FcfsArbiter, TemporalArbiter};
 
 /// Whether the device enforces S-NIC's isolation mechanisms.
 ///
@@ -36,6 +37,19 @@ pub enum BusSpec {
         /// Cycles per epoch.
         epoch: u64,
     },
+}
+
+impl BusSpec {
+    /// A fresh, idle arbiter of this discipline for `domains` security
+    /// domains (FCFS has no schedule, so it ignores the count).
+    pub fn arbiter(self, domains: u32) -> BusArbiter {
+        match self {
+            BusSpec::Fcfs => BusArbiter::Fcfs(FcfsArbiter::new()),
+            BusSpec::Temporal { epoch } => {
+                BusArbiter::Temporal(TemporalArbiter::new(domains, epoch))
+            }
+        }
+    }
 }
 
 /// The hardware inventory the manifests are verified against.

@@ -20,7 +20,6 @@ use std::collections::{BTreeSet, HashMap};
 
 use snic_mem::guard::{AccessKind, AccessRecord, Principal};
 use snic_types::NfId;
-use snic_uarch::bus::{Arbiter, FcfsArbiter, TemporalArbiter};
 use snic_uarch::cache::{Cache, CacheConfig, Partition};
 
 use crate::report::{Finding, FindingActor, FindingKind};
@@ -251,10 +250,7 @@ impl TraceLinter {
         let mut replays: Vec<(u32, Vec<&BusGrantEvent>)> = per_domain.into_iter().collect();
         replays.sort_unstable_by_key(|(d, _)| *d);
         let findings = snic_sim::par_map(replays, |(d, events)| {
-            let mut solo: Box<dyn Arbiter> = match self.bus {
-                BusSpec::Fcfs => Box::new(FcfsArbiter::new()),
-                BusSpec::Temporal { epoch } => Box::new(TemporalArbiter::new(domain_count, epoch)),
-            };
+            let mut solo = self.bus.arbiter(domain_count);
             let mut delayed = 0usize;
             let mut total_delay = 0u64;
             let mut example = None;
@@ -366,6 +362,7 @@ mod tests {
     use super::*;
     use crate::spec::EnforcementMode;
     use snic_types::{AccelKind, CoreId};
+    use snic_uarch::bus::BusArbiter;
     use snic_uarch::cache::{Cache, Partition};
 
     const MB: u64 = 1 << 20;
@@ -469,7 +466,7 @@ mod tests {
 
     /// Drive the same request pattern through a real arbiter and lint
     /// the resulting grants.
-    fn bus_trace(arbiter: &mut dyn Arbiter) -> Vec<BusGrantEvent> {
+    fn bus_trace(arbiter: &mut BusArbiter) -> Vec<BusGrantEvent> {
         let mut out = Vec::new();
         // Attacker (domain 1) floods; victim (domain 0) issues sparsely.
         let mut victim_ready = 5u64;
@@ -499,8 +496,7 @@ mod tests {
     #[test]
     fn fcfs_bus_interference_flagged() {
         let l = linter(BusSpec::Fcfs);
-        let mut arb = FcfsArbiter::new();
-        let fs = l.lint_bus(&bus_trace(&mut arb));
+        let fs = l.lint_bus(&bus_trace(&mut BusSpec::Fcfs.arbiter(2)));
         assert!(
             fs.iter()
                 .any(|f| f.kind == FindingKind::BusInterference
@@ -511,9 +507,8 @@ mod tests {
 
     #[test]
     fn temporal_bus_lints_clean() {
-        let l = linter(BusSpec::Temporal { epoch: 96 });
-        let mut arb = TemporalArbiter::new(2, 96);
-        let fs = l.lint_bus(&bus_trace(&mut arb));
+        let bus = BusSpec::Temporal { epoch: 96 };
+        let fs = linter(bus).lint_bus(&bus_trace(&mut bus.arbiter(2)));
         assert!(fs.is_empty(), "temporal grants are solo-identical: {fs:?}");
     }
 
@@ -642,7 +637,6 @@ mod tests {
             line: 64,
         };
         let l = linter(BusSpec::Fcfs).with_cache(cfg, Partition::Shared);
-        let mut arb = FcfsArbiter::new();
         let mut cache = Cache::new(cfg, Partition::Shared);
         let bundle = TraceBundle {
             memory: vec![rec(
@@ -651,7 +645,7 @@ mod tests {
                 AccessKind::Load,
                 true,
             )],
-            bus: bus_trace(&mut arb),
+            bus: bus_trace(&mut BusSpec::Fcfs.arbiter(2)),
             cache: cache_trace(&mut cache, cfg),
         };
         let kinds: BTreeSet<String> = l

@@ -340,7 +340,9 @@ fn verify_main(args: &[String]) -> Result<String, String> {
         accel: vec![(AccelKind::Crypto, 8), (AccelKind::Dpi, 8)],
         rx_capacity: 64 * MB,
         tx_capacity: 64 * MB,
-        bus: BusSpec::Temporal { epoch: 96 },
+        bus: BusSpec::Temporal {
+            epoch: snic::uarch::bus::EPOCH_CYCLES,
+        },
     };
     let mut manifests: Vec<VnicManifest> = (0..6u64)
         .map(|i| {
