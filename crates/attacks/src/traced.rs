@@ -23,10 +23,8 @@ use snic_core::device::SmartNic;
 use snic_types::AccelKind;
 use snic_uarch::bus::{BusArbiter, EPOCH_CYCLES};
 use snic_uarch::cache::{Cache, CacheConfig, Partition};
-use snic_verify::{
-    BusGrantEvent, BusSpec, CacheAccessEvent, DeviceSpec, EnforcementMode, Finding, TraceBundle,
-    TraceLinter,
-};
+use snic_uarch::{BusGrantRec, L2AccessRec};
+use snic_verify::{BusSpec, DeviceSpec, EnforcementMode, Finding, TraceBundle, TraceLinter};
 
 use crate::{
     run_bus_dos, run_nicos_tamper, run_packet_corruption, run_ruleset_theft, run_watermark,
@@ -84,13 +82,13 @@ pub(crate) fn lint_memory_of(nic: &mut SmartNic) -> Vec<Finding> {
 /// the arbiter issued it; returns the cycle the transfer starts.
 pub(crate) fn record_grant(
     arbiter: &mut BusArbiter,
-    log: &mut Vec<BusGrantEvent>,
+    log: &mut Vec<BusGrantRec>,
     domain: u32,
     ready: u64,
     duration: u64,
 ) -> u64 {
     let granted = arbiter.grant(domain, ready, duration);
-    log.push(BusGrantEvent {
+    log.push(BusGrantRec {
         domain,
         ready,
         duration,
@@ -142,9 +140,9 @@ pub fn traced_cache_probe(mode: NicMode) -> Vec<Finding> {
     let mut cache = Cache::new(cfg, partition.clone());
     let mut events = Vec::new();
     let stride = cfg.sets() * u64::from(cfg.line);
-    let touch = |cache: &mut Cache, tenant: u32, addr: u64, out: &mut Vec<CacheAccessEvent>| {
+    let touch = |cache: &mut Cache, tenant: u32, addr: u64, out: &mut Vec<L2AccessRec>| {
         let hit = cache.access(tenant, addr);
-        out.push(CacheAccessEvent { tenant, addr, hit });
+        out.push(L2AccessRec { tenant, addr, hit });
     };
     let prime = u64::from(cfg.ways) / 2;
     for _round in 0..6u64 {

@@ -17,7 +17,8 @@
 
 use snic_core::config::NicMode;
 use snic_uarch::bus::BusArbiter;
-use snic_verify::{BusGrantEvent, Finding, TraceLinter};
+use snic_uarch::BusGrantRec;
+use snic_verify::{Finding, TraceLinter};
 
 use crate::traced::{record_grant, synthetic_spec};
 
@@ -36,7 +37,7 @@ pub(crate) const ATTACKER_BEAT: u64 = 90;
 fn transmit_watermark(
     arbiter: &mut BusArbiter,
     watermark: &[bool],
-) -> (Vec<bool>, Vec<BusGrantEvent>) {
+) -> (Vec<bool>, Vec<BusGrantRec>) {
     let mut grants = Vec::new();
     let mut window_delays: Vec<f64> = Vec::with_capacity(watermark.len());
     for (w, &bit) in watermark.iter().enumerate() {

@@ -21,8 +21,8 @@
 //!   the perturbation through.
 //!
 //! Every run is deterministic: no wall clock, no unseeded RNG, and the
-//! sweep fans through `snic-sim`'s order-preserving pool, so the serial
-//! and parallel matrices are byte-identical
+//! sweep fans through `snic-sim`'s order-preserving pool, so the matrix
+//! is byte-identical however many threads the budget lends it
 //! (`crates/bench/tests/fault_determinism.rs`).
 
 use std::fmt::Write as _;
@@ -38,7 +38,7 @@ use snic_faults::{
 };
 use snic_nf::NfKind;
 use snic_pktio::rules::{RuleMatch, SwitchRule};
-use snic_sim::{execute, map_exec, Exec, SimJob};
+use snic_sim::{par_map, SimJob};
 use snic_types::mix::{fnv1a, FNV_OFFSET};
 use snic_types::packet::PacketBuilder;
 use snic_types::{AccelKind, ByteSize, CoreId, NfId, Packet, Protocol, SnicError};
@@ -207,6 +207,10 @@ pub fn run_episode(mode: NicMode, scenario: FaultScenario, faulted: bool) -> Epi
         },
     );
     victim_req.rules.push(port_rule(VICTIM_PORT));
+    // The three `expect`s below cannot fire: a fresh `NicConfig::small`
+    // device admits these two constant requests (free cores 0 and 1,
+    // 4 MiB each, one Zip cluster) with no fault plan armed yet, and a
+    // launched NF has a record.
     let victim = nic.nf_launch(victim_req).expect("victim launch").nf_id;
 
     let mut aggr_req = LaunchRequest::minimal(
@@ -512,6 +516,8 @@ pub struct UarchDiff {
 /// Fold one scenario's four outcomes (see [`uarch_jobs`] order) into a
 /// verdict.
 pub fn uarch_diff_from(outcomes: &[RunOutcome]) -> UarchDiff {
+    // Every caller folds the output of `uarch_jobs`, which always builds
+    // four jobs (whole, or as `chunks_exact(4)` of the matrix sweep).
     assert_eq!(outcomes.len(), 4, "one scenario = four runs");
     UarchDiff {
         commodity_bit_identical: outcomes[1].nfs[0] == outcomes[0].nfs[0],
@@ -538,24 +544,18 @@ pub struct ScenarioOutcome {
     pub uarch: UarchDiff,
 }
 
-/// Run the full matrix with the default (parallel) executor.
-pub fn blast_matrix(scale: &Scale) -> Vec<ScenarioOutcome> {
-    blast_matrix_with(Exec::Parallel, scale)
-}
-
 /// Run the full matrix: six scenarios × (device episodes on both
-/// personalities + four colocation runs each). Uarch jobs fan through
-/// [`execute`], device differentials through [`map_exec`]; both paths
-/// preserve input order, so serial and parallel matrices are
-/// byte-identical.
-pub fn blast_matrix_with(exec: Exec, scale: &Scale) -> Vec<ScenarioOutcome> {
+/// personalities + four colocation runs each). Uarch jobs and device
+/// differentials both fan through [`par_map`], which preserves input
+/// order, so the matrix does not depend on how many workers it got.
+pub fn blast_matrix(scale: &Scale) -> Vec<ScenarioOutcome> {
     let traces = all_traces(scale, 0xb1a57);
     let jobs: Vec<SimJob> = FaultScenario::ALL
         .iter()
         .flat_map(|&s| uarch_jobs(s, &traces))
         .collect();
-    let outcomes = execute(exec, jobs);
-    let device: Vec<(DeviceDiff, DeviceDiff)> = map_exec(exec, FaultScenario::ALL.to_vec(), |s| {
+    let outcomes = par_map(jobs, SimJob::run);
+    let device: Vec<(DeviceDiff, DeviceDiff)> = par_map(FaultScenario::ALL.to_vec(), |s| {
         (
             device_differential(NicMode::Commodity, s),
             device_differential(NicMode::Snic, s),

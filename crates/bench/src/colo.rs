@@ -15,7 +15,7 @@
 //! (`crates/bench/tests/streaming_differential.rs` holds this).
 //!
 //! Memory does not depend on run length. What it does depend on is how
-//! the run reaches the engine ([`snic_sim::run_sharded`]): an
+//! the run reaches the engine ([`snic_sim::SimJob::run`]): an
 //! interleaved run needs every tenant's NF resident at once — O(tenants
 //! × NF) — while a split S-NIC run simulates each tenant alone, and
 //! [`colo_spec`] then hands it *deferred* pipelines: a tenant's NF is
@@ -255,7 +255,7 @@ pub fn many_tenant_commodity(tenants: usize, l2_bytes: u64) -> MachineConfig {
 
 /// A re-windable job spec for one streamed colocation run.
 ///
-/// A run that [`snic_sim::run_sharded`] will split (`shards > 1` on a
+/// A run that [`snic_sim::SimJob::run`] will split (`shards > 1` on a
 /// shardable machine) gets deferred pipelines: building the job builds
 /// no NF, and each tenant's structures (flow tables, rule sets, automata,
 /// routes) live only while a worker simulates that tenant. An interleaved
@@ -480,7 +480,6 @@ pub fn render_billion(r: &BillionReport) -> String {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use snic_sim::Exec;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -719,7 +718,7 @@ mod tests {
             let sharded = colo_spec(&tiny(), &specs, many_tenant_snic(6, 1 << 20), shards).run();
             assert_eq!(serial.nfs, sharded.nfs, "shards={shards}");
         }
-        let parallel = snic_sim::map_exec(Exec::Parallel, vec![&spec_serial; 2], JobSpec::run);
+        let parallel = snic_sim::par_map(vec![&spec_serial; 2], JobSpec::run);
         assert_eq!(parallel[0].nfs, serial.nfs);
         assert_eq!(parallel[1].nfs, serial.nfs);
     }

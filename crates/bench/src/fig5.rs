@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 
 use snic_nf::NfKind;
-use snic_sim::{execute, Exec, SimJob};
+use snic_sim::{par_map, SimJob};
 use snic_uarch::config::MachineConfig;
 use snic_uarch::engine::RunOutcome;
 use snic_uarch::stream::{EventSource, SharedReplayStream};
@@ -101,16 +101,6 @@ fn points_from(degs: &[f64], group: usize) -> Vec<DegradationPoint> {
 
 /// Figure 5a: vary L2 size with two colocated NFs.
 pub fn fig5a(scale: &Scale, l2_sizes: &[u64]) -> Vec<(u64, Vec<DegradationPoint>)> {
-    fig5a_with(Exec::Parallel, scale, l2_sizes)
-}
-
-/// [`fig5a`] with an explicit executor (the serial path exists so the
-/// determinism test can hold the pool to bit-identical outputs).
-pub fn fig5a_with(
-    exec: Exec,
-    scale: &Scale,
-    l2_sizes: &[u64],
-) -> Vec<(u64, Vec<DegradationPoint>)> {
     let traces = all_traces(scale, 0xf15a);
     // Job order: size-major, then focus, then partner — two jobs
     // (commodity, snic) per colocation.
@@ -122,7 +112,7 @@ pub fn fig5a_with(
             }
         }
     }
-    let outcomes = execute(exec, jobs);
+    let outcomes = par_map(jobs, SimJob::run);
     let degs: Vec<f64> = outcomes.chunks_exact(2).map(degradation).collect();
     let per_size = NfKind::ALL.len() * NfKind::ALL.len();
     l2_sizes
@@ -142,20 +132,12 @@ pub fn fig5b(
     nf_counts: &[usize],
     l2_bytes: u64,
 ) -> Vec<(usize, Vec<DegradationPoint>)> {
-    fig5b_with(Exec::Parallel, scale, nf_counts, l2_bytes)
-}
-
-/// [`fig5b`] with an explicit executor.
-pub fn fig5b_with(
-    exec: Exec,
-    scale: &Scale,
-    nf_counts: &[usize],
-    l2_bytes: u64,
-) -> Vec<(usize, Vec<DegradationPoint>)> {
     let traces = all_traces(scale, 0xf15b);
     let rotations = NfKind::ALL.len();
     let mut jobs = Vec::new();
     for &n in nf_counts {
+        // Unreachable from the CLI: every caller passes constant counts
+        // >= 2 (`fig5b_report`'s sweeps, `golden::GOLDEN_NF_COUNTS`).
         assert!(n >= 2, "cotenancy below 2 is meaningless");
         for &focus in &NfKind::ALL {
             // Rotate which kinds fill the other n-1 slots.
@@ -167,7 +149,7 @@ pub fn fig5b_with(
             }
         }
     }
-    let outcomes = execute(exec, jobs);
+    let outcomes = par_map(jobs, SimJob::run);
     let degs: Vec<f64> = outcomes.chunks_exact(2).map(degradation).collect();
     let per_count = NfKind::ALL.len() * rotations;
     nf_counts

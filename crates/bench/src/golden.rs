@@ -14,8 +14,6 @@
 
 use std::fmt::Write as _;
 
-use snic_sim::Exec;
-
 use crate::fig5::{self, DegradationPoint};
 use crate::{fig6, fig8, Scale};
 
@@ -57,7 +55,7 @@ fn write_points(out: &mut String, points: &[DegradationPoint]) {
 /// Figure 5a (IPC degradation vs L2 size) as a golden document.
 pub fn fig5a_text(scale: &Scale) -> String {
     let mut out = String::from("fig5a: IPC degradation vs L2 size (2 NFs)\n");
-    for (l2, points) in fig5::fig5a_with(Exec::Parallel, scale, &GOLDEN_L2_SIZES) {
+    for (l2, points) in fig5::fig5a(scale, &GOLDEN_L2_SIZES) {
         let _ = writeln!(out, "l2={} KiB", l2 >> 10);
         write_points(&mut out, &points);
     }
@@ -67,7 +65,7 @@ pub fn fig5a_text(scale: &Scale) -> String {
 /// Figure 5b (IPC degradation vs cotenancy) as a golden document.
 pub fn fig5b_text(scale: &Scale) -> String {
     let mut out = String::from("fig5b: IPC degradation vs cotenancy (4 MiB L2)\n");
-    for (n, points) in fig5::fig5b_with(Exec::Parallel, scale, &GOLDEN_NF_COUNTS, GOLDEN_FIG5B_L2) {
+    for (n, points) in fig5::fig5b(scale, &GOLDEN_NF_COUNTS, GOLDEN_FIG5B_L2) {
         let _ = writeln!(out, "nfs={n}");
         write_points(&mut out, &points);
     }

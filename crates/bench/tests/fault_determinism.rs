@@ -1,7 +1,8 @@
 //! The blast-radius matrix's contract, end to end:
 //!
-//! - the matrix is deterministic and byte-identical between the serial
-//!   and parallel executors (transcripts included);
+//! - the matrix is deterministic and byte-identical whether it runs
+//!   inline (every spare thread of the budget held) or on the pool
+//!   (transcripts included);
 //! - per scenario, the victim's microarchitectural stats are
 //!   **bit-identical** across the fault under S-NIC and perturbed on
 //!   the commodity machine;
@@ -10,7 +11,7 @@
 //!   tenant-originated fault.
 
 use snic_bench::blast::{
-    blast_matrix_with, device_differential, uarch_diff_from, uarch_jobs, FaultScenario,
+    blast_matrix, device_differential, uarch_diff_from, uarch_jobs, FaultScenario,
 };
 use snic_bench::differential::{
     assert_commodity_device_leaks, assert_snic_device_contained, assert_uarch_contained,
@@ -18,7 +19,8 @@ use snic_bench::differential::{
 use snic_bench::streams::all_traces;
 use snic_bench::Scale;
 use snic_core::config::NicMode;
-use snic_sim::{execute, Exec};
+use snic_sim::{par_map, SimJob};
+use snic_uarch::budget::Threads;
 
 fn tiny() -> Scale {
     Scale {
@@ -33,8 +35,10 @@ fn tiny() -> Scale {
 
 #[test]
 fn matrix_serial_and_parallel_byte_identical() {
-    let serial = blast_matrix_with(Exec::Serial, &tiny());
-    let parallel = blast_matrix_with(Exec::Parallel, &tiny());
+    let held = Threads::take(usize::MAX);
+    let serial = blast_matrix(&tiny());
+    drop(held);
+    let parallel = blast_matrix(&tiny());
     assert_eq!(serial.len(), parallel.len());
     for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(a.scenario, b.scenario);
@@ -57,7 +61,7 @@ fn matrix_serial_and_parallel_byte_identical() {
 fn snic_victim_bit_identical_commodity_perturbed() {
     let traces = all_traces(&tiny(), 0xb1a57);
     for scenario in FaultScenario::ALL {
-        let outcomes = execute(Exec::Parallel, uarch_jobs(scenario, &traces));
+        let outcomes = par_map(uarch_jobs(scenario, &traces), SimJob::run);
         assert_uarch_contained(scenario, &uarch_diff_from(&outcomes));
     }
 }
@@ -78,8 +82,8 @@ fn snic_transcripts_lint_clean_commodity_dirty() {
 
 #[test]
 fn repeat_runs_are_identical() {
-    let a = blast_matrix_with(Exec::Serial, &tiny());
-    let b = blast_matrix_with(Exec::Serial, &tiny());
+    let a = blast_matrix(&tiny());
+    let b = blast_matrix(&tiny());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.uarch, y.uarch);
         assert_eq!(x.device_snic.transcript, y.device_snic.transcript);

@@ -14,10 +14,9 @@
 
 use std::path::PathBuf;
 
-use snic_bench::blast::{blast_matrix_with, render_matrix};
+use snic_bench::blast::{blast_matrix, render_matrix};
 use snic_bench::differential::assert_blast_invariants;
 use snic_bench::golden;
-use snic_sim::Exec;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -89,7 +88,7 @@ fn exp_verify_matches_golden() {
 
 #[test]
 fn blast_matrix_matches_golden_and_invariants_hold() {
-    let rows = blast_matrix_with(Exec::Parallel, &golden::golden_scale());
+    let rows = blast_matrix(&golden::golden_scale());
     // The snapshot freezes the rendering; the differential assertions
     // freeze the *meaning* (S-NIC contained, commodity leaking), so a
     // blessed-but-wrong snapshot cannot slip through.

@@ -1,6 +1,8 @@
 //! The parallel pool's contract: fanning a sweep across workers changes
 //! *when* each simulation runs, never *what* it computes. These tests
-//! hold the pool to byte-identical outputs versus the serial path, at
+//! hold the pool to byte-identical outputs versus the serial path — a
+//! plain in-order map, or the same call with every spare thread of the
+//! budget held — at
 //! the raw `RunOutcome` level and at the figure level (`fig5`'s
 //! `DegradationPoint`s, compared on f64 *bit patterns*, not epsilons).
 
@@ -10,8 +12,9 @@ use snic_bench::fig5::{self, DegradationPoint};
 use snic_bench::streams::all_traces;
 use snic_bench::telemetry::{run_smoke, smoke_scale};
 use snic_bench::Scale;
-use snic_sim::{execute, par_map_on, Exec, SimJob};
+use snic_sim::{par_map_on, SimJob};
 use snic_telemetry::{Recorder, TelemetrySink};
+use snic_uarch::budget::Threads;
 use snic_uarch::config::MachineConfig;
 use snic_uarch::stream::{EventSource, SharedReplayStream};
 
@@ -56,7 +59,7 @@ fn trace_jobs() -> Vec<SimJob> {
 
 #[test]
 fn pool_outcomes_byte_identical_to_serial() {
-    let serial = execute(Exec::Serial, trace_jobs());
+    let serial: Vec<_> = trace_jobs().into_iter().map(SimJob::run).collect();
     for threads in [2, 4, 16] {
         let pooled = par_map_on(trace_jobs(), threads, SimJob::run);
         assert_eq!(serial.len(), pooled.len());
@@ -92,9 +95,11 @@ fn sink_on_parallel_bit_identical_to_sink_off_serial() {
     // attaching a live recorder AND fanning across the pool must both
     // leave every simulated statistic untouched.
     let scale = smoke_scale();
-    let baseline = run_smoke(Exec::Serial, &scale, None);
+    let held = Threads::take(usize::MAX);
+    let baseline = run_smoke(&scale, None);
+    drop(held);
     let recorder: Arc<dyn TelemetrySink> = Arc::new(Recorder::new());
-    let recorded = run_smoke(Exec::Parallel, &scale, Some(recorder));
+    let recorded = run_smoke(&scale, Some(recorder));
     assert_eq!(baseline.len(), recorded.len());
     for (i, (a, b)) in baseline.iter().zip(&recorded).enumerate() {
         assert_eq!(a.nfs, b.nfs, "job {i}: sink+pool diverged from bare serial");
@@ -104,8 +109,10 @@ fn sink_on_parallel_bit_identical_to_sink_off_serial() {
 #[test]
 fn fig5a_parallel_bit_identical_to_serial() {
     let sizes = [256 << 10, 4 << 20];
-    let serial = fig5::fig5a_with(Exec::Serial, &tiny(), &sizes);
-    let parallel = fig5::fig5a_with(Exec::Parallel, &tiny(), &sizes);
+    let held = Threads::take(usize::MAX);
+    let serial = fig5::fig5a(&tiny(), &sizes);
+    drop(held);
+    let parallel = fig5::fig5a(&tiny(), &sizes);
     assert_eq!(serial.len(), parallel.len());
     for ((l2_s, pts_s), (l2_p, pts_p)) in serial.iter().zip(&parallel) {
         assert_eq!(l2_s, l2_p);
@@ -116,8 +123,10 @@ fn fig5a_parallel_bit_identical_to_serial() {
 #[test]
 fn fig5b_parallel_bit_identical_to_serial() {
     let counts = [2usize, 4];
-    let serial = fig5::fig5b_with(Exec::Serial, &tiny(), &counts, 4 << 20);
-    let parallel = fig5::fig5b_with(Exec::Parallel, &tiny(), &counts, 4 << 20);
+    let held = Threads::take(usize::MAX);
+    let serial = fig5::fig5b(&tiny(), &counts, 4 << 20);
+    drop(held);
+    let parallel = fig5::fig5b(&tiny(), &counts, 4 << 20);
     assert_eq!(serial.len(), parallel.len());
     for ((n_s, pts_s), (n_p, pts_p)) in serial.iter().zip(&parallel) {
         assert_eq!(n_s, n_p);

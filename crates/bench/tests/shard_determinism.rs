@@ -1,7 +1,8 @@
 //! The sharded engine's contract: splitting one S-NIC colocation run
 //! across worker threads changes *where* each tenant simulates, never
 //! *what* it computes. These tests replay the real recorded NF traces
-//! (the same shape the figure sweeps use) and hold `run_sharded` to
+//! (the same shape the figure sweeps use) and hold a sharded
+//! `SimJob::run` to
 //! byte-identical `RunOutcome`s versus the serial interleaving engine,
 //! for every shard count, with and without a live telemetry sink —
 //! the companion of `parallel_determinism.rs`, one level down: that
@@ -10,8 +11,10 @@
 
 use snic_bench::streams::all_traces;
 use snic_bench::Scale;
-use snic_sim::{run_sharded, shardable};
-use snic_telemetry::Recorder;
+use std::sync::Arc;
+
+use snic_sim::{shardable, SimJob};
+use snic_telemetry::{Recorder, TelemetrySink};
 use snic_uarch::config::MachineConfig;
 use snic_uarch::engine::{run_colocated_ids_sink, run_colocated_warm};
 use snic_uarch::stream::{EventSource, SharedReplayStream};
@@ -60,7 +63,10 @@ fn sharded_byte_identical_to_serial_for_every_shard_count() {
             let serial = run_colocated_warm(&cfg, streams, &warmups);
             for shards in [1usize, 2, 3, tenants, tenants + 5] {
                 let (streams, warmups) = cell(tenants);
-                let sharded = run_sharded(&cfg, streams, &warmups, shards, None);
+                let sharded = SimJob::new(cfg.clone(), streams)
+                    .with_warmups(warmups)
+                    .with_shards(shards)
+                    .run();
                 // NfRunStats is all-integer, so == is byte equality.
                 assert_eq!(
                     serial.nfs, sharded.nfs,
@@ -79,8 +85,12 @@ fn sharded_telemetry_byte_identical_to_serial() {
     let serial = run_colocated_ids_sink(&cfg, streams, &warmups, &[0, 1, 2, 3], &serial_rec);
     for shards in [1usize, 2, 4] {
         let (streams, warmups) = cell(4);
-        let rec = Recorder::new();
-        let sharded = run_sharded(&cfg, streams, &warmups, shards, Some(&rec));
+        let rec = Arc::new(Recorder::new());
+        let sharded = SimJob::new(cfg.clone(), streams)
+            .with_warmups(warmups)
+            .with_shards(shards)
+            .with_sink(Arc::clone(&rec) as Arc<dyn TelemetrySink>)
+            .run();
         assert_eq!(serial.nfs, sharded.nfs, "stats diverged at {shards} shards");
         assert_eq!(
             serial_rec.summary().render(),
@@ -96,10 +106,17 @@ fn sink_on_sharded_matches_sink_off_sharded() {
     // recorder to a sharded run leaves every statistic untouched.
     let cfg = MachineConfig::snic(4, 1 << 20);
     let (streams, warmups) = cell(4);
-    let bare = run_sharded(&cfg, streams, &warmups, 2, None);
+    let bare = SimJob::new(cfg.clone(), streams)
+        .with_warmups(warmups)
+        .with_shards(2)
+        .run();
     let (streams, warmups) = cell(4);
-    let rec = Recorder::new();
-    let recorded = run_sharded(&cfg, streams, &warmups, 2, Some(&rec));
+    let rec = Arc::new(Recorder::new());
+    let recorded = SimJob::new(cfg, streams)
+        .with_warmups(warmups)
+        .with_shards(2)
+        .with_sink(Arc::clone(&rec) as Arc<dyn TelemetrySink>)
+        .run();
     assert_eq!(bare.nfs, recorded.nfs);
     assert!(!rec.summary().is_empty(), "the sink saw the sharded run");
 }
@@ -113,6 +130,9 @@ fn commodity_runs_fall_back_to_serial_unchanged() {
     let (streams, warmups) = cell(3);
     let serial = run_colocated_warm(&cfg, streams, &warmups);
     let (streams, warmups) = cell(3);
-    let sharded = run_sharded(&cfg, streams, &warmups, 3, None);
+    let sharded = SimJob::new(cfg, streams)
+        .with_warmups(warmups)
+        .with_shards(3)
+        .run();
     assert_eq!(serial.nfs, sharded.nfs);
 }

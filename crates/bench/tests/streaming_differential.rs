@@ -25,7 +25,7 @@ use snic_bench::colo::{colo_spec, many_tenant_snic, outcome_events, tenant_mix};
 use snic_bench::streams::{all_traces, nf_access_trace, nf_trace_source, streamed_nf_source};
 use snic_bench::Scale;
 use snic_nf::NfKind;
-use snic_sim::{map_exec, Exec, JobSpec, SimJob};
+use snic_sim::{par_map, JobSpec, SimJob};
 use snic_telemetry::{Recorder, TelemetrySink};
 use snic_uarch::config::MachineConfig;
 use snic_uarch::stream::SharedReplayStream;
@@ -167,7 +167,7 @@ fn streamed_jobs_serial_parallel_sharded_identical() {
             "shards={shards}"
         );
     }
-    let parallel = map_exec(Exec::Parallel, vec![&streamed; 2], JobSpec::run);
+    let parallel = par_map(vec![&streamed; 2], JobSpec::run);
     assert_eq!(parallel[0].nfs, serial.nfs);
     assert_eq!(parallel[1].nfs, serial.nfs);
 }

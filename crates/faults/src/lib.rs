@@ -11,18 +11,17 @@
 //!   cluster fault, DMA bus error, transient resource exhaustion,
 //!   NIC-OS crash, power loss mid-teardown);
 //! - [`FaultPlan`] — a declarative, seedable schedule of faults, each
-//!   armed by a [`FaultTrigger`] (simulated time, Nth event at a
-//!   call-site tag, or every event at a tag);
+//!   armed on the Nth event at a call-site tag;
 //! - [`FaultInjector`] — the runtime object the device consults at
 //!   instrumented call sites; it also records a totally ordered
 //!   [`FaultRecord`] transcript of injections, lifecycle transitions,
 //!   and scrub progress that `snic-verify`'s Pass 3 lints.
 //!
 //! **Determinism is the contract.** Nothing here reads a wall clock or
-//! an OS entropy source: triggers fire on simulated [`Picos`] time and
-//! per-site event counters. The same plan driven by the same operation
-//! sequence yields a byte-identical transcript, on any thread of the
-//! `snic-sim` pool.
+//! an OS entropy source: triggers fire on per-site event counters, and
+//! the transcript is stamped with simulated [`Picos`] time. The same
+//! plan driven by the same operation sequence yields a byte-identical
+//! transcript, on any thread of the `snic-sim` pool.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -144,44 +143,15 @@ impl fmt::Display for FaultSite {
     }
 }
 
-/// When a planned fault fires. Every trigger is one-shot: after firing
-/// the rule disarms (schedule the same rule twice for a double fault).
+/// One scheduled fault: `fault` fires on the `n`th event at `site`
+/// (1-based: `n = 1` is the first occurrence). Every rule is one-shot:
+/// after firing it disarms (a double fault is two rules with different
+/// ordinals).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultTrigger {
-    /// Fire at the first instrumented check at `site` once simulated
-    /// time reaches `at`.
-    AtTime {
-        /// The site the fault is delivered through.
-        site: FaultSite,
-        /// Simulated-time threshold.
-        at: Picos,
-    },
-    /// Fire on the `n`th event at `site` (1-based: `n = 1` is the
-    /// first occurrence).
-    OnNthEvent {
-        /// The tagged call site.
-        site: FaultSite,
-        /// Which occurrence fires the fault.
-        n: u64,
-    },
-}
-
-impl FaultTrigger {
-    fn site(&self) -> FaultSite {
-        match self {
-            FaultTrigger::AtTime { site, .. } => *site,
-            FaultTrigger::OnNthEvent { site, .. } => *site,
-        }
-    }
-}
-
-/// One scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultRule {
-    /// When it fires.
-    pub trigger: FaultTrigger,
-    /// What is injected.
-    pub fault: FaultKind,
+struct FaultRule {
+    site: FaultSite,
+    n: u64,
+    fault: FaultKind,
 }
 
 /// A declarative schedule of faults. Plans are plain data: build one,
@@ -197,20 +167,11 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Add a rule; builder style.
-    pub fn inject(mut self, trigger: FaultTrigger, fault: FaultKind) -> FaultPlan {
-        self.rules.push(FaultRule { trigger, fault });
+    /// Add a rule firing `fault` on the `n`th event at `site`; builder
+    /// style.
+    pub fn on_nth(mut self, site: FaultSite, n: u64, fault: FaultKind) -> FaultPlan {
+        self.rules.push(FaultRule { site, n, fault });
         self
-    }
-
-    /// Shorthand: fire `fault` on the `n`th event at `site`.
-    pub fn on_nth(self, site: FaultSite, n: u64, fault: FaultKind) -> FaultPlan {
-        self.inject(FaultTrigger::OnNthEvent { site, n }, fault)
-    }
-
-    /// The scheduled rules.
-    pub fn rules(&self) -> &[FaultRule] {
-        &self.rules
     }
 
     /// True if the plan schedules nothing.
@@ -387,7 +348,7 @@ impl FaultInjector {
     /// the serving layer both lint.
     ///
     /// Nth-event triggers count from the injector's birth, not from the
-    /// arming point: arming `OnNthEvent { n: 3 }` after two events have
+    /// arming point: arming `on_nth(site, 3, ..)` after two events have
     /// already passed at that site fires on the very next one, and a
     /// rule whose ordinal has already gone by never fires. Callers that
     /// mean "the k-th event from now" should offset by
@@ -401,29 +362,18 @@ impl FaultInjector {
     /// attributing the event to `nf` when known. Increments the site
     /// counter, evaluates armed rules in plan order, and returns the
     /// first fault that fires (logging it). At most one fault fires per
-    /// check; a second matching rule fires on the next check.
+    /// check.
     pub fn check(&mut self, site: FaultSite, now: Picos, nf: Option<NfId>) -> Option<FaultKind> {
         self.counts[site.index()] += 1;
         let count = self.counts[site.index()];
-        let mut fired: Option<FaultKind> = None;
-        for (rule, done) in &mut self.rules {
-            if *done || rule.trigger.site() != site {
-                continue;
-            }
-            let hit = match rule.trigger {
-                FaultTrigger::AtTime { at, .. } => now >= at,
-                FaultTrigger::OnNthEvent { n, .. } => count == n,
-            };
-            if hit {
-                *done = true;
-                fired = Some(rule.fault);
-                break;
-            }
-        }
-        if let Some(fault) = fired {
-            self.note(now, nf, FaultEventKind::Injected { fault, site });
-        }
-        fired
+        let (rule, done) = self
+            .rules
+            .iter_mut()
+            .find(|(rule, done)| !*done && rule.site == site && rule.n == count)?;
+        *done = true;
+        let fault = rule.fault;
+        self.note(now, nf, FaultEventKind::Injected { fault, site });
+        Some(fault)
     }
 
     /// Append a lifecycle/consequence event to the transcript.
@@ -471,21 +421,6 @@ mod tests {
         assert_eq!(inj.check(FaultSite::Dma, Picos(4), None), None);
         assert!(inj.exhausted());
         assert_eq!(inj.count(FaultSite::Dma), 4);
-    }
-
-    #[test]
-    fn time_trigger_fires_at_threshold() {
-        let trigger = FaultTrigger::AtTime {
-            site: FaultSite::Scrub,
-            at: Picos(100),
-        };
-        let plan = FaultPlan::none().inject(trigger, FaultKind::PowerLoss);
-        let mut inj = FaultInjector::new(plan);
-        assert_eq!(inj.check(FaultSite::Scrub, Picos(99), None), None);
-        assert_eq!(
-            inj.check(FaultSite::Scrub, Picos(100), None),
-            Some(FaultKind::PowerLoss)
-        );
     }
 
     #[test]

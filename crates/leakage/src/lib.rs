@@ -29,7 +29,7 @@
 //! not merely small.
 //!
 //! Everything is deterministic: seeded payloads, simulated time, and
-//! [`snic_sim::map_exec`] fan-out with serial ≡ parallel byte identity.
+//! [`snic_sim::par_map`] fan-out with serial ≡ parallel byte identity.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,10 +4,10 @@
 //! transmits [`CELL_BITS`] seeded payload bits through the channel and
 //! reports bit-error rate, raw bit-rate, plug-in mutual information,
 //! and capacity in bits per second of *simulated* time. The whole
-//! matrix fans through [`snic_sim::map_exec`], each cell fully
+//! matrix fans through [`snic_sim::par_map`], each cell fully
 //! self-contained (its payload seed derives from the cell key, not the
-//! sweep order), so serial and parallel execution are byte-identical —
-//! and the smoke subset measures to exactly the same values as the
+//! sweep order), so the matrix is byte-identical however many threads
+//! the pool gets — and the smoke subset measures to exactly the same values as the
 //! corresponding rows of the full matrix.
 //!
 //! The text form is versioned and diffable like the telemetry
@@ -17,7 +17,7 @@
 use crate::capacity::{payload_bits, splitmix64, Confusion};
 use crate::channel::{Channel, ChannelFamily, Geometry, Mode};
 use snic_nf::covert;
-use snic_sim::{map_exec, Exec};
+use snic_sim::par_map;
 
 /// Payload bits transmitted per cell (both full and smoke sweeps, so
 /// smoke rows diff cleanly against the full golden).
@@ -206,11 +206,11 @@ pub struct LeakageMatrix {
 }
 
 impl LeakageMatrix {
-    /// Measure every spec, fanned per [`Exec`]. Order-preserving, so
-    /// serial and parallel runs render byte-identically.
-    pub fn measure(specs: Vec<CellSpec>, exec: Exec, bits: usize) -> LeakageMatrix {
+    /// Measure every spec, fanned through [`par_map`]. Order-preserving,
+    /// so the matrix renders byte-identically on one thread or many.
+    pub fn measure(specs: Vec<CellSpec>, bits: usize) -> LeakageMatrix {
         LeakageMatrix {
-            cells: map_exec(exec, specs, |spec| measure_cell(&spec, bits)),
+            cells: par_map(specs, |spec| measure_cell(&spec, bits)),
         }
     }
 

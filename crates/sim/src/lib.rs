@@ -2,33 +2,29 @@
 //!
 //! The §5.3 sweeps ("every possible colocation") are embarrassingly
 //! parallel: each colocation run is an independent, side-effect-free
-//! engine call. This crate gives them a fan-out layer of two job types
-//! and five functions:
+//! engine call. This crate gives them one fan-out — two job types and
+//! an order-preserving pool:
 //!
 //! - [`SimJob`] — one pending colocation run (machine config, streams,
 //!   warmup window, optional sink and shard count), runnable on any
-//!   thread;
+//!   thread. [`SimJob::run`] is the one way a colocation reaches the
+//!   engine, and carries its *intra-run* parallelism: under the S-NIC
+//!   disciplines (see [`shardable`]) an isolated tenant is simulated
+//!   alone — one one-lane engine call per tenant with its global id,
+//!   pulled off the pool's work queue by up to `shards` workers, then
+//!   reassembled in tenant order — and, with a sink, telemetry replayed
+//!   in tenant order from per-tenant [`BufferSink`]s — bit-identical to
+//!   the interleaved run, which is one engine call over every tenant;
 //! - [`JobSpec`] — a re-buildable job *factory*: rebuilds the same
 //!   deterministic job on demand so one logical run can execute many
 //!   times (serial vs parallel vs sharded differentials, streamed
 //!   sources that are consumed by running);
-//! - [`run_sharded`] — the one way a colocation reaches the engine, and
-//!   its *intra-run* parallelism: under the S-NIC disciplines (see
-//!   [`shardable`]) an isolated tenant is simulated alone — one
-//!   one-lane engine call per tenant with its global id, pulled off the
-//!   pool's work queue by up to `shards` workers, then reassembled in
-//!   tenant order — and, with a sink, telemetry replayed in tenant
-//!   order from per-tenant [`BufferSink`]s — bit-identical to the
-//!   interleaved run, which is one engine call over every tenant;
 //! - [`par_map`] / [`par_map_on`] — an order-preserving worker pool on
 //!   [`std::thread::scope`] for arbitrary independent work (whole jobs
 //!   via `par_map(jobs, SimJob::run)`, per-NF launches, per-domain solo
 //!   replays, per-scenario attack recordings); results come back **in
 //!   input order**, so parallel results are bit-identical to a serial
-//!   map;
-//! - [`map_exec`] / [`execute`] — the same map, and its `SimJob::run`
-//!   instance, dispatched on [`Exec`] so sweeps can prove
-//!   serial ≡ parallel.
+//!   map.
 //!
 //! Determinism is the contract: every function here is a pure reorder
 //! of *when* work happens, never of *what* is computed or in which slot
@@ -40,7 +36,11 @@
 //! ([`std::thread::available_parallelism`], pinnable with the
 //! `SNIC_SIM_THREADS` environment variable), and every worker beyond the
 //! caller's own holds a thread of the budget the engine's helper thread
-//! also draws from, so the two never oversubscribe the host.
+//! also draws from, so the two never oversubscribe the host. That budget
+//! alone decides whether a map runs inline: `SNIC_SIM_THREADS=1`, or a
+//! caller holding every spare thread
+//! (`snic_uarch::budget::Threads::take(usize::MAX)`), gets a plain
+//! in-order map on the calling thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,9 +57,9 @@ use snic_uarch::config::MachineConfig;
 use snic_uarch::engine::{run_colocated_ids_sink, RunOutcome};
 use snic_uarch::stream::EventSource;
 
-/// One pending colocation run: everything [`run_sharded`] needs,
-/// packaged so the run can execute on any worker thread
-/// ([`EventSource`] is `Send`, asserted in `snic-uarch`'s stream tests).
+/// One pending colocation run: everything the engine needs, packaged
+/// so the run can execute on any worker thread ([`EventSource`] is
+/// `Send`, asserted in `snic-uarch`'s stream tests).
 pub struct SimJob {
     cfg: MachineConfig,
     streams: Vec<EventSource>,
@@ -96,7 +96,7 @@ impl SimJob {
     }
 
     /// Simulate each tenant alone on up to `shards` worker threads
-    /// (see [`run_sharded`]). Only takes effect when the machine
+    /// (see [`SimJob::run`]). Only takes effect when the machine
     /// configuration is [`shardable`]; otherwise the run stays one
     /// interleaved engine call — either way the outcome is
     /// bit-identical.
@@ -105,16 +105,43 @@ impl SimJob {
         self
     }
 
-    /// Execute the job, fanning a shardable colocation across worker
-    /// threads when [`SimJob::with_shards`] asked for it.
+    /// Execute the job, split when the model allows it: with `shards > 1`
+    /// on a [`shardable`] configuration every tenant is its own part — a
+    /// one-lane engine call with the tenant's *global* id (way slice, bus
+    /// epoch slot, telemetry domain, address-space tag all follow the id,
+    /// not the part) and its own warm-up window — and the parts run on
+    /// `min(shards, default_threads(), n)` workers pulling from one
+    /// queue, so a stream is first touched when a worker picks its tenant
+    /// up and is dropped when that tenant's call returns. `shards` bounds
+    /// the workers, and through them how many tenants are live at once;
+    /// it does not choose the split.
+    ///
+    /// `shards <= 1`, or a configuration that is not shardable, is the
+    /// single interleaved engine call over ids `0..n` on the calling
+    /// thread, writing straight to the job's sink — the oracle every
+    /// split run is held to. Either way the outcome — and, with a live
+    /// sink, the telemetry operation stream — is bit-identical: each part
+    /// of a split run buffers its telemetry in a [`BufferSink`] and the
+    /// buffers are replayed into the real sink in tenant order
+    /// (`crates/bench/tests/shard_determinism.rs` holds all of this
+    /// bit-for-bit).
     pub fn run(self) -> RunOutcome {
-        run_sharded(
-            &self.cfg,
-            self.streams,
-            &self.warmups,
-            self.shards,
-            self.sink.as_deref(),
-        )
+        let SimJob {
+            cfg,
+            streams,
+            warmups,
+            sink,
+            shards,
+        } = self;
+        if shards > 1 && shardable(&cfg) {
+            let workers = shards.min(default_threads());
+            return run_split(&cfg, streams, &warmups, workers, sink.as_deref());
+        }
+        let ids: Vec<u32> = (0..streams.len() as u32).collect();
+        match sink {
+            Some(sink) => run_colocated_ids_sink(&cfg, streams, &warmups, &ids, &*sink),
+            None => run_colocated_ids_sink(&cfg, streams, &warmups, &ids, &NullSink),
+        }
     }
 }
 
@@ -178,51 +205,14 @@ impl std::fmt::Debug for JobSpec {
 /// bus. Under those disciplines a tenant's cache slice, bus windows,
 /// and address-space tag are functions of its id alone, so its
 /// simulated outcome cannot depend on co-tenant activity — which is
-/// exactly what makes [`run_sharded`] legal. A shared L2 or FCFS bus
-/// couples tenants through LRU state and queueing order, so those runs
-/// must stay on the serial interleaving engine.
+/// exactly what makes a sharded [`SimJob::run`] legal. A shared L2 or
+/// FCFS bus couples tenants through LRU state and queueing order, so
+/// those runs must stay on the serial interleaving engine.
 pub fn shardable(cfg: &MachineConfig) -> bool {
     !matches!(cfg.l2_partition, Partition::Shared) && matches!(cfg.bus, BusKind::Temporal { .. })
 }
 
-/// Run one colocation, split when the model allows it: with
-/// `shards > 1` on a [`shardable`] configuration every tenant is its own
-/// part — a one-lane engine call with the tenant's *global* id (way
-/// slice, bus epoch slot, telemetry domain, address-space tag all follow
-/// the id, not the part) and its own warm-up window — and the parts run
-/// on `min(shards, default_threads(), n)` workers pulling from one
-/// queue, so a stream is first touched when a worker picks its tenant
-/// up and is dropped when that tenant's call returns. `shards` bounds
-/// the workers, and through them how many tenants are live at once; it
-/// does not choose the split.
-///
-/// `shards <= 1`, or a configuration that is not shardable, is the
-/// single interleaved engine call over ids `0..n` on the calling
-/// thread, writing straight to the caller's sink — the oracle every
-/// split run is held to. Either way the outcome — and, with a live
-/// sink, the telemetry operation stream — is bit-identical: each part
-/// of a split run buffers its telemetry in a [`BufferSink`] and the
-/// buffers are replayed into the real sink in tenant order
-/// (`crates/bench/tests/shard_determinism.rs` holds all of this
-/// bit-for-bit).
-pub fn run_sharded(
-    cfg: &MachineConfig,
-    streams: Vec<EventSource>,
-    warmups: &[u64],
-    shards: usize,
-    sink: Option<&dyn TelemetrySink>,
-) -> RunOutcome {
-    if shards > 1 && shardable(cfg) {
-        return run_split(cfg, streams, warmups, shards.min(default_threads()), sink);
-    }
-    let ids: Vec<u32> = (0..streams.len() as u32).collect();
-    match sink {
-        Some(sink) => run_colocated_ids_sink(cfg, streams, warmups, &ids, sink),
-        None => run_colocated_ids_sink(cfg, streams, warmups, &ids, &NullSink),
-    }
-}
-
-/// The split leg of [`run_sharded`]: one engine call per tenant on
+/// The split leg of [`SimJob::run`]: one engine call per tenant on
 /// `workers` threads, per-tenant results (and buffered telemetry) put
 /// back in tenant order.
 fn run_split(
@@ -256,38 +246,6 @@ fn run_split(
         }
     }
     RunOutcome { nfs }
-}
-
-/// Which execution strategy a sweep uses. The two must produce
-/// bit-identical results; `Serial` exists so tests can prove it and so
-/// debugging sessions can take the simple path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Exec {
-    /// Run jobs one after another on the calling thread.
-    Serial,
-    /// Fan jobs across the worker pool ([`default_threads`] workers).
-    Parallel,
-}
-
-/// Run every job, dispatching on [`Exec`]; outcomes come back in input
-/// order.
-pub fn execute(exec: Exec, jobs: Vec<SimJob>) -> Vec<RunOutcome> {
-    map_exec(exec, jobs, SimJob::run)
-}
-
-/// Dispatch an arbitrary order-preserving map on [`Exec`]: the serial
-/// path runs on the calling thread, the parallel path on the default
-/// pool. Both produce identical result vectors.
-pub fn map_exec<T, R, F>(exec: Exec, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    match exec {
-        Exec::Serial => items.into_iter().map(f).collect(),
-        Exec::Parallel => par_map(items, f),
-    }
 }
 
 /// Apply `f` to every item using [`default_threads`] workers, returning
@@ -372,7 +330,7 @@ mod tests {
 
     #[test]
     fn pool_matches_serial_bitwise() {
-        let serial = execute(Exec::Serial, (0..12).map(|s| job(s, 2)).collect());
+        let serial: Vec<RunOutcome> = (0..12).map(|s| job(s, 2).run()).collect();
         for threads in [1, 2, 5, 32] {
             let pooled = par_map_on((0..12).map(|s| job(s, 2)).collect(), threads, SimJob::run);
             assert_eq!(serial.len(), pooled.len());
@@ -407,15 +365,8 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_fine() {
-        assert!(execute(Exec::Parallel, Vec::new()).is_empty());
+        assert!(par_map(Vec::<SimJob>::new(), SimJob::run).is_empty());
         assert!(par_map_on(Vec::<u32>::new(), 8, |x| x).is_empty());
-    }
-
-    #[test]
-    fn execute_dispatches_both_paths() {
-        let a = execute(Exec::Serial, vec![job(3, 2)]);
-        let b = execute(Exec::Parallel, vec![job(3, 2)]);
-        assert_eq!(a[0].nfs, b[0].nfs);
     }
 
     #[test]
@@ -432,7 +383,7 @@ mod tests {
             .collect();
         let without: Vec<SimJob> = (0..6).map(|s| job(s, 2)).collect();
         let on = par_map_on(with_sink, 3, SimJob::run);
-        let off = execute(Exec::Serial, without);
+        let off: Vec<RunOutcome> = without.into_iter().map(SimJob::run).collect();
         for (a, b) in on.iter().zip(&off) {
             assert_eq!(a.nfs, b.nfs, "sink-on parallel must equal sink-off serial");
         }
@@ -463,7 +414,10 @@ mod tests {
         let warm = vec![400u64; 5];
         let serial = run_colocated_warm(&cfg, mk(5), &warm);
         for shards in [1, 2, 3, 5, 16] {
-            let sharded = run_sharded(&cfg, mk(5), &warm, shards, None);
+            let sharded = SimJob::new(cfg.clone(), mk(5))
+                .with_warmups(warm.clone())
+                .with_shards(shards)
+                .run();
             assert_eq!(serial.nfs, sharded.nfs, "shards={shards}");
         }
     }
@@ -500,7 +454,7 @@ mod tests {
         };
         let cfg = MachineConfig::commodity(3, 1 << 20);
         let serial = run_colocated_warm(&cfg, mk(3), &[]);
-        let sharded = run_sharded(&cfg, mk(3), &[], 3, None);
+        let sharded = SimJob::new(cfg, mk(3)).with_shards(3).run();
         assert_eq!(serial.nfs, sharded.nfs);
     }
 
@@ -515,8 +469,11 @@ mod tests {
         let cfg = MachineConfig::snic(4, 1 << 20);
         let serial_rec = Recorder::new();
         let serial = run_colocated_ids_sink(&cfg, mk(4), &[], &[0, 1, 2, 3], &serial_rec);
-        let shard_rec = Recorder::new();
-        let sharded = run_sharded(&cfg, mk(4), &[], 2, Some(&shard_rec));
+        let shard_rec = Arc::new(Recorder::new());
+        let sharded = SimJob::new(cfg, mk(4))
+            .with_shards(2)
+            .with_sink(Arc::clone(&shard_rec) as Arc<dyn TelemetrySink>)
+            .run();
         assert_eq!(serial.nfs, sharded.nfs);
         assert_eq!(
             serial_rec.summary().render(),
@@ -578,16 +535,8 @@ mod tests {
                 "shards={shards}"
             );
         }
-        let both = map_exec(Exec::Parallel, vec![&spec, &spec], JobSpec::run);
+        let both = par_map(vec![&spec, &spec], JobSpec::run);
         assert_eq!(both[0].nfs, serial.nfs);
         assert_eq!(both[1].nfs, serial.nfs);
-    }
-
-    #[test]
-    fn map_exec_matches_across_paths() {
-        let items: Vec<u64> = (0..50).collect();
-        let a = map_exec(Exec::Serial, items.clone(), |x| x * 3 + 1);
-        let b = map_exec(Exec::Parallel, items, |x| x * 3 + 1);
-        assert_eq!(a, b);
     }
 }

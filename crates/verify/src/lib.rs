@@ -76,4 +76,4 @@ pub use report::{
 };
 pub use serve::lint_serve_transcript;
 pub use spec::{BusSpec, DeviceSpec, EnforcementMode, VnicManifest};
-pub use trace::{BusGrantEvent, CacheAccessEvent, TraceBundle, TraceLinter};
+pub use trace::{TraceBundle, TraceLinter};

@@ -5,8 +5,12 @@
 //!
 //! - **memory references** — [`snic_mem::AccessRecord`]s from the memory
 //!   guard's audit log,
-//! - **bus grants** — [`BusGrantEvent`]s from the arbiter,
-//! - **cache accesses** — [`CacheAccessEvent`]s with hit/miss results.
+//! - **bus grants** — [`BusGrantRec`]s from the arbiter,
+//! - **cache accesses** — [`L2AccessRec`]s with hit/miss results.
+//!
+//! The last two are the engine's own record types
+//! ([`snic_uarch::RecordedTrace`]), so a reference run lints as
+//! recorded.
 //!
 //! Each lint recognizes the *enabling pattern* of one §3.3 attack, not
 //! the attack's payload: a trace that merely positions an attacker to
@@ -21,33 +25,10 @@ use std::collections::{BTreeSet, HashMap};
 use snic_mem::guard::{AccessKind, AccessRecord, Principal};
 use snic_types::NfId;
 use snic_uarch::cache::{Cache, CacheConfig, Partition};
+use snic_uarch::{BusGrantRec, L2AccessRec, RecordedTrace};
 
 use crate::report::{Finding, FindingActor, FindingKind};
 use crate::spec::{BusSpec, DeviceSpec};
-
-/// One bus transaction as observed at the arbiter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BusGrantEvent {
-    /// Security domain issuing the request.
-    pub domain: u32,
-    /// Cycle the request became ready.
-    pub ready: u64,
-    /// Cycles the transfer occupies the bus.
-    pub duration: u64,
-    /// Cycle the arbiter actually started the transfer.
-    pub granted: u64,
-}
-
-/// One cache access with its observed outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheAccessEvent {
-    /// Cache tenant slot.
-    pub tenant: u32,
-    /// Accessed address.
-    pub addr: u64,
-    /// Whether the access hit.
-    pub hit: bool,
-}
 
 /// A full recording of one scenario, ready for linting.
 #[derive(Debug, Clone, Default)]
@@ -55,38 +36,21 @@ pub struct TraceBundle {
     /// Audited physical memory references.
     pub memory: Vec<AccessRecord>,
     /// Bus grants, in issue order.
-    pub bus: Vec<BusGrantEvent>,
+    pub bus: Vec<BusGrantRec>,
     /// Cache accesses, in issue order.
-    pub cache: Vec<CacheAccessEvent>,
+    pub cache: Vec<L2AccessRec>,
 }
 
 impl TraceBundle {
     /// Adapt a uarch-engine recording ([`snic_uarch::run_reference`]
-    /// observed by a `RecordedTrace`) into lintable form. The
+    /// observed by a [`RecordedTrace`]) into lintable form. The
     /// engine observes L2 accesses and bus grants but not the memory
     /// guard, so `memory` stays empty.
-    pub fn from_uarch(trace: &snic_uarch::RecordedTrace) -> TraceBundle {
+    pub fn from_uarch(trace: &RecordedTrace) -> TraceBundle {
         TraceBundle {
             memory: Vec::new(),
-            bus: trace
-                .bus
-                .iter()
-                .map(|g| BusGrantEvent {
-                    domain: g.domain,
-                    ready: g.ready,
-                    duration: g.duration,
-                    granted: g.granted,
-                })
-                .collect(),
-            cache: trace
-                .l2
-                .iter()
-                .map(|a| CacheAccessEvent {
-                    tenant: a.tenant,
-                    addr: a.addr,
-                    hit: a.hit,
-                })
-                .collect(),
+            bus: trace.bus.clone(),
+            cache: trace.l2.clone(),
         }
     }
 }
@@ -238,16 +202,16 @@ impl TraceLinter {
     /// Each domain's solo replay is independent (its own fresh arbiter),
     /// so the replays fan across the worker pool; findings come back in
     /// ascending domain order either way.
-    pub fn lint_bus(&self, trace: &[BusGrantEvent]) -> Vec<Finding> {
+    pub fn lint_bus(&self, trace: &[BusGrantRec]) -> Vec<Finding> {
         if trace.is_empty() {
             return Vec::new();
         }
         let domain_count = trace.iter().map(|e| e.domain).max().unwrap_or(0) + 1;
-        let mut per_domain: HashMap<u32, Vec<&BusGrantEvent>> = HashMap::new();
+        let mut per_domain: HashMap<u32, Vec<&BusGrantRec>> = HashMap::new();
         for e in trace {
             per_domain.entry(e.domain).or_default().push(e);
         }
-        let mut replays: Vec<(u32, Vec<&BusGrantEvent>)> = per_domain.into_iter().collect();
+        let mut replays: Vec<(u32, Vec<&BusGrantRec>)> = per_domain.into_iter().collect();
         replays.sort_unstable_by_key(|(d, _)| *d);
         let findings = snic_sim::par_map(replays, |(d, events)| {
             let mut solo = self.bus.arbiter(domain_count);
@@ -286,15 +250,15 @@ impl TraceLinter {
     /// Like the bus lint, each tenant's solo cache replay is independent
     /// (its own fresh cache of the claimed discipline), so replays fan
     /// across the worker pool in ascending tenant order.
-    pub fn lint_cache(&self, trace: &[CacheAccessEvent]) -> Vec<Finding> {
+    pub fn lint_cache(&self, trace: &[L2AccessRec]) -> Vec<Finding> {
         let Some((cfg, partition)) = &self.cache else {
             return Vec::new();
         };
-        let mut per_tenant: HashMap<u32, Vec<&CacheAccessEvent>> = HashMap::new();
+        let mut per_tenant: HashMap<u32, Vec<&L2AccessRec>> = HashMap::new();
         for e in trace {
             per_tenant.entry(e.tenant).or_default().push(e);
         }
-        let mut replays: Vec<(u32, Vec<&CacheAccessEvent>)> = per_tenant.into_iter().collect();
+        let mut replays: Vec<(u32, Vec<&L2AccessRec>)> = per_tenant.into_iter().collect();
         replays.sort_unstable_by_key(|(t, _)| *t);
         // A partitioned discipline binds tenant ids to way slices at
         // construction, so a trace event from a tenant the partition
@@ -466,14 +430,14 @@ mod tests {
 
     /// Drive the same request pattern through a real arbiter and lint
     /// the resulting grants.
-    fn bus_trace(arbiter: &mut BusArbiter) -> Vec<BusGrantEvent> {
+    fn bus_trace(arbiter: &mut BusArbiter) -> Vec<BusGrantRec> {
         let mut out = Vec::new();
         // Attacker (domain 1) floods; victim (domain 0) issues sparsely.
         let mut victim_ready = 5u64;
         for i in 0..40u64 {
             let ready = i * 10;
             let granted = arbiter.grant(1, ready, 40);
-            out.push(BusGrantEvent {
+            out.push(BusGrantRec {
                 domain: 1,
                 ready,
                 duration: 40,
@@ -481,7 +445,7 @@ mod tests {
             });
             if i.is_multiple_of(8) {
                 let granted = arbiter.grant(0, victim_ready, 8);
-                out.push(BusGrantEvent {
+                out.push(BusGrantRec {
                     domain: 0,
                     ready: victim_ready,
                     duration: 8,
@@ -515,13 +479,13 @@ mod tests {
     /// Prime+Probe against a real cache model: the attacker (tenant 1)
     /// primes a set, the victim (tenant 0) touches it, the attacker
     /// probes.
-    fn cache_trace(cache: &mut Cache, cfg: CacheConfig) -> Vec<CacheAccessEvent> {
+    fn cache_trace(cache: &mut Cache, cfg: CacheConfig) -> Vec<L2AccessRec> {
         let sets = cfg.sets();
         let stride = sets * u64::from(cfg.line); // same set, new tag
         let mut out = Vec::new();
-        let touch = |c: &mut Cache, tenant: u32, addr: u64, out: &mut Vec<CacheAccessEvent>| {
+        let touch = |c: &mut Cache, tenant: u32, addr: u64, out: &mut Vec<L2AccessRec>| {
             let hit = c.access(tenant, addr);
-            out.push(CacheAccessEvent { tenant, addr, hit });
+            out.push(L2AccessRec { tenant, addr, hit });
         };
         // The attacker's working set fills half the ways, so it always
         // fits its own slice under 2-tenant way partitioning; the victim
@@ -590,7 +554,7 @@ mod tests {
             let mut cache = Cache::new(cfg, Partition::StaticWays { tenants: 2 });
             cache_trace(&mut cache, cfg)
         };
-        trace.push(CacheAccessEvent {
+        trace.push(L2AccessRec {
             tenant: 7,
             addr: BASE,
             hit: false,
@@ -608,7 +572,7 @@ mod tests {
                 allocation: vec![3, 1],
             },
         );
-        let fs = l.lint_cache(&[CacheAccessEvent {
+        let fs = l.lint_cache(&[L2AccessRec {
             tenant: 2,
             addr: BASE,
             hit: true,
@@ -618,7 +582,7 @@ mod tests {
 
         // A shared cache has no domain binding — any tenant id replays.
         let l = linter(BusSpec::Fcfs).with_cache(cfg, Partition::Shared);
-        let fs = l.lint_cache(&[CacheAccessEvent {
+        let fs = l.lint_cache(&[L2AccessRec {
             tenant: 7,
             addr: BASE,
             hit: false,

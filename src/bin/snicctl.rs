@@ -193,8 +193,7 @@ fn telemetry_main(args: &[String]) -> Result<String, String> {
     match args {
         [cmd, trace_path, summary_path] if cmd == "record" => {
             let scale = snic::bench::telemetry::smoke_scale();
-            let (outcomes, summary, events) =
-                snic::bench::telemetry::record_smoke(snic::sim::Exec::Parallel, &scale);
+            let (outcomes, summary, events) = snic::bench::telemetry::record_smoke(&scale);
             std::fs::write(trace_path, to_chrome_trace(&events))
                 .map_err(|e| format!("cannot write {trace_path}: {e}"))?;
             std::fs::write(summary_path, summary.to_text())
@@ -487,7 +486,6 @@ fn soak_main(args: &[String]) -> Result<String, String> {
 /// exploitable commodity cell over the floor.
 fn leakage_main(args: &[String]) -> Result<String, String> {
     use snic::leakage::{full_specs, smoke_specs, LeakageMatrix, Mode, CELL_BITS};
-    use snic::sim::Exec;
 
     let usage = usage("leakage");
     let mut smoke = false;
@@ -500,7 +498,7 @@ fn leakage_main(args: &[String]) -> Result<String, String> {
         }
     }
     let specs = if smoke { smoke_specs() } else { full_specs() };
-    let matrix = LeakageMatrix::measure(specs, Exec::Parallel, CELL_BITS);
+    let matrix = LeakageMatrix::measure(specs, CELL_BITS);
     let worst_snic = matrix
         .cells
         .iter()

@@ -9,14 +9,14 @@
 //! hard capacity ceiling, every exploitable commodity cell clears the
 //! floor, and each family has at least one commodity cell transmitting
 //! above 1 bit per simulated second. The smoke subset (the lint-gate
-//! form) must measure byte-identically serial vs parallel and diff
-//! clean against the full golden.
+//! form) must measure byte-identically serial (every spare thread of the
+//! budget held) vs parallel and diff clean against the full golden.
 
 use snic::leakage::{
     full_specs, smoke_specs, ChannelFamily, LeakageMatrix, Mode, CELL_BITS,
     COMMODITY_CAPACITY_FLOOR_BPS,
 };
-use snic::sim::Exec;
+use snic::uarch::budget::Threads;
 
 fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/leakage.txt")
@@ -24,7 +24,7 @@ fn golden_path() -> std::path::PathBuf {
 
 #[test]
 fn leakage_matrix_matches_golden_and_security_bounds() {
-    let matrix = LeakageMatrix::measure(full_specs(), Exec::Parallel, CELL_BITS);
+    let matrix = LeakageMatrix::measure(full_specs(), CELL_BITS);
     let actual = matrix.to_text();
 
     // The bounds hold regardless of what the golden says: they are the
@@ -66,8 +66,10 @@ fn leakage_matrix_matches_golden_and_security_bounds() {
 
 #[test]
 fn smoke_subset_is_serial_parallel_identical_and_diffs_clean_against_golden() {
-    let serial = LeakageMatrix::measure(smoke_specs(), Exec::Serial, CELL_BITS);
-    let parallel = LeakageMatrix::measure(smoke_specs(), Exec::Parallel, CELL_BITS);
+    let held = Threads::take(usize::MAX);
+    let serial = LeakageMatrix::measure(smoke_specs(), CELL_BITS);
+    drop(held);
+    let parallel = LeakageMatrix::measure(smoke_specs(), CELL_BITS);
     assert_eq!(
         serial.to_text(),
         parallel.to_text(),
