@@ -8,12 +8,12 @@
 //! stable violation code the analyzer must produce; `scripts/lint.sh
 //! analyze` fails CI on any drift.
 
-use snic_analyze::{
-    AnalysisManifest, LaunchAnalysis, Operand, ProgramBuilder, RegionClass, Taint, Terminator,
-};
 use snic_nf::common::layout;
 use snic_nf::NfKind;
 use snic_types::AccelKind;
+use snic_verify::pass0::{
+    AnalysisManifest, LaunchAnalysis, Operand, ProgramBuilder, RegionClass, Taint, Terminator,
+};
 
 /// One adversarial submission and the verdict Pass 0 must reach.
 #[derive(Debug, Clone)]
@@ -222,7 +222,7 @@ pub fn adversarial_corpus() -> Vec<CorpusEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snic_analyze::analyze;
+    use snic_verify::pass0::analyze;
 
     #[test]
     fn every_corpus_entry_rejected_with_its_exact_code() {

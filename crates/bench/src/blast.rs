@@ -266,6 +266,7 @@ pub fn run_episode(mode: NicMode, scenario: FaultScenario, faulted: bool) -> Epi
         let _ = os.nf_create_with_retry(
             LaunchRequest::minimal(CoreId(2), ByteSize::mib(2), NfImage::default()),
             RetryPolicy::default(),
+            None,
         );
     }
 

@@ -24,29 +24,10 @@ fn golden_path(name: &str) -> PathBuf {
         .join(name)
 }
 
-fn blessing() -> bool {
-    std::env::var("SNIC_BLESS")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
 /// Compare `actual` against the checked-in snapshot `name`, or rewrite
 /// the snapshot when `SNIC_BLESS=1`.
 fn check(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if blessing() {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir");
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden snapshot {name} ({e}); regenerate with SNIC_BLESS=1")
-    });
-    assert_eq!(
-        expected, actual,
-        "\ngolden snapshot {name} diverged; if the change is intentional, \
-         regenerate with SNIC_BLESS=1 and review the diff\n"
-    );
+    golden::check_or_bless(&golden_path(name), actual).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]

@@ -2336,13 +2336,13 @@ mod tests {
         ));
     }
 
-    fn clean_analysis() -> snic_analyze::LaunchAnalysis {
-        use snic_analyze::{AnalysisManifest, Operand, ProgramBuilder, RegionClass};
+    fn clean_analysis() -> snic_verify::pass0::LaunchAnalysis {
+        use snic_verify::pass0::{AnalysisManifest, Operand, ProgramBuilder, RegionClass};
         let mut b = ProgramBuilder::new("attested-nf");
         let pkt = b.region("pktbuf", 0x1000, 0x200, RegionClass::PacketBuf);
         let v = b.load(pkt, Operand::Imm(0), 8, 10);
         b.emit(Operand::Reg(v), 5);
-        snic_analyze::LaunchAnalysis {
+        snic_verify::pass0::LaunchAnalysis {
             program: b.finish(),
             manifest: AnalysisManifest {
                 regions: vec![(0x1000, 0x200)],
@@ -2353,8 +2353,8 @@ mod tests {
         }
     }
 
-    fn failing_analysis() -> snic_analyze::LaunchAnalysis {
-        use snic_analyze::{Operand, ProgramBuilder, RegionClass};
+    fn failing_analysis() -> snic_verify::pass0::LaunchAnalysis {
+        use snic_verify::pass0::{Operand, ProgramBuilder, RegionClass};
         let mut sub = clean_analysis();
         let mut b = ProgramBuilder::new("escaping-nf");
         let pkt = b.region("pktbuf", 0x1000, 0x200, RegionClass::PacketBuf);

@@ -94,7 +94,7 @@ pub struct LaunchRequest {
     /// `None` launches without a program-analysis certificate (the
     /// attestation digest stays all-zero, which a relying party can
     /// reject).
-    pub analysis: Option<snic_analyze::LaunchAnalysis>,
+    pub analysis: Option<snic_verify::pass0::LaunchAnalysis>,
 }
 
 impl LaunchRequest {

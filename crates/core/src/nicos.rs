@@ -169,37 +169,20 @@ impl<'a> NicOs<'a> {
     /// resource exhaustion, a NIC-OS restart) back off in simulated
     /// time — doubling up to `policy.max_backoff`, plus seeded jitter
     /// when the policy asks for it — and re-issue; fatal errors surface
-    /// immediately.
-    pub fn nf_create_with_retry(
-        &mut self,
-        request: LaunchRequest,
-        policy: RetryPolicy,
-    ) -> Result<LaunchReceipt, SnicError> {
-        self.nf_create_with_deadline(request, policy, None)
-            .map_err(|e| match e {
-                RetryError::Fatal(err) | RetryError::Exhausted { last: err, .. } => err,
-                // Unreachable with `deadline: None`, but total anyway.
-                RetryError::DeadlineExceeded { .. } => {
-                    SnicError::Transient(snic_types::TransientResource::NicOs)
-                }
-            })
-    }
-
-    /// `NF_create` with retry *and* a cancellation deadline in
-    /// simulated time: the daemon's standard launch path.
+    /// immediately as [`RetryError::Fatal`].
     ///
     /// Attempt counts and give-up reasons are surfaced as
     /// `snic-telemetry` counters (`nicos.retry_attempts`,
     /// `nicos.giveup_*`) and every applied backoff lands in the
     /// `nicos.backoff_ps` histogram, so an operator watching the live
-    /// summary sees retry storms instead of silence. The loop never
-    /// advances simulated time past `deadline`: if the next backoff
-    /// would cross it, the loop cancels with
+    /// summary sees retry storms instead of silence. With a `deadline`,
+    /// the loop never advances simulated time past it: if the next
+    /// backoff would cross it, the loop cancels with
     /// [`RetryError::DeadlineExceeded`]. Each failed attempt has
     /// already rolled back (launch failure atomicity), so cancellation
     /// leaves the device's [`crate::device::ResourceSnapshot`] exactly
     /// as it was before the call.
-    pub fn nf_create_with_deadline(
+    pub fn nf_create_with_retry(
         &mut self,
         request: LaunchRequest,
         policy: RetryPolicy,
@@ -362,7 +345,7 @@ mod tests {
         // rather than sleep past it.
         let deadline = t0 + Picos::micros(10);
         let err = os
-            .nf_create_with_deadline(
+            .nf_create_with_retry(
                 LaunchRequest::minimal(CoreId(0), ByteSize::mib(4), NfImage::default()),
                 RetryPolicy::jittered(7),
                 Some(deadline),
@@ -390,7 +373,7 @@ mod tests {
         device.inject_faults(plan);
         let mut os = NicOs::new(&mut device);
         let err = os
-            .nf_create_with_deadline(
+            .nf_create_with_retry(
                 LaunchRequest::minimal(CoreId(0), ByteSize::mib(4), NfImage::default()),
                 RetryPolicy::default(),
                 None,
@@ -404,7 +387,7 @@ mod tests {
         let mut device = nic();
         let mut os = NicOs::new(&mut device);
         let err = os
-            .nf_create_with_deadline(
+            .nf_create_with_retry(
                 LaunchRequest::minimal(CoreId(0), ByteSize::mib(0), NfImage::default()),
                 RetryPolicy::default(),
                 None,
@@ -430,6 +413,7 @@ mod tests {
         os.nf_create_with_retry(
             LaunchRequest::minimal(CoreId(0), ByteSize::mib(4), NfImage::default()),
             RetryPolicy::jittered(3),
+            None,
         )
         .unwrap();
         let summary = recorder.summary();

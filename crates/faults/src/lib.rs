@@ -59,6 +59,20 @@ pub enum FaultKind {
     PowerLoss,
 }
 
+impl FaultKind {
+    /// All kinds, in declaration order (parsers match a name against
+    /// each kind's `Display`).
+    pub const ALL: [FaultKind; 7] = [
+        FaultKind::NfCrash,
+        FaultKind::AccelClusterFault,
+        FaultKind::DmaBusError,
+        FaultKind::DramExhaustion,
+        FaultKind::AccelPoolExhaustion,
+        FaultKind::NicOsCrash,
+        FaultKind::PowerLoss,
+    ];
+}
+
 impl fmt::Display for FaultKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -102,16 +116,7 @@ const SITE_COUNT: usize = 8;
 
 impl FaultSite {
     fn index(self) -> usize {
-        match self {
-            FaultSite::Launch => 0,
-            FaultSite::Teardown => 1,
-            FaultSite::Scrub => 2,
-            FaultSite::Dma => 3,
-            FaultSite::Rx => 4,
-            FaultSite::DataPath => 5,
-            FaultSite::Accel => 6,
-            FaultSite::NicOs => 7,
-        }
+        self as usize
     }
 
     /// All sites, for plan builders that sweep the space.
@@ -434,6 +439,20 @@ mod tests {
             inj.check(FaultSite::Launch, Picos(0), None),
             Some(FaultKind::DramExhaustion)
         );
+        // Each site counts in the slot of its position in `ALL`, and every
+        // site and kind name parses back, matched against `ALL`'s
+        // `Display` as `snicd` parses them, to the item that printed it.
+        for (i, site) in FaultSite::ALL.into_iter().enumerate() {
+            assert_eq!(site.index(), i);
+            let name = site.to_string();
+            let parsed = FaultSite::ALL.into_iter().find(|s| s.to_string() == name);
+            assert_eq!(parsed, Some(site));
+        }
+        for kind in FaultKind::ALL {
+            let name = kind.to_string();
+            let parsed = FaultKind::ALL.into_iter().find(|k| k.to_string() == name);
+            assert_eq!(parsed, Some(kind));
+        }
     }
 
     #[test]

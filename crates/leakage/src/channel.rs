@@ -17,11 +17,12 @@
 
 use std::sync::Arc;
 
-use snic_nf::covert;
 use snic_telemetry::{metrics, Recorder, Summary};
 use snic_uarch::config::MachineConfig;
 use snic_uarch::engine::run_colocated_ids_sink;
 use snic_uarch::stream::{Access, EventSource, SharedReplayStream};
+
+use crate::covert;
 
 /// Tenants in every leakage scenario: receiver (0) and sender (1).
 pub const TENANTS: u32 = 2;

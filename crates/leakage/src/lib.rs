@@ -4,9 +4,9 @@
 //! them into pass/fail findings. This crate makes the claim
 //! *quantitative*: for each of three channel families —
 //!
-//! - **cache** — prime+probe L2 occupancy ([`snic_nf::covert::prime_probe_sender`]),
-//! - **bus** — FCFS grant-latency contention ([`snic_nf::covert::bus_sender`]),
-//! - **scrub** — teardown zeroization duration ([`snic_nf::covert::scrub_stream`]),
+//! - **cache** — prime+probe L2 occupancy ([`covert::prime_probe_sender`]),
+//! - **bus** — FCFS grant-latency contention ([`covert::bus_sender`]),
+//! - **scrub** — teardown zeroization duration ([`covert::scrub_stream`]),
 //!
 //! a sender tenant transmits a seeded pseudorandom bitstring to a
 //! colocated receiver tenant through the uarch engine, and a decoder
@@ -36,6 +36,7 @@
 
 pub mod capacity;
 pub mod channel;
+pub mod covert;
 pub mod matrix;
 
 pub use capacity::{payload_bits, Confusion};

@@ -16,7 +16,7 @@
 
 use crate::capacity::{payload_bits, splitmix64, Confusion};
 use crate::channel::{Channel, ChannelFamily, Geometry, Mode};
-use snic_nf::covert;
+use crate::covert;
 use snic_sim::par_map;
 
 /// Payload bits transmitted per cell (both full and smoke sweeps, so

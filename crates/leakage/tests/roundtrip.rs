@@ -14,7 +14,7 @@ use snic_leakage::{payload_bits, Channel, ChannelFamily, Geometry, Mode};
 
 /// Exploitable geometries: enough L2 ways that the prime+probe set
 /// survives the receiver's own L1 flush (see
-/// `snic_nf::covert::pp_primed_ways`).
+/// `snic_leakage::covert::pp_primed_ways`).
 fn exploitable_geometry() -> impl Strategy<Value = Geometry> {
     prop_oneof![
         Just(Geometry {

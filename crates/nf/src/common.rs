@@ -154,7 +154,7 @@ pub trait NetworkFunction: Send {
 
     /// The NF's dataflow IR for Pass 0 static analysis (see
     /// [`crate::lowering`]).
-    fn dataflow_ir(&self) -> snic_analyze::NfProgram;
+    fn dataflow_ir(&self) -> snic_verify::pass0::NfProgram;
 }
 
 /// Virtual-address-space layout shared by all NFs.

@@ -271,7 +271,7 @@ impl NetworkFunction for DpiNf {
         Verdict::Matched(matches as u32)
     }
 
-    fn dataflow_ir(&self) -> snic_analyze::NfProgram {
+    fn dataflow_ir(&self) -> snic_verify::pass0::NfProgram {
         crate::lowering::dpi_ir(self)
     }
 

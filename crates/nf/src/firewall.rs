@@ -209,7 +209,7 @@ impl NetworkFunction for FirewallNf {
         }
     }
 
-    fn dataflow_ir(&self) -> snic_analyze::NfProgram {
+    fn dataflow_ir(&self) -> snic_verify::pass0::NfProgram {
         crate::lowering::firewall_ir(self)
     }
 

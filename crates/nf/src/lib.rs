@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod common;
-pub mod covert;
 pub mod dpi;
 pub mod firewall;
 pub mod lowering;

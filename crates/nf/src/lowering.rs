@@ -14,7 +14,7 @@
 //! expressed with explicit trip bounds derived from the NF's own
 //! configuration (rule count, automaton depth, table sizes).
 
-use snic_analyze::{
+use snic_verify::pass0::{
     AnalysisManifest, LaunchAnalysis, NfProgram, Operand, ProgramBuilder, RegionClass, RegionId,
     Taint, Terminator,
 };
@@ -339,9 +339,9 @@ pub fn monitor_ir(nf: &MonitorNf) -> NfProgram {
 mod tests {
     use super::*;
     use crate::common::{NfKind, RecordingSink};
-    use snic_analyze::analyze;
     use snic_types::packet::PacketBuilder;
     use snic_types::{Packet, Protocol};
+    use snic_verify::pass0::analyze;
 
     fn small_nf(kind: NfKind) -> Box<dyn NetworkFunction> {
         match kind {

@@ -241,7 +241,7 @@ impl NetworkFunction for LpmNf {
         }
     }
 
-    fn dataflow_ir(&self) -> snic_analyze::NfProgram {
+    fn dataflow_ir(&self) -> snic_verify::pass0::NfProgram {
         crate::lowering::lpm_ir(self)
     }
 

@@ -130,7 +130,7 @@ impl NetworkFunction for MaglevNf {
         Verdict::Steer(backend)
     }
 
-    fn dataflow_ir(&self) -> snic_analyze::NfProgram {
+    fn dataflow_ir(&self) -> snic_verify::pass0::NfProgram {
         crate::lowering::maglev_ir(self)
     }
 

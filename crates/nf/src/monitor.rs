@@ -159,7 +159,7 @@ impl NetworkFunction for MonitorNf {
         Verdict::Forward
     }
 
-    fn dataflow_ir(&self) -> snic_analyze::NfProgram {
+    fn dataflow_ir(&self) -> snic_verify::pass0::NfProgram {
         crate::lowering::monitor_ir(self)
     }
 

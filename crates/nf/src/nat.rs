@@ -188,7 +188,7 @@ impl NetworkFunction for NatNf {
         }
     }
 
-    fn dataflow_ir(&self) -> snic_analyze::NfProgram {
+    fn dataflow_ir(&self) -> snic_verify::pass0::NfProgram {
         crate::lowering::nat_ir(self)
     }
 

@@ -845,7 +845,7 @@ impl Daemon {
         }
         let before = self.nic.resource_snapshot();
         let policy = RetryPolicy::jittered(request_seed(self.cfg.seed, &tenant, id));
-        match NicOs::new(&mut self.nic).nf_create_with_deadline(request, policy, deadline) {
+        match NicOs::new(&mut self.nic).nf_create_with_retry(request, policy, deadline) {
             Ok(receipt) => {
                 self.tenants[slot]
                     .nfs
@@ -1098,16 +1098,11 @@ impl Daemon {
             .into_iter()
             .find(|s| Some(s.to_string().as_str()) == site)
             .ok_or_else(|| bad(format!("bad site {site:?}")))?;
-        let kind = match req.str("kind") {
-            Some("nf-crash") => FaultKind::NfCrash,
-            Some("accel-cluster-fault") => FaultKind::AccelClusterFault,
-            Some("dma-bus-error") => FaultKind::DmaBusError,
-            Some("dram-exhaustion") => FaultKind::DramExhaustion,
-            Some("accel-pool-exhaustion") => FaultKind::AccelPoolExhaustion,
-            Some("nic-os-crash") => FaultKind::NicOsCrash,
-            Some("power-loss") => FaultKind::PowerLoss,
-            other => return Err(bad(format!("bad kind {other:?}"))),
-        };
+        let kind = req.str("kind");
+        let kind = FaultKind::ALL
+            .into_iter()
+            .find(|k| Some(k.to_string().as_str()) == kind)
+            .ok_or_else(|| bad(format!("bad kind {kind:?}")))?;
         // `after` counts from now: 1 = the very next event at `site`.
         let after = req.num("after").unwrap_or(1).max(1);
         let nth = self.nic.fault_site_count(site) + after;

@@ -15,8 +15,9 @@
 //! - **Deadlines and retries** ([`daemon`]): absolute simulated-time
 //!   deadlines that expire requests in queue or cancel a launch between
 //!   retry attempts with the device rolled back to its pre-call
-//!   resource snapshot; `nf_create_with_retry`'s capped, seeded-jitter
-//!   backoff is the standard launch policy.
+//!   resource snapshot. Every launch goes through
+//!   `NicOs::nf_create_with_retry`: capped, seeded-jitter backoff that
+//!   the request's deadline cancels.
 //! - **Graceful degradation**: a NIC-OS-attributed fault freezes only
 //!   the faulted tenant's queue; everyone else keeps being served. An
 //!   explicit `reclaim` tears the faulted NFs down, sheds the held

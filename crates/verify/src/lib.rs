@@ -3,16 +3,17 @@
 //! The device model in `snic-core` *enforces* isolation dynamically: the
 //! memory guard faults cross-domain loads, the temporal arbiter refuses
 //! out-of-window bus grants, and so on. This crate *proves* isolation
-//! statically, before anything runs, in four passes:
+//! statically, before anything runs, in five passes:
 //!
 //! - **Pass 0 — program analysis** ([`pass0`]): abstract interpretation
-//!   of the NF's submitted dataflow IR (`snic-analyze`). A worklist
-//!   fixpoint over an interval domain proves every load/store inside the
-//!   granted regions, a per-tenant taint lattice proves no packet- or
-//!   state-derived value escapes to ungranted regions, accelerators, or
-//!   the host bus outside the DMA window, and a loop-bound pass proves a
-//!   per-packet instruction ceiling. A clean analysis issues a
-//!   certificate whose digest `nf_attest` binds into its quotes.
+//!   of the NF's submitted dataflow IR. A worklist fixpoint over an
+//!   interval domain proves every load/store inside the granted regions,
+//!   a per-tenant taint lattice proves no packet- or state-derived value
+//!   escapes to ungranted regions, accelerators, or the host bus outside
+//!   the DMA window, and a loop-bound pass proves a per-packet
+//!   instruction ceiling. Its verdicts are `P0-*` [`report::Violation`]s
+//!   like every other pass's; a clean analysis issues a certificate
+//!   whose digest `nf_attest` binds into its quotes.
 //!
 //! - **Pass 1 — manifest verification** ([`manifest`]): given a
 //!   [`spec::DeviceSpec`] (the hardware inventory) and a set of proposed
@@ -52,25 +53,33 @@
 //!   frozen tenant, no bounded queue admitted past its configured
 //!   depth, and no deadline-expired request served afterwards.
 //!
-//! `snic-core` runs Pass 1 inside `nf_launch` (a manifest that cannot be
-//! verified is refused before any state changes) and embeds the verdict
-//! in `nf_attest` quotes; `snic-bench` exposes both passes as the
-//! `verify` CLI and runs Pass 3 over every blast-radius episode.
+//! `snic-core` runs Passes 0 and 1 inside `nf_launch` (a program or
+//! manifest that cannot be verified is refused before any state
+//! changes) and embeds the Pass 1 verdict and the Pass 0 certificate
+//! digest in `nf_attest` quotes; `snic-bench` exposes Passes 1 and 2 as
+//! the `verify` CLI and runs Pass 3 over every blast-radius episode.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod faults;
 pub mod manifest;
-pub mod pass0;
 pub mod report;
 pub mod serve;
 pub mod spec;
 pub mod trace;
 
+// Pass 0: `pass0` is its entry point; the analyzer it runs is built
+// from the IR, the abstract domains, the engine and the certificate.
+pub mod certificate;
+pub mod domain;
+pub mod engine;
+pub mod ir;
+pub mod pass0;
+
 pub use faults::lint_fault_transcript;
 pub use manifest::{verify_denylist_coverage, verify_manifests, verify_tlb_state};
-pub use pass0::{analyze_launch, Pass0Outcome};
+pub use pass0::analyze_launch;
 pub use report::{
     Finding, FindingActor, FindingKind, VerificationReport, Violation, ViolationKind,
 };

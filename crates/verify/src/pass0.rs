@@ -1,92 +1,57 @@
 //! Pass 0: static program analysis of the NF's dataflow IR.
 //!
-//! Passes 1–3 trust the NF *program* blindly — they prove the allocation
+//! Passes 1–4 trust the NF *program* blindly: they prove the allocation
 //! sound and lint what the program was observed to do. Pass 0 closes the
-//! gap before launch: `snic-analyze` abstractly interprets the submitted
-//! IR and proves every reachable load/store confined, information flow
-//! contained, and per-packet instruction count bounded. This module is
-//! the thin adapter that runs the analyzer and folds its output into the
-//! verifier's typed [`Violation`] stream, so `snicctl verify --json` and
-//! `nf_launch` see one uniform report across all passes.
+//! gap before launch. A network function is submitted as a small
+//! dataflow IR ([`NfProgram`], built in [`crate::ir`]) with the envelope
+//! it claims ([`LaunchAnalysis`]), and the abstract-interpretation
+//! engine ([`analyze`], in [`crate::engine`] over [`crate::domain`])
+//! proves, before `nf_launch` touches any hardware state, that every
+//! load and store lands inside the granted regions (a worklist fixpoint
+//! over an interval domain), that no packet- or state-derived value
+//! reaches another tenant's region, an ungranted accelerator or the host
+//! bus outside the DMA window (a per-tenant taint lattice), and that
+//! per-packet instruction count is bounded (a loop-bound pass over the
+//! CFG's back edges). Its verdicts are the verifier's own
+//! [`crate::Violation`]s with stable `P0-*` codes. A clean analysis
+//! issues a [`crate::certificate::AnalysisCertificate`] whose digest
+//! `nf_attest` binds into its quotes.
 
-use snic_analyze::{analyze, AnalysisReport, AnalysisViolationKind, LaunchAnalysis};
+pub use crate::domain::Taint;
+pub use crate::engine::{analyze, AnalysisManifest};
+pub use crate::ir::{NfProgram, Operand, ProgramBuilder, RegionClass, RegionId, Terminator};
+
 use snic_types::NfId;
 
-use crate::report::{Violation, ViolationKind};
-
-/// Map an analyzer violation kind onto the verifier's unified enum. The
-/// stable `P0-*` codes are identical on both sides (asserted in tests);
-/// this keeps one `code()` namespace for all four passes.
-pub fn map_kind(kind: AnalysisViolationKind) -> ViolationKind {
-    match kind {
-        AnalysisViolationKind::OobLoad => ViolationKind::OobLoad,
-        AnalysisViolationKind::OobStore => ViolationKind::OobStore,
-        AnalysisViolationKind::DmaOverflow => ViolationKind::DmaOverflow,
-        AnalysisViolationKind::TaintLeak => ViolationKind::TaintLeak,
-        AnalysisViolationKind::UngrantedRegion => ViolationKind::UngrantedRegion,
-        AnalysisViolationKind::UngrantedAccel => ViolationKind::UngrantedAccel,
-        AnalysisViolationKind::UnboundedLoop => ViolationKind::UnboundedLoop,
-        AnalysisViolationKind::InsnCeiling => ViolationKind::InsnCeiling,
-        AnalysisViolationKind::MalformedIr => ViolationKind::MalformedIr,
-        AnalysisViolationKind::FixpointBudget => ViolationKind::FixpointBudget,
-    }
-}
-
-/// The outcome of Pass 0 for one NF: the raw analyzer report plus the
-/// violations re-attributed into the verifier's namespace.
+/// A complete Pass 0 submission: the program and the manifest the tenant
+/// claims it is confined to. This is what travels in a `LaunchRequest`.
 #[derive(Debug, Clone)]
-pub struct Pass0Outcome {
-    /// The analyzer's full report (certificate, ceiling, step count).
-    pub report: AnalysisReport,
-    /// The same violations as unified verifier [`Violation`]s.
-    pub violations: Vec<Violation>,
-}
-
-impl Pass0Outcome {
-    /// True if the program verified clean (a certificate was issued).
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Digest of the analysis certificate, all-zero when rejected.
-    /// `nf_attest` binds this into its quotes so a remote verifier can
-    /// distinguish "proved confined" from "launched anyway".
-    pub fn certificate_digest(&self) -> [u8; 32] {
-        self.report
-            .certificate
-            .as_ref()
-            .map(|c| c.digest())
-            .unwrap_or([0u8; 32])
-    }
+pub struct LaunchAnalysis {
+    /// The NF's dataflow IR.
+    pub program: NfProgram,
+    /// The claimed resource envelope the analysis proves against.
+    pub manifest: AnalysisManifest,
 }
 
 /// Run Pass 0 over one launch submission, attributing violations to
 /// `nf`. This is what `nf_launch` calls before reserving any resource.
-pub fn analyze_launch(nf: NfId, submission: &LaunchAnalysis) -> Pass0Outcome {
-    let report = analyze(&submission.program, &submission.manifest);
-    let violations = report
-        .violations
-        .iter()
-        .map(|v| Violation {
-            kind: map_kind(v.kind),
-            nf: Some(nf),
-            range: None,
-            detail: v.detail.clone(),
-        })
-        .collect();
-    Pass0Outcome { report, violations }
+pub fn analyze_launch(nf: NfId, submission: &LaunchAnalysis) -> crate::engine::AnalysisReport {
+    let mut report = analyze(&submission.program, &submission.manifest);
+    for v in &mut report.violations {
+        v.nf = Some(nf);
+    }
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snic_analyze::{AnalysisManifest, ProgramBuilder, RegionClass};
 
     fn clean_submission() -> LaunchAnalysis {
         let mut b = ProgramBuilder::new("unit-nf");
         let pkt = b.region("pkt", 0x1000, 0x100, RegionClass::PacketBuf);
-        let v = b.load(pkt, snic_analyze::Operand::Imm(0), 8, 10);
-        b.emit(snic_analyze::Operand::Reg(v), 5);
+        let v = b.load(pkt, Operand::Imm(0), 8, 10);
+        b.emit(Operand::Reg(v), 5);
         LaunchAnalysis {
             program: b.finish(),
             manifest: AnalysisManifest {
@@ -103,29 +68,10 @@ mod tests {
         let mut b = ProgramBuilder::new("oob-nf");
         let pkt = b.region("pkt", 0x1000, 0x100, RegionClass::PacketBuf);
         // 8-byte load at offset 0x100 ends at 0x108 > 0x100.
-        let v = b.load(pkt, snic_analyze::Operand::Imm(0x100), 8, 10);
-        b.emit(snic_analyze::Operand::Reg(v), 5);
+        let v = b.load(pkt, Operand::Imm(0x100), 8, 10);
+        b.emit(Operand::Reg(v), 5);
         sub.program = b.finish();
         sub
-    }
-
-    #[test]
-    fn codes_agree_across_the_pass_boundary() {
-        use AnalysisViolationKind as A;
-        for kind in [
-            A::OobLoad,
-            A::OobStore,
-            A::DmaOverflow,
-            A::TaintLeak,
-            A::UngrantedRegion,
-            A::UngrantedAccel,
-            A::UnboundedLoop,
-            A::InsnCeiling,
-            A::MalformedIr,
-            A::FixpointBudget,
-        ] {
-            assert_eq!(kind.code(), map_kind(kind).code(), "{kind:?}");
-        }
     }
 
     #[test]

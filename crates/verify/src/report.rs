@@ -450,9 +450,25 @@ mod tests {
         ];
         let codes: std::collections::HashSet<&str> = kinds.iter().map(|k| k.code()).collect();
         assert_eq!(codes.len(), kinds.len(), "codes must be unique");
-        // Spot-check the published prefixes.
+        // Spot-check the published P1 prefix; pin every Pass 0 code, which
+        // this table alone defines.
         assert_eq!(ViolationKind::CoreConflict.code(), "P1-CORE-CONFLICT");
-        assert_eq!(ViolationKind::OobStore.code(), "P0-OOB-STORE");
+        let p0: Vec<&str> = kinds[10..].iter().map(|k| k.code()).collect();
+        assert_eq!(
+            p0,
+            [
+                "P0-OOB-LOAD",
+                "P0-OOB-STORE",
+                "P0-DMA-OVERFLOW",
+                "P0-TAINT-LEAK",
+                "P0-REGION-UNGRANTED",
+                "P0-ACCEL-UNGRANTED",
+                "P0-UNBOUNDED-LOOP",
+                "P0-INSN-CEILING",
+                "P0-MALFORMED-IR",
+                "P0-FIXPOINT-BUDGET",
+            ]
+        );
         assert!(kinds.iter().all(|k| {
             let c = k.code();
             c.starts_with("P0-") || c.starts_with("P1-")

@@ -226,8 +226,8 @@ fn telemetry_main(args: &[String]) -> Result<String, String> {
 /// budget and exits nonzero on any drift — the CI hook behind
 /// `scripts/lint.sh analyze`.
 fn analyze_main(args: &[String]) -> Result<String, String> {
-    use snic::analyze::analyze;
     use snic::nf::NfKind;
+    use snic::verify::pass0::analyze;
 
     let mut json = false;
     let mut gate = false;

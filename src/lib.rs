@@ -11,7 +11,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use snic_analyze as analyze;
 pub use snic_attacks as attacks;
 pub use snic_bench as bench;
 pub use snic_core as core;

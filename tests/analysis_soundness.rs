@@ -16,12 +16,12 @@
 //! silence above is discrimination, not blindness.
 
 use proptest::prelude::*;
-use snic::analyze::analyze;
 use snic::mem::guard::{AccessKind as PhysAccessKind, AccessRecord, Principal};
 use snic::nf::{record_stream, NfKind};
 use snic::types::packet::PacketBuilder;
 use snic::types::{AccelKind, CoreId, NfId, Packet, Protocol};
 use snic::uarch::stream::AccessKind as VaAccessKind;
+use snic::verify::pass0::analyze;
 use snic::verify::{BusSpec, DeviceSpec, EnforcementMode, TraceLinter};
 
 /// The device the linter checks against. NIC-OS metadata sits below the

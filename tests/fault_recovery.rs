@@ -174,7 +174,7 @@ fn retry_backoff_advances_simulated_time() {
     let t0 = device.now();
     let policy = RetryPolicy::default();
     let mut os = NicOs::new(&mut device);
-    os.nf_create_with_retry(request(0, 4), policy)
+    os.nf_create_with_retry(request(0, 4), policy, None)
         .expect("third attempt succeeds");
     let elapsed = device.now() - t0;
     // Two backoffs: initial + doubled (both under the cap), plus the

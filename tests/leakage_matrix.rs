@@ -12,6 +12,7 @@
 //! form) must measure byte-identically serial (every spare thread of the
 //! budget held) vs parallel and diff clean against the full golden.
 
+use snic::bench::golden;
 use snic::leakage::{
     full_specs, smoke_specs, ChannelFamily, LeakageMatrix, Mode, CELL_BITS,
     COMMODITY_CAPACITY_FLOOR_BPS,
@@ -44,24 +45,7 @@ fn leakage_matrix_matches_golden_and_security_bounds() {
         );
     }
 
-    let path = golden_path();
-    if std::env::var("SNIC_BLESS")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir");
-        std::fs::write(&path, &actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot tests/golden/leakage.txt ({e}); regenerate with SNIC_BLESS=1"
-        )
-    });
-    assert_eq!(
-        expected, actual,
-        "\nleakage matrix diverged from golden; if intentional, regenerate with SNIC_BLESS=1 and review\n"
-    );
+    golden::check_or_bless(&golden_path(), &actual).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]

@@ -8,6 +8,7 @@
 //! byte-identical transcript. The rendered summary is also pinned as a
 //! golden snapshot (regenerate intentionally with `SNIC_BLESS=1`).
 
+use snic::bench::golden;
 use snic::serve::soak;
 
 const SEED: u64 = 0xBEEF;
@@ -70,19 +71,5 @@ fn mid_soak_restart_transcript_is_byte_identical() {
 fn soak_summary_matches_golden() {
     let actual = summary(&soak::run(SEED));
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/soak.txt");
-    if std::env::var("SNIC_BLESS")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-    {
-        std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir");
-        std::fs::write(&path, &actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden snapshot tests/golden/soak.txt ({e}); regenerate with SNIC_BLESS=1")
-    });
-    assert_eq!(
-        expected, actual,
-        "\nsoak golden diverged; if intentional, regenerate with SNIC_BLESS=1 and review\n"
-    );
+    golden::check_or_bless(&path, &actual).unwrap_or_else(|e| panic!("{e}"));
 }
