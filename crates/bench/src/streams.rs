@@ -10,11 +10,11 @@
 
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use snic_nf::{build, record_stream_iter, NfKind, StreamingRecorder};
+use snic_nf::{build, record_stream, NfKind, StreamingRecorder};
 use snic_trace::{IctfConfig, PhaseSchedule, PhasedConfig, PhasedTrace};
 use snic_types::Packet;
 use snic_uarch::stream::Access;
-use snic_uarch::{EventSource, StreamedSource, TraceSource};
+use snic_uarch::TraceSource;
 
 use crate::Scale;
 
@@ -109,7 +109,7 @@ pub fn build_scaled(kind: NfKind, scale: &Scale, seed: u64) -> Box<dyn snic_nf::
 /// Record the reference stream of one NF kind over the shared workload.
 pub fn nf_access_trace(kind: NfKind, scale: &Scale, seed: u64) -> Vec<Access> {
     let mut nf = build_scaled(kind, scale, seed);
-    record_stream_iter(nf.as_mut(), workload(kind, scale, seed))
+    record_stream(nf.as_mut(), workload(kind, scale, seed))
 }
 
 /// Stream one NF kind's reference trace without materializing it: the
@@ -122,14 +122,6 @@ pub fn nf_trace_source(kind: NfKind, scale: &Scale, seed: u64) -> Box<dyn TraceS
         move || build_scaled(kind, &scale, seed),
         move || workload(kind, &scale, seed),
     ))
-}
-
-/// An engine-ready streamed source for one NF kind: `passes` rewound
-/// replays of [`nf_trace_source`] in O(chunk) resident memory — the
-/// drop-in streaming counterpart of wrapping a [`SharedTrace`] in
-/// `SharedReplayStream::repeated`.
-pub fn streamed_nf_source(kind: NfKind, scale: &Scale, seed: u64, passes: u32) -> EventSource {
-    StreamedSource::repeated(nf_trace_source(kind, scale, seed), passes).into()
 }
 
 /// A bounded most-recently-used trace cache. Small and linear — the
@@ -214,6 +206,7 @@ pub fn all_traces(scale: &Scale, seed: u64) -> TraceSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snic_uarch::{EventSource, StreamedSource};
 
     fn tiny() -> Scale {
         Scale {
@@ -261,19 +254,14 @@ mod tests {
     fn streamed_source_matches_materialized_recording() {
         for kind in [NfKind::Monitor, NfKind::Dpi] {
             let materialized = nf_access_trace(kind, &tiny(), 9);
-            let mut src = streamed_nf_source(kind, &tiny(), 9, 1);
+            let mut src = EventSource::from(StreamedSource::new(nf_trace_source(kind, &tiny(), 9)));
             let mut streamed = Vec::new();
-            let mut buf = [Access {
-                insns: 1,
-                addr: 0,
-                kind: snic_uarch::AccessKind::Load,
-            }; 128];
             loop {
-                let n = src.next_batch(&mut buf);
-                if n == 0 {
+                let run = src.next_slice(128).expect("next_slice always answers Some");
+                if run.is_empty() {
                     break;
                 }
-                streamed.extend_from_slice(&buf[..n]);
+                streamed.extend_from_slice(run);
             }
             assert_eq!(streamed, materialized, "{kind:?}");
         }

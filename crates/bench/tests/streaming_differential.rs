@@ -22,14 +22,14 @@
 use std::sync::Arc;
 
 use snic_bench::colo::{colo_spec, many_tenant_snic, outcome_events, tenant_mix};
-use snic_bench::streams::{all_traces, nf_access_trace, nf_trace_source, streamed_nf_source};
+use snic_bench::streams::{all_traces, nf_access_trace, nf_trace_source};
 use snic_bench::Scale;
 use snic_nf::NfKind;
 use snic_sim::{par_map, JobSpec, SimJob};
 use snic_telemetry::{Recorder, TelemetrySink};
 use snic_uarch::config::MachineConfig;
 use snic_uarch::stream::SharedReplayStream;
-use snic_uarch::{Access, AccessKind, EventSource, StreamedSource};
+use snic_uarch::{Access, EventSource, StreamedSource};
 
 fn tiny() -> Scale {
     Scale {
@@ -42,24 +42,17 @@ fn tiny() -> Scale {
     }
 }
 
-/// Drain an event source through `next_batch` with the given buffer
-/// size.
-fn drain(src: &mut EventSource, buf_len: usize) -> Vec<Access> {
-    let mut buf = vec![
-        Access {
-            insns: 1,
-            addr: 0,
-            kind: AccessKind::Load,
-        };
-        buf_len
-    ];
+/// Drain an event source through `next_slice` in runs of at most
+/// `max`.
+fn drain(src: impl Into<EventSource>, max: usize) -> Vec<Access> {
+    let mut src = src.into();
     let mut out = Vec::new();
     loop {
-        let n = src.next_batch(&mut buf);
-        if n == 0 {
+        let run = src.next_slice(max).expect("next_slice always answers Some");
+        if run.is_empty() {
             return out;
         }
-        out.extend_from_slice(&buf[..n]);
+        out.extend_from_slice(run);
     }
 }
 
@@ -67,31 +60,31 @@ fn drain(src: &mut EventSource, buf_len: usize) -> Vec<Access> {
 fn streaming_matches_materialized_for_every_kind() {
     for kind in NfKind::ALL {
         let materialized = nf_access_trace(kind, &tiny(), 0xd1f);
-        let streamed = drain(&mut streamed_nf_source(kind, &tiny(), 0xd1f, 1), 128);
+        let streamed = drain(
+            StreamedSource::new(nf_trace_source(kind, &tiny(), 0xd1f)),
+            128,
+        );
         assert_eq!(streamed, materialized, "{kind:?}");
     }
 }
 
 #[test]
 fn chunk_size_never_changes_the_stream() {
-    let reference = drain(&mut streamed_nf_source(NfKind::Dpi, &tiny(), 3, 1), 4096);
+    let reference = drain(
+        StreamedSource::new(nf_trace_source(NfKind::Dpi, &tiny(), 3)),
+        4096,
+    );
     for chunk in [1, 7, 63, 100, 1024] {
-        let mut src: EventSource =
-            StreamedSource::with_chunk(nf_trace_source(NfKind::Dpi, &tiny(), 3), 1, chunk).into();
-        assert_eq!(drain(&mut src, 97), reference, "chunk={chunk}");
+        let src = StreamedSource::with_chunk(nf_trace_source(NfKind::Dpi, &tiny(), 3), 1, chunk);
+        assert_eq!(drain(src, 97), reference, "chunk={chunk}");
     }
 }
 
 #[test]
 fn rewind_is_idempotent_over_many_passes() {
-    let one_pass = drain(
-        &mut streamed_nf_source(NfKind::Firewall, &tiny(), 7, 1),
-        256,
-    );
-    let three = drain(
-        &mut streamed_nf_source(NfKind::Firewall, &tiny(), 7, 3),
-        256,
-    );
+    let firewall = || nf_trace_source(NfKind::Firewall, &tiny(), 7);
+    let one_pass = drain(StreamedSource::new(firewall()), 256);
+    let three = drain(StreamedSource::repeated(firewall(), 3), 256);
     assert_eq!(three.len(), 3 * one_pass.len());
     for (i, pass) in three.chunks(one_pass.len()).enumerate() {
         assert_eq!(pass, &one_pass[..], "pass {i}");
@@ -138,7 +131,8 @@ fn paired_specs(tenants: usize) -> (JobSpec, JobSpec) {
     let streamed = JobSpec::new(move || {
         let streams = (0..tenants)
             .map(|slot| {
-                streamed_nf_source(NfKind::ALL[slot % NfKind::ALL.len()], &scale, 0xf5f5, 2)
+                let kind = NfKind::ALL[slot % NfKind::ALL.len()];
+                StreamedSource::repeated(nf_trace_source(kind, &scale, 0xf5f5), 2).into()
             })
             .collect();
         SimJob::new(cfg.clone(), streams).with_warmups(warmups.clone())

@@ -214,11 +214,6 @@ impl Channel {
         }
     }
 
-    /// The machine this channel runs on.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
     /// The receiver's calibrated solo observable.
     pub fn solo_baseline(&self) -> u64 {
         self.solo

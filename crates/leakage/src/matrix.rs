@@ -18,6 +18,7 @@ use crate::capacity::{payload_bits, splitmix64, Confusion};
 use crate::channel::{Channel, ChannelFamily, Geometry, Mode};
 use crate::covert;
 use snic_sim::par_map;
+use snic_uarch::config::CORE_HZ;
 
 /// Payload bits transmitted per cell (both full and smoke sweeps, so
 /// smoke rows diff cleanly against the full golden).
@@ -183,7 +184,7 @@ pub fn measure_cell(spec: &CellSpec, bits: usize) -> LeakageCell {
         confusion.record(bit, trial.decoded);
         cycles += trial.cycles;
     }
-    let seconds = cycles as f64 / channel.config().core_hz as f64;
+    let seconds = cycles as f64 / CORE_HZ as f64;
     let raw_bps = bits as f64 / seconds;
     let mi = confusion.mutual_information();
     LeakageCell {

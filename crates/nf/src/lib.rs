@@ -56,22 +56,13 @@ pub fn build(kind: NfKind, seed: u64) -> Box<dyn NetworkFunction> {
     }
 }
 
-/// Run `nf` over `packets`, recording its reference stream.
-pub fn record_stream(nf: &mut dyn NetworkFunction, packets: &[Packet]) -> Vec<Access> {
-    let mut sink = RecordingSink::new();
-    for p in packets {
-        let _ = nf.process(p, &mut sink);
-    }
-    sink.into_accesses()
-}
-
-/// Run `nf` over an iterator of packets, recording its reference
-/// stream — the lazy counterpart of [`record_stream`] (identical output
-/// for the same packets, but the packet sequence itself need never be
-/// materialized).
-pub fn record_stream_iter(
+/// Run `nf` over `packets`, recording its whole reference stream — the
+/// eager counterpart of [`StreamingRecorder`] (identical output for the
+/// same packets). The packets are pulled one at a time, so a lazy
+/// workload is never materialized.
+pub fn record_stream(
     nf: &mut dyn NetworkFunction,
-    packets: impl Iterator<Item = Packet>,
+    packets: impl IntoIterator<Item = Packet>,
 ) -> Vec<Access> {
     let mut sink = RecordingSink::new();
     for p in packets {
@@ -177,7 +168,7 @@ mod tests {
     fn streaming_recorder_matches_record_stream() {
         let pkts = packets(200);
         for kind in NfKind::ALL {
-            let materialized = record_stream(build(kind, 7).as_mut(), &pkts);
+            let materialized = record_stream(build(kind, 7).as_mut(), pkts.clone());
             let p = pkts.clone();
             let mut rec =
                 StreamingRecorder::new(move || build(kind, 7), move || p.clone().into_iter());
@@ -212,17 +203,6 @@ mod tests {
             }
             assert_eq!(replay, materialized, "{kind:?} after rewind");
         }
-    }
-
-    #[test]
-    fn record_stream_iter_matches_record_stream() {
-        let pkts = packets(100);
-        let eager = record_stream(build(NfKind::Firewall, 3).as_mut(), &pkts);
-        let lazy = record_stream_iter(
-            build(NfKind::Firewall, 3).as_mut(),
-            pkts.clone().into_iter(),
-        );
-        assert_eq!(eager, lazy);
     }
 
     /// `NfKind::reads_payload` is a claim about `process`; this holds

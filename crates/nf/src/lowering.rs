@@ -388,7 +388,7 @@ mod tests {
         for kind in NfKind::ALL {
             let mut nf = small_nf(kind);
             let program = nf.dataflow_ir();
-            let stream = crate::record_stream(nf.as_mut(), &traffic());
+            let stream = crate::record_stream(nf.as_mut(), traffic());
             assert!(!stream.is_empty(), "{kind:?} produced no accesses");
             for a in &stream {
                 let covered = program

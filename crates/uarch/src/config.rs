@@ -9,23 +9,29 @@
 use crate::bus::{BusKind, EPOCH_CYCLES};
 use crate::cache::{CacheConfig, Partition};
 
-/// Full machine configuration for one colocation run.
+/// Core clock in Hz.
+pub const CORE_HZ: u64 = 1_200_000_000;
+
+/// L1-miss / L2-hit penalty in cycles.
+pub const L2_HIT_CYCLES: u64 = 12;
+
+/// DRAM access latency in cycles (after winning the bus).
+pub const DRAM_CYCLES: u64 = 110;
+
+/// Bus occupancy of one cache-line transfer, in cycles.
+pub const BUS_BEAT_CYCLES: u64 = 16;
+
+/// Full machine configuration for one colocation run. The core clock
+/// and the latencies are the same for every configuration: see
+/// [`CORE_HZ`], [`L2_HIT_CYCLES`], [`DRAM_CYCLES`], [`BUS_BEAT_CYCLES`].
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
-    /// Core clock in Hz.
-    pub core_hz: u64,
     /// Per-core private L1 data cache.
     pub l1: CacheConfig,
     /// Shared L2 cache.
     pub l2: CacheConfig,
     /// L2 sharing discipline.
     pub l2_partition: Partition,
-    /// L1-miss / L2-hit penalty in cycles.
-    pub l2_hit_cycles: u64,
-    /// DRAM access latency in cycles (after winning the bus).
-    pub dram_cycles: u64,
-    /// Bus occupancy of one cache-line transfer, in cycles.
-    pub bus_beat_cycles: u64,
     /// Bus arbitration discipline.
     pub bus: BusKind,
     /// Temporal-partitioning epoch length in cycles (used when `bus` is
@@ -38,7 +44,6 @@ impl MachineConfig {
     pub fn commodity(tenants: u32, l2_bytes: u64) -> MachineConfig {
         let _ = tenants; // Baseline has the same cotenancy, no partitioning.
         MachineConfig {
-            core_hz: 1_200_000_000,
             l1: CacheConfig {
                 size: 32 << 10,
                 ways: 4,
@@ -50,9 +55,6 @@ impl MachineConfig {
                 line: 64,
             },
             l2_partition: Partition::Shared,
-            l2_hit_cycles: 12,
-            dram_cycles: 110,
-            bus_beat_cycles: 16,
             bus: BusKind::Fcfs,
             epoch_cycles: EPOCH_CYCLES,
         }
@@ -101,7 +103,7 @@ mod tests {
     #[test]
     fn commodity_defaults_match_paper_machine() {
         let c = MachineConfig::commodity(4, 4 << 20);
-        assert_eq!(c.core_hz, 1_200_000_000);
+        assert_eq!(CORE_HZ, 1_200_000_000);
         assert_eq!(c.l2.size, 4 << 20);
         assert_eq!(c.l1.size, 32 << 10);
         assert_eq!(c.l2_partition, Partition::Shared);
@@ -116,8 +118,7 @@ mod tests {
         // Everything else matches the baseline so the comparison isolates
         // the two mechanisms.
         let b = MachineConfig::commodity(4, 4 << 20);
-        assert_eq!(c.dram_cycles, b.dram_cycles);
-        assert_eq!(c.l2_hit_cycles, b.l2_hit_cycles);
+        assert_eq!((c.l1, c.l2, c.epoch_cycles), (b.l1, b.l2, b.epoch_cycles));
     }
 
     #[test]

@@ -87,11 +87,11 @@ use snic_telemetry::{metrics, Histogram, NullSink, TelemetrySink};
 use crate::budget::Threads;
 use crate::bus::{BusArbiter, BusKind};
 use crate::cache::{Cache, CacheConfig, Partition, SetMap, TAG_INVALID};
-use crate::config::MachineConfig;
-use crate::stream::{Access, AccessKind, EventSource};
+use crate::config::{MachineConfig, BUS_BEAT_CYCLES, DRAM_CYCLES, L2_HIT_CYCLES};
+use crate::stream::EventSource;
 
-/// Events processed per bulk-L1 chunk. 256 events × 16 bytes of raw
-/// access plus the decode arrays keep a front's working set around
+/// Events processed per bulk-L1 chunk. A 256-event run of 16-byte
+/// accesses plus the decode arrays keep a front's working set around
 /// 9 KiB — small enough to stay L1-resident on the host while
 /// streaming.
 const CHUNK: usize = 256;
@@ -423,8 +423,6 @@ struct Batch {
 struct Front {
     src: EventSource,
     l1: PrivateL1,
-    /// Raw events of the current chunk.
-    raw: Box<[Access]>,
     /// Tagged addresses of the current chunk (decode pass output).
     addrs: Box<[u64]>,
     /// `prefix[k]` = instructions of chunk events `[0, k)`.
@@ -447,15 +445,6 @@ impl Front {
         Front {
             src,
             l1: PrivateL1::new(l1),
-            raw: vec![
-                Access {
-                    insns: 1,
-                    addr: 0,
-                    kind: AccessKind::Load,
-                };
-                CHUNK
-            ]
-            .into_boxed_slice(),
             addrs: vec![0; CHUNK].into_boxed_slice(),
             prefix: vec![0; CHUNK + 1].into_boxed_slice(),
             miss_pos: vec![0; CHUNK].into_boxed_slice(),
@@ -485,7 +474,6 @@ impl Front {
             };
             let Front {
                 src,
-                raw,
                 addrs,
                 prefix,
                 l1,
@@ -495,19 +483,11 @@ impl Front {
                 ..
             } = self;
             // Pass 1 — decode: prefix-sum the instruction counts and tag
-            // every address with the lane's address-space id. Replay-
-            // backed sources lend their backing store directly
-            // (zero-copy); the rest synthesize into the chunk buffer
-            // first. A borrowed run may be *short* without meaning
-            // end-of-stream (shared recordings stop at each pass
-            // boundary) — only an empty chunk ends the lane.
-            let events: &[Access] = match src.next_slice(cap) {
-                Some(run) => run,
-                None => {
-                    let n = src.next_batch(&mut raw[..cap]);
-                    &raw[..n]
-                }
-            };
+            // every address with the lane's address-space id, reading
+            // the run the source lends (a recording's backing store or a
+            // generator's chunk buffer). A run may be *short* without
+            // meaning end-of-stream — only an empty one ends the lane.
+            let events = src.next_slice(cap).unwrap_or_default();
             let n = events.len();
             if n == 0 {
                 break;
@@ -634,32 +614,26 @@ impl Back {
     /// Process the next L2 event against the shared L2 and bus, folding
     /// the preceding hit run into the clock arithmetically.
     #[inline]
-    fn consume_miss(
-        &mut self,
-        l2: &mut Cache,
-        arbiter: &mut BusArbiter,
-        cfg: &MachineConfig,
-        telemetry_on: bool,
-    ) {
+    fn consume_miss(&mut self, l2: &mut Cache, arbiter: &mut BusArbiter, telemetry_on: bool) {
         let e = self.batch.misses[self.next];
         // Clock after the missing event's instruction charge.
         let mut now = self.time + e.through;
         if l2.access(self.tenant, e.addr) {
             self.st.l2_hits += 1;
-            now += cfg.l2_hit_cycles;
+            now += L2_HIT_CYCLES;
         } else {
             self.st.l2_misses += 1;
-            let ready = now + cfg.l2_hit_cycles;
-            let start = arbiter.grant(self.tenant, ready, cfg.bus_beat_cycles);
+            let ready = now + L2_HIT_CYCLES;
+            let start = arbiter.grant(self.tenant, ready, BUS_BEAT_CYCLES);
             if telemetry_on {
                 self.tel.grants += 1;
                 self.tel.wait.record(start.saturating_sub(ready));
-                self.tel.dram.record(cfg.dram_cycles);
+                self.tel.dram.record(DRAM_CYCLES);
                 if start > ready {
                     self.tel.delayed += 1;
                 }
             }
-            now = start + cfg.bus_beat_cycles + cfg.dram_cycles;
+            now = start + BUS_BEAT_CYCLES + DRAM_CYCLES;
         }
         self.time = now;
         self.next += 1;
@@ -1012,7 +986,7 @@ pub fn run_colocated_ids_sink<S: TelemetrySink + ?Sized>(
             // key stays below the (unchanged) runner-up — a single drain
             // when it is the only live lane.
             loop {
-                back.consume_miss(&mut l2, &mut arbiter, cfg, telemetry_on);
+                back.consume_miss(&mut l2, &mut arbiter, telemetry_on);
                 if !back.advance(i, &mut feed) {
                     keys[i] = DEAD;
                     break;
@@ -1074,7 +1048,7 @@ pub fn run_colocated_ids_sink<S: TelemetrySink + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::SyntheticStream;
+    use crate::stream::{Access, AccessKind, SyntheticStream};
 
     fn streams(n: usize, working_set: u64, events: u64) -> Vec<EventSource> {
         (0..n)

@@ -18,11 +18,11 @@ use snic_telemetry::{metrics, Histogram, TelemetrySink};
 
 use crate::bus::BusArbiter;
 use crate::cache::{Cache, Partition};
-use crate::config::MachineConfig;
+use crate::config::{MachineConfig, BUS_BEAT_CYCLES, DRAM_CYCLES, L2_HIT_CYCLES};
 use crate::engine::{tagged, validate_domains, NfRunStats, RunOutcome};
 use crate::stream::{Access, AccessKind, EventSource};
 
-/// Events pulled per [`Cursor`] refill.
+/// Most events a [`Cursor`] refill copies out of one run.
 const BATCH: usize = 64;
 
 /// A stream plus a refillable look-ahead buffer.
@@ -49,9 +49,13 @@ impl Cursor {
         c
     }
 
+    /// Copy the source's next run into the buffer. Only an empty run
+    /// ends a stream, so an empty buffer after a refill means exhausted.
     #[inline]
     fn refill(&mut self) {
-        self.len = self.src.next_batch(&mut self.buf) as u32;
+        let run = self.src.next_slice(BATCH).unwrap_or_default();
+        self.buf[..run.len()].copy_from_slice(run);
+        self.len = run.len() as u32;
         self.pos = 0;
     }
 
@@ -253,22 +257,22 @@ pub fn run_reference<S: TelemetrySink + ?Sized, O: TraceObserver>(
                 observer.l2_access(i as u32, a, l2_hit);
                 if l2_hit {
                     st.l2_hits += 1;
-                    now += cfg.l2_hit_cycles;
+                    now += L2_HIT_CYCLES;
                 } else {
                     st.l2_misses += 1;
-                    let ready = now + cfg.l2_hit_cycles;
-                    let start = arbiter.grant(i as u32, ready, cfg.bus_beat_cycles);
-                    observer.bus_grant(i as u32, ready, cfg.bus_beat_cycles, start);
+                    let ready = now + L2_HIT_CYCLES;
+                    let start = arbiter.grant(i as u32, ready, BUS_BEAT_CYCLES);
+                    observer.bus_grant(i as u32, ready, BUS_BEAT_CYCLES, start);
                     if telemetry_on {
                         let t = &mut bus_tel[i];
                         t.grants += 1;
                         t.wait.record(start.saturating_sub(ready));
-                        t.dram.record(cfg.dram_cycles);
+                        t.dram.record(DRAM_CYCLES);
                         if start > ready {
                             t.delayed += 1;
                         }
                     }
-                    now = start + cfg.bus_beat_cycles + cfg.dram_cycles;
+                    now = start + BUS_BEAT_CYCLES + DRAM_CYCLES;
                 }
             }
 

@@ -15,10 +15,11 @@
 //! from writes; only the *timing* model treats them uniformly.
 //!
 //! Streams reach the engine as [`EventSource`] values — a closed enum
-//! over the three concrete stream types — so the hot loop dispatches on
-//! an enum tag instead of a vtable, and pulls events in batches via
-//! [`EventSource::next_slice`] / [`EventSource::next_batch`] rather than
-//! one call per event.
+//! over a shared recording ([`SharedReplayStream`]) and a chunk-buffered
+//! generator ([`StreamedSource`] over any [`TraceSource`]) — so the hot
+//! loop dispatches on an enum tag instead of a vtable. Both lend runs of
+//! events through the one pull, [`EventSource::next_slice`], straight
+//! out of the recording or the generator's chunk buffer.
 
 /// Load or store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,11 +54,11 @@ pub struct Access {
 /// warm-then-measure pattern of the figure sweeps becomes a rewind at
 /// the pass boundary instead of a second materialized copy).
 ///
-/// The contract is that of [`EventSource::next_batch`]: a partial fill
-/// is legal only at end of sequence, and a zero fill means the current
-/// pass is exhausted. After `rewind`, the source must reproduce its
-/// event sequence bit-identically — that is what lets a streamed run
-/// replace a materialized `Arc<[Access]>` under every golden snapshot.
+/// A fill may write fewer events than `out` holds anywhere in the
+/// sequence; only a zero fill means the current pass is exhausted.
+/// After `rewind`, the source must reproduce its event sequence
+/// bit-identically — that is what lets a streamed run replace a
+/// materialized `Arc<[Access]>` under every golden snapshot.
 pub trait TraceSource: Send {
     /// Fill `out` with the next events of the sequence, returning how
     /// many were written; 0 exactly when the sequence is exhausted.
@@ -71,7 +72,7 @@ pub trait TraceSource: Send {
 /// Adapts a [`TraceSource`] generator to the engine's [`EventSource`]
 /// interface: an internal chunk buffer is refilled from the generator
 /// on demand, and the engine borrows runs straight out of that buffer
-/// (the same zero-copy `next_slice` path replay-backed sources take).
+/// through [`EventSource::next_slice`].
 ///
 /// `passes > 1` replays the generated sequence back to back by
 /// rewinding the generator at each pass boundary — the streaming
@@ -150,21 +151,6 @@ impl StreamedSource {
         }
         true
     }
-
-    /// Bulk-pull into `out`; see [`EventSource::next_batch`].
-    pub fn next_batch(&mut self, out: &mut [Access]) -> usize {
-        let mut n = 0;
-        while n < out.len() {
-            if !self.ensure() {
-                break;
-            }
-            let take = (out.len() - n).min(self.hi - self.lo);
-            out[n..n + take].copy_from_slice(&self.buf[self.lo..self.lo + take]);
-            self.lo += take;
-            n += take;
-        }
-        n
-    }
 }
 
 impl std::fmt::Debug for StreamedSource {
@@ -208,39 +194,11 @@ impl SharedReplayStream {
             passes_left: passes,
         }
     }
-
-    /// Number of events remaining across all passes.
-    pub fn remaining(&self) -> usize {
-        if self.passes_left == 0 {
-            return 0;
-        }
-        (self.accesses.len() - self.pos) + (self.passes_left as usize - 1) * self.accesses.len()
-    }
-
-    /// Bulk-pull into `out`; see [`EventSource::next_batch`].
-    pub fn next_batch(&mut self, out: &mut [Access]) -> usize {
-        if self.accesses.is_empty() {
-            return 0;
-        }
-        let mut n = 0;
-        while n < out.len() && self.passes_left > 0 {
-            let take = (out.len() - n).min(self.accesses.len() - self.pos);
-            out[n..n + take].copy_from_slice(&self.accesses[self.pos..self.pos + take]);
-            n += take;
-            self.pos += take;
-            if self.pos == self.accesses.len() {
-                self.pos = 0;
-                self.passes_left -= 1;
-            }
-        }
-        n
-    }
 }
 
-/// A synthetic stream with a configurable working set and access mix —
-/// used for engine unit tests and for modeling the NIC OS's background
-/// activity. Addresses cycle pseudo-randomly (LCG) through `working_set`
-/// bytes.
+/// A seeded synthetic [`TraceSource`] with a configurable working set
+/// and access mix, for engine tests and probes. Addresses cycle
+/// pseudo-randomly (LCG) through `working_set` bytes.
 #[derive(Debug, Clone)]
 pub struct SyntheticStream {
     working_set: u64,
@@ -313,42 +271,28 @@ impl TraceSource for SyntheticStream {
     }
 }
 
-/// A devirtualized stream: the closed set of event sources the engine
-/// knows how to drain without a vtable — the three concrete stream
-/// types are matched directly and their bulk pulls statically resolved.
+/// A devirtualized stream: the engine's input is either a recording or
+/// a generator, matched directly so the hot loop never goes through a
+/// vtable to pull a run.
 pub enum EventSource {
     /// A shared, possibly looped recording ([`SharedReplayStream`]).
     Shared(SharedReplayStream),
-    /// A seeded synthetic workload ([`SyntheticStream`]).
-    Synthetic(SyntheticStream),
     /// A chunk-buffered generator ([`StreamedSource`]) — O(chunk)
     /// resident memory, bit-identical replays via [`TraceSource::rewind`].
     Streamed(StreamedSource),
 }
 
 impl EventSource {
-    /// Fill `out` with as many events as are available, returning how
-    /// many were written. Returns 0 exactly when the stream is
-    /// exhausted (partial fills are allowed only at end of stream, so a
-    /// short count means "almost done", never "try again").
-    #[inline]
-    pub fn next_batch(&mut self, out: &mut [Access]) -> usize {
-        match self {
-            EventSource::Shared(s) => s.next_batch(out),
-            EventSource::Synthetic(s) => s.fill(out),
-            EventSource::Streamed(s) => s.next_batch(out),
-        }
-    }
-
-    /// Borrow the next run of up to `max` events straight out of a
-    /// replay backing store, advancing the cursor — the zero-copy
-    /// counterpart of [`EventSource::next_batch`]. Returns `None` for
-    /// the synthetic source, which must synthesize events into a caller
-    /// buffer; callers fall back to `next_batch` there. An exhausted
-    /// replay source returns `Some(&[])`, and a shared recording's runs
-    /// never span a pass boundary (the next call resumes at the front),
-    /// so a short run — unlike `next_batch`'s contract — does *not*
-    /// imply end of stream; only an empty one does.
+    /// Borrow the next run of up to `max` events, advancing the cursor:
+    /// a shared recording lends its backing store, a generator its
+    /// chunk buffer. This is the only way to pull events.
+    ///
+    /// Always returns `Some`; the `Option` remains only because the
+    /// standalone `benchmark/` crate's layer probes `expect` it. Only an
+    /// empty run means the stream is exhausted, and every later call
+    /// returns an empty run again. A short run does not mean the end: a
+    /// recording's runs stop at each pass boundary, and a generator's at
+    /// each chunk it fills.
     #[inline]
     pub fn next_slice(&mut self, max: usize) -> Option<&[Access]> {
         match self {
@@ -374,7 +318,6 @@ impl EventSource {
                 s.lo += n;
                 Some(&s.buf[lo..lo + n])
             }
-            EventSource::Synthetic(_) => None,
         }
     }
 
@@ -405,7 +348,6 @@ impl std::fmt::Debug for EventSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EventSource::Shared(s) => f.debug_tuple("Shared").field(s).finish(),
-            EventSource::Synthetic(s) => f.debug_tuple("Synthetic").field(s).finish(),
             EventSource::Streamed(s) => f.debug_tuple("Streamed").field(s).finish(),
         }
     }
@@ -417,9 +359,10 @@ impl From<SharedReplayStream> for EventSource {
     }
 }
 
+/// One pass of a synthetic generator behind a [`STREAM_CHUNK`] buffer.
 impl From<SyntheticStream> for EventSource {
     fn from(s: SyntheticStream) -> EventSource {
-        EventSource::Synthetic(s)
+        StreamedSource::new(Box::new(s)).into()
     }
 }
 
@@ -440,32 +383,22 @@ mod tests {
         kind: AccessKind::Load,
     };
 
-    /// Drain a source via `next_batch` through a `chunk`-slot buffer,
-    /// holding it to the contract on the way: a short count may only be
-    /// the last non-empty batch of the stream.
-    fn drain_batched(mut es: EventSource, chunk: usize) -> Vec<Access> {
+    /// Drain a source through `next_slice` in runs of at most `max`,
+    /// holding it to the contract on the way: every call answers
+    /// `Some`, and a source that has returned its empty run keeps
+    /// returning one.
+    fn drain(mut es: EventSource, max: usize) -> Vec<Access> {
         let mut v = Vec::new();
-        let mut buf = vec![BLANK; chunk];
         loop {
-            let n = es.next_batch(&mut buf);
-            v.extend_from_slice(&buf[..n]);
-            if n < chunk {
-                assert_eq!(es.next_batch(&mut buf), 0, "short count mid-stream");
+            let run = es.next_slice(max).expect("next_slice always answers Some");
+            assert!(run.len() <= max, "run longer than asked for");
+            if run.is_empty() {
+                for _ in 0..3 {
+                    assert_eq!(es.next_slice(max), Some(&[][..]), "pull after the end");
+                }
                 return v;
             }
-        }
-    }
-
-    /// Drain a source through the zero-copy `next_slice` path, falling
-    /// back to `next_batch` like the engine does.
-    fn drain_sliced(mut es: EventSource, max: usize) -> Vec<Access> {
-        let mut v = Vec::new();
-        loop {
-            match es.next_slice(max) {
-                Some([]) => return v,
-                Some(run) => v.extend_from_slice(run),
-                None => return drain_batched(es, max),
-            }
+            v.extend_from_slice(run);
         }
     }
 
@@ -484,6 +417,21 @@ mod tests {
             .collect()
     }
 
+    /// A generator that writes one event per fill, so the runs it lends
+    /// are short in the middle of a pass, not only at its end.
+    struct OnePerFill(SyntheticStream);
+
+    impl TraceSource for OnePerFill {
+        fn fill(&mut self, out: &mut [Access]) -> usize {
+            let n = out.len().min(1);
+            self.0.fill(&mut out[..n])
+        }
+
+        fn rewind(&mut self) {
+            self.0.rewind();
+        }
+    }
+
     #[test]
     fn replay_replays_in_order() {
         let v = vec![
@@ -494,19 +442,15 @@ mod tests {
                 kind: AccessKind::Store,
             },
         ];
-        let mut s = SharedReplayStream::new(v.clone().into());
-        let mut one = [BLANK; 1];
-        assert_eq!(s.remaining(), 2);
-        assert_eq!((s.next_batch(&mut one), one[0]), (1, v[0]));
-        assert_eq!(s.remaining(), 1);
-        assert_eq!((s.next_batch(&mut one), one[0]), (1, v[1]));
-        assert_eq!(s.next_batch(&mut one), 0);
-        assert_eq!(s.remaining(), 0);
+        let mut es = EventSource::from(SharedReplayStream::new(v.clone().into()));
+        assert_eq!(es.next_slice(1), Some(&v[..1]));
+        assert_eq!(es.next_slice(1), Some(&v[1..]));
+        assert_eq!(es.next_slice(1), Some(&[][..]));
     }
 
     #[test]
     fn synthetic_respects_limit_and_bounds() {
-        let events = drain_batched(SyntheticStream::new(4096, 5, 4, 100, 42).into(), 7);
+        let events = drain(SyntheticStream::new(4096, 5, 4, 100, 42).into(), 7);
         assert_eq!(events.len(), 100);
         assert!(events.iter().all(|a| a.addr < 4096 && a.insns == 5));
         let stores = events.iter().filter(|a| a.kind == AccessKind::Store);
@@ -524,8 +468,9 @@ mod tests {
             },
         ];
         let s = SharedReplayStream::repeated(v.clone().into(), 3);
-        assert_eq!(s.remaining(), 6);
-        let seen = drain_batched(s.into(), 1);
+        // A run never spans a pass boundary.
+        assert_eq!(EventSource::from(s.clone()).next_slice(5), Some(&v[..]));
+        let seen = drain(s.into(), 1);
         assert_eq!(seen.len(), 6);
         assert_eq!(&seen[..2], &v[..]);
         assert_eq!(&seen[2..4], &v[..]);
@@ -537,7 +482,6 @@ mod tests {
         let empty = || -> Arc<[Access]> { Vec::new().into() };
         for passes in [1, 1_000_000] {
             let mut es = EventSource::from(SharedReplayStream::repeated(empty(), passes));
-            assert_eq!(es.next_batch(&mut [BLANK; 4]), 0);
             assert_eq!(es.next_slice(16), Some(&[][..]));
         }
     }
@@ -545,7 +489,7 @@ mod tests {
     #[test]
     fn batched_and_sliced_pulls_match_single_pull_for_every_stream_type() {
         let shared: Arc<[Access]> = recording().into();
-        let sources: [(&str, &dyn Fn() -> EventSource); 4] = [
+        let sources: [(&str, &dyn Fn() -> EventSource); 5] = [
             ("replay", &|| SharedReplayStream::new(shared.clone()).into()),
             ("shared x3", &|| {
                 SharedReplayStream::repeated(shared.clone(), 3).into()
@@ -556,34 +500,19 @@ mod tests {
             ("streamed x2", &|| {
                 StreamedSource::with_chunk(Box::new(synth()), 2, 61).into()
             }),
+            ("one per fill x2", &|| {
+                StreamedSource::with_chunk(Box::new(OnePerFill(synth())), 2, 61).into()
+            }),
         ];
         for (name, mk) in sources {
-            let single = drain_batched(mk(), 1);
+            let single = drain(mk(), 1);
             assert!(!single.is_empty());
-            for chunk in [3usize, 64, 200] {
-                assert_eq!(drain_batched(mk(), chunk), single, "{name}, chunk={chunk}");
-                assert_eq!(drain_sliced(mk(), chunk), single, "{name}, max={chunk}");
+            for max in [3usize, 64, 200] {
+                assert_eq!(drain(mk(), max), single, "{name}, max={max}");
             }
         }
-        assert_eq!(drain_batched(sources[0].1(), 1), recording());
-    }
-
-    #[test]
-    fn batch_short_count_only_at_end_of_stream() {
-        // A 5-event recording into a 4-slot buffer: full, then the
-        // 1-event tail, then 0. Looped twice: full, full, the 2-event
-        // tail, then 0.
-        let v: Arc<[Access]> = (0..5u64).map(|i| Access { addr: i, ..BLANK }).collect();
-        let mut buf = [BLANK; 4];
-        let mut once = SharedReplayStream::new(v.clone());
-        assert_eq!(once.next_batch(&mut buf), 4);
-        assert_eq!(once.next_batch(&mut buf), 1);
-        assert_eq!(once.next_batch(&mut buf), 0);
-        let mut twice = SharedReplayStream::repeated(v, 2);
-        assert_eq!(twice.next_batch(&mut buf), 4);
-        assert_eq!(twice.next_batch(&mut buf), 4);
-        assert_eq!(twice.next_batch(&mut buf), 2);
-        assert_eq!(twice.next_batch(&mut buf), 0);
+        assert_eq!(drain(sources[0].1(), 1), recording());
+        assert_eq!(drain(sources[4].1(), 64), drain(sources[3].1(), 64));
     }
 
     #[test]
@@ -591,10 +520,10 @@ mod tests {
         fn assert_send<T: Send>(_: &T) {}
         let es = EventSource::from(SyntheticStream::new(4096, 5, 0, 10, 1));
         assert_send(&es);
-        assert!(format!("{es:?}").contains("Synthetic"));
+        assert!(format!("{es:?}").contains("Streamed"));
         let mut direct = [BLANK; 16];
         let n = SyntheticStream::new(4096, 5, 0, 10, 1).fill(&mut direct);
-        assert_eq!(drain_batched(es, 3), &direct[..n]);
+        assert_eq!(drain(es, 3), &direct[..n]);
     }
 
     /// The synthetic workload the streaming tests generate and compare
@@ -605,37 +534,33 @@ mod tests {
 
     #[test]
     fn streamed_source_matches_its_generator_for_every_chunk_size() {
-        let direct = drain_batched(synth().into(), 1);
-        assert_eq!(direct.len(), 1000);
+        let mut direct = vec![BLANK; 1000];
+        assert_eq!(synth().fill(&mut direct), 1000);
         for chunk in [1usize, 7, 256, 333, 4096, 10_000] {
             let mk = || EventSource::from(StreamedSource::with_chunk(Box::new(synth()), 1, chunk));
-            assert_eq!(drain_batched(mk(), 1), direct, "single, chunk={chunk}");
-            assert_eq!(drain_sliced(mk(), 100), direct, "sliced, chunk={chunk}");
+            assert_eq!(drain(mk(), 1), direct, "single, chunk={chunk}");
+            assert_eq!(drain(mk(), 100), direct, "sliced, chunk={chunk}");
         }
     }
 
     #[test]
     fn streamed_repeated_matches_shared_repeated() {
-        let trace: Arc<[Access]> = drain_batched(synth().into(), 64).into();
+        let trace: Arc<[Access]> = drain(synth().into(), 64).into();
         let shared = SharedReplayStream::repeated(trace, 3);
         let streamed = StreamedSource::with_chunk(Box::new(synth()), 3, 333);
-        assert_eq!(
-            drain_sliced(streamed.into(), 97),
-            drain_sliced(shared.into(), 97)
-        );
+        assert_eq!(drain(streamed.into(), 97), drain(shared.into(), 97));
     }
 
     #[test]
     fn empty_streamed_generator_terminates() {
         let empty = SyntheticStream::new(64, 1, 0, 0, 1);
         let mut es = EventSource::from(StreamedSource::repeated(Box::new(empty), 1_000_000));
-        assert_eq!(es.next_batch(&mut [BLANK; 4]), 0);
         assert_eq!(es.next_slice(16), Some(&[][..]));
     }
 
     #[test]
     fn synthetic_rewind_replays_from_any_position() {
-        let first = drain_batched(synth().into(), 64);
+        let first = drain(synth().into(), 64);
         let mut s = synth();
         let mut buf = vec![BLANK; first.len()];
         // Mid-stream, after exhaustion, and twice in a row: every
@@ -653,7 +578,7 @@ mod tests {
     #[test]
     fn synthetic_deterministic_per_seed() {
         let collect = |seed| -> Vec<u64> {
-            drain_batched(SyntheticStream::new(1 << 20, 3, 0, 50, seed).into(), 16)
+            drain(SyntheticStream::new(1 << 20, 3, 0, 50, seed).into(), 16)
                 .iter()
                 .map(|a| a.addr)
                 .collect()

@@ -152,9 +152,9 @@ budgeted_test
 # The inline engine end to end: with one hardware thread in the budget
 # no engine call starts a helper, so the differentials and every golden
 # must hold on the path a single-core host (or a busy worker pool) runs.
-echo "==> inline engine: engine_differential + goldens under SNIC_SIM_THREADS=1"
+echo "==> inline engine: engine_differential + streaming_differential + goldens under SNIC_SIM_THREADS=1"
 SNIC_SIM_THREADS=1 budgeted_test -p snic-uarch --test engine_differential
-SNIC_SIM_THREADS=1 budgeted_test -p snic-bench --test golden
+SNIC_SIM_THREADS=1 budgeted_test -p snic-bench --test golden --test streaming_differential
 SNIC_SIM_THREADS=1 budgeted_test -p snic --test serve_soak --test leakage_matrix
 
 # Script demo: every line of scripts/demo.snic lowers onto snicd's verb

@@ -126,7 +126,7 @@ proptest! {
             .iter()
             .map(|&(flow, port, len)| packet(flow, port, len))
             .collect();
-        let stream = record_stream(nf.as_mut(), &packets);
+        let stream = record_stream(nf.as_mut(), packets);
         let (me, neighbor) = (NfId(1), NfId(2));
         let linter = TraceLinter::new(
             &spec(),
