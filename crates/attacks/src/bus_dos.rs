@@ -15,8 +15,7 @@ use snic_core::config::NicMode;
 use snic_pktio::rules::{RuleMatch, SwitchRule};
 use snic_types::packet::PacketBuilder;
 use snic_types::{NfId, Protocol, SnicError};
-use snic_uarch::bus::EPOCH_CYCLES;
-use snic_verify::{BusSpec, TraceLinter};
+use snic_verify::{bus_arbiter, TraceLinter};
 
 use crate::traced::record_grant;
 use crate::watermark::{ATTACKER_BEAT, VICTIM_BEAT};
@@ -47,8 +46,7 @@ pub fn run_bus_dos(mode: NicMode) -> AttackOutcome {
     // The flood as the device's bus arbiter sees it, recorded for Pass 2:
     // the attacker (domain 1) asks for the bus every 10 cycles while the
     // victim (domain 0) issues a sparse request stream.
-    let spec = nic.device_spec();
-    let mut arbiter = spec.bus.arbiter(2);
+    let mut arbiter = bus_arbiter(mode, 2);
     let mut grants = Vec::new();
     let mut victim_ready = 5u64;
     for i in 0..200u64 {
@@ -58,7 +56,7 @@ pub fn run_bus_dos(mode: NicMode) -> AttackOutcome {
             victim_ready += 150;
         }
     }
-    let findings = TraceLinter::new(&spec, Vec::new()).lint_bus(&grants);
+    let findings = TraceLinter::new(mode, Vec::new(), Vec::new()).lint_bus(&grants);
 
     // Can the victim still receive traffic?
     let pkt = PacketBuilder::new(1, 2, Protocol::Tcp, 1000, 443).build();
@@ -81,20 +79,15 @@ pub fn run_bus_dos(mode: NicMode) -> AttackOutcome {
 /// cycles) the flood inflicts on the victim's first request.
 pub fn flood_latency_impact() -> (u64, u64) {
     let (ready, duration) = (100u64, 16u64); // The victim's one request.
-    let delta = |bus: BusSpec| {
-        let base = bus.arbiter(2).grant(0, ready, duration);
-        let mut noisy = bus.arbiter(2);
+    let delta = |mode| {
+        let base = bus_arbiter(mode, 2).grant(0, ready, duration);
+        let mut noisy = bus_arbiter(mode, 2);
         for i in 0..1000 {
             let _ = noisy.grant(1, i, 90);
         }
         noisy.grant(0, ready, duration) - base
     };
-    (
-        delta(BusSpec::Fcfs),
-        delta(BusSpec::Temporal {
-            epoch: EPOCH_CYCLES,
-        }),
-    )
+    (delta(NicMode::Commodity), delta(NicMode::Snic))
 }
 
 #[cfg(test)]

@@ -20,11 +20,10 @@
 
 use snic_core::config::NicMode;
 use snic_core::device::SmartNic;
-use snic_types::AccelKind;
-use snic_uarch::bus::{BusArbiter, EPOCH_CYCLES};
+use snic_uarch::bus::BusArbiter;
 use snic_uarch::cache::{Cache, CacheConfig, Partition};
 use snic_uarch::{BusGrantRec, L2AccessRec};
-use snic_verify::{BusSpec, DeviceSpec, EnforcementMode, Finding, TraceBundle, TraceLinter};
+use snic_verify::{Finding, TraceBundle, TraceLinter};
 
 use crate::{
     run_bus_dos, run_nicos_tamper, run_packet_corruption, run_ruleset_theft, run_watermark,
@@ -67,15 +66,14 @@ pub fn lint_all(mode: NicMode) -> Vec<TracedScenario> {
 }
 
 /// Lint whatever the audit log captured since `start_audit`, against the
-/// device's own spec and current domain map.
+/// device's own NIC-OS ranges and current domain map. The log is drained
+/// first: reading the domain map is itself a (trusted) access.
 pub(crate) fn lint_memory_of(nic: &mut SmartNic) -> Vec<Finding> {
-    let spec = nic.device_spec();
-    let domains = nic.security_domains();
     let bundle = TraceBundle {
         memory: nic.take_audit(),
         ..TraceBundle::default()
     };
-    TraceLinter::new(&spec, domains).lint(&bundle)
+    TraceLinter::new(nic.mode(), nic.device_spec().nic_os, nic.security_domains()).lint(&bundle)
 }
 
 /// Ask `arbiter` for the bus on behalf of `domain` and log the grant as
@@ -95,32 +93,6 @@ pub(crate) fn record_grant(
         granted,
     });
     granted
-}
-
-/// A hardware inventory for the scenarios that never build a full device
-/// (no memory is involved, only arbiter/cache models).
-pub(crate) fn synthetic_spec(mode: NicMode) -> DeviceSpec {
-    let (mode, bus) = match mode {
-        NicMode::Commodity => (EnforcementMode::Commodity, BusSpec::Fcfs),
-        NicMode::Snic => (
-            EnforcementMode::Snic,
-            BusSpec::Temporal {
-                epoch: EPOCH_CYCLES,
-            },
-        ),
-    };
-    DeviceSpec {
-        mode,
-        dram: 256 << 20,
-        nf_region_base: 0x0800_0000,
-        nic_os: Vec::new(),
-        cores: 4,
-        core_tlb_entries: 512,
-        accel: vec![(AccelKind::Crypto, 4)],
-        rx_capacity: 8 << 20,
-        tx_capacity: 8 << 20,
-        bus,
-    }
 }
 
 /// Prime+Probe under the recorder: the attacker (tenant 1) parks lines
@@ -160,7 +132,7 @@ pub fn traced_cache_probe(mode: NicMode) -> Vec<Finding> {
         cache: events,
         ..TraceBundle::default()
     };
-    TraceLinter::new(&synthetic_spec(mode), Vec::new())
+    TraceLinter::new(mode, Vec::new(), Vec::new())
         .with_cache(cfg, partition)
         .lint(&bundle)
 }

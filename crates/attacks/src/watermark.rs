@@ -18,9 +18,9 @@
 use snic_core::config::NicMode;
 use snic_uarch::bus::BusArbiter;
 use snic_uarch::BusGrantRec;
-use snic_verify::{Finding, TraceLinter};
+use snic_verify::{bus_arbiter, Finding, TraceLinter};
 
-use crate::traced::{record_grant, synthetic_spec};
+use crate::traced::record_grant;
 
 /// Cycles per watermark bit window.
 const WINDOW_CYCLES: u64 = 4_000;
@@ -92,16 +92,15 @@ fn test_pattern() -> Vec<bool> {
 /// the grants that carried it.
 pub fn run_watermark(mode: NicMode) -> (f64, Vec<Finding>) {
     let pattern = test_pattern();
-    let spec = synthetic_spec(mode);
-    let (decoded, grants) = transmit_watermark(&mut spec.bus.arbiter(2), &pattern);
-    let findings = TraceLinter::new(&spec, Vec::new()).lint_bus(&grants);
+    let (decoded, grants) = transmit_watermark(&mut bus_arbiter(mode, 2), &pattern);
+    let findings = TraceLinter::new(mode, Vec::new(), Vec::new()).lint_bus(&grants);
     (fidelity(&pattern, &decoded), findings)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snic_verify::{BusSpec, FindingKind};
+    use snic_verify::FindingKind;
 
     #[test]
     fn fcfs_transfers_the_watermark_perfectly() {
@@ -139,8 +138,7 @@ mod tests {
         // bit-for-bit identical whether the attacker sends the watermark
         // or stays silent.
         let observe = |pattern: &[bool]| -> Vec<u64> {
-            let bus = BusSpec::Temporal { epoch: 96 };
-            let (_, grants) = transmit_watermark(&mut bus.arbiter(2), pattern);
+            let (_, grants) = transmit_watermark(&mut bus_arbiter(NicMode::Snic, 2), pattern);
             grants
                 .iter()
                 .filter(|g| g.domain == 0)

@@ -2,15 +2,7 @@
 
 use snic_mem::planner::PagePolicy;
 use snic_types::ByteSize;
-
-/// Which personality the device runs with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NicMode {
-    /// Commodity SoC NIC: no isolation (§3).
-    Commodity,
-    /// S-NIC: full hardware isolation (§4).
-    Snic,
-}
+pub use snic_types::NicMode;
 
 /// Static configuration of a [`crate::device::SmartNic`].
 #[derive(Debug, Clone)]

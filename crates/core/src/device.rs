@@ -28,8 +28,8 @@ use snic_types::{
     SnicError, TransientResource,
 };
 use snic_verify::{
-    analyze_launch, verify_denylist_coverage, verify_manifests, verify_tlb_state, BusSpec,
-    DeviceSpec, EnforcementMode, VerificationReport, VnicManifest,
+    analyze_launch, verify_denylist_coverage, verify_manifests, verify_tlb_state, DeviceSpec,
+    VerificationReport, VnicManifest,
 };
 
 use crate::alloc::{BufferAllocator, META_BASE, META_SLOT, POOL_BASE};
@@ -415,6 +415,7 @@ impl SmartNic {
     fn force_reclaim(&mut self, nf: NfId) {
         if let Some(record) = self.launched.remove(&nf) {
             self.release_bindings(nf, &record.cores);
+            let _ = self.release_buffers(&record);
             let (base, len) = record.region;
             if self.config.mode == NicMode::Snic {
                 self.pending_scrubs.push(ScrubTicket {
@@ -452,6 +453,16 @@ impl SmartNic {
         let _ = self.tx_port.release_owner(nf);
         self.rules.remove_target(nf);
         self.bus_ops.remove(&nf);
+    }
+
+    /// Return a departing function's shared-pool buffers — its queued
+    /// packets and its image — to the commodity allocator. Under S-NIC
+    /// both live in the function's own region, so nothing is freed.
+    fn release_buffers(&mut self, record: &NfRecord) -> Result<(), SnicError> {
+        for &(base, _) in &record.rx_queue {
+            self.allocator.free(&mut self.guard, base)?;
+        }
+        self.allocator.free(&mut self.guard, record.image_base)
     }
 
     /// Resume every interrupted teardown scrub from its watermark;
@@ -513,17 +524,8 @@ impl SmartNic {
 
     /// The device inventory as the static verifier sees it.
     pub fn device_spec(&self) -> DeviceSpec {
-        let (mode, bus) = match self.config.mode {
-            NicMode::Commodity => (EnforcementMode::Commodity, BusSpec::Fcfs),
-            NicMode::Snic => (
-                EnforcementMode::Snic,
-                BusSpec::Temporal {
-                    epoch: snic_uarch::bus::EPOCH_CYCLES,
-                },
-            ),
-        };
         DeviceSpec {
-            mode,
+            mode: self.config.mode,
             dram: self.config.dram.bytes(),
             nf_region_base: REGION_BASE,
             nic_os: vec![
@@ -538,7 +540,6 @@ impl SmartNic {
                 .collect(),
             rx_capacity: self.config.rx_buffer.bytes(),
             tx_capacity: self.config.tx_buffer.bytes(),
-            bus,
         }
     }
 
@@ -617,20 +618,25 @@ impl SmartNic {
     /// linter checks memory references against.
     pub fn security_domains(&self) -> Vec<(u64, u64, NfId)> {
         let mut out = self.ownership.owned_ranges();
-        let mem = self.guard.raw_mem_ref();
-        let word = |addr: u64| {
-            let mut w = [0u8; 8];
-            mem.read(addr, &mut w);
-            u64::from_le_bytes(w)
-        };
-        for slot in 0..self.allocator.slots() {
-            let a = META_BASE + slot * META_SLOT;
-            let (owner, base, len, flags) = (word(a), word(a + 8), word(a + 16), word(a + 24));
-            if flags & crate::alloc::FLAG_IN_USE != 0 && len > 0 {
-                out.push((base, len, NfId(owner)));
-            }
-        }
+        let slots = (0..self.allocator.slots()).map_while(|slot| {
+            BufferAllocator::read_slot(&self.guard, Principal::TrustedHardware, slot).ok()
+        });
+        out.extend(
+            slots
+                .filter(|m| m.in_use() && m.len > 0)
+                .map(|m| (m.base, m.len, m.owner)),
+        );
         out
+    }
+
+    /// The commodity NIC hard-crashes (a wedged shared accelerator or
+    /// bus): the fault log records it, and every call fails until a
+    /// power cycle. Returns the error the crashing call reports.
+    fn hard_crash(&mut self) -> SnicError {
+        self.injector
+            .note(self.now, None, FaultEventKind::DeviceCrashed);
+        self.crashed = true;
+        SnicError::NicCrashed
     }
 
     fn fail_if_crashed(&self) -> Result<(), SnicError> {
@@ -1144,6 +1150,7 @@ impl SmartNic {
         );
         let record = self.launched.remove(&nf).expect("checked above");
         self.release_bindings(nf, &record.cores);
+        self.release_buffers(&record)?;
         let mut scrub = Picos::ZERO;
         let mut allowlist = Picos::ZERO;
         if self.config.mode == NicMode::Snic {
@@ -1291,6 +1298,9 @@ impl SmartNic {
         let mut buf = vec![0u8; len as usize];
         self.guard
             .read_phys(Principal::TrustedHardware, base, &mut buf)?;
+        // A commodity packet buffer goes back to the shared pool (an
+        // S-NIC ring slot is not the allocator's).
+        self.allocator.free(&mut self.guard, base)?;
         Ok(Some(Packet::from_bytes(bytes::Bytes::from(buf))))
     }
 
@@ -1476,12 +1486,7 @@ impl SmartNic {
                     self.transition(nf, NfState::Faulted);
                     return Err(SnicError::NfFaulted(nf));
                 }
-                NicMode::Commodity => {
-                    self.injector
-                        .note(self.now, None, FaultEventKind::DeviceCrashed);
-                    self.crashed = true;
-                    return Err(SnicError::NicCrashed);
-                }
+                NicMode::Commodity => return Err(self.hard_crash()),
             }
         }
         if self.telemetry.enabled() {
@@ -1516,8 +1521,7 @@ impl SmartNic {
         let stretch = match self.config.mode {
             NicMode::Commodity => {
                 if total > self.config.bus_crash_threshold {
-                    self.crashed = true;
-                    return Err(SnicError::NicCrashed);
+                    return Err(self.hard_crash());
                 }
                 // Unarbitrated: each op takes one bus cycle.
                 1
@@ -1614,12 +1618,7 @@ impl SmartNic {
         {
             match self.config.mode {
                 NicMode::Snic => return Err(SnicError::BusError { addr: nic_addr }),
-                NicMode::Commodity => {
-                    self.injector
-                        .note(self.now, None, FaultEventKind::DeviceCrashed);
-                    self.crashed = true;
-                    return Err(SnicError::NicCrashed);
-                }
+                NicMode::Commodity => return Err(self.hard_crash()),
             }
         }
         Ok(())
@@ -2257,6 +2256,68 @@ mod tests {
         let t = snic_nic.bus_flood(b, 100_000_000).unwrap();
         assert!(!snic_nic.is_crashed());
         assert!(t > Picos::ZERO);
+    }
+
+    #[test]
+    fn commodity_bus_flood_crash_reaches_the_fault_log() {
+        let mut nic = commodity();
+        let a = nic.nf_launch(req(0, 4)).unwrap().nf_id;
+        assert_eq!(
+            nic.bus_flood(a, 100_000_000).unwrap_err(),
+            SnicError::NicCrashed
+        );
+        let last = nic.fault_log().last().expect("a logged crash");
+        assert_eq!(
+            (last.nf, &last.kind),
+            (None, &FaultEventKind::DeviceCrashed)
+        );
+        nic.power_cycle();
+        let kinds: Vec<_> = nic.fault_log().iter().map(|r| &r.kind).collect();
+        let crash = kinds
+            .iter()
+            .position(|k| **k == FaultEventKind::DeviceCrashed);
+        let restored = kinds
+            .iter()
+            .position(|k| **k == FaultEventKind::PowerRestored);
+        assert!(crash < restored, "{kinds:?}");
+    }
+
+    #[test]
+    fn commodity_rx_poll_recycles_pool_buffers() {
+        let mut nic = commodity();
+        let id = nic.nf_launch(req_with_rule(0, 4, 80)).unwrap().nf_id;
+        for i in 0..10_000 {
+            assert_eq!(nic.rx_packet(&pkt(80)), Ok(Some(id)), "rx {i}");
+            let p = nic
+                .poll_packet(id)
+                .unwrap_or_else(|e| panic!("poll {i}: {e}"));
+            assert_eq!(p.expect("queued").data, pkt(80).data);
+        }
+        // Only the image is still live in the pool.
+        let pooled = |nic: &SmartNic| {
+            nic.security_domains()
+                .into_iter()
+                .filter(|&(b, _, _)| b < REGION_BASE)
+                .count()
+        };
+        assert_eq!(pooled(&nic), 1);
+        // Teardown returns the image and whatever was still queued.
+        assert_eq!(nic.rx_packet(&pkt(80)), Ok(Some(id)));
+        assert_eq!(pooled(&nic), 2);
+        nic.nf_teardown(id).unwrap();
+        assert_eq!(pooled(&nic), 0);
+    }
+
+    #[test]
+    fn commodity_launch_teardown_cycles_keep_images_in_the_pool() {
+        let mut nic = commodity();
+        let pool = POOL_BASE..POOL_BASE + ByteSize::mib(64).bytes();
+        for i in 0..5_000 {
+            let id = nic.nf_launch(req(0, 1)).unwrap().nf_id;
+            let image = nic.record_of(id).unwrap().image_base;
+            assert!(pool.contains(&image), "launch {i}: image at {image:#x}");
+            nic.nf_teardown(id).unwrap();
+        }
     }
 
     #[test]

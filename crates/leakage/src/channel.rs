@@ -18,6 +18,7 @@
 use std::sync::Arc;
 
 use snic_telemetry::{metrics, Recorder, Summary};
+use snic_types::NicMode;
 use snic_uarch::config::MachineConfig;
 use snic_uarch::engine::run_colocated_ids_sink;
 use snic_uarch::stream::{Access, EventSource, SharedReplayStream};
@@ -92,39 +93,15 @@ impl Geometry {
     }
 }
 
-/// Isolation mode under measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Mode {
-    /// Shared LRU L2, FCFS bus.
-    Commodity,
-    /// Statically way-partitioned L2, temporal bus (§4.2 + §4.5).
-    Snic,
-}
-
-impl Mode {
-    /// Both modes, commodity first.
-    pub const ALL: [Mode; 2] = [Mode::Commodity, Mode::Snic];
-
-    /// Stable label used in the matrix text form.
-    pub fn label(self) -> &'static str {
-        match self {
-            Mode::Commodity => "commodity",
-            Mode::Snic => "snic",
-        }
-    }
-
-    /// Parse a [`Mode::label`].
-    pub fn from_label(s: &str) -> Option<Mode> {
-        Mode::ALL.into_iter().find(|m| m.label() == s)
-    }
-}
-
 /// The machine a (geometry, epoch, mode) cell runs on: the paper
-/// machine with the L2 geometry and temporal epoch overridden.
-pub fn machine_config(geom: Geometry, epoch_cycles: u64, mode: Mode) -> MachineConfig {
+/// machine with the L2 geometry and temporal epoch overridden. A
+/// commodity machine shares its LRU L2 and arbitrates the bus FCFS;
+/// S-NIC way-partitions the L2 and partitions the bus in time (§4.2 +
+/// §4.5).
+pub fn machine_config(geom: Geometry, epoch_cycles: u64, mode: NicMode) -> MachineConfig {
     let mut cfg = match mode {
-        Mode::Commodity => MachineConfig::commodity(TENANTS, geom.l2_bytes()),
-        Mode::Snic => MachineConfig::snic(TENANTS, geom.l2_bytes()),
+        NicMode::Commodity => MachineConfig::commodity(TENANTS, geom.l2_bytes()),
+        NicMode::Snic => MachineConfig::snic(TENANTS, geom.l2_bytes()),
     };
     cfg.l2.ways = geom.ways;
     cfg.epoch_cycles = epoch_cycles;
@@ -198,7 +175,7 @@ pub struct Channel {
 
 impl Channel {
     /// Instantiate a channel and calibrate its solo baseline.
-    pub fn new(family: ChannelFamily, geom: Geometry, epoch_cycles: u64, mode: Mode) -> Channel {
+    pub fn new(family: ChannelFamily, geom: Geometry, epoch_cycles: u64, mode: NicMode) -> Channel {
         let cfg = machine_config(geom, epoch_cycles, mode);
         let receiver: Arc<[Access]> = receiver_stream(family, geom).into();
         let recorder = Recorder::new();
@@ -261,9 +238,6 @@ mod tests {
         for f in ChannelFamily::ALL {
             assert_eq!(ChannelFamily::from_label(f.label()), Some(f));
         }
-        for m in Mode::ALL {
-            assert_eq!(Mode::from_label(m.label()), Some(m));
-        }
         let g = Geometry {
             ways: 16,
             sets: 512,
@@ -279,7 +253,7 @@ mod tests {
             ways: 16,
             sets: 512,
         };
-        let ch = Channel::new(ChannelFamily::Cache, geom, 96, Mode::Commodity);
+        let ch = Channel::new(ChannelFamily::Cache, geom, 96, NicMode::Commodity);
         let one = ch.transmit(true);
         let zero = ch.transmit(false);
         assert!(one.decoded, "1-bit thrash must show as probe misses");
@@ -294,7 +268,7 @@ mod tests {
             sets: 512,
         };
         for family in ChannelFamily::ALL {
-            let ch = Channel::new(family, geom, 96, Mode::Snic);
+            let ch = Channel::new(family, geom, 96, NicMode::Snic);
             let one = ch.transmit(true);
             let zero = ch.transmit(false);
             assert_eq!(

@@ -16,8 +16,9 @@
 //! simulated time via the plug-in mutual-information estimator
 //! ([`capacity::Confusion::mutual_information`]).
 //!
-//! Sweeping geometry × epoch × {commodity, S-NIC} yields the
-//! [`matrix::LeakageMatrix`]: the repo's leakage-bandwidth table
+//! Sweeping geometry × epoch × personality (the device's one
+//! [`snic_types::NicMode`], which also spells the cell's mode in the
+//! text form) yields the [`matrix::LeakageMatrix`]: the repo's leakage-bandwidth table
 //! (ROADMAP item 3), golden-snapshotted in `tests/golden/leakage.txt`
 //! and served by `snicctl leakage`. Every S-NIC cell must sit below
 //! [`matrix::SNIC_CAPACITY_CEILING_BPS`]; every commodity cell of an
@@ -40,7 +41,7 @@ pub mod covert;
 pub mod matrix;
 
 pub use capacity::{payload_bits, Confusion};
-pub use channel::{Channel, ChannelFamily, Geometry, Mode};
+pub use channel::{Channel, ChannelFamily, Geometry};
 pub use matrix::{
     full_specs, measure_cell, smoke_specs, CellSpec, LeakageCell, LeakageMatrix, CELL_BITS,
     COMMODITY_CAPACITY_FLOOR_BPS, SNIC_CAPACITY_CEILING_BPS,

@@ -15,9 +15,10 @@
 //! (`SNIC_BLESS=1` to regenerate).
 
 use crate::capacity::{payload_bits, splitmix64, Confusion};
-use crate::channel::{Channel, ChannelFamily, Geometry, Mode};
+use crate::channel::{Channel, ChannelFamily, Geometry};
 use crate::covert;
 use snic_sim::par_map;
+use snic_types::NicMode;
 use snic_uarch::config::CORE_HZ;
 
 /// Payload bits transmitted per cell (both full and smoke sweeps, so
@@ -73,7 +74,7 @@ pub struct CellSpec {
     /// Temporal epoch length in cycles.
     pub epoch: u64,
     /// Isolation mode.
-    pub mode: Mode,
+    pub mode: NicMode,
 }
 
 impl CellSpec {
@@ -85,7 +86,7 @@ impl CellSpec {
             self.family.label(),
             self.geom.label(),
             self.epoch,
-            self.mode.label()
+            self.mode.name()
         )
     }
 
@@ -118,7 +119,7 @@ pub fn full_specs() -> Vec<CellSpec> {
     for family in ChannelFamily::ALL {
         for geom in GEOMETRIES {
             for epoch in EPOCHS {
-                for mode in Mode::ALL {
+                for mode in NicMode::ALL {
                     out.push(CellSpec {
                         family,
                         geom,
@@ -251,7 +252,7 @@ impl LeakageMatrix {
                 family: ChannelFamily::from_label(family).ok_or_else(bad)?,
                 geom: Geometry::from_label(geom).ok_or_else(bad)?,
                 epoch: epoch.parse().map_err(|_| bad())?,
-                mode: Mode::from_label(mode).ok_or_else(bad)?,
+                mode: NicMode::named(mode).ok_or_else(bad)?,
             };
             m.cells.push(LeakageCell {
                 spec,
@@ -299,7 +300,7 @@ impl LeakageMatrix {
         for c in &self.cells {
             let key = c.spec.key();
             match c.spec.mode {
-                Mode::Snic => {
+                NicMode::Snic => {
                     if c.capacity_bps > SNIC_CAPACITY_CEILING_BPS {
                         out.push(format!(
                             "[{key}] S-NIC capacity {:.4} bps exceeds ceiling {SNIC_CAPACITY_CEILING_BPS} bps",
@@ -307,7 +308,7 @@ impl LeakageMatrix {
                         ));
                     }
                 }
-                Mode::Commodity => {
+                NicMode::Commodity => {
                     if c.spec.exploitable() && c.capacity_bps <= COMMODITY_CAPACITY_FLOOR_BPS {
                         out.push(format!(
                             "[{key}] commodity capacity {:.4} bps under floor \
@@ -342,7 +343,7 @@ impl LeakageMatrix {
                 c.spec.family.label(),
                 c.spec.geom.label(),
                 c.spec.epoch,
-                c.spec.mode.label(),
+                c.spec.mode.name(),
                 c.bits,
                 c.errors,
                 c.ber,
@@ -379,7 +380,7 @@ mod tests {
             family: ChannelFamily::Bus,
             geom: Geometry { ways: 8, sets: 128 },
             epoch: 96,
-            mode: Mode::Commodity,
+            mode: NicMode::Commodity,
         };
         let cell = LeakageCell {
             spec,
@@ -404,6 +405,16 @@ mod tests {
         assert!(d[0].contains("bus 8w128s 96 commodity"), "{d:?}");
         assert_eq!(m.diff(&LeakageMatrix::default()).len(), 1, "missing key");
         assert!(LeakageMatrix::from_text("cell bogus\n").is_err());
+        // A mode that `NicMode::named` does not know is refused with the
+        // line named.
+        let unknown = text.replace(" commodity ", " Commodity ");
+        assert_eq!(
+            LeakageMatrix::from_text(&unknown).unwrap_err(),
+            format!(
+                "leakage matrix line 2: unparseable: {:?}",
+                unknown.lines().nth(1).unwrap().trim()
+            )
+        );
     }
 
     #[test]
@@ -413,7 +424,7 @@ mod tests {
                 family: ChannelFamily::Bus,
                 geom: GEOMETRIES[0],
                 epoch: 96,
-                mode: Mode::Snic,
+                mode: NicMode::Snic,
             },
             bits: 16,
             errors: 0,
@@ -428,7 +439,7 @@ mod tests {
                 family: ChannelFamily::Bus,
                 geom: GEOMETRIES[0],
                 epoch: 96,
-                mode: Mode::Commodity,
+                mode: NicMode::Commodity,
             },
             capacity_bps: 0.0,
             mi: 0.0,
@@ -444,7 +455,7 @@ mod tests {
                     sets: 2048,
                 },
                 epoch: 96,
-                mode: Mode::Commodity,
+                mode: NicMode::Commodity,
             },
             ..commodity_dead.clone()
         };

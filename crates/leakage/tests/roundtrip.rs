@@ -10,7 +10,8 @@
 //! random payloads.
 
 use proptest::prelude::*;
-use snic_leakage::{payload_bits, Channel, ChannelFamily, Geometry, Mode};
+use snic_leakage::{payload_bits, Channel, ChannelFamily, Geometry};
+use snic_types::NicMode;
 
 /// Exploitable geometries: enough L2 ways that the prime+probe set
 /// survives the receiver's own L1 flush (see
@@ -56,7 +57,7 @@ proptest! {
         seed in any::<u64>(),
         len in 4usize..12,
     ) {
-        let ch = Channel::new(fam, geom, ep, Mode::Commodity);
+        let ch = Channel::new(fam, geom, ep, NicMode::Commodity);
         for (i, bit) in payload_bits(seed, len).into_iter().enumerate() {
             let trial = ch.transmit(bit);
             prop_assert_eq!(
@@ -74,7 +75,7 @@ proptest! {
         ep in epoch(),
         seed in any::<u64>(),
     ) {
-        let ch = Channel::new(fam, geom, ep, Mode::Snic);
+        let ch = Channel::new(fam, geom, ep, NicMode::Snic);
         let payload = payload_bits(seed, 32);
         let mut errors = 0u32;
         for &bit in &payload {

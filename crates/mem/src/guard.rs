@@ -129,11 +129,6 @@ impl MemoryGuard {
         &mut self.mem
     }
 
-    /// Read-only raw view.
-    pub fn raw_mem_ref(&self) -> &PhysMem {
-        &self.mem
-    }
-
     fn check_phys(&self, who: Principal, addr: u64, len: usize) -> Result<(), SnicError> {
         if !self.mem.in_bounds(addr, len) {
             return Err(SnicError::InvalidConfig(format!(

@@ -5,7 +5,7 @@
 //!
 //! - [`phys`]: sparse physical memory with byte-level content, so the §3.3
 //!   attacks can really read and corrupt data,
-//! - [`pagetable`]: virtual→physical mappings with mixed page sizes,
+//! - [`pagetable`]: one virtual→physical mapping of a mixed page size,
 //! - [`tlb`]: fully-associative, lockable TLBs (read-only after
 //!   `nf_launch`; misses are fatal under S-NIC),
 //! - [`denylist`]: the management-core memory denylist implemented as a
@@ -34,7 +34,7 @@ pub mod tracker;
 pub use denylist::Denylist;
 pub use guard::{AccessKind, AccessRecord, MemoryGuard, Principal};
 pub use ownership::PageOwnership;
-pub use pagetable::{PageMapping, PageTable};
+pub use pagetable::PageMapping;
 pub use phys::{PhysMem, PAGE_GRANULE};
 pub use planner::{plan_regions, PagePolicy, PlanOutcome, RegionPlan};
 pub use tlb::{Tlb, TlbEntry};

@@ -96,10 +96,7 @@ impl Default for DaemonConfig {
 impl DaemonConfig {
     /// Canonical one-line JSON form (the snapshot header).
     pub fn render(&self) -> String {
-        let mode = match self.mode {
-            NicMode::Snic => "snic",
-            NicMode::Commodity => "commodity",
-        };
+        let mode = self.mode.name();
         format!(
             "{{\"seed\":{},\"mode\":\"{mode}\",\"tick_ps\":{},\"auto_steps\":{},\
              \"default_deadline_us\":{},\"quota\":{{\"queue_depth\":{},\"max_live_nfs\":{},\
@@ -125,7 +122,7 @@ impl DaemonConfig {
         }
         let mode = j.get("mode").and_then(Json::as_str);
         let mode = mode
-            .and_then(mode_named)
+            .and_then(NicMode::named)
             .ok_or_else(|| format!("config: bad mode {mode:?}"))?;
         let q = j.get("quota").ok_or("config: missing 'quota'")?;
         Ok(DaemonConfig {
@@ -141,15 +138,6 @@ impl DaemonConfig {
                 refill_ps: num(q, "refill_ps")?,
             },
         })
-    }
-}
-
-/// The device personality a config or a script names.
-pub(crate) fn mode_named(name: &str) -> Option<NicMode> {
-    match name {
-        "snic" => Some(NicMode::Snic),
-        "commodity" => Some(NicMode::Commodity),
-        _ => None,
     }
 }
 
@@ -1227,6 +1215,29 @@ mod tests {
         let wide = cfg.render().replace("4294967295", "4294967296");
         let err = DaemonConfig::parse(&wide).expect_err("auto_steps past u32");
         assert!(err.contains("auto_steps"), "{err}");
+    }
+
+    #[test]
+    fn config_mode_is_spelled_by_nic_mode() {
+        for mode in NicMode::ALL {
+            let cfg = DaemonConfig {
+                mode,
+                ..DaemonConfig::default()
+            };
+            let text = cfg.render();
+            assert!(
+                text.contains(&format!("\"mode\":\"{}\"", mode.name())),
+                "{text}"
+            );
+            assert_eq!(DaemonConfig::parse(&text), Ok(cfg));
+        }
+        let text = DaemonConfig::default()
+            .render()
+            .replace("\"snic\"", "\"fpga\"");
+        assert_eq!(
+            DaemonConfig::parse(&text),
+            Err("config: bad mode Some(\"fpga\")".into())
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use snic_core::config::NicMode;
 
-use crate::daemon::{mode_named, DaemonConfig, VERBS};
+use crate::daemon::{DaemonConfig, VERBS};
 use crate::protocol::esc;
 
 /// The tenant every script line is sent as.
@@ -34,7 +34,7 @@ pub fn lower(script: &str) -> Result<(NicMode, Vec<String>), String> {
         let mut words = line.split('#').next().unwrap_or("").split_whitespace();
         let Some(name) = words.next() else { continue };
         if name == "nic" {
-            let named = words.next().and_then(mode_named);
+            let named = words.next().and_then(NicMode::named);
             mode = named
                 .filter(|_| words.next().is_none() && requests.is_empty())
                 .ok_or_else(|| at("expected `nic snic|commodity` before the first op".into()))?;
@@ -144,5 +144,22 @@ mod tests {
             let line = 3 + bad.matches('\n').count();
             assert!(err.starts_with(&format!("line {line}: ")), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn the_nic_line_takes_every_mode_name_and_no_other() {
+        for mode in NicMode::ALL {
+            let (lowered, _) = lower(&format!(
+                "nic {}
+health",
+                mode.name()
+            ))
+            .unwrap();
+            assert_eq!(lowered, mode);
+        }
+        assert_eq!(
+            lower("nic SNIC"),
+            Err("line 1: expected `nic snic|commodity` before the first op".into())
+        );
     }
 }

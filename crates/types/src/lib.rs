@@ -3,8 +3,9 @@
 //! This crate defines the vocabulary shared by every other crate in the
 //! workspace: packets and their protocol headers, five-tuple flow keys,
 //! principal identifiers (network functions, cores, accelerator
-//! clusters), physical units (bytes, picoseconds), and the common error
-//! type used by the device model.
+//! clusters), the device personality ([`NicMode`]), physical units
+//! (bytes, picoseconds), and the common error type used by the device
+//! model.
 //!
 //! Everything here is plain data: no simulation logic lives in this crate.
 
@@ -16,6 +17,7 @@ pub mod flow;
 pub mod ids;
 pub mod lifecycle;
 pub mod mix;
+pub mod mode;
 pub mod packet;
 pub mod units;
 
@@ -23,5 +25,6 @@ pub use error::{IsolationError, SnicError, TransientResource};
 pub use flow::{FiveTuple, Protocol};
 pub use ids::{AccelClusterId, AccelKind, CoreId, NfId};
 pub use lifecycle::NfState;
+pub use mode::NicMode;
 pub use packet::{EthernetHeader, Ipv4Header, MacAddr, Packet, TcpHeader, UdpHeader, VxlanHeader};
 pub use units::{ByteSize, Picos};

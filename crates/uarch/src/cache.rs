@@ -134,7 +134,7 @@ impl WaySlices {
 /// path is two shifts and a mask; non-power-of-two geometries (legal,
 /// e.g. 3 sets from a `3 * ways * line` size) take the division path.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum SetMap {
+enum SetMap {
     /// `line` and the set count are both powers of two.
     Pow2 {
         line_shift: u32,
@@ -146,7 +146,7 @@ pub(crate) enum SetMap {
 }
 
 impl SetMap {
-    pub(crate) fn build(config: &CacheConfig) -> SetMap {
+    fn build(config: &CacheConfig) -> SetMap {
         let nsets = config.sets();
         if config.line.is_power_of_two() && nsets.is_power_of_two() {
             SetMap::Pow2 {
@@ -164,7 +164,7 @@ impl SetMap {
 
     /// `(set index, tag)` of `addr`.
     #[inline]
-    pub(crate) fn locate(self, addr: u64) -> (usize, u64) {
+    fn locate(self, addr: u64) -> (usize, u64) {
         match self {
             SetMap::Pow2 {
                 line_shift,

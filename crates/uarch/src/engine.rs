@@ -86,7 +86,7 @@ use snic_telemetry::{metrics, Histogram, NullSink, TelemetrySink};
 
 use crate::budget::Threads;
 use crate::bus::{BusArbiter, BusKind};
-use crate::cache::{Cache, CacheConfig, Partition, SetMap, TAG_INVALID};
+use crate::cache::{Cache, CacheConfig, Partition, TAG_INVALID};
 use crate::config::{MachineConfig, BUS_BEAT_CYCLES, DRAM_CYCLES, L2_HIT_CYCLES};
 use crate::stream::EventSource;
 
@@ -264,56 +264,48 @@ struct L1Set {
     tags: [u64; 4],
 }
 
-/// Line storage of a [`PrivateL1`], specialized by associativity. Every
-/// set keeps its tags in recency order, so LRU needs no stamps: a hit
-/// moves its tag to the front, a miss shifts every tag back one way and
-/// drops the last — the least recently used line, or an invalid way
-/// while the set is still filling.
-#[derive(Debug)]
-enum L1Store {
-    /// Every shipped L1 is 4-way: one [`L1Set`] record per set.
-    W4(Box<[L1Set]>),
-    /// Any other associativity — the correctness fallback.
-    General { tags: Box<[u64]>, ways: usize },
-}
-
 /// A single-tenant private L1: the [`Cache`] model specialized to what
 /// an L1 actually needs. No partition table (one tenant), no owner
 /// array (every line is the tenant's), no per-tenant counter growth,
 /// and — since nothing outside the lane sees which way a line sits in —
-/// no LRU stamps: recency is the order of a set's tags, which makes the
-/// update *branch-free*. Its hit/miss sequence is identical to
+/// no LRU stamps: every 4-way set keeps its tags in recency order, so a
+/// hit moves its tag to the front, a miss shifts every tag back one way
+/// and drops the last (the least recently used line, or an invalid way
+/// while the set is still filling), and the update is *branch-free*.
+/// Its hit/miss sequence is identical to
 /// `Cache::new(l1, Partition::Shared)` driven by a single tenant — the
 /// reference engine does exactly that, and the differential suite holds
 /// the two equal.
 #[derive(Debug)]
 struct PrivateL1 {
-    store: L1Store,
-    set_map: SetMap,
+    sets: Box<[L1Set]>,
+    line_shift: u32,
+    set_mask: u64,
+    set_shift: u32,
 }
 
 impl PrivateL1 {
+    /// # Panics
+    ///
+    /// Unless the geometry is the one every machine has: 4-way, with a
+    /// power-of-two line size and set count.
     fn new(cfg: &CacheConfig) -> PrivateL1 {
-        let sets = cfg.sets() as usize;
-        let store = if cfg.ways == 4 {
-            L1Store::W4(
-                vec![
-                    L1Set {
-                        tags: [TAG_INVALID; 4]
-                    };
-                    sets
-                ]
-                .into_boxed_slice(),
-            )
-        } else {
-            L1Store::General {
-                tags: vec![TAG_INVALID; sets * cfg.ways as usize].into_boxed_slice(),
-                ways: cfg.ways as usize,
-            }
-        };
+        let sets = cfg.sets();
+        assert!(
+            cfg.ways == 4 && cfg.line.is_power_of_two() && sets.is_power_of_two(),
+            "private L1 must be 4-way with power-of-two lines and sets, got {cfg:?}"
+        );
         PrivateL1 {
-            store,
-            set_map: SetMap::build(cfg),
+            sets: vec![
+                L1Set {
+                    tags: [TAG_INVALID; 4]
+                };
+                sets as usize
+            ]
+            .into_boxed_slice(),
+            line_shift: cfg.line.trailing_zeros(),
+            set_mask: sets - 1,
+            set_shift: sets.trailing_zeros(),
         }
     }
 
@@ -338,50 +330,20 @@ impl PrivateL1 {
 
     /// Probe every address of a chunk, compacting the misses (chunk
     /// position + address) into `miss_pos`/`miss_addr`; returns the miss
-    /// count. The layout/geometry dispatch is hoisted out of the loop so
-    /// the shipped shape — 4-way, power-of-two geometry — runs a tight
-    /// branch-free body with a single bounds check per event.
+    /// count. The body is branch-free with a single bounds check per
+    /// event.
     fn probe_chunk(&mut self, addrs: &[u64], miss_pos: &mut [u32], miss_addr: &mut [u64]) -> usize {
+        let (line_shift, set_mask, set_shift) = (self.line_shift, self.set_mask, self.set_shift);
         let mut m = 0usize;
-        match (&mut self.store, self.set_map) {
-            (
-                L1Store::W4(sets),
-                SetMap::Pow2 {
-                    line_shift,
-                    set_mask,
-                    set_shift,
-                },
-            ) => {
-                for (k, &addr) in addrs.iter().enumerate() {
-                    let line_addr = addr >> line_shift;
-                    let set = (line_addr & set_mask) as usize;
-                    let tag = line_addr >> set_shift;
-                    debug_assert!(tag != TAG_INVALID, "address maps to the tag sentinel");
-                    let hit = PrivateL1::probe_set4(&mut sets[set], tag);
-                    miss_pos[m] = k as u32;
-                    miss_addr[m] = addr;
-                    m += usize::from(!hit);
-                }
-            }
-            (store, set_map) => {
-                for (k, &addr) in addrs.iter().enumerate() {
-                    let (set, tag) = set_map.locate(addr);
-                    debug_assert!(tag != TAG_INVALID, "address maps to the tag sentinel");
-                    let hit = match store {
-                        L1Store::W4(sets) => PrivateL1::probe_set4(&mut sets[set], tag),
-                        L1Store::General { tags, ways } => {
-                            let set = &mut tags[set * *ways..][..*ways];
-                            let way = set.iter().position(|&t| t == tag);
-                            set[..=way.unwrap_or(*ways - 1)].rotate_right(1);
-                            set[0] = tag;
-                            way.is_some()
-                        }
-                    };
-                    miss_pos[m] = k as u32;
-                    miss_addr[m] = addr;
-                    m += usize::from(!hit);
-                }
-            }
+        for (k, &addr) in addrs.iter().enumerate() {
+            let line_addr = addr >> line_shift;
+            let set = (line_addr & set_mask) as usize;
+            let tag = line_addr >> set_shift;
+            debug_assert!(tag != TAG_INVALID, "address maps to the tag sentinel");
+            let hit = PrivateL1::probe_set4(&mut self.sets[set], tag);
+            miss_pos[m] = k as u32;
+            miss_addr[m] = addr;
+            m += usize::from(!hit);
         }
         m
     }
@@ -1330,6 +1292,22 @@ mod tests {
         let shard = run_colocated_ids_sink(&cfg, subset, &[300, 400], &[2, 3], &NullSink);
         assert_eq!(shard.nfs[0], full.nfs[2]);
         assert_eq!(shard.nfs[1], full.nfs[3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "private L1 must be 4-way")]
+    fn non_four_way_l1_rejected_at_construction() {
+        let mut cfg = MachineConfig::snic(1, 1 << 20);
+        cfg.l1.ways = 8;
+        let _ = run_colocated(&cfg, streams(1, 4 << 10, 10));
+    }
+
+    #[test]
+    #[should_panic(expected = "private L1 must be 4-way with power-of-two lines and sets")]
+    fn non_power_of_two_l1_sets_rejected_at_construction() {
+        let mut cfg = MachineConfig::snic(1, 1 << 20);
+        cfg.l1.size = 24 << 10;
+        let _ = run_colocated(&cfg, streams(1, 4 << 10, 10));
     }
 
     #[test]

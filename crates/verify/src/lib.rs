@@ -53,6 +53,14 @@
 //!   frozen tenant, no bounded queue admitted past its configured
 //!   depth, and no deadline-expired request served afterwards.
 //!
+//! Every pass takes the device personality as `snic_types::NicMode`, the
+//! type the device itself is configured with: [`spec::DeviceSpec::mode`]
+//! for Pass 1, [`TraceLinter::new`]'s first argument for Pass 2. The bus
+//! discipline is not a second input that could disagree with it —
+//! [`spec::bus_arbiter`] derives it (FCFS on a commodity NIC, temporal
+//! partitioning at `snic_uarch::bus::EPOCH_CYCLES` under S-NIC), and
+//! Pass 1's epoch check and Pass 2's solo bus replay both use it.
+//!
 //! `snic-core` runs Passes 0 and 1 inside `nf_launch` (a program or
 //! manifest that cannot be verified is refused before any state
 //! changes) and embeds the Pass 1 verdict and the Pass 0 certificate
@@ -84,5 +92,5 @@ pub use report::{
     Finding, FindingActor, FindingKind, VerificationReport, Violation, ViolationKind,
 };
 pub use serve::lint_serve_transcript;
-pub use spec::{BusSpec, DeviceSpec, EnforcementMode, VnicManifest};
+pub use spec::{bus_arbiter, DeviceSpec, VnicManifest};
 pub use trace::{TraceBundle, TraceLinter};

@@ -10,10 +10,11 @@ use std::collections::HashMap;
 
 use snic_mem::denylist::Denylist;
 use snic_mem::tlb::Tlb;
-use snic_types::{AccelKind, NfId};
+use snic_types::{AccelKind, NfId, NicMode};
+use snic_uarch::bus::EPOCH_CYCLES;
 
 use crate::report::{VerificationReport, Violation, ViolationKind};
-use crate::spec::{BusSpec, DeviceSpec, EnforcementMode, VnicManifest};
+use crate::spec::{DeviceSpec, VnicManifest};
 
 /// True if `a` and `b` (each `(base, len)`) share at least one byte.
 fn ranges_overlap(a: (u64, u64), b: (u64, u64)) -> bool {
@@ -212,14 +213,15 @@ fn check_vpp(spec: &DeviceSpec, manifests: &[VnicManifest], out: &mut Vec<Violat
     }
 }
 
-/// §4.5: under temporal partitioning, each reservation must fit one
-/// epoch (the arbiter's dead-time rule) and the schedule must not
-/// overcommit the epoch in sum.
+/// §4.5: under S-NIC's temporal partitioning, each reservation must
+/// fit one [`EPOCH_CYCLES`] epoch (the arbiter's dead-time rule) and the
+/// schedule must not overcommit the epoch in sum. A commodity FCFS bus
+/// has no schedule to verify.
 fn check_bus(spec: &DeviceSpec, manifests: &[VnicManifest], out: &mut Vec<Violation>) {
-    let epoch = match spec.bus {
-        BusSpec::Fcfs => return,
-        BusSpec::Temporal { epoch } => epoch,
-    };
+    if spec.mode == NicMode::Commodity {
+        return;
+    }
+    let epoch = EPOCH_CYCLES;
     let mut total = 0u64;
     for m in manifests {
         if let Some(slice) = m.bus_slice {
@@ -249,11 +251,11 @@ fn check_bus(spec: &DeviceSpec, manifests: &[VnicManifest], out: &mut Vec<Violat
 /// [`snic_mem::PageOwnership::owned_ranges`]. Vacuous on commodity
 /// devices, which have no denylist by design.
 pub fn verify_denylist_coverage(
-    mode: EnforcementMode,
+    mode: NicMode,
     owned: &[(u64, u64, NfId)],
     denylist: &Denylist,
 ) -> Vec<Violation> {
-    if mode == EnforcementMode::Commodity {
+    if mode == NicMode::Commodity {
         return Vec::new();
     }
     let mut out = Vec::new();
@@ -292,12 +294,8 @@ pub fn verify_denylist_coverage(
 /// must only map memory the manifest grants (region, NIC-OS windows are
 /// not granted). Vacuous on commodity devices, which run without TLB
 /// enforcement.
-pub fn verify_tlb_state(
-    mode: EnforcementMode,
-    manifest: &VnicManifest,
-    tlbs: &[&Tlb],
-) -> Vec<Violation> {
-    if mode == EnforcementMode::Commodity {
+pub fn verify_tlb_state(mode: NicMode, manifest: &VnicManifest, tlbs: &[&Tlb]) -> Vec<Violation> {
+    if mode == NicMode::Commodity {
         return Vec::new();
     }
     let mut out = Vec::new();
@@ -344,7 +342,7 @@ mod tests {
 
     fn spec() -> DeviceSpec {
         DeviceSpec {
-            mode: EnforcementMode::Snic,
+            mode: NicMode::Snic,
             dram: 256 * MB,
             nf_region_base: BASE,
             nic_os: vec![(0x0010_0000, 0x2_0000), (0x0200_0000, 32 * MB)],
@@ -353,7 +351,6 @@ mod tests {
             accel: vec![(AccelKind::Crypto, 4), (AccelKind::Dpi, 4)],
             rx_capacity: 8 * MB,
             tx_capacity: 8 * MB,
-            bus: BusSpec::Temporal { epoch: 96 },
         }
     }
 
@@ -503,10 +500,29 @@ mod tests {
     #[test]
     fn fcfs_bus_has_no_schedule_to_verify() {
         let mut s = spec();
-        s.bus = BusSpec::Fcfs;
+        s.mode = NicMode::Commodity;
         let mut m = manifest(1, 0, BASE);
         m.bus_slice = Some(10_000);
         assert!(verify_manifests(&s, &[m]).is_ok());
+    }
+
+    #[test]
+    fn snic_bus_schedule_is_checked_at_the_epoch() {
+        let mut full = manifest(1, 0, BASE);
+        full.bus_slice = Some(EPOCH_CYCLES);
+        assert!(verify_manifests(&spec(), &[full]).is_ok());
+
+        let mut over = manifest(1, 0, BASE);
+        over.bus_slice = Some(EPOCH_CYCLES + 1);
+        let r = verify_manifests(&spec(), &[over]);
+        assert_eq!(
+            kinds(&r),
+            vec![ViolationKind::BusOvercommit, ViolationKind::BusOvercommit]
+        );
+        assert_eq!(
+            r.violations[0].range,
+            Some((EPOCH_CYCLES + 1, EPOCH_CYCLES))
+        );
     }
 
     #[test]
@@ -514,20 +530,17 @@ mod tests {
         let owned = [(BASE, 4 * MB, NfId(1))];
         let mut full = Denylist::new();
         full.deny(BASE, 4 * MB, NfId(1)).unwrap();
-        assert!(verify_denylist_coverage(EnforcementMode::Snic, &owned, &full).is_empty());
+        assert!(verify_denylist_coverage(NicMode::Snic, &owned, &full).is_empty());
 
         let mut partial = Denylist::new();
         partial.deny(BASE, MB, NfId(1)).unwrap(); // first MB only
-        let vs = verify_denylist_coverage(EnforcementMode::Snic, &owned, &partial);
+        let vs = verify_denylist_coverage(NicMode::Snic, &owned, &partial);
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].kind, ViolationKind::DenylistGap);
         assert_eq!(vs[0].range, Some((BASE + MB, 3 * MB)));
 
         // Commodity devices have no denylist: vacuously fine.
-        assert!(
-            verify_denylist_coverage(EnforcementMode::Commodity, &owned, &Denylist::new())
-                .is_empty()
-        );
+        assert!(verify_denylist_coverage(NicMode::Commodity, &owned, &Denylist::new()).is_empty());
     }
 
     #[test]
@@ -536,7 +549,7 @@ mod tests {
         let mut split = Denylist::new();
         split.deny(BASE, MB, NfId(1)).unwrap();
         split.deny(BASE + MB, 3 * MB, NfId(1)).unwrap();
-        assert!(verify_denylist_coverage(EnforcementMode::Snic, &owned, &split).is_empty());
+        assert!(verify_denylist_coverage(NicMode::Snic, &owned, &split).is_empty());
     }
 
     #[test]
@@ -551,11 +564,11 @@ mod tests {
         let mut good = Tlb::new(CoreId(0), 8);
         good.install(mapping_in).unwrap();
         good.lock();
-        assert!(verify_tlb_state(EnforcementMode::Snic, &m, &[&good]).is_empty());
+        assert!(verify_tlb_state(NicMode::Snic, &m, &[&good]).is_empty());
 
         let mut unlocked = Tlb::new(CoreId(0), 8);
         unlocked.install(mapping_in).unwrap();
-        let vs = verify_tlb_state(EnforcementMode::Snic, &m, &[&unlocked]);
+        let vs = verify_tlb_state(NicMode::Snic, &m, &[&unlocked]);
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].kind, ViolationKind::TlbEscape);
 
@@ -569,7 +582,7 @@ mod tests {
             })
             .unwrap();
         escaping.lock();
-        let vs = verify_tlb_state(EnforcementMode::Snic, &m, &[&escaping]);
+        let vs = verify_tlb_state(NicMode::Snic, &m, &[&escaping]);
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].kind, ViolationKind::TlbEscape);
         assert_eq!(vs[0].range, Some((0x0010_0000, 2 * MB)));

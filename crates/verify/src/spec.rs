@@ -6,57 +6,28 @@
 //! file, or in a test against a hand-built scenario.
 
 use snic_pktio::vpp::VppBufferSpec;
-use snic_types::{AccelKind, CoreId, NfId};
-use snic_uarch::bus::{BusArbiter, FcfsArbiter, TemporalArbiter};
+use snic_types::{AccelKind, CoreId, NfId, NicMode};
+use snic_uarch::bus::{BusArbiter, FcfsArbiter, TemporalArbiter, EPOCH_CYCLES};
 
-/// Whether the device enforces S-NIC's isolation mechanisms.
-///
-/// Mirrors `snic-core`'s `NicMode` without depending on it (the core
-/// crate depends on this one). Commodity devices have no denylist and no
-/// temporal bus schedule, so the corresponding checks are vacuous there;
-/// everything else (single-owner memory, capacity sums) applies to both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnforcementMode {
-    /// Commodity NIC: flat physical addressing, shared allocator, FCFS
-    /// bus (§3).
-    Commodity,
-    /// S-NIC: denylists, locked TLBs, temporal bus partitioning (§4).
-    Snic,
-}
-
-/// The bus arbitration discipline a manifest set is verified against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BusSpec {
-    /// First-come-first-served: no schedule to verify (§3.3's DoS is
-    /// possible by construction).
-    Fcfs,
-    /// Temporal partitioning with `epoch`-cycle epochs (§4.5). Per-vNIC
-    /// bus reservations must fit — individually and in sum — inside one
-    /// epoch.
-    Temporal {
-        /// Cycles per epoch.
-        epoch: u64,
-    },
-}
-
-impl BusSpec {
-    /// A fresh, idle arbiter of this discipline for `domains` security
-    /// domains (FCFS has no schedule, so it ignores the count).
-    pub fn arbiter(self, domains: u32) -> BusArbiter {
-        match self {
-            BusSpec::Fcfs => BusArbiter::Fcfs(FcfsArbiter::new()),
-            BusSpec::Temporal { epoch } => {
-                BusArbiter::Temporal(TemporalArbiter::new(domains, epoch))
-            }
-        }
+/// A fresh, idle arbiter of the bus a `mode` device has, for `domains`
+/// security domains: first-come-first-served on a commodity NIC (§3.3's
+/// DoS is possible by construction; it ignores the count), temporal
+/// partitioning at [`EPOCH_CYCLES`] under S-NIC (§4.5).
+pub fn bus_arbiter(mode: NicMode, domains: u32) -> BusArbiter {
+    match mode {
+        NicMode::Commodity => BusArbiter::Fcfs(FcfsArbiter::new()),
+        NicMode::Snic => BusArbiter::Temporal(TemporalArbiter::new(domains, EPOCH_CYCLES)),
     }
 }
 
 /// The hardware inventory the manifests are verified against.
 #[derive(Debug, Clone)]
 pub struct DeviceSpec {
-    /// Enforcement personality.
-    pub mode: EnforcementMode,
+    /// Enforcement personality. Commodity devices have no denylist and
+    /// no temporal bus schedule, so those checks are vacuous there;
+    /// everything else (single-owner memory, capacity sums) applies to
+    /// both. The bus discipline follows from it ([`bus_arbiter`]).
+    pub mode: NicMode,
     /// Total device DRAM in bytes.
     pub dram: u64,
     /// First byte of NF-allocatable DRAM; everything below belongs to
@@ -75,8 +46,6 @@ pub struct DeviceSpec {
     pub rx_capacity: u64,
     /// TX port buffer capacity in bytes.
     pub tx_capacity: u64,
-    /// Bus arbitration discipline.
-    pub bus: BusSpec,
 }
 
 impl DeviceSpec {
@@ -139,7 +108,7 @@ mod tests {
     #[test]
     fn accel_capacity_lookup() {
         let spec = DeviceSpec {
-            mode: EnforcementMode::Snic,
+            mode: NicMode::Snic,
             dram: 1 << 30,
             nf_region_base: 0x0800_0000,
             nic_os: Vec::new(),
@@ -148,7 +117,6 @@ mod tests {
             accel: vec![(AccelKind::Crypto, 8)],
             rx_capacity: 1 << 20,
             tx_capacity: 1 << 20,
-            bus: BusSpec::Temporal { epoch: 96 },
         };
         assert_eq!(spec.accel_capacity(AccelKind::Crypto), Some(8));
         assert_eq!(spec.accel_capacity(AccelKind::Zip), None);

@@ -23,12 +23,12 @@
 use std::collections::{BTreeSet, HashMap};
 
 use snic_mem::guard::{AccessKind, AccessRecord, Principal};
-use snic_types::NfId;
+use snic_types::{NfId, NicMode};
 use snic_uarch::cache::{Cache, CacheConfig, Partition};
 use snic_uarch::{BusGrantRec, L2AccessRec, RecordedTrace};
 
 use crate::report::{Finding, FindingActor, FindingKind};
-use crate::spec::{BusSpec, DeviceSpec};
+use crate::spec::bus_arbiter;
 
 /// A full recording of one scenario, ready for linting.
 #[derive(Debug, Clone, Default)]
@@ -70,6 +70,7 @@ const CORESIDENCY_MIN_EVICTIONS: usize = 4;
 
 /// The offline trace analyzer.
 ///
+/// `mode` names the bus a solo replay runs on ([`bus_arbiter`]).
 /// `domains` is the ground-truth ownership map — which physical ranges
 /// belong to which function — taken from the trusted side (the page
 /// ownership bitmap plus the allocator's slot table). `nic_os` marks
@@ -77,19 +78,24 @@ const CORESIDENCY_MIN_EVICTIONS: usize = 4;
 /// wholesale traversal by an NF is the §3.3 discovery step.
 #[derive(Debug, Clone)]
 pub struct TraceLinter {
+    mode: NicMode,
     domains: Vec<(u64, u64, NfId)>,
     nic_os: Vec<(u64, u64)>,
-    bus: BusSpec,
     cache: Option<(CacheConfig, Partition)>,
 }
 
 impl TraceLinter {
-    /// Build a linter from the device spec and the ownership map.
-    pub fn new(spec: &DeviceSpec, domains: Vec<(u64, u64, NfId)>) -> TraceLinter {
+    /// Build a linter for a `mode` device from its NIC-OS ranges and
+    /// the ownership map.
+    pub fn new(
+        mode: NicMode,
+        nic_os: Vec<(u64, u64)>,
+        domains: Vec<(u64, u64, NfId)>,
+    ) -> TraceLinter {
         TraceLinter {
+            mode,
             domains,
-            nic_os: spec.nic_os.clone(),
-            bus: spec.bus,
+            nic_os,
             cache: None,
         }
     }
@@ -214,7 +220,7 @@ impl TraceLinter {
         let mut replays: Vec<(u32, Vec<&BusGrantRec>)> = per_domain.into_iter().collect();
         replays.sort_unstable_by_key(|(d, _)| *d);
         let findings = snic_sim::par_map(replays, |(d, events)| {
-            let mut solo = self.bus.arbiter(domain_count);
+            let mut solo = bus_arbiter(self.mode, domain_count);
             let mut delayed = 0usize;
             let mut total_delay = 0u64;
             let mut example = None;
@@ -324,8 +330,7 @@ impl TraceLinter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::EnforcementMode;
-    use snic_types::{AccelKind, CoreId};
+    use snic_types::CoreId;
     use snic_uarch::bus::BusArbiter;
     use snic_uarch::cache::{Cache, Partition};
 
@@ -333,24 +338,10 @@ mod tests {
     const BASE: u64 = 0x0800_0000;
     const META: u64 = 0x0010_0000;
 
-    fn spec(bus: BusSpec) -> DeviceSpec {
-        DeviceSpec {
-            mode: EnforcementMode::Commodity,
-            dram: 256 * MB,
-            nf_region_base: BASE,
-            nic_os: vec![(META, 0x2_0000)],
-            cores: 4,
-            core_tlb_entries: 8,
-            accel: vec![(AccelKind::Crypto, 4)],
-            rx_capacity: 8 * MB,
-            tx_capacity: 8 * MB,
-            bus,
-        }
-    }
-
-    fn linter(bus: BusSpec) -> TraceLinter {
+    fn linter(mode: NicMode) -> TraceLinter {
         TraceLinter::new(
-            &spec(bus),
+            mode,
+            vec![(META, 0x2_0000)],
             vec![(BASE, 2 * MB, NfId(1)), (BASE + 2 * MB, 2 * MB, NfId(2))],
         )
     }
@@ -367,7 +358,7 @@ mod tests {
 
     #[test]
     fn cross_domain_reference_flagged() {
-        let l = linter(BusSpec::Fcfs);
+        let l = linter(NicMode::Commodity);
         let attacker = Principal::Nf(NfId(2), CoreId(1));
         let trace = vec![
             // NF 2 reading its own region: fine.
@@ -385,7 +376,7 @@ mod tests {
 
     #[test]
     fn management_intrusion_flagged_but_trusted_hardware_ignored() {
-        let l = linter(BusSpec::Fcfs);
+        let l = linter(NicMode::Commodity);
         let trace = vec![
             rec(Principal::Management, BASE + 0x1000, AccessKind::Load, true),
             rec(Principal::TrustedHardware, BASE, AccessKind::Store, true),
@@ -400,7 +391,7 @@ mod tests {
 
     #[test]
     fn denied_accesses_produce_no_findings() {
-        let l = linter(BusSpec::Fcfs);
+        let l = linter(NicMode::Commodity);
         let attacker = Principal::Nf(NfId(2), CoreId(1));
         let trace: Vec<AccessRecord> = (0..20)
             .map(|i| rec(attacker, BASE + i * 64, AccessKind::Load, false))
@@ -411,7 +402,7 @@ mod tests {
 
     #[test]
     fn metadata_walk_flagged_but_single_slot_lookup_is_not() {
-        let l = linter(BusSpec::Fcfs);
+        let l = linter(NicMode::Commodity);
         let nf = Principal::Nf(NfId(2), CoreId(1));
         // One slot (4 words of the same 32-byte slot): legitimate lookup.
         let lookup: Vec<AccessRecord> = (0..4)
@@ -459,8 +450,8 @@ mod tests {
 
     #[test]
     fn fcfs_bus_interference_flagged() {
-        let l = linter(BusSpec::Fcfs);
-        let fs = l.lint_bus(&bus_trace(&mut BusSpec::Fcfs.arbiter(2)));
+        let l = linter(NicMode::Commodity);
+        let fs = l.lint_bus(&bus_trace(&mut bus_arbiter(NicMode::Commodity, 2)));
         assert!(
             fs.iter()
                 .any(|f| f.kind == FindingKind::BusInterference
@@ -471,8 +462,7 @@ mod tests {
 
     #[test]
     fn temporal_bus_lints_clean() {
-        let bus = BusSpec::Temporal { epoch: 96 };
-        let fs = linter(bus).lint_bus(&bus_trace(&mut bus.arbiter(2)));
+        let fs = linter(NicMode::Snic).lint_bus(&bus_trace(&mut bus_arbiter(NicMode::Snic, 2)));
         assert!(fs.is_empty(), "temporal grants are solo-identical: {fs:?}");
     }
 
@@ -515,7 +505,7 @@ mod tests {
             ways: 4,
             line: 64,
         };
-        let l = linter(BusSpec::Fcfs).with_cache(cfg, Partition::Shared);
+        let l = linter(NicMode::Commodity).with_cache(cfg, Partition::Shared);
         let mut cache = Cache::new(cfg, Partition::Shared);
         let fs = l.lint_cache(&cache_trace(&mut cache, cfg));
         assert!(
@@ -532,7 +522,7 @@ mod tests {
             ways: 4,
             line: 64,
         };
-        let l = linter(BusSpec::Fcfs).with_cache(cfg, Partition::StaticWays { tenants: 2 });
+        let l = linter(NicMode::Commodity).with_cache(cfg, Partition::StaticWays { tenants: 2 });
         let mut cache = Cache::new(cfg, Partition::StaticWays { tenants: 2 });
         let fs = l.lint_cache(&cache_trace(&mut cache, cfg));
         assert!(fs.is_empty(), "way partitioning prevents probing: {fs:?}");
@@ -549,7 +539,7 @@ mod tests {
             ways: 4,
             line: 64,
         };
-        let l = linter(BusSpec::Fcfs).with_cache(cfg, Partition::StaticWays { tenants: 2 });
+        let l = linter(NicMode::Commodity).with_cache(cfg, Partition::StaticWays { tenants: 2 });
         let mut trace = {
             let mut cache = Cache::new(cfg, Partition::StaticWays { tenants: 2 });
             cache_trace(&mut cache, cfg)
@@ -566,7 +556,7 @@ mod tests {
         assert_eq!(fs[0].count, 1);
 
         // SecDcp binds domains by allocation length the same way.
-        let l = linter(BusSpec::Fcfs).with_cache(
+        let l = linter(NicMode::Commodity).with_cache(
             cfg,
             Partition::SecDcp {
                 allocation: vec![3, 1],
@@ -581,7 +571,7 @@ mod tests {
         assert_eq!(fs[0].kind, FindingKind::ForeignCacheTenant);
 
         // A shared cache has no domain binding — any tenant id replays.
-        let l = linter(BusSpec::Fcfs).with_cache(cfg, Partition::Shared);
+        let l = linter(NicMode::Commodity).with_cache(cfg, Partition::Shared);
         let fs = l.lint_cache(&[L2AccessRec {
             tenant: 7,
             addr: BASE,
@@ -600,7 +590,7 @@ mod tests {
             ways: 4,
             line: 64,
         };
-        let l = linter(BusSpec::Fcfs).with_cache(cfg, Partition::Shared);
+        let l = linter(NicMode::Commodity).with_cache(cfg, Partition::Shared);
         let mut cache = Cache::new(cfg, Partition::Shared);
         let bundle = TraceBundle {
             memory: vec![rec(
@@ -609,7 +599,7 @@ mod tests {
                 AccessKind::Load,
                 true,
             )],
-            bus: bus_trace(&mut BusSpec::Fcfs.arbiter(2)),
+            bus: bus_trace(&mut bus_arbiter(NicMode::Commodity, 2)),
             cache: cache_trace(&mut cache, cfg),
         };
         let kinds: BTreeSet<String> = l

@@ -158,14 +158,20 @@ SNIC_SIM_THREADS=1 budgeted_test -p snic-bench --test golden --test streaming_di
 SNIC_SIM_THREADS=1 budgeted_test -p snic --test serve_soak --test leakage_matrix
 
 # Script demo: every line of scripts/demo.snic lowers onto snicd's verb
-# table and is answered "ok":true (a refused line exits 3).
-echo "==> script demo (snicctl script scripts/demo.snic)"
-demo_out="$(cargo run -q --release --bin snicctl -- script scripts/demo.snic)"
-if [ -z "$demo_out" ] || grep -qv '"ok":true' <<< "$demo_out"; then
-    echo "FAIL: scripts/demo.snic got a response that is not \"ok\":true:" >&2
-    echo "$demo_out" >&2
-    exit 1
-fi
+# table and is answered "ok":true (a refused line exits 3) — once as
+# written (S-NIC) and once with its `nic` line switched to the commodity
+# personality, which runs that device end to end through the one
+# `NicMode::named` parse.
+for mode in snic commodity; do
+    echo "==> script demo (snicctl script scripts/demo.snic, nic $mode)"
+    demo_out="$(sed "s/^nic snic/nic $mode/" scripts/demo.snic \
+        | cargo run -q --release --bin snicctl -- script -)"
+    if [ -z "$demo_out" ] || grep -qv '"ok":true' <<< "$demo_out"; then
+        echo "FAIL: scripts/demo.snic (nic $mode) got a response that is not \"ok\":true:" >&2
+        echo "$demo_out" >&2
+        exit 1
+    fi
+done
 
 # Pass 0 analyze gate: the six paper NFs must verify clean, every
 # seeded adversarial corpus program must be rejected with its exact

@@ -315,8 +315,8 @@ fn analyze_main(args: &[String]) -> Result<String, String> {
 /// swaps in a deliberately conflicting set so the violation codes are
 /// visible; `--json` emits the machine-readable report.
 fn verify_main(args: &[String]) -> Result<String, String> {
-    use snic::types::{AccelKind, ByteSize, NfId};
-    use snic::verify::{verify_manifests, BusSpec, DeviceSpec, EnforcementMode, VnicManifest};
+    use snic::types::{AccelKind, ByteSize, NfId, NicMode};
+    use snic::verify::{verify_manifests, DeviceSpec, VnicManifest};
 
     let mut json = false;
     let mut bad = false;
@@ -330,7 +330,7 @@ fn verify_main(args: &[String]) -> Result<String, String> {
 
     const MB: u64 = 1 << 20;
     let spec = DeviceSpec {
-        mode: EnforcementMode::Snic,
+        mode: NicMode::Snic,
         dram: 2048 * MB,
         nf_region_base: 0x0800_0000,
         nic_os: vec![(0x0010_0000, 0x2_0000), (0x0200_0000, 32 * MB)],
@@ -339,9 +339,6 @@ fn verify_main(args: &[String]) -> Result<String, String> {
         accel: vec![(AccelKind::Crypto, 8), (AccelKind::Dpi, 8)],
         rx_capacity: 64 * MB,
         tx_capacity: 64 * MB,
-        bus: BusSpec::Temporal {
-            epoch: snic::uarch::bus::EPOCH_CYCLES,
-        },
     };
     let mut manifests: Vec<VnicManifest> = (0..6u64)
         .map(|i| {
@@ -485,7 +482,8 @@ fn soak_main(args: &[String]) -> Result<String, String> {
 /// bounds: every S-NIC cell under the capacity ceiling, every
 /// exploitable commodity cell over the floor.
 fn leakage_main(args: &[String]) -> Result<String, String> {
-    use snic::leakage::{full_specs, smoke_specs, LeakageMatrix, Mode, CELL_BITS};
+    use snic::leakage::{full_specs, smoke_specs, LeakageMatrix, CELL_BITS};
+    use snic::types::NicMode;
 
     let usage = usage("leakage");
     let mut smoke = false;
@@ -502,13 +500,13 @@ fn leakage_main(args: &[String]) -> Result<String, String> {
     let worst_snic = matrix
         .cells
         .iter()
-        .filter(|c| c.spec.mode == Mode::Snic)
+        .filter(|c| c.spec.mode == NicMode::Snic)
         .map(|c| c.capacity_bps)
         .fold(0.0f64, f64::max);
     let best_commodity = matrix
         .cells
         .iter()
-        .filter(|c| c.spec.mode == Mode::Commodity)
+        .filter(|c| c.spec.mode == NicMode::Commodity)
         .map(|c| c.capacity_bps)
         .fold(0.0f64, f64::max);
     let mut out = format!(

@@ -19,27 +19,15 @@ use proptest::prelude::*;
 use snic::mem::guard::{AccessKind as PhysAccessKind, AccessRecord, Principal};
 use snic::nf::{record_stream, NfKind};
 use snic::types::packet::PacketBuilder;
-use snic::types::{AccelKind, CoreId, NfId, Packet, Protocol};
+use snic::types::{CoreId, NfId, NicMode, Packet, Protocol};
 use snic::uarch::stream::AccessKind as VaAccessKind;
 use snic::verify::pass0::analyze;
-use snic::verify::{BusSpec, DeviceSpec, EnforcementMode, TraceLinter};
+use snic::verify::TraceLinter;
 
-/// The device the linter checks against. NIC-OS metadata sits below the
-/// NF virtual layout, so no legitimate NF reference can read it.
-fn spec() -> DeviceSpec {
-    DeviceSpec {
-        mode: EnforcementMode::Snic,
-        dram: 2 << 30,
-        nf_region_base: 0x0800_0000,
-        nic_os: vec![(0x0010_0000, 0x2_0000)],
-        cores: 16,
-        core_tlb_entries: 64,
-        accel: vec![(AccelKind::Crypto, 8), (AccelKind::Dpi, 8)],
-        rx_capacity: 64 << 20,
-        tx_capacity: 64 << 20,
-        bus: BusSpec::Temporal { epoch: 96 },
-    }
-}
+/// The NIC-OS range the linter checks against. NIC-OS metadata sits
+/// below the NF virtual layout, so no legitimate NF reference can read
+/// it.
+const NIC_OS: (u64, u64) = (0x0010_0000, 0x2_0000);
 
 /// Ownership map derived from the *same* manifest Pass 0 verified:
 /// every granted window belongs to `me`, and the entire complement of
@@ -129,7 +117,8 @@ proptest! {
         let stream = record_stream(nf.as_mut(), packets);
         let (me, neighbor) = (NfId(1), NfId(2));
         let linter = TraceLinter::new(
-            &spec(),
+            NicMode::Snic,
+            vec![NIC_OS],
             domains_from_manifest(&submission.manifest.regions, me, neighbor),
         );
         let findings = linter.lint_memory(&to_trace(&stream, me));
@@ -150,7 +139,8 @@ fn stray_access_outside_granted_windows_is_flagged() {
     let submission = snic::nf::launch_analysis(nf.as_ref());
     let (me, neighbor) = (NfId(1), NfId(2));
     let linter = TraceLinter::new(
-        &spec(),
+        NicMode::Snic,
+        vec![NIC_OS],
         domains_from_manifest(&submission.manifest.regions, me, neighbor),
     );
     let hi = submission

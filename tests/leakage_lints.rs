@@ -10,52 +10,32 @@
 //! point must lint clean no matter what the sender transmits.
 
 use snic::leakage::channel::{machine_config, receiver_stream, sender_stream};
-use snic::leakage::{payload_bits, Channel, ChannelFamily, Confusion, Geometry, Mode};
+use snic::leakage::{payload_bits, Channel, ChannelFamily, Confusion, Geometry};
 use snic::telemetry::NullSink;
-use snic::types::{AccelKind, NfId};
-use snic::uarch::bus::BusKind;
+use snic::types::{NfId, NicMode};
+use snic::uarch::bus::EPOCH_CYCLES;
 use snic::uarch::stream::{EventSource, SharedReplayStream};
 use snic::uarch::{run_reference, RecordedTrace};
-use snic::verify::spec::{BusSpec, DeviceSpec, EnforcementMode};
 use snic::verify::trace::{TraceBundle, TraceLinter};
 
 const GEOM: Geometry = Geometry {
     ways: 16,
     sets: 512,
 };
-const EPOCH: u64 = 96;
+/// The device's own epoch, so the machine's temporal bus and the
+/// linter's solo replay (`snic_verify::bus_arbiter`) run one schedule.
+const EPOCH: u64 = EPOCH_CYCLES;
 
-/// Minimal device spec whose bus discipline matches the uarch machine;
-/// the trace lints only consult `bus` and `nic_os`.
-fn linter_for(mode: Mode) -> TraceLinter {
+/// The linter for a `mode` device, judging cache traces against the
+/// machine's claimed L2 discipline.
+fn linter_for(mode: NicMode) -> TraceLinter {
     let cfg = machine_config(GEOM, EPOCH, mode);
-    let bus = match cfg.bus {
-        BusKind::Fcfs => BusSpec::Fcfs,
-        BusKind::Temporal { .. } => BusSpec::Temporal {
-            epoch: cfg.epoch_cycles,
-        },
-    };
     let mb = 1u64 << 20;
-    let spec = DeviceSpec {
-        mode: match mode {
-            Mode::Commodity => EnforcementMode::Commodity,
-            Mode::Snic => EnforcementMode::Snic,
-        },
-        dram: 256 * mb,
-        nf_region_base: 0x0800_0000,
-        nic_os: vec![],
-        cores: 2,
-        core_tlb_entries: 8,
-        accel: vec![(AccelKind::Crypto, 2)],
-        rx_capacity: 8 * mb,
-        tx_capacity: 8 * mb,
-        bus,
-    };
     let domains = vec![
         (0x0800_0000, 2 * mb, NfId(1)),
         (0x0800_0000 + 2 * mb, 2 * mb, NfId(2)),
     ];
-    TraceLinter::new(&spec, domains).with_cache(cfg.l2, cfg.l2_partition.clone())
+    TraceLinter::new(mode, Vec::new(), domains).with_cache(cfg.l2, cfg.l2_partition.clone())
 }
 
 /// Record the colocated run of `family` transmitting `bit` under `mode`
@@ -63,7 +43,7 @@ fn linter_for(mode: Mode) -> TraceLinter {
 fn lint_transmission(
     family: ChannelFamily,
     bit: bool,
-    mode: Mode,
+    mode: NicMode,
 ) -> Vec<snic::verify::report::Finding> {
     let cfg = machine_config(GEOM, EPOCH, mode);
     let streams = [
@@ -79,7 +59,7 @@ fn lint_transmission(
 }
 
 /// Measure the channel's capacity the same way the matrix does.
-fn capacity(family: ChannelFamily, mode: Mode) -> f64 {
+fn capacity(family: ChannelFamily, mode: NicMode) -> f64 {
     let ch = Channel::new(family, GEOM, EPOCH, mode);
     let mut conf = Confusion::default();
     for bit in payload_bits(0x1ea6_c0de, 16) {
@@ -91,12 +71,12 @@ fn capacity(family: ChannelFamily, mode: Mode) -> f64 {
 #[test]
 fn commodity_capacity_implies_pass2_findings() {
     for family in ChannelFamily::ALL {
-        let mi = capacity(family, Mode::Commodity);
+        let mi = capacity(family, NicMode::Commodity);
         assert!(
             mi > 0.0,
             "{family:?}: commodity channel on an exploitable geometry must carry bits"
         );
-        let findings = lint_transmission(family, true, Mode::Commodity);
+        let findings = lint_transmission(family, true, NicMode::Commodity);
         assert!(
             !findings.is_empty(),
             "{family:?}: measured {mi:.3} bits/use but Pass 2 found nothing on the trace"
@@ -108,12 +88,12 @@ fn commodity_capacity_implies_pass2_findings() {
 fn snic_points_lint_clean_for_both_payloads() {
     for family in ChannelFamily::ALL {
         assert_eq!(
-            capacity(family, Mode::Snic),
+            capacity(family, NicMode::Snic),
             0.0,
             "{family:?}: S-NIC capacity must be exactly zero"
         );
         for bit in [false, true] {
-            let findings = lint_transmission(family, bit, Mode::Snic);
+            let findings = lint_transmission(family, bit, NicMode::Snic);
             assert!(
                 findings.is_empty(),
                 "{family:?} bit {bit}: S-NIC trace must lint clean, got {findings:#?}"
@@ -127,7 +107,7 @@ fn snic_points_lint_clean_for_both_payloads() {
 /// co-residency finding the 1-bit run raises.
 #[test]
 fn lint_findings_track_the_transmitted_bit_on_the_cache_channel() {
-    let findings = lint_transmission(ChannelFamily::Cache, false, Mode::Commodity);
+    let findings = lint_transmission(ChannelFamily::Cache, false, NicMode::Commodity);
     assert!(
         findings.is_empty(),
         "0-bit cache sender must leave no co-residency signal, got {findings:#?}"

@@ -14,9 +14,9 @@
 
 use snic::bench::golden;
 use snic::leakage::{
-    full_specs, smoke_specs, ChannelFamily, LeakageMatrix, Mode, CELL_BITS,
-    COMMODITY_CAPACITY_FLOOR_BPS,
+    full_specs, smoke_specs, ChannelFamily, LeakageMatrix, CELL_BITS, COMMODITY_CAPACITY_FLOOR_BPS,
 };
+use snic::types::NicMode;
 use snic::uarch::budget::Threads;
 
 fn golden_path() -> std::path::PathBuf {
@@ -38,7 +38,7 @@ fn leakage_matrix_matches_golden_and_security_bounds() {
     for family in ChannelFamily::ALL {
         assert!(
             matrix.cells.iter().any(|c| c.spec.family == family
-                && c.spec.mode == Mode::Commodity
+                && c.spec.mode == NicMode::Commodity
                 && c.capacity_bps > COMMODITY_CAPACITY_FLOOR_BPS),
             "family {family:?} has no commodity cell above \
              {COMMODITY_CAPACITY_FLOOR_BPS} bit/s"
