@@ -17,11 +17,15 @@
 //! - dispatch: serial ≡ parallel ≡ sharded for streamed jobs;
 //! - the oracle: the 32-tenant mix as one 32-lane interleaved engine
 //!   call ≡ the same mix with every tenant simulated alone, statistics
-//!   and telemetry.
+//!   and telemetry;
+//! - the values: the phased streams behind `snicctl trace billion
+//!   --gate`'s identity leg and the benchmark's `stream_mix32` mix are
+//!   pinned by digest, so a generator change that moves any event fails
+//!   here and not only in the goldens' stationary workloads.
 
 use std::sync::Arc;
 
-use snic_bench::colo::{colo_spec, many_tenant_snic, outcome_events, tenant_mix};
+use snic_bench::colo::{colo_spec, many_tenant_snic, outcome_digest, outcome_events, tenant_mix};
 use snic_bench::streams::{all_traces, nf_access_trace, nf_trace_source};
 use snic_bench::Scale;
 use snic_nf::NfKind;
@@ -190,4 +194,34 @@ fn interleaved_32_tenant_mix_is_the_oracle_of_every_split() {
         assert_eq!(oracle.nfs, split.nfs, "shards={shards}");
         assert_eq!(oracle_summary, summary, "telemetry, shards={shards}");
     }
+}
+
+/// The phased streams' values, pinned. Every other test here compares
+/// the pipeline with itself; these two digests hold the generators
+/// (phase schedules, flow draws, NF tables) to the events they have
+/// always produced.
+#[test]
+fn phased_stream_digests_are_pinned() {
+    // `snicctl trace billion --gate`'s identity leg.
+    let gate = colo_spec(
+        &Scale::quick(),
+        &tenant_mix(6, 0xc010, 60_000, false),
+        many_tenant_snic(6, 1 << 20),
+        1,
+    )
+    .run();
+    assert_eq!(outcome_events(&gate), 60_000);
+    assert_eq!(outcome_digest(&gate), 0x7adae3af040d0fc8, "trace gate mix");
+
+    // `stream_mix32` at its default seed: 32 tenants, 16 M events on
+    // 2 shards.
+    let mix = colo_spec(
+        &Scale::quick(),
+        &tenant_mix(32, 0xf15a, 16_000_000, false),
+        many_tenant_snic(32, 4 << 20),
+        2,
+    )
+    .run();
+    assert_eq!(outcome_events(&mix), 16_000_000);
+    assert_eq!(outcome_digest(&mix), 0xb7d8d499f46e36c3, "stream_mix32");
 }
