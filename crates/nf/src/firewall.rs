@@ -11,19 +11,12 @@
 //! optional protocol, destination port ranges, and a first-match
 //! allow/deny action.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-
 use rand::Rng;
 use rand::SeedableRng;
 use snic_types::{FiveTuple, Packet, Protocol};
 
-use crate::common::{layout, AccessKind, AccessSink, NetworkFunction, NfKind, Verdict};
+use crate::common::{layout, AccessKind, AccessSink, DetHashMap, NetworkFunction, NfKind, Verdict};
 use crate::profile::{hashmap_bytes, paper_profile, vec_bytes, MemoryProfile};
-
-/// Deterministic hash map (fixed-key SipHash) so runs are reproducible.
-pub type DetHashMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
 /// One firewall rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

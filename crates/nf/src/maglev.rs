@@ -11,8 +11,7 @@
 use snic_types::mix::{fnv1a, FNV_OFFSET};
 use snic_types::{ByteSize, FiveTuple, Packet};
 
-use crate::common::{layout, AccessKind, AccessSink, NetworkFunction, NfKind, Verdict};
-use crate::firewall::DetHashMap;
+use crate::common::{layout, AccessKind, AccessSink, DetHashMap, NetworkFunction, NfKind, Verdict};
 use crate::profile::{hashmap_bytes, paper_profile, vec_bytes, MemoryProfile};
 
 /// The paper-scale lookup-table size (Maglev uses a prime; 65,537 is the

@@ -18,8 +18,7 @@ use std::collections::hash_map::Entry;
 use snic_mem::tracker::AllocationTracker;
 use snic_types::{ByteSize, FiveTuple, Packet, Picos};
 
-use crate::common::{layout, AccessKind, AccessSink, NetworkFunction, NfKind, Verdict};
-use crate::firewall::DetHashMap;
+use crate::common::{layout, AccessKind, AccessSink, DetHashMap, NetworkFunction, NfKind, Verdict};
 use crate::profile::{paper_profile, MemoryProfile};
 
 /// Modeled bytes per map slot: key (16 B five-tuple packed) + count (8 B)

@@ -7,7 +7,11 @@
 //!
 //! Outbound packets get their source rewritten to the NAT's external
 //! address and an allocated external port; the IPv4 checksum is
-//! recomputed. A reverse map translates return traffic. Per-flow state
+//! recomputed. Only the outbound direction is translated. A new flow
+//! also writes its reverse-map slot (external port → flow), as MazuNAT
+//! does for the return path: the store is in the modeled reference
+//! stream and the map in the memory profile, but no host-side map is
+//! kept, since nothing here reads return traffic. Per-flow state
 //! mirrors MazuNAT's translation-rule records (full rule, timestamps,
 //! counters), which is what makes NAT's heap footprint large in Table 6.
 
@@ -15,8 +19,7 @@ use bytes::Bytes;
 use snic_types::packet::{EthernetHeader, Ipv4Header};
 use snic_types::{ByteSize, FiveTuple, Packet};
 
-use crate::common::{layout, AccessKind, AccessSink, NetworkFunction, NfKind, Verdict};
-use crate::firewall::DetHashMap;
+use crate::common::{layout, AccessKind, AccessSink, DetHashMap, NetworkFunction, NfKind, Verdict};
 use crate::profile::{hashmap_bytes, paper_profile, MemoryProfile};
 
 /// Maximum flows that can receive a distinct external port.
@@ -39,8 +42,6 @@ struct NatEntry {
 pub struct NatNf {
     external_ip: u32,
     forward: DetHashMap<FiveTuple, NatEntry>,
-    /// Reverse map: external port → original flow.
-    reverse: DetHashMap<u16, FiveTuple>,
     next_port: u16,
     translated: u64,
     untranslated: u64,
@@ -55,7 +56,6 @@ impl NatNf {
         NatNf {
             external_ip,
             forward: DetHashMap::default(),
-            reverse: DetHashMap::default(),
             next_port: 1024,
             translated: 0,
             untranslated: 0,
@@ -87,6 +87,11 @@ impl NatNf {
     fn bucket_addr(&self, ft: &FiveTuple) -> u64 {
         let buckets = (NAT_MAX_FLOWS as u64 + 1).next_power_of_two();
         layout::HEAP_BASE + (ft.stable_hash() % buckets) * FLOW_STATE_BYTES as u64
+    }
+
+    /// The modeled reverse-map slot of external port `port`.
+    fn reverse_slot_addr(port: u16) -> u64 {
+        layout::HEAP_BASE + 0x2_000_000 + u64::from(port) * 32
     }
 
     fn allocate_port(&mut self) -> Option<u16> {
@@ -153,14 +158,9 @@ impl NetworkFunction for NatNf {
                             packets: 1,
                         },
                     );
-                    self.reverse.insert(p, ft);
                     // New-entry write plus reverse-map write.
                     sink.touch(bucket, AccessKind::Store, 80);
-                    sink.touch(
-                        layout::HEAP_BASE + 0x2_000_000 + u64::from(p) * 32,
-                        AccessKind::Store,
-                        30,
-                    );
+                    sink.touch(NatNf::reverse_slot_addr(p), AccessKind::Store, 30);
                     Some(p)
                 }
                 None => None,
@@ -193,6 +193,7 @@ impl NetworkFunction for NatNf {
     }
 
     fn memory_profile(&self) -> MemoryProfile {
+        // The forward records plus the modeled reverse map.
         let heap =
             hashmap_bytes(NAT_MAX_FLOWS, FLOW_STATE_BYTES) + hashmap_bytes(NAT_MAX_FLOWS, 24);
         MemoryProfile {
@@ -304,12 +305,25 @@ mod tests {
 
     #[test]
     fn reverse_map_tracks_allocations() {
+        // A new flow stores to its port's reverse-map slot, once; a
+        // cached one does not touch the reverse map.
         let mut nat = NatNf::with_defaults(0);
-        let out = rewritten(nat.process(&pkt(7, 4242), &mut NullSink));
+        let mut first = RecordingSink::new();
+        let out = rewritten(nat.process(&pkt(7, 4242), &mut first));
         let ext_port = out.tcp().unwrap().src_port;
         let flow = FiveTuple::from_packet(&pkt(7, 4242)).unwrap();
-        assert_eq!(nat.reverse.get(&ext_port), Some(&flow));
         assert_eq!(nat.lookup(&flow), Some(ext_port));
+        let slot = NatNf::reverse_slot_addr(ext_port);
+        let slot_stores = |sink: &RecordingSink| {
+            sink.accesses()
+                .iter()
+                .filter(|a| a.addr == slot && a.kind == AccessKind::Store)
+                .count()
+        };
+        assert_eq!(slot_stores(&first), 1);
+        let mut again = RecordingSink::new();
+        let _ = nat.process(&pkt(7, 4242), &mut again);
+        assert_eq!(slot_stores(&again), 0);
     }
 
     #[test]

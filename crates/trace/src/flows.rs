@@ -1,7 +1,11 @@
 //! Seeded populations of five-tuple flows.
 
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
+
 use rand::Rng;
 use rand::SeedableRng;
+use snic_types::mix::FxHasher;
 use snic_types::{FiveTuple, Protocol};
 
 /// Configuration for a [`FlowTable`].
@@ -37,7 +41,9 @@ impl FlowTable {
     pub fn generate(config: &FlowTableConfig) -> FlowTable {
         let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
         let mut flows = Vec::with_capacity(config.flows);
-        let mut seen = std::collections::HashSet::with_capacity(config.flows);
+        // Only asked for membership, so its hasher decides speed alone.
+        let mut seen: HashSet<FiveTuple, BuildHasherDefault<FxHasher>> =
+            HashSet::with_capacity_and_hasher(config.flows, BuildHasherDefault::default());
         while flows.len() < config.flows {
             let protocol = if rng.random::<f64>() < config.tcp_fraction {
                 Protocol::Tcp
@@ -92,7 +98,7 @@ mod tests {
             seed: 1,
         });
         assert_eq!(t.len(), 5000);
-        let set: std::collections::HashSet<_> = t.iter().collect();
+        let set: HashSet<_> = t.iter().collect();
         assert_eq!(set.len(), 5000);
     }
 

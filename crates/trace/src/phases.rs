@@ -102,38 +102,13 @@ impl PhaseSchedule {
         }
     }
 
-    /// Active-flow percentage at packet `t`: a triangle wave from 100
-    /// (peak, cycle start) down to `trough_active_pct` at mid-cycle and
-    /// back. Integer arithmetic only.
-    pub fn active_pct_at(&self, t: u64) -> u32 {
-        if self.diurnal_period == 0 || self.trough_active_pct >= 100 {
-            return 100;
-        }
-        let period = self.diurnal_period;
-        let pos = t % period;
-        let half = (period / 2).max(1);
-        // Distance from the nearest peak, 0..=half.
-        let depth = if pos <= half { pos } else { period - pos };
-        let span = u64::from(100 - self.trough_active_pct);
-        100 - (span * depth / half) as u32
-    }
-
-    /// Whether packet `t` falls inside a flash crowd, and if so which
-    /// crowd (0-based onset index).
-    pub fn crowd_at(&self, t: u64) -> Option<u64> {
-        if self.flash_every == 0
-            || self.flash_len == 0
-            || self.flash_hot_flows == 0
-            || self.flash_share_pct == 0
-        {
-            return None;
-        }
-        let len = self.flash_len.min(self.flash_every);
-        if t % self.flash_every < len {
-            Some(t / self.flash_every)
-        } else {
-            None
-        }
+    /// Whether flash crowds happen at all: every knob of the effect is
+    /// set.
+    fn flash_on(&self) -> bool {
+        self.flash_every > 0
+            && self.flash_len > 0
+            && self.flash_hot_flows > 0
+            && self.flash_share_pct > 0
     }
 
     /// One-line-per-effect human-readable summary (the `snicctl trace
@@ -146,7 +121,7 @@ impl PhaseSchedule {
                 self.diurnal_period, self.trough_active_pct
             ));
         }
-        if self.crowd_at(0).is_some() {
+        if self.flash_on() {
             lines.push(format!(
                 "flash crowds: every {} pkts for {} pkts, {}% of traffic onto {} flows",
                 self.flash_every,
@@ -199,10 +174,7 @@ pub struct PhasedTrace {
     payloads: PayloadGen,
     rng: rand::rngs::StdRng,
     mean_payload: usize,
-    generated: u64,
-    schedule: PhaseSchedule,
-    pool: usize,
-    seed: u64,
+    clock: PhaseClock,
 }
 
 /// SplitMix64 — the stateless seeded hash behind flash-crowd membership
@@ -210,6 +182,225 @@ pub struct PhasedTrace {
 /// enabling a phase never perturbs the base sampler's stream).
 fn splitmix64(mut x: u64) -> u64 {
     snic_types::mix::splitmix64(&mut x)
+}
+
+/// `t % every` and `t / every` for a packet index `t` that only ever
+/// counts up, kept by adding one per tick instead of dividing. A period
+/// of 0 never rolls over.
+#[derive(Debug, Clone, Copy)]
+struct Cycle {
+    every: u64,
+    rem: u64,
+    epoch: u64,
+}
+
+impl Cycle {
+    fn new(every: u64) -> Cycle {
+        Cycle {
+            every,
+            rem: 0,
+            epoch: 0,
+        }
+    }
+
+    /// Advance one packet; true when a new period begins.
+    fn tick(&mut self) -> bool {
+        if self.every == 0 {
+            return false;
+        }
+        self.rem += 1;
+        if self.rem < self.every {
+            return false;
+        }
+        self.rem = 0;
+        self.epoch += 1;
+        true
+    }
+}
+
+/// `(x + y) mod pool` for `x, y < pool`: one compare-and-subtract.
+fn wrap_add(x: usize, y: usize, pool: usize) -> usize {
+    let s = x + y;
+    if s >= pool {
+        s - pool
+    } else {
+        s
+    }
+}
+
+/// The phase stages at packet index `t`, advanced one tick per draw.
+/// Every divisor the stages need is a period or the pool; the clock
+/// pays for them once per period (or once per build) and each draw
+/// pays compares, adds and the two crowd hashes. The closed form it
+/// replaces, which rebuilds every stage from `t`, is the test oracle.
+#[derive(Debug)]
+struct PhaseClock {
+    t: u64,
+    pool: usize,
+    seed: u64,
+    /// Diurnal position in the wave; `every` is 0 when the wave is flat.
+    diurnal: Cycle,
+    /// Half a diurnal period (at least 1): the depth at the trough.
+    half: u64,
+    /// The wave's span (`100 - trough_active_pct`) as `q * half + r`.
+    span_q: u64,
+    span_r: u64,
+    /// Distance from the nearest peak, `0..=half`.
+    depth: u64,
+    /// `span * depth` as `q * half + r`: `q` is the percentage points
+    /// below 100 the active prefix is at.
+    drop_q: u64,
+    drop_r: u64,
+    /// Flows in the active prefix (the whole pool at the peak).
+    active: usize,
+    migrate: Cycle,
+    /// Rotation per migration epoch, and the total so far, mod the pool.
+    migrate_stride: usize,
+    migrate_offset: usize,
+    /// Crowd index in `epoch`; in a crowd while `rem < flash_len`.
+    flash: Cycle,
+    flash_len: u64,
+    flash_share_pct: u64,
+    flash_hot_flows: u64,
+    /// Where the current crowd's hot set starts, mod the pool.
+    crowd_origin: usize,
+    churn: Cycle,
+    /// Identity shift per churn epoch, and the total so far, mod the
+    /// pool.
+    churn_step: usize,
+    churn_offset: usize,
+}
+
+impl PhaseClock {
+    fn new(schedule: &PhaseSchedule, pool: usize, seed: u64) -> PhaseClock {
+        let pool = pool.max(1);
+        let wave = schedule.diurnal_period > 0 && schedule.trough_active_pct < 100;
+        let half = (schedule.diurnal_period / 2).max(1);
+        let span = if wave {
+            u64::from(100 - schedule.trough_active_pct)
+        } else {
+            0
+        };
+        let flash = schedule.flash_on();
+        let churn = schedule.churn_every > 0 && schedule.churn_pct > 0;
+        let churn_step = if churn {
+            ((pool as u64 * u64::from(schedule.churn_pct)) / 100).max(1) % pool as u64
+        } else {
+            0
+        };
+        PhaseClock {
+            t: 0,
+            pool,
+            seed,
+            diurnal: Cycle::new(if wave { schedule.diurnal_period } else { 0 }),
+            half,
+            span_q: span / half,
+            span_r: span % half,
+            depth: 0,
+            drop_q: 0,
+            drop_r: 0,
+            active: pool,
+            migrate: Cycle::new(schedule.migrate_every),
+            migrate_stride: (pool / 7).max(1) % pool,
+            migrate_offset: 0,
+            flash: Cycle::new(if flash { schedule.flash_every } else { 0 }),
+            flash_len: if flash {
+                schedule.flash_len.min(schedule.flash_every)
+            } else {
+                0
+            },
+            flash_share_pct: u64::from(schedule.flash_share_pct),
+            flash_hot_flows: schedule.flash_hot_flows as u64,
+            crowd_origin: crowd_origin(seed, 0, pool),
+            churn: Cycle::new(if churn { schedule.churn_every } else { 0 }),
+            churn_step: churn_step as usize,
+            churn_offset: 0,
+        }
+    }
+
+    /// Map a freshly sampled Zipf rank (below the pool) through the
+    /// phase stages at the current packet index, yielding the
+    /// flow-table index to emit.
+    fn flow_index(&self, rank: usize) -> usize {
+        // Diurnal: fold into the active prefix. Folding (not clamping)
+        // keeps the Zipf head dominant while redistributing tail mass.
+        let mut r = if rank >= self.active {
+            rank % self.active
+        } else {
+            rank
+        };
+
+        // Heavy-hitter migration: rotate the ranking by a pool-coprime
+        // stride per period so the hot set walks the whole pool.
+        r = wrap_add(r, self.migrate_offset, self.pool);
+
+        // Flash crowd: a seeded share of in-crowd packets collapses
+        // onto a small per-crowd hot set.
+        if self.flash.rem < self.flash_len {
+            let (t, crowd) = (self.t, self.flash.epoch);
+            let gate = splitmix64(self.seed ^ t.wrapping_mul(0x5bd1)) % 100;
+            if gate < self.flash_share_pct {
+                let slot = splitmix64(self.seed ^ crowd ^ t) % self.flash_hot_flows;
+                // The hot set may outnumber the pool.
+                let hot = self.crowd_origin as u64 + slot;
+                let pool = self.pool as u64;
+                r = if hot < pool { hot } else { hot % pool } as usize;
+            }
+        }
+
+        // Churn: shift the rank→identity mapping by churn_pct of the
+        // pool per epoch — old identities age out of the hot ranks.
+        wrap_add(r, self.churn_offset, self.pool)
+    }
+
+    /// Advance to the next packet index.
+    fn tick(&mut self) {
+        self.t += 1;
+        if self.diurnal.every > 0 {
+            self.diurnal.tick();
+            let pos = self.diurnal.rem;
+            let depth = if pos <= self.half {
+                pos
+            } else {
+                self.diurnal.every - pos
+            };
+            // The triangle wave moves at most one step per packet.
+            if depth != self.depth {
+                if depth > self.depth {
+                    self.drop_q += self.span_q;
+                    self.drop_r += self.span_r;
+                    if self.drop_r >= self.half {
+                        self.drop_r -= self.half;
+                        self.drop_q += 1;
+                    }
+                } else {
+                    self.drop_q -= self.span_q;
+                    if self.drop_r < self.span_r {
+                        self.drop_r += self.half;
+                        self.drop_q -= 1;
+                    }
+                    self.drop_r -= self.span_r;
+                }
+                self.depth = depth;
+                let pct = 100 - self.drop_q;
+                self.active = ((self.pool as u64 * pct / 100) as usize).max(1);
+            }
+        }
+        if self.migrate.tick() {
+            self.migrate_offset = wrap_add(self.migrate_offset, self.migrate_stride, self.pool);
+        }
+        if self.flash.tick() {
+            self.crowd_origin = crowd_origin(self.seed, self.flash.epoch, self.pool);
+        }
+        if self.churn.tick() {
+            self.churn_offset = wrap_add(self.churn_offset, self.churn_step, self.pool);
+        }
+    }
+}
+
+/// The first flow of crowd `crowd`'s hot set.
+fn crowd_origin(seed: u64, crowd: u64, pool: usize) -> usize {
+    (splitmix64(seed.wrapping_add(crowd)) % pool as u64) as usize
 }
 
 impl PhasedTrace {
@@ -227,68 +418,17 @@ impl PhasedTrace {
             payloads: PayloadGen::new(base.seed ^ 0xbeef, base.patterns, base.signature_rate),
             rng: rand::rngs::StdRng::seed_from_u64(base.seed),
             mean_payload: base.mean_payload,
-            generated: 0,
-            schedule: config.schedule,
-            pool: base.flows,
-            seed: base.seed,
+            clock: PhaseClock::new(&config.schedule, base.flows, base.seed),
         }
-    }
-
-    /// The phase schedule in effect.
-    pub fn schedule(&self) -> &PhaseSchedule {
-        &self.schedule
-    }
-
-    /// Map a freshly sampled Zipf rank through the phase stages at
-    /// packet index `t`, yielding the flow-table index to emit.
-    fn phased_rank(&self, rank: usize, t: u64) -> usize {
-        let pool = self.pool.max(1);
-        let mut r = rank;
-
-        // Diurnal: fold into the active prefix. Folding (not clamping)
-        // keeps the Zipf head dominant while redistributing tail mass.
-        let pct = self.schedule.active_pct_at(t);
-        if pct < 100 {
-            let active = ((pool as u64 * u64::from(pct)) / 100).max(1) as usize;
-            r %= active;
-        }
-
-        // Heavy-hitter migration: rotate the ranking by a pool-coprime
-        // stride per period so the hot set walks the whole pool.
-        if let Some(epoch) = t.checked_div(self.schedule.migrate_every) {
-            let stride = (pool / 7).max(1) as u64;
-            r = ((r as u64 + epoch * stride) % pool as u64) as usize;
-        }
-
-        // Flash crowd: a seeded share of in-crowd packets collapses
-        // onto a small per-crowd hot set.
-        if let Some(crowd) = self.schedule.crowd_at(t) {
-            let gate = splitmix64(self.seed ^ t.wrapping_mul(0x5bd1)) % 100;
-            if gate < u64::from(self.schedule.flash_share_pct) {
-                let slot = splitmix64(self.seed ^ crowd ^ t) % self.schedule.flash_hot_flows as u64;
-                let origin = splitmix64(self.seed.wrapping_add(crowd)) % pool as u64;
-                r = ((origin + slot) % pool as u64) as usize;
-            }
-        }
-
-        // Churn: shift the rank→identity mapping by churn_pct of the
-        // pool per epoch — old identities age out of the hot ranks.
-        if self.schedule.churn_every > 0 && self.schedule.churn_pct > 0 {
-            let epoch = t / self.schedule.churn_every;
-            let step = ((pool as u64 * u64::from(self.schedule.churn_pct)) / 100).max(1);
-            r = ((r as u64 + epoch * step) % pool as u64) as usize;
-        }
-
-        r
     }
 
     /// Draw the next flow (without building packet bytes). This
     /// advances the phase clock: every draw is one tick of `t`.
     pub fn next_flow(&mut self) -> FiveTuple {
-        let t = self.generated;
         let rank = self.zipf.sample(&mut self.rng);
-        self.generated += 1;
-        self.flows.get(self.phased_rank(rank, t))
+        let index = self.clock.flow_index(rank);
+        self.clock.tick();
+        self.flows.get(index)
     }
 
     /// One packet's draws from the flow RNG: the flow, then the payload
@@ -327,7 +467,7 @@ impl PhasedTrace {
     /// Phase-clock ticks so far (flow draws; equals packets when the
     /// stream is consumed via [`PhasedTrace::next_packet`]).
     pub fn generated(&self) -> u64 {
-        self.generated
+        self.clock.t
     }
 
     /// The underlying flow pool.
@@ -339,7 +479,197 @@ impl PhasedTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::HashSet;
+
+    /// The closed form of each stage, rebuilt from the packet index `t`
+    /// alone: the oracle [`PhaseClock`] is held to.
+    impl PhaseSchedule {
+        /// Active-flow percentage at packet `t`: a triangle wave from
+        /// 100 (peak, cycle start) down to `trough_active_pct` at
+        /// mid-cycle and back.
+        fn active_pct_at(&self, t: u64) -> u32 {
+            if self.diurnal_period == 0 || self.trough_active_pct >= 100 {
+                return 100;
+            }
+            let period = self.diurnal_period;
+            let pos = t % period;
+            let half = (period / 2).max(1);
+            // Distance from the nearest peak, 0..=half.
+            let depth = if pos <= half { pos } else { period - pos };
+            let span = u64::from(100 - self.trough_active_pct);
+            100 - (span * depth / half) as u32
+        }
+
+        /// Which flash crowd (0-based onset index) packet `t` falls in.
+        fn crowd_at(&self, t: u64) -> Option<u64> {
+            let len = self.flash_len.min(self.flash_every);
+            (self.flash_on() && t % self.flash_every < len).then(|| t / self.flash_every)
+        }
+    }
+
+    /// The flow-table index of Zipf rank `rank` drawn at packet `t`.
+    fn phased_rank(sched: &PhaseSchedule, pool: usize, seed: u64, rank: usize, t: u64) -> usize {
+        let pool = pool.max(1);
+        let mut r = rank;
+        let pct = sched.active_pct_at(t);
+        if pct < 100 {
+            let active = ((pool as u64 * u64::from(pct)) / 100).max(1) as usize;
+            r %= active;
+        }
+        if let Some(epoch) = t.checked_div(sched.migrate_every) {
+            let stride = (pool / 7).max(1) as u64;
+            r = ((r as u64 + epoch * stride) % pool as u64) as usize;
+        }
+        if let Some(crowd) = sched.crowd_at(t) {
+            let gate = splitmix64(seed ^ t.wrapping_mul(0x5bd1)) % 100;
+            if gate < u64::from(sched.flash_share_pct) {
+                let slot = splitmix64(seed ^ crowd ^ t) % sched.flash_hot_flows as u64;
+                let origin = splitmix64(seed.wrapping_add(crowd)) % pool as u64;
+                r = ((origin + slot) % pool as u64) as usize;
+            }
+        }
+        if sched.churn_every > 0 && sched.churn_pct > 0 {
+            let epoch = t / sched.churn_every;
+            let step = ((pool as u64 * u64::from(sched.churn_pct)) / 100).max(1);
+            r = ((r as u64 + epoch * step) % pool as u64) as usize;
+        }
+        r
+    }
+
+    /// Tick a clock through `draws` packets, holding its flow index to
+    /// the closed form at every one (ranks drawn uniformly below the
+    /// pool, so folds and wraps are all reached).
+    fn assert_clock_is_the_closed_form(sched: &PhaseSchedule, pool: usize, seed: u64, draws: u64) {
+        let mut clock = PhaseClock::new(sched, pool, seed);
+        for t in 0..draws {
+            assert_eq!(clock.t, t);
+            let rank = (splitmix64(seed ^ t ^ 0xa5a5) % pool as u64) as usize;
+            assert_eq!(
+                clock.flow_index(rank),
+                phased_rank(sched, pool, seed, rank, t),
+                "t={t} rank={rank} pool={pool} {sched:?}"
+            );
+            clock.tick();
+        }
+    }
+
+    /// Three full periods of the longest effect, and some draws besides.
+    fn three_periods(sched: &PhaseSchedule) -> u64 {
+        let longest = [
+            sched.diurnal_period,
+            sched.flash_every,
+            sched.migrate_every,
+            sched.churn_every,
+        ]
+        .into_iter()
+        .max()
+        .unwrap_or(0);
+        3 * longest + 64
+    }
+
+    /// The edge shapes, each by name: periods of 1 and 2 and odd
+    /// lengths, a crowd at least as long as its spacing, a flat wave
+    /// at 100 %, full churn, and a pool of one flow.
+    #[test]
+    fn clock_matches_the_closed_form_on_edge_shapes() {
+        let every = |p: u64| PhaseSchedule {
+            diurnal_period: p,
+            trough_active_pct: 10,
+            flash_every: p,
+            flash_len: (p / 3).max(1),
+            flash_hot_flows: 5,
+            flash_share_pct: 70,
+            migrate_every: p,
+            churn_every: p,
+            churn_pct: 30,
+        };
+        let mut shapes = vec![
+            PhaseSchedule::stationary(),
+            PhaseSchedule::realistic(2_000),
+            PhaseSchedule::realistic(7),
+        ];
+        shapes.extend([1, 2, 3, 5, 7, 99, 101].map(every));
+        shapes.extend([
+            PhaseSchedule {
+                flash_len: 40,
+                ..every(9)
+            },
+            PhaseSchedule {
+                flash_len: 9,
+                ..every(9)
+            },
+            PhaseSchedule {
+                trough_active_pct: 100,
+                ..every(12)
+            },
+            PhaseSchedule {
+                trough_active_pct: 0,
+                ..every(13)
+            },
+            PhaseSchedule {
+                churn_pct: 100,
+                ..every(11)
+            },
+            PhaseSchedule {
+                churn_pct: 250,
+                ..every(11)
+            },
+            PhaseSchedule {
+                flash_hot_flows: 400,
+                flash_share_pct: 100,
+                ..every(10)
+            },
+        ]);
+        for sched in &shapes {
+            for pool in [1, 2, 3, 7, 50, 1_000] {
+                assert_clock_is_the_closed_form(sched, pool, 0x51ed, three_periods(sched));
+            }
+        }
+    }
+
+    fn random_schedules() -> impl Strategy<Value = PhaseSchedule> {
+        let period = || prop_oneof![Just(0u64), Just(1u64), Just(2u64), 0u64..64, 0u64..400];
+        (
+            (period(), 0u32..=100),
+            (period(), 0u64..500, 0usize..40, 0u32..=100),
+            period(),
+            (period(), 0u32..=150),
+        )
+            .prop_map(
+                |(
+                    (diurnal_period, trough_active_pct),
+                    (flash_every, flash_len, flash_hot_flows, flash_share_pct),
+                    migrate_every,
+                    (churn_every, churn_pct),
+                )| PhaseSchedule {
+                    diurnal_period,
+                    trough_active_pct,
+                    flash_every,
+                    flash_len,
+                    flash_hot_flows,
+                    flash_share_pct,
+                    migrate_every,
+                    churn_every,
+                    churn_pct,
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any schedule, pool and seed: at every packet of three full
+        /// periods the clock's flow index is the closed form's.
+        #[test]
+        fn clock_matches_the_closed_form(
+            sched in random_schedules(),
+            pool in prop_oneof![Just(1usize), 1usize..20, 1usize..5_000],
+            seed in any::<u64>(),
+        ) {
+            assert_clock_is_the_closed_form(&sched, pool, seed, three_periods(&sched));
+        }
+    }
 
     fn base(flows: usize, seed: u64) -> IctfConfig {
         IctfConfig {

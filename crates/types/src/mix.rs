@@ -1,7 +1,10 @@
-//! The workspace's two seedable integer hashes: the splitmix64 mixer
-//! (public-domain constants) and 64-bit FNV-1a. Seeds, schedules and
-//! digests across the crates derive from these, so their outputs are
-//! pinned bit for bit by the goldens.
+//! The workspace's seedable integer hashes: the splitmix64 mixer
+//! (public-domain constants) and 64-bit FNV-1a, from which seeds,
+//! schedules and digests across the crates derive, so their outputs are
+//! pinned bit for bit by the goldens; and [`FxHasher`], the fixed-key
+//! hasher of host-side tables whose iteration order nothing reads.
+
+use std::hash::Hasher;
 
 /// The splitmix64 increment (2^64 / φ, odd): adding it walks a u64
 /// through all 2^64 states; multiplying by it spreads a small counter.
@@ -37,6 +40,70 @@ pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
+/// The FxHash multiplier (rustc's, after Firefox's): odd, with its set
+/// bits spread across the word, so one multiply carries every input bit
+/// into the high half.
+const FX_K: u64 = 0x517c_c1b7_2722_0a95;
+
+/// A fixed-key, FxHash-style [`Hasher`]: each word is rotated into the
+/// state and multiplied by [`FX_K`]. The state always ends on that
+/// multiply, so its top bits — where hashbrown takes a bucket's 7-bit
+/// tag — depend on every input word. Fast and deterministic across runs
+/// and hosts, but not collision-resistant against a chosen key set: for
+/// tables keyed by simulated flows, not by anything an adversary picks.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_K);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, n: u16) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,6 +121,34 @@ mod tests {
         assert_eq!(
             fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
             fnv1a(FNV_OFFSET, b"foobar")
+        );
+    }
+
+    #[test]
+    fn fx_hasher_is_one_rotate_xor_multiply_per_word() {
+        let hash = |f: &dyn Fn(&mut FxHasher)| {
+            let mut h = FxHasher::default();
+            f(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&|_| {}), 0);
+        assert_eq!(hash(&|h| h.write_u64(1)), FX_K);
+        assert_eq!(
+            hash(&|h| {
+                h.write_u8(1);
+                h.write_u32(2);
+            }),
+            (FX_K.rotate_left(5) ^ 2).wrapping_mul(FX_K)
+        );
+        // Bytes go in as little-endian words, the last one zero-padded.
+        let x = 0x0123_4567_89ab_cdef_u64;
+        assert_eq!(
+            hash(&|h| h.write(&x.to_le_bytes())),
+            hash(&|h| h.write_u64(x))
+        );
+        assert_eq!(
+            hash(&|h| h.write(&[7, 0, 1])),
+            hash(&|h| h.write_u32(0x01_00_07))
         );
     }
 }

@@ -23,34 +23,66 @@ cargo clippy --workspace --all-targets -- -D warnings
 # `pub fn|struct|enum|trait|const|type|static` declared before a
 # `crates/*/src` file's first `#[cfg(test)]` whose name occurs nowhere
 # else — in no other file under crates/, src/, tests/, examples/ or
-# benchmark/src, and not again in its own file's non-test code. Comment
-# lines and `pub use` re-exports do not count as naming it. A name that
-# also occurs elsewhere passes, so this is a floor, not a proof. The
+# benchmark/src, and nowhere in its own file's non-test code outside
+# its declaration line and the `impl` blocks of the type it names (so a
+# struct only its own constructor and methods mention is listed). An
+# `impl` block runs from its header to the first line that closes it at
+# the header's indentation, as rustfmt writes it. Comment lines and
+# `pub use` re-exports do not count as naming it. A name that also
+# occurs elsewhere passes, so this is a floor, not a proof. The
 # allowlist is empty: delete the item with its test, or move it into
 # the test module when it is a probe a test relies on.
 echo "==> inventory: pub items nothing names"
 mapfile -t rust_files < <(find crates src tests examples benchmark/src -name '*.rs' | sort)
 orphans="$(awk '
-FNR == 1 { live = 1 }
+# The type an `impl` header is for: the last path segment after ` for `
+# if there is one, else after `impl` and its generic parameters.
+function impl_self(h,    i, c, depth) {
+    sub(/^[ \t]*(unsafe )?impl/, "", h)
+    if (substr(h, 1, 1) == "<") {
+        for (i = 1; i <= length(h); i++) {
+            c = substr(h, i, 1)
+            if (c == "-" && substr(h, i + 1, 1) == ">") i++
+            else if (c == "<") depth++
+            else if (c == ">" && --depth == 0) break
+        }
+        h = substr(h, i + 1)
+    }
+    while (match(h, / for /)) h = substr(h, RSTART + RLENGTH)
+    sub(/^[ \t]*(&(\047[a-z_]+ )?)?(mut |dyn )?/, "", h)
+    match(h, /^[A-Za-z_][A-Za-z0-9_:]*/)
+    h = substr(h, 1, RLENGTH)
+    sub(/.*::/, "", h)
+    return h
+}
+FNR == 1 { live = 1; in_impl = 0 }
 live && /#\[cfg\(test\)\]/ { live = 0 }
+live && !in_impl && /^[ \t]*(unsafe )?impl[ <]/ {
+    in_impl = 1; impl_line = FNR; self = impl_self($0)
+    match($0, /^[ \t]*/); impl_end = substr($0, 1, RLENGTH) "}"
+}
+{ decl_name = "" }
 live && FILENAME ~ /^crates\/[^\/]+\/src\// &&
     match($0, /^[ \t]*pub (const |unsafe |async )*(fn|struct|enum|trait|const|type|static) +(mut +)?[A-Za-z_][A-Za-z0-9_]*/) {
     n = split(substr($0, RSTART, RLENGTH), decl, /[ \t]+/)
-    item[FILENAME SUBSEP decl[n]] = FNR
+    decl_name = decl[n]
+    item[FILENAME SUBSEP decl_name] = FNR
 }
 !/^[ \t]*(\/\/|pub use )/ {
     rest = $0
     while (match(rest, /[A-Za-z_][A-Za-z0-9_]*/)) {
         word = substr(rest, RSTART, RLENGTH)
         if (!((word, FILENAME) in seen)) { seen[word, FILENAME] = 1; files[word]++ }
-        if (live) own[word, FILENAME]++
+        if (word == decl_name) decl_name = ""
+        else if (live && !(in_impl && word == self)) own[word, FILENAME]++
         rest = substr(rest, RSTART + RLENGTH)
     }
 }
+in_impl && ((FNR == impl_line && /\}[ \t]*$/) || (FNR > impl_line && $0 == impl_end)) { in_impl = 0 }
 END {
     for (k in item) {
         split(k, at, SUBSEP)
-        if (files[at[2]] == 1 && own[at[2], at[1]] == 1) print at[1] ":" item[k] ": " at[2]
+        if (files[at[2]] == 1 && !own[at[2], at[1]]) print at[1] ":" item[k] ": " at[2]
     }
 }' "${rust_files[@]}" | sort)"
 if [ -n "$orphans" ]; then
