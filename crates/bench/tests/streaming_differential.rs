@@ -21,16 +21,20 @@
 //! - the values: the phased streams behind `snicctl trace billion
 //!   --gate`'s identity leg and the benchmark's `stream_mix32` mix are
 //!   pinned by digest, so a generator change that moves any event fails
-//!   here and not only in the goldens' stationary workloads.
+//!   here and not only in the goldens' stationary workloads; the DPI
+//!   recordings (the bulk of every fig5 trial) are pinned the same way
+//!   at quick scale and on the paper-scale automaton.
 
 use std::sync::Arc;
 
 use snic_bench::colo::{colo_spec, many_tenant_snic, outcome_digest, outcome_events, tenant_mix};
 use snic_bench::streams::{all_traces, nf_access_trace, nf_trace_source};
 use snic_bench::Scale;
-use snic_nf::NfKind;
+use snic_nf::dpi::synth_patterns;
+use snic_nf::{DpiNf, NfKind};
 use snic_sim::{par_map, JobSpec, SimJob};
 use snic_telemetry::{Recorder, TelemetrySink};
+use snic_types::mix::{fnv1a, FNV_OFFSET};
 use snic_uarch::config::MachineConfig;
 use snic_uarch::stream::SharedReplayStream;
 use snic_uarch::{Access, EventSource, StreamedSource};
@@ -224,4 +228,40 @@ fn phased_stream_digests_are_pinned() {
     .run();
     assert_eq!(outcome_events(&mix), 16_000_000);
     assert_eq!(outcome_digest(&mix), 0xb7d8d499f46e36c3, "stream_mix32");
+}
+
+/// FNV-1a over each event's `insns`, `addr` (little-endian) and kind.
+fn access_digest(events: &[Access]) -> u64 {
+    events.iter().fold(FNV_OFFSET, |h, a| {
+        let h = fnv1a(h, &a.insns.to_le_bytes());
+        let h = fnv1a(h, &a.addr.to_le_bytes());
+        fnv1a(h, &[a.kind as u8])
+    })
+}
+
+/// The DPI recordings' values, pinned: the automaton's state numbering
+/// (every address is `HEAP_BASE + state × 96`) and its walk order, at
+/// quick scale and on the paper's 33 471-pattern automaton.
+#[test]
+fn dpi_stream_digests_are_pinned() {
+    let quick = Scale::quick();
+    let paper = Scale {
+        packets: 400,
+        ..Scale::paper()
+    };
+    for (scale, states, events, digest) in [
+        (quick, 16_110, 5_030_319, 0xe3e7_097c_94cc_fd68),
+        (paper, 334_906, 196_883, 0x1fd0_bc65_ec4e_7111),
+    ] {
+        let nf = DpiNf::new(&synth_patterns(scale.patterns, 0xf15a));
+        assert_eq!(
+            nf.automaton().node_count(),
+            states,
+            "{} patterns",
+            scale.patterns
+        );
+        let trace = nf_access_trace(NfKind::Dpi, &scale, 0xf15a);
+        assert_eq!(trace.len(), events, "{} patterns", scale.patterns);
+        assert_eq!(access_digest(&trace), digest, "{} patterns", scale.patterns);
+    }
 }
