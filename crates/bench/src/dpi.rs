@@ -43,10 +43,12 @@ impl Default for DpiAccelConfig {
     }
 }
 
-/// One DPI engine instance (graph shared by all its threads).
+/// One DPI engine instance (graph shared by all its threads). The model
+/// needs only the size of the graph its threads walk, so that is what it
+/// keeps.
 #[derive(Debug)]
 pub struct DpiAccel {
-    automaton: AhoCorasick,
+    graph: ByteSize,
     config: DpiAccelConfig,
 }
 
@@ -54,14 +56,14 @@ impl DpiAccel {
     /// Build from a pattern list.
     pub fn new(patterns: &[Vec<u8>], config: DpiAccelConfig) -> DpiAccel {
         DpiAccel {
-            automaton: AhoCorasick::build(patterns),
+            graph: AhoCorasick::build(patterns).graph_bytes(),
             config,
         }
     }
 
     /// The automaton graph size (Table 7's "Graph" row).
     pub fn graph_bytes(&self) -> ByteSize {
-        self.automaton.graph_bytes()
+        self.graph
     }
 
     /// Fraction of node fetches expected to hit the SRAM graph cache.

@@ -1,6 +1,6 @@
 //! The network-function abstraction and access recording.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
 
 use snic_types::mix::FxHasher;
@@ -14,6 +14,9 @@ use crate::profile::MemoryProfile;
 /// outside its tests, so the hasher decides how fast a probe is, never
 /// which access, count or digest comes out.
 pub(crate) type DetHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// A membership set under the same fixed-key hasher as [`DetHashMap`].
+pub(crate) type DetHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 /// The six NF kinds of §5.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
