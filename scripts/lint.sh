@@ -113,7 +113,10 @@ budgeted_test() {
 # - The layers regeneration runs through (snic-types, snic-trace,
 #   snic-nf): headers-only frames are prefixes of full frames, no
 #   header-only NF reads a payload, the bulk DIR-24-8 build equals
-#   ordered inserts.
+#   ordered inserts, the frozen Aho-Corasick walk records what its
+#   node-walk oracle records (`frozen_walk_equals_the_oracle`), and the
+#   DPI recordings hold their pinned digests at quick and paper scale
+#   (`dpi_stream_digests_are_pinned`).
 # - Fault-matrix smoke (`fault_determinism`): the blast-radius
 #   differential must be deterministic regardless of executor
 #   parallelism.
