@@ -27,6 +27,7 @@ use snic_telemetry::{BufferSink, NullSink, Recorder};
 use snic_uarch::budget::Threads;
 use snic_uarch::engine::{
     helpers_started, run_colocated_ids_sink, run_colocated_warm, with_helper, RunOutcome,
+    NF_ADDR_BITS,
 };
 use snic_uarch::reference::{run_reference, NullObserver};
 use snic_uarch::stream::{Access, AccessKind, EventSource, SharedReplayStream, SyntheticStream};
@@ -70,20 +71,42 @@ fn machine(rng: &mut TestRng, tenants: u32) -> MachineConfig {
     cfg
 }
 
+/// A literal trace of `len` events. Most draw 1–12 instructions and an
+/// address in a 4 MiB footprint at the bottom of the private address
+/// space. Per trace, the footprint may instead sit at its top, ending at
+/// 2^[`NF_ADDR_BITS`] − 1, or spread over all of it; and one event in 16,
+/// or one in 2, may retire close to `u32::MAX` instructions. The edges
+/// hold the engine's `u64` instruction sums, the hit runs it carries
+/// across chunks and batches, and its packing of chunk position and
+/// address, to the reference.
+fn literal(rng: &mut TestRng, len: u64) -> Vec<Access> {
+    let space = 1u64 << NF_ADDR_BITS;
+    let (base, span) = match rng.below(3) {
+        0 => (0, 1 << 22),
+        1 => (space - (1 << 22), 1 << 22),
+        _ => (0, space),
+    };
+    let huge_one_in = [0, 16, 2][rng.below(3) as usize];
+    (0..len)
+        .map(|_| Access {
+            insns: if huge_one_in > 0 && rng.below(huge_one_in) == 0 {
+                u32::MAX - rng.below(4) as u32
+            } else {
+                1 + rng.below(12) as u32
+            },
+            addr: base + rng.below(span),
+            kind: AccessKind::Load,
+        })
+        .collect()
+}
+
 /// Random stream: synthetic walker or a literal random replay trace
 /// (replay covers partial batches, single-event streams, and insns > 1
 /// mixes the synthetic walker never produces).
 fn stream(rng: &mut TestRng) -> EventSource {
     if rng.below(4) == 0 {
-        let len = rng.below(3_000) as usize; // May be zero: empty stream.
-        let accesses: Vec<Access> = (0..len)
-            .map(|_| Access {
-                insns: 1 + rng.below(12) as u32,
-                addr: rng.below(1 << 22),
-                kind: AccessKind::Load,
-            })
-            .collect();
-        EventSource::from(SharedReplayStream::new(accesses.into()))
+        let len = rng.below(3_000); // May be zero: empty stream.
+        EventSource::from(SharedReplayStream::new(literal(rng, len).into()))
     } else {
         let ws = 1u64 << (10 + rng.below(12));
         EventSource::from(SyntheticStream::new(
@@ -263,14 +286,7 @@ fn personality(rng: &mut TestRng, tenants: u32) -> MachineConfig {
 fn batched_stream(rng: &mut TestRng) -> EventSource {
     let len = rng.below(3 * BATCH + 700);
     if rng.below(3) == 0 {
-        let accesses: Vec<Access> = (0..len)
-            .map(|_| Access {
-                insns: 1 + rng.below(12) as u32,
-                addr: rng.below(1 << 22),
-                kind: AccessKind::Load,
-            })
-            .collect();
-        SharedReplayStream::repeated(accesses.into(), 1 + rng.below(2) as u32).into()
+        SharedReplayStream::repeated(literal(rng, len).into(), 1 + rng.below(2) as u32).into()
     } else {
         let synth = SyntheticStream::new(
             1u64 << (10 + rng.below(12)),
