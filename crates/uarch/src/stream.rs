@@ -320,28 +320,6 @@ impl EventSource {
             }
         }
     }
-
-    /// Warm the host cache for the next `events` upcoming events of a
-    /// replay-backed source (no-op otherwise) — a pure performance
-    /// hint with no stream-visible effect. The engine pulls the trace
-    /// in chunk-sized bursts separated by simulation work, which is
-    /// exactly the pattern hardware stream prefetchers lose; touching
-    /// the next burst's cache lines while the current chunk simulates
-    /// hides the memory latency. (`black_box` keeps the otherwise-dead
-    /// loads from being elided.)
-    #[inline]
-    pub fn prefetch_ahead(&self, events: usize) {
-        // A streamed source's buffer is small and recently written —
-        // already cache-hot — so there is nothing useful to warm.
-        let EventSource::Shared(s) = self else { return };
-        let hi = s.accesses.len().min(s.pos + events);
-        let mut i = s.pos;
-        // One touch per 64-byte line (four 16-byte events).
-        while i < hi {
-            std::hint::black_box(s.accesses[i].addr);
-            i += 4;
-        }
-    }
 }
 
 impl std::fmt::Debug for EventSource {
