@@ -187,6 +187,12 @@ budgeted_test
 # The inline engine end to end: with one hardware thread in the budget
 # no engine call starts a helper, so the differentials and every golden
 # must hold on the path a single-core host (or a busy worker pool) runs.
+# The goldens include `replay_grid_digests_are_pinned`, the benchmark's
+# replay_fig5 grid (events and folded outcome digest at two seeds, fronts
+# inline and on a helper); the differential's literal traces draw
+# instruction counts near u32::MAX and addresses up to 2^40 - 1, which
+# hold the front's instruction sums, its hit-run carry across chunks and
+# batches and its position/address packing to the reference.
 echo "==> inline engine: engine_differential + streaming_differential + goldens under SNIC_SIM_THREADS=1"
 SNIC_SIM_THREADS=1 budgeted_test -p snic-uarch --test engine_differential
 SNIC_SIM_THREADS=1 budgeted_test -p snic-bench --test golden --test streaming_differential
