@@ -26,20 +26,17 @@ pub struct ClusterPool {
     kind: AccelKind,
     owners: Vec<Option<NfId>>,
     faulted: Vec<bool>,
-    threads_per_cluster: u32,
     sink: Arc<dyn TelemetrySink>,
 }
 
 impl ClusterPool {
-    /// A pool of `clusters` clusters with `threads_per_cluster` threads
-    /// each (the paper assumes 64 threads per accelerator, grouped as
-    /// 16×4, 8×8, or 4×16).
-    pub fn new(kind: AccelKind, clusters: u16, threads_per_cluster: u32) -> ClusterPool {
+    /// A pool of `clusters` clusters (the paper assumes 64 threads per
+    /// accelerator, grouped as 16×4, 8×8, or 4×16).
+    pub fn new(kind: AccelKind, clusters: u16) -> ClusterPool {
         ClusterPool {
             kind,
             owners: vec![None; clusters as usize],
             faulted: vec![false; clusters as usize],
-            threads_per_cluster,
             sink: Arc::new(NullSink),
         }
     }
@@ -57,11 +54,6 @@ impl ClusterPool {
     /// Accelerator family.
     pub fn kind(&self) -> AccelKind {
         self.kind
-    }
-
-    /// Threads per cluster.
-    pub fn threads_per_cluster(&self) -> u32 {
-        self.threads_per_cluster
     }
 
     /// Unallocated, healthy cluster count.
@@ -161,7 +153,7 @@ mod tests {
 
     #[test]
     fn pool_allocates_and_releases() {
-        let mut p = ClusterPool::new(AccelKind::Dpi, 16, 4);
+        let mut p = ClusterPool::new(AccelKind::Dpi, 16);
         assert_eq!(p.available(), 16);
         let a = p.allocate(NfId(1), 3).unwrap();
         assert_eq!(a.len(), 3);
@@ -173,7 +165,7 @@ mod tests {
 
     #[test]
     fn pool_allocation_is_atomic() {
-        let mut p = ClusterPool::new(AccelKind::Zip, 4, 8);
+        let mut p = ClusterPool::new(AccelKind::Zip, 4);
         p.allocate(NfId(1), 3).unwrap();
         // Requesting 2 with only 1 free must fail without taking the 1.
         assert!(p.allocate(NfId(2), 2).is_err());

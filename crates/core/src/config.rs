@@ -17,8 +17,6 @@ pub struct NicConfig {
     pub core_tlb_entries: usize,
     /// Clusters per accelerator family.
     pub accel_clusters: u16,
-    /// Hardware threads per cluster.
-    pub threads_per_cluster: u32,
     /// Physical RX port buffer space.
     pub rx_buffer: ByteSize,
     /// Physical TX port buffer space.
@@ -43,7 +41,6 @@ impl NicConfig {
             dram: ByteSize::gib(2),
             core_tlb_entries: 512,
             accel_clusters: 16,
-            threads_per_cluster: 4,
             rx_buffer: ByteSize::mib(32),
             tx_buffer: ByteSize::mib(32),
             page_policy: PagePolicy::Equal,

@@ -323,7 +323,8 @@ pub fn render_transcript(records: &[FaultRecord]) -> String {
 ///
 /// Also the transcript recorder: the device (and the harness) append
 /// lifecycle events through [`FaultInjector::note`], so injections and
-/// their consequences share one total order.
+/// their consequences share one total order. The default injector never
+/// fires (a device's wiring until a plan is armed).
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjector {
     rules: Vec<(FaultRule, bool)>,
@@ -339,11 +340,6 @@ impl FaultInjector {
             counts: [0; SITE_COUNT],
             log: Vec::new(),
         }
-    }
-
-    /// An injector that never fires (the default device wiring).
-    pub fn disarmed() -> FaultInjector {
-        FaultInjector::default()
     }
 
     /// Append `plan`'s rules to the armed set *without* disturbing the
@@ -529,7 +525,7 @@ mod tests {
 
     #[test]
     fn render_is_line_per_record() {
-        let mut inj = FaultInjector::disarmed();
+        let mut inj = FaultInjector::default();
         inj.note(Picos(1), None, FaultEventKind::PowerLost);
         inj.note(Picos(2), None, FaultEventKind::PowerRestored);
         let text = render_transcript(inj.log());

@@ -108,6 +108,11 @@ impl MemoryGuard {
         }
     }
 
+    /// DRAM size.
+    pub fn size(&self) -> ByteSize {
+        self.mem.size()
+    }
+
     /// Whether S-NIC enforcement is active.
     pub fn enforcing(&self) -> bool {
         self.enforcing

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use snic_mem::planner::{plan_regions, PagePolicy};
 use snic_telemetry::{metrics, NullSink, TelemetrySink};
-use snic_types::{ByteSize, CoreId, IsolationError, NfId, SnicError};
+use snic_types::{ByteSize, IsolationError, NfId, SnicError};
 
 /// Transfer direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,37 +36,26 @@ impl DmaWindow {
     }
 }
 
-/// A per-core DMA bank.
+/// A per-core DMA bank, fixed at `nf_launch` to its owner's NIC-side
+/// region and host-side window; the core it serves is the slot the
+/// device keeps it in.
 #[derive(Debug)]
 pub struct DmaBank {
-    core: CoreId,
     owner: NfId,
     /// NIC-side window (the NF-owned packet buffer).
     nic_window: DmaWindow,
     /// Host-side window (the host-sanctioned region).
     host_window: DmaWindow,
-    locked: bool,
-    transfers: u64,
-    bytes: u64,
     sink: Arc<dyn TelemetrySink>,
 }
 
 impl DmaBank {
-    /// Configure a bank; `nf_launch` locks it before the NF runs.
-    pub fn new(
-        core: CoreId,
-        owner: NfId,
-        nic_window: DmaWindow,
-        host_window: DmaWindow,
-    ) -> DmaBank {
+    /// A bank for `owner`'s transfers between its two windows.
+    pub fn new(owner: NfId, nic_window: DmaWindow, host_window: DmaWindow) -> DmaBank {
         DmaBank {
-            core,
             owner,
             nic_window,
             host_window,
-            locked: false,
-            transfers: 0,
-            bytes: 0,
             sink: Arc::new(NullSink),
         }
     }
@@ -76,31 +65,16 @@ impl DmaBank {
         self.sink = sink;
     }
 
-    /// The serving core.
-    pub fn core(&self) -> CoreId {
-        self.core
-    }
-
     /// The owning NF.
     pub fn owner(&self) -> NfId {
         self.owner
-    }
-
-    /// Lock the bank's windows (read-only after `nf_launch`).
-    pub fn lock(&mut self) {
-        self.locked = true;
-    }
-
-    /// True once locked.
-    pub fn is_locked(&self) -> bool {
-        self.locked
     }
 
     /// Validate a transfer of `len` bytes between `nic_addr` and
     /// `host_addr` in the given direction; returns the byte count on
     /// success.
     pub fn validate(
-        &mut self,
+        &self,
         direction: DmaDirection,
         nic_addr: u64,
         host_addr: u64,
@@ -113,24 +87,12 @@ impl DmaBank {
         if !self.host_window.contains(host_addr, len) {
             return Err(IsolationError::DmaViolation { addr: host_addr }.into());
         }
-        self.transfers += 1;
-        self.bytes += len;
         if self.sink.enabled() {
             self.sink
                 .counter_add(self.owner.0, metrics::DMA_TRANSFERS, 1);
             self.sink.record(self.owner.0, metrics::DMA_BYTES, len);
         }
         Ok(len)
-    }
-
-    /// Completed transfer count.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Completed byte count.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
     }
 }
 
@@ -147,7 +109,6 @@ mod tests {
 
     fn bank() -> DmaBank {
         DmaBank::new(
-            CoreId(0),
             NfId(1),
             DmaWindow {
                 base: 0x10_0000,
@@ -162,19 +123,17 @@ mod tests {
 
     #[test]
     fn valid_transfer_counts() {
-        let mut b = bank();
+        let b = bank();
         assert_eq!(
             b.validate(DmaDirection::NicToHost, 0x10_0000, 0x8000_0000, 4096)
                 .unwrap(),
             4096
         );
-        assert_eq!(b.transfers(), 1);
-        assert_eq!(b.bytes(), 4096);
     }
 
     #[test]
     fn nic_side_violation() {
-        let mut b = bank();
+        let b = bank();
         let err = b
             .validate(DmaDirection::NicToHost, 0x20_0000, 0x8000_0000, 64)
             .unwrap_err();
@@ -182,12 +141,11 @@ mod tests {
             err,
             SnicError::Isolation(IsolationError::DmaViolation { addr: 0x20_0000 })
         ));
-        assert_eq!(b.transfers(), 0);
     }
 
     #[test]
     fn host_side_violation() {
-        let mut b = bank();
+        let b = bank();
         // The host must not be able to aim DMA at arbitrary host memory.
         let err = b
             .validate(DmaDirection::HostToNic, 0x10_0000, 0x9000_0000, 64)
@@ -200,7 +158,7 @@ mod tests {
 
     #[test]
     fn straddling_transfer_rejected() {
-        let mut b = bank();
+        let b = bank();
         assert!(b
             .validate(
                 DmaDirection::NicToHost,

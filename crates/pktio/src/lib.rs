@@ -7,7 +7,6 @@
 //!
 //! - [`rules`]: switching rules over five-tuples, MACs, and VXLAN VNIs,
 //! - [`vxlan`]: RFC 7348 encap/decap so NFs can act as VXLAN endpoints,
-//! - [`port`]: physical RX/TX port buffer accounting (reservations),
 //! - [`vpp`]: a VPP's buffer inventory (PB/PDB/ODB — Table 4's TLB
 //!   sizing); the pipeline itself is `SmartNic::{rx_packet, poll_packet,
 //!   tx_packet}` in `snic-core`, where packets sit in simulated DRAM,
@@ -18,13 +17,11 @@
 #![warn(missing_docs)]
 
 pub mod dma;
-pub mod port;
 pub mod rules;
 pub mod vpp;
 pub mod vxlan;
 
 pub use dma::{DmaBank, DmaDirection};
-pub use port::PortBuffers;
 pub use rules::{RuleMatch, RuleTable, SwitchRule};
 pub use vpp::VppBufferSpec;
 pub use vxlan::{vxlan_decap, vxlan_encap};

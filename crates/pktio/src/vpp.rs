@@ -39,11 +39,6 @@ impl VppBufferSpec {
     pub fn tlb_entries(&self) -> u64 {
         plan_regions(&[self.pb, self.pdb, self.odb], &PagePolicy::Equal).total_entries()
     }
-
-    /// Total reserved bytes.
-    pub fn total(&self) -> ByteSize {
-        self.pb + self.pdb + self.odb
-    }
 }
 
 #[cfg(test)]
