@@ -106,10 +106,14 @@ pub fn build_scaled(kind: NfKind, scale: &Scale, seed: u64) -> Box<dyn snic_nf::
     }
 }
 
-/// Record the reference stream of one NF kind over the shared workload.
-pub fn nf_access_trace(kind: NfKind, scale: &Scale, seed: u64) -> Vec<Access> {
-    let mut nf = build_scaled(kind, scale, seed);
-    record_stream(nf.as_mut(), workload(kind, scale, seed))
+/// Record the reference stream of one NF kind over the shared workload,
+/// written once into its shared buffer by [`record_stream`]: the
+/// workload's packets are held for its two passes, each over a fresh
+/// NF. This is the eager recorder [`nf_trace_source`] is tested against,
+/// so it shares nothing with it but the NF and the packets.
+pub fn nf_access_trace(kind: NfKind, scale: &Scale, seed: u64) -> SharedTrace {
+    let packets: Vec<Packet> = workload(kind, scale, seed).collect();
+    record_stream(|| build_scaled(kind, scale, seed), &packets)
 }
 
 /// Stream one NF kind's reference trace without materializing it: the
@@ -194,7 +198,7 @@ pub fn all_traces(scale: &Scale, seed: u64) -> TraceSet {
     // Record outside the lock so a slow first recording never blocks an
     // unrelated key.
     let recorded: TraceSet = snic_sim::par_map(NfKind::ALL.to_vec(), |k| {
-        (k, SharedTrace::from(nf_access_trace(k, scale, seed)))
+        (k, nf_access_trace(k, scale, seed))
     })
     .into();
     cache
@@ -263,7 +267,7 @@ mod tests {
                 }
                 streamed.extend_from_slice(run);
             }
-            assert_eq!(streamed, materialized, "{kind:?}");
+            assert_eq!(streamed, *materialized, "{kind:?}");
         }
     }
 
@@ -311,7 +315,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c), "different seed, different set");
         // The cached set matches a direct recording, kind for kind.
         for (kind, trace) in a.iter() {
-            assert_eq!(trace.as_ref(), nf_access_trace(*kind, &tiny(), 11));
+            assert_eq!(*trace, nf_access_trace(*kind, &tiny(), 11));
         }
     }
 

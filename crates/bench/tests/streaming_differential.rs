@@ -72,7 +72,7 @@ fn streaming_matches_materialized_for_every_kind() {
             StreamedSource::new(nf_trace_source(kind, &tiny(), 0xd1f)),
             128,
         );
-        assert_eq!(streamed, materialized, "{kind:?}");
+        assert_eq!(streamed, *materialized, "{kind:?}");
     }
 }
 

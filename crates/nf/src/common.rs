@@ -126,11 +126,6 @@ impl RecordingSink {
         &self.accesses
     }
 
-    /// Consume into the event vector.
-    pub fn into_accesses(self) -> Vec<Access> {
-        self.accesses
-    }
-
     /// Reset to empty, keeping the allocation — streaming recorders
     /// reuse one sink across every packet of a billion-event run.
     pub fn clear(&mut self) {
@@ -206,7 +201,7 @@ mod tests {
         let mut s = RecordingSink::new();
         s.touch(0x10, AccessKind::Load, 3);
         s.touch(0x20, AccessKind::Store, 0); // insns clamped to 1.
-        let v = s.into_accesses();
+        let v = s.accesses();
         assert_eq!(v.len(), 2);
         assert_eq!(v[0].addr, 0x10);
         assert_eq!(v[1].insns, 1);

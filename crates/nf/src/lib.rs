@@ -39,6 +39,8 @@ pub use monitor::MonitorNf;
 pub use nat::NatNf;
 pub use profile::{paper_profile, MemoryProfile};
 
+use std::sync::Arc;
+
 use snic_types::Packet;
 use snic_uarch::stream::Access;
 
@@ -56,19 +58,70 @@ pub fn build(kind: NfKind, seed: u64) -> Box<dyn NetworkFunction> {
     }
 }
 
-/// Run `nf` over `packets`, recording its whole reference stream — the
-/// eager counterpart of [`StreamingRecorder`] (identical output for the
-/// same packets). The packets are pulled one at a time, so a lazy
-/// workload is never materialized.
-pub fn record_stream(
-    nf: &mut dyn NetworkFunction,
-    packets: impl IntoIterator<Item = Packet>,
-) -> Vec<Access> {
-    let mut sink = RecordingSink::new();
-    for p in packets {
-        let _ = nf.process(&p, &mut sink);
+/// Counts events and keeps none: pass one of [`record_stream`].
+struct CountingSink(usize);
+
+impl AccessSink for CountingSink {
+    #[inline]
+    fn touch(&mut self, _addr: u64, _kind: snic_uarch::AccessKind, _insns: u32) {
+        self.0 += 1;
     }
-    sink.into_accesses()
+}
+
+/// Run a fresh NF from `make_nf` over `packets`, recording its whole
+/// reference stream into one shared buffer — the eager counterpart of
+/// [`StreamingRecorder`] (identical output for the same NF and packets).
+///
+/// The recording is written once, in place: pass one runs an NF over the
+/// packets counting its events, pass two runs a second, fresh NF over
+/// the same packets and writes each event straight into the `Arc`. The
+/// length is known before the buffer is made, so the buffer is allocated
+/// once at its exact size — no `Vec` growth and no copy — and the only
+/// other memory is the NF, the packets and one packet's events. Both NFs
+/// must behave alike (a deterministic factory); pass two panics, naming
+/// the NF kind, if it does not end exactly where pass one did.
+pub fn record_stream(
+    mut make_nf: impl FnMut() -> Box<dyn NetworkFunction>,
+    packets: &[Packet],
+) -> Arc<[Access]> {
+    let n = {
+        let mut nf = make_nf();
+        let mut count = CountingSink(0);
+        for p in packets {
+            let _ = nf.process(p, &mut count);
+        }
+        count.0
+    };
+    let mut nf = make_nf();
+    let kind = nf.kind();
+    let mut rest = packets.iter();
+    let mut packet_events = RecordingSink::new();
+    let mut next = 0;
+    let trace: Arc<[Access]> = (0..n)
+        .map(|_| {
+            while next == packet_events.accesses().len() {
+                let p = rest.next().unwrap_or_else(|| {
+                    panic!("{kind:?}: pass two recorded fewer than pass one's {n} events")
+                });
+                packet_events.clear();
+                next = 0;
+                let _ = nf.process(p, &mut packet_events);
+            }
+            next += 1;
+            packet_events.accesses()[next - 1]
+        })
+        .collect();
+    // Pass two ends where pass one did: the last packet's events are
+    // drained and the packets left over add none.
+    for p in rest {
+        let _ = nf.process(p, &mut packet_events);
+    }
+    let left = packet_events.accesses().len() - next;
+    assert!(
+        left == 0,
+        "{kind:?}: pass two recorded {left} events past pass one's {n}"
+    );
+    trace
 }
 
 /// Streams an NF's reference trace packet by packet in O(per-packet)
@@ -168,7 +221,7 @@ mod tests {
     fn streaming_recorder_matches_record_stream() {
         let pkts = packets(200);
         for kind in NfKind::ALL {
-            let materialized = record_stream(build(kind, 7).as_mut(), pkts.clone());
+            let materialized = record_stream(|| build(kind, 7), &pkts);
             let p = pkts.clone();
             let mut rec =
                 StreamingRecorder::new(move || build(kind, 7), move || p.clone().into_iter());
@@ -189,7 +242,7 @@ mod tests {
                 }
                 streamed.extend_from_slice(&buf[..n]);
             }
-            assert_eq!(streamed, materialized, "{kind:?}");
+            assert_eq!(streamed, *materialized, "{kind:?}");
 
             // A rewound recorder replays the identical sequence.
             rec.rewind();
@@ -201,8 +254,37 @@ mod tests {
                 }
                 replay.extend_from_slice(&buf[..n]);
             }
-            assert_eq!(replay, materialized, "{kind:?} after rewind");
+            assert_eq!(replay, *materialized, "{kind:?} after rewind");
         }
+    }
+
+    /// Pass two must end exactly where pass one's count did; a factory
+    /// whose second NF records more or fewer events is caught, by kind.
+    #[test]
+    fn record_stream_refuses_a_second_nf_that_disagrees() {
+        let pkts = packets(20);
+        let message = |first: NfKind, second: NfKind| {
+            let mut kinds = [first, second].into_iter();
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                record_stream(
+                    || match kinds.next().expect("two passes") {
+                        NfKind::Dpi => Box::new(DpiNf::with_small(7)),
+                        other => build(other, 7),
+                    },
+                    &pkts,
+                )
+            }))
+            .expect_err("the passes disagree");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        let more = message(NfKind::Monitor, NfKind::Dpi);
+        assert!(more.starts_with("Dpi: pass two recorded "), "{more}");
+        assert!(more.contains(" events past pass one's "), "{more}");
+        let fewer = message(NfKind::Dpi, NfKind::Monitor);
+        assert!(
+            fewer.starts_with("Monitor: pass two recorded fewer than"),
+            "{fewer}"
+        );
     }
 
     /// `NfKind::reads_payload` is a claim about `process`; this holds

@@ -386,11 +386,10 @@ mod tests {
     #[test]
     fn recorded_accesses_stay_inside_declared_regions() {
         for kind in NfKind::ALL {
-            let mut nf = small_nf(kind);
-            let program = nf.dataflow_ir();
-            let stream = crate::record_stream(nf.as_mut(), traffic());
+            let program = small_nf(kind).dataflow_ir();
+            let stream = crate::record_stream(|| small_nf(kind), &traffic());
             assert!(!stream.is_empty(), "{kind:?} produced no accesses");
-            for a in &stream {
+            for a in stream.iter() {
                 let covered = program
                     .regions
                     .iter()

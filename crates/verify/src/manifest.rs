@@ -6,7 +6,7 @@
 //! before the instruction mutates any hardware state, which is what lets
 //! the launch path refuse unverifiable manifests atomically.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use snic_mem::denylist::Denylist;
 use snic_mem::tlb::Tlb;
@@ -157,7 +157,8 @@ fn check_tlb_capacity(spec: &DeviceSpec, manifests: &[VnicManifest], out: &mut V
 /// §4.3: accelerator clusters are assigned exclusively, so the per-family
 /// request sum must fit the device inventory.
 fn check_accel(spec: &DeviceSpec, manifests: &[VnicManifest], out: &mut Vec<Violation>) {
-    let mut demand: HashMap<AccelKind, usize> = HashMap::new();
+    // Ordered by family, so the overcommits are reported in one order.
+    let mut demand: BTreeMap<AccelKind, usize> = BTreeMap::new();
     for m in manifests {
         for &(kind, count) in &m.accel {
             match spec.accel_capacity(kind) {
@@ -460,6 +461,26 @@ mod tests {
             2,
             "{r}"
         );
+    }
+
+    /// Two overcommitted families are reported in `AccelKind` order,
+    /// every time: the report is the same bytes for the same manifests.
+    #[test]
+    fn accel_overcommits_are_reported_in_family_order() {
+        let mut m = manifest(1, 0, BASE);
+        m.accel = vec![(AccelKind::Crypto, 5), (AccelKind::Dpi, 5)];
+        for _ in 0..64 {
+            let r = verify_manifests(&spec(), std::slice::from_ref(&m));
+            let details: Vec<&str> = r.violations.iter().map(|v| v.detail.as_str()).collect();
+            assert_eq!(
+                details,
+                [
+                    "Dpi demand 5 exceeds 4 clusters",
+                    "Crypto demand 5 exceeds 4 clusters"
+                ],
+                "{r}"
+            );
+        }
     }
 
     #[test]

@@ -98,7 +98,7 @@ proptest! {
         flows in proptest::collection::vec((0u32..64, 0u16..1_024, 0usize..96), 1..40),
     ) {
         let kind = NfKind::ALL[kind_idx];
-        let mut nf = snic::nf::build(kind, seed);
+        let nf = snic::nf::build(kind, seed);
         let submission = snic::nf::launch_analysis(nf.as_ref());
 
         // The static side: the IR verifies against its manifest.
@@ -114,7 +114,7 @@ proptest! {
             .iter()
             .map(|&(flow, port, len)| packet(flow, port, len))
             .collect();
-        let stream = record_stream(nf.as_mut(), packets);
+        let stream = record_stream(|| snic::nf::build(kind, seed), &packets);
         let (me, neighbor) = (NfId(1), NfId(2));
         let linter = TraceLinter::new(
             NicMode::Snic,
