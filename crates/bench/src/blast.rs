@@ -281,19 +281,25 @@ pub fn run_episode(mode: NicMode, scenario: FaultScenario, faulted: bool) -> Epi
     }
     let tx_ok = nic.tx_packet(victim, pkt(VICTIM_PORT, 0xee)).is_ok();
 
-    // Teardown the aggressor and recycle its region under a placement
-    // hint, resuming any power-lost scrub first.
+    // The operator restores power whenever the device is down: before
+    // the aggressor's teardown (a downed device tears nothing down) and
+    // after it (its scrub may lose power). Then recycle its region under
+    // a placement hint, resuming any power-lost scrub first.
+    let restore = |nic: &mut SmartNic| {
+        if nic.is_crashed() {
+            nic.restore_power();
+        }
+    };
+    restore(&mut nic);
     let _ = nic.nf_teardown(aggr);
-    if nic.is_crashed() {
-        nic.restore_power();
-    }
+    restore(&mut nic);
     let relaunch = |nic: &mut SmartNic| {
         let mut r = LaunchRequest::minimal(CoreId(1), ByteSize::mib(4), NfImage::default());
         r.region_base = Some(aggr_base);
         nic.nf_launch(r)
     };
     if let Err(SnicError::ScrubPending { .. }) = relaunch(&mut nic) {
-        nic.resume_scrubs();
+        let _ = nic.resume_scrubs();
         let _ = relaunch(&mut nic);
     }
 

@@ -11,6 +11,12 @@
 //! `lifecycle` (§4.6). The public API here is orchestration: each op
 //! calls into the planes in a fixed order, and [`SmartNic::check`]
 //! composes the planes' checks with the clauses that span them.
+//!
+//! Preconditions are one gate, the lifecycle plane's `require`: every
+//! op a downed device must refuse names what it needs (the device up,
+//! a live function, an operational one) in its first statement, and
+//! the ops a downed device still serves name nothing (DESIGN.md §5
+//! item 4 lists both).
 
 mod compute;
 mod lifecycle;
@@ -41,7 +47,7 @@ use snic_verify::{
 };
 
 use self::compute::{build_tlbs, ComputePlane};
-use self::lifecycle::Lifecycle;
+use self::lifecycle::{Lifecycle, Need};
 use self::memory::MemoryPlane;
 use self::packet::PacketPlane;
 use crate::alloc::{META_BASE, META_SLOT, POOL_BASE};
@@ -381,9 +387,10 @@ impl SmartNic {
         self.life.advance(dt)
     }
 
-    /// True after a bus-DoS hard crash (§3.3's Agilio attack).
+    /// True while the device is down: after a hard crash (§3.3's Agilio
+    /// bus DoS) or a power loss, until power is restored.
     pub fn is_crashed(&self) -> bool {
-        self.life.fail_if_crashed().is_err()
+        self.life.require(Need::Up).is_err()
     }
 
     /// Power-cycle the NIC: clears the crash flag and all NF state
@@ -405,13 +412,14 @@ impl SmartNic {
         }
         let ids: Vec<NfId> = self.life.records().keys().copied().collect();
         self.restore_power();
+        // Past the gate: a teardown that loses power mid-scrub has
+        // already released the function's bindings and queued its
+        // region's ticket, and the next one still runs.
         for id in ids {
-            // A teardown that loses power mid-scrub has already released
-            // the function's bindings and queued its region's ticket.
-            let _ = self.nf_teardown(id);
+            let _ = self.teardown(id);
         }
         self.compute.repair();
-        self.resume_scrubs();
+        self.drain_scrubs();
     }
 
     /// Restore power after a loss WITHOUT resuming interrupted scrubs —
@@ -448,7 +456,13 @@ impl SmartNic {
     /// completed regions are allowlisted and returned to the free list.
     /// Returns how many tickets completed. Stops early (leaving the
     /// rest pending) if power is lost again mid-scrub.
-    pub fn resume_scrubs(&mut self) -> usize {
+    pub fn resume_scrubs(&mut self) -> Result<usize, SnicError> {
+        self.life.require(Need::Up)?;
+        Ok(self.drain_scrubs())
+    }
+
+    /// [`SmartNic::resume_scrubs`] past its gate, as `power_cycle` runs it.
+    fn drain_scrubs(&mut self) -> usize {
         let mut done = 0;
         while let Some(t) = self.memory.pop_scrub() {
             let scrubbing = NfState::Scrubbing;
@@ -557,8 +571,8 @@ impl SmartNic {
     }
 
     /// The commodity NIC hard-crashes (a wedged shared accelerator or
-    /// bus): the fault log records it, and every call fails until a
-    /// power cycle. Returns the error the crashing call reports.
+    /// bus): the fault log records it, and every gated op fails until
+    /// power is restored. Returns the error the crashing call reports.
     fn hard_crash(&mut self) -> SnicError {
         self.life.crash(FaultEventKind::DeviceCrashed);
         SnicError::NicCrashed
@@ -623,7 +637,7 @@ impl SmartNic {
     /// port buffers (§4.4) are Pass 1's to refuse (`VppOvercommit`); the
     /// reservation itself is the record's `vpp`.
     fn nf_launch_inner(&mut self, mut req: LaunchRequest) -> Result<LaunchReceipt, SnicError> {
-        self.life.fail_if_crashed()?;
+        self.life.require(Need::Up)?;
         // Injected admission faults (all transient except power loss):
         // the orchestrator is expected to retry these with backoff.
         match self.life.fault_at(FaultSite::Launch, None) {
@@ -850,6 +864,13 @@ impl SmartNic {
     /// unavailable — [`SmartNic::resume_scrubs`] (or the next power
     /// cycle) finishes the job from the saved watermark.
     pub fn nf_teardown(&mut self, nf: NfId) -> Result<TeardownReceipt, SnicError> {
+        self.life.require(Need::Up)?;
+        self.teardown(nf)
+    }
+
+    /// [`SmartNic::nf_teardown`] past its gate, with its telemetry; the
+    /// path `power_cycle` takes.
+    fn teardown(&mut self, nf: NfId) -> Result<TeardownReceipt, SnicError> {
         let t0 = self.life.now().0;
         let result = self.nf_teardown_inner(nf);
         let done = result.as_ref().ok().map(|_| nf.0);
@@ -883,7 +904,7 @@ impl SmartNic {
     /// Returns the receiving NF, or `None` if no rule matched (packet
     /// dropped at the switch).
     pub fn rx_packet(&mut self, pkt: &Packet) -> Result<Option<NfId>, SnicError> {
-        self.life.fail_if_crashed()?;
+        self.life.require(Need::Up)?;
         if self.telemetry.enabled() {
             self.telemetry.counter_add(0, metrics::RX_PACKETS, 1);
         }
@@ -932,7 +953,8 @@ impl SmartNic {
     /// visible to the function (this is how the §3.3 corruption attack
     /// bites).
     pub fn poll_packet(&mut self, nf: NfId) -> Result<Option<Packet>, SnicError> {
-        self.datapath_gate(nf)?;
+        self.life.require(Need::Operational(nf))?;
+        self.enter_datapath(nf)?;
         let Some((base, len)) = self.packet.dequeue(nf) else {
             return Ok(None);
         };
@@ -960,7 +982,8 @@ impl SmartNic {
     /// a slot, so a function that transmits while nothing drains cannot
     /// grow the device.
     pub fn tx_packet(&mut self, nf: NfId, pkt: Packet) -> Result<(), SnicError> {
-        self.datapath_gate(nf)?;
+        self.life.require(Need::Operational(nf))?;
+        self.enter_datapath(nf)?;
         let record = self.life.record_mut(nf)?;
         self.packet.send(nf, record.vpp.odb.bytes(), pkt)?;
         record.tx_sent += 1;
@@ -980,13 +1003,13 @@ impl SmartNic {
     /// Physical read as `who` (the commodity `xkphys` path; under S-NIC
     /// this fails for NFs and is denylist-checked for management).
     pub fn mem_read(&self, who: Principal, addr: u64, out: &mut [u8]) -> Result<(), SnicError> {
-        self.life.fail_if_crashed()?;
+        self.life.require(Need::Up)?;
         self.memory.guard().read_phys(who, addr, out)
     }
 
     /// Physical write as `who`.
     pub fn mem_write(&mut self, who: Principal, addr: u64, data: &[u8]) -> Result<(), SnicError> {
-        self.life.fail_if_crashed()?;
+        self.life.require(Need::Up)?;
         self.memory.guard_mut().write_phys(who, addr, data)
     }
 
@@ -998,7 +1021,7 @@ impl SmartNic {
         va: u64,
         out: &mut [u8],
     ) -> Result<(), SnicError> {
-        self.life.operational(nf)?;
+        self.life.require(Need::Operational(nf))?;
         self.memory
             .guard()
             .read_virt(self.compute.tlb(nf, core)?, va, out)
@@ -1012,17 +1035,16 @@ impl SmartNic {
         va: u64,
         data: &[u8],
     ) -> Result<(), SnicError> {
-        self.datapath_gate(nf)?;
+        self.life.require(Need::Operational(nf))?;
+        self.enter_datapath(nf)?;
         let tlb = self.compute.tlb(nf, core)?.clone();
         self.memory.guard_mut().write_virt(&tlb, va, data)
     }
 
-    /// Common data-path admission: the device must be up and the NF
-    /// live and operational;
-    /// an injected [`FaultKind::NfCrash`] at the `DataPath` site fells
-    /// it here. First use promotes `Launched → Running`.
-    fn datapath_gate(&mut self, nf: NfId) -> Result<(), SnicError> {
-        self.life.operational(nf)?;
+    /// An operational NF enters the data path: an injected
+    /// [`FaultKind::NfCrash`] at the `DataPath` site fells it here, and
+    /// first use promotes `Launched → Running`.
+    fn enter_datapath(&mut self, nf: NfId) -> Result<(), SnicError> {
         if let Some(FaultKind::NfCrash) = self.life.fault_at(FaultSite::DataPath, Some(nf)) {
             self.fault_nf(nf)?;
             return Err(SnicError::NfFaulted(nf));
@@ -1041,6 +1063,7 @@ impl SmartNic {
     /// co-located tenant's queued packet buffer — §3.3's corruption,
     /// now arising from an accident instead of an attack.
     pub fn fault_nf(&mut self, nf: NfId) -> Result<(), SnicError> {
+        self.life.require(Need::Live(nf))?;
         let record = self.life.record(nf)?;
         if !record.state.is_operational() {
             return Ok(());
@@ -1077,7 +1100,7 @@ impl SmartNic {
     /// power cycle) and the owner faults; on a commodity NIC the *shared*
     /// engine wedges and the whole device hard-crashes.
     pub fn accel_submit(&mut self, nf: NfId) -> Result<Picos, SnicError> {
-        self.life.operational(nf)?;
+        self.life.require(Need::Operational(nf))?;
         if let Some(FaultKind::AccelClusterFault) = self.life.fault_at(FaultSite::Accel, Some(nf)) {
             match self.config.mode {
                 NicMode::Snic => {
@@ -1102,8 +1125,7 @@ impl SmartNic {
     ///
     /// Returns the simulated time the flood took.
     pub fn bus_flood(&mut self, nf: NfId, ops: u64) -> Result<Picos, SnicError> {
-        self.life.fail_if_crashed()?;
-        self.life.record(nf)?;
+        self.life.require(Need::Live(nf))?;
         let total = self.compute.add_bus_ops(nf, ops);
         if self.telemetry.enabled() {
             self.telemetry
@@ -1155,7 +1177,8 @@ impl SmartNic {
         host_addr: u64,
         len: u64,
     ) -> Result<(), SnicError> {
-        let (base, _) = self.life.operational(nf)?.region;
+        self.life.require(Need::Operational(nf))?;
+        let (base, _) = self.life.record(nf)?.region;
         let nic_addr = base
             .checked_add(nic_off)
             .ok_or(IsolationError::DmaViolation { addr: nic_off })?;
@@ -1215,7 +1238,7 @@ impl SmartNic {
         nf: NfId,
         context: &[u8],
     ) -> Result<crate::attest::SignedStatement, SnicError> {
-        self.life.fail_if_crashed()?;
+        self.life.require(Need::Live(nf))?;
         // The quote embeds the live verifier verdict: a relying party
         // learns not just *what* launched but that the device's current
         // allocation still verifies as an isolation-respecting partition.
@@ -1817,6 +1840,55 @@ mod tests {
         assert!(t > Picos::ZERO);
     }
 
+    /// §4.6: a downed device tears nothing down. The refused teardown
+    /// leaves every resource and the fault log as they were; once power
+    /// is back the same teardown runs, and under S-NIC it scrubs.
+    #[test]
+    fn a_downed_device_refuses_teardown_until_power_returns() {
+        use snic_faults::{FaultKind, FaultPlan, FaultSite};
+        for mode in [NicMode::Commodity, NicMode::Snic] {
+            let mut nic = SmartNic::new(NicConfig::small(mode), &vendor());
+            let id = nic.nf_launch(req(0, 4)).unwrap().nf_id;
+            let base = nic.record_of(id).unwrap().region.0;
+            nic.mem_write(Principal::TrustedHardware, base + 0x100, b"secret")
+                .unwrap();
+            match mode {
+                NicMode::Commodity => {
+                    let flood = nic.bus_flood(id, 100_000_000);
+                    assert_eq!(flood.unwrap_err(), SnicError::NicCrashed);
+                }
+                NicMode::Snic => {
+                    let next = nic.fault_site_count(FaultSite::Launch) + 1;
+                    let power =
+                        FaultPlan::none().on_nth(FaultSite::Launch, next, FaultKind::PowerLoss);
+                    nic.arm_faults(power);
+                    assert_eq!(nic.nf_launch(req(1, 4)).unwrap_err(), SnicError::PowerLoss);
+                }
+            }
+            assert!(nic.is_crashed(), "{mode:?}");
+            let (before, log) = (nic.resource_snapshot(), nic.fault_log().to_vec());
+            assert_eq!(nic.nf_teardown(id).unwrap_err(), SnicError::NicCrashed);
+            assert_eq!(
+                nic.resource_snapshot(),
+                before,
+                "{mode:?}: teardown while down"
+            );
+            assert_eq!(nic.fault_log(), &log[..], "{mode:?}: teardown while down");
+            assert_eq!(nic.state_of(id), Ok(NfState::Launched));
+            nic.restore_power();
+            let receipt = nic.nf_teardown(id).unwrap();
+            assert_eq!(nic.live_nfs(), 0);
+            if mode == NicMode::Snic {
+                assert!(receipt.latency.scrub > Picos::ZERO);
+                let mut buf = [0xffu8; 6];
+                nic.mem_read(Principal::Management, base + 0x100, &mut buf)
+                    .unwrap();
+                assert_eq!(buf, [0; 6], "the teardown scrubbed");
+            }
+            nic.check().unwrap();
+        }
+    }
+
     #[test]
     fn commodity_bus_flood_crash_reaches_the_fault_log() {
         let mut nic = commodity();
@@ -2387,7 +2459,7 @@ mod tests {
         let other = nic.nf_launch(req(2, 4)).unwrap().nf_id;
         assert_ne!(nic.record_of(other).unwrap().region.0, base);
         // Once the janitor drains the ticket the hint is honored.
-        assert_eq!(nic.resume_scrubs(), 1);
+        assert_eq!(nic.resume_scrubs(), Ok(1));
         nic.nf_launch(r).unwrap();
     }
 

@@ -9,6 +9,16 @@ use snic_types::{NfId, NfState, Picos, SnicError};
 
 use super::{ensure, Invariant, NfRecord};
 
+/// What a device op needs before it may run ([`Lifecycle::require`]).
+pub(crate) enum Need {
+    /// The device is up.
+    Up,
+    /// The device is up and `nf` is live, faulted or not.
+    Live(NfId),
+    /// The device is up and `nf` is live and not faulted.
+    Operational(NfId),
+}
+
 #[derive(Default)]
 pub(crate) struct Lifecycle {
     launched: BTreeMap<NfId, NfRecord>,
@@ -122,22 +132,20 @@ impl Lifecycle {
             .note(self.now, None, FaultEventKind::PowerRestored);
     }
 
-    /// `nf`'s record, if the device is up and `nf` is live and not
-    /// faulted.
-    pub(crate) fn operational(&self, nf: NfId) -> Result<&NfRecord, SnicError> {
-        self.fail_if_crashed()?;
-        let record = self.record(nf)?;
-        if !record.state.is_operational() {
-            return Err(SnicError::NfFaulted(nf));
-        }
-        Ok(record)
-    }
-
-    pub(crate) fn fail_if_crashed(&self) -> Result<(), SnicError> {
+    /// The one precondition gate (§4.6), named by every public op that
+    /// a downed device must refuse: until power is restored every such
+    /// op fails with [`SnicError::NicCrashed`]; then `nf` must be live
+    /// ([`SnicError::NoSuchNf`]) and, for `Operational`, not faulted
+    /// ([`SnicError::NfFaulted`]).
+    pub(crate) fn require(&self, need: Need) -> Result<(), SnicError> {
         if self.crashed {
-            Err(SnicError::NicCrashed)
-        } else {
-            Ok(())
+            return Err(SnicError::NicCrashed);
+        }
+        match need {
+            Need::Up => Ok(()),
+            Need::Live(nf) => self.record(nf).map(drop),
+            Need::Operational(nf) if self.record(nf)?.state.is_operational() => Ok(()),
+            Need::Operational(nf) => Err(SnicError::NfFaulted(nf)),
         }
     }
 

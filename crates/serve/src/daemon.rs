@@ -165,6 +165,10 @@ fn bad(error: impl Into<String>) -> Reject {
     (codes::BAD_REQUEST, error.into())
 }
 
+fn fault(error: impl std::fmt::Display) -> Reject {
+    (codes::FAULT, error.to_string())
+}
+
 /// How an op is served, and by what.
 #[derive(Clone, Copy)]
 pub enum Class {
@@ -814,7 +818,7 @@ impl Daemon {
         }
         let core = match core.or_else(|| self.free_core()) {
             Some(c) => c,
-            None => return Err((codes::FAULT, "no free core".to_string())),
+            None => return Err(fault("no free core")),
         };
         let mut request = LaunchRequest::minimal(
             CoreId(core),
@@ -833,7 +837,7 @@ impl Daemon {
         }
         let before = self.nic.resource_snapshot();
         let policy = RetryPolicy::jittered(request_seed(self.cfg.seed, &tenant, id));
-        match NicOs::new(&mut self.nic).nf_create_with_retry(request, policy, deadline) {
+        match self.powered(|nic| NicOs::new(nic).nf_create_with_retry(request, policy, deadline)) {
             Ok(receipt) => {
                 self.tenants[slot]
                     .nfs
@@ -868,13 +872,26 @@ impl Daemon {
                     format!("gave up after {attempts} attempts: {last}"),
                 ))
             }
-            Err(RetryError::Fatal(e)) => Err((codes::FAULT, e.to_string())),
+            Err(RetryError::Fatal(e)) => Err(fault(e)),
         }
+    }
+
+    /// Run one device call under the daemon's one power-loss rule. The
+    /// daemon is its device's operator (S-NIC §4.6), so power comes back
+    /// as soon as a call loses it: that call fails, and the next line
+    /// finds the device up. An interrupted scrub's region stays pending
+    /// until `resume-scrubs`.
+    fn powered<T>(&mut self, call: impl FnOnce(&mut SmartNic) -> T) -> T {
+        let out = call(&mut self.nic);
+        if self.nic.is_crashed() {
+            self.nic.restore_power();
+        }
+        out
     }
 
     fn exec_teardown(&mut self, slot: usize, name: &str, line: &mut String) -> ExecResult {
         let nf = self.lookup(slot, name)?;
-        match self.nic.nf_teardown(nf) {
+        match self.powered(|nic| nic.nf_teardown(nf)) {
             Ok(receipt) => {
                 self.tenants[slot].nfs.remove(name);
                 extra(line, "scrub_ps", receipt.latency.scrub.0);
@@ -882,26 +899,17 @@ impl Daemon {
             }
             Err(snic_types::SnicError::PowerLoss) => {
                 // The scrub was interrupted: its watermark ticket
-                // survives on the device; the region stays quarantined
-                // until `resume-scrubs`. Power comes back immediately
-                // (the daemon is the operator) and the NF is gone.
-                self.nic.restore_power();
+                // survives on the device and the NF is gone.
                 self.tenants[slot].nfs.remove(name);
-                Err((
-                    codes::FAULT,
-                    "power lost mid-scrub; region pending with watermark".to_string(),
-                ))
+                Err(fault("power lost mid-scrub; region pending with watermark"))
             }
-            Err(e) => Err((codes::FAULT, e.to_string())),
+            Err(e) => Err(fault(e)),
         }
     }
 
     fn exec_attest(&mut self, slot: usize, id: u64, name: &str, line: &mut String) -> ExecResult {
         let nf = self.lookup(slot, name)?;
-        let measurement = self
-            .nic
-            .measurement_of(nf)
-            .map_err(|e| (codes::FAULT, e.to_string()))?;
+        let measurement = self.nic.measurement_of(nf).map_err(fault)?;
         let seed = request_seed(self.cfg.seed, &self.tenants[slot].name, id);
         let params = DhParams::tiny_test_group();
         let mut verifier = Verifier::hello(&mut StdRng::seed_from_u64(seed ^ 0xA77E57));
@@ -913,7 +921,7 @@ impl Daemon {
             &params,
             nonce,
         )
-        .map_err(|e| (codes::FAULT, e.to_string()))?;
+        .map_err(fault)?;
         let v_pub = verifier
             .accept(
                 &mut StdRng::seed_from_u64(seed ^ 0xF1),
@@ -921,7 +929,7 @@ impl Daemon {
                 &measurement,
                 &f.quote,
             )
-            .map_err(|e| (codes::FAULT, e.to_string()))?;
+            .map_err(fault)?;
         let ok = f.session_key(&v_pub) == verifier.session_key(&f.quote.dh_public);
         extra(line, "verified", ok);
         Ok(())
@@ -929,10 +937,7 @@ impl Daemon {
 
     fn exec_stats(&mut self, slot: usize, name: &str, line: &mut String) -> ExecResult {
         let nf = self.lookup(slot, name)?;
-        let r = self
-            .nic
-            .record_of(nf)
-            .map_err(|e| (codes::FAULT, e.to_string()))?;
+        let r = self.nic.record_of(nf).map_err(fault)?;
         extra(line, "delivered", r.rx_delivered);
         extra(line, "dropped", r.rx_dropped);
         extra(line, "sent", r.tx_sent);
@@ -954,7 +959,7 @@ impl Daemon {
             match self.nic.rx_packet(&pkt) {
                 Ok(Some(_)) => delivered += 1,
                 Ok(None) => {}
-                Err(e) => return Err((codes::FAULT, e.to_string())),
+                Err(e) => return Err(fault(e)),
             }
         }
         extra(line, "delivered", delivered);
@@ -968,7 +973,7 @@ impl Daemon {
             match self.nic.poll_packet(nf) {
                 Ok(Some(_)) => n += 1,
                 Ok(None) => break,
-                Err(e) => return Err((codes::FAULT, e.to_string())),
+                Err(e) => return Err(fault(e)),
             }
         }
         extra(line, "polled", n);
@@ -1111,7 +1116,8 @@ impl Daemon {
     }
 
     fn op_resume_scrubs(&mut self, _: &Request, line: &mut String) -> ExecResult {
-        extra(line, "completed", self.nic.resume_scrubs());
+        let completed = self.powered(SmartNic::resume_scrubs).map_err(fault)?;
+        extra(line, "completed", completed);
         extra(line, "pending", self.nic.pending_scrubs().len());
         Ok(())
     }
@@ -1130,9 +1136,7 @@ impl Daemon {
             .map(|(n, nf)| (n.clone(), *nf))
             .collect();
         for (_, nf) in &faulted {
-            if let Err(snic_types::SnicError::PowerLoss) = self.nic.nf_teardown(*nf) {
-                self.nic.restore_power();
-            }
+            let _ = self.powered(|nic| nic.nf_teardown(*nf));
         }
         let t = &mut self.tenants[slot];
         for (name, _) in &faulted {
@@ -1388,6 +1392,28 @@ mod tests {
             walked > 0 && skipped > 10 * walked,
             "{walked} walked, {skipped} skipped"
         );
+    }
+
+    /// A launch that loses power fails on its own: power is back for the
+    /// next line, so the same launch and traffic through it succeed.
+    #[test]
+    fn power_lost_at_launch_fails_only_that_launch() {
+        let mut d = Daemon::new(DaemonConfig::default());
+        let launch = r#"{"op":"launch","tenant":"a","id":2,"name":"fw","mem":8,"port":80}"#;
+        let arm = r#"{"op":"inject-fault","id":1,"site":"launch","kind":"power-loss"}"#;
+        assert!(d.ingest(arm)[0].contains("\"ok\":true"));
+        let lost = d.ingest(launch);
+        assert!(lost[0].contains(codes::FAULT), "{lost:?}");
+        assert!(lost[0].contains("power lost"), "{lost:?}");
+        assert!(!d.nic.is_crashed());
+        let relaunched = d.ingest(&launch.replace("\"id\":2", "\"id\":3"));
+        assert!(
+            relaunched[0].contains("\"ok\":true,\"nf\":1"),
+            "{relaunched:?}"
+        );
+        let sent = d.ingest(r#"{"op":"send","tenant":"a","id":4,"count":2,"port":80}"#);
+        assert!(sent[0].contains("\"ok\":true,\"delivered\":2"), "{sent:?}");
+        assert!(d.lint().is_empty(), "{:?}", d.lint());
     }
 
     /// `step` stops at the first pump that finds nothing ready, so a

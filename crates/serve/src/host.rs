@@ -1,7 +1,7 @@
 //! The one host around a [`Daemon`]: everything between a byte stream
 //! and [`Daemon::ingest`]. `snicd` over stdin, `snicd --socket` per
-//! connection, `snicctl serve` over a request file and `snicctl script`
-//! over a lowered `.snic` file are transports: each boots one [`Host`]
+//! connection and `snicctl script` over a lowered `.snic` file are
+//! transports: each boots one [`Host`]
 //! from [`HostOpts`] (its arguments through [`HostOpts::parse`]), hands
 //! it `(input, output)` pairs and calls [`Host::finish`].
 //!

@@ -39,8 +39,8 @@
 //! - **Soak** ([`soak`]): a seeded ~30-simulated-second overload
 //!   schedule with a mid-run fault plan and a byte-stability gate.
 //!
-//! The binary lives in the facade crate (`src/bin/snicd.rs`); it,
-//! `snicctl serve` and `snicctl script` are transports over
+//! The binary lives in the facade crate (`src/bin/snicd.rs`); it and
+//! `snicctl script` are transports over
 //! [`host::Host`], and `snicctl soak` drives the same
 //! [`daemon::Daemon`] in process.
 

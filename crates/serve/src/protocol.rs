@@ -21,7 +21,7 @@ use snic_telemetry::json::escape_into;
 use snic_telemetry::{read_members, Scalar};
 
 /// Stable rejection codes. These are API: tests, the soak gate, and
-/// `snicctl serve` exit codes key off them.
+/// `snicctl script`'s refusals key off them.
 pub mod codes {
     /// The tenant's bounded queue is full; the request was shed.
     pub const OVERLOADED: &str = "SERVE-OVERLOADED";

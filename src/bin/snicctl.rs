@@ -394,27 +394,6 @@ fn into_lines(out: Vec<u8>) -> String {
     out.trim_end_matches('\n').to_string()
 }
 
-/// `snicctl serve <requests.jsonl | -> [flags]`: run the `snicd` host
-/// (`snic::serve::host`) in process over a request file (or stdin with
-/// `-`) and print one response line per completed request. The flags
-/// are `snicd`'s own, parsed by the same table, minus `--socket`.
-fn serve_main(args: &[String]) -> Result<String, String> {
-    let usage = |why: String| format!("{}\n({why})", usage("serve"));
-    let (opts, rest) = HostOpts::parse(args).map_err(usage)?;
-    let [input] = &rest[..] else {
-        return Err(usage("exactly one request file, or '-'".into()));
-    };
-    if opts.socket.is_some() {
-        return Err(usage("--socket is snicd's".into()));
-    }
-    let input = read_input(input)?;
-    let mut host = Host::boot(&opts).map_err(fatal)?;
-    let mut out = Vec::new();
-    host.serve(&input[..], &mut out).map_err(fatal)?;
-    host.finish().map_err(fatal)?;
-    Ok(into_lines(out))
-}
-
 /// `snicctl soak [--seed N] [--gate] [--emit-schedule]`: run the
 /// seeded multi-tenant overload + fault-plan soak (~30 simulated
 /// seconds) and print the per-tenant table and run digest. `--gate`
@@ -422,7 +401,7 @@ fn serve_main(args: &[String]) -> Result<String, String> {
 /// undisrupted, backpressure engaged, the victim frozen/reclaimed/
 /// thawed, Pass 4 clean — plus a mid-run snapshot/restart differential
 /// that must be byte-identical. `--emit-schedule` prints the raw
-/// schedule instead (pipe it to `snicd` or `snicctl serve -`).
+/// schedule instead (pipe it to `snicd`).
 fn soak_main(args: &[String]) -> Result<String, String> {
     use snic::serve::soak;
 
@@ -568,8 +547,8 @@ fn exp_main(args: &[String]) -> Result<String, String> {
 }
 
 /// `snicctl [script] <script.snic | ->`: the script mode described in
-/// the module header — a transport like `serve`, fed the lowered lines
-/// one at a time. A line answered `"ok":false` ends the run: the
+/// the module header — the `snicd` host in process, fed the lowered
+/// lines one at a time. A line answered `"ok":false` ends the run: the
 /// responses so far are printed and the refusal is the error.
 fn script_main(args: &[String]) -> Result<String, String> {
     let [path] = args else {
@@ -647,12 +626,6 @@ const VERBS: &[Verb] = &[
         usage: "snicctl telemetry <record <trace.json> <summary.txt> | \
                 summary <file> | diff <before> <after> | overhead>",
         run: telemetry_main,
-    },
-    Verb {
-        name: "serve",
-        fail_code: 8,
-        usage: "snicctl serve <requests.jsonl | -> [snicd's flags, minus --socket]",
-        run: serve_main,
     },
     Verb {
         name: "soak",
@@ -803,26 +776,29 @@ attest ids
 
     #[test]
     fn script_is_the_serve_transport_over_lowered_lines() {
-        let s = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
         let demo = concat!(env!("CARGO_MANIFEST_DIR"), "/scripts/demo.snic");
         let text = std::fs::read_to_string(demo).unwrap();
-        let (_, lowered) = snic::serve::script::lower(&text).unwrap();
-        let reqs = std::env::temp_dir().join("snicctl-script-lowered.jsonl");
-        std::fs::write(&reqs, lowered.join("\n")).unwrap();
-        let served = serve_main(&s(&[&reqs.to_string_lossy()])).unwrap();
-        assert_eq!(script_main(&s(&[demo])).unwrap(), served);
+        let (mode, lowered) = snic::serve::script::lower(&text).unwrap();
+        let mut opts = HostOpts::default();
+        opts.cfg.mode = mode;
+        let mut host = Host::boot(&opts).unwrap();
+        let mut out = Vec::new();
+        host.serve(lowered.join("\n").as_bytes(), &mut out).unwrap();
+        let served = into_lines(out);
+        assert_eq!(script_main(&[demo.to_string()]).unwrap(), served);
         assert_eq!(served.lines().count(), 11);
         assert!(
             served.lines().all(|l| l.contains("\"ok\":true")),
             "{served}"
         );
-        // An input that cannot be read is a usage error naming it, for
-        // both file transports — not a connection that dropped.
-        let dir = std::env::temp_dir().to_string_lossy().into_owned();
-        for unreadable in [serve_main(&s(&[&dir])), script_main(&s(&[&dir]))] {
-            let e = unreadable.unwrap_err();
-            assert!(e.starts_with(&format!("usage: cannot read {dir}: ")), "{e}");
-        }
+        // An input that cannot be read is a usage error naming it, not
+        // a connection that dropped.
+        let dir = [std::env::temp_dir().to_string_lossy().into_owned()];
+        let e = script_main(&dir).unwrap_err();
+        assert!(
+            e.starts_with(&format!("usage: cannot read {}: ", dir[0])),
+            "{e}"
+        );
     }
 
     #[test]
@@ -884,44 +860,6 @@ attest ids
         assert!(j.contains("P1-CORE-CONFLICT"), "{j}");
         assert_escaper_neutral(&j);
         assert_escaper_neutral(&verify_main(&s(&["--json"])).unwrap());
-    }
-
-    #[test]
-    fn serve_command_round_trips_requests_and_snapshots() {
-        let s = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert!(serve_main(&s(&[])).is_err());
-        assert!(serve_main(&s(&["in.jsonl", "--bogus"])).is_err());
-        let dir = std::env::temp_dir();
-        let reqs = dir.join("snicctl-serve-reqs.jsonl");
-        let snap = dir.join("snicctl-serve-snap.img");
-        std::fs::write(
-            &reqs,
-            "{\"op\":\"launch\",\"tenant\":\"a\",\"id\":1,\"name\":\"fw\",\"mem\":8,\"port\":80}\n\
-             {\"op\":\"send\",\"tenant\":\"a\",\"id\":2,\"count\":3,\"port\":80}\n\
-             {\"op\":\"health\",\"id\":3}\n",
-        )
-        .unwrap();
-        let (reqs, snap) = (
-            reqs.to_string_lossy().into_owned(),
-            snap.to_string_lossy().into_owned(),
-        );
-        let out = serve_main(&s(&[&reqs, "--snapshot-out", &snap])).unwrap();
-        assert!(out.contains("\"op\":\"launch\",\"ok\":true"), "{out}");
-        assert!(out.contains("\"delivered\":3"), "{out}");
-        assert_eq!(out.lines().count(), 3, "{out}");
-        // The flags are snicd's, by the same table; a socket is not a
-        // file.
-        let usage = serve_main(&s(&[&reqs, "--socket", "/tmp/s"])).unwrap_err();
-        assert!(usage.starts_with("usage: snicctl serve "), "{usage}");
-        assert!(serve_main(&s(&[&reqs, &reqs])).is_err());
-        assert!(serve_main(&s(&[&reqs, "--tick-us", "2", "--deadline-us", "9"])).is_ok());
-        // The written image restores; replayed responses stay quiet.
-        let empty = dir.join("snicctl-serve-empty.jsonl");
-        std::fs::write(&empty, "").unwrap();
-        let empty = empty.to_string_lossy().into_owned();
-        let out3 = serve_main(&s(&[&empty, "--restore", &snap])).unwrap();
-        assert!(out3.is_empty(), "replayed responses are not re-emitted");
-        assert!(serve_main(&s(&[&empty, "--restore", "/no/such/image"])).is_err());
     }
 
     #[test]

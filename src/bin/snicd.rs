@@ -192,6 +192,44 @@ mod tests {
         let _ = std::fs::remove_file(&snap);
     }
 
+    /// `--snapshot-out` is written at a clean exit too; booting from it
+    /// replays the history without answering it again, and an image
+    /// that cannot be read is an I/O error.
+    #[test]
+    fn the_exit_image_restores_without_answering_again() {
+        let opts = HostOpts {
+            snapshot_out: Some(scratch("exit.img")),
+            ..HostOpts::default()
+        };
+        let image = opts.snapshot_out.clone().unwrap();
+        let mut host = Host::boot(&opts).expect("boot");
+        let lines = concat!(
+            r#"{"op":"launch","tenant":"a","id":1,"name":"fw","mem":8,"port":80}"#,
+            "\n",
+            r#"{"op":"send","tenant":"a","id":2,"count":3,"port":80}"#,
+            "\n",
+            r#"{"op":"health","id":3}"#,
+            "\n"
+        );
+        let mut out = Vec::new();
+        host.serve(lines.as_bytes(), &mut out).expect("serve");
+        let out = String::from_utf8(out).expect("UTF-8");
+        assert_eq!(out.lines().count(), 3, "{out}");
+        assert!(out.contains(r#""op":"launch","ok":true"#), "{out}");
+        assert!(out.contains(r#""delivered":3"#), "{out}");
+        let history = host.daemon().history().to_vec();
+        host.finish().expect("exit image");
+        let restored = parse_opts(&s(&["--restore", &image])).expect("flags");
+        let mut host = Host::boot(&restored).expect("restore");
+        assert_eq!(host.daemon().history(), history);
+        let mut replayed = Vec::new();
+        host.serve(&b""[..], &mut replayed).expect("serve nothing");
+        assert!(replayed.is_empty(), "replayed responses are not re-emitted");
+        let missing = parse_opts(&s(&["--restore", "/no/such/image"])).expect("flags");
+        assert_eq!(Host::boot(&missing).err().map(|(code, _)| code), Some(2));
+        let _ = std::fs::remove_file(&image);
+    }
+
     #[test]
     fn serve_stream_answers_hostile_lines_without_journaling_them() {
         let opts = HostOpts {

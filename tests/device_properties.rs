@@ -110,3 +110,13 @@ fn a_hinted_relaunch_takes_its_range_off_the_free_list() {
         );
     }
 }
+
+/// §4.6: on a downed device every op but the ones it always serves
+/// answers `NicCrashed` and changes nothing (the op driver's
+/// pre-dispatch check, one op of each kind).
+#[test]
+fn a_downed_device_refuses_every_gated_op() {
+    for mode in MODES {
+        op_driver::downed_device_refuses_every_gated_op(mode).unwrap();
+    }
+}

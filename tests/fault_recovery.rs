@@ -226,7 +226,7 @@ fn power_loss_mid_scrub_blocks_reuse_until_zeroized() {
 
     // Resume from the watermark; the region comes back zeroed and the
     // hinted relaunch is admitted.
-    assert!(device.resume_scrubs() >= 1);
+    assert!(device.resume_scrubs().unwrap() >= 1);
     device
         .mem_read(Principal::Management, base + (1 << 20), &mut buf)
         .unwrap();

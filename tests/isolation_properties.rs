@@ -100,3 +100,11 @@ fn commodity_mode_is_permissive_by_contrast() {
         .mem_read(Principal::Nf(b, CoreId(1)), victim_base, &mut buf)
         .unwrap();
 }
+
+/// §4.6: on a downed device every op but the ones it always serves
+/// answers `NicCrashed` and changes nothing (the op driver's
+/// pre-dispatch check, one op of each kind).
+#[test]
+fn a_downed_device_refuses_every_gated_op() {
+    op_driver::downed_device_refuses_every_gated_op(NicMode::Snic).unwrap();
+}

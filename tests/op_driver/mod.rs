@@ -11,6 +11,13 @@
 //! S-NIC region reads back zeroed, foreign physical reads fail under
 //! S-NIC and succeed on a commodity NIC, a refused launch leaves the
 //! resource snapshot as it was, and a faulted function stays frozen.
+//!
+//! One check runs before every op: on a downed device (§4.6) every op
+//! but the four a downed device still serves — draining the wire,
+//! arming faults, power cycles and clock advances — answers
+//! `NicCrashed` and leaves `check`, the resource snapshot and the fault
+//! log as they were. [`downed_device_refuses_every_gated_op`] drives it
+//! with one op of each kind.
 
 use std::collections::VecDeque;
 
@@ -160,6 +167,49 @@ pub fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Take a device with two live functions down (power lost at a third
+/// launch) and run one op of every kind on it: each op a downed device
+/// must refuse meets the pre-dispatch check, the rest run as ever, and
+/// the power cycle among them brings the device back.
+pub fn downed_device_refuses_every_gated_op(mode: NicMode) -> Result<(), TestCaseError> {
+    let launch = |core| Op::Launch {
+        core,
+        mem_mib: 4,
+        vpp: 0,
+        place: Place::Any,
+        host: true,
+        crypto: 1,
+    };
+    let power_loss = FaultSite::Launch;
+    let arm = FAULTS
+        .iter()
+        .position(|&(site, kind)| site == power_loss && kind == FaultKind::PowerLoss)
+        .expect("a launch power loss") as u8;
+    let mut driver = Driver::new(mode);
+    let frame = |slot| Op::Rx { slot, payload: 8 };
+    driver.run(&[launch(0), launch(1), frame(0), Op::Arm(arm), launch(2)])?;
+    prop_assert!(driver.nic.is_crashed(), "{:?}: power lost at launch", mode);
+    driver.run(&[
+        launch(3),
+        Op::Teardown(0),
+        frame(1),
+        Op::Poll(0),
+        Op::Tx(1),
+        Op::Dma(0),
+        Op::Accel(1),
+        Op::BusFlood { slot: 0, ops: 1 },
+        Op::FaultNf(1),
+        Op::PowerLossTeardown(0),
+        Op::ResumeScrubs,
+        Op::ForeignRead(0),
+    ])?;
+    prop_assert!(driver.nic.is_crashed());
+    prop_assert_eq!(driver.nic.live_nfs(), 2);
+    driver.run(&[Op::WirePop, Op::Arm(0), Op::Advance(1), Op::PowerCycle])?;
+    prop_assert!(!driver.nic.is_crashed());
+    Ok(())
+}
+
 /// What the driver knows about one live function.
 struct Tenant {
     id: NfId,
@@ -251,8 +301,57 @@ impl Driver {
         }
     }
 
+    /// The device call `op` stands for, made on a downed device, or
+    /// `None` for the ops a downed device still serves. An op aimed at
+    /// a function when none is live names id 0: the crash answers first.
+    fn call_while_down(&mut self, op: &Op) -> Option<Result<(), SnicError>> {
+        let slot = match *op {
+            Op::Teardown(s)
+            | Op::PowerLossTeardown(s)
+            | Op::Poll(s)
+            | Op::Tx(s)
+            | Op::Dma(s)
+            | Op::Accel(s)
+            | Op::BusFlood { slot: s, .. }
+            | Op::FaultNf(s)
+            | Op::ForeignRead(s) => Some(s),
+            _ => None,
+        };
+        let target = slot.and_then(|s| self.pick(s)).map(|i| &self.tenants[i]);
+        let (id, core, base) =
+            target.map_or((NfId(0), CoreId(0), 0), |t| (t.id, t.core, t.region.0));
+        let pkt = self.packet(1000);
+        let nic = &mut self.nic;
+        Some(match *op {
+            Op::WirePop | Op::Arm(_) | Op::PowerCycle | Op::Advance(_) => return None,
+            Op::Launch { core, mem_mib, .. } => {
+                let mem = ByteSize::mib(u64::from(mem_mib));
+                let req = LaunchRequest::minimal(CoreId(core.into()), mem, NfImage::default());
+                nic.nf_launch(req).map(drop)
+            }
+            Op::Teardown(_) | Op::PowerLossTeardown(_) => nic.nf_teardown(id).map(drop),
+            Op::Rx { .. } => nic.rx_packet(&pkt).map(drop),
+            Op::Poll(_) => nic.poll_packet(id).map(drop),
+            Op::Tx(_) => nic.tx_packet(id, pkt),
+            Op::Dma(_) => nic.dma_to_host(id, core, DMA_OFF, 0x1000_0000, 8),
+            Op::Accel(_) => nic.accel_submit(id).map(drop),
+            Op::BusFlood { ops, .. } => nic.bus_flood(id, ops).map(drop),
+            Op::FaultNf(_) => nic.fault_nf(id),
+            Op::ResumeScrubs => nic.resume_scrubs().map(drop),
+            Op::ForeignRead(_) => nic.mem_read(Principal::Management, base, &mut [0; 8]),
+        })
+    }
+
     fn apply(&mut self, op: &Op) -> Result<(), TestCaseError> {
-        let crashed = self.nic.is_crashed();
+        if self.nic.is_crashed() {
+            let before = (self.nic.resource_snapshot(), self.nic.fault_log().to_vec());
+            if let Some(refused) = self.call_while_down(op) {
+                prop_assert_eq!(refused, Err(SnicError::NicCrashed), "{:?} while down", op);
+                let after = (self.nic.resource_snapshot(), self.nic.fault_log().to_vec());
+                prop_assert!(before == after, "{:?} while down changed the device", op);
+                return Ok(());
+            }
+        }
         match *op {
             Op::Launch {
                 core,
@@ -269,7 +368,7 @@ impl Driver {
                 let (id, (base, _)) = (self.tenants[i].id, self.tenants[i].region);
                 match self.nic.nf_teardown(id) {
                     Ok(_) => {
-                        if self.snic() && !crashed {
+                        if self.snic() {
                             // Scrubbed and management-readable again.
                             let mut buf = [0xffu8; 32];
                             let read = self.nic.mem_read(Principal::Management, base, &mut buf);
@@ -292,7 +391,6 @@ impl Driver {
                         prop_assert_eq!(got, want, "{:?}: FIFO, byte for byte", self.nic.mode());
                     }
                     Err(SnicError::NfFaulted(_)) => prop_assert!(!self.operational(id)),
-                    Err(SnicError::NicCrashed) => prop_assert!(crashed),
                     Err(e) => return fail(format!("poll of live {id}: {e:?}")),
                 }
             }
@@ -312,7 +410,6 @@ impl Driver {
                         prop_assert!((undrained + 1) * 32 > odb, "ODB refused with room")
                     }
                     Err(SnicError::NfFaulted(_)) => prop_assert!(!self.operational(id)),
-                    Err(SnicError::NicCrashed) => prop_assert!(crashed),
                     Err(e) => return fail(format!("tx of live {id}: {e:?}")),
                 }
             }
@@ -330,7 +427,7 @@ impl Driver {
                     Ok(_) => {}
                     Err(SnicError::NfFaulted(_)) => prop_assert!(!self.operational(id)),
                     Err(SnicError::NicCrashed) => {
-                        prop_assert!(crashed || !self.snic() && self.nic.is_crashed())
+                        prop_assert!(!self.snic() && self.nic.is_crashed())
                     }
                     Err(e) => return fail(format!("accel of live {id}: {e:?}")),
                 }
@@ -341,7 +438,7 @@ impl Driver {
                 };
                 let result = self.nic.bus_flood(self.tenants[i].id, ops);
                 // The temporal arbiter never lets a flood crash an S-NIC.
-                prop_assert!(!self.snic() || self.nic.is_crashed() == crashed);
+                prop_assert!(!self.snic() || !self.nic.is_crashed());
                 if let Err(e) = result {
                     let expected = matches!(e, SnicError::NicCrashed | SnicError::InvalidConfig(_));
                     prop_assert!(expected, "bus flood: {:?}", e);
@@ -354,14 +451,12 @@ impl Driver {
                 let (id, core) = (self.tenants[i].id, self.tenants[i].core);
                 prop_assert!(self.nic.fault_nf(id).is_ok());
                 prop_assert_eq!(self.nic.state_of(id), Ok(NfState::Faulted));
-                if !crashed {
-                    // A faulted function is frozen: the data path refuses it.
-                    let frozen = Err(SnicError::NfFaulted(id));
-                    prop_assert_eq!(self.nic.nf_write(id, core, MARK_OFF, b"x"), frozen.clone());
-                    prop_assert_eq!(self.nic.poll_packet(id).map(|_| ()), frozen.clone());
-                    let pkt = self.packet(1);
-                    prop_assert_eq!(self.nic.tx_packet(id, pkt), frozen);
-                }
+                // A faulted function is frozen: the data path refuses it.
+                let frozen = Err(SnicError::NfFaulted(id));
+                prop_assert_eq!(self.nic.nf_write(id, core, MARK_OFF, b"x"), frozen.clone());
+                prop_assert_eq!(self.nic.poll_packet(id).map(|_| ()), frozen.clone());
+                let pkt = self.packet(1);
+                prop_assert_eq!(self.nic.tx_packet(id, pkt), frozen);
             }
             Op::Arm(k) => {
                 let (site, kind) = FAULTS[usize::from(k) % FAULTS.len()];
@@ -390,7 +485,8 @@ impl Driver {
                 }
             }
             Op::ResumeScrubs => {
-                self.nic.resume_scrubs();
+                prop_assert!(self.nic.resume_scrubs().is_ok());
+                // Unless power is lost again part way.
                 if !self.nic.is_crashed() {
                     prop_assert!(self.nic.pending_scrubs().is_empty());
                 }
@@ -413,7 +509,7 @@ impl Driver {
                     return Ok(());
                 };
                 let b = (a + 1) % self.tenants.len();
-                if a == b || crashed {
+                if a == b {
                     return Ok(());
                 }
                 let (attacker, core) = (self.tenants[a].id, self.tenants[a].core);
@@ -498,7 +594,6 @@ impl Driver {
                         | SnicError::Transient(_)
                         | SnicError::Verification(_)
                         | SnicError::AccelUnavailable(_)
-                        | SnicError::NicCrashed
                         | SnicError::PowerLoss
                 );
                 prop_assert!(expected, "unexpected launch error {:?}", e);
@@ -543,8 +638,7 @@ impl Driver {
         let port = target.map_or(1, |i| 1000 + self.tenants[i].core.0);
         let pkt = self.packet_with(port, payload);
         let Some(i) = target else {
-            let got = self.nic.rx_packet(&pkt);
-            prop_assert!(matches!(got, Ok(None) | Err(SnicError::NicCrashed)));
+            prop_assert_eq!(self.nic.rx_packet(&pkt), Ok(None));
             return Ok(());
         };
         let id = self.tenants[i].id;
@@ -554,13 +648,7 @@ impl Driver {
         let queued: u64 = t.rx.iter().map(|p| p.len() as u64).sum();
         let by_size = queued + pkt.len() as u64 <= t.vpp.pb.bytes()
             && (t.rx.len() as u64 + 1) * 32 <= t.vpp.pdb.bytes();
-        match self.nic.rx_packet(&pkt) {
-            Ok(got) => prop_assert_eq!(got, Some(id)),
-            Err(e) => {
-                prop_assert!(self.nic.is_crashed(), "rx: {:?}", e);
-                return Ok(());
-            }
-        }
+        prop_assert_eq!(self.nic.rx_packet(&pkt), Ok(Some(id)));
         let accepted =
             was_up && self.operational(id) && self.nic.record_of(id).unwrap().rx_dropped == dropped;
         // Commodity admits exactly by PB bytes and PDB descriptors; the
@@ -601,7 +689,7 @@ impl Driver {
                 prop_assert_eq!(back, pattern, "DMA round trip");
             }
             Err(SnicError::BusError { .. }) => prop_assert!(self.snic()),
-            Err(SnicError::NicCrashed) => prop_assert!(self.nic.is_crashed()),
+            Err(SnicError::NicCrashed) => prop_assert!(!self.snic() && self.nic.is_crashed()),
             Err(SnicError::NfFaulted(_)) => prop_assert!(!self.operational(id)),
             Err(e) => return fail(format!("DMA of live {id}: {e:?}")),
         }
