@@ -601,8 +601,10 @@ fn uarch_cell(identical: bool, delta_pct: f64) -> String {
     }
 }
 
-/// Render the matrix as the EXPERIMENTS.md table.
-pub fn render_matrix(rows: &[ScenarioOutcome]) -> String {
+/// The blast-radius experiment as text: the matrix, the expectation it
+/// is read against, and every Pass-3 finding behind the device cells.
+pub fn report(scale: &Scale, _: bool) -> String {
+    let rows = blast_matrix(scale);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -615,7 +617,7 @@ pub fn render_matrix(rows: &[ScenarioOutcome]) -> String {
             ]
         })
         .collect();
-    render_table(
+    let mut out = render_table(
         "Blast radius: victim under fault (victim/scrub/Pass-3)",
         &[
             "scenario",
@@ -625,14 +627,7 @@ pub fn render_matrix(rows: &[ScenarioOutcome]) -> String {
             "uarch S-NIC",
         ],
         &table,
-    )
-}
-
-/// The blast-radius experiment as text: the matrix, the expectation it
-/// is read against, and every Pass-3 finding behind the device cells.
-pub fn report(scale: &Scale, _: bool) -> String {
-    let rows = blast_matrix(scale);
-    let mut out = render_matrix(&rows);
+    );
     let _ = writeln!(
         out,
         "{} scenarios; expectation: S-NIC victims bit-identical + transcripts lint clean, \

@@ -137,7 +137,7 @@ pub fn fig5b(
     let mut jobs = Vec::new();
     for &n in nf_counts {
         // Unreachable from the CLI: every caller passes constant counts
-        // >= 2 (`fig5b_report`'s sweeps, `golden::GOLDEN_NF_COUNTS`).
+        // >= 2 (`fig5b_report`'s sweeps and the tests below).
         assert!(n >= 2, "cotenancy below 2 is meaningless");
         for &focus in &NfKind::ALL {
             // Rotate which kinds fill the other n-1 slots.
@@ -175,9 +175,9 @@ fn point_rows(
         vec![
             label.clone(),
             p.kind.name().to_string(),
-            format!("{:.3}", p.median_pct),
-            format!("{:.3}", p.p1_pct),
-            format!("{:.3}", p.p99_pct),
+            format!("{:.4}", p.median_pct),
+            format!("{:.4}", p.p1_pct),
+            format!("{:.4}", p.p99_pct),
         ]
     })
 }

@@ -74,11 +74,11 @@ pub fn report(_: &Scale, _: bool) -> String {
                 format!("{:.2}", r.memory.as_mib_f64()),
                 format!("{:.4}", r.launch.tlb_setup.as_millis_f64()),
                 format!("{:.4}", r.launch.denylisting.as_millis_f64()),
-                format!("{:.2}", r.launch.sha_digest.as_millis_f64()),
-                format!("{:.2}", r.launch.total().as_millis_f64()),
+                format!("{:.4}", r.launch.sha_digest.as_millis_f64()),
+                format!("{:.4}", r.launch.total().as_millis_f64()),
                 format!("{:.4}", r.teardown.allowlisting.as_millis_f64()),
-                format!("{:.2}", r.teardown.scrub.as_millis_f64()),
-                format!("{:.2}", r.teardown.total().as_millis_f64()),
+                format!("{:.4}", r.teardown.scrub.as_millis_f64()),
+                format!("{:.4}", r.teardown.total().as_millis_f64()),
             ]
         })
         .collect();

@@ -48,7 +48,7 @@ pub fn report(scale: &Scale, _: bool) -> String {
             } else {
                 format!("{frame}B")
             }];
-            row.extend(m[f].iter().map(|v| format!("{v:.3}")));
+            row.extend(m[f].iter().map(|v| format!("{v:.4}")));
             row
         })
         .collect();

@@ -72,9 +72,15 @@ pub struct AttestationQuote {
     pub ek_certificate: Certificate,
 }
 
-/// Serialize the signed context: `g ‖ p ‖ n ‖ g^x` (the measurement is
-/// prepended by the hardware itself).
-fn transcript(g: &BigUint, p: &BigUint, nonce: &[u8; 32], dh_public: &BigUint) -> Vec<u8> {
+/// Serialize the signed context: `g ‖ p ‖ n ‖ g^x`, each part prefixed
+/// by its length (the measurement is prepended by the signer, see
+/// [`statement`]).
+pub(crate) fn transcript(
+    g: &BigUint,
+    p: &BigUint,
+    nonce: &[u8; 32],
+    dh_public: &BigUint,
+) -> Vec<u8> {
     let mut out = Vec::new();
     for part in [
         g.to_be_bytes(),
@@ -85,6 +91,24 @@ fn transcript(g: &BigUint, p: &BigUint, nonce: &[u8; 32], dh_public: &BigUint) -
         out.extend_from_slice(&(part.len() as u32).to_le_bytes());
         out.extend_from_slice(&part);
     }
+    out
+}
+
+/// The bytes an attestation key signs: `measurement ‖ verdict ‖
+/// analysis_digest ‖ context`. The device (`nf_attest`), host enclaves
+/// and [`verify_quote`] all encode through this one function, so signer
+/// and verifier cannot drift apart.
+pub(crate) fn statement(
+    measurement: &[u8; 32],
+    verdict: bool,
+    analysis_digest: &[u8; 32],
+    context: &[u8],
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(65 + context.len());
+    out.extend_from_slice(measurement);
+    out.push(u8::from(verdict));
+    out.extend_from_slice(analysis_digest);
+    out.extend_from_slice(context);
     out
 }
 
@@ -152,16 +176,16 @@ pub fn verify_quote(
         return false;
     }
     let context = transcript(&quote.g, &quote.p, &quote.nonce, &quote.dh_public);
-    let mut statement = Vec::with_capacity(65 + context.len());
-    statement.extend_from_slice(&quote.measurement);
-    statement.push(u8::from(quote.verdict));
-    statement.extend_from_slice(&quote.analysis_digest);
-    statement.extend_from_slice(&context);
     snic_crypto::keys::verify_chain(
         vendor_public,
         &quote.ek_certificate,
         &quote.ak_endorsement,
-        &statement,
+        &statement(
+            &quote.measurement,
+            quote.verdict,
+            &quote.analysis_digest,
+            &context,
+        ),
         &quote.signature,
     )
 }

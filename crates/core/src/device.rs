@@ -239,7 +239,7 @@ impl SmartNic {
         self.life.check()?;
         let live = self.life.records();
         let owned = self.memory.ownership().owned_ranges();
-        let owners = self.compute.core_owners();
+        let owners: Vec<Option<NfId>> = self.compute.owners().collect();
         ensure(owned.len() == live.len(), "§4.2", || {
             format!(
                 "{} owned ranges for {} live functions",
@@ -352,7 +352,7 @@ impl SmartNic {
         ResourceSnapshot {
             free_regions: self.memory.free_regions().to_vec(),
             next_region: self.memory.next_region(),
-            core_owner: self.compute.core_owners(),
+            core_owner: self.compute.owners().collect(),
             accel_available: self.compute.accel_available(),
             rx_reserved,
             tx_reserved,
@@ -362,6 +362,12 @@ impl SmartNic {
             live_nfs: self.life.records().len(),
             dma_banks: self.compute.dma_banks(),
         }
+    }
+
+    /// The lowest-numbered core no function is bound to, if any.
+    pub fn free_core(&self) -> Option<CoreId> {
+        let free = self.compute.owners().position(|owner| owner.is_none())?;
+        u16::try_from(free).ok().map(CoreId)
     }
 
     /// The device mode.
@@ -1245,12 +1251,12 @@ impl SmartNic {
         let verdict = self.verify_state().is_ok();
         let record = self.life.record(nf)?;
         let (measurement, analysis_digest) = (record.measurement, record.analysis_digest);
-        let mut statement = Vec::with_capacity(65 + context.len());
-        statement.extend_from_slice(&measurement);
-        statement.push(u8::from(verdict));
-        statement.extend_from_slice(&analysis_digest);
-        statement.extend_from_slice(context);
-        let signature = self.ak.sign(&statement);
+        let signature = self.ak.sign(&crate::attest::statement(
+            &measurement,
+            verdict,
+            &analysis_digest,
+            context,
+        ));
         self.life
             .spend(crate::instr::ATTEST_RSA + crate::instr::ATTEST_SHA);
         if self.telemetry.enabled() {

@@ -153,8 +153,9 @@ impl ComputePlane {
         bank.ok_or_else(|| SnicError::InvalidConfig("no DMA bank configured".into()))
     }
 
-    pub(crate) fn core_owners(&self) -> Vec<Option<NfId>> {
-        self.cores.iter().map(|c| c.owner).collect()
+    /// Each core's owner, in `CoreId` order.
+    pub(crate) fn owners(&self) -> impl Iterator<Item = Option<NfId>> + '_ {
+        self.cores.iter().map(|c| c.owner)
     }
 
     pub(crate) fn dma_banks(&self) -> usize {

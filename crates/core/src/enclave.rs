@@ -7,13 +7,12 @@
 //! shape as NFs, rooted in a (distinct) host-CPU vendor CA.
 
 use rand::Rng;
-use snic_crypto::bigint::BigUint;
 use snic_crypto::dh::{DhKeyPair, DhParams};
 use snic_crypto::keys::{AttestationKey, Certificate, EndorsementKey, VendorCa};
 use snic_crypto::rsa::RsaPublicKey;
 use snic_crypto::sha256::sha256;
 
-use crate::attest::AttestationQuote;
+use crate::attest::{statement, transcript, AttestationQuote};
 
 /// A host-level enclave with attestable identity.
 pub struct HostEnclave {
@@ -52,16 +51,13 @@ impl HostEnclave {
     ) -> (AttestationQuote, DhKeyPair) {
         let keypair = DhKeyPair::generate(rng, params);
         let context = transcript(&params.g, &params.p, &nonce, &keypair.public);
-        let mut statement = Vec::with_capacity(65 + context.len());
-        statement.extend_from_slice(&self.measurement);
         // Enclaves have no vNIC manifest set to verify and no dataflow
         // IR to analyze; the verdict slot is trivially clean and the
         // analysis-digest slot all-zero (kept so NF and enclave quotes
         // share one wire format and one `verify_quote`).
-        statement.push(1);
-        statement.extend_from_slice(&[0u8; 32]);
-        statement.extend_from_slice(&context);
-        let signature = self.ak.sign(&statement);
+        let signature = self
+            .ak
+            .sign(&statement(&self.measurement, true, &[0u8; 32], &context));
         (
             AttestationQuote {
                 g: params.g.clone(),
@@ -78,22 +74,6 @@ impl HostEnclave {
             keypair,
         )
     }
-}
-
-/// Same transcript encoding as [`crate::attest`] (kept in sync so NF and
-/// enclave quotes verify identically).
-fn transcript(g: &BigUint, p: &BigUint, nonce: &[u8; 32], dh_public: &BigUint) -> Vec<u8> {
-    let mut out = Vec::new();
-    for part in [
-        g.to_be_bytes(),
-        p.to_be_bytes(),
-        nonce.to_vec(),
-        dh_public.to_be_bytes(),
-    ] {
-        out.extend_from_slice(&(part.len() as u32).to_le_bytes());
-        out.extend_from_slice(&part);
-    }
-    out
 }
 
 #[cfg(test)]

@@ -371,6 +371,7 @@ mod tests {
             p.on_nth(FaultSite::Launch, n, FaultKind::DramExhaustion)
         });
         device.inject_faults(plan);
+        let before = device.resource_snapshot();
         let mut os = NicOs::new(&mut device);
         let err = os
             .nf_create_with_retry(
@@ -382,6 +383,11 @@ mod tests {
         assert!(
             matches!(err, RetryError::Exhausted { attempts: 4, .. }),
             "{err:?}"
+        );
+        assert_eq!(
+            device.resource_snapshot(),
+            before,
+            "an exhausted retry left partial effects"
         );
         // A fatal error (invalid config) surfaces immediately.
         let mut device = nic();

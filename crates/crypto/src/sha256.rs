@@ -150,13 +150,9 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     h.finalize()
 }
 
-fn hex(digest: &[u8]) -> String {
-    digest.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-/// Render a digest as lowercase hex (for reporting and debugging).
-pub fn to_hex(digest: &[u8; 32]) -> String {
-    hex(digest)
+/// Render bytes (a digest, or a prefix of one) as lowercase hex.
+pub fn to_hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 #[cfg(test)]

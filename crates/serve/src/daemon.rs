@@ -781,15 +781,6 @@ impl Daemon {
         })
     }
 
-    fn free_core(&self) -> Option<u16> {
-        self.nic
-            .resource_snapshot()
-            .core_owner
-            .iter()
-            .position(Option::is_none)
-            .map(|i| i as u16)
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn exec_launch(
         &mut self,
@@ -816,12 +807,12 @@ impl Daemon {
                 format!("NF '{name}' already exists for tenant '{tenant}'"),
             ));
         }
-        let core = match core.or_else(|| self.free_core()) {
+        let core = match core.map(CoreId).or_else(|| self.nic.free_core()) {
             Some(c) => c,
             None => return Err(fault("no free core")),
         };
         let mut request = LaunchRequest::minimal(
-            CoreId(core),
+            core,
             ByteSize::mib(mem_mib),
             NfImage {
                 code: format!("{tenant}/{name}").into_bytes(),
@@ -835,7 +826,6 @@ impl Daemon {
                 ..SwitchRule::any(NfId(0))
             });
         }
-        let before = self.nic.resource_snapshot();
         let policy = RetryPolicy::jittered(request_seed(self.cfg.seed, &tenant, id));
         match self.powered(|nic| NicOs::new(nic).nf_create_with_retry(request, policy, deadline)) {
             Ok(receipt) => {
@@ -846,32 +836,23 @@ impl Daemon {
                 extra(line, "latency_ps", receipt.latency.total().0);
                 Ok(())
             }
-            Err(RetryError::DeadlineExceeded { attempts, deadline }) => {
-                debug_assert_eq!(
-                    before,
-                    self.nic.resource_snapshot(),
-                    "cancelled launch must leave no partial effects"
-                );
-                Err((
-                    codes::EXPIRED,
-                    format!(
-                        "launch cancelled after {attempts} attempts: next backoff crosses \
-                         deadline {}ps",
-                        deadline.0
-                    ),
-                ))
-            }
-            Err(RetryError::Exhausted { attempts, last }) => {
-                debug_assert_eq!(
-                    before,
-                    self.nic.resource_snapshot(),
-                    "failed launch must leave no partial effects"
-                );
-                Err((
-                    codes::RETRIES_EXHAUSTED,
-                    format!("gave up after {attempts} attempts: {last}"),
-                ))
-            }
+            Err(RetryError::DeadlineExceeded { attempts, deadline }) => Err((
+                codes::EXPIRED,
+                format!(
+                    "launch cancelled after {attempts} attempts: next backoff crosses \
+                     deadline {}ps",
+                    deadline.0
+                ),
+            )),
+            Err(RetryError::Exhausted { attempts, last }) => Err((
+                codes::RETRIES_EXHAUSTED,
+                format!("gave up after {attempts} attempts: {last}"),
+            )),
+            // `powered` has already brought the device back up, so the
+            // device's own "restart required" would mislead the client.
+            Err(RetryError::Fatal(snic_types::SnicError::PowerLoss)) => Err(fault(
+                "power lost mid-launch and restored; the launch was not applied",
+            )),
             Err(RetryError::Fatal(e)) => Err(fault(e)),
         }
     }
@@ -1404,7 +1385,10 @@ mod tests {
         assert!(d.ingest(arm)[0].contains("\"ok\":true"));
         let lost = d.ingest(launch);
         assert!(lost[0].contains(codes::FAULT), "{lost:?}");
-        assert!(lost[0].contains("power lost"), "{lost:?}");
+        assert!(
+            lost[0].contains("\"power lost mid-launch and restored; the launch was not applied\""),
+            "{lost:?}"
+        );
         assert!(!d.nic.is_crashed());
         let relaunched = d.ingest(&launch.replace("\"id\":2", "\"id\":3"));
         assert!(

@@ -5,7 +5,7 @@
 
 use std::fmt;
 
-use snic_crypto::sha256::sha256;
+use snic_crypto::sha256::{sha256, to_hex};
 
 /// A clean Pass 0 verdict, binding the program, the manifest it was
 /// proven against, and the per-packet instruction ceiling the loop pass
@@ -38,8 +38,8 @@ impl fmt::Display for AnalysisCertificate {
         write!(
             f,
             "cert(program={}, manifest={}, ceiling={} insns)",
-            crate::engine::hex(&self.program_digest[..4]),
-            crate::engine::hex(&self.manifest_digest[..4]),
+            to_hex(&self.program_digest[..4]),
+            to_hex(&self.manifest_digest[..4]),
             self.insn_ceiling
         )
     }

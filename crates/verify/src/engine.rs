@@ -5,7 +5,7 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use snic_crypto::sha256::sha256;
+use snic_crypto::sha256::{sha256, to_hex};
 use snic_telemetry::json::escape;
 use snic_types::AccelKind;
 
@@ -118,7 +118,7 @@ impl AnalysisReport {
         match &self.certificate {
             Some(cert) => s.push_str(&format!(
                 "\"certificate_digest\":\"{}\",",
-                hex(&cert.digest())
+                to_hex(&cert.digest())
             )),
             None => s.push_str("\"certificate_digest\":null,"),
         }
@@ -152,11 +152,6 @@ impl fmt::Display for AnalysisReport {
             Ok(())
         }
     }
-}
-
-/// Lowercase hex of a digest.
-pub fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// Run Pass 0 with the default step budget.

@@ -120,9 +120,10 @@ budgeted_test() {
 # - Fault-matrix smoke (`fault_determinism`): the blast-radius
 #   differential must be deterministic regardless of executor
 #   parallelism.
-# - Golden snapshots (`golden`): every figure pipeline's rendered output
-#   at the pinned scale must match the checked-in documents
-#   byte-for-byte (regenerate intentionally with SNIC_BLESS=1).
+# - Golden snapshots (`golden`): every `snicctl exp` registry entry's
+#   text at the pinned golden scale must match its checked-in
+#   `<name>.txt` byte for byte, and the golden directory may hold no
+#   other files (regenerate intentionally with SNIC_BLESS=1).
 # - Determinism differentials (`cache_differential`,
 #   `engine_differential`, `shard_determinism`): the optimized hot path
 #   (packed tag scan, recency-ordered private L1, batched front → back
@@ -274,13 +275,13 @@ echo "==> bounded-memory streaming gate (snicctl trace billion --gate)"
 cargo run -q --release --bin snicctl -- trace billion --gate \
     ${SNIC_TRACE_GATE_EVENTS:+--events "$SNIC_TRACE_GATE_EVENTS"} > /dev/null
 
-# Paper-scale fig5: `exp fig5a --full` and `exp fig5b --full` must match
-# their goldens (crates/bench/tests/golden/fig5{a,b}_full.txt) byte for
-# byte. They take minutes each, so tier-1 does not run them. Each wall
+# Paper scale: every `_full` golden, crates/bench/tests/golden/<name>_full.txt,
+# must match `snicctl exp <name> --full` byte for byte (today fig5a and
+# fig5b). They take minutes each, so tier-1 does not run them. Each wall
 # time is printed; no budget is enforced yet, since the target (under
 # 60 s each on a 2-thread host) is not met.
-for fig in fig5a fig5b; do
-    golden="crates/bench/tests/golden/${fig}_full.txt"
+for golden in crates/bench/tests/golden/*_full.txt; do
+    fig="$(basename "$golden" _full.txt)"
     echo "==> paper-scale $fig (snicctl exp $fig --full against $golden)"
     start="$EPOCHREALTIME"
     cargo run -q --release --bin snicctl -- exp "$fig" --full > "$test_log"
