@@ -43,10 +43,11 @@ pub fn report(scale: &Scale, _: bool) -> String {
         .iter()
         .enumerate()
         .map(|(f, &frame)| {
-            let mut row = vec![if frame >= 1024 {
-                format!("{:.1}KB", frame as f64 / 1024.0)
-            } else {
-                format!("{frame}B")
+            // Decimal kilobytes, as the paper labels them: 1.5KB, 9KB.
+            let mut row = vec![match frame {
+                f if f < 1000 => format!("{f}B"),
+                f if f % 1000 == 0 => format!("{}KB", f / 1000),
+                f => format!("{:.1}KB", f as f64 / 1000.0),
             }];
             row.extend(m[f].iter().map(|v| format!("{v:.4}")));
             row

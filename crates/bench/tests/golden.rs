@@ -33,7 +33,7 @@ use snic_bench::streams::{all_traces, SharedTrace};
 use snic_bench::Scale;
 use snic_types::mix::{fnv1a, FNV_OFFSET};
 use snic_uarch::config::MachineConfig;
-use snic_uarch::engine::{run_colocated_warm, with_helper};
+use snic_uarch::engine::{memo_events, run_colocated_warm, with_helper};
 use snic_uarch::stream::{EventSource, SharedReplayStream};
 
 fn golden_dir() -> PathBuf {
@@ -170,14 +170,21 @@ fn replay_grid(seed: u64) -> (u64, u64) {
 
 /// The engine's benchmark grid, pinned: every engine event of
 /// `replay_fig5` at its default seed with the fronts inline and on a
-/// helper thread, and at a held-out seed.
+/// helper thread, and at a held-out seed. The pass memo serves more than
+/// nine tenths of the measured passes both ways.
 #[test]
 fn replay_grid_digests_are_pinned() {
     for helper in [false, true] {
+        let before = memo_events();
         assert_eq!(
             with_helper(helper, || replay_grid(0xf15a)),
             (62_350_492, 0x82d0_4daf_b928_2eed),
             "seed 0xf15a, helper={helper}"
+        );
+        let served = memo_events() - before;
+        assert!(
+            served > 62_350_492 / 2 * 9 / 10,
+            "helper={helper}: the memo served {served} events"
         );
     }
     assert_eq!(

@@ -425,7 +425,9 @@ impl SmartNic {
             let _ = self.teardown(id);
         }
         self.compute.repair();
-        self.drain_scrubs();
+        // A scrub that loses power again leaves the device crashed with
+        // its ticket pending, as documented above.
+        let _ = self.drain_scrubs();
     }
 
     /// Restore power after a loss WITHOUT resuming interrupted scrubs —
@@ -460,29 +462,29 @@ impl SmartNic {
 
     /// Resume every interrupted teardown scrub from its watermark;
     /// completed regions are allowlisted and returned to the free list.
-    /// Returns how many tickets completed. Stops early (leaving the
-    /// rest pending) if power is lost again mid-scrub.
+    /// Returns how many tickets completed. If power is lost again
+    /// mid-scrub the call fails with [`SnicError::PowerLoss`], the device
+    /// crashed and the interrupted ticket re-queued at its new watermark
+    /// with the rest still pending.
     pub fn resume_scrubs(&mut self) -> Result<usize, SnicError> {
         self.life.require(Need::Up)?;
-        Ok(self.drain_scrubs())
+        self.drain_scrubs()
     }
 
     /// [`SmartNic::resume_scrubs`] past its gate, as `power_cycle` runs it.
-    fn drain_scrubs(&mut self) -> usize {
+    fn drain_scrubs(&mut self) -> Result<usize, SnicError> {
         let mut done = 0;
         while let Some(t) = self.memory.pop_scrub() {
             let scrubbing = NfState::Scrubbing;
             self.life.note_transition(t.nf, scrubbing, scrubbing);
-            let Ok(elapsed) = self.scrub_region(t.nf, t.base, t.len, t.watermark) else {
-                break;
-            };
+            let elapsed = self.scrub_region(t.nf, t.base, t.len, t.watermark)?;
             self.life.spend(elapsed);
             self.memory.reclaim(t.nf, t.base, t.len);
             self.life
                 .note_transition(t.nf, scrubbing, NfState::Reclaimed);
             done += 1;
         }
-        done
+        Ok(done)
     }
 
     /// The EK certificate chain root material, for verifiers.
@@ -2441,6 +2443,34 @@ mod tests {
         nic.mem_read(Principal::Management, base + len - 64, &mut tail)
             .unwrap();
         assert_eq!(tail, vec![0u8; 64]);
+    }
+
+    #[test]
+    fn resume_scrubs_fails_when_it_loses_power() {
+        use snic_faults::{FaultKind, FaultPlan, FaultSite};
+        let mut nic = snic();
+        let id = nic.nf_launch(req(0, 4)).unwrap().nf_id;
+        let (base, _) = nic.record_of(id).unwrap().region;
+        nic.inject_faults(FaultPlan::none().on_nth(FaultSite::Scrub, 2, FaultKind::PowerLoss));
+        assert_eq!(nic.nf_teardown(id).unwrap_err(), SnicError::PowerLoss);
+        nic.restore_power();
+        // Power dies again one chunk into the resumed scrub: the call
+        // fails from a crashed device, the ticket re-queued further on.
+        let next = nic.fault_site_count(FaultSite::Scrub) + 2;
+        nic.arm_faults(FaultPlan::none().on_nth(FaultSite::Scrub, next, FaultKind::PowerLoss));
+        assert_eq!(nic.resume_scrubs(), Err(SnicError::PowerLoss));
+        assert!(nic.is_crashed());
+        let tickets = nic.pending_scrubs().to_vec();
+        assert_eq!(tickets.len(), 1);
+        assert_eq!(
+            (tickets[0].base, tickets[0].watermark),
+            (base, 2 * SCRUB_CHUNK)
+        );
+        assert_eq!(nic.resume_scrubs(), Err(SnicError::NicCrashed));
+        // Once power is back the next call completes it.
+        nic.restore_power();
+        assert_eq!(nic.resume_scrubs(), Ok(1));
+        assert!(nic.pending_scrubs().is_empty());
     }
 
     #[test]

@@ -1097,7 +1097,12 @@ impl Daemon {
     }
 
     fn op_resume_scrubs(&mut self, _: &Request, line: &mut String) -> ExecResult {
-        let completed = self.powered(SmartNic::resume_scrubs).map_err(fault)?;
+        let completed = self.powered(SmartNic::resume_scrubs).map_err(|e| match e {
+            snic_types::SnicError::PowerLoss => {
+                fault("power lost mid-scrub and restored; region pending with watermark")
+            }
+            e => fault(e),
+        })?;
         extra(line, "completed", completed);
         extra(line, "pending", self.nic.pending_scrubs().len());
         Ok(())
@@ -1398,6 +1403,34 @@ mod tests {
         let sent = d.ingest(r#"{"op":"send","tenant":"a","id":4,"count":2,"port":80}"#);
         assert!(sent[0].contains("\"ok\":true,\"delivered\":2"), "{sent:?}");
         assert!(d.lint().is_empty(), "{:?}", d.lint());
+    }
+
+    /// A `resume-scrubs` that loses power fails, and the next one
+    /// finishes the re-queued region from its watermark.
+    #[test]
+    fn power_lost_while_resuming_scrubs_fails_that_resume() {
+        let mut d = Daemon::new(DaemonConfig::default());
+        let ok = |out: Vec<String>| assert!(out[0].contains("\"ok\":true"), "{out:?}");
+        ok(d.ingest(r#"{"op":"launch","tenant":"a","id":1,"name":"fw","mem":8,"port":80}"#));
+        let arm = r#"{"op":"inject-fault","id":2,"site":"scrub","kind":"power-loss","after":2}"#;
+        ok(d.ingest(arm));
+        let torn = d.ingest(r#"{"op":"teardown","tenant":"a","id":3,"name":"fw"}"#);
+        assert!(torn[0].contains(codes::FAULT), "{torn:?}");
+        ok(d.ingest(&arm.replace("\"id\":2", "\"id\":4")));
+        let lost = d.ingest(r#"{"op":"resume-scrubs","id":5}"#);
+        assert!(lost[0].contains("\"ok\":false"), "{lost:?}");
+        assert!(lost[0].contains(codes::FAULT), "{lost:?}");
+        assert!(
+            lost[0].contains("power lost mid-scrub and restored"),
+            "{lost:?}"
+        );
+        assert!(!d.nic.is_crashed());
+        assert_eq!(d.nic.pending_scrubs().len(), 1);
+        let resumed = d.ingest(r#"{"op":"resume-scrubs","id":6}"#);
+        assert!(
+            resumed[0].ends_with("\"ok\":true,\"completed\":1,\"pending\":0}"),
+            "{resumed:?}"
+        );
     }
 
     /// `step` stops at the first pump that finds nothing ready, so a

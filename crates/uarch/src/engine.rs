@@ -54,6 +54,33 @@
 //! processing every event individually — the differential suite and the
 //! goldens hold the two engines bit-identical.
 //!
+//! ## Pass memo
+//!
+//! The same fact carries across the passes of one recording. A lane that
+//! replays a recording more than once (§5.3's warm-up pass, then the
+//! measured one) sees the same address sequence in every pass, so **equal
+//! L1 state at an equal position in the same recording gives equal L1
+//! outcomes for the rest of the pass**. Its front therefore keeps a
+//! [`PassMemo`] while it probes pass 1: per L1 miss, its position in its
+//! chunk and the chunk's instructions before it (4 bytes), per chunk its
+//! instructions and where its misses end, and snapshots of the L1's tags
+//! at the checkpoints `CHUNK·2^j`. Chunks of such a lane are cut on the
+//! pass's `CHUNK` grid, so every checkpoint is a chunk edge. A later pass
+//! probes until a checkpoint finds the live L1 equal to pass 1's
+//! snapshot; from there each chunk's `miss_cum`/`miss_key` come from the
+//! memo, reading only the missing events, and the compaction loop and
+//! [`Batch`] are those of a probed chunk. Where the memo ends the L1 is
+//! set to pass 1's state there and probing resumes. The memo holds at most
+//! [`MEMO_BYTES`] per lane, enough for the whole quick-scale DPI
+//! recording; a pass with more misses (paper-scale DPI misses on 55 % of
+//! its events) keeps a prefix and ends the memo on a chunk edge with a
+//! snapshot of the L1 there. A chunk with 2^24 instructions or more drops
+//! the memo. It lives in the front, so it moves to a helper thread with
+//! it, and is freed when the call returns: it is one call's record of
+//! one lane's own pass, not an outcome kept across calls, so no result
+//! can depend on which calls ran before. Generators and single-pass
+//! recordings never keep one.
+//!
 //! Because a front touches nothing shared, it can run on another
 //! hardware thread. A call starts with every back pulling from its own
 //! front inline; once it has consumed [`HELPER_START`] events that way
@@ -119,6 +146,12 @@ const QUEUE_DEPTH: usize = 8;
 /// every leakage-battery bit slot (≤ 16 k events), the engine's unit
 /// tests (≤ 160 k) — never spawn at all.
 const HELPER_START: u64 = 1 << 18;
+
+/// Bytes one lane's [`PassMemo`] may hold: 4 per L1 miss, 8 per chunk
+/// and one L1 tag array per snapshot. Sized so that pass 1 of the
+/// quick-scale DPI recording fits whole (800 300 misses over 5 030 319
+/// events, ≈ 3.3 MiB); a longer or missier pass keeps a prefix.
+const MEMO_BYTES: usize = 4 << 20;
 
 /// Per-NF statistics from one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -264,7 +297,7 @@ pub(crate) fn validate_domains(cfg: &MachineConfig, tenant_ids: &[u32], n_stream
 /// recent first, in one 32-byte record so a probe touches exactly one
 /// host cache line.
 #[repr(align(32))]
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct L1Set {
     tags: [u64; 4],
 }
@@ -365,6 +398,226 @@ impl PrivateL1 {
     }
 }
 
+/// What a [`PassMemo`] does with the current pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MemoPhase {
+    /// Pass 1, up to the memo's end: probe and write the memo.
+    Recording,
+    /// Probe; in a later pass, watch the checkpoints for pass 1's L1.
+    Probing,
+    /// The live L1 is pass 1's at this position: read the memo, up to
+    /// its end.
+    Replaying,
+}
+
+/// One chunk of pass 1 as the memo holds it: the chunk at positions
+/// `[CHUNK·c, CHUNK·(c + 1))` of the pass, whatever runs it was probed in.
+#[derive(Debug, Clone, Copy)]
+struct MemoChunk {
+    /// Index in `PassMemo::misses` one past the chunk's last miss.
+    end: u32,
+    /// The chunk's instructions.
+    insns: u32,
+}
+
+/// Pass 1 of a recording that a lane replays more than once, kept so a
+/// later pass need not probe its L1 where it repeats pass 1 (module docs,
+/// "Pass memo"). Chunks are cut on the pass's `CHUNK` grid, so every
+/// checkpoint and the memo's end fall on a chunk edge.
+#[derive(Debug)]
+struct PassMemo {
+    /// Events per pass.
+    len: usize,
+    /// Position in the current pass.
+    pos: usize,
+    phase: MemoPhase,
+    /// Per L1 miss of pass 1, in order: its position in its chunk in the
+    /// low 8 bits, the chunk's instructions before it above them.
+    misses: Vec<u32>,
+    /// Per chunk of pass 1 below `end`.
+    chunks: Vec<MemoChunk>,
+    /// Pass 1's L1 at position `CHUNK << j`, for `j` = 0, 1, ...
+    checkpoints: Vec<Box<[L1Set]>>,
+    /// Where the memo stops: the pass length, or the chunk edge where
+    /// [`MEMO_BYTES`] ran out. `usize::MAX` while recording.
+    end: usize,
+    /// Pass 1's L1 at `end`, which a replay leaves behind it.
+    end_l1: Box<[L1Set]>,
+    /// Events served from the memo instead of the L1.
+    replayed: u64,
+}
+
+impl PassMemo {
+    /// A memo for passes of `len` events, its buffers reserved at the
+    /// most they may hold so they never grow by copying.
+    fn new(len: usize) -> PassMemo {
+        PassMemo {
+            len,
+            pos: 0,
+            phase: MemoPhase::Recording,
+            misses: Vec::with_capacity(len.min(MEMO_BYTES / 4)),
+            chunks: Vec::with_capacity(len.div_ceil(CHUNK).min(MEMO_BYTES / 8)),
+            checkpoints: Vec::new(),
+            end: usize::MAX,
+            end_l1: Box::new([]),
+            replayed: 0,
+        }
+    }
+
+    /// The most events the next chunk may take: up to the next grid edge.
+    fn cut(&self) -> usize {
+        CHUNK - self.pos % CHUNK
+    }
+
+    /// Stop recording at the current position, keeping the L1 there.
+    fn close(&mut self, l1: &PrivateL1) {
+        self.end = self.pos;
+        self.end_l1 = l1.sets.clone();
+        self.phase = MemoPhase::Probing;
+    }
+
+    /// Serve one chunk, the run `events` at the current position: probe
+    /// the L1 (recording the result in pass 1) or read the memo, filling
+    /// `miss_cum`/`miss_key` exactly as [`PrivateL1::probe_chunk`] does.
+    fn chunk(
+        &mut self,
+        l1: &mut PrivateL1,
+        events: &[Access],
+        tenant: usize,
+        miss_cum: &mut [u64],
+        miss_key: &mut [u64],
+    ) -> (usize, u64) {
+        let (pos, n) = (self.pos, events.len());
+        let at = pos % CHUNK;
+        let l1_bytes = std::mem::size_of_val(&*l1.sets);
+        let bytes =
+            4 * self.misses.len() + 8 * self.chunks.len() + l1_bytes * self.checkpoints.len();
+        // Checkpoints sit at `CHUNK << j`.
+        let checkpoint = (pos >= CHUNK && pos.is_power_of_two())
+            .then(|| (pos / CHUNK).trailing_zeros() as usize);
+        match self.phase {
+            MemoPhase::Recording if at == 0 => {
+                // Room for this edge's snapshot, a whole chunk of misses,
+                // its record and the closing snapshot, or the memo ends
+                // here.
+                let due = checkpoint == Some(self.checkpoints.len());
+                if bytes + usize::from(due) * l1_bytes + 4 * CHUNK + 8 + l1_bytes > MEMO_BYTES {
+                    self.close(l1);
+                } else {
+                    if due {
+                        self.checkpoints.push(l1.sets.clone());
+                    }
+                    self.chunks.push(MemoChunk {
+                        end: self.misses.len() as u32,
+                        insns: 0,
+                    });
+                }
+            }
+            MemoPhase::Probing
+                if pos < self.end
+                    && checkpoint.is_some_and(|j| self.checkpoints.get(j) == Some(&l1.sets)) =>
+            {
+                self.phase = MemoPhase::Replaying;
+            }
+            _ => {}
+        }
+        let out = match self.phase {
+            MemoPhase::Replaying => {
+                self.replayed += n as u64;
+                self.replay(events, miss_cum, miss_key)
+            }
+            MemoPhase::Probing => l1.probe_chunk(events, tenant, miss_cum, miss_key),
+            MemoPhase::Recording => {
+                let (nmiss, total) = l1.probe_chunk(events, tenant, miss_cum, miss_key);
+                let rec = self
+                    .chunks
+                    .last_mut()
+                    .expect("a recorded chunk opens at its edge");
+                let base = u64::from(rec.insns);
+                if base + total >= 1 << 24 {
+                    // More instructions in one chunk than the encoding
+                    // carries: no pass will read this memo.
+                    self.drop_all();
+                } else {
+                    self.misses
+                        .extend(miss_cum[..nmiss].iter().zip(&miss_key[..nmiss]).map(
+                            |(&cum, &key)| {
+                                (((base + cum) as u32) << 8)
+                                    | (at as u32 + (key >> NF_ADDR_BITS) as u32)
+                            },
+                        ));
+                    rec.end = self.misses.len() as u32;
+                    rec.insns = (base + total) as u32;
+                }
+                (nmiss, total)
+            }
+        };
+        self.pos += n;
+        if self.phase == MemoPhase::Replaying && self.pos == self.end {
+            l1.sets.copy_from_slice(&self.end_l1);
+            self.phase = MemoPhase::Probing;
+        }
+        if self.pos == self.len {
+            if self.phase == MemoPhase::Recording {
+                self.close(l1);
+            }
+            self.pos = 0;
+        }
+        out
+    }
+
+    /// End the memo at position 0 and free what it holds.
+    fn drop_all(&mut self) {
+        *self = PassMemo {
+            len: self.len,
+            pos: self.pos,
+            phase: MemoPhase::Probing,
+            end: 0,
+            ..PassMemo::new(0)
+        };
+    }
+
+    /// Read the chunk `events` at the current position from the memo.
+    /// A whole chunk reads only its misses' events; a part of one (a
+    /// warm-up boundary cut it) walks its events for their instructions.
+    fn replay(
+        &self,
+        events: &[Access],
+        miss_cum: &mut [u64],
+        miss_key: &mut [u64],
+    ) -> (usize, u64) {
+        let c = self.pos / CHUNK;
+        let at = self.pos % CHUNK;
+        let lo = c.checked_sub(1).map_or(0, |p| self.chunks[p].end as usize);
+        let rec = self.chunks[c];
+        let misses = &self.misses[lo..rec.end as usize];
+        let key = |k: usize| ((k as u64) << NF_ADDR_BITS) | (events[k].addr & NF_ADDR_MASK);
+        if at == 0 && (events.len() == CHUNK || self.pos + events.len() == self.len) {
+            for (m, &e) in misses.iter().enumerate() {
+                miss_cum[m] = u64::from(e >> 8);
+                miss_key[m] = key((e & 0xff) as usize);
+            }
+            return (misses.len(), u64::from(rec.insns));
+        }
+        let mut at_miss = misses
+            .iter()
+            .map(|&e| (e & 0xff) as usize)
+            .filter(|&p| p >= at);
+        let mut next = at_miss.next();
+        let (mut m, mut cum) = (0, 0);
+        for (k, a) in events.iter().enumerate() {
+            if next == Some(at + k) {
+                miss_cum[m] = cum;
+                miss_key[m] = key(k);
+                m += 1;
+                next = at_miss.next();
+            }
+            cum += u64::from(a.insns);
+        }
+        (m, cum)
+    }
+}
+
 /// One L1 miss as a back consumes it.
 #[derive(Debug, Clone, Copy)]
 struct L2Event {
@@ -411,6 +664,9 @@ struct Front {
     /// Events until the warm-up boundary (0 = no warm-up or already
     /// crossed); a batch never pulls past it.
     warm_left: u64,
+    /// Pass 1 of a recording replayed more than once; `None` for any
+    /// other source.
+    memo: Option<PassMemo>,
     /// Set by the fill that found the stream exhausted.
     done: bool,
 }
@@ -418,6 +674,7 @@ struct Front {
 impl Front {
     fn new(src: EventSource, tenant: u32, warm: u64, l1: &CacheConfig) -> Front {
         Front {
+            memo: src.repeats().map(PassMemo::new),
             src,
             l1: PrivateL1::new(l1),
             miss_cum: vec![0; CHUNK].into_boxed_slice(),
@@ -426,6 +683,11 @@ impl Front {
             warm_left: warm,
             done: false,
         }
+    }
+
+    /// Events this front served from its pass memo.
+    fn replayed(&self) -> u64 {
+        self.memo.as_ref().map_or(0, |m| m.replayed)
     }
 
     /// Refill `out` with the lane's next batch: up to [`BATCH_CHUNKS`]
@@ -444,12 +706,14 @@ impl Front {
                 0 => CHUNK,
                 w => w.min(CHUNK as u64) as usize,
             };
+            let cap = self.memo.as_ref().map_or(cap, |m| cap.min(m.cut()));
             let Front {
                 src,
                 l1,
                 miss_cum,
                 miss_key,
                 tenant,
+                memo,
                 ..
             } = self;
             // The run the source lends: a recording's backing store or a
@@ -461,12 +725,16 @@ impl Front {
                 break;
             }
             // One pass over the run: tag, probe the private L1, compact
-            // the misses.
-            let (nmiss, total) = l1.probe_chunk(events, *tenant as usize, miss_cum, miss_key);
+            // the misses — or read them from the pass memo.
+            let tenant = *tenant as usize;
+            let (nmiss, total) = match memo {
+                Some(m) => m.chunk(l1, events, tenant, miss_cum, miss_key),
+                None => l1.probe_chunk(events, tenant, miss_cum, miss_key),
+            };
             // One L2 event per miss, its hit run folded into instruction
             // counts. `last` is the chunk's instructions through the
             // previous miss.
-            let hi = u64::from(*tenant) << NF_ADDR_BITS;
+            let hi = (tenant as u64) << NF_ADDR_BITS;
             let mut last = 0;
             for (&cum, &key) in miss_cum[..nmiss].iter().zip(&miss_key[..nmiss]) {
                 let through = cum + u64::from(events[(key >> NF_ADDR_BITS) as usize].insns);
@@ -612,6 +880,8 @@ thread_local! {
     static FORCE_HELPER: Cell<Option<bool>> = const { Cell::new(None) };
     /// Helpers started by calls made on this thread.
     static HELPERS_STARTED: Cell<u64> = const { Cell::new(0) };
+    /// Events served from a pass memo by calls made on this thread.
+    static MEMO_EVENTS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Run `f` with the helper thread forced on (from the first batch,
@@ -637,6 +907,13 @@ pub fn helpers_started() -> u64 {
     HELPERS_STARTED.with(Cell::get)
 }
 
+/// Events that engine calls made on this thread so far served from a
+/// pass memo instead of probing the L1 — a test hook.
+#[doc(hidden)]
+pub fn memo_events() -> u64 {
+    MEMO_EVENTS.with(Cell::get)
+}
+
 /// `try_recv` rounds a waiting side spins before it blocks in `recv`
 /// (which yields, then parks): a hand-off wait is usually shorter than a
 /// park and the wake-up that ends it, and the side that would pay for
@@ -660,12 +937,13 @@ fn recv_spinning<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
 /// published its end. Each lane owns [`QUEUE_DEPTH`] batches here plus
 /// the one its back holds, so a send never blocks and the helper waits
 /// only when no lane has a batch to fill. A scheduler that is gone
-/// (unwinding) disconnects both channels, which ends the loop.
+/// (unwinding) disconnects both channels, which ends the loop. Returns
+/// the events the fronts served from their pass memos.
 fn run_fronts(
     mut fronts: Vec<Front>,
     filled: Vec<SyncSender<Batch>>,
     spent: Receiver<(usize, Batch)>,
-) {
+) -> u64 {
     let mut free: Vec<Vec<Batch>> = fronts
         .iter()
         .map(|_| (0..QUEUE_DEPTH).map(|_| Batch::default()).collect())
@@ -683,7 +961,7 @@ fn run_fronts(
             front.fill(&mut batch);
             live -= usize::from(front.done);
             if tx.send(batch).is_err() {
-                return;
+                return 0;
             }
             any = true;
         }
@@ -692,7 +970,7 @@ fn run_fronts(
         } else {
             match recv_spinning(&spent) {
                 Ok(b) => Some(b),
-                Err(RecvError) => return,
+                Err(RecvError) => return 0,
             }
         };
         while let Some((lane, batch)) = back {
@@ -700,6 +978,7 @@ fn run_fronts(
             back = spent.try_recv().ok();
         }
     }
+    fronts.iter().map(Front::replayed).sum()
 }
 
 /// The scheduler's end of a running helper.
@@ -708,7 +987,7 @@ struct Pipe<'scope> {
     filled: Vec<Receiver<Batch>>,
     /// Consumed batches, back to the helper to refill.
     spent: Sender<(usize, Batch)>,
-    helper: ScopedJoinHandle<'scope, ()>,
+    helper: ScopedJoinHandle<'scope, u64>,
 }
 
 /// Where the backs' batches come from: each lane's front, called inline
@@ -763,7 +1042,7 @@ impl<'scope, 'env> Feed<'scope, 'env> {
             }
             // The helper is gone without this lane's end: it panicked.
             Err(RecvError) => {
-                self.finish();
+                let _ = self.finish();
                 unreachable!("a lane's queue closes before its end only if the helper panics");
             }
         }
@@ -786,7 +1065,7 @@ impl<'scope, 'env> Feed<'scope, 'env> {
         let fronts = std::mem::take(&mut self.fronts);
         let helper = self.scope.spawn(move || {
             let _threads = threads;
-            run_fronts(fronts, txs, spent_rx);
+            run_fronts(fronts, txs, spent_rx)
         });
         self.pipe = Some(Pipe {
             filled,
@@ -797,19 +1076,22 @@ impl<'scope, 'env> Feed<'scope, 'env> {
     }
 
     /// Close the queues and join the helper, re-raising its panic as
-    /// this call's.
-    fn finish(&mut self) {
+    /// this call's. Returns the events every front, inline or on the
+    /// helper, served from its pass memo.
+    fn finish(&mut self) -> u64 {
+        let inline: u64 = self.fronts.iter().map(Front::replayed).sum();
         let Some(Pipe {
             filled,
             spent,
             helper,
         }) = self.pipe.take()
         else {
-            return;
+            return inline;
         };
         drop((filled, spent));
-        if let Err(payload) = helper.join() {
-            std::panic::resume_unwind(payload);
+        match helper.join() {
+            Ok(replayed) => inline + replayed,
+            Err(payload) => std::panic::resume_unwind(payload),
         }
     }
 }
@@ -957,7 +1239,8 @@ pub fn run_colocated_ids_sink<S: TelemetrySink + ?Sized>(
                 }
             }
         }
-        feed.finish();
+        let replayed = feed.finish();
+        MEMO_EVENTS.with(|c| c.set(c.get() + replayed));
     });
 
     // Subtract the warmup portion (streams shorter than the warmup keep

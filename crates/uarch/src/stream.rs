@@ -196,6 +196,23 @@ impl SharedReplayStream {
     }
 }
 
+impl EventSource {
+    /// The events per pass of a non-empty recording that is at the start
+    /// of a pass and has at least one more pass after it to run — a
+    /// stream whose later passes repeat its next one event for event.
+    /// `None` for anything else, generators included.
+    pub(crate) fn repeats(&self) -> Option<usize> {
+        match self {
+            EventSource::Shared(s)
+                if s.pos == 0 && s.passes_left >= 2 && !s.accesses.is_empty() =>
+            {
+                Some(s.accesses.len())
+            }
+            _ => None,
+        }
+    }
+}
+
 /// A seeded synthetic [`TraceSource`] with a configurable working set
 /// and access mix, for engine tests and probes. Addresses cycle
 /// pseudo-randomly (LCG) through `working_set` bytes.

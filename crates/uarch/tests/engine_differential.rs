@@ -17,6 +17,12 @@
 //! batches — and `engine::with_helper` forces either, so the suite also
 //! holds pipelined ≡ inline ≡ reference, and pins what the helper does
 //! when a source panics or the thread budget is spent.
+//!
+//! A recording replayed more than once is served from a pass memo once
+//! a later pass's L1 meets pass 1's; the memo suite below holds such
+//! replays to the reference for L1s that repeat early, late, never, and
+//! past the memo's cap, and `engine::memo_events` shows which of them
+//! the memo served.
 
 use std::sync::mpsc;
 use std::time::Duration;
@@ -26,8 +32,8 @@ use proptest::TestRng;
 use snic_telemetry::{BufferSink, NullSink, Recorder};
 use snic_uarch::budget::Threads;
 use snic_uarch::engine::{
-    helpers_started, run_colocated_ids_sink, run_colocated_warm, with_helper, RunOutcome,
-    NF_ADDR_BITS,
+    helpers_started, memo_events, run_colocated_ids_sink, run_colocated_warm, with_helper,
+    RunOutcome, NF_ADDR_BITS,
 };
 use snic_uarch::reference::{run_reference, NullObserver};
 use snic_uarch::stream::{Access, AccessKind, EventSource, SharedReplayStream, SyntheticStream};
@@ -380,4 +386,181 @@ fn an_exhausted_budget_starts_no_helper() {
     assert_eq!(helpers_started(), before, "no spare thread, no helper");
     drop(held);
     assert_eq!(starved.nfs, pipelined.nfs);
+}
+
+/// How soon a later pass of a [`memo_recording`] finds pass 1's L1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Repeat {
+    /// Random lines over a few L1s: within the first checkpoints.
+    Early,
+    /// Set 0 holds one line from the end of the pass until four others
+    /// evict it [`LATE_AT`] events in.
+    Late,
+    /// Everything fits in the L1, and set 0 holds a line the pass
+    /// touches only last: a later pass never meets pass 1's L1.
+    Never,
+    /// Misses on almost every event, more of them than the memo keeps.
+    PastCap,
+}
+
+/// Where a [`Repeat::Late`] pass first evicts the line its predecessor
+/// left in set 0.
+const LATE_AT: usize = 20_000;
+
+/// Bytes of line `i` of set 0 in both L1 personalities (32 KiB and 4 KiB,
+/// 64-byte lines, 4 ways): its line number is a multiple of 128.
+fn set0_line(i: u64) -> u64 {
+    i << 13
+}
+
+/// A random address in the bottom `span` bytes, in any set but set 0 of
+/// either L1 personality.
+fn off_set0(rng: &mut TestRng, span: u64) -> u64 {
+    loop {
+        let a = rng.below(span);
+        if (a >> 6) & 15 != 0 {
+            return a;
+        }
+    }
+}
+
+/// A recording for the memo suite, its length off the chunk grid.
+fn memo_recording(repeat: Repeat) -> Vec<Access> {
+    let mut rng = TestRng::new(0x3e30 + repeat as u64);
+    let (len, span) = match repeat {
+        Repeat::Early => (50_003, 4 * (32 << 10)),
+        Repeat::Late => (40_001, 4 * (32 << 10)),
+        Repeat::Never => (30_011, 2 << 10),
+        Repeat::PastCap => (1_300_007, 4 << 20),
+    };
+    let mut v: Vec<Access> = (0..len)
+        .map(|_| Access {
+            insns: 1 + rng.below(9) as u32,
+            addr: off_set0(&mut rng, span),
+            kind: AccessKind::Load,
+        })
+        .collect();
+    if matches!(repeat, Repeat::Late | Repeat::Never) {
+        if repeat == Repeat::Late {
+            for i in 0..4 {
+                v[LATE_AT + i as usize].addr = set0_line(1 + i);
+            }
+        }
+        v[len - 1].addr = set0_line(9);
+    }
+    v
+}
+
+/// Every recording replayed 2–4 times (2–3 past the cap), warm-ups
+/// before, at and after the first pass boundary, on both L1
+/// personalities beside a streamed co-tenant, with the fronts inline
+/// and on a helper: the engine equals the reference, the memo serves
+/// the recordings whose L1 repeats and never the one whose L1 does not.
+#[test]
+fn replayed_recordings_match_the_reference_memo_or_not() {
+    for repeat in [Repeat::Early, Repeat::Late, Repeat::Never, Repeat::PastCap] {
+        let trace: std::sync::Arc<[Access]> = memo_recording(repeat).into();
+        let len = trace.len() as u64;
+        let passes: &[u32] = if repeat == Repeat::PastCap {
+            &[2, 3]
+        } else {
+            &[2, 3, 4]
+        };
+        for &passes in passes {
+            for warm in [len / 2 + 37, len, len + len / 3 + 11] {
+                for small_l1 in [false, true] {
+                    let mut cfg = MachineConfig::commodity(2, 256 << 10);
+                    if small_l1 {
+                        cfg.l1 = CacheConfig {
+                            size: 4 << 10,
+                            ways: 4,
+                            line: 64,
+                        };
+                    }
+                    let mk = || -> Vec<EventSource> {
+                        vec![
+                            SharedReplayStream::repeated(trace.clone(), passes).into(),
+                            SyntheticStream::new(1 << 20, 3, 0, 20_000, 5).into(),
+                        ]
+                    };
+                    let warmups = [warm, 0];
+                    let reference =
+                        run_reference(&cfg, mk(), &warmups, &NullSink, &mut NullObserver);
+                    for helper in [false, true] {
+                        let before = memo_events();
+                        let fast = with_helper(helper, || run_colocated_warm(&cfg, mk(), &warmups));
+                        let served = memo_events() - before;
+                        let at = format!(
+                            "{repeat:?} x{passes}, warm-up {warm}, 4 KiB L1 {small_l1}, helper {helper}"
+                        );
+                        assert_eq!(fast.nfs, reference.nfs, "{at}: engines diverged");
+                        let later = u64::from(passes - 1) * len;
+                        match repeat {
+                            Repeat::Early => assert!(served > later / 2, "{at}: served {served}"),
+                            Repeat::Late => assert!(
+                                served > 0
+                                    && served <= later - u64::from(passes - 1) * LATE_AT as u64,
+                                "{at}: served {served}"
+                            ),
+                            Repeat::Never => assert_eq!(served, 0, "{at}"),
+                            // The cap ends the memo about four fifths in.
+                            Repeat::PastCap => assert!(
+                                served > later / 2 && served < later * 9 / 10,
+                                "{at}: served {served}"
+                            ),
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A single-pass recording and a generator streamed in several passes
+/// never reach the memo, however often their events repeat.
+#[test]
+fn single_passes_and_generators_never_use_the_memo() {
+    let trace: std::sync::Arc<[Access]> = memo_recording(Repeat::Early).into();
+    let twice: std::sync::Arc<[Access]> = trace
+        .iter()
+        .chain(trace.iter())
+        .copied()
+        .collect::<Vec<_>>()
+        .into();
+    let cfg = MachineConfig::snic(1, 256 << 10);
+    for helper in [false, true] {
+        let before = memo_events();
+        let once = with_helper(helper, || {
+            run_colocated_warm(
+                &cfg,
+                vec![SharedReplayStream::new(twice.clone()).into()],
+                &[trace.len() as u64],
+            )
+        });
+        let streamed = with_helper(helper, || {
+            let synth = SyntheticStream::new(4 * (32 << 10), 3, 0, 50_003, 9);
+            run_colocated_warm(
+                &cfg,
+                vec![StreamedSource::repeated(Box::new(synth), 3).into()],
+                &[50_003],
+            )
+        });
+        assert_eq!(memo_events(), before, "helper {helper}");
+        let memo = with_helper(helper, || {
+            run_colocated_warm(
+                &cfg,
+                vec![SharedReplayStream::repeated(trace.clone(), 2).into()],
+                &[trace.len() as u64],
+            )
+        });
+        assert_eq!(
+            memo.nfs, once.nfs,
+            "helper {helper}: a doubled recording is a recording replayed twice"
+        );
+        assert!(
+            memo_events() > before,
+            "helper {helper}: the replayed recording uses the memo"
+        );
+        assert!(streamed.nfs[0].l1_misses > 0);
+    }
 }

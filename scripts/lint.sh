@@ -277,15 +277,26 @@ cargo run -q --release --bin snicctl -- trace billion --gate \
 
 # Paper scale: every `_full` golden, crates/bench/tests/golden/<name>_full.txt,
 # must match `snicctl exp <name> --full` byte for byte (today fig5a and
-# fig5b). They take minutes each, so tier-1 does not run them. Each wall
-# time is printed; no budget is enforced yet, since the target (under
-# 60 s each on a 2-thread host) is not met.
+# fig5b). They take minutes each, so tier-1 does not run them. The
+# release binary runs directly, so the wall time printed excludes cargo;
+# beside it goes the process's peak resident set (`VmHWM`), read from
+# /proc/<pid>/status until it exits. No budget is enforced yet, since the
+# target (under 60 s each on a 2-thread host) is not met.
 for golden in crates/bench/tests/golden/*_full.txt; do
     fig="$(basename "$golden" _full.txt)"
     echo "==> paper-scale $fig (snicctl exp $fig --full against $golden)"
     start="$EPOCHREALTIME"
-    cargo run -q --release --bin snicctl -- exp "$fig" --full > "$test_log"
-    echo "    wall: $(awk -v a="$start" -v b="$EPOCHREALTIME" 'BEGIN { printf "%.1f s", b - a }')"
+    target/release/snicctl exp "$fig" --full > "$test_log" &
+    pid=$!
+    hwm_kib=0
+    while kill -0 "$pid" 2> /dev/null; do
+        # An exiting process's status has no VmHWM line: keep the last.
+        kib="$(awk '/^VmHWM:/ { print $2 }' "/proc/$pid/status" 2> /dev/null || true)"
+        if [ -n "$kib" ]; then hwm_kib="$kib"; fi
+        sleep 0.2
+    done
+    wait "$pid"
+    echo "    wall: $(awk -v a="$start" -v b="$EPOCHREALTIME" 'BEGIN { printf "%.1f s", b - a }'), VmHWM: $((hwm_kib / 1024)) MiB"
     if ! diff -u "$golden" "$test_log" >&2; then
         echo "FAIL: snicctl exp $fig --full differs from $golden" >&2
         exit 1

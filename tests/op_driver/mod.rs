@@ -485,9 +485,12 @@ impl Driver {
                 }
             }
             Op::ResumeScrubs => {
-                prop_assert!(self.nic.resume_scrubs().is_ok());
-                // Unless power is lost again part way.
-                if !self.nic.is_crashed() {
+                let result = self.nic.resume_scrubs();
+                if self.nic.is_crashed() {
+                    // Power was lost again part way, and the call says so.
+                    prop_assert_eq!(result, Err(SnicError::PowerLoss));
+                } else {
+                    prop_assert!(result.is_ok());
                     prop_assert!(self.nic.pending_scrubs().is_empty());
                 }
             }
