@@ -200,6 +200,9 @@ impl SetMap {
 /// valid stamp — the access clock pre-increments, so live lines stamp
 /// from 1 — which makes invalid lines win LRU victim selection with no
 /// extra branch).
+///
+/// The cache keeps no per-tenant statistics: every caller counts the
+/// hits and misses [`Cache::access`] returns for its own tenant.
 #[derive(Debug)]
 pub struct Cache {
     config: CacheConfig,
@@ -212,22 +215,26 @@ pub struct Cache {
     owners: Box<[u32]>,
     set_map: SetMap,
     slices: WaySlices,
+    /// SecDCP resizes so far: a [`WaySlice`] is good for the generation
+    /// it was resolved in.
+    generation: u32,
     clock: u64,
-    /// Counters indexed by tenant id, grown on demand (tenant ids are
-    /// small: stream indices or partition slots).
-    hits: Vec<u64>,
-    misses: Vec<u64>,
 }
 
-/// Bump `counters[t]`, growing the array the first time tenant `t`
-/// appears.
-#[inline]
-fn bump(counters: &mut Vec<u64>, t: u32) {
-    let t = t as usize;
-    if t >= counters.len() {
-        counters.resize(t + 1, 0);
-    }
-    counters[t] += 1;
+/// One tenant's resolved view of a [`Cache`]: the ways `[lo, hi)` it may
+/// occupy in every set, and whether its hits must be on lines it filled.
+/// [`Cache::slice`] resolves it once, with the strict-domain check, so
+/// [`Cache::access_slice`] does no per-access table lookup or range
+/// check. A SecDCP resize moves the slices; a view resolved before it is
+/// stale (debug-asserted).
+#[derive(Debug, Clone, Copy)]
+pub struct WaySlice {
+    lo: u32,
+    hi: u32,
+    tenant: u32,
+    /// [`Partition::Shared`]: a hit may be on any tenant's line.
+    shared: bool,
+    generation: u32,
 }
 
 impl Cache {
@@ -269,13 +276,13 @@ impl Cache {
             owners: vec![0; n].into_boxed_slice(),
             set_map,
             slices,
+            generation: 0,
             clock: 0,
-            hits: Vec::new(),
-            misses: Vec::new(),
         }
     }
 
-    /// The way range `[lo, hi)` tenant `t` may occupy.
+    /// Tenant `t`'s way slice, resolved once for any number of
+    /// [`Cache::access_slice`] calls.
     ///
     /// # Panics
     ///
@@ -285,12 +292,11 @@ impl Cache {
     /// out-of-range tenant with a legitimate one in the same way slice,
     /// handing them mutual eviction visibility — exactly the channel
     /// partitioning exists to close. Mirroring `TemporalArbiter::grant`,
-    /// a mis-numbered tenant is now a hard error (kept as a release
-    /// assert: this guards an isolation claim, not a perf invariant).
-    #[inline]
-    fn way_range(&self, t: u32) -> (usize, usize) {
-        match &self.slices {
-            WaySlices::Shared => (0, self.config.ways as usize),
+    /// a mis-numbered tenant is a hard error (kept as a release assert:
+    /// this guards an isolation claim, not a perf invariant).
+    pub fn slice(&self, t: u32) -> WaySlice {
+        let (lo, hi) = match &self.slices {
+            WaySlices::Shared => (0, self.config.ways),
             WaySlices::Static(slices) => {
                 assert!(
                     (t as usize) < slices.len(),
@@ -298,8 +304,7 @@ impl Cache {
                      (wrapping would silently share a slice across tenants)",
                     slices.len()
                 );
-                let (lo, hi) = slices[t as usize];
-                (lo as usize, hi as usize)
+                slices[t as usize]
             }
             WaySlices::SecDcp(slices) => {
                 assert!(
@@ -308,9 +313,15 @@ impl Cache {
                      (clamping would silently merge it into the last tenant's slice)",
                     slices.len()
                 );
-                let (lo, hi) = slices[t as usize];
-                (lo as usize, hi as usize)
+                slices[t as usize]
             }
+        };
+        WaySlice {
+            lo,
+            hi,
+            tenant: t,
+            shared: matches!(self.slices, WaySlices::Shared),
+            generation: self.generation,
         }
     }
 
@@ -323,42 +334,35 @@ impl Cache {
         }
     }
 
-    /// Warm the *host* cache for an upcoming [`Cache::access`] to
-    /// `addr` — a pure performance hint with no model-visible effect.
-    /// The engine discovers L2 events a whole chunk ahead of consuming
-    /// them, so touching the set's tag and stamp lines early hides the
-    /// host-memory latency that otherwise dominates the miss path.
-    /// (`black_box` keeps the otherwise-dead loads from being elided;
-    /// there is no stable safe prefetch intrinsic.)
-    #[inline]
-    pub fn prefetch(&self, addr: u64) {
-        let (set_idx, _) = self.set_map.locate(addr);
-        let lo = set_idx * self.config.ways as usize;
-        std::hint::black_box(self.tags[lo]);
-        std::hint::black_box(self.stamps[lo]);
-    }
-
     /// Access `addr` on behalf of tenant `t`; returns `true` on hit.
-    ///
-    /// `inline(always)`: the partition-discipline branches inside
-    /// predict perfectly only when each call site (the engine's L1
-    /// probe vs its L2 probe) gets its own copy.
+    /// Resolves `t`'s slice ([`Cache::slice`], which panics on a tenant
+    /// without one) and accesses through it; a caller that accesses for
+    /// one tenant many times resolves the slice once instead.
     #[inline(always)]
     pub fn access(&mut self, t: u32, addr: u64) -> bool {
+        let slice = self.slice(t);
+        self.access_slice(slice, addr)
+    }
+
+    /// Access `addr` within `slice`; returns `true` on hit.
+    ///
+    /// `inline(always)`: the shared/partitioned branch inside predicts
+    /// perfectly only when each call site (the engine's L2 probe, the
+    /// reference engine's L1 and L2 probes) gets its own copy.
+    #[inline(always)]
+    pub fn access_slice(&mut self, slice: WaySlice, addr: u64) -> bool {
+        debug_assert_eq!(
+            slice.generation, self.generation,
+            "way slice resolved before a SecDCP resize"
+        );
         self.clock += 1;
         let (set_idx, tag) = self.set_map.locate(addr);
         debug_assert!(
             tag != TAG_INVALID,
             "address {addr:#x} maps to the invalid-line tag sentinel"
         );
-        let ways = self.config.ways as usize;
-        let shared = matches!(self.slices, WaySlices::Shared);
-        let (lo, hi) = if shared {
-            (set_idx * ways, (set_idx + 1) * ways)
-        } else {
-            let (rlo, rhi) = self.way_range(t);
-            (set_idx * ways + rlo, set_idx * ways + rhi)
-        };
+        let base = set_idx * self.config.ways as usize;
+        let (lo, hi) = (base + slice.lo as usize, base + slice.hi as usize);
 
         // Hit scan over the tag array only — the LRU stamps stay out of
         // the host cache until a miss actually needs them. The scan
@@ -373,16 +377,15 @@ impl Cache {
         // Under Shared, a hit may be satisfied from any way regardless
         // of owner (this is what makes soft partitioning like Intel CAT
         // leaky — see §4.2 footnote). Under hard partitioning only the
-        // tenant's own slice is searched and `way_range` rejects ids
-        // without a slice, so the owner check is defense-in-depth (it
+        // tenant's own slice is searched and `slice` rejects ids
+        // without one, so the owner check is defense-in-depth (it
         // would catch a slice-table bug); it sits behind the rare tag
         // match, off the scan itself.
         let mut mask = crate::simd::match_mask(&self.tags[lo..hi], tag);
         while mask != 0 {
             let w = lo + mask.trailing_zeros() as usize;
-            if shared || self.owners[w] == t {
+            if slice.shared || self.owners[w] == slice.tenant {
                 self.stamps[w] = self.clock;
-                bump(&mut self.hits, t);
                 return true;
             }
             mask &= mask - 1;
@@ -394,53 +397,8 @@ impl Cache {
         let victim = lo + crate::simd::min_stamp_way(&self.stamps[lo..hi]);
         self.tags[victim] = tag;
         self.stamps[victim] = self.clock;
-        self.owners[victim] = t;
-        bump(&mut self.misses, t);
+        self.owners[victim] = slice.tenant;
         false
-    }
-
-    /// Hits recorded for tenant `t`.
-    ///
-    /// Debug-asserts that `t` is a domain the partition knows about —
-    /// a silent 0 for a mis-numbered tenant masks indexing bugs in
-    /// sweep code. Sweeps probing tenants that may legitimately be
-    /// absent should use [`Cache::try_hits`].
-    pub fn hits(&self, t: u32) -> u64 {
-        debug_assert!(
-            self.try_hits(t).is_some(),
-            "tenant {t} outside the partition's domain range"
-        );
-        self.hits.get(t as usize).copied().unwrap_or(0)
-    }
-
-    /// Misses recorded for tenant `t`; see [`Cache::hits`] for the
-    /// range contract.
-    pub fn misses(&self, t: u32) -> u64 {
-        debug_assert!(
-            self.try_misses(t).is_some(),
-            "tenant {t} outside the partition's domain range"
-        );
-        self.misses.get(t as usize).copied().unwrap_or(0)
-    }
-
-    /// Hits recorded for tenant `t`, or `None` when the partition has
-    /// no such domain (the checked form of [`Cache::hits`]). A tenant
-    /// inside the domain range that simply never accessed the cache
-    /// reports `Some(0)`.
-    pub fn try_hits(&self, t: u32) -> Option<u64> {
-        match self.domains() {
-            Some(n) if t >= n => None,
-            _ => Some(self.hits.get(t as usize).copied().unwrap_or(0)),
-        }
-    }
-
-    /// Misses recorded for tenant `t`, or `None` when the partition has
-    /// no such domain (the checked form of [`Cache::misses`]).
-    pub fn try_misses(&self, t: u32) -> Option<u64> {
-        match self.domains() {
-            Some(n) if t >= n => None,
-            _ => Some(self.misses.get(t as usize).copied().unwrap_or(0)),
-        }
     }
 
     /// Resize a SecDCP allocation between phases.
@@ -459,13 +417,14 @@ impl Cache {
         assert!(total <= self.config.ways && allocation.iter().all(|&w| w > 0));
         self.partition = Partition::SecDcp { allocation };
         self.slices = WaySlices::build(&self.config, &self.partition);
+        self.generation += 1;
         // Invalidate lines that now sit outside their owner's slice.
         let ways = self.config.ways as usize;
         for idx in 0..self.tags.len() {
             if self.stamps[idx] != 0 {
-                let (lo, hi) = self.way_range(self.owners[idx]);
-                let way = idx % ways;
-                if way < lo || way >= hi {
+                let s = self.slice(self.owners[idx]);
+                let way = (idx % ways) as u32;
+                if way < s.lo || way >= s.hi {
                     self.tags[idx] = TAG_INVALID;
                     self.stamps[idx] = 0;
                     self.owners[idx] = 0;
@@ -520,8 +479,6 @@ mod tests {
         assert!(c.access(0, 0x1000));
         assert!(c.access(0, 0x103f)); // Same line.
         assert!(!c.access(0, 0x1040)); // Next line.
-        assert_eq!(c.hits(0), 2);
-        assert_eq!(c.misses(0), 2);
     }
 
     #[test]
@@ -574,14 +531,14 @@ mod tests {
         let mut part = tiny(Partition::StaticWays { tenants: 2 });
         // A working set of 4 lines in one set: fits shared (4 ways), not
         // a 2-way slice.
-        for rounds in 0..8 {
+        let (mut shared_misses, mut part_misses) = (0, 0);
+        for _ in 0..8 {
             for i in 0..4u64 {
-                shared.access(0, i * 256);
-                part.access(0, i * 256);
+                shared_misses += u32::from(!shared.access(0, i * 256));
+                part_misses += u32::from(!part.access(0, i * 256));
             }
-            let _ = rounds;
         }
-        assert!(part.misses(0) > shared.misses(0));
+        assert!(part_misses > shared_misses);
     }
 
     #[test]
@@ -611,9 +568,13 @@ mod tests {
     fn last_tenant_absorbs_remainder_ways() {
         // 4 ways, 3 tenants: slices are 1,1,2.
         let c = tiny(Partition::StaticWays { tenants: 3 });
-        assert_eq!(c.way_range(0), (0, 1));
-        assert_eq!(c.way_range(1), (1, 2));
-        assert_eq!(c.way_range(2), (2, 4));
+        let ways = |t| {
+            let s = c.slice(t);
+            (s.lo, s.hi)
+        };
+        assert_eq!(ways(0), (0, 1));
+        assert_eq!(ways(1), (1, 2));
+        assert_eq!(ways(2), (2, 4));
     }
 
     #[test]
@@ -669,35 +630,5 @@ mod tests {
             .domains(),
             Some(3)
         );
-    }
-
-    #[test]
-    fn try_stats_distinguish_absent_from_zero() {
-        let mut c = tiny(Partition::StaticWays { tenants: 2 });
-        c.access(0, 0x1000);
-        assert_eq!(c.try_hits(0), Some(0));
-        assert_eq!(c.try_misses(0), Some(1));
-        // In-range tenant with no traffic: a real zero.
-        assert_eq!(c.try_hits(1), Some(0));
-        assert_eq!(c.try_misses(1), Some(0));
-        // Out-of-range tenant: no such domain.
-        assert_eq!(c.try_hits(2), None);
-        assert_eq!(c.try_misses(2), None);
-        // Shared caches accept any id (no domain table to violate).
-        let s = tiny(Partition::Shared);
-        assert_eq!(s.try_hits(1000), Some(0));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    fn unchecked_stats_assert_range_in_debug() {
-        let c = tiny(Partition::StaticWays { tenants: 2 });
-        let hit = std::panic::catch_unwind(|| c.hits(9));
-        assert!(
-            hit.is_err(),
-            "hits(9) must debug-assert on a 2-tenant cache"
-        );
-        let miss = std::panic::catch_unwind(|| c.misses(9));
-        assert!(miss.is_err());
     }
 }

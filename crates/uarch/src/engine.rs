@@ -40,14 +40,20 @@
 //!   event, instruction and tail totals. A batch never crosses the
 //!   warm-up boundary, so the snapshot lands on a batch close.
 //! - **Back** ([`Back`]): the lane's clock, statistics, warm-up snapshot
-//!   and bus telemetry. Only L2 events enter the global interleaved
-//!   loop, keyed by `(clock before the missing event, stream index)` —
-//!   exactly the key the per-event loop would give them, with hit
-//!   timing collapsed into the batch's instruction sums. Shared state
-//!   (L2 contents, bus arbiter) is touched in the identical order, so
-//!   commodity coupling (shared LRU + FCFS queueing) is reproduced
-//!   bit-for-bit; the run-ahead and runner-up-caching tricks from the
-//!   per-event loop carry over unchanged.
+//!   and bus telemetry, and its L2 way slice, resolved and range-checked
+//!   once from its tenant id ([`Cache::slice`]). Only L2 events enter
+//!   the global interleaved loop, keyed by `(clock before the missing
+//!   event, stream index)` — exactly the key the per-event loop would
+//!   give them, with hit timing collapsed into the batch's instruction
+//!   sums. Shared state (L2 contents, bus arbiter) is touched in the
+//!   identical order, so commodity coupling (shared LRU + FCFS queueing)
+//!   is reproduced bit-for-bit. The lane with the smallest key *runs
+//!   ahead* while its keys stay below the runner-up's, as in the
+//!   per-event loop: the runner-up's `(time, lane)` key folds into one
+//!   `u64` limit, and [`Back::run`] is one loop over the batch's L2
+//!   events with the clock and L2 counters in locals, written back once
+//!   per run. What the back pays per event is then the model's own work:
+//!   the slice's tag scan, on a miss the victim scan and the bus grant.
 //!
 //! Between two L1 misses a stream's clock advances by the pure sum of
 //! instruction counts, so nothing observable distinguishes this from
@@ -115,7 +121,7 @@ use snic_telemetry::{metrics, Histogram, NullSink, TelemetrySink};
 
 use crate::budget::Threads;
 use crate::bus::{BusArbiter, BusKind};
-use crate::cache::{Cache, CacheConfig, Partition, TAG_INVALID};
+use crate::cache::{Cache, CacheConfig, Partition, WaySlice, TAG_INVALID};
 use crate::config::{MachineConfig, BUS_BEAT_CYCLES, DRAM_CYCLES, L2_HIT_CYCLES};
 use crate::stream::{Access, EventSource};
 
@@ -763,7 +769,7 @@ impl Front {
 }
 
 /// A lane's scheduled half: its clock, statistics, warm-up snapshot and
-/// bus telemetry, and the batch it is consuming.
+/// bus telemetry, its L2 way slice, and the batch it is consuming.
 struct Back {
     batch: Batch,
     /// Next unconsumed entry of `batch.misses`.
@@ -772,18 +778,21 @@ struct Back {
     time: u64,
     /// Global tenant id: way slice, epoch slot, telemetry domain.
     tenant: u32,
+    /// The tenant's L2 way slice, resolved (and range-checked) once.
+    slice: WaySlice,
     st: NfRunStats,
     snapshot: Option<NfRunStats>,
     tel: BusTelemetry,
 }
 
 impl Back {
-    fn new(tenant: u32) -> Back {
+    fn new(tenant: u32, l2: &Cache) -> Back {
         Back {
             batch: Batch::default(),
             next: 0,
             time: 0,
             tenant,
+            slice: l2.slice(tenant),
             st: NfRunStats::zero(),
             snapshot: None,
             tel: BusTelemetry::default(),
@@ -838,38 +847,52 @@ impl Back {
         self.time + self.batch.misses[self.next].before
     }
 
-    /// Process the next L2 event against the shared L2 and bus, folding
-    /// the preceding hit run into the clock arithmetically.
+    /// Run ahead through the batch: consume its L2 events against the
+    /// shared L2 and bus, folding each preceding hit run into the clock
+    /// arithmetically, while their key time stays below `limit`. The
+    /// first one is consumed unconditionally — the caller has given
+    /// this lane the turn — and the run stops at the batch's end at the
+    /// latest. The clock and the L2 counters live in locals for the
+    /// whole run and are written back once.
     #[inline]
-    fn consume_miss(&mut self, l2: &mut Cache, arbiter: &mut BusArbiter, telemetry_on: bool) {
-        let e = self.batch.misses[self.next];
-        // Clock after the missing event's instruction charge.
-        let mut now = self.time + e.through;
-        if l2.access(self.tenant, e.addr) {
-            self.st.l2_hits += 1;
-            now += L2_HIT_CYCLES;
-        } else {
-            self.st.l2_misses += 1;
-            let ready = now + L2_HIT_CYCLES;
-            let start = arbiter.grant(self.tenant, ready, BUS_BEAT_CYCLES);
-            if telemetry_on {
-                self.tel.grants += 1;
-                self.tel.wait.record(start.saturating_sub(ready));
-                self.tel.dram.record(DRAM_CYCLES);
-                if start > ready {
-                    self.tel.delayed += 1;
+    fn run(&mut self, limit: u64, l2: &mut Cache, arbiter: &mut BusArbiter, telemetry_on: bool) {
+        let events = &self.batch.misses;
+        let (slice, tenant) = (self.slice, self.tenant);
+        let first = self.next;
+        let mut k = first;
+        let mut time = self.time;
+        let mut hits = 0u64;
+        loop {
+            let e = events[k];
+            // Clock after the missing event's instruction charge.
+            let now = time + e.through;
+            time = if l2.access_slice(slice, e.addr) {
+                hits += 1;
+                now + L2_HIT_CYCLES
+            } else {
+                let ready = now + L2_HIT_CYCLES;
+                let start = arbiter.grant(tenant, ready, BUS_BEAT_CYCLES);
+                if telemetry_on {
+                    self.tel.grants += 1;
+                    self.tel.wait.record(start.saturating_sub(ready));
+                    self.tel.dram.record(DRAM_CYCLES);
+                    if start > ready {
+                        self.tel.delayed += 1;
+                    }
                 }
+                start + BUS_BEAT_CYCLES + DRAM_CYCLES
+            };
+            k += 1;
+            match events.get(k) {
+                Some(n) if time + n.before < limit => {}
+                _ => break,
             }
-            now = start + BUS_BEAT_CYCLES + DRAM_CYCLES;
         }
-        self.time = now;
-        self.next += 1;
-        // Host-cache hint: the lane's next L2 event is already sitting
-        // in the batch, so warm its set lines while the scheduler
-        // decides whose turn is next.
-        if let Some(n) = self.batch.misses.get(self.next) {
-            l2.prefetch(n.addr);
-        }
+        let consumed = (k - first) as u64;
+        self.time = time;
+        self.next = k;
+        self.st.l2_hits += hits;
+        self.st.l2_misses += consumed - hits;
     }
 }
 
@@ -1180,7 +1203,7 @@ pub fn run_colocated_ids_sink<S: TelemetrySink + ?Sized>(
             )
         })
         .collect();
-    let mut backs: Vec<Back> = tenant_ids.iter().map(|&t| Back::new(t)).collect();
+    let mut backs: Vec<Back> = tenant_ids.iter().map(|&t| Back::new(t, &l2)).collect();
 
     std::thread::scope(|scope| {
         let mut feed = Feed::new(fronts, scope);
@@ -1221,20 +1244,26 @@ pub fn run_colocated_ids_sink<S: TelemetrySink + ?Sized>(
                 break;
             }
             let i = best.1;
+            // Lane `i` keeps the turn while its next key `(t, i)` stays
+            // below the runner-up's `(rt, rl)`: `t < rt`, or `t == rt`
+            // and `i < rl` — that is `t < rt + [i < rl]`, one compare per
+            // event. Saturating at `u64::MAX` can only end a run early,
+            // which costs a rescan, never an out-of-order event.
+            let limit = runner_up.0.saturating_add(u64::from(i < runner_up.1));
             let back = &mut backs[i];
 
-            // Run ahead: keep consuming lane `i`'s L2 events while its
-            // key stays below the (unchanged) runner-up — a single drain
-            // when it is the only live lane.
+            // Run ahead: keep consuming lane `i`'s L2 events, batch after
+            // batch, while they stay below the (unchanged) runner-up — a
+            // single drain when it is the only live lane.
             loop {
-                back.consume_miss(&mut l2, &mut arbiter, telemetry_on);
+                back.run(limit, &mut l2, &mut arbiter, telemetry_on);
                 if !back.advance(i, &mut feed) {
                     keys[i] = DEAD;
                     break;
                 }
-                let k = (back.next_miss_key_time(), i);
-                if runner_up < k {
-                    keys[i] = k;
+                let t = back.next_miss_key_time();
+                if t >= limit {
+                    keys[i] = (t, i);
                     break;
                 }
             }

@@ -1,21 +1,25 @@
 //! Differential test for the flat (structure-of-arrays) cache.
 //!
 //! The hot-path cache keeps its lines in three contiguous set-major
-//! arrays with encoded validity, precomputed set maps, and a SIMD-lane
-//! hit scan. This suite pits it against a deliberately naive reference
-//! model written straight from the spec — one `Vec` of line records per
-//! set, linear scans, explicit `valid` flags — over random geometries,
-//! all three sharing disciplines, and random interleaved multi-tenant
-//! access sequences. The hit/miss outcome of *every individual access*
-//! must match, as must the final per-tenant counters. A second property
-//! pits the four-lane tag-match scan against its scalar specification
-//! over random way widths, and a third holds the strict-domain contract:
-//! any out-of-range tenant id under a partitioned discipline must refuse
-//! (the old wrap/clamp lookups silently shared a slice instead).
+//! arrays with encoded validity, precomputed set maps, way slices
+//! resolved once per tenant, and a SIMD-lane hit scan. This suite pits
+//! it against a deliberately naive reference model written straight
+//! from the spec — one `Vec` of line records per set, way ranges
+//! re-derived from the partition on every access, linear scans, explicit
+//! `valid` flags — over random geometries of 1–64 ways, all three
+//! sharing disciplines (SecDCP across a resize), and random interleaved
+//! multi-tenant access sequences, through both `Cache::access` and
+//! slices resolved up front. The hit/miss outcome of *every individual
+//! access* must match. A second property pits the four-lane tag-match
+//! scan against its scalar specification over random way widths, and a
+//! third holds the strict-domain contract: any out-of-range tenant id
+//! under a partitioned discipline must refuse, whether it accesses or
+//! asks for its slice (the old wrap/clamp lookups silently shared a
+//! slice instead).
 
 use proptest::prelude::*;
 use proptest::TestRng;
-use snic_uarch::cache::{Cache, CacheConfig, Partition};
+use snic_uarch::cache::{Cache, CacheConfig, Partition, WaySlice};
 use snic_uarch::simd;
 
 /// One line record of the reference model; validity is an explicit flag
@@ -38,8 +42,6 @@ struct RefCache {
     partition: Partition,
     sets: Vec<Vec<RefLine>>,
     clock: u64,
-    hits: Vec<u64>,
-    misses: Vec<u64>,
 }
 
 impl RefCache {
@@ -58,8 +60,23 @@ impl RefCache {
             partition,
             sets: vec![vec![empty; config.ways as usize]; nsets as usize],
             clock: 0,
-            hits: vec![0; 64],
-            misses: vec![0; 64],
+        }
+    }
+
+    /// A SecDCP resize: the new allocation, and every line outside its
+    /// owner's new range invalidated.
+    fn resize(&mut self, allocation: Vec<u32>) {
+        self.partition = Partition::SecDcp { allocation };
+        for set in 0..self.sets.len() {
+            for way in 0..self.ways {
+                let line = self.sets[set][way];
+                if line.valid {
+                    let (lo, hi) = self.range(line.owner);
+                    if way < lo || way >= hi {
+                        self.sets[set][way].valid = false;
+                    }
+                }
+            }
         }
     }
 
@@ -107,7 +124,6 @@ impl RefCache {
         for slot in lines[lo..hi].iter_mut() {
             if slot.valid && slot.tag == tag && (shared || slot.owner == t) {
                 slot.stamp = self.clock;
-                self.hits[t as usize] += 1;
                 return true;
             }
         }
@@ -131,16 +147,17 @@ impl RefCache {
             owner: t,
             stamp: self.clock,
         };
-        self.misses[t as usize] += 1;
         false
     }
 }
 
 /// Random geometry: non-power-of-two set counts and lines included, so
-/// both `SetMap` arms are exercised; every dimension kept small enough
-/// that sets actually fill and evict.
+/// both `SetMap` arms are exercised; 1–64 ways (half the draws at most
+/// 8, where slices are a few ways wide); every dimension kept small
+/// enough that sets actually fill and evict.
 fn geometry(rng: &mut TestRng) -> CacheConfig {
-    let ways = 1 + rng.below(8) as u32;
+    let max_ways = [8, 64][rng.below(2) as usize];
+    let ways = 1 + rng.below(max_ways) as u32;
     let line = [32u32, 48, 64][rng.below(3) as usize];
     let nsets = 1 + rng.below(12);
     CacheConfig {
@@ -151,8 +168,8 @@ fn geometry(rng: &mut TestRng) -> CacheConfig {
 }
 
 /// Random discipline legal for the geometry (static tenant counts no
-/// larger than the way count; SecDCP allocations of ≥1 way per tenant
-/// summing exactly to `ways`).
+/// larger than the way count, so the last tenant often absorbs
+/// remainder ways; SecDCP allocations from [`allocation`]).
 fn discipline(rng: &mut TestRng, ways: u32) -> Partition {
     match rng.below(3) {
         0 => Partition::Shared,
@@ -161,14 +178,27 @@ fn discipline(rng: &mut TestRng, ways: u32) -> Partition {
         },
         _ => {
             let tenants = 1 + rng.below(u64::from(ways)) as usize;
-            let mut allocation = vec![1u32; tenants];
-            for _ in 0..ways as usize - tenants {
-                let slot = rng.below(tenants as u64) as usize;
-                allocation[slot] += 1;
+            Partition::SecDcp {
+                allocation: allocation(rng, ways, tenants),
             }
-            Partition::SecDcp { allocation }
         }
     }
+}
+
+/// A SecDCP allocation of ≥1 way to each of `tenants`, summing to
+/// `ways` or, one time in four, leaving some ways to no one.
+fn allocation(rng: &mut TestRng, ways: u32, tenants: usize) -> Vec<u32> {
+    let spare = if rng.below(4) == 0 {
+        rng.below(u64::from(ways) - tenants as u64 + 1) as usize
+    } else {
+        0
+    };
+    let mut allocation = vec![1u32; tenants];
+    for _ in 0..ways as usize - tenants - spare {
+        let slot = rng.below(tenants as u64) as usize;
+        allocation[slot] += 1;
+    }
+    allocation
 }
 
 /// Tenant-id bound for a discipline: exactly the configured domain
@@ -202,26 +232,37 @@ proptest! {
         let distinct = 1 + rng.below(3 * lines_total.max(2));
         let tenants = tenant_bound(&partition);
         let accesses = 2_000;
+        // Every tenant's slice, resolved once and again after a resize.
+        let resolve = |c: &Cache| -> Vec<WaySlice> { (0..tenants as u32).map(|t| c.slice(t)).collect() };
+        let mut slices = resolve(&flat);
+        // A SecDCP cache resizes once, at a random step, to a random
+        // allocation for as many tenants.
+        let resize_at = match partition {
+            Partition::SecDcp { .. } => rng.below(accesses),
+            _ => u64::MAX,
+        };
 
         for step in 0..accesses {
+            if step == resize_at {
+                let allocation = allocation(&mut rng, config.ways, tenants as usize);
+                flat.secdcp_resize(allocation.clone());
+                naive.resize(allocation);
+                slices = resolve(&flat);
+            }
             let t = rng.below(tenants) as u32;
             let addr =
                 rng.below(distinct) * u64::from(config.line) + rng.below(u64::from(config.line));
-            let f = flat.access(t, addr);
+            let f = if rng.below(2) == 0 {
+                flat.access(t, addr)
+            } else {
+                flat.access_slice(slices[t as usize], addr)
+            };
             let n = naive.access(t, addr);
             prop_assert_eq!(
                 f, n,
-                "access #{} diverged (tenant {}, addr {:#x}, {:?})",
-                step, t, addr, partition
+                "access #{} diverged (tenant {}, addr {:#x}, {:?}, resize at {})",
+                step, t, addr, partition, resize_at
             );
-        }
-        for t in 0..tenants as u32 {
-            // The checked accessors: every in-domain tenant must be
-            // `Some`, and the counts must match the reference.
-            let h = flat.try_hits(t);
-            let m = flat.try_misses(t);
-            prop_assert_eq!(h, Some(naive.hits[t as usize]));
-            prop_assert_eq!(m, Some(naive.misses[t as usize]));
         }
     }
 
@@ -273,6 +314,8 @@ proptest! {
         };
         let bad = domains + rng.below(1000) as u32;
         let mut cache = Cache::new(config, partition);
+        let sliced = std::panic::catch_unwind(|| cache.slice(bad)).is_err();
+        prop_assert!(sliced, "tenant {} given a slice of a {}-domain cache", bad, domains);
         let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.access(bad, 0x40)
         }))

@@ -31,6 +31,7 @@ use proptest::prelude::*;
 use proptest::TestRng;
 use snic_telemetry::{BufferSink, NullSink, Recorder};
 use snic_uarch::budget::Threads;
+use snic_uarch::config::{BUS_BEAT_CYCLES, DRAM_CYCLES, L2_HIT_CYCLES};
 use snic_uarch::engine::{
     helpers_started, memo_events, run_colocated_ids_sink, run_colocated_warm, with_helper,
     RunOutcome, NF_ADDR_BITS,
@@ -563,4 +564,131 @@ fn single_passes_and_generators_never_use_the_memo() {
         );
         assert!(streamed.nfs[0].l1_misses > 0);
     }
+}
+
+/// Cycles a one-instruction L1 and L2 miss takes on an idle FCFS bus:
+/// its instruction, the L2 lookup, one bus beat and DRAM.
+const IDLE_MISS: u64 = 1 + L2_HIT_CYCLES + BUS_BEAT_CYCLES + DRAM_CYCLES;
+
+/// A scripted lane: per event, its instructions and whether it touches
+/// a line never touched before (an L1 and L2 miss, hence a bus grant)
+/// or the line of the event before it (an L1 hit). The first event must
+/// be fresh.
+fn scripted(events: &[(u32, bool)]) -> EventSource {
+    let mut line = 0u64;
+    let trace: Vec<Access> = events
+        .iter()
+        .map(|&(insns, fresh)| {
+            line += u64::from(fresh);
+            Access {
+                insns,
+                addr: line << 6,
+                kind: AccessKind::Load,
+            }
+        })
+        .collect();
+    assert!(
+        events.first().is_none_or(|e| e.1),
+        "a lane opens with a fresh line"
+    );
+    SharedReplayStream::new(trace.into()).into()
+}
+
+/// Run `lanes` on the commodity machine (shared L2, FCFS bus, where the
+/// order two misses reach the bus decides who waits) through the
+/// engine and the reference; they must agree. Returns the engine's
+/// cycles per lane.
+fn scripted_run(lanes: &[&[(u32, bool)]]) -> Vec<u64> {
+    let cfg = MachineConfig::commodity(lanes.len() as u32, 256 << 10);
+    let mk = || -> Vec<EventSource> { lanes.iter().map(|l| scripted(l)).collect() };
+    let fast = run_colocated_warm(&cfg, mk(), &[]);
+    let slow = run_reference(&cfg, mk(), &[], &NullSink, &mut NullObserver);
+    assert_eq!(fast.nfs, slow.nfs, "engines diverged on {lanes:?}");
+    fast.nfs.iter().map(|s| s.cycles).collect()
+}
+
+/// The run-ahead limit at a tie with the runner-up's key, the running
+/// lane's index above the runner-up's: lane 1 runs its first miss and
+/// lands exactly on lane 0's next key, so it must yield, and lane 0's
+/// miss takes the bus first.
+#[test]
+fn a_tie_above_the_runner_up_yields_the_turn() {
+    // Lane 0's first miss ends at IDLE_MISS; lane 1's waits one beat
+    // behind it. Each then runs a hit to the common key `tie`.
+    let tie = 1_000 + IDLE_MISS;
+    let lane0 = [(1, true), ((tie - IDLE_MISS) as u32, false), (1, true)];
+    let lane1 = [
+        (1, true),
+        ((tie - IDLE_MISS - BUS_BEAT_CYCLES) as u32, false),
+        (1, true),
+    ];
+    let cycles = scripted_run(&[&lane0, &lane1]);
+    assert_eq!(
+        cycles[0] + BUS_BEAT_CYCLES,
+        cycles[1],
+        "at the tie lane 0 reaches the bus first and lane 1 waits a beat"
+    );
+}
+
+/// The run-ahead limit with the running lane's index below the
+/// runner-up's: lane 0 runs on from its second miss to a key exactly
+/// equal to lane 1's (a tie it wins, so it keeps the turn) or one cycle
+/// past it (where it must yield to lane 1).
+#[test]
+fn a_tie_below_the_runner_up_keeps_the_turn_and_one_past_it_yields() {
+    // Lane 0: first miss ends at IDLE_MISS, 10 hit instructions, second
+    // miss at `k0` ends at k0 + IDLE_MISS on a bus idle by then. Lane 1:
+    // first miss ends a beat later, 1 000 hit instructions to `k1`.
+    let k0 = IDLE_MISS + 10;
+    let k1 = IDLE_MISS + BUS_BEAT_CYCLES + 1_000;
+    for past in [0, 1] {
+        let run = k1 + past - (k0 + IDLE_MISS);
+        let lane0 = [
+            (1, true),
+            (10, false),
+            (1, true),
+            (run as u32, false),
+            (1, true),
+        ];
+        let lane1 = [(1, true), (1_000, false), (1, true)];
+        let cycles = scripted_run(&[&lane0, &lane1]);
+        // The miss granted second waits for the first one's beat.
+        let (first, second) = if past == 0 { (0, 1) } else { (1, 0) };
+        assert!(
+            cycles[first] < cycles[second],
+            "{past} cycle(s) past the tie: lane {first} must take the bus first, cycles {cycles:?}"
+        );
+    }
+}
+
+/// A run-ahead that crosses batch edges: lane 1 parks its second miss
+/// beyond the end of lane 0's stream, so lane 0 drains several batches
+/// of misses and hit runs in one turn, the clock carried across each
+/// edge.
+#[test]
+fn a_run_ahead_crosses_batch_edges() {
+    let lane0: Vec<(u32, bool)> = (0..3 * BATCH + 500)
+        .map(|i| (1 + (i % 7) as u32, i == 0 || i % 3 != 1))
+        .collect();
+    let lane1 = [(1, true), (u32::MAX, false), (1, true)];
+    let cycles = scripted_run(&[&lane0, &lane1]);
+    assert!(
+        cycles[0] < u64::from(u32::MAX),
+        "lane 0 ran alone to its end first"
+    );
+}
+
+/// A lane whose runner-up is `DEAD` — alone in its call, or beside a
+/// lane with no events — runs its whole stream in one turn; the limit
+/// saturates instead of overflowing.
+#[test]
+fn a_lane_alone_drains_against_a_dead_runner_up() {
+    let lane: Vec<(u32, bool)> = (0..2 * BATCH + 77)
+        .map(|i| (1 + (i % 5) as u32, i % 4 != 3))
+        .collect();
+    let alone = scripted_run(&[&lane]);
+    let beside_empty = scripted_run(&[&lane, &[]]);
+    assert_eq!(beside_empty, [alone[0], 0]);
+    let after_empty = scripted_run(&[&[], &lane]);
+    assert_eq!(after_empty, [0, alone[0]]);
 }
