@@ -130,7 +130,12 @@ fn a_recording_is_one_exact_allocation_and_holds_the_trace_once() {
     // blocks as large as the trace from its first allocation on.
     let len = nf_access_trace(NfKind::Dpi, &scale, seed).len();
     let trace_bytes = len * size_of::<Access>();
-    let trace_block = (trace_bytes + 2 * size_of::<usize>()) as isize;
+    // The `Arc`'s block: its two reference counts, then the events,
+    // padded to the counts' alignment.
+    let (counts_then_events, _) = Layout::new::<[usize; 2]>()
+        .extend(Layout::array::<Access>(len).expect("the trace fits a layout"))
+        .expect("the trace fits a layout");
+    let trace_block = counts_then_events.pad_to_align().size() as isize;
     LARGE.store(trace_bytes, Relaxed);
     LARGE_BLOCKS.store(0, Relaxed);
     let (trace, left, peak) =
@@ -156,7 +161,7 @@ fn a_recording_is_one_exact_allocation_and_holds_the_trace_once() {
     );
 
     // One block as large as the trace, and it is the `Arc`'s: the
-    // events plus the two reference counts ahead of them.
+    // events after the two reference counts, padded.
     assert_eq!(
         LARGE_BLOCKS.load(Relaxed),
         1,

@@ -203,8 +203,8 @@ mod tests {
         s.touch(0x20, AccessKind::Store, 0); // insns clamped to 1.
         let v = s.accesses();
         assert_eq!(v.len(), 2);
-        assert_eq!(v[0].addr, 0x10);
-        assert_eq!(v[1].insns, 1);
+        assert_eq!({ v[0].addr }, 0x10);
+        assert_eq!({ v[1].insns }, 1);
         assert_eq!(v[1].kind, AccessKind::Store);
     }
 

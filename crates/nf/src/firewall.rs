@@ -339,7 +339,7 @@ mod tests {
         assert!(sink
             .accesses()
             .iter()
-            .any(|a| (layout::DATA_BASE..layout::HEAP_BASE).contains(&a.addr)));
+            .any(|a| (layout::DATA_BASE..layout::HEAP_BASE).contains(&{ a.addr })));
     }
 
     #[test]

@@ -397,7 +397,7 @@ mod tests {
                 assert!(
                     covered,
                     "{kind:?}: access {:#x} outside declared regions",
-                    a.addr
+                    { a.addr }
                 );
             }
         }

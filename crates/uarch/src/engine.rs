@@ -125,9 +125,9 @@ use crate::cache::{Cache, CacheConfig, Partition, WaySlice, TAG_INVALID};
 use crate::config::{MachineConfig, BUS_BEAT_CYCLES, DRAM_CYCLES, L2_HIT_CYCLES};
 use crate::stream::{Access, EventSource};
 
-/// Events processed per bulk-L1 chunk. A 256-event run of 16-byte
+/// Events processed per bulk-L1 chunk. A 256-event run of 13-byte
 /// accesses plus the two miss buffers keep a front's working set around
-/// 8 KiB — small enough to stay L1-resident on the host while
+/// 7 KiB — small enough to stay L1-resident on the host while
 /// streaming.
 const CHUNK: usize = 256;
 

@@ -31,7 +31,14 @@ pub enum AccessKind {
 }
 
 /// One event of a reference stream.
+///
+/// Packed: 13 bytes with alignment 1 instead of 16 with alignment 8, so
+/// every recording, recording buffer and streamed chunk holds 3/16 less
+/// and no padding. The price is that a field cannot be borrowed (copy it
+/// out, `{ a.addr }`); the unaligned loads of the engine's front
+/// measured neutral on x86.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed)]
 pub struct Access {
     /// Instructions retired since the previous event (including this
     /// access instruction itself; must be ≥ 1).
@@ -441,6 +448,12 @@ mod tests {
         assert_eq!(es.next_slice(1), Some(&v[..1]));
         assert_eq!(es.next_slice(1), Some(&v[1..]));
         assert_eq!(es.next_slice(1), Some(&[][..]));
+    }
+
+    #[test]
+    fn an_access_is_thirteen_unpadded_bytes() {
+        assert_eq!(size_of::<Access>(), 13);
+        assert_eq!(align_of::<Access>(), 1);
     }
 
     #[test]
