@@ -603,7 +603,7 @@ fn uarch_cell(identical: bool, delta_pct: f64) -> String {
 
 /// The blast-radius experiment as text: the matrix, the expectation it
 /// is read against, and every Pass-3 finding behind the device cells.
-pub fn report(scale: &Scale, _: bool) -> String {
+pub fn report(scale: &Scale, _: bool) -> Result<String, String> {
     let rows = blast_matrix(scale);
     let table: Vec<Vec<String>> = rows
         .iter()
@@ -642,7 +642,7 @@ pub fn report(scale: &Scale, _: bool) -> String {
             let _ = writeln!(out, "  S-NIC/{}: {f}", r.scenario.name());
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

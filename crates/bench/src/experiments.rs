@@ -3,9 +3,11 @@
 //!
 //! `snicctl exp <name> | all | list [--full]` is the only front end;
 //! there is no per-experiment binary. Renderers live beside the data
-//! they print (`tables`, `fig5`..`fig8`, `blast`); the three with no
-//! figure or table module of their own (`attacks`, `ablation_cache`,
-//! `verify`) live here.
+//! they print (`tables`, `fig5`..`fig8`, `blast`); the ones with no
+//! figure or table module of their own (`attacks`, `leakage`,
+//! `ablation_cache`, `soak`, `verify`) live here. An entry whose result
+//! breaks its own check returns that as its `Err`, which `snicctl exp`
+//! exits 12 on.
 
 use std::fmt::Write as _;
 
@@ -16,6 +18,7 @@ use snic_core::config::{NicConfig, NicMode};
 use snic_core::device::SmartNic;
 use snic_core::instr::{LaunchRequest, NfImage};
 use snic_crypto::keys::VendorCa;
+use snic_leakage::LeakageMatrix;
 use snic_nf::NfKind;
 use snic_sim::{par_map, SimJob};
 use snic_types::{ByteSize, CoreId, SnicError};
@@ -34,7 +37,8 @@ pub struct Experiment {
     pub reproduces: &'static str,
     /// Render the experiment's text at `scale`; `full` additionally
     /// widens the sweeps that have a paper-sized axis (fig5a/fig5b).
-    pub run: fn(&Scale, bool) -> String,
+    /// `Err` when the result fails the entry's check.
+    pub run: fn(&Scale, bool) -> Result<String, String>,
 }
 
 /// Every experiment, in the order `exp all` runs them: closed-form
@@ -111,6 +115,12 @@ pub const REGISTRY: &[Experiment] = &[
         run: attacks,
     },
     Experiment {
+        name: "leakage",
+        reproduces:
+            "§4.5 covert-channel capacity: 3 families x 4 L2 geometries x 3 epochs x 2 modes",
+        run: leakage,
+    },
+    Experiment {
         name: "ablation_cache",
         reproduces: "§4.2 ablation: each isolation mechanism alone, static vs SecDCP",
         run: ablation_cache,
@@ -129,6 +139,12 @@ pub const REGISTRY: &[Experiment] = &[
         name: "blast_radius",
         reproduces: "§4.3/§4.6 fault containment: blast-radius matrix",
         run: blast::report,
+    },
+    Experiment {
+        name: "soak",
+        reproduces:
+            "§4.3/§4.6 containment at snicd: seeded overload + fault plan, restart differential",
+        run: soak,
     },
     Experiment {
         name: "verify",
@@ -154,23 +170,19 @@ pub fn list() -> String {
 
 /// Run the whole registry in order, in this process, and return the
 /// transcript: a `########## name ##########` banner before each
-/// experiment's text.
-pub fn run_all(scale: &Scale, full: bool) -> String {
+/// experiment's text. The first entry that fails is the `Err`, named.
+pub fn run_all(scale: &Scale, full: bool) -> Result<String, String> {
     let mut out = String::new();
     for e in REGISTRY {
-        let _ = write!(
-            out,
-            "\n########## {} ##########\n{}",
-            e.name,
-            (e.run)(scale, full)
-        );
+        let text = (e.run)(scale, full).map_err(|err| format!("{} failed:\n{err}", e.name))?;
+        let _ = write!(out, "\n########## {} ##########\n{text}", e.name);
     }
     out.push_str("\nall experiments completed\n");
-    out
+    Ok(out)
 }
 
 /// The §3.3 concrete attacks against both device modes.
-fn attacks(_: &Scale, _: bool) -> String {
+fn attacks(_: &Scale, _: bool) -> Result<String, String> {
     let mut rows = Vec::new();
     let names = [
         "packet corruption (MazuNAT)",
@@ -210,7 +222,20 @@ fn attacks(_: &Scale, _: bool) -> String {
         wm_fcfs * 100.0,
         wm_temporal * 100.0
     );
-    out
+    Ok(out)
+}
+
+/// The §4.5 covert-channel matrix, held to its security bounds.
+fn leakage(_: &Scale, _: bool) -> Result<String, String> {
+    let matrix = LeakageMatrix::measure();
+    matrix.check_bounds()?;
+    Ok(matrix.render())
+}
+
+/// The `snicd` soak, held to its acceptance gate and its restart
+/// differential.
+fn soak(_: &Scale, _: bool) -> Result<String, String> {
+    snic_serve::soak::run_checked(snic_serve::soak::SEED).map(|report| report.render())
 }
 
 const ABLATION_KINDS: [NfKind; 4] = [
@@ -226,7 +251,7 @@ const ABLATION_KINDS: [NfKind; 4] = [
 /// SecDCP instead of static slices. All variant runs (plus the shared
 /// commodity baseline) are independent colocation simulations, so they
 /// fan across the `snic-sim` worker pool as one job list.
-fn ablation_cache(scale: &Scale, _: bool) -> String {
+fn ablation_cache(scale: &Scale, _: bool) -> Result<String, String> {
     let l2 = 4 << 20;
     let tenants = 4u32;
     let traces = all_traces(scale, 0xab1a);
@@ -275,11 +300,11 @@ fn ablation_cache(scale: &Scale, _: bool) -> String {
         })
         .collect();
 
-    render_table(
+    Ok(render_table(
         "Ablation: median IPC degradation @4 NFs / 4MB L2 (paper S-NIC total: 0.93% median)",
         &["configuration", "median IPC degradation"],
         &rows,
-    )
+    ))
 }
 
 fn provision(mode: NicMode) -> (SmartNic, snic_types::NfId) {
@@ -309,7 +334,7 @@ fn provision(mode: NicMode) -> (SmartNic, snic_types::NfId) {
 /// live function is rejected by the verifier (with a paper citation)
 /// before any device state changes. Pass 2 runs every attack scenario
 /// with the recorder on and prints what the offline linter flagged.
-fn verify(_: &Scale, _: bool) -> String {
+fn verify(_: &Scale, _: bool) -> Result<String, String> {
     let mut out = String::from("== Pass 1: manifest verification ==\n\n");
     for mode in [NicMode::Commodity, NicMode::Snic] {
         let (mut nic, tenant0) = provision(mode);
@@ -362,7 +387,7 @@ fn verify(_: &Scale, _: bool) -> String {
         &["mode", "scenario", "finding", "attribution"],
         &rows,
     ));
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -396,10 +421,10 @@ mod tests {
             "headline", "fig6",
         ] {
             let run = find(name).expect(name).run;
-            let text = run(&scale, false);
+            let text = run(&scale, false).expect(name);
             assert!(!text.is_empty(), "{name} rendered nothing");
             assert!(text.ends_with('\n'), "{name} must end its last line");
-            assert_eq!(text, run(&scale, false), "{name} is not deterministic");
+            assert_eq!(Ok(text), run(&scale, false), "{name} is not deterministic");
         }
     }
 }

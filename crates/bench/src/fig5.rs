@@ -184,7 +184,7 @@ fn point_rows(
 
 /// Figure 5a as text: IPC degradation vs. L2 cache size with two
 /// colocated NFs. `full` sweeps the paper's twelve sizes, 8 KB .. 16 MB.
-pub fn fig5a_report(scale: &Scale, full: bool) -> String {
+pub fn fig5a_report(scale: &Scale, full: bool) -> Result<String, String> {
     let sizes: Vec<u64> = if full {
         (0..12).map(|i| (8 * 1024u64) << i).collect()
     } else {
@@ -207,12 +207,12 @@ pub fn fig5a_report(scale: &Scale, full: bool) -> String {
             "@4MB L2, 2 NFs: mean-of-medians {mean:.2}% (paper 0.24%), worst p99 {worst:.2}%"
         );
     }
-    out
+    Ok(out)
 }
 
 /// Figure 5b as text: IPC degradation vs. degree of cotenancy at a 4 MB
 /// L2 (the Marvell NIC's size). `full` adds the 3- and 16-NF points.
-pub fn fig5b_report(scale: &Scale, full: bool) -> String {
+pub fn fig5b_report(scale: &Scale, full: bool) -> Result<String, String> {
     let counts: &[usize] = if full { &[2, 3, 4, 8, 16] } else { &[2, 4, 8] };
     let results = fig5b(scale, counts, 4 << 20);
     let rows: Vec<Vec<String>> = results
@@ -231,7 +231,7 @@ pub fn fig5b_report(scale: &Scale, full: bool) -> String {
             "{n} NFs: mean-of-medians {mean:.2}%, worst p99 {worst:.2}%"
         );
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -65,7 +65,7 @@ pub fn run() -> Vec<InstrLatencies> {
 }
 
 /// Figure 6 as text: one latency-breakdown row per NF.
-pub fn report(_: &Scale, _: bool) -> String {
+pub fn report(_: &Scale, _: bool) -> Result<String, String> {
     let rows: Vec<Vec<String>> = run()
         .into_iter()
         .map(|r| {
@@ -88,7 +88,7 @@ pub fn report(_: &Scale, _: bool) -> String {
         &rows,
     );
     out.push_str("nf_attest: 5.596 ms RSA + 0.004 ms SHA (size-independent, paper 5.6 ms)\n");
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

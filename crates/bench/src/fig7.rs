@@ -73,7 +73,7 @@ pub fn table8_rows(our_monitor_mur: f64) -> Vec<(NfKind, f64, f64, Option<f64>)>
 }
 
 /// Figure 7 as text: the Monitor memory-usage time series.
-pub fn report(scale: &Scale, _: bool) -> String {
+pub fn report(scale: &Scale, _: bool) -> Result<String, String> {
     let run = run(scale);
     let mut out = String::from("== Figure 7: Monitor memory usage over a CAIDA-like window ==\n");
     let _ = writeln!(out, "flows observed: {}", run.flows);
@@ -107,12 +107,12 @@ pub fn report(scale: &Scale, _: bool) -> String {
         "shape check: startup hugepage spike (2x pool) and HashMap-resize \
          spikes inflate the peak above steady state, exactly as in the paper.\n",
     );
-    out
+    Ok(out)
 }
 
 /// Table 8 as text: memory utilization ratios, with our measured
 /// Monitor MUR alongside the paper's values.
-pub fn table8_report(scale: &Scale, _: bool) -> String {
+pub fn table8_report(scale: &Scale, _: bool) -> Result<String, String> {
     let run = run(scale);
     let rows: Vec<Vec<String>> = table8_rows(run.mur)
         .into_iter()
@@ -136,7 +136,7 @@ pub fn table8_report(scale: &Scale, _: bool) -> String {
         "our Monitor: peak {} steady {} over {} flows",
         run.peak, run.steady, run.flows
     );
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

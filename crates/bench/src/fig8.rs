@@ -37,7 +37,7 @@ pub fn run(scale: &Scale) -> Vec<Vec<f64>> {
 
 /// Figure 8 as text: one row per frame size, one column per thread
 /// count.
-pub fn report(scale: &Scale, _: bool) -> String {
+pub fn report(scale: &Scale, _: bool) -> Result<String, String> {
     let m = run(scale);
     let rows: Vec<Vec<String>> = FRAMES
         .iter()
@@ -53,11 +53,11 @@ pub fn report(scale: &Scale, _: bool) -> String {
             row
         })
         .collect();
-    render_table(
+    Ok(render_table(
         "Figure 8: DPI throughput (Mpps) vs threads x frame size (paper shape: small frames flat at frontend cap; 9KB scales with threads)",
         &["frame", "16 thr", "32 thr", "48 thr"],
         &rows,
-    )
+    ))
 }
 
 #[cfg(test)]

@@ -162,7 +162,7 @@ pub fn headline() -> (f64, f64, TcoReport) {
 
 /// Table 1: the management APIs and the trusted instructions they
 /// invoke — exercised live against a device rather than merely printed.
-pub fn table1_report(_: &Scale, _: bool) -> String {
+pub fn table1_report(_: &Scale, _: bool) -> Result<String, String> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     let vendor = VendorCa::new(&mut rng);
     let mut device = SmartNic::new(NicConfig::small(NicMode::Snic), &vendor);
@@ -210,7 +210,7 @@ pub fn table1_report(_: &Scale, _: bool) -> String {
         teardown.latency.total().as_millis_f64()
     );
 
-    render_table(
+    Ok(render_table(
         "Table 1: management APIs <-> trusted instructions (executed live)",
         &["management API", "trusted instruction", "observed result"],
         &[
@@ -230,7 +230,7 @@ pub fn table1_report(_: &Scale, _: bool) -> String {
                 destroy_result,
             ],
         ],
-    )
+    ))
 }
 
 /// The `Area (mm2)` / `Power (W)` row pair of one TLB-bank table entry.
@@ -245,7 +245,7 @@ fn cost_rows(label: String, costs: &CostRows) -> [Vec<String>; 2] {
 }
 
 /// Table 2: estimated hardware costs for TLBs on programmable cores.
-pub fn table2_report(_: &Scale, _: bool) -> String {
+pub fn table2_report(_: &Scale, _: bool) -> Result<String, String> {
     let mut rows = Vec::new();
     for (mb, entries, per_count) in table2() {
         let [mut area, mut power] =
@@ -262,44 +262,44 @@ pub fn table2_report(_: &Scale, _: bool) -> String {
         rows.push(area);
         rows.push(power);
     }
-    render_table(
+    Ok(render_table(
         "Table 2: TLB costs for programmable cores (paper: 0.045mm2/0.026W @183x4 ... 1.956mm2/1.052W @512x48)",
         &["config", "metric", "4-core", "8-core", "16-core", "48-core"],
         &rows,
-    )
+    ))
 }
 
 /// Table 3: TLB banks on virtualized accelerators.
-pub fn table3_report(_: &Scale, _: bool) -> String {
+pub fn table3_report(_: &Scale, _: bool) -> Result<String, String> {
     let rows: Vec<Vec<String>> = table3()
         .into_iter()
         .flat_map(|(kind, entries, costs)| {
             cost_rows(format!("{} (TLB {entries})", kind.name()), &costs)
         })
         .collect();
-    render_table(
+    Ok(render_table(
         "Table 3: accelerator TLB banks (paper: DPI 0.074/0.037 ZIP 0.091/0.044 RAID 0.050/0.023 @16 clusters)",
         &["accel", "metric", "16 clusters", "8 clusters", "4 clusters"],
         &rows,
-    )
+    ))
 }
 
 /// Table 4: TLB banks for the virtual packet pipeline and the DMA
 /// controller.
-pub fn table4_report(_: &Scale, _: bool) -> String {
+pub fn table4_report(_: &Scale, _: bool) -> Result<String, String> {
     let rows: Vec<Vec<String>> = table4()
         .into_iter()
         .flat_map(|(name, entries, costs)| cost_rows(format!("{name} (TLB {entries})"), &costs))
         .collect();
-    render_table(
+    Ok(render_table(
         "Table 4: VPP/DMA TLB banks (paper: 0.037mm2/0.017W @12 units each)",
         &["unit", "metric", "12 units", "6 units", "3 units"],
         &rows,
-    )
+    ))
 }
 
 /// Table 5: TLB hardware costs per page-size policy.
-pub fn table5_report(_: &Scale, _: bool) -> String {
+pub fn table5_report(_: &Scale, _: bool) -> Result<String, String> {
     let rows: Vec<Vec<String>> = table5()
         .into_iter()
         .map(|(name, entries, cost)| {
@@ -320,12 +320,12 @@ pub fn table5_report(_: &Scale, _: bool) -> String {
         "note: Table 5's row labels in the paper are swapped relative to the \
          §5.2 definitions; we follow §5.2 (Flex-low = small pages).\n",
     );
-    out
+    Ok(out)
 }
 
 /// Table 6: NF memory profiles and TLB sizing, plus our
 /// implementations' measured heap sizes at `scale` for comparison.
-pub fn table6_report(scale: &Scale, _: bool) -> String {
+pub fn table6_report(scale: &Scale, _: bool) -> Result<String, String> {
     let rows: Vec<Vec<String>> = table6()
         .into_iter()
         .map(|(kind, sizes, entries)| {
@@ -367,11 +367,11 @@ pub fn table6_report(scale: &Scale, _: bool) -> String {
         &["NF", "heap"],
         &measured,
     ));
-    out
+    Ok(out)
 }
 
 /// Table 7: accelerator memory profiles.
-pub fn table7_report(_: &Scale, _: bool) -> String {
+pub fn table7_report(_: &Scale, _: bool) -> Result<String, String> {
     let mut rows = Vec::new();
     for (kind, regions, total, entries) in table7() {
         let region_str = regions
@@ -386,15 +386,15 @@ pub fn table7_report(_: &Scale, _: bool) -> String {
             entries.to_string(),
         ]);
     }
-    render_table(
+    Ok(render_table(
         "Table 7: accelerator buffers (paper: DPI 101.90MB/54, ZIP 132.24MB/70, RAID 8.13MB/5)",
         &["accel", "regions", "total MB", "TLB entries"],
         &rows,
-    )
+    ))
 }
 
 /// The §5.2 three-year TCO analysis.
-pub fn tco_analysis_report(_: &Scale, _: bool) -> String {
+pub fn tco_analysis_report(_: &Scale, _: bool) -> Result<String, String> {
     let r = tco_report(&TcoInputs::default());
     let mut out = String::from("== §5.2 three-year TCO analysis ==\n");
     let _ = writeln!(
@@ -420,11 +420,11 @@ pub fn tco_analysis_report(_: &Scale, _: bool) -> String {
         r.advantage_decrease * 100.0,
         (1.0 - r.advantage_decrease) * 100.0
     );
-    out
+    Ok(out)
 }
 
 /// The paper's headline numbers in one place (§1 / §5 summary).
-pub fn headline_report(_: &Scale, _: bool) -> String {
+pub fn headline_report(_: &Scale, _: bool) -> Result<String, String> {
     let overhead = snic_overhead(&OverheadConfig::default());
     let mut out = String::from("== S-NIC headline numbers ==\n");
     for line in &overhead.lines {
@@ -445,7 +445,7 @@ pub fn headline_report(_: &Scale, _: bool) -> String {
     out.push_str(
         "throughput cost:           see fig5b (paper: <1.7% worst-case at 4 NFs / 4MB L2)\n",
     );
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

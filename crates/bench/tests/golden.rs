@@ -1,9 +1,11 @@
 //! Golden-snapshot suite: every entry of the experiment registry,
 //! rendered at the pinned golden scale exactly as `snicctl exp <name>`
-//! renders it, compared byte for byte with `tests/golden/<name>.txt`.
-//! One table-driven test checks every entry; the figure, attack,
-//! verifier and blast-radius entries also keep a test of their own, and
-//! the blast one asserts the containment invariants behind its table.
+//! renders it, compared byte for byte with `golden/<name>.txt` beside
+//! this file. One table-driven test checks every entry, and an entry
+//! that fails its own check (the leakage bounds, the soak gate) fails
+//! it; the figure, attack, verifier and blast-radius entries also keep a
+//! test of their own, and the blast one asserts the containment
+//! invariants behind its table.
 //! Beside them, `<name>_full.txt` holds `snicctl exp <name> --full` at
 //! its own scale; those take minutes, so `scripts/lint.sh` diffs them
 //! instead of this suite.
@@ -43,17 +45,21 @@ fn golden_dir() -> PathBuf {
 /// Registry entry `name` rendered at golden scale exactly as `snicctl
 /// exp <name>` renders it. Each entry renders once per test binary, so
 /// the table-driven test and the per-entry tests below share the work.
-fn rendered(name: &str) -> &'static str {
-    static TEXTS: OnceLock<Vec<OnceLock<String>>> = OnceLock::new();
+fn rendered(name: &str) -> &'static Result<String, String> {
+    static TEXTS: OnceLock<Vec<OnceLock<Result<String, String>>>> = OnceLock::new();
     let texts = TEXTS.get_or_init(|| REGISTRY.iter().map(|_| OnceLock::new()).collect());
     let i = REGISTRY.iter().position(|e| e.name == name).expect(name);
     texts[i].get_or_init(|| (REGISTRY[i].run)(&golden::golden_scale(), false))
 }
 
 /// Compare entry `name` with `golden/<name>.txt`, or rewrite the
-/// snapshot when `SNIC_BLESS=1`.
+/// snapshot when `SNIC_BLESS=1`. An entry that fails its own check is
+/// an `Err` without either.
 fn check(name: &str) -> Result<(), String> {
-    golden::check_or_bless(&golden_dir().join(format!("{name}.txt")), rendered(name))
+    let text = rendered(name)
+        .as_ref()
+        .map_err(|e| format!("exp {name} failed its check:\n{e}"))?;
+    golden::check_or_bless(&golden_dir().join(format!("{name}.txt")), text)
 }
 
 /// Every registry entry matches its golden; a failure names every file

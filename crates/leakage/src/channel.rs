@@ -47,18 +47,13 @@ impl ChannelFamily {
         ChannelFamily::Scrub,
     ];
 
-    /// Stable one-word label used in the matrix text form.
+    /// Stable one-word label, the matrix's `family` column.
     pub fn label(self) -> &'static str {
         match self {
             ChannelFamily::Cache => "cache",
             ChannelFamily::Bus => "bus",
             ChannelFamily::Scrub => "scrub",
         }
-    }
-
-    /// Parse a [`ChannelFamily::label`].
-    pub fn from_label(s: &str) -> Option<ChannelFamily> {
-        ChannelFamily::ALL.into_iter().find(|f| f.label() == s)
     }
 }
 
@@ -77,19 +72,9 @@ impl Geometry {
         self.sets * u64::from(self.ways) * covert::LINE
     }
 
-    /// Stable label used in the matrix text form, e.g. `16w512s`.
+    /// Stable label, the matrix's `geometry` column, e.g. `16w512s`.
     pub fn label(self) -> String {
         format!("{}w{}s", self.ways, self.sets)
-    }
-
-    /// Parse a [`Geometry::label`].
-    pub fn from_label(s: &str) -> Option<Geometry> {
-        let (ways, rest) = s.split_once('w')?;
-        let sets = rest.strip_suffix('s')?;
-        Some(Geometry {
-            ways: ways.parse().ok()?,
-            sets: sets.parse().ok()?,
-        })
     }
 }
 
@@ -232,20 +217,6 @@ fn replay(recording: &Arc<[Access]>) -> EventSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_round_trip() {
-        for f in ChannelFamily::ALL {
-            assert_eq!(ChannelFamily::from_label(f.label()), Some(f));
-        }
-        let g = Geometry {
-            ways: 16,
-            sets: 512,
-        };
-        assert_eq!(Geometry::from_label(&g.label()), Some(g));
-        assert_eq!(Geometry::from_label("16w512"), None);
-        assert_eq!(ChannelFamily::from_label("dram"), None);
-    }
 
     #[test]
     fn commodity_cache_channel_transmits_a_bit() {

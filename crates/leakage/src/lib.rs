@@ -18,9 +18,9 @@
 //!
 //! Sweeping geometry × epoch × personality (the device's one
 //! [`snic_types::NicMode`], which also spells the cell's mode in the
-//! text form) yields the [`matrix::LeakageMatrix`]: the repo's leakage-bandwidth table
-//! (ROADMAP item 3), golden-snapshotted in `tests/golden/leakage.txt`
-//! and served by `snicctl leakage`. Every S-NIC cell must sit below
+//! table) yields the [`matrix::LeakageMatrix`]: the repo's leakage-bandwidth table
+//! (ROADMAP item 3), served and golden-snapshotted as the `leakage`
+//! entry of `snicctl exp`. Every S-NIC cell must sit below
 //! [`matrix::SNIC_CAPACITY_CEILING_BPS`]; every commodity cell of an
 //! exploitable geometry must clear
 //! [`matrix::COMMODITY_CAPACITY_FLOOR_BPS`]. Under the S-NIC discipline
@@ -43,6 +43,6 @@ pub mod matrix;
 pub use capacity::{payload_bits, Confusion};
 pub use channel::{Channel, ChannelFamily, Geometry};
 pub use matrix::{
-    full_specs, measure_cell, smoke_specs, CellSpec, LeakageCell, LeakageMatrix, CELL_BITS,
-    COMMODITY_CAPACITY_FLOOR_BPS, SNIC_CAPACITY_CEILING_BPS,
+    CellSpec, LeakageCell, LeakageMatrix, CELL_BITS, COMMODITY_CAPACITY_FLOOR_BPS,
+    SNIC_CAPACITY_CEILING_BPS,
 };

@@ -1351,7 +1351,7 @@ mod tests {
     /// agree after every line: wherever the log stands where the last
     /// walk left it, a walk finds nothing. (Debug builds assert the same
     /// at every skipped walk, so every other test is this differential
-    /// too; `tests/golden/soak.txt` holds the always-walk transcript.)
+    /// too; the `soak` golden holds the always-walk transcript's digest.)
     #[test]
     fn the_fault_scan_skips_only_walks_that_would_find_nothing() {
         let seed = 0xBEEF;

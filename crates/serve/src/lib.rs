@@ -37,11 +37,12 @@
 //!   transcript for frozen-tenant service, quota bypass, and
 //!   expired-then-served violations.
 //! - **Soak** ([`soak`]): a seeded ~30-simulated-second overload
-//!   schedule with a mid-run fault plan and a byte-stability gate.
+//!   schedule with a mid-run fault plan, an acceptance gate and a
+//!   restart differential.
 //!
 //! The binary lives in the facade crate (`src/bin/snicd.rs`); it and
 //! `snicctl script` are transports over
-//! [`host::Host`], and `snicctl soak` drives the same
+//! [`host::Host`], and `snicctl exp soak` drives the same
 //! [`daemon::Daemon`] in process.
 
 #![forbid(unsafe_code)]
@@ -59,4 +60,3 @@ pub use admission::{TenantQuota, TenantStats};
 pub use daemon::{Daemon, DaemonConfig};
 pub use protocol::codes;
 pub use snapshot::{render_image, restore};
-pub use soak::{run as soak_run, run_with_restart as soak_run_with_restart, SoakReport};

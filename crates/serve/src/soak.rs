@@ -21,8 +21,11 @@
 //! - a mid-run `snapshot`, a final `verify` (Pass 4 must be clean) and
 //!   `drain`.
 //!
-//! [`SoakReport::gate`] encodes the acceptance criteria; the CI soak
-//! gate (`snicctl soak --gate`) fails the build if any of them drifts.
+//! [`SoakReport::gate`] encodes the acceptance criteria and
+//! [`SoakReport::check_restart`] the restart differential; [`run_checked`]
+//! holds a run to both, and is what `snicctl exp soak` renders (exit 12
+//! if any of them drifts). `snicctl soak` prints [`schedule`] for
+//! `snicd`.
 
 use snic_crypto::sha256::{sha256, to_hex};
 use snic_faults::{render_serve_transcript, ServeEventKind};
@@ -65,22 +68,31 @@ pub struct SoakReport {
 }
 
 impl SoakReport {
-    /// A fixed-width per-tenant summary table (goes into
-    /// EXPERIMENTS.md and the golden snapshot).
-    pub fn table(&self) -> String {
-        let mut out =
-            String::from("tenant   submitted admitted served failed shed expired reclaimed\n");
+    /// The run's text: a fixed-width per-tenant table, the victim's
+    /// lifecycle and the [`SoakReport::digest`].
+    pub fn render(&self) -> String {
+        let mut out = format!(
+            "soak seed={:#x}: {} requests ingested\n\n\
+             tenant   submitted admitted served failed shed expired reclaimed\n",
+            self.seed,
+            self.responses.len()
+        );
         for (name, s) in &self.tenants {
             out.push_str(&format!(
                 "{name:<8} {:>9} {:>8} {:>6} {:>6} {:>4} {:>7} {:>9}\n",
                 s.submitted, s.admitted, s.served, s.failed, s.shed, s.expired, s.reclaimed
             ));
         }
+        out.push_str(&format!(
+            "\nvictim: {:?}\ndigest: {}\n",
+            self.victim,
+            self.digest()
+        ));
         out
     }
 
     /// SHA-256 over responses, transcript and state — the one-line
-    /// identity the byte-stability golden pins down.
+    /// identity the golden pins down.
     pub fn digest(&self) -> String {
         let mut bytes = Vec::new();
         for r in &self.responses {
@@ -160,6 +172,24 @@ impl SoakReport {
             Err(problems.join("\n"))
         }
     }
+
+    /// The restart differential: `restarted`, restored from a snapshot
+    /// at schedule line `split`, must answer, record and end exactly as
+    /// this uninterrupted run did, and pass the gate itself.
+    pub fn check_restart(&self, split: usize, restarted: &SoakReport) -> Result<(), String> {
+        for (what, same) in [
+            ("responses", self.responses == restarted.responses),
+            ("transcript", self.transcript == restarted.transcript),
+            ("device state", self.state == restarted.state),
+        ] {
+            if !same {
+                return Err(format!(
+                    "restart at line {split}: {what} diverged from the uninterrupted run"
+                ));
+            }
+        }
+        restarted.gate()
+    }
 }
 
 /// splitmix64 — the workspace's standard cheap deterministic mixer.
@@ -176,6 +206,9 @@ impl Mix {
 }
 
 const ROUNDS: u32 = 36;
+
+/// The seed `snicctl soak` and `snicctl exp soak` run.
+pub const SEED: u64 = 0xBEEF;
 
 /// The daemon configuration the soak runs under: service is driven
 /// entirely by the schedule's explicit `step` ops.
@@ -407,14 +440,11 @@ pub fn run(seed: u64) -> SoakReport {
 
 /// Run the soak with a snapshot/restart at line `split_at`: the first
 /// daemon ingests the prefix and is discarded; a second daemon is
-/// restored from its snapshot image and ingests the suffix. Returns
-/// `(uninterrupted, restarted)` — the caller asserts the two reports
-/// are byte-identical.
-pub fn run_with_restart(seed: u64, split_at: usize) -> Result<(SoakReport, SoakReport), String> {
+/// restored from its snapshot image and ingests the suffix. Returns the
+/// restarted run's report.
+pub fn run_with_restart(seed: u64, split_at: usize) -> Result<SoakReport, String> {
     let lines = schedule(seed);
     let split_at = split_at.min(lines.len());
-
-    let uninterrupted = run(seed);
 
     let mut first = Daemon::new(soak_config(seed));
     let mut prefix_responses = Vec::new();
@@ -432,7 +462,21 @@ pub fn run_with_restart(seed: u64, split_at: usize) -> Result<(SoakReport, SoakR
     for line in &lines[split_at..] {
         responses.extend(second.ingest(line));
     }
-    Ok((uninterrupted, report_of(seed, &second, responses)))
+    Ok(report_of(seed, &second, responses))
+}
+
+/// Run the soak for `seed` and hold it to the gate and to the restart
+/// differential at a third, half and two thirds of the schedule: in the
+/// thick of the overload, and right after the fault plan froze the
+/// victim.
+pub fn run_checked(seed: u64) -> Result<SoakReport, String> {
+    let report = run(seed);
+    report.gate()?;
+    let n = schedule(seed).len();
+    for split in [n / 3, n / 2, 2 * n / 3] {
+        report.check_restart(split, &run_with_restart(seed, split)?)?;
+    }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -447,18 +491,14 @@ mod tests {
 
     #[test]
     fn soak_passes_its_own_gate() {
-        let report = run(0xBEEF);
+        let report = run(SEED);
         report.gate().expect("soak gate");
-        assert_eq!(report.digest(), run(0xBEEF).digest(), "byte-stable");
+        assert_eq!(report.digest(), run(SEED).digest(), "byte-stable");
     }
 
     #[test]
     fn restart_mid_soak_is_byte_identical() {
-        let n = schedule(0xBEEF).len();
-        let (a, b) = run_with_restart(0xBEEF, n / 2).expect("restart");
-        assert_eq!(a.responses, b.responses);
-        assert_eq!(a.transcript, b.transcript);
-        assert_eq!(a.state, b.state);
-        b.gate().expect("restarted run passes the gate too");
+        let report = run_checked(SEED).expect("gate and restart differential");
+        assert_eq!(report.digest(), run(SEED).digest());
     }
 }

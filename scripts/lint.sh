@@ -236,24 +236,26 @@ done
 echo "==> static analysis gate (snicctl analyze --gate)"
 cargo run -q --release --bin snicctl -- analyze --gate > /dev/null
 
-# snicd soak gate: the seeded ~30-simulated-second multi-tenant
-# overload schedule with its mid-run fault plan. Non-faulted tenants
-# must see zero failed requests, the faulted tenant's queue must be
-# frozen and then reclaimed, Pass 4 must lint the serve transcript
-# clean, and a snapshot/restart at the schedule midpoint must be
-# byte-identical to the uninterrupted run. The summary is also pinned
-# by tests/golden/soak.txt (re-bless with SNIC_BLESS=1).
-echo "==> snicd soak gate (snicctl soak --gate)"
-cargo run -q --release --bin snicctl -- soak --gate > /dev/null
+# snicd soak gate (`exp soak`): the seeded ~30-simulated-second
+# multi-tenant overload schedule with its mid-run fault plan.
+# Non-faulted tenants must see zero failed requests, the faulted
+# tenant's queue must be frozen and then reclaimed, Pass 4 must lint the
+# serve transcript clean, and snapshot/restarts at a third, half and two
+# thirds of the schedule must be byte-identical to the uninterrupted
+# run; any miss exits 12. Its text is the `soak` golden, which tier-1
+# diffs.
+echo "==> snicd soak gate (snicctl exp soak)"
+target/release/snicctl exp soak > /dev/null
 
-# Covert-channel leakage gate: the smoke sweep (every family ×
-# geometry × mode at the paper-default epoch) must diff clean against
-# tests/golden/leakage.txt and satisfy the differential security
-# bounds — every S-NIC cell's measured capacity under the hard ceiling,
-# every exploitable commodity cell over the floor (re-bless the golden
-# with SNIC_BLESS=1).
-echo "==> covert-channel leakage gate (snicctl leakage --smoke --gate)"
-cargo run -q --release --bin snicctl -- leakage --smoke --gate > /dev/null
+# Covert-channel leakage gate (`exp leakage`): the full 72-cell sweep
+# (every family × geometry × epoch × mode) must satisfy the differential
+# security bounds — every S-NIC cell's measured capacity under the hard
+# ceiling, every exploitable commodity cell and at least one commodity
+# cell of each family over the floor — or it exits 12. Its text is the
+# `leakage` golden, which tier-1 diffs (and again under
+# SNIC_SIM_THREADS=1 above).
+echo "==> covert-channel leakage gate (snicctl exp leakage)"
+target/release/snicctl exp leakage > /dev/null
 
 # Telemetry overhead gate: recording the fig5 smoke sweep must stay
 # within 10 percent wall clock of the sink-off run, with bit-identical

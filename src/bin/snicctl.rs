@@ -49,11 +49,12 @@ fn trace_main(args: &[String]) -> Result<String, String> {
     let mut gate = false;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
-        let mut next_u64 = |flag: &str| -> Result<u64, String> {
+        // A seed is any u64; a count is at least 1.
+        let mut next_u64 = |flag: &str, min: u64| -> Result<u64, String> {
             it.next()
                 .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| format!("{flag} needs a positive integer\n{}", usage()))
+                .filter(|&n| n >= min)
+                .ok_or_else(|| format!("{}\n({flag} needs an integer >= {min})", usage()))
         };
         match a.as_str() {
             "--tenants" => {
@@ -68,16 +69,16 @@ fn trace_main(args: &[String]) -> Result<String, String> {
                     .filter(|l| !l.is_empty() && l.iter().all(|&t| (1..=64).contains(&t)))
                     .ok_or_else(|| {
                         format!(
-                            "--tenants needs counts in 1..=64 (one L2 way each)\n{}",
+                            "{}\n(--tenants needs counts in 1..=64, one L2 way each)",
                             usage()
                         )
                     })?;
                 tenants_list = Some(list);
             }
-            "--seed" => seed = next_u64("--seed")?,
-            "--events" => events = Some(next_u64("--events")?),
-            "--events-per-tenant" => events_per_tenant = next_u64("--events-per-tenant")?,
-            "--shards" => shards = next_u64("--shards")? as usize,
+            "--seed" => seed = next_u64("--seed", 0)?,
+            "--events" => events = Some(next_u64("--events", 1)?),
+            "--events-per-tenant" => events_per_tenant = next_u64("--events-per-tenant", 1)?,
+            "--shards" => shards = next_u64("--shards", 1)? as usize,
             "--gate" => gate = true,
             other => return Err(format!("{}\n(unknown flag '{other}')", usage())),
         }
@@ -188,16 +189,16 @@ fn telemetry_main(args: &[String]) -> Result<String, String> {
     use snic::telemetry::{to_chrome_trace, Summary};
 
     let read = |path: &String| {
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+        std::fs::read_to_string(path).map_err(|e| format!("usage: cannot read {path}: {e}"))
     };
     match args {
         [cmd, trace_path, summary_path] if cmd == "record" => {
             let scale = snic::bench::telemetry::smoke_scale();
             let (outcomes, summary, events) = snic::bench::telemetry::record_smoke(&scale);
             std::fs::write(trace_path, to_chrome_trace(&events))
-                .map_err(|e| format!("cannot write {trace_path}: {e}"))?;
+                .map_err(|e| format!("usage: cannot write {trace_path}: {e}"))?;
             std::fs::write(summary_path, summary.to_text())
-                .map_err(|e| format!("cannot write {summary_path}: {e}"))?;
+                .map_err(|e| format!("usage: cannot write {summary_path}: {e}"))?;
             Ok(format!(
                 "recorded {} colocation runs: {} events -> {trace_path} (open in \
                  ui.perfetto.dev), {} counters + {} histograms -> {summary_path}\n\n{}",
@@ -394,126 +395,22 @@ fn into_lines(out: Vec<u8>) -> String {
     out.trim_end_matches('\n').to_string()
 }
 
-/// `snicctl soak [--seed N] [--gate] [--emit-schedule]`: run the
-/// seeded multi-tenant overload + fault-plan soak (~30 simulated
-/// seconds) and print the per-tenant table and run digest. `--gate`
-/// additionally enforces the acceptance criteria — non-faulted tenants
-/// undisrupted, backpressure engaged, the victim frozen/reclaimed/
-/// thawed, Pass 4 clean — plus a mid-run snapshot/restart differential
-/// that must be byte-identical. `--emit-schedule` prints the raw
-/// schedule instead (pipe it to `snicd`).
+/// `snicctl soak`: print the seeded soak schedule `snicctl exp soak`
+/// runs, one request line each, for `snicd` to replay.
 fn soak_main(args: &[String]) -> Result<String, String> {
     use snic::serve::soak;
 
-    let usage = usage("soak");
-    let mut seed: u64 = 0xBEEF;
-    let mut gate = false;
-    let mut emit = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(format!("{usage}\n(--seed needs an integer)"))?;
-            }
-            "--gate" => gate = true,
-            "--emit-schedule" => emit = true,
-            other => return Err(format!("{usage}\n(unknown flag '{other}')")),
-        }
+    if !args.is_empty() {
+        return Err(usage("soak"));
     }
-    if emit {
-        return Ok(soak::schedule(seed).join("\n"));
-    }
-    let report = soak::run(seed);
-    let mut out = format!(
-        "soak seed={seed:#x}: {} requests ingested\n\n{}\nvictim: {:?}\ndigest: {}",
-        report.responses.len(),
-        report.table(),
-        report.victim,
-        report.digest()
-    );
-    if gate {
-        report.gate()?;
-        let split = soak::schedule(seed).len() / 2;
-        let (a, b) = soak::run_with_restart(seed, split)?;
-        if a.responses != b.responses || a.transcript != b.transcript || a.state != b.state {
-            return Err(format!(
-                "mid-soak restart at line {split} is not byte-identical to the \
-                 uninterrupted run"
-            ));
-        }
-        out.push_str(&format!(
-            "\ngate: OK (restart differential at line {split} byte-identical)"
-        ));
-    }
-    Ok(out)
-}
-
-/// `snicctl leakage [--smoke] [--gate]`: measure the covert-channel
-/// leakage-bandwidth matrix — 3 families × 4 L2 geometries × 3 temporal
-/// epochs × {commodity, S-NIC} — and print the capacity table in bits
-/// per simulated second. `--smoke` sweeps only the paper-default epoch
-/// (the lint-gate form, a strict subset of the full matrix). `--gate`
-/// additionally diffs the measured cells against the golden snapshot
-/// (`tests/golden/leakage.txt`) and enforces the differential security
-/// bounds: every S-NIC cell under the capacity ceiling, every
-/// exploitable commodity cell over the floor.
-fn leakage_main(args: &[String]) -> Result<String, String> {
-    use snic::leakage::{full_specs, smoke_specs, LeakageMatrix, CELL_BITS};
-    use snic::types::NicMode;
-
-    let usage = usage("leakage");
-    let mut smoke = false;
-    let mut gate = false;
-    for a in args {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--gate" => gate = true,
-            other => return Err(format!("{usage}\n(unknown flag '{other}')")),
-        }
-    }
-    let specs = if smoke { smoke_specs() } else { full_specs() };
-    let matrix = LeakageMatrix::measure(specs, CELL_BITS);
-    let worst_snic = matrix
-        .cells
-        .iter()
-        .filter(|c| c.spec.mode == NicMode::Snic)
-        .map(|c| c.capacity_bps)
-        .fold(0.0f64, f64::max);
-    let best_commodity = matrix
-        .cells
-        .iter()
-        .filter(|c| c.spec.mode == NicMode::Commodity)
-        .map(|c| c.capacity_bps)
-        .fold(0.0f64, f64::max);
-    let mut out = format!(
-        "{}\nbest commodity {best_commodity:.1} bps | worst S-NIC {worst_snic:.4} bps",
-        matrix.render().trim_end()
-    );
-    if gate {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/leakage.txt");
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read golden {path}: {e} (bless with SNIC_BLESS=1)"))?;
-        let golden = LeakageMatrix::from_text(&text)?;
-        let mut problems = matrix.diff(&golden);
-        problems.extend(matrix.check_bounds());
-        if !problems.is_empty() {
-            return Err(format!("leakage gate failed:\n{}", problems.join("\n")));
-        }
-        out.push_str(&format!(
-            "\ngate: OK ({} cells match golden, bounds hold)",
-            matrix.cells.len()
-        ));
-    }
-    Ok(out)
+    Ok(soak::schedule(soak::SEED).join("\n"))
 }
 
 /// `snicctl exp <name | all | list> [--full]`: render one entry of the
 /// experiment registry (`snic_bench::experiments::REGISTRY`), all of
 /// them in registry order under `########## name ##########` banners,
 /// or the list of names. `--full` selects the paper's workload sizes.
+/// An entry that fails its check is the error, named under `all`.
 fn exp_main(args: &[String]) -> Result<String, String> {
     use snic::bench::{experiments, Scale};
 
@@ -530,7 +427,7 @@ fn exp_main(args: &[String]) -> Result<String, String> {
     let scale = if full { Scale::paper() } else { Scale::quick() };
     let text = match name {
         "list" => experiments::list(),
-        "all" => experiments::run_all(&scale, full),
+        "all" => experiments::run_all(&scale, full)?,
         name => {
             let exp = experiments::find(name).ok_or_else(|| {
                 format!(
@@ -538,7 +435,7 @@ fn exp_main(args: &[String]) -> Result<String, String> {
                     usage("exp")
                 )
             })?;
-            (exp.run)(&scale, full)
+            (exp.run)(&scale, full)?
         }
     };
     // `main` ends the output with the newline the renderers already
@@ -593,7 +490,8 @@ struct Verb {
     name: &'static str,
     /// Exit code of an operational failure (an `Err` whose text does not
     /// start with `usage:`); distinct per verb so scripts and CI can
-    /// tell failure classes apart without parsing stderr.
+    /// tell failure classes apart without parsing stderr. A verb whose
+    /// only errors are usage errors has 2.
     fail_code: i32,
     usage: &'static str,
     run: fn(&[String]) -> Result<String, String>,
@@ -629,15 +527,9 @@ const VERBS: &[Verb] = &[
     },
     Verb {
         name: "soak",
-        fail_code: 9,
-        usage: "snicctl soak [--seed N] [--gate] [--emit-schedule]",
+        fail_code: 2,
+        usage: "snicctl soak",
         run: soak_main,
-    },
-    Verb {
-        name: "leakage",
-        fail_code: 10,
-        usage: "snicctl leakage [--smoke] [--gate]",
-        run: leakage_main,
     },
     Verb {
         name: "trace",
@@ -863,14 +755,46 @@ attest ids
     }
 
     #[test]
-    fn soak_command_gate_and_schedule() {
-        let s = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert!(soak_main(&s(&["--bogus"])).is_err());
-        let sched = soak_main(&s(&["--emit-schedule"])).unwrap();
-        assert!(sched.lines().count() > 50, "schedule is non-trivial");
-        let out = soak_main(&s(&["--gate"])).unwrap();
-        assert!(out.contains("gate: OK"), "{out}");
-        assert!(out.contains("digest: "), "{out}");
+    fn soak_command_prints_the_schedule() {
+        let sched = soak_main(&[]).unwrap();
+        assert_eq!(sched.lines().count(), 221);
+        assert!(
+            sched.lines().all(|l| l.starts_with(r#"{"op":""#)),
+            "{sched}"
+        );
+    }
+
+    /// A malformed invocation of any verb, or a file it cannot read, is
+    /// a usage error (exit 2), never the verb's failure code.
+    #[test]
+    fn every_verb_refuses_malformed_invocations_as_usage_errors() {
+        let missing = std::env::temp_dir().join("snicctl-no-such-file");
+        let missing = missing.to_string_lossy();
+        let cases: &[(&str, &[&str])] = &[
+            ("script", &[]),
+            ("script", &["a.snic", "b.snic"]),
+            ("script", &[&missing]),
+            ("verify", &["--bogus"]),
+            ("analyze", &["--bogus"]),
+            ("telemetry", &[]),
+            ("telemetry", &["summary", &missing]),
+            ("telemetry", &["diff", &missing, &missing]),
+            ("soak", &["--gate"]),
+            ("soak", &["--seed", "1"]),
+            ("trace", &[]),
+            ("trace", &["describe", "--tenants", "0"]),
+            ("trace", &["describe", "--seed", "-1"]),
+            ("trace", &["billion", "--events", "0"]),
+            ("trace", &["sweep", "--shards"]),
+            ("exp", &[]),
+            ("exp", &["nosuch"]),
+        ];
+        for (name, args) in cases {
+            let verb = VERBS.iter().find(|v| v.name == *name).expect(name);
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let e = (verb.run)(&args).unwrap_err();
+            assert!(e.starts_with("usage:"), "{name} {args:?}: {e}");
+        }
     }
 
     #[test]
@@ -891,7 +815,17 @@ attest ids
         let one_each = ["billion", "--tenants", "4", "--events", "4", "--gate"];
         let exact = trace_main(&s(&one_each)).unwrap();
         assert!(exact.contains("gate: OK (4 events"), "{exact}");
-        let desc = trace_main(&s(&["describe", "--tenants", "8", "--events", "80000"])).unwrap();
+        // A seed is any u64, 0 included.
+        let desc = s(&[
+            "describe",
+            "--tenants",
+            "8",
+            "--events",
+            "80000",
+            "--seed",
+            "0",
+        ]);
+        let desc = trace_main(&desc).unwrap();
         assert_eq!(desc.matches("  tenant ").count(), 8, "{desc}");
         assert!(desc.contains("Dpi"), "{desc}");
         let sweep = trace_main(&s(&[
@@ -964,7 +898,12 @@ attest ids
                 Some((name, code))
             })
             .collect();
-        let verbs: Vec<(&str, i32)> = VERBS.iter().map(|v| (v.name, v.fail_code)).collect();
+        // A verb that fails only with usage errors has 2's row.
+        let verbs: Vec<(&str, i32)> = VERBS
+            .iter()
+            .filter(|v| v.fail_code != 2)
+            .map(|v| (v.name, v.fail_code))
+            .collect();
         assert_eq!(rows, verbs);
     }
 
