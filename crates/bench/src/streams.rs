@@ -10,7 +10,7 @@
 
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use snic_nf::{build, record_stream, NfKind, StreamingRecorder};
+use snic_nf::{build, record_stream, FrameSource, NfKind, StreamingRecorder};
 use snic_trace::{IctfConfig, PhaseSchedule, PhasedConfig, PhasedTrace};
 use snic_types::Packet;
 use snic_uarch::stream::Access;
@@ -38,12 +38,17 @@ pub(crate) fn trace_of(traces: &TraceSet, kind: NfKind) -> &SharedTrace {
 /// The endless packet stream one NF is fed: the ICTF-like workload at a
 /// scale, shaped by a phase schedule. A kind that stops at the L4 header
 /// ([`NfKind::reads_payload`]) gets headers-only frames — the same flows
-/// and lengths, with no payload synthesized. Packets are built one at a
-/// time as the consumer pulls, so nothing holds a workload resident.
+/// and lengths, with no payload synthesized — written in place over the
+/// consumer's slot ([`PhasedTrace::next_headers_into`]); a payload frame
+/// replaces the slot. Packets are built one at a time as the consumer
+/// pulls, so nothing holds a workload resident.
 #[derive(Debug)]
 pub struct Frames {
     trace: PhasedTrace,
     payloads: bool,
+    /// Frames still to pull: `u64::MAX` (never reached) unless the
+    /// stream is a [`workload`].
+    left: u64,
 }
 
 impl Frames {
@@ -62,28 +67,35 @@ impl Frames {
                 schedule,
             }),
             payloads: kind.reads_payload(),
+            left: u64::MAX,
         }
     }
 }
 
-impl Iterator for Frames {
-    type Item = Packet;
-
-    fn next(&mut self) -> Option<Packet> {
-        Some(if self.payloads {
-            self.trace.next_packet()
+impl FrameSource for Frames {
+    fn next_into(&mut self, slot: &mut Packet) -> bool {
+        if self.left == 0 {
+            return false;
+        }
+        self.left -= 1;
+        if self.payloads {
+            *slot = self.trace.next_packet();
         } else {
-            self.trace.next_headers()
-        })
+            self.trace.next_headers_into(slot);
+        }
+        true
     }
 }
 
 /// The packet workload `kind` is recorded over at this scale, lazily:
 /// `scale.packets` packets of the stationary (paper snapshot) schedule.
 /// Each kind draws from its own seed.
-pub fn workload(kind: NfKind, scale: &Scale, seed: u64) -> std::iter::Take<Frames> {
+pub fn workload(kind: NfKind, scale: &Scale, seed: u64) -> Frames {
     let seed = seed ^ kind as u64 ^ 0x5eed;
-    Frames::new(kind, scale, seed, PhaseSchedule::stationary()).take(scale.packets)
+    Frames {
+        left: scale.packets as u64,
+        ..Frames::new(kind, scale, seed, PhaseSchedule::stationary())
+    }
 }
 
 /// Build the NF at this scale (smaller structures than `with_defaults`
@@ -108,11 +120,13 @@ pub fn build_scaled(kind: NfKind, scale: &Scale, seed: u64) -> Box<dyn snic_nf::
 
 /// Record the reference stream of one NF kind over the shared workload,
 /// written once into its shared buffer by [`record_stream`]: the
-/// workload's packets are held for its two passes, each over a fresh
-/// NF. This is the eager recorder [`nf_trace_source`] is tested against,
-/// so it shares nothing with it but the NF and the packets.
+/// workload's packets, collected through the pull the streaming
+/// recorder makes ([`FrameSource::into_packets`]), are held for its two
+/// passes, each over a fresh NF. This is the eager recorder
+/// [`nf_trace_source`] is tested against, so it shares nothing with it
+/// but the NF and the frame source.
 pub fn nf_access_trace(kind: NfKind, scale: &Scale, seed: u64) -> SharedTrace {
-    let packets: Vec<Packet> = workload(kind, scale, seed).collect();
+    let packets = workload(kind, scale, seed).into_packets();
     record_stream(|| build_scaled(kind, scale, seed), &packets)
 }
 
@@ -225,12 +239,57 @@ mod tests {
 
     #[test]
     fn workload_is_deterministic_and_lazy() {
-        let mut lazy = workload(NfKind::Dpi, &tiny(), 7);
-        assert_eq!(lazy.size_hint().1, Some(400));
-        let b: Vec<Packet> = workload(NfKind::Dpi, &tiny(), 7).collect();
+        let b = workload(NfKind::Dpi, &tiny(), 7).into_packets();
         assert_eq!(b.len(), 400);
-        assert_eq!(lazy.next().as_ref(), b.first());
-        assert_eq!(lazy.last().as_ref(), b.last());
+        let mut lazy = workload(NfKind::Dpi, &tiny(), 7);
+        let mut slot = Packet::default();
+        for want in &b {
+            assert!(lazy.next_into(&mut slot));
+            assert_eq!(&slot, want);
+        }
+        assert!(!lazy.next_into(&mut slot), "400 frames, then the end");
+        assert_eq!(
+            &slot,
+            b.last().unwrap(),
+            "the end leaves the slot as it was"
+        );
+    }
+
+    /// 400 frames of the phased stream an NF of `kind` is fed.
+    fn phased(kind: NfKind, schedule: PhaseSchedule) -> Frames {
+        Frames {
+            left: 400,
+            ..Frames::new(kind, &tiny(), 7, schedule)
+        }
+    }
+
+    /// The slot a recorder hands its source, pulled frame after frame
+    /// with no clone kept, holds exactly the frames collected one packet
+    /// each — and a headers-only stream writes them into one buffer.
+    #[test]
+    fn frames_pulled_in_place_are_the_frames_collected() {
+        for kind in NfKind::ALL {
+            for schedule in [PhaseSchedule::stationary(), PhaseSchedule::realistic(400)] {
+                let collected = phased(kind, schedule.clone()).into_packets();
+                assert_eq!(collected.len(), 400);
+                let (mut pulled, mut slot) = (phased(kind, schedule), Packet::default());
+                let mut moved = 0;
+                for (i, want) in collected.iter().enumerate() {
+                    let before = slot.data.as_ptr();
+                    assert!(pulled.next_into(&mut slot));
+                    assert_eq!(&slot, want, "{kind:?} frame {i}");
+                    moved += usize::from(slot.data.as_ptr() != before);
+                }
+                assert!(!pulled.next_into(&mut slot));
+                // A headers-only slot moves when a longer header stack
+                // than any before it arrives: at most twice (UDP, TCP).
+                if kind.reads_payload() {
+                    assert_eq!(moved, 400, "{kind:?}: a payload frame replaces the slot");
+                } else {
+                    assert!(moved <= 2, "{kind:?}: the slot moved {moved} times");
+                }
+            }
+        }
     }
 
     /// The exact tripwire behind the regeneration speed-up: an NF whose
@@ -240,15 +299,14 @@ mod tests {
     #[test]
     fn payloads_are_synthesized_only_for_kinds_that_read_them() {
         use snic_types::packet::PacketBuilder;
-        let payload_bytes = |frames: &mut dyn Iterator<Item = Packet>| -> usize {
-            frames
-                .map(|p| p.len().saturating_sub(PacketBuilder::MAX_HEADERS))
-                .sum()
+        let payload_bytes = |frames: Frames| -> usize {
+            let frames = frames.into_packets();
+            let payload = |p: &Packet| p.len().saturating_sub(PacketBuilder::MAX_HEADERS);
+            frames.iter().map(payload).sum()
         };
         for kind in NfKind::ALL {
-            let recorded = payload_bytes(&mut workload(kind, &tiny(), 7));
-            let phased = Frames::new(kind, &tiny(), 7, PhaseSchedule::realistic(400));
-            let streamed = payload_bytes(&mut phased.take(400));
+            let recorded = payload_bytes(workload(kind, &tiny(), 7));
+            let streamed = payload_bytes(phased(kind, PhaseSchedule::realistic(400)));
             assert_eq!(recorded > 0, kind.reads_payload(), "{kind:?}");
             assert_eq!(streamed > 0, kind.reads_payload(), "{kind:?}");
         }

@@ -17,8 +17,7 @@ use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
 
 use snic_bench::streams::{nf_access_trace, workload, SharedTrace};
 use snic_bench::Scale;
-use snic_nf::NfKind;
-use snic_types::Packet;
+use snic_nf::{FrameSource, NfKind};
 use snic_uarch::stream::Access;
 
 /// Tracks the live bytes of the thread that asked to be counted and
@@ -122,7 +121,7 @@ fn a_recording_is_one_exact_allocation_and_holds_the_trace_once() {
     // What holding the workload costs, collected the way the recorder
     // collects it.
     let (packets, held_packets, _) =
-        counting(|| workload(NfKind::Dpi, &scale, seed).collect::<Vec<Packet>>());
+        counting(|| workload(NfKind::Dpi, &scale, seed).into_packets());
     let packets = packets.len();
     assert_eq!(packets, scale.packets);
 

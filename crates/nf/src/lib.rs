@@ -124,51 +124,91 @@ pub fn record_stream(
     trace
 }
 
+/// A stream of frames, each written over a slot its consumer owns:
+/// the packet side of a [`StreamingRecorder`].
+pub trait FrameSource {
+    /// Make `slot` the next frame and return true, or return false, with
+    /// `slot` untouched, once the stream has ended. A source may rewrite
+    /// `slot`'s buffer in place, which it can only do while `slot` is
+    /// that buffer's one handle: a consumer that keeps no clone of the
+    /// last frame lets a headers-only source allocate nothing per frame,
+    /// and a clone it does keep never changes.
+    fn next_into(&mut self, slot: &mut Packet) -> bool;
+
+    /// Every frame left, each a packet of its own: pulled through one
+    /// slot that is cloned after each pull, so each frame is written
+    /// into a fresh buffer of its exact size.
+    fn into_packets(mut self) -> Vec<Packet>
+    where
+        Self: Sized,
+    {
+        let (mut packets, mut slot) = (Vec::new(), Packet::default());
+        while self.next_into(&mut slot) {
+            packets.push(slot.clone());
+        }
+        packets
+    }
+}
+
+/// A materialized stream: each frame replaces the slot.
+impl FrameSource for std::vec::IntoIter<Packet> {
+    fn next_into(&mut self, slot: &mut Packet) -> bool {
+        self.next().map(|frame| *slot = frame).is_some()
+    }
+}
+
 /// Streams an NF's reference trace packet by packet in O(per-packet)
 /// resident memory — the [`TraceSource`](snic_uarch::TraceSource)
 /// backend behind streamed figure sweeps.
 ///
-/// The recorder owns the NF and a packet iterator plus factories for
-/// both; [`TraceSource::rewind`](snic_uarch::TraceSource::rewind)
-/// rebuilds NF and iterator from the factories, so a rewound pass
-/// replays the bit-identical access sequence (both factories must be
-/// deterministic — seeded generation, not ambient randomness).
-pub struct StreamingRecorder<F, G, I> {
+/// The recorder owns the NF, a [`FrameSource`] and the one packet slot
+/// the source writes each frame into, plus factories for NF and source;
+/// the NF reads the frame and its verdict is dropped before the next
+/// pull, so the slot's buffer is reused frame after frame.
+/// [`TraceSource::rewind`](snic_uarch::TraceSource::rewind) rebuilds NF
+/// and source from the factories, so a rewound pass replays the
+/// bit-identical access sequence (both factories must be deterministic
+/// — seeded generation, not ambient randomness).
+pub struct StreamingRecorder<F, G, S> {
     make_nf: F,
-    make_packets: G,
+    make_frames: G,
     nf: Box<dyn NetworkFunction>,
-    packets: I,
+    frames: S,
+    /// The frame the NF reads, rewritten by `frames` for each packet.
+    slot: Packet,
     sink: RecordingSink,
     /// Events of `sink` already copied out by `fill`.
     emitted: usize,
 }
 
-impl<F, G, I> StreamingRecorder<F, G, I>
+impl<F, G, S> StreamingRecorder<F, G, S>
 where
     F: FnMut() -> Box<dyn NetworkFunction>,
-    G: FnMut() -> I,
-    I: Iterator<Item = Packet>,
+    G: FnMut() -> S,
+    S: FrameSource,
 {
-    /// Build a recorder from deterministic NF and packet factories.
-    pub fn new(mut make_nf: F, mut make_packets: G) -> StreamingRecorder<F, G, I> {
+    /// Build a recorder from deterministic NF and frame-source
+    /// factories.
+    pub fn new(mut make_nf: F, mut make_frames: G) -> StreamingRecorder<F, G, S> {
         let nf = make_nf();
-        let packets = make_packets();
+        let frames = make_frames();
         StreamingRecorder {
             make_nf,
-            make_packets,
+            make_frames,
             nf,
-            packets,
+            frames,
+            slot: Packet::default(),
             sink: RecordingSink::new(),
             emitted: 0,
         }
     }
 }
 
-impl<F, G, I> snic_uarch::TraceSource for StreamingRecorder<F, G, I>
+impl<F, G, S> snic_uarch::TraceSource for StreamingRecorder<F, G, S>
 where
     F: FnMut() -> Box<dyn NetworkFunction> + Send,
-    G: FnMut() -> I + Send,
-    I: Iterator<Item = Packet> + Send,
+    G: FnMut() -> S + Send,
+    S: FrameSource + Send,
 {
     fn fill(&mut self, out: &mut [Access]) -> usize {
         let mut n = 0;
@@ -184,19 +224,17 @@ where
             }
             self.sink.clear();
             self.emitted = 0;
-            match self.packets.next() {
-                None => break,
-                Some(p) => {
-                    let _ = self.nf.process(&p, &mut self.sink);
-                }
+            if !self.frames.next_into(&mut self.slot) {
+                break;
             }
+            let _ = self.nf.process(&self.slot, &mut self.sink);
         }
         n
     }
 
     fn rewind(&mut self) {
         self.nf = (self.make_nf)();
-        self.packets = (self.make_packets)();
+        self.frames = (self.make_frames)();
         self.sink.clear();
         self.emitted = 0;
     }

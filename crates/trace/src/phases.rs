@@ -460,8 +460,18 @@ impl PhasedTrace {
     /// lengths is the same whichever of the two pulls it; the payload
     /// generator, which has its own RNG, is not advanced.
     pub fn next_headers(&mut self) -> Packet {
+        let mut frame = Packet::default();
+        self.next_headers_into(&mut frame);
+        frame
+    }
+
+    /// [`PhasedTrace::next_headers`] written over `slot`, in place when
+    /// the slot's buffer allows it (see [`PacketBuilder::headers_into`]):
+    /// a consumer that reads each frame and keeps none allocates nothing
+    /// per packet.
+    pub fn next_headers_into(&mut self, slot: &mut Packet) {
         let (builder, len) = self.draw();
-        builder.build_headers(len)
+        builder.headers_into(len, slot);
     }
 
     /// Phase-clock ticks so far (flow draws; equals packets when the

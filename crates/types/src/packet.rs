@@ -71,18 +71,18 @@ impl EthernetHeader {
         })
     }
 
-    /// The wire form.
-    pub fn to_bytes(&self) -> [u8; Self::LEN] {
-        let mut b = [0u8; Self::LEN];
-        b[0..6].copy_from_slice(&self.dst.0);
-        b[6..12].copy_from_slice(&self.src.0);
-        b[12..14].copy_from_slice(&self.ethertype.to_be_bytes());
-        b
+    /// Write the wire form over every byte of `out`.
+    fn put(&self, out: &mut [u8; Self::LEN]) {
+        out[0..6].copy_from_slice(&self.dst.0);
+        out[6..12].copy_from_slice(&self.src.0);
+        out[12..14].copy_from_slice(&self.ethertype.to_be_bytes());
     }
 
     /// Append the wire form to `out`.
     pub fn write(&self, out: &mut BytesMut) {
-        out.put_slice(&self.to_bytes());
+        let mut b = [0; Self::LEN];
+        self.put(&mut b);
+        out.put_slice(&b);
     }
 }
 
@@ -130,36 +130,43 @@ impl Ipv4Header {
     }
 
     /// Compute the RFC 791 header checksum over the 20-byte header with the
-    /// checksum field zeroed.
+    /// checksum field zeroed: [`checksum16`] of the wire form, folded
+    /// straight from the fields. DSCP/ECN, identification and
+    /// flags/fragment offset are not modeled, so their words are zero.
     pub fn compute_checksum(&self) -> u16 {
-        checksum16(&self.wire())
+        let words = [
+            0x4500,
+            u32::from(self.total_len),
+            u32::from(self.ttl) << 8 | u32::from(self.protocol.to_wire()),
+            self.src >> 16,
+            self.src & 0xffff,
+            self.dst >> 16,
+            self.dst & 0xffff,
+        ];
+        // Seven words carry at most three bits: two folds clear them.
+        let sum: u32 = words.iter().sum();
+        let sum = (sum & 0xffff) + (sum >> 16);
+        !(((sum & 0xffff) + (sum >> 16)) as u16)
     }
 
-    /// The wire form, with the checksum recomputed.
-    pub fn to_bytes(&self) -> [u8; Self::LEN] {
-        let mut b = self.wire();
-        let csum = checksum16(&b);
-        b[10..12].copy_from_slice(&csum.to_be_bytes());
-        b
+    /// Write the wire form, checksum recomputed, over every byte of
+    /// `out`.
+    fn put(&self, out: &mut [u8; Self::LEN]) {
+        out[0..2].copy_from_slice(&[0x45, 0]);
+        out[2..4].copy_from_slice(&self.total_len.to_be_bytes());
+        out[4..8].fill(0);
+        out[8] = self.ttl;
+        out[9] = self.protocol.to_wire();
+        out[10..12].copy_from_slice(&self.compute_checksum().to_be_bytes());
+        out[12..16].copy_from_slice(&self.src.to_be_bytes());
+        out[16..20].copy_from_slice(&self.dst.to_be_bytes());
     }
 
     /// Append the wire form to `out`, recomputing the checksum.
     pub fn write(&self, out: &mut BytesMut) {
-        out.put_slice(&self.to_bytes());
-    }
-
-    /// The wire form with the checksum field zero. DSCP/ECN,
-    /// identification and flags/fragment offset are not modeled and stay
-    /// zero too.
-    fn wire(&self) -> [u8; Self::LEN] {
-        let mut b = [0u8; Self::LEN];
-        b[0] = 0x45;
-        b[2..4].copy_from_slice(&self.total_len.to_be_bytes());
-        b[8] = self.ttl;
-        b[9] = self.protocol.to_wire();
-        b[12..16].copy_from_slice(&self.src.to_be_bytes());
-        b[16..20].copy_from_slice(&self.dst.to_be_bytes());
-        b
+        let mut b = [0; Self::LEN];
+        self.put(&mut b);
+        out.put_slice(&b);
     }
 
     /// True if the on-wire checksum matches the *modeled* header fields.
@@ -229,23 +236,18 @@ impl TcpHeader {
         })
     }
 
-    /// The 20-byte wire form (checksum left zero; the NIC checksum
-    /// accelerator fills it in the real device).
-    pub fn to_bytes(&self) -> [u8; Self::MIN_LEN] {
-        let mut b = [0u8; Self::MIN_LEN];
-        b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        b[4..8].copy_from_slice(&self.seq.to_be_bytes());
-        b[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        b[12] = 5 << 4;
-        b[13] = self.flags;
-        b[14..16].copy_from_slice(&0xffffu16.to_be_bytes()); // Window.
-        b
-    }
-
-    /// Append the 20-byte wire form to `out`.
-    pub fn write(&self, out: &mut BytesMut) {
-        out.put_slice(&self.to_bytes());
+    /// Write the 20-byte wire form over every byte of `out` (checksum
+    /// left zero; the NIC checksum accelerator fills it in the real
+    /// device).
+    fn put(&self, out: &mut [u8; Self::MIN_LEN]) {
+        out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        out[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        out[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        out[12] = 5 << 4;
+        out[13] = self.flags;
+        out[14..16].copy_from_slice(&0xffffu16.to_be_bytes()); // Window.
+        out[16..20].fill(0); // Checksum, urgent pointer.
     }
 }
 
@@ -276,18 +278,20 @@ impl UdpHeader {
         })
     }
 
-    /// The wire form (checksum zero = disabled, legal for IPv4).
-    pub fn to_bytes(&self) -> [u8; Self::LEN] {
-        let mut b = [0u8; Self::LEN];
-        b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        b[4..6].copy_from_slice(&self.len.to_be_bytes());
-        b
+    /// Write the wire form over every byte of `out` (checksum zero =
+    /// disabled, legal for IPv4).
+    fn put(&self, out: &mut [u8; Self::LEN]) {
+        out[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        out[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        out[4..6].copy_from_slice(&self.len.to_be_bytes());
+        out[6..8].fill(0);
     }
 
     /// Append the wire form to `out`.
     pub fn write(&self, out: &mut BytesMut) {
-        out.put_slice(&self.to_bytes());
+        let mut b = [0; Self::LEN];
+        self.put(&mut b);
+        out.put_slice(&b);
     }
 }
 
@@ -329,8 +333,10 @@ impl VxlanHeader {
 ///
 /// The buffer always begins with an Ethernet header; `arrival` is the
 /// simulated time at which the packet entered the RX port (zero for
-/// synthetic packets that have not traversed the port model).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// synthetic packets that have not traversed the port model). The
+/// default packet is empty: a slot for [`PacketBuilder::headers_into`]
+/// to write frames into.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Packet {
     /// Raw frame bytes starting at the Ethernet header.
     pub data: Bytes,
@@ -471,70 +477,85 @@ impl PacketBuilder {
         self
     }
 
-    /// The Ethernet, IPv4 and L4 headers of a frame carrying
-    /// `payload_len` payload bytes, and how much of the buffer they fill.
-    fn headers(&self, payload_len: usize) -> ([u8; Self::MAX_HEADERS], usize) {
-        const IP: usize = EthernetHeader::LEN;
-        const L4: usize = IP + Ipv4Header::LEN;
-        let l4 = match self.protocol {
-            Protocol::Tcp => TcpHeader::MIN_LEN,
-            Protocol::Udp => UdpHeader::LEN,
-            Protocol::Other(_) => 0,
-        };
-        let mut buf = [0u8; Self::MAX_HEADERS];
-        buf[..IP].copy_from_slice(&self.eth.to_bytes());
-        let ip = Ipv4Header {
-            src: self.src_ip,
-            dst: self.dst_ip,
-            protocol: self.protocol,
-            total_len: (Ipv4Header::LEN + l4 + payload_len) as u16,
-            ttl: self.ttl,
-            checksum: 0,
-        };
-        buf[IP..L4].copy_from_slice(&ip.to_bytes());
-        match self.protocol {
-            Protocol::Tcp => {
-                let tcp = TcpHeader {
+    /// Bytes of the Ethernet, IPv4 and L4 headers.
+    fn headers_len(&self) -> usize {
+        EthernetHeader::LEN
+            + Ipv4Header::LEN
+            + match self.protocol {
+                Protocol::Tcp => TcpHeader::MIN_LEN,
+                Protocol::Udp => UdpHeader::LEN,
+                Protocol::Other(_) => 0,
+            }
+    }
+
+    /// The one frame writer behind every build: make `slot` the frame
+    /// whose headers state a `payload_len`-byte payload, followed by
+    /// `body` (that payload, or nothing for a headers-only frame). Each
+    /// header is written field by field straight into the frame, the
+    /// IPv4 checksum folded from its fields, and every byte of the frame
+    /// is written, so a reused buffer keeps nothing of its last frame.
+    /// The buffer is reused when `slot` holds it alone and it is large
+    /// enough; otherwise `slot` gets a fresh one (see
+    /// [`Bytes::rewrite`]), and a clone of the old frame keeps its bytes.
+    fn write_into(&self, payload_len: usize, body: &[u8], slot: &mut Packet) {
+        let headers = self.headers_len();
+        slot.arrival = crate::units::Picos::ZERO;
+        slot.data.rewrite(headers + body.len(), |frame| {
+            let (frame, rest) = frame.split_at_mut(headers);
+            rest.copy_from_slice(body);
+            let (eth, frame) = frame.split_first_chunk_mut().expect("headers_len");
+            self.eth.put(eth);
+            let (ip, l4) = frame.split_first_chunk_mut().expect("headers_len");
+            Ipv4Header {
+                src: self.src_ip,
+                dst: self.dst_ip,
+                protocol: self.protocol,
+                total_len: (Ipv4Header::LEN + l4.len() + payload_len) as u16,
+                ttl: self.ttl,
+                checksum: 0,
+            }
+            .put(ip);
+            match self.protocol {
+                Protocol::Tcp => TcpHeader {
                     src_port: self.src_port,
                     dst_port: self.dst_port,
                     seq: 0,
                     ack: 0,
                     header_len: 20,
                     flags: 0x10,
-                };
-                buf[L4..].copy_from_slice(&tcp.to_bytes());
-            }
-            Protocol::Udp => {
-                let udp = UdpHeader {
+                }
+                .put(l4.try_into().expect("headers_len")),
+                Protocol::Udp => UdpHeader {
                     src_port: self.src_port,
                     dst_port: self.dst_port,
                     len: (UdpHeader::LEN + payload_len) as u16,
-                };
-                buf[L4..L4 + l4].copy_from_slice(&udp.to_bytes());
+                }
+                .put(l4.try_into().expect("headers_len")),
+                Protocol::Other(_) => {}
             }
-            Protocol::Other(_) => {}
-        }
-        (buf, L4 + l4)
+        });
+    }
+
+    /// [`PacketBuilder::write_into`] a fresh slot of the frame's size:
+    /// the frame's one allocation.
+    fn fresh(&self, payload_len: usize, body: &[u8]) -> Packet {
+        let len = self.headers_len() + body.len();
+        let mut frame = Packet::from_bytes(std::iter::repeat_n(0, len).collect());
+        self.write_into(payload_len, body, &mut frame);
+        frame
     }
 
     /// Serialize into a [`Packet`].
     pub fn build(self) -> Packet {
-        let (headers, len) = self.headers(self.payload.len());
-        let mut out = BytesMut::with_capacity(len + self.payload.len());
-        out.put_slice(&headers[..len]);
-        out.put_slice(&self.payload);
-        Packet::from_bytes(out.freeze())
+        self.fresh(self.payload.len(), &self.payload)
     }
 
     /// Serialize into a [`Packet`] around a borrowed `payload`: the
-    /// frame [`PacketBuilder::build`] produces for the same bytes, in
-    /// the frame's one allocation — for callers that build a packet per
-    /// request and keep none. Bytes given to [`PacketBuilder::payload`]
-    /// are not consulted.
+    /// frame [`PacketBuilder::build`] produces for the same bytes — for
+    /// callers that build a packet per request and keep none. Bytes
+    /// given to [`PacketBuilder::payload`] are not consulted.
     pub fn build_around(self, payload: &[u8]) -> Packet {
-        let (headers, len) = self.headers(payload.len());
-        let frame = headers[..len].iter().chain(payload).copied();
-        Packet::from_bytes(frame.collect())
+        self.fresh(payload.len(), payload)
     }
 
     /// Serialize only the headers of a frame whose payload is
@@ -545,8 +566,16 @@ impl PacketBuilder {
     /// [`PacketBuilder::build`] would produce with that payload. Bytes
     /// given to [`PacketBuilder::payload`] are not consulted.
     pub fn build_headers(self, payload_len: usize) -> Packet {
-        let (headers, len) = self.headers(payload_len);
-        Packet::from_bytes(Bytes::copy_from_slice(&headers[..len]))
+        self.fresh(payload_len, &[])
+    }
+
+    /// [`PacketBuilder::build_headers`] written over `slot` instead of
+    /// into a new packet: in place, with no allocation, when `slot` is
+    /// the only handle on a buffer large enough for the headers (one
+    /// that held a frame of this length or longer); `slot`'s arrival
+    /// time is reset to zero.
+    pub fn headers_into(&self, payload_len: usize, slot: &mut Packet) {
+        self.write_into(payload_len, &[], slot);
     }
 }
 

@@ -29,6 +29,64 @@ proptest! {
         prop_assert!(pkt.ipv4_checksum_ok());
     }
 
+    /// A slot rewritten in place, frame after frame, over a mix of TCP,
+    /// UDP and other protocols and of lengths that wrap `total_len` and
+    /// the UDP length past `u16`. Each rewrite must equal the owned
+    /// `build_headers` frame (so no byte of a longer earlier frame
+    /// survives) and be a prefix of `build` with that payload; the
+    /// buffer is reused exactly when the slot holds it alone and it is
+    /// large enough; and a clone taken of a frame keeps its bytes across
+    /// the next rewrite.
+    #[test]
+    fn a_slot_rewritten_in_place_is_the_owned_frame(
+        frames in proptest::collection::vec(
+            (
+                prop_oneof![
+                    Just(Protocol::Tcp),
+                    Just(Protocol::Udp),
+                    (0u8..=255).prop_map(Protocol::from_wire),
+                ],
+                (any::<u32>(), any::<u32>(), any::<u8>()),
+                (any::<u16>(), any::<u16>()),
+                prop_oneof![0usize..1_600, 65_400usize..65_600, 130_990usize..131_100],
+                any::<bool>(),
+            ),
+            1..24,
+        ),
+    ) {
+        let mut slot = Packet::default();
+        // Bytes the slot's buffer holds; what a clone should still read.
+        let mut held = 0;
+        let mut kept: Option<(Packet, Vec<u8>)> = None;
+        for (protocol, (src, dst, ttl), (sport, dport), len, keep) in frames {
+            let builder = PacketBuilder::new(src, dst, protocol, sport, dport).ttl(ttl);
+            let before = slot.data.as_ptr();
+            builder.headers_into(len, &mut slot);
+            let owned = builder.clone().build_headers(len);
+            prop_assert_eq!(&slot, &owned, "{:?} payload {}", protocol, len);
+            prop_assert!(slot.ipv4_checksum_ok());
+            // The lengths state the uncaptured payload, wrapped to 16 bits.
+            let l4 = slot.len() - slot.l4_offset();
+            prop_assert_eq!(slot.ipv4().unwrap().total_len, (20 + l4 + len) as u16);
+            if protocol == Protocol::Udp {
+                prop_assert_eq!(slot.udp().unwrap().len, (8 + len) as u16);
+            }
+            let full = builder.build_around(&vec![0xa5; len]);
+            prop_assert_eq!(&slot.data[..], &full.data[..slot.len()]);
+            let in_place = kept.is_none() && slot.len() <= held;
+            prop_assert_eq!(slot.data.as_ptr() == before, in_place, "held {}", held);
+            if !in_place {
+                held = slot.len();
+            }
+            if let Some((clone, bytes)) = kept.take() {
+                prop_assert_eq!(&clone.data[..], &bytes[..], "a kept clone changed");
+            }
+            if keep {
+                kept = Some((slot.clone(), slot.data.to_vec()));
+            }
+        }
+    }
+
     #[test]
     fn corrupting_any_header_byte_breaks_checksum_or_parse(
         flip in 14usize..34,

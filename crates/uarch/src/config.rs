@@ -5,6 +5,13 @@
 //! of 1,600 MHz DDR3 RAM. We configured the core frequency, cache line
 //! size, L1 cache size, and cache associativity and latency to match
 //! those of the Marvell smart NIC described in the iPipe paper."
+//!
+//! The frequency, caches and DRAM follow that quote; the out-of-order
+//! core does not. The engine's core blocks on every L2 miss (`Back::run`
+//! resumes a missing lane at `start + BUS_BEAT_CYCLES + DRAM_CYCLES`
+//! before its next event issues), so no two misses of one lane overlap.
+//! DESIGN.md §2 records the deviation; ROADMAP item 17 is the miss
+//! window that would close it.
 
 use crate::bus::{BusKind, EPOCH_CYCLES};
 use crate::cache::{CacheConfig, Partition};

@@ -111,7 +111,9 @@ budgeted_test() {
 # the suites that matter most to a refactor:
 #
 # - The layers regeneration runs through (snic-types, snic-trace,
-#   snic-nf): headers-only frames are prefixes of full frames, no
+#   snic-nf): headers-only frames are prefixes of full frames, a packet
+#   slot rewritten in place is the owned frame and spares a kept clone
+#   (`a_slot_rewritten_in_place_is_the_owned_frame`), no
 #   header-only NF reads a payload, the bulk DIR-24-8 build equals
 #   ordered inserts, the frozen Aho-Corasick walk records what its
 #   node-walk oracle records (`frozen_walk_equals_the_oracle`), and the
@@ -272,10 +274,20 @@ cargo run -q --release --bin snicctl -- telemetry overhead
 # plus streaming state; independent of event count and of tenant
 # count. LPM tenants holding the flat 64 MB tbl24 they model, ≈ 79,
 # fail it, and so does the interleaved --shards 1 run, ≈ 75).
-# SNIC_TRACE_GATE_EVENTS trims the run on slow machines.
+# SNIC_TRACE_GATE_EVENTS trims the run on slow machines. The run's
+# summary line (wall, events/s, peak RSS, digest) is printed; at the
+# default 10^9 events its digest must be the pinned 5ce8b2a952c1f16b,
+# which a trimmed run cannot reach, so a trimmed run skips that check.
 echo "==> bounded-memory streaming gate (snicctl trace billion --gate)"
-cargo run -q --release --bin snicctl -- trace billion --gate \
-    ${SNIC_TRACE_GATE_EVENTS:+--events "$SNIC_TRACE_GATE_EVENTS"} > /dev/null
+billion_out="$(cargo run -q --release --bin snicctl -- trace billion --gate \
+    ${SNIC_TRACE_GATE_EVENTS:+--events "$SNIC_TRACE_GATE_EVENTS"})"
+billion_summary="$(grep '^billion-event streamed run:' <<< "$billion_out" || true)"
+echo "    $billion_summary"
+if [ -z "${SNIC_TRACE_GATE_EVENTS:-}" ] && [[ "$billion_summary" != *" digest=5ce8b2a952c1f16b" ]]; then
+    echo "FAIL: the 10^9-event streamed run's digest is not the pinned 5ce8b2a952c1f16b:" >&2
+    echo "$billion_out" >&2
+    exit 1
+fi
 
 # Paper scale: every `_full` golden, crates/bench/tests/golden/<name>_full.txt,
 # must match `snicctl exp <name> --full` byte for byte (today fig5a and
